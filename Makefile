@@ -5,10 +5,10 @@ GO ?= go
 # Fuzz smoke budget per target (ci runs each fuzzer this long).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json ci clean
+.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke ci clean
 
 # Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_10.json
+BENCHOUT ?= BENCH_14.json
 
 all: ci
 
@@ -40,8 +40,11 @@ lint-fix:
 lint-report:
 	$(GO) run ./cmd/tangolint -json -cache .tangolint-cache ./... > lint.json
 
+# test is tier-1 at three GOMAXPROCS widths: the parallel executor
+# (prefetch, partitioned operators) only engages above one, and a
+# lifecycle bug there once hid behind a one-core builder.
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 ./...
 
 race:
 	$(GO) test -race ./...
@@ -87,6 +90,11 @@ LOADSESSIONS ?= 256
 load:
 	$(GO) run -race ./cmd/tangoload -sessions $(LOADSESSIONS) -ops 2 -retries 8 -op-timeout 2s -deadline 15s -chaos "seed=7;stall=200us;fetch@3=drop"
 
+# The per-layer row-path micro-benchmarks (rows/s and allocs/op each):
+# the shared sort routine, a heap scan's page decode, and the engine's
+# scan + project + ORDER BY on integer and on string keys.
+ROWBENCH = SortTuples|HeapScanDecode|EngineSort
+
 # bench-smoke runs every benchmark for a single iteration at both
 # GOMAXPROCS widths, so ci catches benchmarks that no longer compile
 # or crash without paying for real measurement. The Query1 pattern
@@ -95,6 +103,7 @@ load:
 bench-smoke:
 	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x -cpu 1,2
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
 
 # bench-json measures the sequential-vs-parallel query benchmarks
 # (-cpu 1,4: 1 = sequential algorithms, 4 = windowed fetch pipeline,
@@ -111,14 +120,23 @@ bench-json:
 	{ $(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM' -benchtime 15x -cpu 1,4; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'GroupCommit' -benchtime 200x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
-	  $(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 2000x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)
+	  $(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 2000x; \
+	  $(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 20x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)
+
+# tangobench-smoke vets and tests the nested benchmark module, which
+# `go build ./...` at the root does not see: it imports the codec, the
+# Value constructors and accessors, the comparison helpers, the xxl
+# constructors and rel.Drain, so a signature change there fails here
+# rather than in the benchmark driver.
+tangobench-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # ci is the full verification gate: compile everything, vet, run the
 # project analyzers (publishing lint.json), smoke the fuzz targets and
 # the benchmarks, run the test suite under the race detector (tests
 # also planck-check every plan), run the short chaos sweep under
 # -race, and sweep the crash-recovery matrix under -race.
-ci: build vet lint-report fuzz race chaos crash load bench-smoke
+ci: build vet lint-report fuzz race chaos crash load bench-smoke tangobench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -60,12 +60,13 @@ func (t *Tree) Len() int {
 	return t.size
 }
 
-// Insert adds an entry; duplicate keys are allowed.
+// Insert adds an entry; duplicate keys are allowed. The tree outlives
+// the scan that feeds it, so it keeps a detached copy of the key.
 func (t *Tree) Insert(key types.Value, rid storage.RecordID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.size++
-	mid, right := t.root.insert(key, rid)
+	mid, right := t.root.insert(key.Detach(), rid)
 	if right != nil {
 		t.root = &node{
 			keys:     []types.Value{mid},

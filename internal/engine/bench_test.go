@@ -1,0 +1,67 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"tango/internal/types"
+)
+
+// positionDB holds n POSITION-shaped rows with skewed PosIDs, as the
+// evaluation data has, in insertion (not key) order.
+func positionDB(tb testing.TB, n int) *DB {
+	tb.Helper()
+	db := Open(Config{})
+	schema := types.NewSchema(
+		types.Column{Name: "PosID", Kind: types.KindInt},
+		types.Column{Name: "EmpID", Kind: types.KindInt},
+		types.Column{Name: "EmpName", Kind: types.KindString},
+		types.Column{Name: "Dept", Kind: types.KindString},
+		types.Column{Name: "PayRate", Kind: types.KindFloat},
+		types.Column{Name: "Title", Kind: types.KindString},
+		types.Column{Name: "T1", Kind: types.KindDate},
+		types.Column{Name: "T2", Kind: types.KindDate},
+	)
+	if _, err := db.CreateTable("POSITION", schema); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		t1 := rng.Int63n(8000)
+		rows[i] = types.Tuple{
+			types.Int(rng.Int63n(int64(n/6) + 1)), types.Int(rng.Int63n(4000)),
+			types.Str(fmt.Sprintf("Employee %d", rng.Intn(4000))), types.Str("Dept"),
+			types.Float(10 + float64(rng.Intn(400))/10), types.Str("Title"),
+			types.Date(t1), types.Date(t1 + 1 + rng.Int63n(400)),
+		}
+	}
+	if err := db.BulkLoad("POSITION", rows); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// BenchmarkEngineSort is the engine's share of a sorted fetch: scan,
+// project, ORDER BY, with integer/date keys (the flat-key fast path)
+// and with a string key in front (the Compare path).
+func BenchmarkEngineSort(b *testing.B) {
+	const n = 12000
+	db := positionDB(b, n)
+	for _, bc := range []struct{ name, sql string }{
+		{"intkeys", "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY PosID, T1"},
+		{"mixedkeys", "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY EmpName, T1"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := db.QueryAll(bc.sql)
+				if err != nil || len(r.Tuples) != n {
+					b.Fatalf("%d rows, err %v", len(r.Tuples), err)
+				}
+			}
+			b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}

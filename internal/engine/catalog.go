@@ -560,6 +560,7 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 			}
 			distinct[v.AsString()] = true
 		}
+		cs.Min, cs.Max = cs.Min.Detach(), cs.Max.Detach()
 		cs.Distinct = int64(len(distinct))
 		if histogramBuckets > 0 && col.Kind != types.KindString && col.Kind != types.KindBool {
 			cs.Histogram = meta.BuildHistogram(values[i], histogramBuckets)

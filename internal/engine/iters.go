@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"tango/internal/btree"
 	"tango/internal/rel"
@@ -169,11 +168,11 @@ type projectIter struct {
 	in     rel.Iterator
 	schema types.Schema
 	exprs  []evalFunc
-	out    types.Tuple
+	rows   types.TupleAlloc
 }
 
 func newProject(in rel.Iterator, schema types.Schema, exprs []evalFunc) *projectIter {
-	return &projectIter{in: in, schema: schema, exprs: exprs, out: make(types.Tuple, len(exprs))}
+	return &projectIter{in: in, schema: schema, exprs: exprs}
 }
 
 func (p *projectIter) Schema() types.Schema { return p.schema }
@@ -185,7 +184,7 @@ func (p *projectIter) Next() (types.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(types.Tuple, len(p.exprs))
+	out := p.rows.Make(len(p.exprs))
 	for i, e := range p.exprs {
 		v, err := e(t)
 		if err != nil {
@@ -219,11 +218,6 @@ func (s *sortIter) Open() error {
 	}
 	s.rows = s.rows[:0]
 	s.pos = 0
-	type keyed struct {
-		t  types.Tuple
-		ks types.Tuple
-	}
-	var rows []keyed
 	for {
 		t, ok, err := s.in.Next()
 		if err != nil {
@@ -232,27 +226,26 @@ func (s *sortIter) Open() error {
 		if !ok {
 			break
 		}
-		ks := make(types.Tuple, len(s.keys))
-		for i, k := range s.keys {
-			v, err := k(t)
-			if err != nil {
-				return err
-			}
-			ks[i] = v
-		}
-		rows = append(rows, keyed{t: t.Clone(), ks: ks})
+		s.rows = append(s.rows, t)
 	}
-	idx := make([]int, len(s.keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return types.CompareTuples(rows[i].ks, rows[j].ks, idx, s.descs) < 0
-	})
-	for _, r := range rows {
-		s.rows = append(s.rows, r.t)
+	if err := sortByKeys(s.rows, s.keys, s.descs); err != nil {
+		return err
 	}
 	return s.in.Close()
+}
+
+// sortByKeys stably sorts rows by key expressions, reporting the first
+// evaluation error.
+func sortByKeys(rows []types.Tuple, keys []evalFunc, descs []bool) error {
+	var keyErr error
+	types.SortTuplesFunc(rows, len(keys), func(t types.Tuple, k int) types.Value {
+		v, err := keys[k](t)
+		if err != nil && keyErr == nil {
+			keyErr = err
+		}
+		return v
+	}, descs)
+	return keyErr
 }
 
 func (s *sortIter) Next() (types.Tuple, bool, error) {
@@ -266,6 +259,24 @@ func (s *sortIter) Next() (types.Tuple, bool, error) {
 
 func (s *sortIter) Close() error { s.rows = nil; return nil }
 
+// --- Joins ---
+
+// concatIf builds the join candidate l ++ r in rows and keeps it when
+// pred (nil means always) holds; a rejected candidate's memory goes to
+// the next one.
+func concatIf(rows *types.TupleAlloc, l, r types.Tuple, pred evalFunc) (types.Tuple, bool, error) {
+	out := rows.Make(len(l) + len(r))
+	copy(out[copy(out, l):], r)
+	if pred != nil {
+		v, err := pred(out)
+		if err != nil || v.IsNull() || !v.AsBool() {
+			rows.Undo(out)
+			return nil, false, err
+		}
+	}
+	return out, true, nil
+}
+
 // --- Nested-loop join ---
 
 // nlJoin is a block nested-loop join: the right input is materialized
@@ -278,6 +289,7 @@ type nlJoin struct {
 	rightRows   []types.Tuple
 	cur         types.Tuple
 	ri          int
+	rows        types.TupleAlloc
 }
 
 func newNLJoin(left, right rel.Iterator, pred evalFunc) *nlJoin {
@@ -305,7 +317,7 @@ func (j *nlJoin) Open() error {
 		if !ok {
 			break
 		}
-		j.rightRows = append(j.rightRows, t.Clone())
+		j.rightRows = append(j.rightRows, t)
 	}
 	j.cur = nil
 	j.ri = 0
@@ -319,25 +331,19 @@ func (j *nlJoin) Next() (types.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t.Clone()
+			j.cur = t
 			j.ri = 0
 		}
 		for j.ri < len(j.rightRows) {
 			r := j.rightRows[j.ri]
 			j.ri++
-			out := make(types.Tuple, 0, len(j.cur)+len(r))
-			out = append(out, j.cur...)
-			out = append(out, r...)
-			if j.pred != nil {
-				v, err := j.pred(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			out, ok, err := concatIf(&j.rows, j.cur, r, j.pred)
+			if err != nil {
+				return nil, false, err
 			}
-			return out, true, nil
+			if ok {
+				return out, true, nil
+			}
 		}
 		j.cur = nil
 	}
@@ -365,6 +371,7 @@ type indexNLJoin struct {
 	cur     types.Tuple
 	matches []types.Tuple
 	mi      int
+	rows    types.TupleAlloc
 }
 
 func newIndexNLJoin(outer rel.Iterator, inner *Table, innerQ, innerCol string, outerKey evalFunc, residual evalFunc) *indexNLJoin {
@@ -397,7 +404,7 @@ func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t.Clone()
+			j.cur = t
 			key, err := j.outerKey(j.cur)
 			if err != nil {
 				return nil, false, err
@@ -420,19 +427,13 @@ func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
 		for j.mi < len(j.matches) {
 			r := j.matches[j.mi]
 			j.mi++
-			out := make(types.Tuple, 0, len(j.cur)+len(r))
-			out = append(out, j.cur...)
-			out = append(out, r...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			out, ok, err := concatIf(&j.rows, j.cur, r, j.residual)
+			if err != nil {
+				return nil, false, err
 			}
-			return out, true, nil
+			if ok {
+				return out, true, nil
+			}
 		}
 		j.cur = nil
 	}
@@ -455,6 +456,7 @@ type hashJoin struct {
 	cur    types.Tuple
 	bucket []types.Tuple
 	bi     int
+	rows   types.TupleAlloc
 }
 
 func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, residual evalFunc) *hashJoin {
@@ -500,7 +502,7 @@ func (j *hashJoin) Open() error {
 			return err
 		}
 		if valid {
-			j.table[h] = append(j.table[h], t.Clone())
+			j.table[h] = append(j.table[h], t)
 		}
 	}
 	if err := j.right.Close(); err != nil {
@@ -517,7 +519,7 @@ func (j *hashJoin) Next() (types.Tuple, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t.Clone()
+			j.cur = t
 			h, valid, err := hashKeys(j.cur, j.leftKeys)
 			if err != nil {
 				return nil, false, err
@@ -551,19 +553,13 @@ func (j *hashJoin) Next() (types.Tuple, bool, error) {
 			if !match {
 				continue
 			}
-			out := make(types.Tuple, 0, len(j.cur)+len(r))
-			out = append(out, j.cur...)
-			out = append(out, r...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			out, ok, err := concatIf(&j.rows, j.cur, r, j.residual)
+			if err != nil {
+				return nil, false, err
 			}
-			return out, true, nil
+			if ok {
+				return out, true, nil
+			}
 		}
 		j.cur = nil
 	}
@@ -591,6 +587,7 @@ type mergeJoin struct {
 	// group state: matching right-run [rstart, rend) for current left key
 	rstart, rend int
 	gi           int
+	rows         types.TupleAlloc
 }
 
 func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, residual evalFunc) *mergeJoin {
@@ -615,7 +612,6 @@ func materializeKeyed(in rel.Iterator, key evalFunc) (_ []types.Tuple, _ []types
 		}
 	}()
 	var rows []types.Tuple
-	var keys []types.Value
 	for {
 		t, ok, err := in.Next()
 		if err != nil {
@@ -624,27 +620,18 @@ func materializeKeyed(in rel.Iterator, key evalFunc) (_ []types.Tuple, _ []types
 		if !ok {
 			break
 		}
-		v, err := key(t)
-		if err != nil {
+		rows = append(rows, t)
+	}
+	if err := sortByKeys(rows, []evalFunc{key}, nil); err != nil {
+		return nil, nil, err
+	}
+	keys := make([]types.Value, len(rows))
+	for i, t := range rows {
+		if keys[i], err = key(t); err != nil {
 			return nil, nil, err
 		}
-		rows = append(rows, t.Clone())
-		keys = append(keys, v)
 	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return types.Less(keys[idx[a]], keys[idx[b]])
-	})
-	srows := make([]types.Tuple, len(rows))
-	skeys := make([]types.Value, len(rows))
-	for i, p := range idx {
-		srows[i] = rows[p]
-		skeys[i] = keys[p]
-	}
-	return srows, skeys, nil
+	return rows, keys, nil
 }
 
 func (j *mergeJoin) Open() error {
@@ -669,19 +656,14 @@ func (j *mergeJoin) Next() (types.Tuple, bool, error) {
 			l := j.lrows[j.li]
 			r := j.rrows[j.gi]
 			j.gi++
-			out := make(types.Tuple, 0, len(l)+len(r))
-			out = append(out, l...)
-			out = append(out, r...)
-			if j.residual != nil {
-				v, err := j.residual(out)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.AsBool() {
-					continue
-				}
+			out, ok, err := concatIf(&j.rows, l, r, j.residual)
+			if err != nil {
+				return nil, false, err
 			}
-			return out, true, nil
+			if ok {
+				return out, true, nil
+			}
+			continue
 		}
 		// Current left row exhausted its run; advance left.
 		if j.rstart < j.rend {

@@ -16,11 +16,9 @@ const DefaultBatchSize = 256
 //
 // Contract: NextBatch fills dst[:len(dst)] with up to len(dst) tuples
 // and returns the number written; n == 0 (with a nil error) means end
-// of stream. The tuples placed in dst must remain valid until the next
-// NextBatch or Next call on the producer — batch producers hand out
-// freshly decoded or owned tuples, never a reused scratch tuple.
-// Interleaving Next and NextBatch calls is allowed; both advance the
-// same underlying stream.
+// of stream. The tuples follow Iterator's row-lifetime rule: immutable,
+// and valid for as long as anyone holds them. Interleaving Next and
+// NextBatch calls is allowed; both advance the same underlying stream.
 type BatchIterator interface {
 	Iterator
 	NextBatch(dst []types.Tuple) (int, error)
@@ -28,11 +26,8 @@ type BatchIterator interface {
 
 // NextBatch pulls up to len(dst) tuples from it: the batch fast path
 // when the iterator implements BatchIterator, otherwise a
-// tuple-at-a-time fallback. The fallback clones each tuple, because the
-// plain Iterator contract lets a producer reuse the returned tuple on
-// the next call, while a batch must stay valid as a whole; native
-// BatchIterator implementations avoid both the clone and the per-tuple
-// interface call.
+// tuple-at-a-time fallback; native BatchIterator implementations avoid
+// the per-tuple interface call.
 func NextBatch(it Iterator, dst []types.Tuple) (int, error) {
 	if b, ok := it.(BatchIterator); ok {
 		return b.NextBatch(dst)
@@ -46,7 +41,7 @@ func NextBatch(it Iterator, dst []types.Tuple) (int, error) {
 		if !ok {
 			break
 		}
-		dst[n] = t.Clone()
+		dst[n] = t
 		n++
 	}
 	return n, nil
@@ -54,7 +49,7 @@ func NextBatch(it Iterator, dst []types.Tuple) (int, error) {
 
 // AsBatch adapts any iterator to the batch protocol: a pass-through
 // when it already implements BatchIterator, otherwise a wrapper whose
-// NextBatch loops (and clones) over Next.
+// NextBatch loops over Next.
 func AsBatch(it Iterator) BatchIterator {
 	if b, ok := it.(BatchIterator); ok {
 		return b

@@ -7,7 +7,6 @@ package rel
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tango/internal/types"
@@ -17,14 +16,26 @@ import (
 // sets with init()/getNext()). Open must be called before Next; Next
 // returns ok=false at end of stream; Close releases resources and is
 // idempotent.
+//
+// Row lifetime: a produced tuple is immutable and stays valid for as
+// long as anyone references it. A producer never writes to a tuple it
+// has returned and never hands the same backing memory out twice; a
+// consumer may keep a tuple (a sort buffer, a join build side, a
+// drained relation) without copying it, and must not write to it — an
+// operator that edits a row, as coalescing does, edits its own copy.
+// Tuples of one heap page or wire batch share one decode slab
+// (types.Slab), which is plain garbage-collected memory and is never
+// pooled, so keeping one tuple keeps its slab. A consumer that keeps
+// only a few values for long — index keys, column statistics — detaches
+// them (Value.Detach) rather than pin a slab per value.
 type Iterator interface {
 	// Schema describes the tuples the iterator produces. It must be
 	// valid before Open.
 	Schema() types.Schema
 	// Open prepares the iterator (and, transitively, its inputs).
 	Open() error
-	// Next returns the next tuple. The returned tuple may be reused by
-	// subsequent calls; callers that retain it must Clone it.
+	// Next returns the next tuple, the caller's to keep but not to
+	// modify (see the row-lifetime rule above).
 	Next() (types.Tuple, bool, error)
 	// Close releases resources.
 	Close() error
@@ -83,9 +94,7 @@ func (r *Relation) SortBy(cols ...string) {
 	for i, c := range cols {
 		keys[i] = r.Schema.MustIndex(c)
 	}
-	sort.SliceStable(r.Tuples, func(i, j int) bool {
-		return types.CompareTuples(r.Tuples[i], r.Tuples[j], keys, nil) < 0
-	})
+	types.SortTuples(r.Tuples, keys, nil)
 }
 
 // IsSortedBy reports whether the relation is ordered by the given
@@ -140,39 +149,24 @@ func (it *sliceIter) Next() (types.Tuple, bool, error) {
 }
 
 // Drain materializes an iterator into a relation, opening and closing
-// it. Tuples are cloned so the result owns its memory. Batch-native
-// iterators are drained a batch at a time.
+// it. The relation holds the produced tuples themselves (they are
+// immutable). Batch-native iterators are drained a batch at a time.
 func Drain(it Iterator) (*Relation, error) {
 	out := New(it.Schema())
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	if b, ok := it.(BatchIterator); ok {
-		dst := make([]types.Tuple, DefaultBatchSize)
-		for {
-			n, err := b.NextBatch(dst)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				out.Append(dst[i].Clone())
-			}
+	dst := make([]types.Tuple, DefaultBatchSize)
+	for {
+		n, err := NextBatch(it, dst)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for {
-			t, ok, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			out.Append(t.Clone())
+		if n == 0 {
+			break
 		}
+		out.Tuples = append(out.Tuples, dst[:n]...)
 	}
 	if err := it.Close(); err != nil {
 		return nil, err

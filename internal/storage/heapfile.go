@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"slices"
+
 	"tango/internal/types"
 )
 
@@ -124,33 +126,14 @@ func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
 	var (
 		rids   []RecordID
 		tuples []types.Tuple
+		err    error
 	)
 	for pageNo := int32(0); pageNo < int32(n); pageNo++ {
-		pid := PageID{File: h.file, No: pageNo}
-		p, ref, err := h.pool.FetchShared(pid)
+		rids = rids[:0]
+		tuples, err = h.pageTuples(pageNo, -1, tuples[:0], &rids)
 		if err != nil {
 			return err
 		}
-		rids, tuples = rids[:0], tuples[:0]
-		slots := p.NumSlots()
-		for s := 0; s < slots; s++ {
-			rec, err := p.Record(s)
-			if err == ErrNoRecord {
-				continue
-			}
-			if err != nil {
-				ref.Release()
-				return err
-			}
-			t, _, err := types.DecodeTuple(rec)
-			if err != nil {
-				ref.Release()
-				return err
-			}
-			rids = append(rids, RecordID{Page: pageNo, Slot: int32(s)})
-			tuples = append(tuples, t)
-		}
-		ref.Release()
 		for i, t := range tuples {
 			if !fn(rids[i], t) {
 				return nil
@@ -171,7 +154,15 @@ func (h *HeapFile) PageTuples(pageNo int32, dst []types.Tuple) ([]types.Tuple, e
 // slot maxSlots, appending to dst; maxSlots < 0 means every slot.
 // Snapshot scans use the slot cap to stop a tail page at the reader's
 // visibility bound. The page is read under its shared content latch.
+// The tuples are carved from one exactly-sized types.Slab per page and
+// do not alias the page buffer.
 func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([]types.Tuple, error) {
+	return h.pageTuples(pageNo, maxSlots, dst, nil)
+}
+
+// pageTuples is PageTuplesN that also appends each tuple's record ID
+// to *rids when rids is non-nil.
+func (h *HeapFile) pageTuples(pageNo int32, maxSlots int, dst []types.Tuple, rids *[]RecordID) ([]types.Tuple, error) {
 	pid := PageID{File: h.file, No: pageNo}
 	p, ref, err := h.pool.FetchShared(pid)
 	if err != nil {
@@ -182,6 +173,8 @@ func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([
 	if maxSlots >= 0 && maxSlots < slots {
 		slots = maxSlots
 	}
+	var slab types.Slab
+	live := 0
 	for s := 0; s < slots; s++ {
 		rec, err := p.Record(s)
 		if err == ErrNoRecord {
@@ -190,11 +183,22 @@ func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([
 		if err != nil {
 			return dst, err
 		}
-		t, _, err := types.DecodeTuple(rec)
-		if err != nil {
+		if _, err := slab.Measure(rec); err != nil {
 			return dst, err
 		}
+		live++
+	}
+	dst = slices.Grow(dst, live)
+	for s := 0; s < slots; s++ {
+		rec, err := p.Record(s)
+		if err != nil {
+			continue // measured above: only ErrNoRecord is left
+		}
+		t, _ := slab.Decode(rec)
 		dst = append(dst, t)
+		if rids != nil {
+			*rids = append(*rids, RecordID{Page: pageNo, Slot: int32(s)})
+		}
 	}
 	return dst, nil
 }

@@ -145,7 +145,10 @@ func NewRegistry() *Registry {
 	return &Registry{series: map[string]*series{}}
 }
 
-func (r *Registry) get(name string, labels Labels, kind metricKind) (*series, bool) {
+// get returns the series, creating it — and running init on it, still
+// under the lock, so no other caller can see it half-built — when it
+// does not exist yet.
+func (r *Registry) get(name string, labels Labels, kind metricKind, init func(*series)) *series {
 	key := name + labelKey(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -153,15 +156,16 @@ func (r *Registry) get(name string, labels Labels, kind metricKind) (*series, bo
 		if s.kind != kind {
 			panic(fmt.Sprintf("telemetry: %s re-registered as %v (was %v)", key, kind, s.kind))
 		}
-		return s, true
+		return s
 	}
 	cp := Labels{}
 	for k, v := range labels {
 		cp[k] = v
 	}
 	s := &series{name: name, labels: cp, kind: kind}
+	init(s)
 	r.series[key] = s
-	return s, false
+	return s
 }
 
 // Counter returns (creating if needed) the counter series.
@@ -169,11 +173,7 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	s, existed := r.get(name, labels, kindCounter)
-	if !existed {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.get(name, labels, kindCounter, func(s *series) { s.counter = &Counter{} }).counter
 }
 
 // Gauge returns (creating if needed) the gauge series.
@@ -181,11 +181,7 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s, existed := r.get(name, labels, kindGauge)
-	if !existed {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.get(name, labels, kindGauge, func(s *series) { s.gauge = &Gauge{} }).gauge
 }
 
 // GaugeFunc registers (or replaces) a gauge whose value is computed at
@@ -194,7 +190,7 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 	if r == nil {
 		return
 	}
-	s, _ := r.get(name, labels, kindGaugeFunc)
+	s := r.get(name, labels, kindGaugeFunc, func(*series) {})
 	r.mu.Lock()
 	s.fn = fn
 	r.mu.Unlock()
@@ -207,11 +203,7 @@ func (r *Registry) Histogram(name string, labels Labels, buckets []float64) *His
 	if r == nil {
 		return nil
 	}
-	s, existed := r.get(name, labels, kindHistogram)
-	if !existed {
-		s.hist = newHistogram(buckets)
-	}
-	return s.hist
+	return r.get(name, labels, kindHistogram, func(s *series) { s.hist = newHistogram(buckets) }).hist
 }
 
 // NumSeries returns the number of distinct registered series.

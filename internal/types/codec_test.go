@@ -105,10 +105,3 @@ func TestCodecCorruption(t *testing.T) {
 		t.Error("invalid kind should error")
 	}
 }
-
-func TestEncodedSize(t *testing.T) {
-	tp := Tuple{Int(5), Str("abc")}
-	if EncodedSize(tp) != len(EncodeTuple(nil, tp)) {
-		t.Error("EncodedSize mismatch")
-	}
-}

@@ -1,0 +1,190 @@
+package types
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+	"unsafe"
+)
+
+func TestValueSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Value{}); sz > 24 {
+		t.Fatalf("Value is %d bytes, want <= 24", sz)
+	}
+}
+
+// identical is bit-for-bit equality: same kind and same payload, with
+// floats compared on their bits so NaN and -0.0 are told apart.
+func identical(a, b Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	switch a.Kind() {
+	case KindNull:
+		return true
+	case KindFloat:
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	case KindString:
+		return a.AsString() == b.AsString()
+	default:
+		return a.AsInt() == b.AsInt()
+	}
+}
+
+// edgeValues holds the payloads a representation change is most likely
+// to get wrong.
+var edgeValues = []Value{
+	Null, Str(""), Str("x"), Str("O'Hara\n\x00"), Str("2"),
+	Int(0), Int(-1), Int(2), Int(math.MinInt64), Int(math.MaxInt64),
+	Float(0), Float(math.Copysign(0, -1)), Float(2), Float(2.5),
+	Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+	Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64),
+	Bool(true), Bool(false), Date(0), Date(2), Date(-1), Date(9862),
+}
+
+// tupleGen makes quick.Check draw tuples from the edge values and
+// random payloads of every kind.
+type tupleGen Tuple
+
+func (tupleGen) Generate(rng *rand.Rand, size int) reflect.Value {
+	tp := make(Tuple, rng.Intn(7))
+	for i := range tp {
+		switch rng.Intn(7) {
+		case 0:
+			tp[i] = edgeValues[rng.Intn(len(edgeValues))]
+		case 1:
+			tp[i] = Int(int64(rng.Uint64()))
+		case 2:
+			tp[i] = Float(math.Float64frombits(rng.Uint64()))
+		case 3:
+			b := make([]byte, rng.Intn(40))
+			rng.Read(b)
+			tp[i] = Str(string(b))
+		case 4:
+			tp[i] = Bool(rng.Intn(2) == 0)
+		case 5:
+			tp[i] = Date(rng.Int63n(30000))
+		default:
+			tp[i] = Null
+		}
+	}
+	return reflect.ValueOf(tupleGen(tp))
+}
+
+// slabDecode decodes back-to-back tuples through one Slab.
+func slabDecode(t testing.TB, enc []byte, n int) []Tuple {
+	t.Helper()
+	var s Slab
+	for pos, i := 0, 0; i < n; i++ {
+		used, err := s.Measure(enc[pos:])
+		if err != nil {
+			t.Fatalf("measure tuple %d: %v", i, err)
+		}
+		pos += used
+	}
+	out := make([]Tuple, n)
+	pos := 0
+	for i := range out {
+		var used int
+		out[i], used = s.Decode(enc[pos:])
+		pos += used
+	}
+	return out
+}
+
+// TestSlabRoundTrip: a group of tuples decoded through one slab equals
+// what was encoded, bit for bit, and what DecodeTuple makes of each.
+func TestSlabRoundTrip(t *testing.T) {
+	f := func(group []tupleGen) bool {
+		var enc []byte
+		for _, tp := range group {
+			enc = EncodeTuple(enc, Tuple(tp))
+		}
+		got := slabDecode(t, enc, len(group))
+		pos := 0
+		for i, tp := range group {
+			one, used, err := DecodeTuple(enc[pos:])
+			if err != nil || len(one) != len(tp) || len(got[i]) != len(tp) {
+				return false
+			}
+			pos += used
+			for j := range tp {
+				if !identical(got[i][j], tp[j]) || !identical(one[j], tp[j]) {
+					return false
+				}
+			}
+		}
+		return pos == len(enc)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	// Every edge value in one tuple, deterministically.
+	if !f([]tupleGen{tupleGen(edgeValues), {}, tupleGen(edgeValues[:3])}) {
+		t.Error("edge values failed the round trip")
+	}
+}
+
+// TestDecodedValuesBehaveAlike: Compare, Equal and Hash give the same
+// answers on decoded values as on the values that were encoded.
+func TestDecodedValuesBehaveAlike(t *testing.T) {
+	dec := slabDecode(t, EncodeTuple(nil, edgeValues), 1)[0]
+	for i, a := range edgeValues {
+		if a.Hash() != dec[i].Hash() {
+			t.Errorf("%v: Hash changed across the codec", a)
+		}
+		for j, b := range edgeValues {
+			if Compare(a, b) != Compare(dec[i], dec[j]) || Equal(a, b) != Equal(dec[i], dec[j]) {
+				t.Errorf("Compare/Equal(%v, %v) changed across the codec", a, b)
+			}
+		}
+	}
+}
+
+// TestDecodedStringsOutliveSource: decoded tuples own their strings; a
+// page or frame buffer may be overwritten as soon as Decode returns.
+func TestDecodedStringsOutliveSource(t *testing.T) {
+	src := Tuple{Str("alpha"), Int(7), Str(""), Str("omega")}
+	enc := EncodeTuple(nil, src)
+	enc = EncodeTuple(enc, src)
+	got := slabDecode(t, enc, 2)
+	one, _, err := DecodeTuple(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] = 0xff
+	}
+	for _, tp := range append(got, one) {
+		for j := range src {
+			if !identical(tp[j], src[j]) {
+				t.Errorf("column %d reads %q after the source was overwritten", j, tp[j].AsString())
+			}
+		}
+	}
+}
+
+// TestSlabAllocs: the point of the slab — a group costs two
+// allocations however many rows and strings it holds.
+func TestSlabAllocs(t *testing.T) {
+	var enc []byte
+	for i := 0; i < 100; i++ {
+		enc = EncodeTuple(enc, Tuple{Int(int64(i)), Str("name"), Float(1.5), Str("dept")})
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		var s Slab
+		for pos := 0; pos < len(enc); {
+			used, _ := s.Measure(enc[pos:])
+			pos += used
+		}
+		for pos := 0; pos < len(enc); {
+			_, used := s.Decode(enc[pos:])
+			pos += used
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("slab decode of 100 rows took %.0f allocs, want <= 2", allocs)
+	}
+}

@@ -8,11 +8,14 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"math"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the attribute types supported by the engine and the
@@ -50,11 +53,20 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed scalar. The zero Value is NULL.
+//
+// It is three words (24 bytes): every row the system decodes, holds,
+// copies or sorts is a []Value, so its size is the constant under all
+// of them. One payload word serves every kind, and a string is its data
+// pointer plus its length rather than a two-word header. Values are
+// immutable — the bytes a string Value points to are never written
+// after it is built — so copying one is always safe. Equal strings may
+// live at different addresses, so == would be wrong; the zero-size
+// first field makes it a compile error (use Equal or Compare).
 type Value struct {
+	_    [0]func()
+	p    *byte // string: first byte (nil when empty); other kinds: nil
+	n    int64 // int, bool (0/1), date; float: IEEE-754 bits; string: length
 	kind Kind
-	n    int64   // int, bool (0/1), date
-	f    float64 // float
-	s    string  // string
 }
 
 // Null is the SQL NULL value.
@@ -64,10 +76,32 @@ var Null = Value{}
 func Int(v int64) Value { return Value{kind: KindInt, n: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: int64(math.Float64bits(v))} }
 
 // Str returns a string value.
-func Str(v string) Value { return Value{kind: KindString, s: v} }
+func Str(v string) Value {
+	if v == "" {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, p: unsafe.StringData(v), n: int64(len(v))}
+}
+
+// str returns the payload of a string Value.
+func (v Value) str() string { return unsafe.String(v.p, int(v.n)) }
+
+// Detach returns v with its string bytes, if any, copied into memory
+// of their own. A decoded string points into its page's or batch's
+// slab and keeps all of it alive; whoever keeps a few values for long
+// (index keys, column statistics) detaches them first.
+func (v Value) Detach() Value {
+	if v.kind != KindString {
+		return v
+	}
+	return Str(strings.Clone(v.str()))
+}
+
+// float returns the payload of a float Value.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }
 
 // Bool returns a boolean value.
 func Bool(v bool) Value {
@@ -105,9 +139,9 @@ func (v Value) AsInt() int64 {
 	case KindInt, KindBool, KindDate:
 		return v.n
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
-		n, _ := strconv.ParseInt(v.s, 10, 64)
+		n, _ := strconv.ParseInt(v.str(), 10, 64)
 		return n
 	default:
 		return 0
@@ -120,9 +154,9 @@ func (v Value) AsFloat() float64 {
 	case KindInt, KindBool, KindDate:
 		return float64(v.n)
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
-		f, _ := strconv.ParseFloat(v.s, 64)
+		f, _ := strconv.ParseFloat(v.str(), 64)
 		return f
 	default:
 		return 0
@@ -133,7 +167,7 @@ func (v Value) AsFloat() float64 {
 // display form.
 func (v Value) AsString() string {
 	if v.kind == KindString {
-		return v.s
+		return v.str()
 	}
 	return v.String()
 }
@@ -144,9 +178,9 @@ func (v Value) AsBool() bool {
 	case KindBool, KindInt, KindDate:
 		return v.n != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	case KindString:
-		return v.s != ""
+		return v.n != 0
 	default:
 		return false
 	}
@@ -160,9 +194,9 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	case KindBool:
 		if v.n != 0 {
 			return "TRUE"
@@ -179,7 +213,7 @@ func (v Value) String() string {
 func (v Value) SQL() string {
 	switch v.kind {
 	case KindString:
-		return "'" + escapeSQL(v.s) + "'"
+		return "'" + escapeSQL(v.str()) + "'"
 	case KindDate:
 		return "DATE '" + v.String() + "'"
 	default:
@@ -212,6 +246,16 @@ func numericKind(k Kind) bool {
 // lexicographically. Comparing a numeric with a string compares the
 // numeric's display form.
 func Compare(a, b Value) int {
+	// Same-kind integers and strings are nearly every comparison a sort
+	// or a join makes; they skip the promotion rules below.
+	if a.kind == b.kind {
+		switch a.kind {
+		case KindInt, KindDate, KindBool:
+			return cmp.Compare(a.n, b.n)
+		case KindString:
+			return strings.Compare(a.str(), b.str())
+		}
+	}
 	switch {
 	case a.kind == KindNull && b.kind == KindNull:
 		return 0
@@ -280,7 +324,7 @@ func (v Value) Hash() uint64 {
 		h.Write(buf[:])
 	default:
 		h.WriteByte(2)
-		h.WriteString(v.s)
+		h.WriteString(v.str())
 	}
 	return h.Sum64()
 }
@@ -378,7 +422,7 @@ func Least(a, b Value) Value {
 func (v Value) ByteSize() int {
 	switch v.kind {
 	case KindString:
-		return 4 + len(v.s)
+		return 4 + int(v.n)
 	case KindNull:
 		return 1
 	default:

@@ -49,7 +49,8 @@ func BenchmarkEncodeBatchFresh(b *testing.B) {
 
 // BenchmarkDecodeBatchInto reuses one row-header slice across batches
 // (the client Rows.fetch path); the decoded tuples themselves are
-// necessarily fresh, since consumers may retain them.
+// necessarily fresh, since consumers may retain them — one slab per
+// batch.
 func BenchmarkDecodeBatchInto(b *testing.B) {
 	rows := benchRows(DefaultPrefetch)
 	data := EncodeBatch(nil, rows)
@@ -64,6 +65,7 @@ func BenchmarkDecodeBatchInto(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // BenchmarkDecodeBatchFresh allocates a new header slice per batch —

@@ -63,27 +63,34 @@ func DecodeBatch(data []byte) ([]types.Tuple, error) {
 }
 
 // DecodeBatchInto decodes a batch appending to dst, so a steady-state
-// consumer can recycle one row-header slice across fetches (the decoded
-// tuples themselves are fresh allocations — consumers may retain them).
+// consumer can recycle one row-header slice across fetches. The rows
+// are carved from one exactly-sized types.Slab per batch: they do not
+// alias data, consumers may retain them, and a retained row keeps its
+// whole batch's slab alive.
 func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("wire: bad batch header")
 	}
+	var slab types.Slab
 	pos := k
-	if dst == nil {
-		dst = make([]types.Tuple, 0, n)
-	}
 	for i := uint64(0); i < n; i++ {
-		t, used, err := types.DecodeTuple(data[pos:])
+		used, err := slab.Measure(data[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("wire: row %d: %w", i, err)
 		}
 		pos += used
-		dst = append(dst, t)
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-pos)
+	}
+	if dst == nil {
+		dst = make([]types.Tuple, 0, n)
+	}
+	for pos = k; pos < len(data); {
+		t, used := slab.Decode(data[pos:])
+		pos += used
+		dst = append(dst, t)
 	}
 	return dst, nil
 }

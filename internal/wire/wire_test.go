@@ -47,6 +47,59 @@ func TestBatchCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchErrors pins the error a malformed batch gets, so a
+// change to how batches are decoded keeps telling callers the same
+// thing. Kind tags: 1 int, 2 float, 3 string.
+func TestDecodeBatchErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "wire: bad batch header"},
+		{"missing row", []byte{1}, "wire: row 0: types: bad tuple header"},
+		{"missing value", []byte{1, 1}, "wire: row 0: types: truncated tuple"},
+		{"cut varint", []byte{1, 1, 1, 0x80}, "wire: row 0: types: truncated varint"},
+		{"cut float", []byte{1, 1, 2, 0, 0, 0}, "wire: row 0: types: truncated float"},
+		{"cut string", []byte{1, 1, 3, 5, 'a', 'b'}, "wire: row 0: types: truncated string"},
+		// A length near 2^64 overflowed the old bounds check and panicked.
+		{"huge string", []byte{1, 1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, "wire: row 0: types: truncated string"},
+		{"unknown kind", []byte{1, 1, 250}, "wire: row 0: types: unknown kind 250"},
+		{"second row", []byte{2, 1, 1, 2, 1}, "wire: row 1: types: truncated tuple"},
+		{"trailing", []byte{1, 1, 1, 2, 9, 9}, "wire: 2 trailing bytes"},
+	} {
+		for _, dst := range [][]types.Tuple{nil, make([]types.Tuple, 0, 4)} {
+			if _, err := DecodeBatchInto(dst, c.data); err == nil || err.Error() != c.want {
+				t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+			}
+		}
+	}
+}
+
+// TestDecodedBatchOutlivesFrame: the frame buffer a batch arrived in
+// goes back to a pool; the decoded rows must not read from it.
+func TestDecodedBatchOutlivesFrame(t *testing.T) {
+	rows := []types.Tuple{
+		{types.Int(1), types.Str("Tom"), types.Str("")},
+		{types.Int(2), types.Str("Jane"), types.Str("Sales")},
+	}
+	enc := EncodeBatch(nil, rows)
+	got, err := DecodeBatch(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] = 0xff
+	}
+	for i := range rows {
+		for j := range rows[i] {
+			if !types.Equal(got[i][j], rows[i][j]) {
+				t.Errorf("row %d col %d reads %v after the frame was overwritten", i, j, got[i][j])
+			}
+		}
+	}
+}
+
 func TestSchemaRoundTrip(t *testing.T) {
 	s := types.NewSchema(
 		types.Column{Name: "PosID", Kind: types.KindInt},

@@ -26,12 +26,13 @@ import (
 // partitioning; below it worker overhead dominates.
 const minPartitionRows = 1024
 
-// drainSorted materializes an iterator (opening and closing it),
-// cloning every tuple, and validates that consecutive tuples are
-// ordered on keys; violations are reported through errf (prev, cur).
-// A nil errf skips validation.
+// drainSorted materializes an iterator, opening it and closing it on
+// every path (a failed Open included), and validates that consecutive
+// tuples are ordered on keys; violations are reported through errf
+// (prev, cur). A nil errf skips validation.
 func drainSorted(in rel.Iterator, keys []int, errf func(prev, cur types.Tuple) error) ([]types.Tuple, error) {
 	if err := in.Open(); err != nil {
+		_ = in.Close() // the original error wins
 		return nil, err
 	}
 	var rows []types.Tuple
@@ -44,27 +45,15 @@ func drainSorted(in rel.Iterator, keys []int, errf func(prev, cur types.Tuple) e
 		return nil
 	}
 	var err error
-	if b, ok := in.(rel.BatchIterator); ok {
-		dst := make([]types.Tuple, rel.DefaultBatchSize)
-		for err == nil {
-			var n int
-			n, err = b.NextBatch(dst)
-			if err != nil || n == 0 {
-				break
-			}
-			for i := 0; i < n && err == nil; i++ {
-				err = check(dst[i].Clone())
-			}
+	dst := make([]types.Tuple, rel.DefaultBatchSize)
+	for err == nil {
+		var n int
+		n, err = rel.NextBatch(in, dst)
+		if n == 0 {
+			break
 		}
-	} else {
-		for err == nil {
-			var t types.Tuple
-			var ok2 bool
-			t, ok2, err = in.Next()
-			if err != nil || !ok2 {
-				break
-			}
-			err = check(t.Clone())
+		for i := 0; i < n && err == nil; i++ {
+			err = check(dst[i])
 		}
 	}
 	if err != nil {
@@ -165,30 +154,6 @@ func runPartitions(par, n int, fn func(i int) ([]types.Tuple, error)) ([][]types
 	return outs, nil
 }
 
-// drainOwned drains an iterator whose tuples are fresh allocations
-// (true for every operator in this package), without cloning.
-func drainOwned(it rel.Iterator) ([]types.Tuple, error) {
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	var out []types.Tuple
-	for {
-		t, ok, err := it.Next()
-		if err != nil {
-			_ = it.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := it.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // materialized is the shared serving state of the partitioned
 // operators: a concatenated result list plus cursor.
 type materialized struct {
@@ -270,7 +235,8 @@ type PTAggr struct {
 	// closes.
 	OnStats func(ParallelStats)
 
-	opened   bool
+	opened   bool // dispatcher running; it closes the input on its way out
+	inClosed bool // input already closed since the last Open
 	inSchema types.Schema
 	parts    chan chan partResult
 	stop     chan struct{}
@@ -295,6 +261,7 @@ func (a *PTAggr) Schema() types.Schema { return a.schema }
 // Open opens the input synchronously (planning errors surface here)
 // and starts the partition dispatcher.
 func (a *PTAggr) Open() error {
+	a.inClosed = false
 	if err := a.in.Open(); err != nil {
 		return err
 	}
@@ -342,7 +309,7 @@ func (a *PTAggr) dispatch(par int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			it := (&rel.Relation{Schema: a.inSchema, Tuples: rows}).Iter()
-			out, err := drainOwned(NewTAggr(it, a.groupBy, a.t1, a.t2, a.aggs, a.schema))
+			out, err := drainSorted(NewTAggr(it, a.groupBy, a.t1, a.t2, a.aggs, a.schema), nil, nil)
 			res <- partResult{rows: out, err: err}
 		}()
 		return true
@@ -393,11 +360,7 @@ func (a *PTAggr) dispatch(par int) {
 		return emit(chunk)
 	}
 
-	b, isBatch := a.in.(rel.BatchIterator)
-	var dst []types.Tuple
-	if isBatch {
-		dst = make([]types.Tuple, rel.DefaultBatchSize)
-	}
+	dst := make([]types.Tuple, rel.DefaultBatchSize)
 	for {
 		select {
 		case <-a.stop:
@@ -405,26 +368,12 @@ func (a *PTAggr) dispatch(par int) {
 			return
 		default:
 		}
-		var readErr error
-		if isBatch {
-			var n int
-			n, readErr = b.NextBatch(dst)
-			if readErr == nil && n == 0 {
-				break
-			}
-			for i := 0; i < n && readErr == nil; i++ {
-				readErr = take(dst[i].Clone())
-			}
-		} else {
-			var t types.Tuple
-			var ok bool
-			t, ok, readErr = a.in.Next()
-			if readErr == nil && !ok {
-				break
-			}
-			if readErr == nil {
-				readErr = take(t.Clone())
-			}
+		n, readErr := rel.NextBatch(a.in, dst)
+		if readErr == nil && n == 0 {
+			break
+		}
+		for i := 0; i < n && readErr == nil; i++ {
+			readErr = take(dst[i])
 		}
 		if readErr != nil {
 			fail(readErr)
@@ -498,12 +447,18 @@ func (a *PTAggr) NextBatch(dst []types.Tuple) (int, error) {
 
 // Close stops the dispatcher, waits for it (and its workers) to exit,
 // and reports the partition statistics. The input is closed by the
-// dispatcher on its way out. Idempotent.
+// dispatcher on its way out, or here when Open failed or was never
+// called. Idempotent.
 func (a *PTAggr) Close() error {
 	if !a.opened {
-		return nil
+		if a.inClosed {
+			return nil
+		}
+		a.inClosed = true
+		return a.in.Close()
 	}
 	a.opened = false
+	a.inClosed = true
 	close(a.stop)
 	// Unblock a dispatcher waiting to hand over a future.
 	for range a.parts {
@@ -537,6 +492,10 @@ type PJoin struct {
 	Parallelism int
 	// OnStats, when set, receives the partition shape after Open.
 	OnStats func(ParallelStats)
+
+	// lclosed/rclosed: input already closed since the last Open (Open
+	// drains and closes each input it reaches).
+	lclosed, rclosed bool
 
 	m materialized
 }
@@ -574,15 +533,18 @@ func (j *PJoin) Open() error {
 	if j.temporal {
 		op = "TJoin^M"
 	}
+	j.lclosed, j.rclosed = false, false
 	leftRows, err := drainSorted(j.left, j.lkeys, func(prev, cur types.Tuple) error {
 		return errJoinUnsorted("left")
 	})
+	j.lclosed = true
 	if err != nil {
 		return err
 	}
 	rightRows, err := drainSorted(j.right, j.rkeys, func(prev, cur types.Tuple) error {
 		return errJoinUnsorted("right")
 	})
+	j.rclosed = true
 	if err != nil {
 		return err
 	}
@@ -603,7 +565,7 @@ func (j *PJoin) Open() error {
 		} else {
 			seq = NewMergeJoin(li, ri, j.lkeys, j.rkeys)
 		}
-		return drainOwned(seq)
+		return drainSorted(seq, nil, nil)
 	})
 	if err != nil {
 		return err
@@ -623,13 +585,12 @@ func rightRange(right []types.Tuple, rkeys []int, leftPart []types.Tuple, lkeys 
 	if len(leftPart) == 0 || len(right) == 0 {
 		return 0, 0
 	}
-	first := keyTuple(leftPart[0], lkeys)
-	last := keyTuple(leftPart[len(leftPart)-1], lkeys)
+	first, last := leftPart[0], leftPart[len(leftPart)-1]
 	lo := sort.Search(len(right), func(i int) bool {
-		return cmpKeys(keyTuple(right[i], rkeys), first) >= 0
+		return compareOn(right[i], rkeys, first, lkeys) >= 0
 	})
 	hi := sort.Search(len(right), func(i int) bool {
-		return cmpKeys(keyTuple(right[i], rkeys), last) > 0
+		return compareOn(right[i], rkeys, last, lkeys) > 0
 	})
 	return lo, hi
 }
@@ -651,11 +612,24 @@ func (j *PJoin) NextBatch(dst []types.Tuple) (int, error) {
 	return j.m.nextBatch(dst), nil
 }
 
-// Close releases the materialized result. The inputs were already
-// closed by Open.
+// Close releases the materialized result and closes every input Open
+// did not reach (it stops at the first input that fails; without Open
+// that is both). Idempotent.
 func (j *PJoin) Close() error {
 	j.m.close()
-	return nil
+	var lerr, rerr error
+	if !j.lclosed {
+		j.lclosed = true
+		lerr = j.left.Close()
+	}
+	if !j.rclosed {
+		j.rclosed = true
+		rerr = j.right.Close()
+	}
+	if lerr != nil {
+		return lerr
+	}
+	return rerr
 }
 
 func min2(a, b int) int {

@@ -16,11 +16,8 @@ import (
 // trivially preserved — batches flow through a single channel in
 // production order.
 //
-// The wrapped iterator's batch tuples must stay valid after its next
-// NextBatch call, which holds for every operator in this codebase
-// (transfers decode fresh tuples per fetch; middleware operators hand
-// out owned tuples). Plain tuple-at-a-time producers are cloned by the
-// generic batch fallback.
+// Handing a batch across goroutines needs no copy: produced tuples are
+// immutable and stay valid while referenced (rel.Iterator).
 type Prefetch struct {
 	in rel.Iterator
 	// BatchSize is the rows per prefetched batch (default
@@ -33,7 +30,8 @@ type Prefetch struct {
 	// Held across the wrapped iterator's Open/Close and the worker
 	// join: an ordered lifecycle lock, not a latch.
 	mu     sync.Mutex //tango:lock-order prefetch
-	opened bool
+	opened bool       // worker running
+	closed bool       // input already closed since the last Open
 
 	ch   chan prefBatch
 	free chan []types.Tuple
@@ -73,6 +71,7 @@ func (p *Prefetch) Open() error {
 	if p.opened {
 		return fmt.Errorf("xxl: prefetch already open")
 	}
+	p.closed = false
 	if err := p.in.Open(); err != nil {
 		return err
 	}
@@ -98,7 +97,6 @@ func (p *Prefetch) Open() error {
 // stop. The final (possibly empty) batch carries the error/EOS signal.
 func (p *Prefetch) worker() {
 	defer close(p.done)
-	b, isBatch := p.in.(rel.BatchIterator)
 	for {
 		var buf []types.Tuple
 		select {
@@ -106,13 +104,7 @@ func (p *Prefetch) worker() {
 			return
 		case buf = <-p.free:
 		}
-		var n int
-		var err error
-		if isBatch {
-			n, err = b.NextBatch(buf)
-		} else {
-			n, err = rel.NextBatch(p.in, buf) // clone fallback
-		}
+		n, err := rel.NextBatch(p.in, buf)
 		select {
 		case <-p.stop:
 			return
@@ -189,22 +181,27 @@ func (p *Prefetch) NextBatch(dst []types.Tuple) (int, error) {
 
 // Close stops the worker, waits for it to exit, and closes the
 // wrapped iterator (so transfer feedback and temp-table cleanup run
-// exactly as without prefetching). Idempotent.
+// exactly as without prefetching) — also when Open failed or was never
+// called: a transfer whose dependency load failed still has a temp
+// table to drop. Idempotent.
 func (p *Prefetch) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.opened {
+	if p.closed {
 		return nil
 	}
-	p.opened = false
-	close(p.stop)
-	<-p.done
-	p.curBuf, p.cur = nil, nil
-	if p.OnStats != nil {
-		p.OnStats(ParallelStats{
-			Op: "Prefetch", Workers: 1,
-			Partitions: int(p.batches), Rows: p.rows,
-		})
+	p.closed = true
+	if p.opened {
+		p.opened = false
+		close(p.stop)
+		<-p.done
+		p.curBuf, p.cur = nil, nil
+		if p.OnStats != nil {
+			p.OnStats(ParallelStats{
+				Op: "Prefetch", Workers: 1,
+				Partitions: int(p.batches), Rows: p.rows,
+			})
+		}
 	}
 	return p.in.Close()
 }

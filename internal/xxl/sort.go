@@ -11,7 +11,6 @@ import (
 	"container/heap"
 	"fmt"
 	"os"
-	"sort"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -73,9 +72,6 @@ func (s *Sort) Open() (err error) {
 	if par < 1 {
 		par = 1
 	}
-	if err := s.in.Open(); err != nil {
-		return err
-	}
 	s.rows = nil
 	s.pos = 0
 	s.merger = nil
@@ -91,43 +87,25 @@ func (s *Sort) Open() (err error) {
 		}
 		gen.abort()
 	}()
+	if err := s.in.Open(); err != nil {
+		return err
+	}
 	buf := make([]types.Tuple, 0, 1024)
 	spill := func() error {
 		buf = gen.spill(buf)
 		return gen.err()
 	}
-	// Pull the input a batch at a time when it supports it; tuples are
-	// cloned either way because the sort retains them past the next
-	// producer call.
-	if b, ok := s.in.(rel.BatchIterator); ok {
-		dst := make([]types.Tuple, rel.DefaultBatchSize)
-		for {
-			n, e := b.NextBatch(dst)
-			if e != nil {
-				return e
-			}
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				buf = append(buf, dst[i].Clone())
-				if len(buf) >= s.MemTuples {
-					if e := spill(); e != nil {
-						return e
-					}
-				}
-			}
+	dst := make([]types.Tuple, rel.DefaultBatchSize)
+	for {
+		n, e := rel.NextBatch(s.in, dst)
+		if e != nil {
+			return e
 		}
-	} else {
-		for {
-			t, ok2, e := s.in.Next()
-			if e != nil {
-				return e
-			}
-			if !ok2 {
-				break
-			}
-			buf = append(buf, t.Clone())
+		if n == 0 {
+			break
+		}
+		for _, t := range dst[:n] {
+			buf = append(buf, t)
 			if len(buf) >= s.MemTuples {
 				if e := spill(); e != nil {
 					return e
@@ -182,11 +160,7 @@ func (s *Sort) reportStats(gen *runGen, par int) {
 	s.OnStats(st)
 }
 
-func (s *Sort) sortBuf(buf []types.Tuple) {
-	sort.SliceStable(buf, func(i, j int) bool {
-		return types.CompareTuples(buf[i], buf[j], s.keys, s.descs) < 0
-	})
-}
+func (s *Sort) sortBuf(buf []types.Tuple) { types.SortTuples(buf, s.keys, s.descs) }
 
 // SpilledBytes reports the bytes the last Open wrote to spill runs
 // (0 for a fully in-memory sort) — the spill-accounting feed for the

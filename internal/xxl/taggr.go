@@ -3,7 +3,6 @@ package xxl
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -49,6 +48,7 @@ type TAggr struct {
 	inDone  bool
 	opened  bool
 	sortKey []int // groupBy + T1, for input order validation
+	rows    types.TupleAlloc
 }
 
 // NewTAggr creates a temporal aggregation over input columns. The
@@ -128,7 +128,6 @@ func (a *TAggr) readGroup() ([]types.Tuple, error) {
 			a.inDone = true
 			break
 		}
-		t = t.Clone()
 		// The algorithm's contract (§3.4) requires the argument sorted
 		// on the grouping attributes and T1; a violation means a broken
 		// plan, and silent acceptance would produce wrong aggregates.
@@ -154,9 +153,7 @@ func (a *TAggr) readGroup() ([]types.Tuple, error) {
 func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
 	byEnd := make([]types.Tuple, len(group))
 	copy(byEnd, group)
-	sort.SliceStable(byEnd, func(i, j int) bool {
-		return byEnd[i][a.t2].AsInt() < byEnd[j][a.t2].AsInt()
-	})
+	types.SortTuples(byEnd, []int{a.t2}, nil)
 
 	states := make([]aggRun, len(a.aggs))
 	for i, spec := range a.aggs {
@@ -169,7 +166,7 @@ func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
 		if from >= to || active == 0 {
 			return
 		}
-		row := make(types.Tuple, 0, a.schema.Len())
+		row := a.rows.Make(a.schema.Len())[:0]
 		for _, g := range a.groupBy {
 			row = append(row, group[0][g])
 		}

@@ -59,6 +59,7 @@ type Project struct {
 	idx     []int
 	schema  types.Schema
 	scratch []types.Tuple // batch fast-path input buffer
+	rows    types.TupleAlloc
 }
 
 // NewProject keeps the input columns at the given indexes, renaming
@@ -82,7 +83,7 @@ func (p *Project) Next() (types.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(types.Tuple, len(p.idx))
+	out := p.rows.Make(len(p.idx))
 	for i, j := range p.idx {
 		out[i] = t[j]
 	}
@@ -98,13 +99,13 @@ type MergeJoin struct {
 	schema       types.Schema
 
 	lcur   types.Tuple
-	lkey   types.Tuple
-	run    []types.Tuple // right tuples matching lkey
+	lprev  types.Tuple   // previous left tuple; run matches its key
+	run    []types.Tuple // right tuples matching lprev's key
 	ri     int
 	rnext  types.Tuple // lookahead on right
 	rdone  bool
-	ldone  bool
 	opened bool
+	rows   types.TupleAlloc
 }
 
 // NewMergeJoin joins sorted inputs on pairwise key columns.
@@ -126,8 +127,8 @@ func (j *MergeJoin) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	j.lcur, j.lkey, j.run, j.ri = nil, nil, nil, 0
-	j.rnext, j.rdone, j.ldone = nil, false, false
+	j.lcur, j.lprev, j.run, j.ri = nil, nil, nil, 0
+	j.rnext, j.rdone = nil, false
 	j.opened = true
 	if err := j.advanceRight(); err != nil {
 		return err
@@ -148,99 +149,76 @@ func (j *MergeJoin) advanceRight() error {
 	// Validate the sorted-input contract: silently accepting unsorted
 	// input would drop join matches.
 	if j.rnext != nil {
-		if types.CompareTuples(keyTuple(j.rnext, j.rkeys), keyTuple(t, j.rkeys), seqIdx(len(j.rkeys)), nil) > 0 {
+		if types.CompareTuples(j.rnext, t, j.rkeys, nil) > 0 {
 			return errJoinUnsorted("right")
 		}
 	}
-	j.rnext = t.Clone()
+	j.rnext = t
 	return nil
 }
 
-func keyTuple(t types.Tuple, keys []int) types.Tuple {
-	k := make(types.Tuple, len(keys))
-	for i, idx := range keys {
-		k[i] = t[idx]
+// compareOn orders a's akeys columns against b's bkeys columns.
+func compareOn(a types.Tuple, akeys []int, b types.Tuple, bkeys []int) int {
+	for i, k := range akeys {
+		if c := types.Compare(a[k], b[bkeys[i]]); c != 0 {
+			return c
+		}
 	}
-	return k
-}
-
-func seqIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-func (j *MergeJoin) keyOf(t types.Tuple, keys []int) types.Tuple {
-	k := make(types.Tuple, len(keys))
-	for i, idx := range keys {
-		k[i] = t[idx]
-	}
-	return k
-}
-
-func cmpKeys(a, b types.Tuple) int {
-	idx := make([]int, len(a))
-	for i := range idx {
-		idx[i] = i
-	}
-	return types.CompareTuples(a, b, idx, nil)
+	return 0
 }
 
 // Next produces the next joined tuple.
 func (j *MergeJoin) Next() (types.Tuple, bool, error) {
+	l, r, ok, err := j.nextPair()
+	if !ok {
+		return nil, false, err
+	}
+	out := j.rows.Make(len(l) + len(r))
+	copy(out[copy(out, l):], r)
+	return out, true, nil
+}
+
+// nextPair returns the next pair of a left and a right tuple with
+// equal join keys; TJoin builds its own output row from it.
+func (j *MergeJoin) nextPair() (l, r types.Tuple, ok bool, err error) {
 	if !j.opened {
-		return nil, false, fmt.Errorf("xxl: merge join not opened")
+		return nil, nil, false, fmt.Errorf("xxl: merge join not opened")
 	}
 	for {
 		// Emit pairs from the current run.
 		if j.lcur != nil && j.ri < len(j.run) {
-			r := j.run[j.ri]
 			j.ri++
-			out := make(types.Tuple, 0, len(j.lcur)+len(r))
-			out = append(out, j.lcur...)
-			out = append(out, r...)
-			return out, true, nil
+			return j.lcur, j.run[j.ri-1], true, nil
 		}
 		// Advance left.
 		t, ok, err := j.left.Next()
-		if err != nil {
-			return nil, false, err
+		if err != nil || !ok {
+			return nil, nil, false, err
 		}
-		if !ok {
-			return nil, false, nil
-		}
-		j.lcur = t.Clone()
-		k := j.keyOf(j.lcur, j.lkeys)
-		if j.lkey != nil {
-			switch cmpKeys(k, j.lkey) {
+		j.lcur = t
+		if j.lprev != nil {
+			switch compareOn(t, j.lkeys, j.lprev, j.lkeys) {
 			case 0:
 				j.ri = 0 // same key: reuse the run
 				continue
 			case -1:
-				return nil, false, errJoinUnsorted("left")
+				return nil, nil, false, errJoinUnsorted("left")
 			}
 		}
-		j.lkey = k
-		// Advance right until its key >= k, collecting the matching run.
+		j.lprev = t
+		// Advance right until its key >= the left key, collecting the matching run.
 		j.run = j.run[:0]
 		j.ri = 0
 		for !j.rdone {
-			rk := j.keyOf(j.rnext, j.rkeys)
-			c := cmpKeys(rk, k)
-			if c < 0 {
-				if err := j.advanceRight(); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
+			c := compareOn(j.rnext, j.rkeys, t, j.lkeys)
 			if c > 0 {
 				break
 			}
-			j.run = append(j.run, j.rnext)
+			if c == 0 {
+				j.run = append(j.run, j.rnext)
+			}
 			if err := j.advanceRight(); err != nil {
-				return nil, false, err
+				return nil, nil, false, err
 			}
 		}
 	}
@@ -263,11 +241,10 @@ func (j *MergeJoin) Close() error {
 // period. The output schema is the left schema (T1/T2 now the
 // intersection) plus the right schema minus its time columns.
 type TJoin struct {
-	mj         *MergeJoin
-	lt1, lt2   int
-	rt1, rt2   int // offsets within the right tuple
-	rightWidth int
-	schema     types.Schema
+	mj       *MergeJoin
+	lt1, lt2 int
+	rt1, rt2 int // offsets within the right tuple
+	schema   types.Schema
 }
 
 // NewTJoin builds a temporal join over inputs sorted by their equi
@@ -277,8 +254,7 @@ func NewTJoin(left, right rel.Iterator, lkeys, rkeys []int, lt1, lt2, rt1, rt2 i
 	return &TJoin{
 		mj:  NewMergeJoin(left, right, lkeys, rkeys),
 		lt1: lt1, lt2: lt2, rt1: rt1, rt2: rt2,
-		rightWidth: rs.Len(),
-		schema:     tjoinSchema(left.Schema(), rs, rt1, rt2),
+		schema: tjoinSchema(left.Schema(), rs, rt1, rt2),
 	}
 }
 
@@ -318,34 +294,24 @@ func (j *TJoin) Close() error { return j.mj.Close() }
 
 // Next returns the next overlapping pair with its intersected period.
 func (j *TJoin) Next() (types.Tuple, bool, error) {
-	leftWidth := j.mj.left.Schema().Len()
 	for {
-		t, ok, err := j.mj.Next()
-		if err != nil || !ok {
+		l, r, ok, err := j.mj.nextPair()
+		if !ok {
 			return nil, false, err
 		}
-		lp := types.Period{Start: t[j.lt1].AsInt(), End: t[j.lt2].AsInt()}
-		rp := types.Period{Start: t[leftWidth+j.rt1].AsInt(), End: t[leftWidth+j.rt2].AsInt()}
-		inter, ok2 := lp.Intersect(rp)
-		if !ok2 {
+		lp := types.Period{Start: l[j.lt1].AsInt(), End: l[j.lt2].AsInt()}
+		rp := types.Period{Start: r[j.rt1].AsInt(), End: r[j.rt2].AsInt()}
+		inter, ok := lp.Intersect(rp)
+		if !ok {
 			continue
 		}
-		out := make(types.Tuple, 0, j.schema.Len())
-		for i := 0; i < leftWidth; i++ {
-			switch i {
-			case j.lt1:
-				out = append(out, coerceTime(t[j.lt1], inter.Start))
-			case j.lt2:
-				out = append(out, coerceTime(t[j.lt2], inter.End))
-			default:
-				out = append(out, t[i])
+		out := append(j.mj.rows.Make(j.schema.Len())[:0], l...)
+		out[j.lt1] = coerceTime(l[j.lt1], inter.Start)
+		out[j.lt2] = coerceTime(l[j.lt2], inter.End)
+		for i, v := range r {
+			if i != j.rt1 && i != j.rt2 {
+				out = append(out, v)
 			}
-		}
-		for i := 0; i < j.rightWidth; i++ {
-			if i == j.rt1 || i == j.rt2 {
-				continue
-			}
-			out = append(out, t[leftWidth+i])
 		}
 		return out, true, nil
 	}
@@ -396,7 +362,7 @@ func (d *DupElim) Next() (types.Tuple, bool, error) {
 			continue
 		}
 		d.seen[k] = true
-		return t.Clone(), true, nil
+		return t, true, nil
 	}
 }
 
@@ -407,6 +373,7 @@ type Coalesce struct {
 	in      rel.Iterator
 	t1, t2  int
 	pending types.Tuple
+	owned   bool // pending is this operator's copy, not an input tuple
 	done    bool
 }
 
@@ -461,20 +428,24 @@ func (c *Coalesce) Next() (types.Tuple, bool, error) {
 			return nil, false, nil
 		}
 		if c.pending == nil {
-			c.pending = t.Clone()
+			c.pending, c.owned = t, false
 			continue
 		}
 		p := types.Period{Start: c.pending[c.t1].AsInt(), End: c.pending[c.t2].AsInt()}
 		q := types.Period{Start: t[c.t1].AsInt(), End: t[c.t2].AsInt()}
 		if c.valueEquivalent(c.pending, t) && q.Start <= p.End {
-			// Extend the pending period.
+			// Extend the pending period — in a copy: input tuples are
+			// immutable.
+			if !c.owned {
+				c.pending, c.owned = c.pending.Clone(), true
+			}
 			m := p.Merge(q)
 			c.pending[c.t1] = coerceTime(c.pending[c.t1], m.Start)
 			c.pending[c.t2] = coerceTime(c.pending[c.t2], m.End)
 			continue
 		}
 		out := c.pending
-		c.pending = t.Clone()
+		c.pending, c.owned = t, false
 		return out, true, nil
 	}
 }
