@@ -5,7 +5,7 @@ GO ?= go
 # Fuzz smoke budget per target (ci runs each fuzzer this long).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke ci clean
+.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
 BENCHOUT ?= BENCH_14.json
@@ -40,17 +40,18 @@ lint-fix:
 lint-report:
 	$(GO) run ./cmd/tangolint -json -cache .tangolint-cache ./... > lint.json
 
-# test is tier-1 at three GOMAXPROCS widths: the parallel executor
+# test is tier-1 at four GOMAXPROCS widths: the parallel executor
 # (prefetch, partitioned operators) only engages above one, and a
 # lifecycle bug there once hid behind a one-core builder.
 test:
-	$(GO) test -cpu 1,2,4 ./...
+	$(GO) test -cpu 1,2,4,8 ./...
 
 race:
 	$(GO) test -race ./...
 
-# fuzz smoke-runs the parser fuzz targets and the fault-schedule
-# decoder for FUZZTIME each, seeded from the evaluation workload. Any
+# fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder
+# and the wire decoders (frame, request and reply envelope) for
+# FUZZTIME each, seeded from the evaluation workload. Any
 # crasher is written to the package's testdata/fuzz corpus and replays
 # under plain `go test`.
 fuzz:
@@ -58,6 +59,8 @@ fuzz:
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
@@ -131,12 +134,21 @@ bench-json:
 tangobench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# loc prints the tracked size metric: non-test Go lines per package and
+# in total, benchmark/ (a separate module with its own contract)
+# excluded. ROADMAP's north star 2 wants the total to go down.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total non-test Go lines\n", t }' | sort -k2
+
 # ci is the full verification gate: compile everything, vet, run the
 # project analyzers (publishing lint.json), smoke the fuzz targets and
 # the benchmarks, run the test suite under the race detector (tests
 # also planck-check every plan), run the short chaos sweep under
-# -race, and sweep the crash-recovery matrix under -race.
-ci: build vet lint-report fuzz race chaos crash load bench-smoke tangobench-smoke
+# -race, sweep the crash-recovery matrix under -race, and print the
+# size metric.
+ci: build vet lint-report fuzz race chaos crash load bench-smoke tangobench-smoke loc
 
 clean:
 	$(GO) clean ./...

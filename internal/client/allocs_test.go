@@ -1,0 +1,54 @@
+//go:build !race
+
+package client
+
+import (
+	"context"
+	"testing"
+
+	"tango/internal/server"
+	"tango/internal/wire"
+)
+
+// TestFetchOverSocketAllocs guards the fetch path's copy count: one
+// 256-row batch served, framed, sent over a loopback socket, read and
+// decoded. The batch is encoded once into the session worker's reused
+// scratch, copied once into the connection's reused write buffer, read
+// once into the frame the client decodes it from — so per round trip
+// only that frame and the decoded rows are batch-sized allocations.
+func TestFetchOverSocketAllocs(t *testing.T) {
+	const batches = 40
+	ts := tcpServer(t, (batches+2)*wire.DefaultPrefetch, server.TCPConfig{})
+	c, err := Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rows, err := c.Query("SELECT PosID, EmpName, T1, T2 FROM POSITION")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	seq := int64(0)
+	var encoded int
+	fetch := func() {
+		seq++
+		b := rows.fetchBatch(context.Background(), seq)
+		if b.err != nil || len(b.rows) != wire.DefaultPrefetch {
+			t.Fatalf("fetch %d: %d rows, err %v", seq, len(b.rows), b.err)
+		}
+		encoded = b.bytes
+	}
+	fetch() // warm the reused buffers
+
+	allocs := testing.AllocsPerRun(batches, fetch)
+	t.Logf("%.0f allocs per fetch of a %d-byte batch", allocs, encoded)
+
+	// Measured 17, process-wide: the server's heap-page decode,
+	// projection and request frame; the client's attempt, pending call,
+	// reply frame and decoded rows. A batch copied into fresh memory
+	// anywhere on the way adds one.
+	if allocs > 17 {
+		t.Errorf("%.0f allocs per fetch round trip, want <= 17", allocs)
+	}
+}

@@ -1,39 +1,25 @@
-// The backend seam: everything a connection needs from "the server",
-// abstracted so the same client — iterators, retry machinery, fetch
-// pipelining, temp-table protocol — runs unchanged over the in-process
-// façade (unit tests, benchmarks) and over a real TCP socket
-// (internal/client/tcp.go). The surface is exactly the Hdr-carrying
-// server entry points the client already called, plus the session
-// lifecycle.
+// The transport seam: a connection reaches its server session through
+// exactly one call carrying a wire.Request and returning a wire.Reply.
+// The typed operations, the retry machinery, fetch pipelining and the
+// temp-table protocol are written once above it (client.go) and run
+// unchanged over both transports: the loopback below hands the Request
+// value to server.Session.Handle in process, tcp.go frames the same
+// value onto a socket whose far end decodes it and calls Handle too.
 package client
 
 import (
+	"context"
 	"time"
 
-	"tango/internal/meta"
 	"tango/internal/server"
 	"tango/internal/telemetry"
-	"tango/internal/types"
+	"tango/internal/wire"
 )
 
 // Backend is one server session as the connection sees it.
 type Backend interface {
-	// ExecHdr runs a non-SELECT statement.
-	ExecHdr(hdr []byte, sql string) (int64, error)
-	// QueryHdr opens a cursor over a SELECT.
-	QueryHdr(hdr []byte, sql string, prefetch int) (Cursor, error)
-	// LoadSeqHdr bulk-loads an encoded batch under a dedup sequence.
-	LoadSeqHdr(hdr []byte, table string, payload []byte, seq int64) (int64, error)
-	// InsertRowsHdr loads an encoded batch with per-row INSERTs.
-	InsertRowsHdr(hdr []byte, table string, payload []byte) (int64, error)
-	// TableStatsHdr fetches catalog statistics.
-	TableStatsHdr(hdr []byte, table string, histogramBuckets int) (*meta.TableStats, error)
-	// TableSchema fetches a table schema.
-	TableSchema(table string) (types.Schema, error)
-	// RegisterTemp and ForgetTemp maintain the session's temp-table
-	// set for server-side GC.
-	RegisterTemp(name string)
-	ForgetTemp(name string)
+	// call performs one request/reply exchange with the session.
+	call(ctx context.Context, req wire.Request) (wire.Reply, error)
 	// SessionID is the server-side session identifier.
 	SessionID() int64
 	// TakeRemoteSpans drains server-collected spans of one trace (may
@@ -43,61 +29,41 @@ type Backend interface {
 	Close() (int, error)
 }
 
-// Cursor is one open server cursor as the iterator sees it;
-// *server.Cursor satisfies it directly.
-type Cursor interface {
-	Schema() types.Schema
-	FetchBatchHdr(hdr []byte) ([]byte, error)
-	FetchBatchSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, error)
-	FetchBatchPipelinedSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, time.Duration, error)
-	Close() error
-}
-
-var _ Cursor = (*server.Cursor)(nil)
-
-// inproc is the in-process backend: direct calls into the server
-// façade, exactly the pre-TCP behavior.
-type inproc struct {
+// loopback is the in-process transport: no encoding, no socket — and
+// therefore the one place the simulated link (wire.Latency) is billed.
+type loopback struct {
 	srv *server.Server
 	se  *server.Session
 }
 
-func (b *inproc) ExecHdr(hdr []byte, sql string) (int64, error) {
-	return b.srv.ExecHdr(hdr, sql)
-}
-
-func (b *inproc) QueryHdr(hdr []byte, sql string, prefetch int) (Cursor, error) {
-	cur, err := b.srv.QueryHdr(hdr, sql, prefetch)
-	if err != nil {
-		// Explicit nil: a typed-nil *server.Cursor inside the interface
-		// would defeat `cur == nil` checks downstream.
-		return nil, err
+// call hands the request to the session and bills the exchange: one
+// round trip plus the transmit time of the bytes that crossed, and a
+// round trip per row for the conventional-path INSERT. Failed calls
+// and end-of-stream answers are free, as are the bookkeeping ops. A
+// fetch reply's delay is returned in Reply.Delay instead of slept, so
+// a windowed client overlaps the propagation of consecutive batches.
+func (l *loopback) call(ctx context.Context, req wire.Request) (wire.Reply, error) {
+	rep, err := l.se.Handle(ctx, req)
+	if _, statement := wire.MsgOp(req.Op); !statement || err != nil || rep.EOS {
+		return rep, err
 	}
-	return cur, nil
+	lat := l.srv.Latency()
+	d := lat.Wire(len(req.Name) + len(req.Body) + len(rep.Body))
+	switch req.Op {
+	case wire.MsgFetch:
+		rep.Delay = d
+		return rep, nil
+	case wire.MsgInsert:
+		d += lat.RoundTrip * time.Duration(rep.N)
+	}
+	wire.SleepCtx(ctx, d)
+	return rep, nil
 }
 
-func (b *inproc) LoadSeqHdr(hdr []byte, table string, payload []byte, seq int64) (int64, error) {
-	return b.srv.LoadSeqHdr(hdr, table, payload, seq)
+func (l *loopback) SessionID() int64 { return l.se.ID() }
+
+func (l *loopback) TakeRemoteSpans(traceID uint64) []*telemetry.Span {
+	return l.srv.Collector().Take(traceID)
 }
 
-func (b *inproc) InsertRowsHdr(hdr []byte, table string, payload []byte) (int64, error) {
-	return b.srv.InsertRowsHdr(hdr, table, payload)
-}
-
-func (b *inproc) TableStatsHdr(hdr []byte, table string, histogramBuckets int) (*meta.TableStats, error) {
-	return b.srv.TableStatsHdr(hdr, table, histogramBuckets)
-}
-
-func (b *inproc) TableSchema(table string) (types.Schema, error) {
-	return b.srv.TableSchema(table)
-}
-
-func (b *inproc) RegisterTemp(name string) { b.se.RegisterTemp(name) }
-func (b *inproc) ForgetTemp(name string)   { b.se.ForgetTemp(name) }
-func (b *inproc) SessionID() int64         { return b.se.ID() }
-
-func (b *inproc) TakeRemoteSpans(traceID uint64) []*telemetry.Span {
-	return b.srv.Collector().Take(traceID)
-}
-
-func (b *inproc) Close() (int, error) { return b.se.Close() }
+func (l *loopback) Close() (int, error) { return l.se.Close() }

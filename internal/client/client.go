@@ -30,12 +30,9 @@ import (
 
 // Conn is a middleware-side connection.
 type Conn struct {
-	// be is the session backend every operation goes through: the
-	// in-process façade (Connect) or a TCP transport session (Dial).
+	// be is the session transport every operation goes through: the
+	// in-process loopback (Connect) or a TCP transport session (Dial).
 	be Backend
-	// srv is non-nil only on the in-process path; fault-injection
-	// tests reach through it to the server.
-	srv *server.Server
 	// Prefetch is the rows-per-fetch setting (the paper's Oracle
 	// row-prefetch); 0 uses the wire default.
 	Prefetch int
@@ -131,14 +128,11 @@ func (c *Conn) observeOp(op string, d time.Duration) {
 
 // Connect opens an in-process connection to a server.
 func Connect(srv *server.Server) *Conn {
-	c := NewConn(&inproc{srv: srv, se: srv.NewSession()})
-	c.srv = srv
-	return c
+	return newConn(&loopback{srv: srv, se: srv.NewSession()})
 }
 
-// NewConn wraps an already-open backend session in a connection; the
-// TCP transport's Conn constructor goes through here.
-func NewConn(be Backend) *Conn {
+// newConn wraps an already-open backend session in a connection.
+func newConn(be Backend) *Conn {
 	return &Conn{
 		be:      be,
 		sessLbl: fmt.Sprintf("%d", be.SessionID()),
@@ -169,23 +163,40 @@ type Feedback struct {
 	Elapsed time.Duration
 }
 
-// Exec runs a non-SELECT statement on the DBMS. Arbitrary statements
-// are not known to be idempotent, so Exec never retries; the
-// idempotent wrappers (CreateTable, DropTable) do. The single attempt
-// still gets a trace span and a latency observation.
-func (c *Conn) Exec(sql string) (int64, error) {
-	sp := c.TraceSpan().Child("exec")
+// once performs a request that must never be retried, as a single
+// attempt that still gets a trace span and a latency observation.
+func (c *Conn) once(op string, req wire.Request) (wire.Reply, error) {
+	sp := c.TraceSpan().Child(op)
 	start := time.Now()
-	n, err := c.be.ExecHdr(traceHeader(sp), sql)
-	c.observeOp("exec", time.Since(start))
+	req.TraceHdr = traceHeader(sp)
+	rep, err := c.be.call(c.baseCtx(), req)
+	c.observeOp(op, time.Since(start))
 	if err != nil {
 		sp.Set("error_class", errClass(err))
 	}
 	sp.Finish()
+	return rep, err
+}
+
+// retried performs an idempotent request through the resilience layer,
+// each attempt carrying its own span's trace header.
+func (c *Conn) retried(op string, req wire.Request, discard func(wire.Reply)) (wire.Reply, error) {
+	return doVal(c, op, func(sp *telemetry.Span) (wire.Reply, error) {
+		attempt := req // attempts can overlap (one abandoned, one retrying)
+		attempt.TraceHdr = traceHeader(sp)
+		return c.be.call(c.baseCtx(), attempt)
+	}, discard)
+}
+
+// Exec runs a non-SELECT statement on the DBMS. Arbitrary statements
+// are not known to be idempotent, so Exec never retries; the
+// idempotent wrappers (CreateTable, DropTable) do.
+func (c *Conn) Exec(sql string) (int64, error) {
+	rep, err := c.once("exec", wire.Request{Op: wire.MsgExec, Name: sql})
 	if err == nil {
 		c.AddSessionStat("commits", 1)
 	}
-	return n, err
+	return rep.N, err
 }
 
 // Query opens a SELECT on the DBMS and returns a pipelined iterator
@@ -194,29 +205,29 @@ func (c *Conn) Exec(sql string) (int64, error) {
 // attempt abandoned at its deadline is closed by the reaper.
 func (c *Conn) Query(sql string) (*Rows, error) {
 	start := time.Now()
-	cur, err := doVal(c, "query",
-		func(sp *telemetry.Span) (Cursor, error) {
-			return c.be.QueryHdr(traceHeader(sp), sql, c.Prefetch)
-		},
-		func(abandoned Cursor) {
-			if abandoned != nil {
-				_ = abandoned.Close()
-			}
-		})
+	rep, err := c.retried("query", wire.Request{Op: wire.MsgQuery, Name: sql, N: int64(c.Prefetch)},
+		func(abandoned wire.Reply) { _ = c.closeCursor(abandoned.Cursor) })
 	if err != nil {
 		return nil, err
 	}
 	// Each open cursor pins one MVCC snapshot server-side; attribute it
 	// to the session so the harness leak checks can diff open vs closed.
 	c.AddSessionStat("snapshots", 1)
-	return &Rows{conn: c, cur: cur, schema: cur.Schema().Unqualified(), start: start, sql: sql}, nil
+	return &Rows{conn: c, cur: rep.Cursor, schema: rep.Schema.Unqualified(), start: start, sql: sql}, nil
+}
+
+// closeCursor releases a server cursor. The server treats an unknown
+// cursor as closed, so a repeated close is harmless.
+func (c *Conn) closeCursor(id uint64) error {
+	_, err := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgCloseCursor, Cursor: id})
+	return err
 }
 
 // QueryWindowed is Query with a pipelined fetch window: up to window
 // FETCH round trips are outstanding at once, so the wire latency of
 // consecutive batches overlaps instead of accumulating (the cursor
-// still produces batches strictly in order). window <= 1 degenerates
-// to the synchronous Query path.
+// still produces batches strictly in order). window <= 1 fetches
+// inline, one round trip at a time.
 func (c *Conn) QueryWindowed(sql string, window int) (*Rows, error) {
 	r, err := c.Query(sql)
 	if err != nil {
@@ -231,18 +242,14 @@ func (c *Conn) QueryWindowed(sql string, window int) (*Rows, error) {
 // Rows iterates a query result fetched in batches over the wire.
 type Rows struct {
 	conn   *Conn
-	cur    Cursor
+	cur    uint64 // server cursor id
 	schema types.Schema
 	sql    string
 
-	batch []types.Tuple
-	pos   int
-	done  bool
-
-	// nextSeq is the statement sequence number of the next batch to
-	// request (1-based); retries of one logical fetch reuse it so the
-	// server replays rather than re-produces.
-	nextSeq int64
+	batch  []types.Tuple
+	pos    int
+	done   bool
+	closed bool
 
 	win *fetchPipeline // non-nil in windowed mode
 
@@ -257,25 +264,25 @@ type Rows struct {
 // up to `window` round trips are in flight concurrently. Replies are
 // reassembled in issue order through a queue of single-use futures.
 type fetchPipeline struct {
-	slots  chan chan inflight // futures, in fetch order
-	free   chan []byte        // best-effort encode-buffer recycling
+	slots  chan chan fetched // futures, in fetch order
 	stop   chan struct{}
 	done   chan struct{}
 	cancel context.CancelFunc
 }
 
-// inflight is one decoded reply.
-type inflight struct {
+// fetched is one decoded fetch reply (or the failure that ended the
+// stream). rows == nil with a nil err is end of stream.
+type fetched struct {
 	rows  []types.Tuple
 	bytes int
+	delay time.Duration // propagation still owed (loopback only)
 	err   error
 }
 
 // startPipeline launches the requester with the given window.
 func (r *Rows) startPipeline(window int) {
 	p := &fetchPipeline{
-		slots: make(chan chan inflight, window),
-		free:  make(chan []byte, window+1),
+		slots: make(chan chan fetched, window),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -295,27 +302,6 @@ func (r *Rows) startPipeline(window int) {
 	go r.requester(p, ctx)
 }
 
-// putFree returns an encode buffer to the pipeline's recycle channel,
-// falling back to the global pool when it is full (buffers forfeited
-// to deadline-abandoned attempts make the population fluctuate).
-func putFree(p *fetchPipeline, buf []byte) {
-	select {
-	case p.free <- buf[:0]:
-	default:
-		wire.PutBuf(buf)
-	}
-}
-
-// takeFree borrows a buffer from the recycle channel or the pool.
-func takeFree(p *fetchPipeline) []byte {
-	select {
-	case buf := <-p.free:
-		return buf
-	default:
-		return wire.GetBuf()
-	}
-}
-
 // requester drives the pipelined cursor until end of stream, error,
 // or stop. It reserves an in-order future, performs the (retried)
 // fetch-and-decode, and hands the decoded batch to a delivery
@@ -328,15 +314,15 @@ func (r *Rows) requester(p *fetchPipeline, ctx context.Context) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for seq := int64(1); ; seq++ {
-		res := make(chan inflight, 1)
+		res := make(chan fetched, 1)
 		select {
 		case <-p.stop:
 			return
 		case p.slots <- res:
 		}
-		rows, nbytes, delay, err := r.fetchPipelined(ctx, seq, p)
-		if err != nil || rows == nil {
-			res <- inflight{err: err}
+		b := r.fetchBatch(ctx, seq)
+		if b.rows == nil {
+			res <- b
 			close(p.slots)
 			return
 		}
@@ -345,71 +331,37 @@ func (r *Rows) requester(p *fetchPipeline, ctx context.Context) {
 			defer wg.Done()
 			// Propagation: the reply is on the wire while later fetches
 			// are issued and earlier batches are consumed.
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			res <- inflight{rows: rows, bytes: nbytes}
+			time.Sleep(b.delay)
+			res <- b
 		}()
 	}
 }
 
-// pipeFetch is one decoded pipelined reply.
-type pipeFetch struct {
-	rows  []types.Tuple
-	bytes int
-	delay time.Duration
-}
-
-// fetchPipelined performs one logical pipelined fetch (retrying under
-// the resilience policy) and returns the decoded batch, its wire
-// size, and its propagation delay. rows == nil with nil error is end
-// of stream. Each attempt owns its encode buffer, so an attempt
-// abandoned at its deadline can never race a retry.
-func (r *Rows) fetchPipelined(ctx context.Context, seq int64, p *fetchPipeline) ([]types.Tuple, int, time.Duration, error) {
-	out, err := doValCtx(r.conn, ctx, "fetch", func(sp *telemetry.Span) (pipeFetch, error) {
-		buf := takeFree(p)
-		payload, delay, err := r.cur.FetchBatchPipelinedSeqHdr(traceHeader(sp), seq, buf)
-		if err != nil || payload == nil {
-			putFree(p, buf)
-			return pipeFetch{}, err
+// fetchBatch is the one fetch round trip: it asks the cursor for batch
+// seq (retrying under the resilience policy, every attempt replaying
+// the same sequence number) and decodes the reply straight from the
+// bytes the transport returned. Each attempt owns its scratch buffer,
+// so an attempt abandoned at its deadline can never race a retry or
+// the consumer.
+func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
+	out, err := doValCtx(r.conn, ctx, "fetch", func(sp *telemetry.Span) (fetched, error) {
+		buf := wire.GetBuf()
+		defer wire.PutBuf(buf)
+		rep, err := r.conn.be.call(ctx, wire.Request{
+			Op: wire.MsgFetch, TraceHdr: traceHeader(sp), Cursor: r.cur, Seq: seq, Buf: buf,
+		})
+		if err != nil || rep.EOS {
+			return fetched{}, err
 		}
-		n := len(payload)
-		rows, derr := wire.DecodeBatch(payload)
-		putFree(p, payload)
+		rows, derr := wire.DecodeBatch(rep.Body)
 		if derr != nil {
 			// Truncated reply: retry replays the same sequence number.
-			return pipeFetch{}, &corruptReply{err: derr}
+			return fetched{}, &corruptReply{err: derr}
 		}
-		return pipeFetch{rows: rows, bytes: n, delay: delay}, nil
+		return fetched{rows: rows, bytes: len(rep.Body), delay: rep.Delay}, nil
 	}, nil)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return out.rows, out.bytes, out.delay, nil
-}
-
-// fetchWindowed installs the next in-order pipelined batch.
-func (r *Rows) fetchWindowed() error {
-	res, ok := <-r.win.slots
-	if !ok {
-		r.done = true
-		r.finish()
-		return nil
-	}
-	b := <-res
-	if b.err != nil {
-		return b.err
-	}
-	if b.rows == nil {
-		r.done = true
-		r.finish()
-		return nil
-	}
-	r.fb.Bytes += int64(b.bytes)
-	r.fb.Batches++
-	r.batch = b.rows
-	r.pos = 0
-	return nil
+	out.err = err
+	return out
 }
 
 // Schema returns the result schema (unqualified column names, as a
@@ -441,80 +393,31 @@ func (r *Rows) Next() (types.Tuple, bool, error) {
 	}
 }
 
-// syncFetch is one decoded synchronous reply.
-type syncFetch struct {
-	rows  []types.Tuple
-	bytes int
-}
-
-// fetch pulls and decodes the next wire batch. Sets done at end of
-// stream. In windowed mode it takes the next in-order batch from the
-// pipeline; otherwise it performs a sequence-numbered fetch through
-// the resilience layer (the fast path without any policy reuses the
-// row-header slice across fetches as before).
+// fetch installs the next wire batch, setting done at end of stream.
+// In windowed mode it takes the next in-order future from the
+// pipeline; otherwise it performs the round trip inline and sleeps the
+// reply's propagation delay itself.
 func (r *Rows) fetch() error {
-	if r.win != nil {
-		return r.fetchWindowed()
+	var b fetched
+	if r.win == nil {
+		// Batches are numbered from 1, so the count fetched so far names
+		// the next one.
+		b = r.fetchBatch(r.conn.baseCtx(), r.fb.Batches+1)
+		time.Sleep(b.delay)
+	} else if res, ok := <-r.win.slots; ok {
+		b = <-res
 	}
-	if !r.conn.resilient() {
-		return r.fetchFast()
+	if b.err != nil {
+		return b.err
 	}
-	seq := r.nextSeq + 1
-	out, err := doVal(r.conn, "fetch", func(sp *telemetry.Span) (syncFetch, error) {
-		// Each attempt owns its buffer: a deadline-abandoned attempt
-		// still writing can never race the retry or the consumer.
-		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
-		payload, err := r.cur.FetchBatchSeqHdr(traceHeader(sp), seq, buf)
-		if err != nil || payload == nil {
-			return syncFetch{}, err
-		}
-		rows, derr := wire.DecodeBatch(payload)
-		if derr != nil {
-			// Truncated reply: retry replays the same sequence number.
-			return syncFetch{}, &corruptReply{err: derr}
-		}
-		return syncFetch{rows: rows, bytes: len(payload)}, nil
-	}, nil)
-	if err != nil {
-		return err
-	}
-	if out.rows == nil {
+	if b.rows == nil {
 		r.done = true
 		r.finish()
 		return nil
 	}
-	r.nextSeq = seq
-	r.fb.Bytes += int64(out.bytes)
+	r.fb.Bytes += int64(b.bytes)
 	r.fb.Batches++
-	r.batch = out.rows
-	r.pos = 0
-	return nil
-}
-
-// fetchFast is the resilience-free fetch path: the cursor's pooled
-// buffer and the row-header slice are reused across fetches (the
-// tuples themselves are fresh allocations, so consumers that retain
-// them are unaffected).
-func (r *Rows) fetchFast() error {
-	start := time.Now()
-	payload, err := r.cur.FetchBatchHdr(traceHeader(r.conn.TraceSpan()))
-	r.conn.observeOp("fetch", time.Since(start))
-	if err != nil {
-		return err
-	}
-	if payload == nil {
-		r.done = true
-		r.finish()
-		return nil
-	}
-	r.fb.Bytes += int64(len(payload))
-	r.fb.Batches++
-	batch, err := wire.DecodeBatchInto(r.batch[:0], payload)
-	if err != nil {
-		return err
-	}
-	r.batch = batch
+	r.batch = b.rows
 	r.pos = 0
 	return nil
 }
@@ -544,29 +447,24 @@ func (r *Rows) NextBatch(dst []types.Tuple) (int, error) {
 
 // Close stops the fetch pipeline — canceling in-flight retry loops
 // and waiting for the requester and every delivery goroutine to join,
-// so the serial cursor is quiescent — recycles its wire buffers, and
-// releases the server cursor. Idempotent.
+// so the serial cursor is quiescent — and releases the server cursor.
+// Idempotent.
 func (r *Rows) Close() error {
 	if p := r.win; p != nil {
 		r.win = nil
 		close(p.stop)
 		<-p.done
 		p.cancel()
-		for {
-			select {
-			case buf := <-p.free:
-				wire.PutBuf(buf)
-				continue
-			default:
-			}
-			break
-		}
 	}
 	if !r.done {
 		r.done = true
 		r.finish()
 	}
-	return r.cur.Close()
+	if r.closed {
+		return nil
+	}
+	r.closed = true
+	return r.conn.closeCursor(r.cur)
 }
 
 func (r *Rows) finish() {
@@ -614,20 +512,22 @@ func (c *Conn) CreateTable(name string, schema types.Schema) error {
 	}
 	stmt := "CREATE TABLE " + name + " (" + strings.Join(cols, ", ") + ")"
 	isTemp := strings.HasPrefix(name, server.TempPrefix)
-	var err error
-	if isTemp {
-		err = c.do("create", func(sp *telemetry.Span) error {
-			if _, derr := c.be.ExecHdr(traceHeader(sp), "DROP TABLE IF EXISTS "+name); derr != nil {
-				return derr
-			}
-			_, cerr := c.be.ExecHdr(traceHeader(sp), stmt)
-			return cerr
-		})
-		if err == nil {
-			c.be.RegisterTemp(name)
+	if !isTemp {
+		_, err := c.Exec(stmt)
+		return err
+	}
+	err := c.do("create", func(sp *telemetry.Span) error {
+		hdr := traceHeader(sp)
+		if _, derr := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: "DROP TABLE IF EXISTS " + name}); derr != nil {
+			return derr
 		}
-	} else {
-		_, err = c.Exec(stmt)
+		_, cerr := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: stmt})
+		return cerr
+	})
+	if err == nil {
+		// Fire and forget: if the registration is lost, an unresumed
+		// session's temps are collected by the reaper anyway.
+		_, _ = c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgRegisterTemp, Name: name})
 	}
 	return err
 }
@@ -659,16 +559,13 @@ func (c *Conn) Load(table string, rows []types.Tuple) (Feedback, error) {
 		// payload after Load returns; keep it off the pool.
 		payload = wire.EncodeBatch(nil, rows)
 	}
-	seq := loadCounter.Add(1)
-	n, err := doVal(c, "load", func(sp *telemetry.Span) (int64, error) {
-		return c.be.LoadSeqHdr(traceHeader(sp), table, payload, seq)
-	}, nil)
+	rep, err := c.retried("load", wire.Request{Op: wire.MsgLoad, Name: table, Seq: loadCounter.Add(1), Body: payload}, nil)
 	if err != nil {
 		return Feedback{}, err
 	}
 	fb := Feedback{
 		SQL:     "LOAD " + table,
-		Rows:    n,
+		Rows:    rep.N,
 		Bytes:   int64(len(payload)),
 		Batches: 1,
 		Elapsed: time.Since(start),
@@ -684,19 +581,13 @@ func (c *Conn) InsertRows(table string, rows []types.Tuple) (Feedback, error) {
 	start := time.Now()
 	payload := wire.EncodeBatch(wire.GetBuf(), rows)
 	defer wire.PutBuf(payload)
-	sp := c.TraceSpan().Child("insert")
-	n, err := c.be.InsertRowsHdr(traceHeader(sp), table, payload)
-	c.observeOp("insert", time.Since(start))
-	if err != nil {
-		sp.Set("error_class", errClass(err))
-	}
-	sp.Finish()
+	rep, err := c.once("insert", wire.Request{Op: wire.MsgInsert, Name: table, Body: payload})
 	if err != nil {
 		return Feedback{}, err
 	}
 	fb := Feedback{
 		SQL:     "INSERT " + table,
-		Rows:    n,
+		Rows:    rep.N,
 		Bytes:   int64(len(payload)),
 		Batches: 1,
 		Elapsed: time.Since(start),
@@ -708,12 +599,9 @@ func (c *Conn) InsertRows(table string, rows []types.Tuple) (Feedback, error) {
 // DropTable drops a table, ignoring missing tables (used to clean up
 // transfer temporaries). DROP IF EXISTS is idempotent, so it retries.
 func (c *Conn) DropTable(name string) error {
-	err := c.do("drop", func(sp *telemetry.Span) error {
-		_, derr := c.be.ExecHdr(traceHeader(sp), "DROP TABLE IF EXISTS "+name)
-		return derr
-	})
+	_, err := c.retried("drop", wire.Request{Op: wire.MsgExec, Name: "DROP TABLE IF EXISTS " + name}, nil)
 	if err == nil {
-		c.be.ForgetTemp(name)
+		_, _ = c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgForgetTemp, Name: name})
 	}
 	return err
 }
@@ -721,14 +609,14 @@ func (c *Conn) DropTable(name string) error {
 // TableStats fetches catalog statistics for the Statistics Collector
 // (read-only, hence retried).
 func (c *Conn) TableStats(table string, histogramBuckets int) (*meta.TableStats, error) {
-	return doVal(c, "stats", func(sp *telemetry.Span) (*meta.TableStats, error) {
-		return c.be.TableStatsHdr(traceHeader(sp), table, histogramBuckets)
-	}, nil)
+	rep, err := c.retried("stats", wire.Request{Op: wire.MsgStats, Name: table, N: int64(histogramBuckets)}, nil)
+	return rep.Stats, err
 }
 
 // TableSchema fetches a table schema.
 func (c *Conn) TableSchema(table string) (types.Schema, error) {
-	return c.be.TableSchema(table)
+	rep, err := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgSchema, Name: table})
+	return rep.Schema, err
 }
 
 // tempCounter numbers transfer temp tables; atomic so concurrent

@@ -7,7 +7,6 @@ import (
 	"tango/internal/engine"
 	"tango/internal/rel"
 	"tango/internal/server"
-	"tango/internal/types"
 	"tango/internal/wire"
 )
 
@@ -25,23 +24,6 @@ func testConn(t *testing.T) *Conn {
 	return c
 }
 
-func TestQueryOverWire(t *testing.T) {
-	c := testConn(t)
-	r, fb, err := c.QueryAll("SELECT PosID, T1 FROM POSITION ORDER BY PosID, T1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cardinality() != 3 {
-		t.Fatalf("rows: %v", r)
-	}
-	if fb.Rows != 3 || fb.Bytes == 0 {
-		t.Errorf("feedback = %+v", fb)
-	}
-	if r.Schema.Cols[0].Name != "PosID" {
-		t.Errorf("schema: %v", r.Schema)
-	}
-}
-
 func TestBatchingAcrossPrefetch(t *testing.T) {
 	c := testConn(t)
 	for _, prefetch := range []int{1, 2, 256} {
@@ -56,73 +38,6 @@ func TestBatchingAcrossPrefetch(t *testing.T) {
 		if fb.Rows != 3 {
 			t.Errorf("prefetch %d feedback: %+v", prefetch, fb)
 		}
-	}
-}
-
-func TestCreateLoadRoundTrip(t *testing.T) {
-	c := testConn(t)
-	schema := types.NewSchema(
-		types.Column{Name: "A.K", Kind: types.KindInt},
-		types.Column{Name: "V", Kind: types.KindString},
-	)
-	name := c.TempName()
-	if err := c.CreateTable(name, schema); err != nil {
-		t.Fatal(err)
-	}
-	rows := []types.Tuple{
-		{types.Int(1), types.Str("x")},
-		{types.Int(2), types.Str("y")},
-	}
-	fb, err := c.Load(name, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.Rows != 2 {
-		t.Errorf("load feedback: %+v", fb)
-	}
-	// The qualified column "A.K" is mangled to A$K on the DBMS side.
-	r, _, err := c.QueryAll("SELECT A$K, V FROM " + name + " ORDER BY A$K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cardinality() != 2 || r.Tuples[1][1].AsString() != "y" {
-		t.Fatalf("loaded data: %v", r)
-	}
-	if err := c.DropTable(name); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.QueryAll("SELECT * FROM " + name); err == nil {
-		t.Error("query after drop should fail")
-	}
-}
-
-func TestInsertRowsPath(t *testing.T) {
-	c := testConn(t)
-	name := c.TempName()
-	if err := c.CreateTable(name, types.NewSchema(types.Column{Name: "K", Kind: types.KindInt})); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := c.InsertRows(name, []types.Tuple{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}})
-	if err != nil || fb.Rows != 3 {
-		t.Fatalf("insert rows: %+v, %v", fb, err)
-	}
-}
-
-func TestStatsOverWire(t *testing.T) {
-	c := testConn(t)
-	stats, err := c.TableStats("POSITION", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cardinality != 3 {
-		t.Fatalf("stats: %+v", stats)
-	}
-	if stats.Column("T1") == nil || stats.Column("T1").Histogram == nil {
-		t.Error("histogram missing")
-	}
-	schema, err := c.TableSchema("POSITION")
-	if err != nil || schema.Len() != 4 {
-		t.Fatalf("schema: %v, %v", schema, err)
 	}
 }
 

@@ -1,5 +1,7 @@
-// TCP transport: the Backend implemented over a real socket speaking
-// the framed protocol of internal/wire. One Transport multiplexes many
+// TCP transport: the Backend's one call implemented over a real socket
+// speaking the framed protocol of internal/wire — the request envelope
+// is encoded into a frame, the reply decoded straight from the frame
+// read back. One Transport multiplexes many
 // sessions over a single connection (request IDs pair replies to
 // callers; session IDs ride the frame header), redials transparently
 // when the connection is lost, and resumes its sessions server-side
@@ -14,7 +16,7 @@
 package client
 
 import (
-	"encoding/binary"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -22,10 +24,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tango/internal/meta"
 	"tango/internal/server"
 	"tango/internal/telemetry"
-	"tango/internal/types"
 	"tango/internal/wire"
 )
 
@@ -231,9 +231,12 @@ func remoteToError(re wire.RemoteError) error {
 	}
 }
 
-// rpcOn sends one request on an already-resolved connection and waits
-// for its reply.
-func (t *Transport) rpcOn(nc net.Conn, mt byte, session uint32, payload []byte) ([]byte, error) {
+// rpcOn sends one request frame on an already-resolved connection and
+// waits for the reply payload, which aliases the frame the reader read.
+// A session request's envelope is encoded straight into the write
+// buffer; the connection-scope session plumbing (session 0) is not an
+// envelope and sends req.Body as its whole payload.
+func (t *Transport) rpcOn(nc net.Conn, session uint32, req wire.Request) ([]byte, error) {
 	id := t.reqID.Add(1)
 	pc := &pendingCall{ch: make(chan rpcResult, 1), nc: nc}
 	t.pmu.Lock()
@@ -241,7 +244,13 @@ func (t *Transport) rpcOn(nc net.Conn, mt byte, session uint32, payload []byte) 
 	t.pmu.Unlock()
 
 	t.wmu.Lock()
-	t.wbuf = wire.AppendFrame(t.wbuf[:0], wire.Frame{Type: mt, Session: session, Request: id, Payload: payload})
+	t.wbuf = wire.BeginFrame(t.wbuf[:0], req.Op, session, id)
+	if session != 0 {
+		t.wbuf = wire.AppendRequest(t.wbuf, req)
+	} else {
+		t.wbuf = append(t.wbuf, req.Body...)
+	}
+	t.wbuf = wire.EndFrame(t.wbuf, 0)
 	_, werr := nc.Write(t.wbuf)
 	t.wmu.Unlock()
 	if werr != nil {
@@ -255,58 +264,37 @@ func (t *Transport) rpcOn(nc net.Conn, mt byte, session uint32, payload []byte) 
 	return r.payload, r.err
 }
 
-// rpc resolves the connection and sends one session-scoped request.
-func (t *Transport) rpc(mt byte, session uint32, payload []byte) ([]byte, error) {
-	nc, _, err := t.ensureConn()
-	if err != nil {
-		return nil, err
-	}
-	return t.rpcOn(nc, mt, session, payload)
-}
-
 // Conn opens a new session over the transport and wraps it in a
 // middleware connection.
-func (t *Transport) Conn() (*Conn, error) {
-	be, err := t.openSession(false)
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(be), nil
-}
+func (t *Transport) Conn() (*Conn, error) { return t.open(false) }
 
-// openSession performs the MsgOpenSession exchange.
-func (t *Transport) openSession(own bool) (*remoteConn, error) {
+// open performs the MsgOpenSession exchange; own marks the transport
+// as private to the session, closed with it.
+func (t *Transport) open(own bool) (*Conn, error) {
 	nc, epoch, err := t.ensureConn()
 	if err != nil {
 		return nil, err
 	}
-	reply, err := t.rpcOn(nc, wire.MsgOpenSession, 0, nil)
+	reply, err := t.rpcOn(nc, 0, wire.Request{Op: wire.MsgOpenSession})
 	if err != nil {
 		return nil, err
 	}
-	id, k := binary.Uvarint(reply)
-	if k <= 0 || len(reply[k:]) != 8 {
-		return nil, fmt.Errorf("client: malformed open-session reply")
+	id, token, err := wire.DecodeSessionToken(reply)
+	if err != nil {
+		return nil, err
 	}
-	return &remoteConn{
-		t:     t,
-		id:    uint32(id),
-		token: binary.BigEndian.Uint64(reply[k:]),
-		epoch: epoch,
-		own:   own,
-	}, nil
+	return newConn(&remoteConn{t: t, id: id, token: token, epoch: epoch, own: own}), nil
 }
 
 // Dial opens a single connection with its own private transport; the
 // transport is closed with the connection.
 func Dial(addr string) (*Conn, error) {
 	t := DialTransport(addr)
-	be, err := t.openSession(true)
+	c, err := t.open(true)
 	if err != nil {
 		_ = t.Close()
-		return nil, err
 	}
-	return NewConn(be), nil
+	return c, err
 }
 
 // remoteConn is one session over a Transport: the TCP Backend.
@@ -323,122 +311,34 @@ type remoteConn struct {
 	closed bool
 }
 
-// call sends one session-scoped request, resuming the session first
-// when the transport has redialed since the session last attached.
-func (s *remoteConn) call(mt byte, payload []byte) ([]byte, error) {
+// call sends one session request, resuming the session first when the
+// transport has redialed since the session last attached. ctx is not
+// consulted: a caller that gives up abandons the call (retry.go), and
+// a dead connection fails it with ErrConnLost.
+func (s *remoteConn) call(_ context.Context, req wire.Request) (wire.Reply, error) {
 	nc, epoch, err := s.t.ensureConn()
 	if err != nil {
-		return nil, err
+		return wire.Reply{}, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errors.New("client: session closed")
+		return wire.Reply{}, errors.New("client: session closed")
 	}
 	if s.epoch != epoch {
-		resume := binary.AppendUvarint(nil, uint64(s.id))
-		resume = binary.BigEndian.AppendUint64(resume, s.token)
-		if _, err := s.t.rpcOn(nc, wire.MsgResumeSession, 0, resume); err != nil {
+		resume := wire.Request{Op: wire.MsgResumeSession, Body: wire.AppendSessionToken(nil, s.id, s.token)}
+		if _, err := s.t.rpcOn(nc, 0, resume); err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return wire.Reply{}, err
 		}
 		s.epoch = epoch
 	}
 	s.mu.Unlock()
-	return s.t.rpcOn(nc, mt, s.id, payload)
-}
-
-func (s *remoteConn) ExecHdr(hdr []byte, sql string) (int64, error) {
-	reply, err := s.call(wire.MsgExec, append(wire.AppendBytes(nil, hdr), sql...))
+	payload, err := s.t.rpcOn(nc, s.id, req)
 	if err != nil {
-		return 0, err
+		return wire.Reply{}, err
 	}
-	n, k := binary.Varint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed exec reply")
-	}
-	return n, nil
-}
-
-func (s *remoteConn) QueryHdr(hdr []byte, sql string, prefetch int) (Cursor, error) {
-	payload := wire.AppendBytes(nil, hdr)
-	payload = binary.AppendUvarint(payload, uint64(prefetch))
-	payload = append(payload, sql...)
-	reply, err := s.call(wire.MsgQuery, payload)
-	if err != nil {
-		return nil, err
-	}
-	id, k := binary.Uvarint(reply)
-	if k <= 0 {
-		return nil, fmt.Errorf("client: malformed query reply")
-	}
-	schema, _, err := wire.DecodeSchema(reply[k:])
-	if err != nil {
-		return nil, err
-	}
-	return &remoteCursor{s: s, id: id, schema: schema}, nil
-}
-
-func (s *remoteConn) LoadSeqHdr(hdr []byte, table string, payload []byte, seq int64) (int64, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = binary.AppendVarint(req, seq)
-	req = wire.AppendString(req, table)
-	req = append(req, payload...)
-	reply, err := s.call(wire.MsgLoad, req)
-	if err != nil {
-		return 0, err
-	}
-	n, k := binary.Varint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed load reply")
-	}
-	return n, nil
-}
-
-func (s *remoteConn) InsertRowsHdr(hdr []byte, table string, payload []byte) (int64, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = wire.AppendString(req, table)
-	req = append(req, payload...)
-	reply, err := s.call(wire.MsgInsert, req)
-	if err != nil {
-		return 0, err
-	}
-	n, k := binary.Varint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed insert reply")
-	}
-	return n, nil
-}
-
-func (s *remoteConn) TableStatsHdr(hdr []byte, table string, histogramBuckets int) (*meta.TableStats, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = binary.AppendVarint(req, int64(histogramBuckets))
-	req = append(req, table...)
-	reply, err := s.call(wire.MsgStats, req)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeTableStats(reply)
-}
-
-func (s *remoteConn) TableSchema(table string) (types.Schema, error) {
-	reply, err := s.call(wire.MsgSchema, []byte(table))
-	if err != nil {
-		return types.Schema{}, err
-	}
-	schema, _, err := wire.DecodeSchema(reply)
-	return schema, err
-}
-
-// RegisterTemp and ForgetTemp maintain the server-side GC set; the
-// interface is fire-and-forget, so transport failures fall through to
-// the reaper (an unresumed session GCs its temps anyway).
-func (s *remoteConn) RegisterTemp(name string) {
-	_, _ = s.call(wire.MsgRegisterTemp, []byte(name))
-}
-
-func (s *remoteConn) ForgetTemp(name string) {
-	_, _ = s.call(wire.MsgForgetTemp, []byte(name))
+	return wire.DecodeReply(payload)
 }
 
 func (s *remoteConn) SessionID() int64 { return int64(s.id) }
@@ -448,81 +348,12 @@ func (s *remoteConn) SessionID() int64 { return int64(s.id) }
 func (s *remoteConn) TakeRemoteSpans(uint64) []*telemetry.Span { return nil }
 
 func (s *remoteConn) Close() (int, error) {
-	reply, err := s.call(wire.MsgCloseSession, nil)
+	rep, err := s.call(context.Background(), wire.Request{Op: wire.MsgCloseSession})
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	if s.own {
-		defer func() { _ = s.t.Close() }()
+		_ = s.t.Close()
 	}
-	if err != nil {
-		return 0, err
-	}
-	collected, k := binary.Uvarint(reply)
-	if k <= 0 {
-		return 0, fmt.Errorf("client: malformed close reply")
-	}
-	return int(collected), nil
-}
-
-// remoteCursor is one open server cursor over TCP.
-type remoteCursor struct {
-	s      *remoteConn
-	id     uint64
-	schema types.Schema
-
-	next   atomic.Int64 // for the seq-less FetchBatchHdr path
-	closed atomic.Bool
-}
-
-func (c *remoteCursor) Schema() types.Schema { return c.schema }
-
-// fetch performs one sequence-numbered FETCH round trip.
-func (c *remoteCursor) fetch(hdr []byte, seq int64, dst []byte) ([]byte, error) {
-	req := wire.AppendBytes(nil, hdr)
-	req = binary.AppendUvarint(req, c.id)
-	req = binary.AppendVarint(req, seq)
-	reply, err := c.s.call(wire.MsgFetch, req)
-	if err != nil {
-		return nil, err
-	}
-	if len(reply) < 1 {
-		return nil, fmt.Errorf("client: malformed fetch reply")
-	}
-	if reply[0] == 0 {
-		return nil, nil // end of stream
-	}
-	return append(dst[:0], reply[1:]...), nil
-}
-
-// FetchBatchHdr is the seq-less path: the cursor numbers its own
-// fetches so the transport's replay machinery still applies.
-func (c *remoteCursor) FetchBatchHdr(hdr []byte) ([]byte, error) {
-	seq := c.next.Load() + 1
-	payload, err := c.fetch(hdr, seq, nil)
-	if err == nil {
-		c.next.Store(seq)
-	}
-	return payload, err
-}
-
-func (c *remoteCursor) FetchBatchSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, error) {
-	return c.fetch(hdr, seq, dst)
-}
-
-// FetchBatchPipelinedSeqHdr reports zero propagation delay: over a
-// real socket the wire itself is the delay.
-func (c *remoteCursor) FetchBatchPipelinedSeqHdr(hdr []byte, seq int64, dst []byte) ([]byte, time.Duration, error) {
-	payload, err := c.fetch(hdr, seq, dst)
-	return payload, 0, err
-}
-
-// Close releases the server cursor (idempotent server-side; repeated
-// local closes are elided).
-func (c *remoteCursor) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	_, err := c.s.call(wire.MsgCloseCursor, binary.AppendUvarint(nil, c.id))
-	return err
+	return int(rep.N), err
 }

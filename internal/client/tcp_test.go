@@ -19,11 +19,10 @@ func tcpServer(t *testing.T, rows int, cfg server.TCPConfig) *server.TCPServer {
 	t.Helper()
 	db := engine.Open(engine.Config{})
 	srv := server.New(db, wire.Latency{})
-	if _, err := srv.Exec("CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), T1 INTEGER, T2 INTEGER)"); err != nil {
+	c := Connect(srv)
+	if _, err := c.Exec("CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), T1 INTEGER, T2 INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
-	se := srv.NewSession()
-	c := Connect(srv)
 	tuples := make([]types.Tuple, rows)
 	for i := range tuples {
 		tuples[i] = types.Tuple{
@@ -39,7 +38,6 @@ func tcpServer(t *testing.T, rows int, cfg server.TCPConfig) *server.TCPServer {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = se.Close()
 	if cfg.ResumeGrace == 0 {
 		cfg.ResumeGrace = 200 * time.Millisecond
 	}
@@ -60,114 +58,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestTCPRoundTrip drives the full Backend surface over a real socket
-// — query (batched fetches), exec, bulk load, schema, stats, and the
-// temp-table protocol — and verifies the results match the in-process
-// path byte for byte.
-func TestTCPRoundTrip(t *testing.T) {
-	ts := tcpServer(t, 500, server.TCPConfig{})
-	defer leakCheck(t)()
-	srv := ts.Server()
-
-	c, err := Dial(ts.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference result from the in-process path.
-	ref := Connect(srv)
-	want, _, err := ref.QueryAll("SELECT PosID, EmpName FROM POSITION ORDER BY PosID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, fb, err := c.QueryAll("SELECT PosID, EmpName FROM POSITION ORDER BY PosID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cardinality() != want.Cardinality() || got.Cardinality() != 500 {
-		t.Fatalf("TCP query: %d rows, want %d", got.Cardinality(), want.Cardinality())
-	}
-	for i, row := range got.Tuples {
-		if row.String() != want.Tuples[i].String() {
-			t.Fatalf("row %d differs: %v vs %v", i, row, want.Tuples[i])
-		}
-	}
-	if fb.Rows != 500 || fb.Bytes == 0 {
-		t.Fatalf("feedback: %+v", fb)
-	}
-
-	// Exec + schema + stats cross the wire typed.
-	if _, err := c.Exec("INSERT INTO POSITION VALUES (999, 'extra', 1, 2)"); err != nil {
-		t.Fatal(err)
-	}
-	schema, err := c.TableSchema("POSITION")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schema.Len() != 4 {
-		t.Fatalf("schema arity %d, want 4", schema.Len())
-	}
-	st, err := c.TableStats("POSITION", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cardinality != 501 {
-		t.Fatalf("stats cardinality %d, want 501", st.Cardinality)
-	}
-	wantStats, err := ref.TableStats("POSITION", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Columns) != len(wantStats.Columns) {
-		t.Fatalf("stats columns %d vs %d", len(st.Columns), len(wantStats.Columns))
-	}
-	for key, wc := range wantStats.Columns {
-		pc := st.Columns[key]
-		if pc == nil || pc.Distinct != wc.Distinct || pc.NullCount != wc.NullCount ||
-			pc.HasIndex != wc.HasIndex || (pc.Histogram == nil) != (wc.Histogram == nil) {
-			t.Fatalf("column %s stats differ over the wire: %+v vs %+v", key, pc, wc)
-		}
-		if wc.Histogram != nil && pc.Histogram.NumBuckets() != wc.Histogram.NumBuckets() {
-			t.Fatalf("column %s histogram differs: %d vs %d buckets",
-				key, pc.Histogram.NumBuckets(), wc.Histogram.NumBuckets())
-		}
-	}
-
-	// Temp-table protocol: create registers, load fills, drop forgets.
-	tmp := c.TempName()
-	if err := c.CreateTable(tmp, want.Schema); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Load(tmp, want.Tuples[:10]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DropTable(tmp); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bulk insert path.
-	ins := []types.Tuple{
-		{types.Int(1000), types.Str("ins-a"), types.Int(1), types.Int(2)},
-		{types.Int(1001), types.Str("ins-b"), types.Int(3), types.Int(4)},
-	}
-	if _, err := c.InsertRows("POSITION", ins); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "sessions collected", func() bool {
-		return ts.LiveRemoteSessions() == 0 && srv.LiveSessions() == 0
-	})
-	if temps := srv.TempTables(); len(temps) != 0 {
-		t.Fatalf("temp tables leaked: %v", temps)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.srv.SetFaults(sched.Injector())
+	c.be.(*loopback).srv.SetFaults(sched.Injector())
 	var ferr error
 	for {
 		_, ok, err := rows.Next()
@@ -77,8 +77,8 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung on a dead pipelined window")
 	}
-	c.srv.SetFaults(nil)
-	if n := c.srv.OpenCursors(); n != 0 {
+	c.be.(*loopback).srv.SetFaults(nil)
+	if n := c.be.(*loopback).srv.OpenCursors(); n != 0 {
 		t.Fatalf("%d cursor(s) leaked", n)
 	}
 	if err := c.Close(); err != nil {
@@ -105,7 +105,7 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.srv.SetFaults(sched.Injector())
+	c.be.(*loopback).srv.SetFaults(sched.Injector())
 	rows, err := c.QueryWindowed("SELECT PosID FROM POSITION", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("Close took %v; cancellation should be prompt", elapsed)
 	}
-	c.srv.SetFaults(nil)
+	c.be.(*loopback).srv.SetFaults(nil)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

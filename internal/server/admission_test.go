@@ -49,7 +49,7 @@ func TestAdmissionDeterministicShed(t *testing.T) {
 		}
 	}
 	// Exec statements are gated by the same controller.
-	if _, err := s.Exec("INSERT INTO T VALUES (9,'z')"); err == nil {
+	if err := exec(s, "INSERT INTO T VALUES (9,'z')"); err == nil {
 		t.Fatal("Exec admitted past capacity")
 	}
 	if got := s.Shed(); got != excess+1 {
@@ -97,8 +97,7 @@ func TestAdmissionQueueWait(t *testing.T) {
 	queuedErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := s.Exec("INSERT INTO T VALUES (7,'g')")
-		queuedErr <- err
+		queuedErr <- exec(s, "INSERT INTO T VALUES (7,'g')")
 	}()
 	// Wait until the statement is actually queued, then free the unit.
 	for i := 0; s.QueueDepth() == 0 && i < 1000; i++ {
@@ -118,7 +117,7 @@ func TestAdmissionQueueWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Exec("INSERT INTO T VALUES (8,'h')")
+	err = exec(s, "INSERT INTO T VALUES (8,'h')")
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != "queue-wait" {
 		t.Fatalf("got %v, want ErrOverloaded(queue-wait)", err)
@@ -172,7 +171,7 @@ func TestDrainRejectsTyped(t *testing.T) {
 	s := testServer(t)
 	s.SetAdmission(AdmissionConfig{MaxInFlight: 4})
 	s.StartDrain()
-	if _, err := s.Exec("INSERT INTO T VALUES (6,'f')"); !errors.Is(err, ErrShutdown) {
+	if err := exec(s, "INSERT INTO T VALUES (6,'f')"); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("got %v, want ErrShutdown", err)
 	}
 	if _, err := s.Query("SELECT K FROM T", 2); !errors.Is(err, ErrShutdown) {

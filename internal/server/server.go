@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tango/internal/engine"
 	"tango/internal/meta"
@@ -28,18 +27,17 @@ import (
 	"tango/internal/wire"
 )
 
-// Server is the DBMS endpoint.
+// Server is the DBMS endpoint. Every statement reaches it through
+// (*Session).Handle (session.go).
 type Server struct {
-	db  *engine.DB
+	db *engine.DB
+	// lat models the link in front of the server. The server never
+	// sleeps it: the client's loopback transport bills it per exchange,
+	// and a real socket is its own delay.
 	lat wire.Latency
 
 	// faults, when non-nil, injects wire failures into every op.
 	faults atomic.Pointer[wire.FaultInjector]
-
-	// base, when non-nil, bounds every simulated delay (latency
-	// charges, injected stalls): the TCP layer stores its drain context
-	// here so shutdown cuts sleeps short instead of waiting them out.
-	base atomic.Pointer[context.Context]
 
 	// adm is the admission controller (disabled by default).
 	adm admission
@@ -53,6 +51,10 @@ type Server struct {
 	mu       sync.Mutex          //tango:lock-order server latch
 	loadSeqs map[string]loadMark // per-table last applied load sequence
 	sessions map[*Session]bool
+
+	// local is the unregistered session behind Query, the in-process
+	// convenience for callers that hold the Server itself.
+	local *Session
 
 	// counters for experiments
 	queries int64
@@ -74,34 +76,19 @@ type loadMark struct {
 func New(db *engine.DB, lat wire.Latency) *Server {
 	s := &Server{db: db, lat: lat}
 	s.adm.drainCh = make(chan struct{})
+	s.local = &Session{srv: s, temps: map[string]bool{}, cursors: map[uint64]*Cursor{}}
 	return s
 }
 
-// SetBaseContext installs the context bounding every simulated delay
-// (nil restores Background). The TCP layer points this at its drain
-// context so a shutdown never waits out a simulated stall.
-func (s *Server) SetBaseContext(ctx context.Context) {
-	if ctx == nil {
-		s.base.Store(nil)
-		return
-	}
-	s.base.Store(&ctx)
-}
-
-// ctx resolves the server's delay-bounding context.
-func (s *Server) ctx() context.Context {
-	if p := s.base.Load(); p != nil {
-		return *p
-	}
-	return context.Background()
-}
-
 // DB exposes the engine for in-process test setup; production callers
-// go through the wire methods.
+// go through a session.
 func (s *Server) DB() *engine.DB { return s.db }
 
 // SetLatency replaces the latency model (used by experiments).
 func (s *Server) SetLatency(lat wire.Latency) { s.lat = lat }
+
+// Latency returns the latency model the loopback transport bills.
+func (s *Server) Latency() wire.Latency { return s.lat }
 
 // SetFaults attaches (or, with nil, detaches) a fault injector. Safe
 // to swap between queries while other connections are idle.
@@ -111,19 +98,18 @@ func (s *Server) SetFaults(f *wire.FaultInjector) { s.faults.Store(f) }
 func (s *Server) Faults() *wire.FaultInjector { return s.faults.Load() }
 
 // decide consults the injector for one op. The returned fault's Kind
-// is KindNone on the clean path. KindStall is served here (the call
-// proceeds after the stall); Drop and Partial are interpreted by the
-// caller because they differ in whether the op's effect happens.
-func (s *Server) decide(op wire.Op) wire.Fault {
+// is KindNone on the clean path. KindStall is served here, bounded by
+// ctx so a draining server or a caller that gave up cuts it short (the
+// call proceeds after the stall); Drop and Partial are interpreted by
+// Handle because they differ in whether the op's effect happens.
+func (s *Server) decide(ctx context.Context, op wire.Op) wire.Fault {
 	f := s.faults.Load()
 	if f == nil {
 		return wire.Fault{}
 	}
 	d := f.Decide(op)
 	if d.Kind == wire.KindStall {
-		// Context-aware: a draining server (or dead session) cuts the
-		// stall short instead of sleeping it out.
-		wire.SleepCtx(s.ctx(), d.Stall)
+		wire.SleepCtx(ctx, d.Stall)
 	}
 	return d
 }
@@ -173,30 +159,10 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	s.db.SetMetrics(reg)
 }
 
-// Exec runs a non-SELECT statement. Exec is not idempotent in
-// general; the client only retries statements it knows are (DROP IF
-// EXISTS, and CREATE TABLE under its drop-and-recreate protocol).
-func (s *Server) Exec(sql string) (int64, error) {
-	release, err := s.admit(s.ctx())
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	if d := s.decide(wire.OpExec); d.Kind == wire.KindDrop {
-		return 0, d.Error(wire.OpExec)
-	} else if d.Kind == wire.KindPartial {
-		// The statement executes but the acknowledgment is lost.
-		n, err := s.exec(sql)
-		if err != nil {
-			return n, err
-		}
-		return 0, d.Error(wire.OpExec)
-	}
-	return s.exec(sql)
-}
-
+// exec runs a non-SELECT statement. It is not idempotent in general;
+// the client only retries statements it knows are (DROP IF EXISTS, and
+// CREATE TABLE under its drop-and-recreate protocol).
 func (s *Server) exec(sql string) (int64, error) {
-	s.lat.ChargeCtx(s.ctx(), len(sql))
 	if name, ok := strings.CutPrefix(sql, "DROP TABLE IF EXISTS "); ok {
 		// The table's identity ends with the drop: a later temp table
 		// reusing the name must not inherit its load-dedup mark.
@@ -205,45 +171,15 @@ func (s *Server) exec(sql string) (int64, error) {
 	return s.db.Exec(sql)
 }
 
-// Query plans and opens a SELECT, returning a cursor that ships rows
-// in serialized batches.
+// Query opens a SELECT on the server's own session and returns its
+// cursor: Handle, for a caller in the same process that wants the
+// serialized batches without a client.
 func (s *Server) Query(sql string, prefetch int) (*Cursor, error) {
-	if prefetch <= 0 {
-		prefetch = wire.DefaultPrefetch
-	}
-	// An open statement is live work (its snapshot, its replayable
-	// batch): the admission unit is held until the cursor closes.
-	release, err := s.admit(s.ctx())
+	rep, err := s.local.Handle(context.Background(), wire.Request{Op: wire.MsgQuery, Name: sql, N: int64(prefetch)})
 	if err != nil {
 		return nil, err
 	}
-	if d := s.decide(wire.OpQuery); d.Kind == wire.KindDrop || d.Kind == wire.KindPartial {
-		// Both directions of loss look the same to the client, and the
-		// server opens nothing, so OPEN is trivially retryable.
-		release()
-		return nil, d.Error(wire.OpQuery)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(sql))
-	// Statement → snapshot binding: the cursor pins the commit sequence
-	// current at open, so its batches stream one consistent state no
-	// matter what other sessions commit or load meanwhile. The pin is
-	// released when the cursor closes.
-	snap := s.db.Snapshot()
-	it, err := snap.Query(sql)
-	if err != nil {
-		snap.Release()
-		release()
-		return nil, err
-	}
-	if err := it.Open(); err != nil {
-		_ = it.Close()
-		snap.Release()
-		release()
-		return nil, err
-	}
-	atomic.AddInt64(&s.queries, 1)
-	atomic.AddInt64(&s.openCursors, 1)
-	return &Cursor{srv: s, it: it, snap: snap, prefetch: prefetch, release: release}, nil
+	return s.local.cursor(rep.Cursor), nil
 }
 
 // OpenCursors reports the number of cursors opened but not yet
@@ -253,16 +189,19 @@ func (s *Server) OpenCursors() int64 {
 	return atomic.LoadInt64(&s.openCursors)
 }
 
-// Cursor is the server side of an open query. Batch production is
-// serial, but the cursor tolerates the concurrency that client-side
-// deadlines create (an abandoned stalled call racing its retry): all
-// fetch paths serialize on an internal lock, and every produced batch
-// carries a 1-based sequence number and stays replayable until the
-// next one is produced.
+// Cursor is the server side of an open query, an entry in its
+// session's cursor table. Batch production is serial, but the cursor
+// tolerates the concurrency that client-side deadlines create (an
+// abandoned stalled call waking after its retry was served): fetches
+// serialize on the cursor lock, and every produced batch carries a
+// 1-based sequence number and stays replayable until the next one is
+// produced, so the late call is answered with a replay or a typed
+// out-of-sync error that nobody is waiting for.
 type Cursor struct {
-	srv      *Server
+	se       *Session
+	id       uint64
 	it       rel.Iterator
-	snap     *engine.Snapshot // pinned commit sequence; released on Close
+	snap     *engine.Snapshot // pinned commit sequence; released on close
 	prefetch int
 	release  func() // admission unit held while the statement is open
 
@@ -272,16 +211,14 @@ type Cursor struct {
 	done   bool
 	closed bool
 	seq    int64         // sequence number of the batch held in rows
-	buf    []byte        // pooled encode scratch for the seq-less API
 	rows   []types.Tuple // current batch (replayable); scratch reused
+	mem    int64         // encoded size of that batch, billed to the session budget (guarded by se.mu)
+
+	buf []byte // pooled encode scratch behind FetchBatch
 }
 
 // Schema returns the result schema.
 func (c *Cursor) Schema() types.Schema { return c.it.Schema() }
-
-// CommitSeq returns the commit sequence the cursor's snapshot pinned
-// at open.
-func (c *Cursor) CommitSeq() uint64 { return c.snap.Seq() }
 
 // produce pulls the next batch of up to prefetch rows from the
 // result iterator, returning nil at end of stream. Caller holds c.mu.
@@ -308,23 +245,16 @@ func (c *Cursor) produce() ([]types.Tuple, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	atomic.AddInt64(&c.srv.rowsOut, int64(len(rows)))
+	atomic.AddInt64(&c.se.srv.rowsOut, int64(len(rows)))
 	return rows, nil
 }
 
 // fetch produces or replays the batch with the given 1-based sequence
-// number, encoding it into dst. seq == 0 means "the next batch". A
-// nil payload signals end of stream. When charge is set the wire
-// delay is slept here; otherwise it is returned for the pipelined
-// client to overlap.
-func (c *Cursor) fetch(seq int64, dst []byte, charge bool) ([]byte, time.Duration, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.srv.decide(wire.OpFetch)
-	if d.Kind == wire.KindDrop {
-		// Request lost: no work happens.
-		return nil, 0, d.Error(wire.OpFetch)
-	}
+// number, encoding it into dst. seq == 0 means "the next batch".
+// Asking for the current sequence number replays the last batch (the
+// idempotent retry after a lost or corrupted reply); asking for the
+// next one produces it. Caller holds c.mu.
+func (c *Cursor) fetch(seq int64, dst []byte) (wire.Reply, error) {
 	if seq == 0 {
 		seq = c.seq + 1
 	}
@@ -334,34 +264,21 @@ func (c *Cursor) fetch(seq int64, dst []byte, charge bool) ([]byte, time.Duratio
 		var err error
 		rows, err = c.produce()
 		if err != nil {
-			return nil, 0, err
+			return wire.Reply{}, err
 		}
 		if rows == nil {
 			// End of stream is idempotent: the sequence number does not
 			// advance, and a lost EOS reply is re-answered with EOS.
-			return nil, 0, nil
+			return wire.Reply{EOS: true}, nil
 		}
 		c.seq = seq
 	case seq == c.seq && c.seq > 0:
 		// Replay: the previous reply was lost or corrupted in flight.
 		rows = c.rows
 	default:
-		return nil, 0, fmt.Errorf("server: cursor out of sync: asked batch %d, at %d", seq, c.seq)
+		return wire.Reply{}, fmt.Errorf("server: cursor out of sync: asked batch %d, at %d", seq, c.seq)
 	}
-	payload := wire.EncodeBatch(dst[:0], rows)
-	var delay time.Duration
-	if charge {
-		c.srv.lat.ChargeCtx(c.srv.ctx(), len(payload))
-	} else {
-		delay = c.srv.lat.Wire(len(payload))
-	}
-	if d.Kind == wire.KindPartial {
-		// The batch was produced (the sequence number advanced) but the
-		// reply arrives truncated; the client's decode fails and its
-		// retry replays the same sequence number.
-		payload = wire.Corrupt(payload)
-	}
-	return payload, delay, nil
+	return wire.Reply{Body: wire.EncodeBatch(dst[:0], rows)}, nil
 }
 
 // FetchBatch produces the next serialized batch of up to prefetch
@@ -371,99 +288,51 @@ func (c *Cursor) FetchBatch() ([]byte, error) {
 	if c.buf == nil {
 		c.buf = wire.GetBuf()
 	}
-	payload, _, err := c.fetch(0, c.buf, true)
-	return payload, err
+	rep, err := c.se.Handle(context.Background(), wire.Request{Op: wire.MsgFetch, Cursor: c.id, Buf: c.buf})
+	if rep.Body != nil {
+		c.buf = rep.Body
+	}
+	return rep.Body, err
 }
 
-// FetchBatchSeq is FetchBatch with an explicit statement sequence
-// number and a caller-owned buffer: asking for the current sequence
-// number replays the last batch (idempotent retry after a lost or
-// corrupted reply); asking for the next one produces it.
-func (c *Cursor) FetchBatchSeq(seq int64, dst []byte) ([]byte, error) {
-	payload, _, err := c.fetch(seq, dst, true)
-	return payload, err
-}
-
-// FetchBatchPipelined is FetchBatch for windowed clients. It encodes
-// the next batch into dst (caller-owned, so several replies can be in
-// flight at once) and returns the reply's wire delay instead of
-// sleeping it: batch production stays serial — the cursor is a serial
-// stream — but the caller charges each reply's propagation in its own
-// goroutine, overlapping consecutive round trips exactly as a
-// pipelined wire protocol with several outstanding FETCH requests
-// does. A nil payload means end of stream.
-func (c *Cursor) FetchBatchPipelined(dst []byte) ([]byte, time.Duration, error) {
-	return c.fetch(0, dst, false)
-}
-
-// FetchBatchPipelinedSeq is FetchBatchPipelined with an explicit
-// sequence number, for retrying windowed clients.
-func (c *Cursor) FetchBatchPipelinedSeq(seq int64, dst []byte) ([]byte, time.Duration, error) {
-	return c.fetch(seq, dst, false)
-}
-
-// Seq returns the sequence number of the last produced batch.
-func (c *Cursor) Seq() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
-}
-
-// Close releases the cursor and returns its pooled encode buffer. The
-// payload returned by the last FetchBatch must not be used after Close.
-// Close is idempotent.
+// Close releases the cursor. The payload returned by the last
+// FetchBatch must not be used after Close. Close is idempotent.
 func (c *Cursor) Close() error {
+	_, err := c.se.Handle(context.Background(), wire.Request{Op: wire.MsgCloseCursor, Cursor: c.id})
+	return err
+}
+
+// close releases the iterator, the snapshot pin and the admission
+// unit, once; the session has already dropped the cursor from its
+// table.
+func (c *Cursor) close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.done = true
-	if c.buf != nil {
-		wire.PutBuf(c.buf)
-		c.buf = nil
+	if c.closed {
+		return nil
 	}
-	c.rows = nil
-	if !c.closed {
-		c.closed = true
-		atomic.AddInt64(&c.srv.openCursors, -1)
-		if c.release != nil {
-			c.release()
-		}
-	}
+	c.closed, c.done = true, true
+	wire.PutBuf(c.buf)
+	c.buf, c.rows = nil, nil
+	atomic.AddInt64(&c.se.srv.openCursors, -1)
+	c.release()
 	err := c.it.Close()
 	c.snap.Release()
 	return err
 }
 
-// Load is the direct-path bulk loader (the paper's SQL*Loader): the
+// load is the direct-path bulk loader (the paper's SQL*Loader): the
 // payload is a serialized batch ("data file") appended to an existing
-// table with pages filled to capacity. Load without a sequence number
-// is not deduplicated; retrying callers use LoadSeq.
-func (s *Server) Load(table string, payload []byte) (int64, error) {
-	return s.LoadSeq(table, payload, 0)
-}
-
-// LoadSeq is Load with a statement sequence number: if the table's
-// last applied load carried the same nonzero seq, the load is a
-// duplicate delivery (the previous reply was lost) and is answered
-// from the mark without re-applying.
-func (s *Server) LoadSeq(table string, payload []byte, seq int64) (int64, error) {
-	release, aerr := s.admit(s.ctx())
-	if aerr != nil {
-		return 0, aerr
-	}
-	defer release()
-	d := s.decide(wire.OpLoad)
-	if d.Kind == wire.KindDrop {
-		return 0, d.Error(wire.OpLoad)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(payload))
+// table with pages filled to capacity. If the table's last applied
+// load carried the same nonzero seq, the load is a duplicate delivery
+// (the previous reply was lost) and is answered from the mark without
+// re-applying; seq 0 is never deduplicated.
+func (s *Server) load(table string, payload []byte, seq int64) (int64, error) {
 	if seq != 0 {
 		s.mu.Lock()
 		mark, ok := s.loadSeqs[table]
 		s.mu.Unlock()
 		if ok && mark.seq == seq {
-			if d.Kind == wire.KindPartial {
-				return 0, d.Error(wire.OpLoad)
-			}
 			return mark.rows, nil
 		}
 	}
@@ -483,33 +352,19 @@ func (s *Server) LoadSeq(table string, payload []byte, seq int64) (int64, error)
 		s.loadSeqs[table] = loadMark{seq: seq, rows: int64(len(rows))}
 		s.mu.Unlock()
 	}
-	if d.Kind == wire.KindPartial {
-		// Applied, acknowledgment lost: the retry hits the seq mark.
-		return 0, d.Error(wire.OpLoad)
-	}
 	return int64(len(rows)), nil
 }
 
-// InsertRows is the conventional-path alternative to Load: one INSERT
-// per row. Provided for the bulk-load ablation experiment. Not
-// idempotent — the client must not retry it.
-func (s *Server) InsertRows(table string, payload []byte) (int64, error) {
-	release, aerr := s.admit(s.ctx())
-	if aerr != nil {
-		return 0, aerr
-	}
-	defer release()
-	if d := s.decide(wire.OpInsert); d.Kind == wire.KindDrop || d.Kind == wire.KindPartial {
-		return 0, d.Error(wire.OpInsert)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(payload))
+// insert is the conventional-path alternative to load: one INSERT per
+// row, for the bulk-load ablation experiment. Not idempotent — the
+// client must not retry it. On failure it reports the rows stored so
+// far.
+func (s *Server) insert(table string, payload []byte) (int64, error) {
 	rows, err := wire.DecodeBatch(payload)
 	if err != nil {
 		return 0, err
 	}
 	for i, r := range rows {
-		// Each INSERT is its own round trip.
-		s.lat.ChargeCtx(s.ctx(), 0)
 		if err := s.db.Insert(table, r); err != nil {
 			return int64(i), err
 		}
@@ -518,18 +373,9 @@ func (s *Server) InsertRows(table string, payload []byte) (int64, error) {
 	return int64(len(rows)), nil
 }
 
-// TableStats returns catalog statistics, computing them (ANALYZE) if
+// stats returns catalog statistics, computing them (ANALYZE) if
 // absent. histogramBuckets applies only when statistics are computed.
-func (s *Server) TableStats(table string, histogramBuckets int) (*meta.TableStats, error) {
-	release, aerr := s.admit(s.ctx())
-	if aerr != nil {
-		return nil, aerr
-	}
-	defer release()
-	if d := s.decide(wire.OpStats); d.Kind == wire.KindDrop || d.Kind == wire.KindPartial {
-		return nil, d.Error(wire.OpStats)
-	}
-	s.lat.ChargeCtx(s.ctx(), len(table))
+func (s *Server) stats(table string, histogramBuckets int) (*meta.TableStats, error) {
 	t, err := s.db.Table(table)
 	if err != nil {
 		return nil, err
@@ -538,15 +384,6 @@ func (s *Server) TableStats(table string, histogramBuckets int) (*meta.TableStat
 		return t.Stats, nil
 	}
 	return s.db.Analyze(table, histogramBuckets)
-}
-
-// TableSchema returns a table's schema.
-func (s *Server) TableSchema(table string) (types.Schema, error) {
-	t, err := s.db.Table(table)
-	if err != nil {
-		return types.Schema{}, err
-	}
-	return t.Schema, nil
 }
 
 // Counters reports cumulative traffic for experiments.

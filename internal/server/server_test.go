@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 
 	"tango/internal/engine"
@@ -8,14 +9,25 @@ import (
 	"tango/internal/wire"
 )
 
+// ask runs one request on the server's own session.
+func ask(s *Server, req wire.Request) (wire.Reply, error) {
+	return s.local.Handle(context.Background(), req)
+}
+
+// exec runs one non-SELECT statement.
+func exec(s *Server, sql string) error {
+	_, err := ask(s, wire.Request{Op: wire.MsgExec, Name: sql})
+	return err
+}
+
 func testServer(t *testing.T) *Server {
 	t.Helper()
 	db := engine.Open(engine.Config{})
 	s := New(db, wire.Latency{})
-	if _, err := s.Exec("CREATE TABLE T (K INTEGER, V VARCHAR(20))"); err != nil {
+	if err := exec(s, "CREATE TABLE T (K INTEGER, V VARCHAR(20))"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("INSERT INTO T VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d'),(5,'e')"); err != nil {
+	if err := exec(s, "INSERT INTO T VALUES (1,'a'),(2,'b'),(3,'c'),(4,'d'),(5,'e')"); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -80,13 +92,13 @@ func TestCursorSchema(t *testing.T) {
 
 func TestLoadAndCounters(t *testing.T) {
 	s := testServer(t)
-	if _, err := s.Exec("CREATE TABLE L (K INTEGER)"); err != nil {
+	if err := exec(s, "CREATE TABLE L (K INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	payload := wire.EncodeBatch(nil, []types.Tuple{{types.Int(10)}, {types.Int(20)}})
-	n, err := s.Load("L", payload)
-	if err != nil || n != 2 {
-		t.Fatalf("load: %d, %v", n, err)
+	rep, err := ask(s, wire.Request{Op: wire.MsgLoad, Name: "L", Body: payload})
+	if err != nil || rep.N != 2 {
+		t.Fatalf("load: %d, %v", rep.N, err)
 	}
 	queries, rowsOut, rowsIn := s.Counters()
 	if rowsIn != 2 {
@@ -107,24 +119,13 @@ func TestLoadAndCounters(t *testing.T) {
 	}
 }
 
-func TestInsertRowsPath(t *testing.T) {
-	s := testServer(t)
-	if _, err := s.Exec("CREATE TABLE I (K INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	payload := wire.EncodeBatch(nil, []types.Tuple{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}})
-	n, err := s.InsertRows("I", payload)
-	if err != nil || n != 3 {
-		t.Fatalf("insert rows: %d, %v", n, err)
-	}
-}
-
 func TestTableStatsComputedOnDemand(t *testing.T) {
 	s := testServer(t)
-	stats, err := s.TableStats("T", 4)
+	rep, err := ask(s, wire.Request{Op: wire.MsgStats, Name: "T", N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := rep.Stats
 	if stats.Cardinality != 5 {
 		t.Errorf("cardinality = %d", stats.Cardinality)
 	}
@@ -132,8 +133,8 @@ func TestTableStatsComputedOnDemand(t *testing.T) {
 		t.Error("on-demand ANALYZE should honor histogram buckets")
 	}
 	// Second call serves the cached catalog entry.
-	stats2, err := s.TableStats("T", 0)
-	if err != nil || stats2 != stats {
+	rep, err = ask(s, wire.Request{Op: wire.MsgStats, Name: "T"})
+	if err != nil || rep.Stats != stats {
 		t.Error("cached stats expected")
 	}
 }
@@ -143,14 +144,17 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := s.Query("SELECT * FROM NOPE", 0); err == nil {
 		t.Error("bad query should fail")
 	}
-	if _, err := s.Load("NOPE", wire.EncodeBatch(nil, nil)); err == nil {
+	if _, err := ask(s, wire.Request{Op: wire.MsgLoad, Name: "NOPE", Body: wire.EncodeBatch(nil, nil)}); err == nil {
 		t.Error("load into missing table should fail")
 	}
-	if _, err := s.Load("T", []byte{0xFF, 0xFF}); err == nil {
+	if _, err := ask(s, wire.Request{Op: wire.MsgLoad, Name: "T", Body: []byte{0xFF, 0xFF}}); err == nil {
 		t.Error("corrupt payload should fail")
 	}
-	if _, err := s.TableSchema("NOPE"); err == nil {
+	if _, err := ask(s, wire.Request{Op: wire.MsgSchema, Name: "NOPE"}); err == nil {
 		t.Error("missing schema should fail")
+	}
+	if _, err := ask(s, wire.Request{Op: wire.MsgOK}); err == nil {
+		t.Error("a reply type is not a request")
 	}
 }
 

@@ -1,14 +1,25 @@
-// Session-scoped temp-table accounting: TRANSFER^D materializes
-// middleware islands into uniquely named temp tables that §3.2
-// requires dropped at query end. Under wire faults the client-side
+// The session is the server's one request path. Everything a client —
+// in process or across a socket — asks of the DBMS is a wire.Request
+// handed to (*Session).Handle, which is the only place admission, the
+// per-session byte budget, the fault decision, the remote trace span,
+// fetch replay / load dedup and the session's cursor table live.
+//
+// The session also keeps the temp-table ledger: TRANSFER^D
+// materializes middleware islands into uniquely named temp tables that
+// §3.2 requires dropped at query end. Under wire faults the client-side
 // cleanup can fail (or the client can die mid-query), so the server
 // keeps its own ledger per session and garbage-collects whatever is
 // left when the session ends.
 package server
 
 import (
+	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
+
+	"tango/internal/wire"
 )
 
 // TempPrefix is the naming prefix of transfer temp tables; the
@@ -16,16 +27,17 @@ import (
 // it.
 const TempPrefix = "TMP_TANGO_"
 
-// Session is the server-side state of one client connection: the set
-// of temp tables it created and has not yet dropped.
+// Session is the server-side state of one client connection: its open
+// cursors and the temp tables it created and has not yet dropped.
 type Session struct {
 	srv *Server
 	id  int64
 
-	// guarded by srv.mu (sessions are touched from client retry
-	// goroutines and the GC).
-	temps  map[string]bool
-	closed bool
+	mu         sync.Mutex //tango:lock-order session latch
+	cursors    map[uint64]*Cursor
+	nextCursor uint64
+	temps      map[string]bool
+	closed     bool
 }
 
 // sessionCounter numbers sessions process-wide; the ID keys the
@@ -34,7 +46,7 @@ var sessionCounter atomic.Int64
 
 // NewSession registers a new client session.
 func (s *Server) NewSession() *Session {
-	se := &Session{srv: s, id: sessionCounter.Add(1), temps: map[string]bool{}}
+	se := &Session{srv: s, id: sessionCounter.Add(1), temps: map[string]bool{}, cursors: map[uint64]*Cursor{}}
 	s.mu.Lock()
 	if s.sessions == nil {
 		s.sessions = map[*Session]bool{}
@@ -44,60 +56,221 @@ func (s *Server) NewSession() *Session {
 	return se
 }
 
-// ID returns the session's process-unique identifier (0 for nil).
-func (se *Session) ID() int64 {
-	if se == nil {
-		return 0
+// ID returns the session's process-unique identifier.
+func (se *Session) ID() int64 { return se.id }
+
+// Handle executes one request. For the six statement ops (exec, query,
+// fetch, load, insert, stats) it runs, in this order: the dbms.<op>
+// span parented under the caller's trace header; the session byte
+// budget; admission (a fetch instead runs on the unit its query took,
+// which the cursor holds until it closes); the fault decision; the
+// effect. An injected stall delays the call before its effect, bounded
+// by ctx. A drop fails it before the effect. A partial delivery loses
+// the reply after the effect for the ops whose retry the server can
+// absorb — exec (the client only retries idempotent statements), load
+// (the retry hits the load mark) and fetch (the batch arrives
+// truncated and the retry replays its sequence number) — and acts as a
+// drop for query, insert and stats, which then have no effect at all.
+// The remaining ops are session bookkeeping and are never gated,
+// faulted or traced.
+func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply, err error) {
+	op, statement := wire.MsgOp(req.Op)
+	if !statement {
+		return se.control(req)
 	}
-	return se.id
+	s := se.srv
+	if sp := s.beginOp(op.String(), req.TraceHdr); sp != nil {
+		defer func() {
+			if op == wire.OpFetch {
+				sp.SetInt("seq", req.Seq)
+			}
+			sp.SetInt("bytes", int64(len(req.Body)+len(rep.Body)))
+			sp.SetInt("rows", rep.N)
+			s.endOp(sp, err)
+		}()
+	}
+	if se.overBudget(int64(len(req.Name) + len(req.Body))) {
+		return wire.Reply{}, s.shedBudget(s.QueueDepth())
+	}
+	release := func() {}
+	if op != wire.OpFetch {
+		if release, err = s.admit(ctx); err != nil {
+			return wire.Reply{}, err
+		}
+	}
+	d := s.decide(ctx, op)
+	replyLost := d.Kind == wire.KindPartial && (op == wire.OpExec || op == wire.OpLoad || op == wire.OpFetch)
+	if d.Kind == wire.KindDrop || d.Kind == wire.KindPartial && !replyLost {
+		release()
+		return wire.Reply{}, d.Error(op)
+	}
+	switch op {
+	case wire.OpQuery:
+		// An open statement is live work (its snapshot, its replayable
+		// batch): the admission unit passes to the cursor.
+		return se.open(req.Name, int(req.N), release)
+	case wire.OpExec:
+		rep.N, err = s.exec(req.Name)
+	case wire.OpFetch:
+		rep, err = se.fetch(req)
+	case wire.OpLoad:
+		rep.N, err = s.load(req.Name, req.Body, req.Seq)
+	case wire.OpInsert:
+		rep.N, err = s.insert(req.Name, req.Body)
+	case wire.OpStats:
+		rep.Stats, err = s.stats(req.Name, int(req.N))
+	}
+	release()
+	if err == nil && replyLost {
+		if op != wire.OpFetch {
+			return wire.Reply{}, d.Error(op)
+		}
+		rep.Body = wire.Corrupt(rep.Body)
+	}
+	return rep, err
 }
 
-// RegisterTemp records that the session created a temp table.
-func (se *Session) RegisterTemp(name string) {
-	if se == nil {
-		return
+// control handles the ungated bookkeeping ops.
+func (se *Session) control(req wire.Request) (wire.Reply, error) {
+	switch req.Op {
+	case wire.MsgSchema:
+		t, err := se.srv.db.Table(req.Name)
+		if err != nil {
+			return wire.Reply{}, err
+		}
+		return wire.Reply{Schema: t.Schema}, nil
+	case wire.MsgRegisterTemp:
+		se.mu.Lock()
+		if !se.closed {
+			se.temps[req.Name] = true
+		}
+		se.mu.Unlock()
+	case wire.MsgForgetTemp:
+		se.mu.Lock()
+		delete(se.temps, req.Name)
+		se.mu.Unlock()
+	case wire.MsgCloseCursor:
+		se.mu.Lock()
+		cur := se.cursors[req.Cursor]
+		delete(se.cursors, req.Cursor)
+		se.mu.Unlock()
+		// Closing an unknown cursor succeeds: a close retried after a
+		// lost acknowledgment must.
+		if cur != nil {
+			return wire.Reply{}, cur.close()
+		}
+	case wire.MsgCloseSession:
+		n, err := se.Close()
+		return wire.Reply{N: int64(n)}, err
+	default:
+		return wire.Reply{}, fmt.Errorf("server: unexpected message %s", wire.MsgName(req.Op))
 	}
-	se.srv.mu.Lock()
-	if !se.closed {
-		se.temps[name] = true
-	}
-	se.srv.mu.Unlock()
+	return wire.Reply{}, nil
 }
 
-// ForgetTemp records that the session dropped a temp table.
-func (se *Session) ForgetTemp(name string) {
-	if se == nil {
-		return
+// open plans and opens a SELECT and enters its cursor in the session's
+// table. The cursor pins the commit sequence current at open, so its
+// batches stream one consistent state no matter what other sessions
+// commit or load meanwhile, and takes over the admission unit; both
+// are released when it closes (or here, on failure).
+func (se *Session) open(sql string, prefetch int, release func()) (wire.Reply, error) {
+	s := se.srv
+	if prefetch <= 0 {
+		prefetch = wire.DefaultPrefetch
 	}
-	se.srv.mu.Lock()
-	delete(se.temps, name)
-	se.srv.mu.Unlock()
-}
-
-// Close ends the session and garbage-collects its orphaned temp
-// tables, dropping them directly on the engine (no wire, no faults —
-// the connection is gone). It returns the number of tables collected.
-func (se *Session) Close() (int, error) {
-	if se == nil {
-		return 0, nil
+	snap := s.db.Snapshot()
+	it, err := snap.Query(sql)
+	if err == nil {
+		if err = it.Open(); err != nil {
+			_ = it.Close()
+		}
 	}
-	se.srv.mu.Lock()
+	if err != nil {
+		snap.Release()
+		release()
+		return wire.Reply{}, err
+	}
+	atomic.AddInt64(&s.queries, 1)
+	atomic.AddInt64(&s.openCursors, 1)
+	cur := &Cursor{se: se, it: it, snap: snap, prefetch: prefetch, release: release}
+	se.mu.Lock()
 	if se.closed {
-		se.srv.mu.Unlock()
+		// The session was collected (reaper, drain) under this request.
+		se.mu.Unlock()
+		_ = cur.close()
+		return wire.Reply{}, ErrShutdown
+	}
+	se.nextCursor++
+	cur.id = se.nextCursor
+	se.cursors[cur.id] = cur
+	se.mu.Unlock()
+	return wire.Reply{Cursor: cur.id, Schema: it.Schema()}, nil
+}
+
+// fetch serves one FETCH from the session's cursor table and records
+// the size of the batch the cursor now keeps replayable.
+func (se *Session) fetch(req wire.Request) (wire.Reply, error) {
+	cur := se.cursor(req.Cursor)
+	if cur == nil {
+		return wire.Reply{}, fmt.Errorf("server: unknown cursor %d", req.Cursor)
+	}
+	cur.mu.Lock()
+	rep, err := cur.fetch(req.Seq, req.Buf)
+	cur.mu.Unlock()
+	if err == nil && !rep.EOS {
+		se.mu.Lock()
+		cur.mem = int64(len(rep.Body))
+		se.mu.Unlock()
+	}
+	return rep, err
+}
+
+// cursor looks up an open cursor (nil when unknown).
+func (se *Session) cursor(id uint64) *Cursor {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return se.cursors[id]
+}
+
+// overBudget enforces the per-session memory budget: the request's
+// payload plus the session's resident cursor batches must fit.
+func (se *Session) overBudget(extra int64) bool {
+	budget := se.srv.Admission().SessionBudget
+	if budget <= 0 {
+		return false
+	}
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	for _, cur := range se.cursors {
+		extra += cur.mem
+	}
+	return extra > budget
+}
+
+// Close ends the session: its cursors are closed and its orphaned temp
+// tables garbage-collected, dropped directly on the engine (no wire, no
+// faults — the connection is gone). It returns the number of tables
+// collected. Idempotent.
+func (se *Session) Close() (int, error) {
+	se.mu.Lock()
+	if se.closed {
+		se.mu.Unlock()
 		return 0, nil
 	}
 	se.closed = true
-	var orphans []string
-	for name := range se.temps {
-		orphans = append(orphans, name)
-	}
-	se.temps = nil
+	cursors, orphans := se.cursors, se.temps
+	se.cursors, se.temps = nil, nil
+	se.mu.Unlock()
+	se.srv.mu.Lock()
 	delete(se.srv.sessions, se)
 	se.srv.mu.Unlock()
 
+	for _, cur := range cursors {
+		_ = cur.close()
+	}
 	var first error
 	collected := 0
-	for _, name := range orphans {
+	for name := range orphans {
 		if err := se.srv.db.DropTable(name, true); err != nil {
 			if first == nil {
 				first = err

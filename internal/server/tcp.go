@@ -1,9 +1,14 @@
-// Real TCP transport for the server façade: a net.Listener accept loop
-// speaking the framed binary protocol of internal/wire. Many sessions
-// multiplex over one connection (the frame header carries the session
-// ID); requests of one session execute strictly in arrival order on a
-// per-session worker, so the cursor replay and load-dedup idempotency
-// protocols behave over a socket exactly as they do in process.
+// Real TCP transport for the server: a net.Listener accept loop
+// speaking the framed binary protocol of internal/wire. A session
+// request is frame → wire.DecodeRequest → Session.Handle →
+// wire.AppendReply → frame; everything the request means lives in
+// Handle, and what is left here is what only a socket has — the
+// attached connection, the per-session ordered worker, the resume
+// token and the grace reaper. Many sessions multiplex over one
+// connection (the frame header carries the session ID); requests of
+// one session execute strictly in arrival order on its worker, so the
+// cursor replay and load-dedup idempotency protocols behave over a
+// socket exactly as they do in process.
 //
 // Sessions survive their connection: when a connection dies (chaos
 // proxy sever, client crash-and-redial), its sessions detach and stay
@@ -17,15 +22,13 @@
 // Shutdown is a graceful drain: stop accepting, reject new statements
 // with typed errors (ErrShutdown / wire.CodeShutdown), give in-flight
 // statements a bounded window to finish, then cancel the rest via the
-// server's base context and collect every session.
+// context every Handle call runs under and collect every session.
 package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -99,8 +102,8 @@ type TCPServer struct {
 
 // ListenAndServe starts serving srv on addr ("127.0.0.1:0" picks a
 // free port; see Addr). The admission configuration, when enabled, is
-// installed on the server, and the server's simulated delays are bound
-// to the drain context so shutdown cuts them short.
+// installed on the server. Every request is handled under the drain
+// context, so shutdown cuts queue waits and injected stalls short.
 func ListenAndServe(srv *Server, addr string, cfg TCPConfig) (*TCPServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -120,7 +123,6 @@ func ListenAndServe(srv *Server, addr string, cfg TCPConfig) (*TCPServer, error)
 	if cfg.Admission.Enabled() {
 		srv.SetAdmission(cfg.Admission)
 	}
-	srv.SetBaseContext(ctx)
 	t.wg.Add(2)
 	go t.acceptLoop()
 	go t.reaper()
@@ -189,7 +191,6 @@ func (t *TCPServer) Close() error {
 		}
 	}
 	t.wg.Wait()
-	t.srv.SetBaseContext(nil)
 	return err
 }
 
@@ -263,19 +264,30 @@ type tcpConn struct {
 	attached map[uint32]*remoteSession
 }
 
-// write encodes and sends one reply frame under the write deadline.
+// write encodes and sends one frame under the write deadline.
 func (c *tcpConn) write(f wire.Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.wbuf = wire.AppendFrame(c.wbuf[:0], f)
+	return c.flush()
+}
+
+// flush sends the write buffer. Caller holds wmu.
+func (c *tcpConn) flush() error {
 	_ = c.nc.SetWriteDeadline(time.Now().Add(c.t.cfg.writeTimeout()))
 	_, err := c.nc.Write(c.wbuf)
 	return err
 }
 
-// reply sends a MsgOK with the given payload.
-func (c *tcpConn) reply(req wire.Frame, payload []byte) {
-	_ = c.write(wire.Frame{Type: wire.MsgOK, Session: req.Session, Request: req.Request, Payload: payload})
+// reply answers req with MsgOK, encoding rep straight into the write
+// buffer: a fetched batch is copied once between the buffer Handle
+// encoded it into and the socket.
+func (c *tcpConn) reply(req wire.Frame, rep wire.Reply) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = wire.BeginFrame(c.wbuf[:0], wire.MsgOK, req.Session, req.Request)
+	c.wbuf = wire.EndFrame(wire.AppendReply(c.wbuf, rep), 0)
+	_ = c.flush()
 }
 
 // replyErr sends a MsgErr carrying err as a typed RemoteError.
@@ -395,12 +407,11 @@ func (t *TCPServer) openSession(c *tcpConn, f wire.Frame) {
 	}
 	se := t.srv.NewSession()
 	rs := &remoteSession{
-		t:       t,
-		se:      se,
-		id:      uint32(se.ID()),
-		work:    make(chan tcpJob, 32),
-		done:    make(chan struct{}),
-		cursors: map[uint64]*cursorSlot{},
+		t:    t,
+		se:   se,
+		id:   uint32(se.ID()),
+		work: make(chan tcpJob, 32),
+		done: make(chan struct{}),
 	}
 	t.mu.Lock()
 	rs.token = t.tokens.Uint64()
@@ -410,26 +421,22 @@ func (t *TCPServer) openSession(c *tcpConn, f wire.Frame) {
 	t.srv.CountSessionAccepted()
 	t.wg.Add(1)
 	go rs.run()
-
-	payload := binary.AppendUvarint(nil, uint64(rs.id))
-	payload = binary.BigEndian.AppendUint64(payload, rs.token)
-	c.reply(f, payload)
+	_ = c.write(wire.Frame{Type: wire.MsgOK, Request: f.Request, Payload: wire.AppendSessionToken(nil, rs.id, rs.token)})
 }
 
 // resumeSession re-attaches a detached session to a new connection
 // after the client proved ownership with the resume token.
 func (t *TCPServer) resumeSession(c *tcpConn, f wire.Frame) {
-	id64, k := binary.Uvarint(f.Payload)
-	if k <= 0 || len(f.Payload[k:]) != 8 {
-		c.replyErr(f, fmt.Errorf("server: malformed resume payload"))
+	id, token, err := wire.DecodeSessionToken(f.Payload)
+	if err != nil {
+		c.replyErr(f, err)
 		return
 	}
-	token := binary.BigEndian.Uint64(f.Payload[k:])
 	t.mu.Lock()
-	rs := t.sessions[uint32(id64)]
+	rs := t.sessions[id]
 	t.mu.Unlock()
 	if rs == nil {
-		c.replyErr(f, fmt.Errorf("server: session %d expired (resume grace elapsed)", id64))
+		c.replyErr(f, fmt.Errorf("server: session %d expired (resume grace elapsed)", id))
 		return
 	}
 	rs.mu.Lock()
@@ -437,7 +444,7 @@ func (t *TCPServer) resumeSession(c *tcpConn, f wire.Frame) {
 	old := rs.owner
 	rs.mu.Unlock()
 	if !ok {
-		c.replyErr(f, fmt.Errorf("server: session %d resume rejected", id64))
+		c.replyErr(f, fmt.Errorf("server: session %d resume rejected", id))
 		return
 	}
 	if old != nil && old != c {
@@ -449,7 +456,7 @@ func (t *TCPServer) resumeSession(c *tcpConn, f wire.Frame) {
 	}
 	rs.attach(c)
 	t.srv.CountSessionAccepted()
-	c.reply(f, nil)
+	_ = c.write(wire.Frame{Type: wire.MsgOK, Request: f.Request})
 }
 
 // tcpJob is one session-scoped request awaiting its worker.
@@ -458,15 +465,8 @@ type tcpJob struct {
 	c *tcpConn
 }
 
-// cursorSlot is a server cursor held by a remote session, with the
-// size of its last reply (the replayable batch) charged against the
-// session's memory budget.
-type cursorSlot struct {
-	cur *Cursor
-	mem int64
-}
-
-// remoteSession is the TCP-side state of one multiplexed session.
+// remoteSession is what a socket adds to a Session: the connection it
+// is attached to, its ordered worker, and its resume token.
 type remoteSession struct {
 	t     *TCPServer
 	se    *Session
@@ -474,12 +474,11 @@ type remoteSession struct {
 	token uint64
 	work  chan tcpJob
 	done  chan struct{}
+	buf   []byte // the worker's reply-body scratch, reused across requests
 
 	mu         sync.Mutex //tango:lock-order remotesess latch
 	owner      *tcpConn
 	detachedAt time.Time
-	cursors    map[uint64]*cursorSlot
-	nextCursor uint64
 	closed     bool
 }
 
@@ -507,9 +506,11 @@ func (rs *remoteSession) enqueue(j tcpJob) bool {
 	}
 }
 
-// close tears the session down: cursors closed, engine session closed
-// (temp tables garbage-collected), worker released. It reports whether
-// this call did the teardown (false when already closed).
+// close tears the session down: the Session is closed (cursors closed,
+// temp tables garbage-collected — a no-op when the client already asked
+// for that), the worker released, the registrations dropped. It
+// reports whether this call did the teardown (false when already
+// closed).
 func (rs *remoteSession) close() bool {
 	rs.mu.Lock()
 	if rs.closed {
@@ -517,15 +518,10 @@ func (rs *remoteSession) close() bool {
 		return false
 	}
 	rs.closed = true
-	cursors := rs.cursors
-	rs.cursors = map[uint64]*cursorSlot{}
 	owner := rs.owner
 	rs.owner = nil
 	rs.mu.Unlock()
 
-	for _, slot := range cursors {
-		_ = slot.cur.Close()
-	}
 	_, _ = rs.se.Close()
 	close(rs.done)
 
@@ -560,261 +556,26 @@ func (rs *remoteSession) run() {
 	}
 }
 
-// mem returns the session's resident bytes: the replayable batches of
-// its open cursors.
-func (rs *remoteSession) memLocked() int64 {
-	var m int64
-	for _, slot := range rs.cursors {
-		m += slot.mem
-	}
-	return m
-}
-
-// overBudget enforces the per-session memory budget: the request's
-// payload plus the session's resident cursor batches must fit.
-func (rs *remoteSession) overBudget(extra int64) bool {
-	budget := rs.t.srv.Admission().SessionBudget
-	if budget <= 0 {
-		return false
-	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.memLocked()+extra > budget
-}
-
 // handle executes one request and writes its reply.
 func (rs *remoteSession) handle(j tcpJob) {
-	f := j.f
-	if _, gated := wire.MsgOp(f.Type); gated {
-		if rs.overBudget(int64(len(f.Payload))) {
-			j.c.replyErr(f, rs.t.srv.shedBudget(rs.t.srv.QueueDepth()))
-			return
-		}
+	req, err := wire.DecodeRequest(j.f.Type, j.f.Payload)
+	if err != nil {
+		j.c.replyErr(j.f, err)
+		return
 	}
-	srv := rs.t.srv
-	switch f.Type {
-	case wire.MsgCloseSession:
-		collected, err := rs.closeRequested()
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendUvarint(nil, uint64(collected)))
-
-	case wire.MsgExec:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		n, err := srv.ExecHdr(hdr, string(rest))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendVarint(nil, n))
-
-	case wire.MsgQuery:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		prefetch, k := binary.Uvarint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed query payload"))
-			return
-		}
-		cur, err := srv.QueryHdr(hdr, string(rest[k:]), int(prefetch))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		rs.mu.Lock()
-		if rs.closed {
-			rs.mu.Unlock()
-			_ = cur.Close()
-			j.c.replyErr(f, ErrShutdown)
-			return
-		}
-		rs.nextCursor++
-		id := rs.nextCursor
-		rs.cursors[id] = &cursorSlot{cur: cur}
-		rs.mu.Unlock()
-		payload := binary.AppendUvarint(nil, id)
-		payload = wire.EncodeSchema(payload, cur.Schema())
-		j.c.reply(f, payload)
-
-	case wire.MsgFetch:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		id, k := binary.Uvarint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed fetch payload"))
-			return
-		}
-		seq, k2 := binary.Varint(rest[k:])
-		if k2 <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed fetch payload"))
-			return
-		}
-		rs.mu.Lock()
-		slot := rs.cursors[id]
-		rs.mu.Unlock()
-		if slot == nil {
-			j.c.replyErr(f, fmt.Errorf("server: unknown cursor %d", id))
-			return
-		}
-		batch, err := slot.cur.FetchBatchSeqHdr(hdr, seq, nil)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		if batch == nil {
-			j.c.reply(f, []byte{0}) // end of stream
-			return
-		}
-		rs.mu.Lock()
-		slot.mem = int64(len(batch))
-		rs.mu.Unlock()
-		j.c.reply(f, append([]byte{1}, batch...))
-
-	case wire.MsgCloseCursor:
-		id, k := binary.Uvarint(f.Payload)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed close-cursor payload"))
-			return
-		}
-		rs.mu.Lock()
-		slot := rs.cursors[id]
-		delete(rs.cursors, id)
-		rs.mu.Unlock()
-		if slot != nil {
-			_ = slot.cur.Close()
-		}
-		// Closing an unknown cursor is idempotent: a retried close after
-		// a lost acknowledgment must succeed.
-		j.c.reply(f, nil)
-
-	case wire.MsgLoad:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		seq, k := binary.Varint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed load payload"))
-			return
-		}
-		table, batch, err := wire.CutString(rest[k:])
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		n, err := srv.LoadSeqHdr(hdr, table, batch, seq)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendVarint(nil, n))
-
-	case wire.MsgInsert:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		table, batch, err := wire.CutString(rest)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		n, err := srv.InsertRowsHdr(hdr, table, batch)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, binary.AppendVarint(nil, n))
-
-	case wire.MsgStats:
-		hdr, rest, err := wire.CutBytes(f.Payload)
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		buckets, k := binary.Varint(rest)
-		if k <= 0 {
-			j.c.replyErr(f, fmt.Errorf("server: malformed stats payload"))
-			return
-		}
-		st, err := srv.TableStatsHdr(hdr, string(rest[k:]), int(buckets))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, wire.AppendTableStats(nil, st))
-
-	case wire.MsgSchema:
-		schema, err := srv.TableSchema(string(f.Payload))
-		if err != nil {
-			j.c.replyErr(f, err)
-			return
-		}
-		j.c.reply(f, wire.EncodeSchema(nil, schema))
-
-	case wire.MsgRegisterTemp:
-		rs.se.RegisterTemp(string(f.Payload))
-		j.c.reply(f, nil)
-
-	case wire.MsgForgetTemp:
-		rs.se.ForgetTemp(string(f.Payload))
-		j.c.reply(f, nil)
-
-	default:
-		j.c.replyErr(f, fmt.Errorf("server: unexpected message %s", wire.MsgName(f.Type)))
+	req.Buf = rs.buf
+	rep, err := rs.se.Handle(rs.t.ctx, req)
+	if req.Op == wire.MsgCloseSession {
+		// Torn down before the acknowledgment, so a client that has seen
+		// its close answered never finds the session still registered.
+		rs.close()
 	}
-}
-
-// closeRequested handles a client-initiated MsgCloseSession: the
-// engine session's temp-table GC count rides the reply.
-func (rs *remoteSession) closeRequested() (int, error) {
-	rs.mu.Lock()
-	if rs.closed {
-		rs.mu.Unlock()
-		return 0, nil
+	if err != nil {
+		j.c.replyErr(j.f, err)
+		return
 	}
-	cursors := rs.cursors
-	rs.cursors = map[uint64]*cursorSlot{}
-	rs.mu.Unlock()
-	for _, slot := range cursors {
-		_ = slot.cur.Close()
+	j.c.reply(j.f, rep)
+	if rep.Body != nil {
+		rs.buf = rep.Body // keep the grown scratch
 	}
-	collected, err := rs.se.Close()
-	// Tear the rest down (worker exit, registry removal) but keep the
-	// already-computed GC count.
-	rs.mu.Lock()
-	alreadyClosed := rs.closed
-	rs.closed = true
-	owner := rs.owner
-	rs.owner = nil
-	rs.mu.Unlock()
-	if !alreadyClosed {
-		close(rs.done)
-		rs.t.mu.Lock()
-		delete(rs.t.sessions, rs.id)
-		rs.t.mu.Unlock()
-		if owner != nil {
-			owner.smu.Lock()
-			delete(owner.attached, rs.id)
-			owner.smu.Unlock()
-		}
-	}
-	if err != nil && !errors.Is(err, io.EOF) {
-		return collected, err
-	}
-	return collected, nil
 }

@@ -7,7 +7,7 @@
 // real socket are the same bytes the in-process path has always
 // exchanged.
 //
-// Frame layout (protocol version 1), integers big-endian:
+// Frame layout, integers big-endian:
 //
 //	bytes 0-3   uint32  length of the remainder (1+4+8+len(payload))
 //	byte  4     message type
@@ -30,7 +30,10 @@ import (
 )
 
 // ProtocolVersion is the framed-protocol version spoken by this build.
-const ProtocolVersion = 1
+// Version 2 replaced the per-message payload layouts of version 1 with
+// the one request/reply envelope of request.go; a version-1 peer is
+// refused at the handshake with ErrBadHandshake.
+const ProtocolVersion = 2
 
 // Magic opens every MsgHello payload, so a server can reject a
 // non-TANGO peer on the first frame instead of mis-parsing garbage.
@@ -49,49 +52,51 @@ const framePrefixLen = 4
 // than the allocation attempted.
 const MaxFrameSize = 64 << 20
 
-// Message types. Requests flow client → server; MsgOK/MsgErr flow
-// back with the request's ID. Payload encodings are documented on the
-// Append helpers below.
+// Message types. Session requests (MsgCloseSession … MsgForgetTemp)
+// flow client → server carrying an AppendRequest payload and are
+// answered by MsgOK carrying an AppendReply payload, or by MsgErr
+// carrying AppendRemoteError, with the request's ID; request.go
+// documents which envelope fields each one reads.
 const (
-	MsgHello byte = iota + 1
-	MsgHelloOK
-	MsgOpenSession  // reply payload: session id (uvarint) + resume token (fixed64)
-	MsgResumeSession// payload: session id (uvarint) + resume token (fixed64)
-	MsgCloseSession // session scope; reply payload: collected temp tables (uvarint)
-	MsgExec         // payload: trace hdr + sql
-	MsgQuery        // payload: trace hdr + prefetch (uvarint) + sql; reply: cursor id + commit seq + schema
-	MsgFetch        // payload: trace hdr + cursor id (uvarint) + seq (varint); reply: flags + batch
-	MsgCloseCursor  // payload: cursor id (uvarint)
-	MsgLoad         // payload: trace hdr + load seq (varint) + table + batch
-	MsgInsert       // payload: trace hdr + table + batch
-	MsgStats        // payload: trace hdr + buckets (varint) + table; reply: JSON stats
-	MsgSchema       // payload: table; reply: EncodeSchema
-	MsgRegisterTemp // payload: table
-	MsgForgetTemp   // payload: table
+	MsgHello         byte = iota + 1 // payload: AppendHello
+	MsgHelloOK                       // empty
+	MsgOpenSession                   // connection scope, empty; MsgOK payload: session id (uvarint) + resume token (fixed64)
+	MsgResumeSession                 // connection scope; payload: session id (uvarint) + resume token (fixed64); empty MsgOK
+	MsgCloseSession
+	MsgExec
+	MsgQuery
+	MsgFetch
+	MsgCloseCursor
+	MsgLoad
+	MsgInsert
+	MsgStats
+	MsgSchema
+	MsgRegisterTemp
+	MsgForgetTemp
 	MsgOK
 	MsgErr
 	msgTypeEnd
 )
 
 var msgNames = [...]string{
-	0:               "invalid",
-	MsgHello:        "hello",
-	MsgHelloOK:      "hello-ok",
-	MsgOpenSession:  "open-session",
+	0:                "invalid",
+	MsgHello:         "hello",
+	MsgHelloOK:       "hello-ok",
+	MsgOpenSession:   "open-session",
 	MsgResumeSession: "resume-session",
-	MsgCloseSession: "close-session",
-	MsgExec:         "exec",
-	MsgQuery:        "query",
-	MsgFetch:        "fetch",
-	MsgCloseCursor:  "close-cursor",
-	MsgLoad:         "load",
-	MsgInsert:       "insert",
-	MsgStats:        "stats",
-	MsgSchema:       "schema",
-	MsgRegisterTemp: "register-temp",
-	MsgForgetTemp:   "forget-temp",
-	MsgOK:           "ok",
-	MsgErr:          "err",
+	MsgCloseSession:  "close-session",
+	MsgExec:          "exec",
+	MsgQuery:         "query",
+	MsgFetch:         "fetch",
+	MsgCloseCursor:   "close-cursor",
+	MsgLoad:          "load",
+	MsgInsert:        "insert",
+	MsgStats:         "stats",
+	MsgSchema:        "schema",
+	MsgRegisterTemp:  "register-temp",
+	MsgForgetTemp:    "forget-temp",
+	MsgOK:            "ok",
+	MsgErr:           "err",
 }
 
 // MsgName renders a message type for diagnostics.
@@ -153,12 +158,25 @@ var (
 
 // AppendFrame appends the encoding of f to dst.
 func AppendFrame(dst []byte, f Frame) []byte {
-	rest := frameHeaderLen + len(f.Payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(rest))
-	dst = append(dst, f.Type)
-	dst = binary.BigEndian.AppendUint32(dst, f.Session)
-	dst = binary.BigEndian.AppendUint64(dst, f.Request)
-	return append(dst, f.Payload...)
+	start := len(dst)
+	dst = BeginFrame(dst, f.Type, f.Session, f.Request)
+	return EndFrame(append(dst, f.Payload...), start)
+}
+
+// BeginFrame appends a frame header whose length is still open, so the
+// payload can be encoded straight into dst instead of being built
+// elsewhere and copied in; EndFrame closes it.
+func BeginFrame(dst []byte, typ byte, session uint32, request uint64) []byte {
+	dst = append(dst, 0, 0, 0, 0, typ)
+	dst = binary.BigEndian.AppendUint32(dst, session)
+	return binary.BigEndian.AppendUint64(dst, request)
+}
+
+// EndFrame fills in the length of the frame BeginFrame opened at
+// dst[start:], now that its payload has been appended.
+func EndFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-framePrefixLen))
+	return dst
 }
 
 // DecodeFrame decodes one frame from the front of data, returning the

@@ -104,6 +104,11 @@ func TestHello(t *testing.T) {
 	if _, err := CheckHello(nil); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("empty hello: %v", err)
 	}
+	// A version-1 peer lays its payloads out per message, not in the
+	// request envelope: it is refused at the door, typed.
+	if _, err := CheckHello([]byte(Magic + "\x01")); !errors.Is(err, ErrBadHandshake) {
+		t.Fatalf("version 1 hello: %v", err)
+	}
 }
 
 // TestRemoteErrorRoundTrip: every error code survives the MsgErr
@@ -132,18 +137,14 @@ func TestRemoteErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChargeCtx: a canceled context cuts a simulated stall short
+// TestSleepCtx: a canceled context cuts a simulated delay short
 // instead of sleeping it out.
-func TestChargeCtx(t *testing.T) {
-	lat := Latency{RoundTrip: 30 * time.Second}
+func TestSleepCtx(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	lat.ChargeCtx(ctx, 0)
+	SleepCtx(ctx, 30*time.Second)
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("ChargeCtx slept %v under a canceled context", d)
+		t.Fatalf("SleepCtx slept %v under a canceled context", d)
 	}
-	// The zero latency is free on both paths.
-	Latency{}.ChargeCtx(context.Background(), 1<<20)
-	Latency{}.Charge(1 << 20)
 }

@@ -77,7 +77,7 @@ func DecodeTableStats(data []byte) (*meta.TableStats, error) {
 	st.AvgTupleSize = math.Float64frombits(binary.BigEndian.Uint64(rest))
 	rest = rest[8:]
 	ncols, k := binary.Uvarint(rest)
-	if k <= 0 {
+	if k <= 0 || ncols > uint64(len(rest)) {
 		return nil, bad("column count")
 	}
 	rest = rest[k:]
@@ -124,7 +124,7 @@ func DecodeTableStats(data []byte) (*meta.TableStats, error) {
 		rest = rest[1:]
 		if hasHist {
 			nb, k := binary.Uvarint(rest)
-			if k <= 0 || uint64(len(rest)-k) < nb*8 {
+			if k <= 0 || uint64(len(rest)-k)/8 < nb {
 				return nil, bad("histogram bounds")
 			}
 			rest = rest[k:]

@@ -109,14 +109,14 @@ func EncodeSchema(dst []byte, s types.Schema) []byte {
 // DecodeSchema deserializes a schema and returns the bytes consumed.
 func DecodeSchema(data []byte) (types.Schema, int, error) {
 	n, k := binary.Uvarint(data)
-	if k <= 0 {
+	if k <= 0 || n > uint64(len(data)) { // a column takes at least two bytes
 		return types.Schema{}, 0, fmt.Errorf("wire: bad schema header")
 	}
 	pos := k
 	cols := make([]types.Column, n)
 	for i := range cols {
 		l, k2 := binary.Uvarint(data[pos:])
-		if k2 <= 0 || pos+k2+int(l)+1 > len(data) {
+		if k2 <= 0 || l > uint64(len(data)) || pos+k2+int(l)+1 > len(data) {
 			return types.Schema{}, 0, fmt.Errorf("wire: truncated schema")
 		}
 		pos += k2
@@ -131,7 +131,8 @@ func DecodeSchema(data []byte) (types.Schema, int, error) {
 // Latency models the network between middleware and DBMS. The zero
 // value is a free network (no sleeping), appropriate for unit tests;
 // experiments configure realistic values to make transfer costs
-// visible, as they are over a real JDBC connection.
+// visible, as they are over a real JDBC connection. The client's
+// in-process loopback transport is what bills it.
 type Latency struct {
 	// RoundTrip is charged once per request (query, fetch, exec).
 	RoundTrip time.Duration
@@ -153,30 +154,10 @@ func (l Latency) Wire(n int) time.Duration {
 	return l.RoundTrip + l.Transmit(n)
 }
 
-// Charge sleeps for one round trip plus the transmit time of n bytes.
-// It is a no-op for the zero Latency. Callers that hold a cancelable
-// context should use ChargeCtx so a dead session does not sleep out a
-// simulated stall.
-func (l Latency) Charge(n int) {
-	l.ChargeCtx(context.Background(), n)
-}
-
-// ChargeCtx is Charge bounded by ctx: the sleep is cut short when the
-// context is canceled (the session died, the server is draining), so
-// simulated latency can never pin a connection past its lifetime. The
-// remaining delay is simply not slept — the caller's next step will
-// observe ctx.Err() through its own paths.
-func (l Latency) ChargeCtx(ctx context.Context, n int) {
-	d := l.Wire(n)
-	if d <= 0 {
-		return
-	}
-	SleepCtx(ctx, d)
-}
-
 // SleepCtx sleeps for d or until ctx is canceled, whichever comes
-// first. It is the context-aware form every simulated delay in the
-// wire layer (latency charges, injected stalls) goes through.
+// first: every simulated delay (the loopback transport's latency bill,
+// injected stalls) goes through it, so a dead session or a draining
+// server never sleeps one out.
 func SleepCtx(ctx context.Context, d time.Duration) {
 	if d <= 0 {
 		return
