@@ -5,10 +5,10 @@
 //
 //   - iterclose: every opened rel.Iterator-shaped value is Closed on
 //     all paths (a leaked Close pins buffer-pool pages and skews the
-//     telemetry that feeds the adaptive cost loop), and Next is not
-//     called on an exhausted iterator without re-Open;
-//   - errlost: errors from Close/Next/Open and wire-layer calls are
-//     not silently dropped;
+//     telemetry that feeds the adaptive cost loop), and NextBatch is
+//     not called on an exhausted iterator without re-Open;
+//   - errlost: errors from Close/Next/NextBatch/Open and wire-layer
+//     calls are not silently dropped;
 //   - atomicfield: struct fields touched by both sync/atomic calls and
 //     plain loads/stores (the class of data race behind the TempName
 //     counter fix);
@@ -390,10 +390,12 @@ func pointerTo(t types.Type) types.Type {
 	return nil
 }
 
-// isIteratorLike reports whether t follows the rel.Iterator cursor
-// contract: Open() error, Close() error, and Next() (T, bool, error).
-// Matching is structural so the analyzers work on any package (engine
-// cursors, client row sets, test fixtures) without importing rel.
+// isIteratorLike reports whether t follows the cursor lifecycle: Open()
+// error and Close() error, plus the rel.Iterator protocol
+// NextBatch([]T) (int, error) — or the row-at-a-time Next() (T, bool,
+// error) of a rel.Reader. Matching is structural so the analyzers work
+// on any package (engine cursors, client row sets, test fixtures)
+// without importing rel.
 func isIteratorLike(t types.Type) bool {
 	open := methodSig(t, "Open")
 	if open == nil || open.Params().Len() != 0 || open.Results().Len() != 1 ||
@@ -404,6 +406,13 @@ func isIteratorLike(t types.Type) bool {
 	if cl == nil || cl.Params().Len() != 0 || cl.Results().Len() != 1 ||
 		!isErrorType(cl.Results().At(0).Type()) {
 		return false
+	}
+	if nb := methodSig(t, "NextBatch"); nb != nil && nb.Params().Len() == 1 && nb.Results().Len() == 2 {
+		_, slice := nb.Params().At(0).Type().Underlying().(*types.Slice)
+		n, isBasic := nb.Results().At(0).Type().Underlying().(*types.Basic)
+		if slice && isBasic && n.Kind() == types.Int && isErrorType(nb.Results().At(1).Type()) {
+			return true
+		}
 	}
 	next := methodSig(t, "Next")
 	if next == nil || next.Params().Len() != 0 || next.Results().Len() != 3 {

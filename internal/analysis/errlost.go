@@ -8,11 +8,11 @@ import (
 
 // ErrLost flags silently dropped errors from lifecycle and wire calls:
 //
-//   - a statement-position call to Close/Next/Open (or any function in
-//     the wire package) whose error result vanishes, e.g. `it.Close()`
-//     as its own statement;
+//   - a statement-position call to Close/Next/NextBatch/Open (or any
+//     function in the wire package) whose error result vanishes, e.g.
+//     `it.Close()` as its own statement;
 //   - a multi-result assignment that keeps the values but blanks the
-//     error, e.g. `t, ok, _ := it.Next()` or `batch, _ :=
+//     error, e.g. `n, _ := it.NextBatch(dst)` or `batch, _ :=
 //     wire.DecodeBatch(p)`.
 //
 // Two idioms are deliberately allowed: `defer x.Close()` (a cleanup
@@ -29,13 +29,13 @@ import (
 // torn file as committed.
 var ErrLost = &Analyzer{
 	Name: "errlost",
-	Doc:  "check that errors from Close/Next/Open and wire calls are not dropped",
+	Doc:  "check that errors from Close/Next/NextBatch/Open and wire calls are not dropped",
 	Run:  runErrLost,
 }
 
 // errLostMethods are the lifecycle methods whose errors must not be
 // dropped.
-var errLostMethods = map[string]bool{"Close": true, "Next": true, "Open": true}
+var errLostMethods = map[string]bool{"Close": true, "Next": true, "NextBatch": true, "Open": true}
 
 // errLostPkgSuffixes mark whole packages whose exported functions'
 // errors must not be dropped (the serialization boundary: a dropped

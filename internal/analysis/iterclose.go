@@ -6,8 +6,9 @@ import (
 	"go/types"
 )
 
-// IterClose verifies the Open → Next* → Close lifecycle of iterator
-// values (anything shaped like rel.Iterator). For every function-local
+// IterClose verifies the Open → NextBatch* → Close lifecycle of
+// iterator values (anything shaped like rel.Iterator, or like the
+// row-at-a-time rel.Reader with Next). For every function-local
 // iterator that is opened in a function — or acquired from a
 // cursor-opening call such as Conn.Query — the analyzer requires that
 // the function either closes it (a call or defer of Close) or hands
@@ -16,13 +17,8 @@ import (
 //
 //   - early returns between a non-deferred Open and its Close, which
 //     leak the iterator on error paths (the fix is `defer X.Close()`);
-//   - calls to Next (or the batch protocol's NextBatch) on an iterator
-//     after a loop that exhausted it, without an intervening re-Open.
-//
-// NextBatch counts as a consuming use exactly like Next, so
-// batch-at-a-time consumers and the parallel iterator wrappers
-// (prefetchers, partitioned operators) are held to the same lifecycle
-// contract as tuple-at-a-time code.
+//   - calls to NextBatch (or a Reader's Next) on an iterator after a
+//     loop that exhausted it, without an intervening re-Open.
 //
 // The analysis is intraprocedural, and receiver-field iterators are
 // exempt: an iterator stored in a struct field is closed by the

@@ -7,9 +7,10 @@ import "tango/internal/wire"
 
 type it struct{}
 
-func (*it) Open() error            { return nil }
-func (*it) Close() error           { return nil }
-func (*it) Next() (int, bool, error) { return 0, false, nil }
+func (*it) Open() error                      { return nil }
+func (*it) Close() error                     { return nil }
+func (*it) Next() (int, bool, error)         { return 0, false, nil }
+func (*it) NextBatch(dst []int) (int, error) { return 0, nil }
 
 // drops loses lifecycle errors in statement position.
 func drops(x *it) {
@@ -29,6 +30,13 @@ func blanks(x *it) int {
 		return 0
 	}
 	return v
+}
+
+// batchBlank keeps the row count but blanks the pull error, which
+// would read a failed stream as a short one.
+func batchBlank(x *it, buf []int) int {
+	n, _ := x.NextBatch(buf) // want `error result of it\.NextBatch assigned to _ while other results are kept`
+	return n
 }
 
 // wireDrop loses a serialization-boundary error.

@@ -5,8 +5,8 @@ package iterclose
 
 type tuple []int
 
-// iter is shaped like rel.Iterator, which the analyzer matches
-// structurally.
+// iter is shaped like rel.Reader, the row-at-a-time consumer cursor,
+// which the analyzer matches structurally.
 type iter struct{ done bool }
 
 func (*iter) Open() error                { return nil }
@@ -108,18 +108,17 @@ func suppressed(c *conn) error {
 	return nerr
 }
 
-// batchIter is shaped like a rel.BatchIterator: the cursor contract
-// plus the batch protocol. The analyzer treats NextBatch as a
-// consuming use exactly like Next.
+// batchIter is shaped like rel.Iterator: Open, Close and NextBatch
+// alone. The analyzer treats NextBatch as a consuming use exactly like
+// a Reader's Next.
 type batchIter struct{ done bool }
 
 func (*batchIter) Open() error                        { return nil }
 func (*batchIter) Close() error                       { return nil }
-func (*batchIter) Next() (tuple, bool, error)         { return nil, false, nil }
 func (*batchIter) NextBatch(dst []tuple) (int, error) { return 0, nil }
 
-// batchNeverClosed consumes through the batch protocol but never
-// closes; NextBatch must not read as an ownership escape.
+// batchNeverClosed opens a NextBatch-only iterator and never closes
+// it; NextBatch must not read as an ownership escape.
 func batchNeverClosed() error {
 	it := &batchIter{}
 	if err := it.Open(); err != nil { // want `it is opened but never closed`
@@ -180,10 +179,10 @@ func batchDrained() (int, error) {
 // Unwrap like the real prefetch operator. Unwrap is a neutral use.
 type prefetcher struct{ in *batchIter }
 
-func (p *prefetcher) Open() error                { return p.in.Open() }
-func (p *prefetcher) Close() error               { return p.in.Close() }
-func (p *prefetcher) Next() (tuple, bool, error) { return p.in.Next() }
-func (p *prefetcher) Unwrap() *batchIter         { return p.in }
+func (p *prefetcher) Open() error                        { return p.in.Open() }
+func (p *prefetcher) Close() error                       { return p.in.Close() }
+func (p *prefetcher) NextBatch(dst []tuple) (int, error) { return p.in.NextBatch(dst) }
+func (p *prefetcher) Unwrap() *batchIter                 { return p.in }
 
 // wrappedDrain opens a prefetch wrapper and closes only the wrapper;
 // peeking through Unwrap must not demand a second close.
@@ -194,12 +193,13 @@ func wrappedDrain() error {
 	}
 	defer p.Close()
 	_ = p.Unwrap()
+	buf := make([]tuple, 8)
 	for {
-		_, ok, err := p.Next()
+		n, err := p.NextBatch(buf)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
 	}

@@ -9,10 +9,10 @@ import "tango/internal/types"
 // type, so the analyzer recognizes both halves of the invariant.
 type iter struct{ schema types.Schema }
 
-func (i *iter) Schema() types.Schema           { return i.schema }
-func (*iter) Open() error                      { return nil }
-func (*iter) Close() error                     { return nil }
-func (*iter) Next() (types.Tuple, bool, error) { return nil, false, nil }
+func (i *iter) Schema() types.Schema                   { return i.schema }
+func (*iter) Open() error                              { return nil }
+func (*iter) Close() error                             { return nil }
+func (*iter) NextBatch(dst []types.Tuple) (int, error) { return 0, nil }
 
 // NewBad freezes column names at construction time; the schema
 // silently diverges as soon as an upstream operator changes.

@@ -246,8 +246,7 @@ type Rows struct {
 	schema types.Schema
 	sql    string
 
-	batch  []types.Tuple
-	pos    int
+	batch  rel.Cursor // the current fetch's rows
 	done   bool
 	closed bool
 
@@ -371,28 +370,6 @@ func (r *Rows) Schema() types.Schema { return r.schema }
 // Open is a no-op; the cursor is opened by Query.
 func (r *Rows) Open() error { return nil }
 
-// Next returns the next row, fetching a new batch when the current
-// one is exhausted.
-func (r *Rows) Next() (types.Tuple, bool, error) {
-	for {
-		if r.pos < len(r.batch) {
-			t := r.batch[r.pos]
-			r.pos++
-			r.fb.Rows++
-			return t, true, nil
-		}
-		if r.done {
-			return nil, false, nil
-		}
-		if err := r.fetch(); err != nil {
-			return nil, false, err
-		}
-		if r.done {
-			return nil, false, nil
-		}
-	}
-}
-
 // fetch installs the next wire batch, setting done at end of stream.
 // In windowed mode it takes the next in-order future from the
 // pipeline; otherwise it performs the round trip inline and sleeps the
@@ -417,19 +394,15 @@ func (r *Rows) fetch() error {
 	}
 	r.fb.Bytes += int64(b.bytes)
 	r.fb.Batches++
-	r.batch = b.rows
-	r.pos = 0
+	r.batch.Reset(b.rows)
 	return nil
 }
 
-// NextBatch exposes the wire fetch granularity to the middleware's
-// batch protocol: one call hands over (up to) a whole decoded fetch
-// batch, paying zero per-tuple interface calls.
+// NextBatch hands over (up to) one decoded wire fetch at a time,
+// fetching the next when the current one is spent.
 func (r *Rows) NextBatch(dst []types.Tuple) (int, error) {
 	for {
-		if r.pos < len(r.batch) {
-			n := copy(dst, r.batch[r.pos:])
-			r.pos += n
+		if n := r.batch.Read(dst); n > 0 {
 			r.fb.Rows += int64(n)
 			return n, nil
 		}
@@ -438,9 +411,6 @@ func (r *Rows) NextBatch(dst []types.Tuple) (int, error) {
 		}
 		if err := r.fetch(); err != nil {
 			return 0, err
-		}
-		if r.done {
-			return 0, nil
 		}
 	}
 }
@@ -486,11 +456,8 @@ func (c *Conn) QueryAll(sql string) (*rel.Relation, Feedback, error) {
 	if err != nil {
 		return nil, Feedback{}, err
 	}
-	out, err := rel.Drain(rows)
+	out, err := rel.Drain(rows) // closes rows on every path
 	if err != nil {
-		// Drain closes the iterator on every path; this re-close of an
-		// idempotent cursor is belt-and-braces only.
-		_ = rows.Close()
 		return nil, Feedback{}, err
 	}
 	return out, rows.Feedback(), nil

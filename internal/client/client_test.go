@@ -85,7 +85,8 @@ func TestRowsCloseMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := rows.Next(); err != nil || !ok {
+	rd := rel.NewReader(rows)
+	if _, ok, err := rd.Next(); err != nil || !ok {
 		t.Fatalf("first row: %v %v", ok, err)
 	}
 	if err := rows.Close(); err != nil {
@@ -96,8 +97,8 @@ func TestRowsCloseMidStream(t *testing.T) {
 	if fb.Rows != 1 || fb.Elapsed <= 0 {
 		t.Errorf("feedback after early close: %+v", fb)
 	}
-	// Next after close returns cleanly.
-	if _, ok, _ := rows.Next(); ok {
+	// Reading after close returns cleanly.
+	if _, ok, _ := rd.Next(); ok {
 		t.Error("Next after Close should not produce rows")
 	}
 }

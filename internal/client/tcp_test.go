@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tango/internal/engine"
+	"tango/internal/rel"
 	"tango/internal/server"
 	"tango/internal/types"
 	"tango/internal/wire"
@@ -138,7 +139,7 @@ func TestTCPExpiredSessionGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := rows.Next(); err != nil || !ok {
+	if _, ok, err := rel.NewReader(rows).Next(); err != nil || !ok {
 		t.Fatalf("first row: ok=%v err=%v", ok, err)
 	}
 	tmp := c.TempName()
@@ -208,7 +209,7 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := rows.Next(); err != nil || !ok {
+	if _, ok, err := rel.NewReader(rows).Next(); err != nil || !ok {
 		t.Fatalf("holder first row: ok=%v err=%v", ok, err)
 	}
 

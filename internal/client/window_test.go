@@ -108,8 +108,9 @@ func TestQueryWindowedEarlyClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rd := rel.NewReader(rows)
 		for i := 0; i < 10*round; i++ {
-			if _, ok, err := rows.Next(); err != nil {
+			if _, ok, err := rd.Next(); err != nil {
 				t.Fatal(err)
 			} else if !ok {
 				break

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/rel"
 	"tango/internal/wire"
 )
 
@@ -41,8 +42,9 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain a little so the window is primed with in-flight futures.
+	rd := rel.NewReader(rows)
 	for i := 0; i < 10; i++ {
-		if _, ok, err := rows.Next(); err != nil || !ok {
+		if _, ok, err := rd.Next(); err != nil || !ok {
 			t.Fatalf("warm-up row %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -54,7 +56,7 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 	c.be.(*loopback).srv.SetFaults(sched.Injector())
 	var ferr error
 	for {
-		_, ok, err := rows.Next()
+		_, ok, err := rd.Next()
 		if err != nil {
 			ferr = err
 			break
@@ -146,14 +148,15 @@ func TestQueryWindowedConnContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rd := rel.NewReader(rows)
 	for i := 0; i < 5; i++ {
-		if _, ok, err := rows.Next(); err != nil || !ok {
+		if _, ok, err := rd.Next(); err != nil || !ok {
 			t.Fatalf("warm-up row %d: ok=%v err=%v", i, ok, err)
 		}
 	}
 	cancel()
 	for {
-		_, ok, err := rows.Next()
+		_, ok, err := rd.Next()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled in the chain, got %v", err)

@@ -9,11 +9,20 @@ import (
 	"tango/internal/types"
 )
 
-// Query parses and plans a SELECT, returning a pipelined iterator. The
-// caller must Open, drain, and Close it. The statement pins its own
-// snapshot — released when the iterator closes — so it reads one
+// Query parses and plans a SELECT, returning a cursor over its rows.
+// The caller must Open, drain, and Close it. The statement pins its own
+// snapshot — released when the cursor closes — so it reads one
 // consistent commit sequence regardless of concurrent writers.
-func (db *DB) Query(sql string) (rel.Iterator, error) {
+func (db *DB) Query(sql string) (*rel.Reader, error) {
+	it, err := db.query(sql)
+	if err != nil {
+		return nil, err
+	}
+	return rel.NewReader(it), nil
+}
+
+// query parses and plans a SELECT under a statement-pinned snapshot.
+func (db *DB) query(sql string) (rel.Iterator, error) {
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		return nil, err
@@ -22,7 +31,7 @@ func (db *DB) Query(sql string) (rel.Iterator, error) {
 }
 
 // QueryStmt plans an already-parsed SELECT under a statement-pinned
-// snapshot (see Query).
+// snapshot, released when the iterator closes.
 func (db *DB) QueryStmt(sel *sqlast.SelectStmt) (rel.Iterator, error) {
 	snap := db.Snapshot()
 	it, err := db.planSelect(snap.v, sel)
@@ -30,12 +39,12 @@ func (db *DB) QueryStmt(sel *sqlast.SelectStmt) (rel.Iterator, error) {
 		snap.Release()
 		return nil, err
 	}
-	return &snapIter{Iterator: it, snap: snap}, nil
+	return &snapIter{Input: rel.In(it), snap: snap}, nil
 }
 
 // QueryAll runs a SELECT and materializes the result.
 func (db *DB) QueryAll(sql string) (*rel.Relation, error) {
-	it, err := db.Query(sql)
+	it, err := db.query(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +154,10 @@ func (db *DB) execInsert(s *sqlast.Insert) (int64, error) {
 	return n, nil
 }
 
-// insertFromSelect drives insertRow from a SELECT plan. The iterator's
-// Close error is captured into the named return rather than deferred
-// away: an insert is a durability path, and Close is where a torn scan
-// would surface.
+// insertFromSelect drives insertRow from a SELECT plan. The source is
+// closed on every path — a failed Open included, which would otherwise
+// keep its snapshot pinned — and its Close error is returned: an insert
+// is a durability path, and Close is where a torn scan would surface.
 func (db *DB) insertFromSelect(sel *sqlast.SelectStmt, insertRow func(types.Tuple) error) (n int64, err error) {
 	// The source SELECT pins its own snapshot, so INSERT ... SELECT
 	// from the target table reads a stable prefix and terminates.
@@ -156,27 +165,14 @@ func (db *DB) insertFromSelect(sel *sqlast.SelectStmt, insertRow func(types.Tupl
 	if err != nil {
 		return 0, err
 	}
-	if err := it.Open(); err != nil {
-		return 0, err
-	}
-	defer func() {
-		if cerr := it.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	for {
-		row, ok, nerr := it.Next()
-		if nerr != nil {
-			return n, nerr
-		}
-		if !ok {
-			return n, nil
-		}
+	err = rel.Each(it, func(row types.Tuple) error {
 		if err := insertRow(row); err != nil {
-			return n, err
+			return err
 		}
 		n++
-	}
+		return nil
+	})
+	return n, err
 }
 
 // coerce converts a value to the column kind where a lossless

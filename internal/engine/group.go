@@ -47,7 +47,7 @@ func (s *aggState) add(t types.Tuple) error {
 		return nil // SQL aggregates ignore NULLs
 	}
 	if s.seen != nil {
-		k := canonicalKey(types.Tuple{v})
+		k := types.Tuple{v}.Key()
 		if s.seen[k] {
 			return nil
 		}
@@ -96,41 +96,32 @@ func (s *aggState) result() types.Value {
 // group-key expressions followed by the aggregate results; the select
 // planner rewrites the select list against this internal schema.
 type groupIter struct {
-	in      rel.Iterator
+	in      rel.Input
 	keys    []evalFunc
 	aggs    []*aggSpec
 	schema  types.Schema
 	results []types.Tuple
-	pos     int
+	out     rel.Cursor
 	// global reports a grand aggregate (no GROUP BY): exactly one
 	// output row even for empty input.
 	global bool
 }
 
 func newGroup(in rel.Iterator, keys []evalFunc, aggs []*aggSpec, schema types.Schema) *groupIter {
-	return &groupIter{in: in, keys: keys, aggs: aggs, schema: schema, global: len(keys) == 0}
+	return &groupIter{in: rel.In(in), keys: keys, aggs: aggs, schema: schema, global: len(keys) == 0}
 }
 
 func (g *groupIter) Schema() types.Schema { return g.schema }
 
 func (g *groupIter) Open() error {
-	if err := g.in.Open(); err != nil {
-		return err
-	}
 	type groupState struct {
 		key    types.Tuple
 		states []*aggState
 	}
 	groups := map[string]*groupState{}
 	var order []string // preserve first-seen order
-	for {
-		t, ok, err := g.in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	g.out.Reset(nil)
+	if err := rel.Each(&g.in, func(t types.Tuple) error {
 		key := make(types.Tuple, len(g.keys))
 		for i, k := range g.keys {
 			v, err := k(t)
@@ -139,9 +130,9 @@ func (g *groupIter) Open() error {
 			}
 			key[i] = v
 		}
-		kstr := canonicalKey(key)
-		gs, ok2 := groups[kstr]
-		if !ok2 {
+		kstr := key.Key()
+		gs, ok := groups[kstr]
+		if !ok {
 			gs = &groupState{key: key}
 			for _, a := range g.aggs {
 				gs.states = append(gs.states, newAggState(a))
@@ -154,12 +145,11 @@ func (g *groupIter) Open() error {
 				return err
 			}
 		}
-	}
-	if err := g.in.Close(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
 	g.results = g.results[:0]
-	g.pos = 0
 	if g.global && len(groups) == 0 {
 		// Grand aggregate over empty input: one row of empty-group
 		// results (COUNT=0, others NULL).
@@ -168,7 +158,6 @@ func (g *groupIter) Open() error {
 			row = append(row, newAggState(a).result())
 		}
 		g.results = append(g.results, row)
-		return nil
 	}
 	for _, kstr := range order {
 		gs := groups[kstr]
@@ -179,21 +168,16 @@ func (g *groupIter) Open() error {
 		}
 		g.results = append(g.results, row)
 	}
+	g.out.Reset(g.results)
 	return nil
 }
 
-func (g *groupIter) Next() (types.Tuple, bool, error) {
-	if g.pos >= len(g.results) {
-		return nil, false, nil
-	}
-	t := g.results[g.pos]
-	g.pos++
-	return t, true, nil
-}
+func (g *groupIter) NextBatch(dst []types.Tuple) (int, error) { return g.out.Read(dst), nil }
 
 func (g *groupIter) Close() error {
 	g.results = nil
-	return nil
+	g.out.Reset(nil)
+	return g.in.Close()
 }
 
 // validateAggArity checks aggregate argument counts.

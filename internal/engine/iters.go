@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"tango/internal/btree"
 	"tango/internal/rel"
@@ -20,8 +21,8 @@ type heapScan struct {
 
 	numPages int
 	pageNo   int32
-	buf      []types.Tuple
-	pos      int
+	buf      []types.Tuple // the current page's tuples
+	page     rel.Cursor
 	opened   bool
 }
 
@@ -41,19 +42,18 @@ func (s *heapScan) Open() error {
 	// page is cut at the version's slot count.
 	s.numPages = int(s.table.pages)
 	s.pageNo = 0
-	s.buf = s.buf[:0]
-	s.pos = 0
+	s.page.Reset(nil)
 	s.opened = true
 	return nil
 }
 
-func (s *heapScan) Next() (types.Tuple, bool, error) {
+func (s *heapScan) NextBatch(dst []types.Tuple) (int, error) {
 	if !s.opened {
-		return nil, false, fmt.Errorf("engine: scan not opened")
+		return 0, fmt.Errorf("engine: scan not opened")
 	}
-	for s.pos >= len(s.buf) {
-		if int(s.pageNo) >= s.numPages {
-			return nil, false, nil
+	for {
+		if n := s.page.Read(dst); n > 0 || int(s.pageNo) >= s.numPages {
+			return n, nil
 		}
 		maxSlots := -1
 		if int(s.pageNo) == s.numPages-1 {
@@ -62,17 +62,14 @@ func (s *heapScan) Next() (types.Tuple, bool, error) {
 		var err error
 		s.buf, err = s.table.Heap.PageTuplesN(s.pageNo, maxSlots, s.buf[:0])
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		s.pageNo++
-		s.pos = 0
+		s.page.Reset(s.buf)
 	}
-	t := s.buf[s.pos]
-	s.pos++
-	return t, true, nil
 }
 
-func (s *heapScan) Close() error { s.buf = nil; return nil }
+func (s *heapScan) Close() error { s.buf = nil; s.page.Reset(nil); return nil }
 
 // --- Index scan ---
 
@@ -117,16 +114,17 @@ func (s *indexScan) Open() error {
 	return nil
 }
 
-func (s *indexScan) Next() (types.Tuple, bool, error) {
-	if s.pos >= len(s.rids) {
-		return nil, false, nil
+func (s *indexScan) NextBatch(dst []types.Tuple) (int, error) {
+	n := 0
+	for ; n < len(dst) && s.pos < len(s.rids); n++ {
+		t, err := s.table.Heap.Get(s.rids[s.pos])
+		if err != nil {
+			return 0, err
+		}
+		dst[n] = t
+		s.pos++
 	}
-	t, err := s.table.Heap.Get(s.rids[s.pos])
-	if err != nil {
-		return nil, false, err
-	}
-	s.pos++
-	return t, true, nil
+	return n, nil
 }
 
 func (s *indexScan) Close() error { s.rids = nil; return nil }
@@ -134,104 +132,92 @@ func (s *indexScan) Close() error { s.rids = nil; return nil }
 // --- Filter ---
 
 type filterIter struct {
-	in   rel.Iterator
+	in   rel.Input
 	pred evalFunc
 }
 
 func newFilter(in rel.Iterator, pred evalFunc) *filterIter {
-	return &filterIter{in: in, pred: pred}
+	return &filterIter{in: rel.In(in), pred: pred}
 }
 
 func (f *filterIter) Schema() types.Schema { return f.in.Schema() }
 func (f *filterIter) Open() error          { return f.in.Open() }
 func (f *filterIter) Close() error         { return f.in.Close() }
 
-func (f *filterIter) Next() (types.Tuple, bool, error) {
-	for {
-		t, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
+func (f *filterIter) NextBatch(dst []types.Tuple) (int, error) {
+	return rel.Select(&f.in, dst, func(t types.Tuple) (bool, error) {
 		v, err := f.pred(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if !v.IsNull() && v.AsBool() {
-			return t, true, nil
-		}
-	}
+		return !v.IsNull() && v.AsBool(), err
+	})
 }
 
 // --- Project ---
 
 type projectIter struct {
-	in     rel.Iterator
+	in     rel.Input
 	schema types.Schema
 	exprs  []evalFunc
 	rows   types.TupleAlloc
 }
 
 func newProject(in rel.Iterator, schema types.Schema, exprs []evalFunc) *projectIter {
-	return &projectIter{in: in, schema: schema, exprs: exprs}
+	return &projectIter{in: rel.In(in), schema: schema, exprs: exprs}
 }
 
 func (p *projectIter) Schema() types.Schema { return p.schema }
 func (p *projectIter) Open() error          { return p.in.Open() }
 func (p *projectIter) Close() error         { return p.in.Close() }
 
-func (p *projectIter) Next() (types.Tuple, bool, error) {
-	t, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
+// NextBatch pulls an input batch into dst and replaces each tuple by
+// its projection.
+func (p *projectIter) NextBatch(dst []types.Tuple) (int, error) {
+	n, err := p.in.NextBatch(dst)
+	if err != nil {
+		return 0, err
 	}
-	out := p.rows.Make(len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e(t)
-		if err != nil {
-			return nil, false, err
+	for i, t := range dst[:n] {
+		out := p.rows.Make(len(p.exprs))
+		for k, e := range p.exprs {
+			if out[k], err = e(t); err != nil {
+				return 0, err
+			}
 		}
-		out[i] = v
+		dst[i] = out
 	}
-	return out, true, nil
+	return n, nil
 }
 
 // --- Sort ---
 
 // sortIter materializes its input and sorts it by key expressions.
 type sortIter struct {
-	in    rel.Iterator
+	in    rel.Input
 	keys  []evalFunc
 	descs []bool
 	rows  []types.Tuple
-	pos   int
+	out   rel.Cursor
 }
 
 func newSort(in rel.Iterator, keys []evalFunc, descs []bool) *sortIter {
-	return &sortIter{in: in, keys: keys, descs: descs}
+	return &sortIter{in: rel.In(in), keys: keys, descs: descs}
 }
 
 func (s *sortIter) Schema() types.Schema { return s.in.Schema() }
 
 func (s *sortIter) Open() error {
-	if err := s.in.Open(); err != nil {
-		return err
-	}
 	s.rows = s.rows[:0]
-	s.pos = 0
-	for {
-		t, ok, err := s.in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	s.out.Reset(nil)
+	if err := rel.Each(&s.in, func(t types.Tuple) error {
 		s.rows = append(s.rows, t)
+		return nil
+	}); err != nil {
+		return err
 	}
 	if err := sortByKeys(s.rows, s.keys, s.descs); err != nil {
 		return err
 	}
-	return s.in.Close()
+	s.out.Reset(s.rows)
+	return nil
 }
 
 // sortByKeys stably sorts rows by key expressions, reporting the first
@@ -248,16 +234,13 @@ func sortByKeys(rows []types.Tuple, keys []evalFunc, descs []bool) error {
 	return keyErr
 }
 
-func (s *sortIter) Next() (types.Tuple, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
-}
+func (s *sortIter) NextBatch(dst []types.Tuple) (int, error) { return s.out.Read(dst), nil }
 
-func (s *sortIter) Close() error { s.rows = nil; return nil }
+func (s *sortIter) Close() error {
+	s.rows = nil
+	s.out.Reset(nil)
+	return s.in.Close()
+}
 
 // --- Joins ---
 
@@ -283,18 +266,19 @@ func concatIf(rows *types.TupleAlloc, l, r types.Tuple, pred evalFunc) (types.Tu
 // once, the left input streams; pred (may be nil) filters the
 // concatenated tuple.
 type nlJoin struct {
-	left, right rel.Iterator
-	pred        evalFunc
-	schema      types.Schema
-	rightRows   []types.Tuple
-	cur         types.Tuple
-	ri          int
-	rows        types.TupleAlloc
+	left      *rel.Reader
+	right     rel.Input
+	pred      evalFunc
+	schema    types.Schema
+	rightRows []types.Tuple
+	cur       types.Tuple
+	ri        int
+	rows      types.TupleAlloc
 }
 
 func newNLJoin(left, right rel.Iterator, pred evalFunc) *nlJoin {
 	return &nlJoin{
-		left: left, right: right, pred: pred,
+		left: rel.NewReader(left), right: rel.In(right), pred: pred,
 		schema: left.Schema().Concat(right.Schema()),
 	}
 }
@@ -305,26 +289,17 @@ func (j *nlJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
 	j.rightRows = j.rightRows[:0]
-	for {
-		t, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j.rightRows = append(j.rightRows, t)
-	}
 	j.cur = nil
-	j.ri = 0
-	return j.right.Close()
+	return rel.Each(&j.right, func(t types.Tuple) error {
+		j.rightRows = append(j.rightRows, t)
+		return nil
+	})
 }
 
-func (j *nlJoin) Next() (types.Tuple, bool, error) {
+func (j *nlJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+
+func (j *nlJoin) next() (types.Tuple, bool, error) {
 	for {
 		if j.cur == nil {
 			t, ok, err := j.left.Next()
@@ -351,7 +326,11 @@ func (j *nlJoin) Next() (types.Tuple, bool, error) {
 
 func (j *nlJoin) Close() error {
 	j.rightRows = nil
-	return j.left.Close()
+	err := j.left.Close()
+	if rerr := j.right.Close(); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // --- Index nested-loop join ---
@@ -360,7 +339,7 @@ func (j *nlJoin) Close() error {
 // The join must be an equality on outerKey = inner indexed column;
 // residual (may be nil) filters the concatenated tuple.
 type indexNLJoin struct {
-	outer    rel.Iterator
+	outer    *rel.Reader
 	inner    *Table
 	innerQ   string // qualifier for inner schema
 	innerCol string // indexed column (unqualified)
@@ -380,7 +359,7 @@ func newIndexNLJoin(outer rel.Iterator, inner *Table, innerQ, innerCol string, o
 		is = is.Qualify(innerQ)
 	}
 	return &indexNLJoin{
-		outer: outer, inner: inner, innerQ: innerQ, innerCol: innerCol,
+		outer: rel.NewReader(outer), inner: inner, innerQ: innerQ, innerCol: innerCol,
 		outerKey: outerKey, residual: residual,
 		schema: outer.Schema().Concat(is),
 	}
@@ -396,7 +375,9 @@ func (j *indexNLJoin) Open() error {
 	return j.outer.Open()
 }
 
-func (j *indexNLJoin) Next() (types.Tuple, bool, error) {
+func (j *indexNLJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+
+func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 	idx := j.inner.Index(j.innerCol)
 	for {
 		if j.cur == nil {
@@ -447,7 +428,8 @@ func (j *indexNLJoin) Close() error { return j.outer.Close() }
 // key expressions and probes with the left; residual (may be nil)
 // filters concatenated tuples.
 type hashJoin struct {
-	left, right         rel.Iterator
+	left                *rel.Reader
+	right               rel.Input
 	leftKeys, rightKeys []evalFunc
 	residual            evalFunc
 	schema              types.Schema
@@ -461,7 +443,7 @@ type hashJoin struct {
 
 func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, residual evalFunc) *hashJoin {
 	return &hashJoin{
-		left: left, right: right,
+		left: rel.NewReader(left), right: rel.In(right),
 		leftKeys: leftKeys, rightKeys: rightKeys, residual: residual,
 		schema: left.Schema().Concat(right.Schema()),
 	}
@@ -485,34 +467,23 @@ func hashKeys(t types.Tuple, keys []evalFunc) (uint64, bool, error) {
 }
 
 func (j *hashJoin) Open() error {
-	if err := j.right.Open(); err != nil {
-		return err
-	}
 	j.table = map[uint64][]types.Tuple{}
-	for {
-		t, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	if err := rel.Each(&j.right, func(t types.Tuple) error {
 		h, valid, err := hashKeys(t, j.rightKeys)
-		if err != nil {
-			return err
-		}
 		if valid {
 			j.table[h] = append(j.table[h], t)
 		}
-	}
-	if err := j.right.Close(); err != nil {
+		return err
+	}); err != nil {
 		return err
 	}
 	j.cur = nil
 	return j.left.Open()
 }
 
-func (j *hashJoin) Next() (types.Tuple, bool, error) {
+func (j *hashJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+
+func (j *hashJoin) next() (types.Tuple, bool, error) {
 	for {
 		if j.cur == nil {
 			t, ok, err := j.left.Next()
@@ -567,7 +538,11 @@ func (j *hashJoin) Next() (types.Tuple, bool, error) {
 
 func (j *hashJoin) Close() error {
 	j.table = nil
-	return j.left.Close()
+	err := j.left.Close()
+	if rerr := j.right.Close(); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // --- Sort-merge join ---
@@ -576,23 +551,28 @@ func (j *hashJoin) Close() error {
 // from each side. Inputs are materialized and sorted on their keys;
 // residual filters output tuples.
 type mergeJoin struct {
-	left, right       rel.Iterator
+	left, right       rel.Input
 	leftKey, rightKey evalFunc
 	residual          evalFunc
 	schema            types.Schema
 
-	lrows, rrows []types.Tuple
-	lkeys, rkeys []types.Value
-	li, rj       int
+	l, r   []keyedRow
+	li, rj int
 	// group state: matching right-run [rstart, rend) for current left key
 	rstart, rend int
 	gi           int
 	rows         types.TupleAlloc
 }
 
+// keyedRow is a merge-join input row with its join key, evaluated once.
+type keyedRow struct {
+	key types.Value
+	row types.Tuple
+}
+
 func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, residual evalFunc) *mergeJoin {
 	return &mergeJoin{
-		left: left, right: right,
+		left: rel.In(left), right: rel.In(right),
 		leftKey: leftKey, rightKey: rightKey, residual: residual,
 		schema: left.Schema().Concat(right.Schema()),
 	}
@@ -600,48 +580,27 @@ func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, residual
 
 func (j *mergeJoin) Schema() types.Schema { return j.schema }
 
-func materializeKeyed(in rel.Iterator, key evalFunc) (_ []types.Tuple, _ []types.Value, err error) {
-	if err := in.Open(); err != nil {
-		return nil, nil, err
+// materializeKeyed drains in (closing it on every path), evaluating
+// the key of each row once, and sorts the rows stably by key.
+func materializeKeyed(in rel.Iterator, key evalFunc) ([]keyedRow, error) {
+	var rows []keyedRow
+	if err := rel.Each(in, func(t types.Tuple) error {
+		k, err := key(t)
+		rows = append(rows, keyedRow{key: k, row: t})
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	// Close on every path, including key-evaluation errors; an input
-	// left open here used to leak the underlying cursor.
-	defer func() {
-		if cerr := in.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var rows []types.Tuple
-	for {
-		t, ok, err := in.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, t)
-	}
-	if err := sortByKeys(rows, []evalFunc{key}, nil); err != nil {
-		return nil, nil, err
-	}
-	keys := make([]types.Value, len(rows))
-	for i, t := range rows {
-		if keys[i], err = key(t); err != nil {
-			return nil, nil, err
-		}
-	}
-	return rows, keys, nil
+	slices.SortStableFunc(rows, func(a, b keyedRow) int { return types.Compare(a.key, b.key) })
+	return rows, nil
 }
 
 func (j *mergeJoin) Open() error {
 	var err error
-	j.lrows, j.lkeys, err = materializeKeyed(j.left, j.leftKey)
-	if err != nil {
+	if j.l, err = materializeKeyed(&j.left, j.leftKey); err != nil {
 		return err
 	}
-	j.rrows, j.rkeys, err = materializeKeyed(j.right, j.rightKey)
-	if err != nil {
+	if j.r, err = materializeKeyed(&j.right, j.rightKey); err != nil {
 		return err
 	}
 	j.li, j.rj = 0, 0
@@ -649,12 +608,14 @@ func (j *mergeJoin) Open() error {
 	return nil
 }
 
-func (j *mergeJoin) Next() (types.Tuple, bool, error) {
+func (j *mergeJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+
+func (j *mergeJoin) next() (types.Tuple, bool, error) {
 	for {
 		// Emit remaining pairs for the current left row's right-run.
 		if j.gi < j.rend {
-			l := j.lrows[j.li]
-			r := j.rrows[j.gi]
+			l := j.l[j.li].row
+			r := j.r[j.gi].row
 			j.gi++
 			out, ok, err := concatIf(&j.rows, l, r, j.residual)
 			if err != nil {
@@ -668,7 +629,7 @@ func (j *mergeJoin) Next() (types.Tuple, bool, error) {
 		// Current left row exhausted its run; advance left.
 		if j.rstart < j.rend {
 			j.li++
-			if j.li < len(j.lkeys) && types.Equal(j.lkeys[j.li], j.lkeys[j.li-1]) {
+			if j.li < len(j.l) && types.Equal(j.l[j.li].key, j.l[j.li-1].key) {
 				j.gi = j.rstart // same key: reuse the run
 				continue
 			}
@@ -677,10 +638,10 @@ func (j *mergeJoin) Next() (types.Tuple, bool, error) {
 			continue
 		}
 		// Find the next matching key runs.
-		if j.li >= len(j.lkeys) || j.rj >= len(j.rkeys) {
+		if j.li >= len(j.l) || j.rj >= len(j.r) {
 			return nil, false, nil
 		}
-		lk, rk := j.lkeys[j.li], j.rkeys[j.rj]
+		lk, rk := j.l[j.li].key, j.r[j.rj].key
 		if lk.IsNull() {
 			j.li++
 			continue
@@ -698,7 +659,7 @@ func (j *mergeJoin) Next() (types.Tuple, bool, error) {
 		default:
 			j.rstart = j.rj
 			j.rend = j.rj
-			for j.rend < len(j.rkeys) && types.Equal(j.rkeys[j.rend], rk) {
+			for j.rend < len(j.r) && types.Equal(j.r[j.rend].key, rk) {
 				j.rend++
 			}
 			j.gi = j.rstart
@@ -707,18 +668,22 @@ func (j *mergeJoin) Next() (types.Tuple, bool, error) {
 }
 
 func (j *mergeJoin) Close() error {
-	j.lrows, j.rrows = nil, nil
-	return nil
+	j.l, j.r = nil, nil
+	err := j.left.Close()
+	if rerr := j.right.Close(); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // --- Distinct ---
 
 type distinctIter struct {
-	in   rel.Iterator
+	in   rel.Input
 	seen map[string]bool
 }
 
-func newDistinct(in rel.Iterator) *distinctIter { return &distinctIter{in: in} }
+func newDistinct(in rel.Iterator) *distinctIter { return &distinctIter{in: rel.In(in)} }
 
 func (d *distinctIter) Schema() types.Schema { return d.in.Schema() }
 
@@ -727,19 +692,15 @@ func (d *distinctIter) Open() error {
 	return d.in.Open()
 }
 
-func (d *distinctIter) Next() (types.Tuple, bool, error) {
-	for {
-		t, ok, err := d.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k := canonicalKey(t)
+func (d *distinctIter) NextBatch(dst []types.Tuple) (int, error) {
+	return rel.Select(&d.in, dst, func(t types.Tuple) (bool, error) {
+		k := t.Key()
 		if d.seen[k] {
-			continue
+			return false, nil
 		}
 		d.seen[k] = true
-		return t, true, nil
-	}
+		return true, nil
+	})
 }
 
 func (d *distinctIter) Close() error {
@@ -747,36 +708,17 @@ func (d *distinctIter) Close() error {
 	return d.in.Close()
 }
 
-// canonicalKey renders a tuple such that equal tuples (per
-// types.Equal) yield equal keys.
-func canonicalKey(t types.Tuple) string {
-	buf := make([]byte, 0, 32)
-	for _, v := range t {
-		if v.IsNull() {
-			buf = append(buf, 0, 'N')
-		} else if v.Kind() == types.KindString {
-			buf = append(buf, 's', ':')
-			buf = append(buf, v.AsString()...)
-		} else {
-			buf = append(buf, 'n', ':')
-			buf = append(buf, fmt.Sprintf("%v", v.AsFloat())...)
-		}
-		buf = append(buf, 0x1f)
-	}
-	return string(buf)
-}
-
 // --- Union ---
 
 // unionIter concatenates two inputs with identical arity.
 type unionIter struct {
-	a, b   rel.Iterator
+	a, b   rel.Input
 	onB    bool
 	schema types.Schema
 }
 
 func newUnionAll(a, b rel.Iterator) *unionIter {
-	return &unionIter{a: a, b: b, schema: a.Schema()}
+	return &unionIter{a: rel.In(a), b: rel.In(b), schema: a.Schema()}
 }
 
 func (u *unionIter) Schema() types.Schema { return u.schema }
@@ -789,18 +731,14 @@ func (u *unionIter) Open() error {
 	return u.b.Open()
 }
 
-func (u *unionIter) Next() (types.Tuple, bool, error) {
+func (u *unionIter) NextBatch(dst []types.Tuple) (int, error) {
 	if !u.onB {
-		t, ok, err := u.a.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return t, true, nil
+		if n, err := u.a.NextBatch(dst); err != nil || n > 0 {
+			return n, err
 		}
 		u.onB = true
 	}
-	return u.b.Next()
+	return u.b.NextBatch(dst)
 }
 
 func (u *unionIter) Close() error {

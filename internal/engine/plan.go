@@ -73,14 +73,14 @@ func (db *DB) planSelect(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator,
 		it = db.instrument("sort", sorted, it)
 	}
 	if s.Limit > 0 {
-		it = db.instrument("limit", &limitIter{in: it, n: s.Limit}, it)
+		it = db.instrument("limit", &limitIter{in: rel.In(it), n: s.Limit}, it)
 	}
 	return it, nil
 }
 
 // limitIter caps the result at n rows.
 type limitIter struct {
-	in   rel.Iterator
+	in   rel.Input
 	n    int64
 	seen int64
 }
@@ -89,16 +89,16 @@ func (l *limitIter) Schema() types.Schema { return l.in.Schema() }
 func (l *limitIter) Open() error          { l.seen = 0; return l.in.Open() }
 func (l *limitIter) Close() error         { return l.in.Close() }
 
-func (l *limitIter) Next() (types.Tuple, bool, error) {
+func (l *limitIter) NextBatch(dst []types.Tuple) (int, error) {
 	if l.seen >= l.n {
-		return nil, false, nil
+		return 0, nil
 	}
-	t, ok, err := l.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	if rest := l.n - l.seen; int64(len(dst)) > rest {
+		dst = dst[:rest]
 	}
-	l.seen++
-	return t, true, nil
+	n, err := l.in.NextBatch(dst)
+	l.seen += int64(n)
+	return n, err
 }
 
 func applyOrderBy(it rel.Iterator, order []sqlast.OrderItem) (rel.Iterator, error) {
@@ -270,7 +270,7 @@ func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt) ([]rel.Iterat
 			if err != nil {
 				return nil, err
 			}
-			rn := &renameIter{in: sub, schema: sub.Schema().Unqualified().Qualify(r.Alias)}
+			rn := &renameIter{in: rel.In(sub), schema: sub.Schema().Unqualified().Qualify(r.Alias)}
 			sources[i] = db.instrument("derived("+r.Alias+")", rn, sub)
 		default:
 			return nil, fmt.Errorf("engine: unsupported FROM entry %T", ref)
@@ -795,28 +795,27 @@ func (c *groupCtx) projectItems(items []sqlast.SelectItem) (types.Schema, []eval
 // dualIter yields exactly one empty tuple ("SELECT 1").
 type dualIter struct{ done bool }
 
-func (dualIter) Schema() types.Schema { return types.Schema{} }
-func (d dualIter) Open() error        { return nil }
-func (d dualIter) Close() error       { return nil }
+func (*dualIter) Schema() types.Schema { return types.Schema{} }
+func (d *dualIter) Open() error        { d.done = false; return nil }
+func (*dualIter) Close() error         { return nil }
 
-func (d *dualIter) Next() (types.Tuple, bool, error) {
+func (d *dualIter) NextBatch(dst []types.Tuple) (int, error) {
 	if d.done {
-		return nil, false, nil
+		return 0, nil
 	}
 	d.done = true
-	return types.Tuple{}, true, nil
+	dst[0] = types.Tuple{}
+	return 1, nil
 }
 
 // renameIter overrides the schema of its input (used to alias derived
 // tables).
 type renameIter struct {
-	in     rel.Iterator
+	in     rel.Input
 	schema types.Schema
 }
 
-func (r *renameIter) Schema() types.Schema { return r.schema }
-func (r *renameIter) Open() error          { return r.in.Open() }
-func (r *renameIter) Close() error         { return r.in.Close() }
-func (r *renameIter) Next() (types.Tuple, bool, error) {
-	return r.in.Next()
-}
+func (r *renameIter) Schema() types.Schema                     { return r.schema }
+func (r *renameIter) Open() error                              { return r.in.Open() }
+func (r *renameIter) Close() error                             { return r.in.Close() }
+func (r *renameIter) NextBatch(dst []types.Tuple) (int, error) { return r.in.NextBatch(dst) }

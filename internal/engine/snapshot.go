@@ -181,16 +181,12 @@ func (s *Snapshot) Release() {
 // closing the iterator releases the pin. It backs the DB-level Query
 // convenience entry points.
 type snapIter struct {
-	rel.Iterator
+	rel.Input
 	snap *Snapshot
 }
 
 func (it *snapIter) Close() error {
-	err := it.Iterator.Close()
+	err := it.Input.Close()
 	it.snap.Release()
 	return err
 }
-
-// Unwrap lets asHeapScan and the instrumentation helpers see through
-// the snapshot binding.
-func (it *snapIter) Unwrap() rel.Iterator { return it.Iterator }

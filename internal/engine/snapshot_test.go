@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/rel"
 	"tango/internal/storage"
 	"tango/internal/types"
 )
@@ -230,20 +231,15 @@ func TestSnapshotDeferredDrop(t *testing.T) {
 }
 
 // drainCount reads a single-row COUNT iterator and closes it.
-func drainCount(it interface {
-	Open() error
-	Next() (types.Tuple, bool, error)
-	Close() error
-}) (int64, error) {
-	if err := it.Open(); err != nil {
+func drainCount(it rel.Iterator) (int64, error) {
+	out, err := rel.Drain(it)
+	if err != nil {
 		return 0, err
 	}
-	defer it.Close()
-	tup, ok, err := it.Next()
-	if err != nil || !ok {
-		return 0, fmt.Errorf("count row missing: ok=%v err=%v", ok, err)
+	if len(out.Tuples) != 1 {
+		return 0, fmt.Errorf("count query returned %d rows", len(out.Tuples))
 	}
-	return tup[0].AsInt(), nil
+	return out.Tuples[0][0].AsInt(), nil
 }
 
 // TestSnapshotIsolationProperty is the seeded-scheduler isolation

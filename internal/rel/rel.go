@@ -6,16 +6,28 @@
 package rel
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 
 	"tango/internal/types"
 )
 
-// Iterator is the pipelined cursor interface (the paper's XXL result
-// sets with init()/getNext()). Open must be called before Next; Next
-// returns ok=false at end of stream; Close releases resources and is
-// idempotent.
+// Iterator is the one cursor protocol of both execution engines (the
+// paper's XXL result sets with init()/getNext()/close()): every operator
+// produces its rows through NextBatch, a batch at a time. Code that
+// really consumes one row at a time reads through a Reader.
+//
+// Lifecycle: Schema is valid before Open. Open prepares the iterator
+// and, transitively, its inputs; it may fail part way, having opened
+// some inputs and not others. NextBatch is called only after a
+// successful Open. Close is legal in every state — after a failed
+// Open, after end of stream, without any Open, and a second time — and
+// reaches every input the operator owns exactly once per Open: an
+// operator that closes an input itself (a sort draining its input
+// inside Open) does not close it again, and one that never got to open
+// an input still closes it (a transfer whose dependency load failed
+// still has a temp table to drop). Open after Close starts the stream
+// again.
 //
 // Row lifetime: a produced tuple is immutable and stays valid for as
 // long as anyone references it. A producer never writes to a tuple it
@@ -29,15 +41,20 @@ import (
 // only a few values for long — index keys, column statistics — detaches
 // them (Value.Detach) rather than pin a slab per value.
 type Iterator interface {
-	// Schema describes the tuples the iterator produces. It must be
-	// valid before Open.
+	// Schema describes the tuples the iterator produces.
 	Schema() types.Schema
 	// Open prepares the iterator (and, transitively, its inputs).
 	Open() error
-	// Next returns the next tuple, the caller's to keep but not to
-	// modify (see the row-lifetime rule above).
-	Next() (types.Tuple, bool, error)
-	// Close releases resources.
+	// NextBatch writes the next 1..len(dst) tuples into dst (len(dst)
+	// must be at least 1) and returns how many; fewer than len(dst) does
+	// not mean the end. 0 is end of stream, and every later call until
+	// the next Open returns 0 again. A non-nil error ends the stream; the
+	// count returned with it is 0. The tuples are the caller's to keep
+	// but not to modify (see the row-lifetime rule above); dst itself
+	// stays the caller's.
+	NextBatch(dst []types.Tuple) (int, error)
+	// Close releases the iterator's resources and closes its inputs,
+	// under the lifecycle rule above.
 	Close() error
 }
 
@@ -125,76 +142,37 @@ func (r *Relation) String() string {
 }
 
 // Iter returns an iterator over the relation's tuples.
-func (r *Relation) Iter() Iterator { return &sliceIter{rel: r, pos: -1} }
+func (r *Relation) Iter() Iterator { return &sliceIter{rel: r} }
 
 type sliceIter struct {
-	rel *Relation
-	pos int
+	rel    *Relation
+	cur    Cursor
+	opened bool
 }
 
 func (it *sliceIter) Schema() types.Schema { return it.rel.Schema }
-func (it *sliceIter) Open() error          { it.pos = 0; return nil }
+func (it *sliceIter) Open() error          { it.cur.Reset(it.rel.Tuples); it.opened = true; return nil }
 func (it *sliceIter) Close() error         { return nil }
 
-func (it *sliceIter) Next() (types.Tuple, bool, error) {
-	if it.pos < 0 {
-		return nil, false, fmt.Errorf("rel: iterator not opened")
+func (it *sliceIter) NextBatch(dst []types.Tuple) (int, error) {
+	if !it.opened {
+		return 0, errors.New("rel: iterator not opened")
 	}
-	if it.pos >= len(it.rel.Tuples) {
-		return nil, false, nil
-	}
-	t := it.rel.Tuples[it.pos]
-	it.pos++
-	return t, true, nil
+	return it.cur.Read(dst), nil
 }
 
-// Drain materializes an iterator into a relation, opening and closing
-// it. The relation holds the produced tuples themselves (they are
-// immutable). Batch-native iterators are drained a batch at a time.
+// Drain materializes an iterator into a relation, opening it and
+// closing it on every path. The relation holds the produced tuples
+// themselves (they are immutable).
 func Drain(it Iterator) (*Relation, error) {
 	out := New(it.Schema())
-	if err := it.Open(); err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	dst := make([]types.Tuple, DefaultBatchSize)
-	for {
-		n, err := NextBatch(it, dst)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-		out.Tuples = append(out.Tuples, dst[:n]...)
-	}
-	if err := it.Close(); err != nil {
+	if err := Each(it, func(t types.Tuple) error {
+		out.Tuples = append(out.Tuples, t)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// tupleKey renders a tuple into a canonical comparable string; values
-// that compare equal produce equal keys (e.g. Int(2) vs Float(2)).
-func tupleKey(t types.Tuple) string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		if v.IsNull() {
-			b.WriteString("\x00N")
-			continue
-		}
-		switch v.Kind() {
-		case types.KindString:
-			b.WriteString("s:")
-			b.WriteString(v.AsString())
-		default:
-			fmt.Fprintf(&b, "n:%v", v.AsFloat())
-		}
-	}
-	return b.String()
 }
 
 // EqualAsLists reports list equality: same length and pairwise equal
@@ -224,10 +202,10 @@ func EqualAsMultisets(a, b *Relation) bool {
 	}
 	counts := make(map[string]int, len(a.Tuples))
 	for _, t := range a.Tuples {
-		counts[tupleKey(t)]++
+		counts[t.Key()]++
 	}
 	for _, t := range b.Tuples {
-		k := tupleKey(t)
+		k := t.Key()
 		counts[k]--
 		if counts[k] < 0 {
 			return false
@@ -242,7 +220,7 @@ func (r *Relation) DistinctCount(col string) int {
 	idx := r.Schema.MustIndex(col)
 	seen := make(map[string]bool)
 	for _, t := range r.Tuples {
-		seen[tupleKey(types.Tuple{t[idx]})] = true
+		seen[t[idx:idx+1].Key()] = true
 	}
 	return len(seen)
 }

@@ -31,8 +31,30 @@ func TestDrainRoundTrip(t *testing.T) {
 
 func TestIteratorRequiresOpen(t *testing.T) {
 	it := sampleRelation().Iter()
-	if _, _, err := it.Next(); err == nil {
-		t.Error("Next before Open should fail")
+	if _, err := it.NextBatch(make([]types.Tuple, 1)); err == nil {
+		t.Error("NextBatch before Open should fail")
+	}
+}
+
+// TestSliceIterNextBatch reads a relation in batches, including the
+// short final batch and the end-of-stream zero.
+func TestSliceIterNextBatch(t *testing.T) {
+	r := New(types.NewSchema(types.Column{Name: "A", Kind: types.KindInt}))
+	for i := 0; i < 10; i++ {
+		r.Append(types.Tuple{types.Int(int64(i))})
+	}
+	it := r.Iter()
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]types.Tuple, 4)
+	for _, want := range []int{4, 4, 2, 0} {
+		if n, err := it.NextBatch(dst); err != nil || n != want {
+			t.Fatalf("NextBatch = %d, %v; want %d", n, err, want)
+		}
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

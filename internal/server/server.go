@@ -220,8 +220,10 @@ type Cursor struct {
 // Schema returns the result schema.
 func (c *Cursor) Schema() types.Schema { return c.it.Schema() }
 
-// produce pulls the next batch of up to prefetch rows from the
-// result iterator, returning nil at end of stream. Caller holds c.mu.
+// produce fills the next batch of up to prefetch rows from the result
+// iterator — as many NextBatch calls as it takes, so a fetch is short
+// only at end of stream — returning nil at end of stream. Caller holds
+// c.mu.
 func (c *Cursor) produce() ([]types.Tuple, error) {
 	if c.done {
 		return nil, nil
@@ -229,18 +231,20 @@ func (c *Cursor) produce() ([]types.Tuple, error) {
 	if c.rows == nil {
 		c.rows = make([]types.Tuple, 0, c.prefetch)
 	}
-	rows := c.rows[:0]
-	for len(rows) < c.prefetch {
-		t, ok, err := c.it.Next()
+	rows := c.rows[:c.prefetch]
+	n := 0
+	for n < len(rows) {
+		k, err := c.it.NextBatch(rows[n:])
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if k == 0 {
 			c.done = true
 			break
 		}
-		rows = append(rows, t)
+		n += k
 	}
+	rows = rows[:n]
 	c.rows = rows
 	if len(rows) == 0 {
 		return nil, nil

@@ -163,10 +163,7 @@ func (e *Executor) Run(plan *algebra.Node) (*rel.Relation, error) {
 	if e.WALProbe != nil {
 		walBase, walRecBase = e.WALProbe()
 	}
-	out, err := rel.Drain(it)
-	if cerr := it.Close(); err == nil {
-		err = cerr
-	}
+	out, err := rel.Drain(it) // closes it on every path
 	if out != nil {
 		se.SetInt("rows", int64(out.Cardinality()))
 		se.SetInt("bytes", int64(out.ByteSize()))

@@ -10,9 +10,10 @@ import (
 )
 
 // OpStats is the measured execution profile of one physical operator:
-// Next-call and row counts, produced bytes, and cumulative (inclusive)
-// wall time spent in Open/Next/Close. OpStats form a tree mirroring
-// the operator tree; self time is inclusive time minus the children's.
+// NextBatch-call and row counts, produced bytes, and cumulative
+// (inclusive) wall time spent in Open/NextBatch/Close. OpStats form a
+// tree mirroring the operator tree; self time is inclusive time minus
+// the children's.
 //
 // Fields are written by a single goroutine (the one driving the
 // iterator) and must only be read after the query completes.
@@ -25,6 +26,8 @@ type OpStats struct {
 	Node interface{}
 
 	Opens int64
+	// Nexts counts NextBatch calls, the one that returned end of stream
+	// included.
 	Nexts int64
 	Rows  int64
 	Bytes int64
@@ -78,7 +81,7 @@ func (s *OpStats) Walk(fn func(*OpStats)) {
 // Format renders the annotated operator tree (the body of EXPLAIN
 // ANALYZE):
 //
-//	TAggr^M rows=733 nexts=734 bytes=23456 time=1.20ms self=0.80ms
+//	TAggr^M rows=733 nexts=4 bytes=23456 time=1.20ms self=0.80ms
 //	└─ Sort^M rows=8400 ...
 func (s *OpStats) Format() string {
 	var b strings.Builder
@@ -103,7 +106,7 @@ func (s *OpStats) format(b *strings.Builder, prefix, childPrefix string) {
 // itself, so instrumentation composes transparently with any operator
 // tree.
 type Iter struct {
-	in    rel.Iterator
+	in    rel.Input
 	stats *OpStats
 	// Sink, when set, receives the stats once on the first Close — used
 	// to flush per-operator metrics into a Registry.
@@ -122,7 +125,7 @@ func Instrument(op string, node interface{}, in rel.Iterator, children ...rel.It
 			st.Children = append(st.Children, ci.stats)
 		}
 	}
-	return &Iter{in: in, stats: st}
+	return &Iter{in: rel.In(in), stats: st}
 }
 
 // Stats returns the operator's stats node.
@@ -131,7 +134,7 @@ func (it *Iter) Stats() *OpStats { return it.stats }
 // Unwrap returns the wrapped iterator, so code that type-asserts on
 // concrete operator types (e.g. index-scan rewrites) can see through
 // the instrumentation.
-func (it *Iter) Unwrap() rel.Iterator { return it.in }
+func (it *Iter) Unwrap() rel.Iterator { return it.in.Iterator() }
 
 // Schema returns the wrapped iterator's schema.
 func (it *Iter) Schema() types.Schema { return it.in.Schema() }
@@ -145,50 +148,16 @@ func (it *Iter) Open() error {
 	return err
 }
 
-// Next pulls the next tuple, timing the call and counting rows and
-// bytes.
-func (it *Iter) Next() (types.Tuple, bool, error) {
-	start := time.Now()
-	t, ok, err := it.in.Next()
-	it.stats.Time += time.Since(start)
-	it.stats.Nexts++
-	if ok {
-		it.stats.Rows++
-		it.stats.Bytes += int64(t.ByteSize())
-	}
-	return t, ok, err
-}
-
-// NextBatch forwards the batch protocol through the instrumentation,
-// so measured pipelines keep their batch fast paths: the wrapped
-// iterator's NextBatch is used when it has one, one Next-equivalent
-// call is counted per batch, and rows/bytes are attributed exactly as
-// the tuple path would. When the wrapped operator is tuple-at-a-time,
-// the tuples are passed through unchanged (no clone); batch validity is
-// then whatever the operator provides, which for every operator in this
-// codebase is a fresh or owned tuple.
+// NextBatch pulls the next batch, timing the call and counting it, its
+// rows and their bytes.
 func (it *Iter) NextBatch(dst []types.Tuple) (int, error) {
 	start := time.Now()
-	var n int
-	var err error
-	if b, ok := it.in.(rel.BatchIterator); ok {
-		n, err = b.NextBatch(dst)
-	} else {
-		for n < len(dst) {
-			t, ok2, e := it.in.Next()
-			if e != nil || !ok2 {
-				err = e
-				break
-			}
-			dst[n] = t
-			n++
-		}
-	}
+	n, err := it.in.NextBatch(dst)
 	it.stats.Time += time.Since(start)
 	it.stats.Nexts++
 	it.stats.Rows += int64(n)
-	for i := 0; i < n; i++ {
-		it.stats.Bytes += int64(dst[i].ByteSize())
+	for _, t := range dst[:n] {
+		it.stats.Bytes += int64(t.ByteSize())
 	}
 	return n, err
 }

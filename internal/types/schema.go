@@ -1,7 +1,9 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -145,6 +147,35 @@ func (t Tuple) Clone() Tuple {
 	c := make(Tuple, len(t))
 	copy(c, t)
 	return c
+}
+
+// Key renders the tuple as a map key: tuples whose values are pairwise
+// Equal get equal keys, so Int(2), Float(2) and Date(2) share one, and
+// NULL is a key of its own (never Str("N")'s). Numerics and strings are
+// told apart by kind; Compare's display-form equality between the two
+// does not carry over. Duplicate elimination, DISTINCT aggregates,
+// grouping and multiset equality all key rows here.
+func (t Tuple) Key() string {
+	buf := make([]byte, 0, 64)
+	for _, v := range t {
+		switch {
+		case v.kind == KindNull:
+			buf = append(buf, 'N')
+		case v.kind == KindString:
+			buf = binary.AppendUvarint(append(buf, 's'), uint64(v.n))
+			buf = append(buf, v.str()...)
+		case v.kind == KindFloat:
+			// An integral float keys as the integer it equals.
+			if f := v.float(); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+				buf = binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(int64(f)))
+			} else {
+				buf = binary.BigEndian.AppendUint64(append(buf, 'f'), uint64(v.n))
+			}
+		default:
+			buf = binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(v.n))
+		}
+	}
+	return string(buf)
 }
 
 // TupleAlloc carves an operator's output rows out of chunks, one

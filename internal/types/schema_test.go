@@ -154,3 +154,33 @@ func TestPeriodIntersectCommutes(t *testing.T) {
 		}
 	}
 }
+
+// TestTupleKeyMatchesEqual: two tuples get the same key exactly when
+// their values are pairwise Equal, across every pairing of ints,
+// floats, dates, strings and NULL — Int(2), Float(2) and Date(2) key
+// alike, NULL never keys as Str("N"), and a string's length keeps a
+// separator byte inside it from shifting the next column.
+func TestTupleKeyMatchesEqual(t *testing.T) {
+	vals := []Value{
+		Null, Int(2), Float(2), Date(2), Int(3), Float(2.5), Float(-0.0), Int(0),
+		Int(1 << 60), Int(1<<60 + 1), Str("N"), Str(""), Str("a"), Str("a\x00"), Str("ab"),
+	}
+	var tuples []Tuple
+	for _, a := range vals {
+		tuples = append(tuples, Tuple{a})
+		for _, b := range vals {
+			tuples = append(tuples, Tuple{a, b})
+		}
+	}
+	for _, x := range tuples {
+		for _, y := range tuples {
+			equal := len(x) == len(y)
+			for i := 0; equal && i < len(x); i++ {
+				equal = Equal(x[i], y[i])
+			}
+			if got := x.Key() == y.Key(); got != equal {
+				t.Fatalf("%v vs %v: keys equal = %v, values equal = %v", x, y, got, equal)
+			}
+		}
+	}
+}

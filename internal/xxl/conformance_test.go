@@ -1,0 +1,95 @@
+package xxl
+
+import (
+	"testing"
+
+	"tango/internal/client"
+	"tango/internal/engine"
+	"tango/internal/rel"
+	"tango/internal/rel/itertest"
+	"tango/internal/server"
+	"tango/internal/sqlparser"
+	"tango/internal/wire"
+)
+
+// TestConformance runs every middleware operator through the iterator
+// contract table.
+func TestConformance(t *testing.T) {
+	a := itertest.Ints("K T1 T2", []int64{1, 0, 5}, []int64{1, 3, 8}, []int64{2, 1, 4}, []int64{3, 0, 2}, []int64{3, 2, 6})
+	b := itertest.Ints("K T1 T2", []int64{1, 4, 9}, []int64{3, 1, 3}, []int64{3, 5, 7}, []int64{4, 0, 1})
+	byT1 := itertest.Ints("K T1 T2", []int64{1, 0, 5}, []int64{3, 0, 2}, []int64{2, 1, 4}, []int64{3, 2, 6}, []int64{1, 3, 8})
+	counts := itertest.Ints("K T1 T2 N", []int64{1, 0, 3, 1}, []int64{1, 3, 5, 2}, []int64{1, 5, 8, 1},
+		[]int64{2, 1, 4, 1}, []int64{3, 0, 2, 1}, []int64{3, 2, 6, 1})
+	joined := itertest.Ints("K T1 T2 K T1 T2", []int64{1, 0, 5, 1, 4, 9}, []int64{1, 3, 8, 1, 4, 9},
+		[]int64{3, 0, 2, 3, 1, 3}, []int64{3, 0, 2, 3, 5, 7}, []int64{3, 2, 6, 3, 1, 3}, []int64{3, 2, 6, 3, 5, 7})
+	tjoined := itertest.Ints("K T1 T2 K", []int64{1, 4, 5, 1}, []int64{1, 4, 8, 1},
+		[]int64{3, 1, 2, 3}, []int64{3, 2, 3, 3}, []int64{3, 5, 6, 3})
+	dups := itertest.Ints("K V", []int64{1, 2}, []int64{1, 2}, []int64{3, 4}, []int64{1, 2}, []int64{3, 5})
+	periods := itertest.Ints("G T1 T2", []int64{1, 1, 5}, []int64{1, 5, 9}, []int64{1, 8, 12}, []int64{1, 20, 25}, []int64{2, 3, 7})
+
+	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE K >= 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
+	count := []AggSpec{{Kind: AggCount}}
+	sort := func(mem, par int) func([]rel.Iterator) rel.Iterator {
+		return func(in []rel.Iterator) rel.Iterator {
+			s := NewSort(in[0], []int{1})
+			s.MemTuples, s.Parallelism = mem, par
+			return s
+		}
+	}
+	one := []*rel.Relation{a}
+	two := []*rel.Relation{a, b}
+	itertest.Run(t, []itertest.Case{
+		{Name: "Filter", Inputs: one, Want: itertest.Ints("K T1 T2", []int64{2, 1, 4}, []int64{3, 0, 2}, []int64{3, 2, 6}),
+			Build: func(in []rel.Iterator) rel.Iterator {
+				f, err := NewFilter(in[0], sel.Where)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}},
+		{Name: "Project", Inputs: one,
+			Want: itertest.Ints("T2 K", []int64{5, 1}, []int64{8, 1}, []int64{4, 2}, []int64{2, 3}, []int64{6, 3}),
+			Build: func(in []rel.Iterator) rel.Iterator {
+				return NewProject(in[0], []int{2, 0}, itertest.Ints("T2 K").Schema)
+			}},
+		{Name: "Sort", Inputs: one, Want: byT1, Build: sort(DefaultSortMemory, 1)},
+		{Name: "Sort/spill", Inputs: one, Want: byT1, Build: sort(2, 1)},
+		{Name: "Sort/parallel-spill", Inputs: one, Want: byT1, Build: sort(2, 2)},
+		{Name: "SharedReader", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewSharedSource(in[0]).Reader()
+		}},
+		{Name: "Prefetch", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator { return NewPrefetch(in[0]) }},
+		{Name: "TransferM", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
+			name := conn.TempName()
+			return NewTransferM(conn, "SELECT K, T1, T2 FROM "+name, a.Schema, NewTransferD(conn, in[0], name))
+		}},
+		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
+		}},
+		{Name: "PTAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewPTAggr(in[0], []int{0}, 1, 2, count, counts.Schema, 2)
+		}},
+		{Name: "MergeJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewMergeJoin(in[0], in[1], []int{0}, []int{0})
+		}},
+		{Name: "PMergeJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewPMergeJoin(in[0], in[1], []int{0}, []int{0}, 2)
+		}},
+		{Name: "TJoin", Inputs: two, Want: tjoined, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2)
+		}},
+		{Name: "PTJoin", Inputs: two, Want: tjoined, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewPTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2, 2)
+		}},
+		{Name: "DupElim", Inputs: []*rel.Relation{dups},
+			Want:  itertest.Ints("K V", []int64{1, 2}, []int64{3, 4}, []int64{3, 5}),
+			Build: func(in []rel.Iterator) rel.Iterator { return NewDupElim(in[0]) }},
+		{Name: "Coalesce", Inputs: []*rel.Relation{periods},
+			Want:  itertest.Ints("G T1 T2", []int64{1, 1, 12}, []int64{1, 20, 25}, []int64{2, 3, 7}),
+			Build: func(in []rel.Iterator) rel.Iterator { return NewCoalesce(in[0], 1, 2) }},
+	})
+}

@@ -145,12 +145,16 @@ type errAfterIter struct {
 func (e *errAfterIter) Schema() types.Schema { return e.schema }
 func (e *errAfterIter) Open() error          { e.pos = 0; return nil }
 func (e *errAfterIter) Close() error         { return nil }
-func (e *errAfterIter) Next() (types.Tuple, bool, error) {
+func (e *errAfterIter) NextBatch(dst []types.Tuple) (int, error) {
 	if e.pos >= e.n {
-		return nil, false, fmt.Errorf("xxl_test: synthetic input failure")
+		return 0, fmt.Errorf("xxl_test: synthetic input failure")
 	}
-	e.pos++
-	return types.Tuple{types.Int(int64(e.n - e.pos)), types.Int(int64(e.pos))}, true, nil
+	n := min(len(dst), e.n-e.pos)
+	for i := range dst[:n] {
+		e.pos++
+		dst[i] = types.Tuple{types.Int(int64(e.n - e.pos)), types.Int(int64(e.pos))}
+	}
+	return n, nil
 }
 
 // TestSortParallelInputError: an input error mid-spill must surface,
@@ -185,10 +189,8 @@ func TestSortParallelCloseEarly(t *testing.T) {
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ { // read a few, then abandon
-		if _, ok, err := s.Next(); err != nil || !ok {
-			t.Fatalf("next %d: ok=%v err=%v", i, ok, err)
-		}
+	if n, err := s.NextBatch(make([]types.Tuple, 10)); err != nil || n != 10 { // read a few, then abandon
+		t.Fatalf("NextBatch: n=%d err=%v", n, err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -419,7 +421,7 @@ func TestSplitAtKeyBoundaries(t *testing.T) {
 }
 
 // TestPrefetchMatchesDirect: prefetched streams are tuple-for-tuple
-// identical to direct iteration, for tuple and batch consumers.
+// identical to direct iteration, for batch and row-at-a-time consumers.
 func TestPrefetchMatchesDirect(t *testing.T) {
 	defer checkGoroutines(t)()
 	in := randomRel(5000, 40, 51)
@@ -439,9 +441,8 @@ func TestPrefetchMatchesDirect(t *testing.T) {
 		t.Errorf("prefetch stats = %+v", st)
 	}
 
-	// Tuple-at-a-time consumption too.
-	p2 := NewPrefetch(in.Iter())
-	p2.BatchSize = 64
+	// Row-at-a-time consumption too.
+	p2 := rel.NewReader(NewPrefetch(in.Iter()))
 	if err := p2.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -471,13 +472,12 @@ func TestPrefetchCloseEarly(t *testing.T) {
 	defer checkGoroutines(t)()
 	in := randomRel(10000, 40, 53)
 	p := NewPrefetch(in.Iter())
-	p.BatchSize = 32
 	if err := p.Open(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, ok, err := p.Next(); !ok || err != nil {
-			t.Fatalf("next: ok=%v err=%v", ok, err)
+		if n, err := p.NextBatch(make([]types.Tuple, 32)); n == 0 || err != nil {
+			t.Fatalf("NextBatch: n=%d err=%v", n, err)
 		}
 	}
 	if err := p.Close(); err != nil {
@@ -498,18 +498,18 @@ func TestPrefetchErrorPropagates(t *testing.T) {
 		types.Column{Name: "Seq", Kind: types.KindInt},
 	)
 	p := NewPrefetch(&errAfterIter{schema: s2, n: 100})
-	p.BatchSize = 16
 	if err := p.Open(); err != nil {
 		t.Fatal(err)
 	}
+	dst := make([]types.Tuple, 16)
 	var sawErr error
 	for {
-		_, ok, err := p.Next()
+		n, err := p.NextBatch(dst)
 		if err != nil {
 			sawErr = err
 			break
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
 	}
@@ -517,7 +517,7 @@ func TestPrefetchErrorPropagates(t *testing.T) {
 		t.Fatalf("error not propagated: %v", sawErr)
 	}
 	// The error is sticky.
-	if _, ok, err := p.Next(); ok || err == nil {
+	if n, err := p.NextBatch(dst); n != 0 || err == nil {
 		t.Fatal("error must be sticky")
 	}
 	if err := p.Close(); err != nil {
@@ -545,7 +545,7 @@ func TestPrefetchReopen(t *testing.T) {
 // TestStackedPipelineStress layers every parallel operator into one
 // pipeline — Prefetch{ Sort^M(parallel, spilling){ Prefetch{ scan }}}
 // — and hammers it under the race detector: full drains, partial
-// consumptions with early Close, and random batch sizes. Whatever the
+// consumptions with early Close, and random dst sizes. Whatever the
 // consumption pattern, no workers may leak and full drains must equal
 // the sequential order.
 func TestStackedPipelineStress(t *testing.T) {
@@ -558,51 +558,32 @@ func TestStackedPipelineStress(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
-		inner := NewPrefetch(in.Iter())
-		inner.BatchSize = 1 + rng.Intn(300)
-		srt := NewSort(inner, []int{0})
+		srt := NewSort(NewPrefetch(in.Iter()), []int{0})
 		srt.MemTuples = 512 // force spilling runs
 		srt.Parallelism = 2 + rng.Intn(6)
 		outer := NewPrefetch(srt)
-		outer.BatchSize = 1 + rng.Intn(300)
-
-		stop := rng.Intn(3) // 0: full drain, 1: tuple-partial, 2: batch-partial
-		switch stop {
-		case 0:
-			got, err := rel.Drain(outer)
+		if err := outer.Open(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		buf := make([]types.Tuple, 1+rng.Intn(300))
+		got := rel.New(want.Schema)
+		// A full drain, or a few batches and then Close.
+		full, limit := rng.Intn(3) == 0, rng.Intn(10)
+		for batches := 0; full || batches < limit; batches++ {
+			n, err := outer.NextBatch(buf)
 			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
+				t.Fatalf("round %d: batch %d: %v", round, batches, err)
 			}
-			if !rel.EqualAsLists(got, want) {
-				t.Fatalf("round %d: parallel pipeline diverged from sequential sort", round)
-			}
-		case 1:
-			if err := outer.Open(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			limit := rng.Intn(in.Cardinality())
-			for i := 0; i < limit; i++ {
-				if _, ok, err := outer.Next(); err != nil || !ok {
-					t.Fatalf("round %d: next %d: ok=%v err=%v", round, i, ok, err)
+			if n == 0 {
+				if !rel.EqualAsLists(got, want) {
+					t.Fatalf("round %d: parallel pipeline diverged from sequential sort", round)
 				}
+				break
 			}
-			if err := outer.Close(); err != nil {
-				t.Fatalf("round %d: close: %v", round, err)
-			}
-		case 2:
-			if err := outer.Open(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			buf := make([]types.Tuple, 1+rng.Intn(64))
-			batches := rng.Intn(10)
-			for i := 0; i < batches; i++ {
-				if _, err := outer.NextBatch(buf); err != nil {
-					t.Fatalf("round %d: batch %d: %v", round, i, err)
-				}
-			}
-			if err := outer.Close(); err != nil {
-				t.Fatalf("round %d: close: %v", round, err)
-			}
+			got.Tuples = append(got.Tuples, buf[:n]...)
+		}
+		if err := outer.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
 		}
 	}
 }

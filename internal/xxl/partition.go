@@ -26,44 +26,19 @@ import (
 // partitioning; below it worker overhead dominates.
 const minPartitionRows = 1024
 
-// drainSorted materializes an iterator, opening it and closing it on
-// every path (a failed Open included), and validates that consecutive
-// tuples are ordered on keys; violations are reported through errf
-// (prev, cur). A nil errf skips validation.
-func drainSorted(in rel.Iterator, keys []int, errf func(prev, cur types.Tuple) error) ([]types.Tuple, error) {
-	if err := in.Open(); err != nil {
-		_ = in.Close() // the original error wins
-		return nil, err
-	}
+// drainSorted materializes an input (opening and closing it on every
+// path) and validates that consecutive tuples are ordered on keys; a
+// violation is the merge join's unsorted-input error for side.
+func drainSorted(in rel.Iterator, keys []int, side string) ([]types.Tuple, error) {
 	var rows []types.Tuple
-	check := func(t types.Tuple) error {
-		if errf != nil && len(rows) > 0 &&
-			types.CompareTuples(rows[len(rows)-1], t, keys, nil) > 0 {
-			return errf(rows[len(rows)-1], t)
+	err := rel.Each(in, func(t types.Tuple) error {
+		if len(rows) > 0 && types.CompareTuples(rows[len(rows)-1], t, keys, nil) > 0 {
+			return errJoinUnsorted(side)
 		}
 		rows = append(rows, t)
 		return nil
-	}
-	var err error
-	dst := make([]types.Tuple, rel.DefaultBatchSize)
-	for err == nil {
-		var n int
-		n, err = rel.NextBatch(in, dst)
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n && err == nil; i++ {
-			err = check(dst[i])
-		}
-	}
-	if err != nil {
-		_ = in.Close() // the original error wins
-		return nil, err
-	}
-	if err := in.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // splitAtKeyBoundaries cuts rows (sorted on keys) into at most
@@ -154,54 +129,6 @@ func runPartitions(par, n int, fn func(i int) ([]types.Tuple, error)) ([][]types
 	return outs, nil
 }
 
-// materialized is the shared serving state of the partitioned
-// operators: a concatenated result list plus cursor.
-type materialized struct {
-	out    [][]types.Tuple // per-partition outputs, served in order
-	part   int
-	pos    int
-	opened bool
-}
-
-func (m *materialized) reset(outs [][]types.Tuple) {
-	m.out = outs
-	m.part = 0
-	m.pos = 0
-	m.opened = true
-}
-
-func (m *materialized) next() (types.Tuple, bool) {
-	for m.part < len(m.out) {
-		p := m.out[m.part]
-		if m.pos < len(p) {
-			t := p[m.pos]
-			m.pos++
-			return t, true
-		}
-		m.part++
-		m.pos = 0
-	}
-	return nil, false
-}
-
-func (m *materialized) nextBatch(dst []types.Tuple) int {
-	n := 0
-	for n < len(dst) && m.part < len(m.out) {
-		p := m.out[m.part]
-		if m.pos >= len(p) {
-			m.part++
-			m.pos = 0
-			continue
-		}
-		c := copy(dst[n:], p[m.pos:])
-		m.pos += c
-		n += c
-	}
-	return n
-}
-
-func (m *materialized) close() { m.out = nil; m.opened = false }
-
 // partResult is one partition's computed output (or the stream error,
 // delivered in partition order after all preceding partitions).
 type partResult struct {
@@ -223,7 +150,7 @@ type partResult struct {
 // bounded window of partitions in memory; the executor only selects it
 // when Parallelism > 1.
 type PTAggr struct {
-	in      rel.Iterator
+	in      rel.Input
 	groupBy []int
 	t1, t2  int
 	aggs    []AggSpec
@@ -236,7 +163,6 @@ type PTAggr struct {
 	OnStats func(ParallelStats)
 
 	opened   bool // dispatcher running; it closes the input on its way out
-	inClosed bool // input already closed since the last Open
 	inSchema types.Schema
 	parts    chan chan partResult
 	stop     chan struct{}
@@ -244,15 +170,14 @@ type PTAggr struct {
 	closeErr error         // input Close error (EOS path), surfaced at Close
 	stats    ParallelStats // written by the dispatcher, read after done
 
-	cur []types.Tuple
-	pos int
+	cur rel.Cursor // the current partition's output
 	err error
 	eos bool
 }
 
 // NewPTAggr mirrors NewTAggr with a worker bound.
 func NewPTAggr(in rel.Iterator, groupBy []int, t1, t2 int, aggs []AggSpec, out types.Schema, parallelism int) *PTAggr {
-	return &PTAggr{in: in, groupBy: groupBy, t1: t1, t2: t2, aggs: aggs, schema: out, Parallelism: parallelism}
+	return &PTAggr{in: rel.In(in), groupBy: groupBy, t1: t1, t2: t2, aggs: aggs, schema: out, Parallelism: parallelism}
 }
 
 // Schema returns the output schema.
@@ -261,7 +186,6 @@ func (a *PTAggr) Schema() types.Schema { return a.schema }
 // Open opens the input synchronously (planning errors surface here)
 // and starts the partition dispatcher.
 func (a *PTAggr) Open() error {
-	a.inClosed = false
 	if err := a.in.Open(); err != nil {
 		return err
 	}
@@ -275,7 +199,8 @@ func (a *PTAggr) Open() error {
 	a.done = make(chan struct{})
 	a.closeErr = nil
 	a.stats = ParallelStats{Op: "TAggr^M"}
-	a.cur, a.pos, a.err, a.eos = nil, 0, nil, false
+	a.cur.Reset(nil)
+	a.err, a.eos = nil, false
 	a.opened = true
 	go a.dispatch(par)
 	return nil
@@ -309,8 +234,12 @@ func (a *PTAggr) dispatch(par int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			it := (&rel.Relation{Schema: a.inSchema, Tuples: rows}).Iter()
-			out, err := drainSorted(NewTAggr(it, a.groupBy, a.t1, a.t2, a.aggs, a.schema), nil, nil)
-			res <- partResult{rows: out, err: err}
+			out, err := rel.Drain(NewTAggr(it, a.groupBy, a.t1, a.t2, a.aggs, a.schema))
+			if err != nil {
+				res <- partResult{err: err}
+				return
+			}
+			res <- partResult{rows: out.Tuples}
 		}()
 		return true
 	}
@@ -368,7 +297,7 @@ func (a *PTAggr) dispatch(par int) {
 			return
 		default:
 		}
-		n, readErr := rel.NextBatch(a.in, dst)
+		n, readErr := a.in.NextBatch(dst)
 		if readErr == nil && n == 0 {
 			break
 		}
@@ -407,36 +336,17 @@ func (a *PTAggr) advance() bool {
 		a.err = r.err
 		return false
 	}
-	a.cur, a.pos = r.rows, 0
+	a.cur.Reset(r.rows)
 	return true
 }
 
-// Next serves the partition outputs in partition (= key) order.
-func (a *PTAggr) Next() (types.Tuple, bool, error) {
-	if !a.opened {
-		return nil, false, errNotOpened("taggr")
-	}
-	for {
-		if a.pos < len(a.cur) {
-			t := a.cur[a.pos]
-			a.pos++
-			return t, true, nil
-		}
-		if !a.advance() {
-			return nil, false, a.err
-		}
-	}
-}
-
-// NextBatch serves whole batches from the partition outputs.
+// NextBatch serves the partition outputs in partition (= key) order.
 func (a *PTAggr) NextBatch(dst []types.Tuple) (int, error) {
 	if !a.opened {
 		return 0, errNotOpened("taggr")
 	}
 	for {
-		if a.pos < len(a.cur) {
-			n := copy(dst, a.cur[a.pos:])
-			a.pos += n
+		if n := a.cur.Read(dst); n > 0 {
 			return n, nil
 		}
 		if !a.advance() {
@@ -451,20 +361,15 @@ func (a *PTAggr) NextBatch(dst []types.Tuple) (int, error) {
 // called. Idempotent.
 func (a *PTAggr) Close() error {
 	if !a.opened {
-		if a.inClosed {
-			return nil
-		}
-		a.inClosed = true
 		return a.in.Close()
 	}
 	a.opened = false
-	a.inClosed = true
 	close(a.stop)
 	// Unblock a dispatcher waiting to hand over a future.
 	for range a.parts {
 	}
 	<-a.done
-	a.cur = nil
+	a.cur.Reset(nil)
 	if a.OnStats != nil {
 		a.OnStats(a.stats)
 	}
@@ -480,7 +385,7 @@ func (a *PTAggr) Close() error {
 // is order preserving on the left input, so the result is
 // tuple-for-tuple the sequential join's output.
 type PJoin struct {
-	left, right  rel.Iterator
+	left, right  rel.Input
 	lkeys, rkeys []int
 
 	temporal           bool
@@ -493,17 +398,14 @@ type PJoin struct {
 	// OnStats, when set, receives the partition shape after Open.
 	OnStats func(ParallelStats)
 
-	// lclosed/rclosed: input already closed since the last Open (Open
-	// drains and closes each input it reaches).
-	lclosed, rclosed bool
-
-	m materialized
+	parts [][]types.Tuple // partition outputs not yet served
+	cur   rel.Cursor      // the partition being served
 }
 
 // NewPMergeJoin is the partitioned NewMergeJoin.
 func NewPMergeJoin(left, right rel.Iterator, lkeys, rkeys []int, parallelism int) *PJoin {
 	return &PJoin{
-		left: left, right: right, lkeys: lkeys, rkeys: rkeys,
+		left: rel.In(left), right: rel.In(right), lkeys: lkeys, rkeys: rkeys,
 		schema:      left.Schema().Concat(right.Schema()),
 		Parallelism: parallelism,
 	}
@@ -512,7 +414,7 @@ func NewPMergeJoin(left, right rel.Iterator, lkeys, rkeys []int, parallelism int
 // NewPTJoin is the partitioned NewTJoin.
 func NewPTJoin(left, right rel.Iterator, lkeys, rkeys []int, lt1, lt2, rt1, rt2 int, parallelism int) *PJoin {
 	return &PJoin{
-		left: left, right: right, lkeys: lkeys, rkeys: rkeys,
+		left: rel.In(left), right: rel.In(right), lkeys: lkeys, rkeys: rkeys,
 		temporal: true, lt1: lt1, lt2: lt2, rt1: rt1, rt2: rt2,
 		schema:      tjoinSchema(left.Schema(), right.Schema(), rt1, rt2),
 		Parallelism: parallelism,
@@ -533,18 +435,13 @@ func (j *PJoin) Open() error {
 	if j.temporal {
 		op = "TJoin^M"
 	}
-	j.lclosed, j.rclosed = false, false
-	leftRows, err := drainSorted(j.left, j.lkeys, func(prev, cur types.Tuple) error {
-		return errJoinUnsorted("left")
-	})
-	j.lclosed = true
+	j.parts = nil
+	j.cur.Reset(nil)
+	leftRows, err := drainSorted(&j.left, j.lkeys, "left")
 	if err != nil {
 		return err
 	}
-	rightRows, err := drainSorted(j.right, j.rkeys, func(prev, cur types.Tuple) error {
-		return errJoinUnsorted("right")
-	})
-	j.rclosed = true
+	rightRows, err := drainSorted(&j.right, j.rkeys, "right")
 	if err != nil {
 		return err
 	}
@@ -565,12 +462,16 @@ func (j *PJoin) Open() error {
 		} else {
 			seq = NewMergeJoin(li, ri, j.lkeys, j.rkeys)
 		}
-		return drainSorted(seq, nil, nil)
+		out, err := rel.Drain(seq)
+		if err != nil {
+			return nil, err
+		}
+		return out.Tuples, nil
 	})
 	if err != nil {
 		return err
 	}
-	j.m.reset(outs)
+	j.parts = outs
 	if j.OnStats != nil {
 		j.OnStats(stats)
 	}
@@ -595,37 +496,26 @@ func rightRange(right []types.Tuple, rkeys []int, leftPart []types.Tuple, lkeys 
 	return lo, hi
 }
 
-// Next serves the concatenated partition outputs in partition order.
-func (j *PJoin) Next() (types.Tuple, bool, error) {
-	if !j.m.opened {
-		return nil, false, errNotOpened("join")
-	}
-	t, ok := j.m.next()
-	return t, ok, nil
-}
-
-// NextBatch serves whole batches from the materialized result.
+// NextBatch serves the concatenated partition outputs in partition
+// order.
 func (j *PJoin) NextBatch(dst []types.Tuple) (int, error) {
-	if !j.m.opened {
-		return 0, errNotOpened("join")
+	for {
+		if n := j.cur.Read(dst); n > 0 || len(j.parts) == 0 {
+			return n, nil
+		}
+		j.cur.Reset(j.parts[0])
+		j.parts = j.parts[1:]
 	}
-	return j.m.nextBatch(dst), nil
 }
 
 // Close releases the materialized result and closes every input Open
 // did not reach (it stops at the first input that fails; without Open
-// that is both). Idempotent.
+// that is both).
 func (j *PJoin) Close() error {
-	j.m.close()
-	var lerr, rerr error
-	if !j.lclosed {
-		j.lclosed = true
-		lerr = j.left.Close()
-	}
-	if !j.rclosed {
-		j.rclosed = true
-		rerr = j.right.Close()
-	}
+	j.parts = nil
+	j.cur.Reset(nil)
+	lerr := j.left.Close()
+	rerr := j.right.Close()
 	if lerr != nil {
 		return lerr
 	}

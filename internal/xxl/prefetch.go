@@ -19,10 +19,7 @@ import (
 // Handing a batch across goroutines needs no copy: produced tuples are
 // immutable and stay valid while referenced (rel.Iterator).
 type Prefetch struct {
-	in rel.Iterator
-	// BatchSize is the rows per prefetched batch (default
-	// rel.DefaultBatchSize, aligning with the wire prefetch).
-	BatchSize int
+	in rel.Input
 	// OnStats, when set, receives {batches, rows} pulled when the
 	// stream completes or closes.
 	OnStats func(ParallelStats)
@@ -31,7 +28,6 @@ type Prefetch struct {
 	// join: an ordered lifecycle lock, not a latch.
 	mu     sync.Mutex //tango:lock-order prefetch
 	opened bool       // worker running
-	closed bool       // input already closed since the last Open
 
 	ch   chan prefBatch
 	free chan []types.Tuple
@@ -39,8 +35,7 @@ type Prefetch struct {
 	done chan struct{}
 
 	curBuf []types.Tuple // full-capacity buffer on loan from free
-	cur    []types.Tuple // valid view of curBuf
-	pos    int
+	cur    rel.Cursor    // serves the valid view of curBuf
 	err    error
 	eos    bool
 
@@ -54,11 +49,11 @@ type prefBatch struct {
 }
 
 // NewPrefetch wraps an iterator with background batch prefetching.
-func NewPrefetch(in rel.Iterator) *Prefetch { return &Prefetch{in: in} }
+func NewPrefetch(in rel.Iterator) *Prefetch { return &Prefetch{in: rel.In(in)} }
 
 // Unwrap returns the wrapped iterator, so plan rewrites that
 // type-assert on concrete operators can see through the prefetcher.
-func (p *Prefetch) Unwrap() rel.Iterator { return p.in }
+func (p *Prefetch) Unwrap() rel.Iterator { return p.in.Iterator() }
 
 // Schema returns the wrapped iterator's schema.
 func (p *Prefetch) Schema() types.Schema { return p.in.Schema() }
@@ -71,21 +66,17 @@ func (p *Prefetch) Open() error {
 	if p.opened {
 		return fmt.Errorf("xxl: prefetch already open")
 	}
-	p.closed = false
 	if err := p.in.Open(); err != nil {
 		return err
 	}
-	bs := p.BatchSize
-	if bs <= 0 {
-		bs = rel.DefaultBatchSize
-	}
 	p.ch = make(chan prefBatch, 1)
 	p.free = make(chan []types.Tuple, 2)
-	p.free <- make([]types.Tuple, bs)
-	p.free <- make([]types.Tuple, bs)
+	p.free <- make([]types.Tuple, rel.DefaultBatchSize)
+	p.free <- make([]types.Tuple, rel.DefaultBatchSize)
 	p.stop = make(chan struct{})
 	p.done = make(chan struct{})
-	p.curBuf, p.cur, p.pos = nil, nil, 0
+	p.curBuf = nil
+	p.cur.Reset(nil)
 	p.err, p.eos = nil, false
 	p.batches, p.rows = 0, 0
 	p.opened = true
@@ -104,7 +95,7 @@ func (p *Prefetch) worker() {
 			return
 		case buf = <-p.free:
 		}
-		n, err := rel.NextBatch(p.in, buf)
+		n, err := p.in.NextBatch(buf)
 		select {
 		case <-p.stop:
 			return
@@ -126,10 +117,9 @@ func (p *Prefetch) advance() bool {
 		// Hand the spent buffer back to the worker. Never blocks: at
 		// most two buffers exist and this one is off the free list.
 		p.free <- p.curBuf[:cap(p.curBuf)]
-		p.curBuf, p.cur = nil, nil
+		p.curBuf = nil
 	}
 	b := <-p.ch
-	p.pos = 0
 	if b.err != nil {
 		p.err = b.err
 		return false
@@ -138,28 +128,11 @@ func (p *Prefetch) advance() bool {
 		p.eos = true
 		return false
 	}
-	p.cur = b.rows
+	p.cur.Reset(b.rows)
 	p.curBuf = b.rows
 	p.batches++
 	p.rows += int64(len(b.rows))
 	return true
-}
-
-// Next returns the next prefetched tuple.
-func (p *Prefetch) Next() (types.Tuple, bool, error) {
-	if !p.opened {
-		return nil, false, errNotOpened("prefetch")
-	}
-	for {
-		if p.pos < len(p.cur) {
-			t := p.cur[p.pos]
-			p.pos++
-			return t, true, nil
-		}
-		if !p.advance() {
-			return nil, false, p.err
-		}
-	}
 }
 
 // NextBatch hands over (up to) one whole prefetched batch.
@@ -168,9 +141,7 @@ func (p *Prefetch) NextBatch(dst []types.Tuple) (int, error) {
 		return 0, errNotOpened("prefetch")
 	}
 	for {
-		if p.pos < len(p.cur) {
-			n := copy(dst, p.cur[p.pos:])
-			p.pos += n
+		if n := p.cur.Read(dst); n > 0 {
 			return n, nil
 		}
 		if !p.advance() {
@@ -187,15 +158,12 @@ func (p *Prefetch) NextBatch(dst []types.Tuple) (int, error) {
 func (p *Prefetch) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
-	p.closed = true
 	if p.opened {
 		p.opened = false
 		close(p.stop)
 		<-p.done
-		p.curBuf, p.cur = nil, nil
+		p.curBuf = nil
+		p.cur.Reset(nil)
 		if p.OnStats != nil {
 			p.OnStats(ParallelStats{
 				Op: "Prefetch", Workers: 1,

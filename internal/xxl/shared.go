@@ -1,7 +1,7 @@
 package xxl
 
 import (
-	"fmt"
+	"errors"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -26,28 +26,24 @@ func NewSharedSource(in rel.Iterator) *SharedSource {
 	return &SharedSource{in: in}
 }
 
-// materialize drains the inner iterator exactly once.
+// materialize drains (and so closes) the inner iterator exactly once.
 func (s *SharedSource) materialize() error {
-	if s.ran {
-		return s.err
-	}
-	s.ran = true
-	s.rel, s.err = rel.Drain(s.in)
-	if cerr := s.in.Close(); s.err == nil {
-		s.err = cerr
+	if !s.ran {
+		s.ran = true
+		s.rel, s.err = rel.Drain(s.in)
 	}
 	return s.err
 }
 
 // Reader returns a new independent iterator over the shared tuples.
 func (s *SharedSource) Reader() *SharedReader {
-	return &SharedReader{src: s, pos: -1}
+	return &SharedReader{src: s}
 }
 
 // SharedReader is one consumer of a SharedSource.
 type SharedReader struct {
 	src *SharedSource
-	pos int
+	cur rel.Cursor
 }
 
 // Schema returns the source schema.
@@ -58,22 +54,22 @@ func (r *SharedReader) Open() error {
 	if err := r.src.materialize(); err != nil {
 		return err
 	}
-	r.pos = 0
+	r.cur.Reset(r.src.rel.Tuples)
 	return nil
 }
 
-// Next returns the next shared tuple.
-func (r *SharedReader) Next() (types.Tuple, bool, error) {
-	if r.pos < 0 {
-		return nil, false, fmt.Errorf("xxl: shared reader not opened")
-	}
-	if r.pos >= r.src.rel.Cardinality() {
-		return nil, false, nil
-	}
-	t := r.src.rel.Tuples[r.pos]
-	r.pos++
-	return t, true, nil
-}
+// NextBatch serves the shared tuples.
+func (r *SharedReader) NextBatch(dst []types.Tuple) (int, error) { return r.cur.Read(dst), nil }
 
-// Close releases nothing (the buffer is shared); idempotent.
-func (r *SharedReader) Close() error { return nil }
+// Close releases nothing of the shared buffer. When no reader has
+// opened the source yet — a plan torn down before it ran — the first
+// Close closes the source's input in its place, and the source stays
+// unusable.
+func (r *SharedReader) Close() error {
+	r.cur.Reset(nil)
+	if s := r.src; !s.ran {
+		s.ran, s.err = true, errors.New("xxl: shared source closed before it was read")
+		return s.in.Close()
+	}
+	return nil
+}

@@ -24,7 +24,7 @@ const DefaultSortMemory = 1 << 17 // 128k tuples
 // tuples are sorted in memory; larger inputs spill sorted runs to
 // temporary files and merge them with a k-way heap.
 type Sort struct {
-	in        rel.Iterator
+	in        rel.Input
 	keys      []int
 	descs     []bool
 	MemTuples int
@@ -38,32 +38,30 @@ type Sort struct {
 	// (workers, chunks, partition sizes) after Open completes.
 	OnStats func(ParallelStats)
 
-	rows    []types.Tuple // in-memory case
-	pos     int
+	out     rel.Cursor // in-memory case
 	merger  *runMerger // external case
 	spilled int64      // bytes written to spill runs by the last Open
 }
 
 // NewSort sorts by the given column indexes, ascending.
 func NewSort(in rel.Iterator, keys []int) *Sort {
-	return &Sort{in: in, keys: keys, MemTuples: DefaultSortMemory}
+	return &Sort{in: rel.In(in), keys: keys, MemTuples: DefaultSortMemory}
 }
 
 // NewSortDesc sorts with per-key direction control.
 func NewSortDesc(in rel.Iterator, keys []int, descs []bool) *Sort {
-	return &Sort{in: in, keys: keys, descs: descs, MemTuples: DefaultSortMemory}
+	return &Sort{in: rel.In(in), keys: keys, descs: descs, MemTuples: DefaultSortMemory}
 }
 
 // Schema returns the input schema.
 func (s *Sort) Schema() types.Schema { return s.in.Schema() }
 
-// Open materializes and sorts the input, spilling if necessary. On
-// error the input iterator and any spilled run files are released; a
-// failed Open used to leak both. With Parallelism > 1, spilled runs
-// are sorted and written by a bounded worker pool while the
-// coordinator keeps pulling input, and in-memory buffers are
-// chunk-sorted concurrently; the output order is identical to the
-// sequential sort's.
+// Open materializes and sorts the input, spilling if necessary. The
+// input is closed on every path, and on error any spilled run files
+// are released. With Parallelism > 1, spilled runs are sorted and
+// written by a bounded worker pool while the coordinator keeps pulling
+// input, and in-memory buffers are chunk-sorted concurrently; the
+// output order is identical to the sequential sort's.
 func (s *Sort) Open() (err error) {
 	if s.MemTuples <= 0 {
 		s.MemTuples = DefaultSortMemory
@@ -72,60 +70,36 @@ func (s *Sort) Open() (err error) {
 	if par < 1 {
 		par = 1
 	}
-	s.rows = nil
-	s.pos = 0
+	s.out.Reset(nil)
 	s.merger = nil
 
 	gen := newRunGen(s, par)
-	inOpen := true
 	defer func() {
-		if err == nil {
-			return
+		if err != nil {
+			gen.abort()
 		}
-		if inOpen {
-			_ = s.in.Close() // error path: the original error wins
-		}
-		gen.abort()
 	}()
-	if err := s.in.Open(); err != nil {
-		return err
-	}
 	buf := make([]types.Tuple, 0, 1024)
-	spill := func() error {
+	if err := rel.Each(&s.in, func(t types.Tuple) error {
+		buf = append(buf, t)
+		if len(buf) < s.MemTuples {
+			return nil
+		}
 		buf = gen.spill(buf)
 		return gen.err()
-	}
-	dst := make([]types.Tuple, rel.DefaultBatchSize)
-	for {
-		n, e := rel.NextBatch(s.in, dst)
-		if e != nil {
-			return e
-		}
-		if n == 0 {
-			break
-		}
-		for _, t := range dst[:n] {
-			buf = append(buf, t)
-			if len(buf) >= s.MemTuples {
-				if e := spill(); e != nil {
-					return e
-				}
-			}
-		}
-	}
-	inOpen = false
-	if err := s.in.Close(); err != nil {
+	}); err != nil {
 		return err
 	}
 	if gen.chunks == 0 {
 		// Pure in-memory sort (chunk-parallel when configured).
-		s.rows = s.sortParallel(buf, par, &gen.stats)
+		s.out.Reset(s.sortParallel(buf, par, &gen.stats))
 		s.reportStats(gen, par)
 		return nil
 	}
 	if len(buf) > 0 {
-		if e := spill(); e != nil {
-			return e
+		gen.spill(buf)
+		if err := gen.err(); err != nil {
+			return err
 		}
 	}
 	files, err := gen.finish()
@@ -167,30 +141,28 @@ func (s *Sort) sortBuf(buf []types.Tuple) { types.SortTuples(buf, s.keys, s.desc
 // per-query resource attribution.
 func (s *Sort) SpilledBytes() int64 { return s.spilled }
 
-// Next returns tuples in key order.
-func (s *Sort) Next() (types.Tuple, bool, error) {
+// NextBatch returns tuples in key order.
+func (s *Sort) NextBatch(dst []types.Tuple) (int, error) {
 	if s.merger != nil {
-		return s.merger.next()
+		return rel.Fill(dst, s.merger.next)
 	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	return t, true, nil
+	return s.out.Read(dst), nil
 }
 
-// Close releases memory and temporary files, reporting the first
-// temp-file error (a close/remove failure means disk is not being
-// reclaimed, which the caller should hear about).
+// Close releases memory and temporary files, reporting the first error
+// (a close/remove failure means disk is not being reclaimed, which the
+// caller should hear about). It closes the input when Open did not get
+// to drain it.
 func (s *Sort) Close() error {
-	s.rows = nil
+	s.out.Reset(nil)
+	err := s.in.Close()
 	if s.merger != nil {
-		err := s.merger.close()
+		if merr := s.merger.close(); err == nil {
+			err = merr
+		}
 		s.merger = nil
-		return err
 	}
-	return nil
+	return err
 }
 
 // --- run files ---

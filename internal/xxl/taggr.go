@@ -35,14 +35,13 @@ type AggSpec struct {
 // Memory use is one group at a time. Order preserving on the grouping
 // attributes.
 type TAggr struct {
-	in      rel.Iterator
+	in      *rel.Reader
 	groupBy []int
 	t1, t2  int
 	aggs    []AggSpec
 	schema  types.Schema
 
-	out     []types.Tuple // intervals of the current group
-	pos     int
+	out     rel.Cursor  // intervals of the current group
 	nextRow types.Tuple // lookahead into the next group
 	prevRow types.Tuple // order validation
 	inDone  bool
@@ -55,7 +54,7 @@ type TAggr struct {
 // output schema is the group columns, T1, T2, then one column per
 // aggregate; the caller supplies it (derived from the algebra).
 func NewTAggr(in rel.Iterator, groupBy []int, t1, t2 int, aggs []AggSpec, out types.Schema) *TAggr {
-	return &TAggr{in: in, groupBy: groupBy, t1: t1, t2: t2, aggs: aggs, schema: out}
+	return &TAggr{in: rel.NewReader(in), groupBy: groupBy, t1: t1, t2: t2, aggs: aggs, schema: out}
 }
 
 // Schema returns the output schema.
@@ -66,8 +65,7 @@ func (a *TAggr) Open() error {
 	if err := a.in.Open(); err != nil {
 		return err
 	}
-	a.out = nil
-	a.pos = 0
+	a.out.Reset(nil)
 	a.nextRow = nil
 	a.prevRow = nil
 	a.inDone = false
@@ -78,7 +76,7 @@ func (a *TAggr) Open() error {
 
 // Close closes the input.
 func (a *TAggr) Close() error {
-	a.out = nil
+	a.out.Reset(nil)
 	return a.in.Close()
 }
 
@@ -89,25 +87,28 @@ func errTAggrUnsorted(prev, cur types.Tuple) error {
 	return fmt.Errorf("xxl: taggr input not sorted on grouping attributes and T1 (saw %v after %v)", cur, prev)
 }
 
-// Next returns the next constant-interval aggregate row.
-func (a *TAggr) Next() (types.Tuple, bool, error) {
+// NextBatch returns constant-interval aggregate rows, sweeping groups
+// until dst is full.
+func (a *TAggr) NextBatch(dst []types.Tuple) (int, error) {
 	if !a.opened {
-		return nil, false, errNotOpened("taggr")
+		return 0, errNotOpened("taggr")
 	}
-	for a.pos >= len(a.out) {
+	n := 0
+	for n < len(dst) {
+		if k := a.out.Read(dst[n:]); k > 0 {
+			n += k
+			continue
+		}
 		group, err := a.readGroup()
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
 		if group == nil {
-			return nil, false, nil
+			break
 		}
-		a.out = a.sweep(group)
-		a.pos = 0
+		a.out.Reset(a.sweep(group))
 	}
-	t := a.out[a.pos]
-	a.pos++
-	return t, true, nil
+	return n, nil
 }
 
 // readGroup collects the next run of input tuples sharing the grouping
@@ -308,7 +309,7 @@ func newExtremeRun(col int, min bool) *extremeRun {
 	return &extremeRun{col: col, min: min, live: map[string]int{}}
 }
 
-func (e *extremeRun) key(v types.Value) string { return canonKey(types.Tuple{v}) }
+func (e *extremeRun) key(v types.Value) string { return types.Tuple{v}.Key() }
 
 func (e *extremeRun) add(t types.Tuple) {
 	v := t[e.col]

@@ -65,19 +65,16 @@ func (t *TransferM) Open() error {
 	return nil
 }
 
-// Next streams the next row from the DBMS.
-func (t *TransferM) Next() (types.Tuple, bool, error) {
+// NextBatch hands over the rows of one wire fetch at a time.
+func (t *TransferM) NextBatch(dst []types.Tuple) (int, error) {
 	if t.rows == nil {
-		return nil, false, fmt.Errorf("xxl: transfer^M not opened")
+		return 0, errNotOpened("transfer^M")
 	}
-	row, ok, err := t.rows.Next()
-	if err != nil || !ok {
-		if t.rows != nil {
-			t.fb = t.rows.Feedback()
-		}
-		return nil, false, err
+	n, err := t.rows.NextBatch(dst)
+	if err != nil || n == 0 {
+		t.fb = t.rows.Feedback()
 	}
-	return row, true, nil
+	return n, err
 }
 
 // Close closes the cursor and drops any dependency temp tables.
@@ -108,7 +105,7 @@ func (t *TransferM) Feedback() client.Feedback { return t.fb }
 // must be dropped at the end of the query (§3.2).
 type TransferD struct {
 	conn  *client.Conn
-	in    rel.Iterator
+	in    rel.Input
 	table string
 
 	ran bool
@@ -120,7 +117,7 @@ type TransferD struct {
 
 // NewTransferD creates a transfer into the given temp table name.
 func NewTransferD(conn *client.Conn, in rel.Iterator, table string) *TransferD {
-	return &TransferD{conn: conn, in: in, table: table}
+	return &TransferD{conn: conn, in: rel.In(in), table: table}
 }
 
 // Table returns the DBMS-side table name.
@@ -141,7 +138,7 @@ func (t *TransferD) Run() error {
 		return nil
 	}
 	t.ran = true
-	src, err := rel.Drain(t.in)
+	src, err := rel.Drain(&t.in)
 	if err != nil {
 		return fmt.Errorf("xxl: transfer^D: drain: %w", err)
 	}
@@ -171,11 +168,13 @@ func (t *TransferD) createAndLoad(src *rel.Relation) error {
 	return nil
 }
 
-// Cleanup drops the temp table.
+// Cleanup drops the temp table, or closes the input when Run never
+// drained it. A later Run loads the table afresh.
 func (t *TransferD) Cleanup() error {
 	if !t.ran {
-		return nil
+		return t.in.Close()
 	}
+	t.ran = false
 	return t.conn.DropTable(t.table)
 }
 

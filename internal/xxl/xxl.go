@@ -12,9 +12,8 @@ import (
 // Filter is FILTER^M: predicate selection in the middleware. Order
 // preserving.
 type Filter struct {
-	in      rel.Iterator
-	pred    eval.Func
-	scratch []types.Tuple // batch fast-path input buffer
+	in   rel.Input
+	pred eval.Func
 }
 
 // NewFilter compiles the predicate against the input schema.
@@ -23,7 +22,7 @@ func NewFilter(in rel.Iterator, pred sqlast.Expr) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{in: in, pred: f}, nil
+	return &Filter{in: rel.In(in), pred: f}, nil
 }
 
 // Schema returns the input schema.
@@ -35,37 +34,27 @@ func (f *Filter) Open() error { return f.in.Open() }
 // Close closes the input.
 func (f *Filter) Close() error { return f.in.Close() }
 
-// Next returns the next tuple satisfying the predicate.
-func (f *Filter) Next() (types.Tuple, bool, error) {
-	for {
-		t, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
+// NextBatch passes on the tuples satisfying the predicate.
+func (f *Filter) NextBatch(dst []types.Tuple) (int, error) {
+	return rel.Select(&f.in, dst, func(t types.Tuple) (bool, error) {
 		v, err := f.pred(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if !v.IsNull() && v.AsBool() {
-			return t, true, nil
-		}
-	}
+		return !v.IsNull() && v.AsBool(), err
+	})
 }
 
 // Project is PROJECT^M: column selection/renaming by position. Order
 // preserving.
 type Project struct {
-	in      rel.Iterator
-	idx     []int
-	schema  types.Schema
-	scratch []types.Tuple // batch fast-path input buffer
-	rows    types.TupleAlloc
+	in     rel.Input
+	idx    []int
+	schema types.Schema
+	rows   types.TupleAlloc
 }
 
 // NewProject keeps the input columns at the given indexes, renaming
 // them per the output schema.
 func NewProject(in rel.Iterator, idx []int, out types.Schema) *Project {
-	return &Project{in: in, idx: idx, schema: out}
+	return &Project{in: rel.In(in), idx: idx, schema: out}
 }
 
 // Schema returns the output schema.
@@ -77,24 +66,28 @@ func (p *Project) Open() error { return p.in.Open() }
 // Close closes the input.
 func (p *Project) Close() error { return p.in.Close() }
 
-// Next projects the next tuple.
-func (p *Project) Next() (types.Tuple, bool, error) {
-	t, ok, err := p.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
+// NextBatch pulls an input batch into dst and replaces each tuple by
+// its projection.
+func (p *Project) NextBatch(dst []types.Tuple) (int, error) {
+	n, err := p.in.NextBatch(dst)
+	if err != nil || n == 0 {
+		return 0, err
 	}
-	out := p.rows.Make(len(p.idx))
-	for i, j := range p.idx {
-		out[i] = t[j]
+	for i, t := range dst[:n] {
+		out := p.rows.Make(len(p.idx))
+		for j, k := range p.idx {
+			out[j] = t[k]
+		}
+		dst[i] = out
 	}
-	return out, true, nil
+	return n, nil
 }
 
 // MergeJoin is JOIN^M: a sort-merge equi-join. Both inputs must be
 // sorted on their join columns. Output order follows the left input
 // (order preserving in the paper's sense).
 type MergeJoin struct {
-	left, right  rel.Iterator
+	left, right  *rel.Reader
 	lkeys, rkeys []int
 	schema       types.Schema
 
@@ -111,7 +104,7 @@ type MergeJoin struct {
 // NewMergeJoin joins sorted inputs on pairwise key columns.
 func NewMergeJoin(left, right rel.Iterator, lkeys, rkeys []int) *MergeJoin {
 	return &MergeJoin{
-		left: left, right: right, lkeys: lkeys, rkeys: rkeys,
+		left: rel.NewReader(left), right: rel.NewReader(right), lkeys: lkeys, rkeys: rkeys,
 		schema: left.Schema().Concat(right.Schema()),
 	}
 }
@@ -167,15 +160,17 @@ func compareOn(a types.Tuple, akeys []int, b types.Tuple, bkeys []int) int {
 	return 0
 }
 
-// Next produces the next joined tuple.
-func (j *MergeJoin) Next() (types.Tuple, bool, error) {
-	l, r, ok, err := j.nextPair()
-	if !ok {
-		return nil, false, err
-	}
-	out := j.rows.Make(len(l) + len(r))
-	copy(out[copy(out, l):], r)
-	return out, true, nil
+// NextBatch produces joined tuples.
+func (j *MergeJoin) NextBatch(dst []types.Tuple) (int, error) {
+	return rel.Fill(dst, func() (types.Tuple, bool, error) {
+		l, r, ok, err := j.nextPair()
+		if !ok {
+			return nil, false, err
+		}
+		out := j.rows.Make(len(l) + len(r))
+		copy(out[copy(out, l):], r)
+		return out, true, nil
+	})
 }
 
 // nextPair returns the next pair of a left and a right tuple with
@@ -292,29 +287,32 @@ func (j *TJoin) Open() error { return j.mj.Open() }
 // Close closes the underlying merge join.
 func (j *TJoin) Close() error { return j.mj.Close() }
 
-// Next returns the next overlapping pair with its intersected period.
-func (j *TJoin) Next() (types.Tuple, bool, error) {
-	for {
-		l, r, ok, err := j.mj.nextPair()
-		if !ok {
-			return nil, false, err
-		}
-		lp := types.Period{Start: l[j.lt1].AsInt(), End: l[j.lt2].AsInt()}
-		rp := types.Period{Start: r[j.rt1].AsInt(), End: r[j.rt2].AsInt()}
-		inter, ok := lp.Intersect(rp)
-		if !ok {
-			continue
-		}
-		out := append(j.mj.rows.Make(j.schema.Len())[:0], l...)
-		out[j.lt1] = coerceTime(l[j.lt1], inter.Start)
-		out[j.lt2] = coerceTime(l[j.lt2], inter.End)
-		for i, v := range r {
-			if i != j.rt1 && i != j.rt2 {
-				out = append(out, v)
+// NextBatch produces the overlapping pairs with their intersected
+// periods.
+func (j *TJoin) NextBatch(dst []types.Tuple) (int, error) {
+	return rel.Fill(dst, func() (types.Tuple, bool, error) {
+		for {
+			l, r, ok, err := j.mj.nextPair()
+			if !ok {
+				return nil, false, err
 			}
+			lp := types.Period{Start: l[j.lt1].AsInt(), End: l[j.lt2].AsInt()}
+			rp := types.Period{Start: r[j.rt1].AsInt(), End: r[j.rt2].AsInt()}
+			inter, ok := lp.Intersect(rp)
+			if !ok {
+				continue
+			}
+			out := append(j.mj.rows.Make(j.schema.Len())[:0], l...)
+			out[j.lt1] = coerceTime(l[j.lt1], inter.Start)
+			out[j.lt2] = coerceTime(l[j.lt2], inter.End)
+			for i, v := range r {
+				if i != j.rt1 && i != j.rt2 {
+					out = append(out, v)
+				}
+			}
+			return out, true, nil
 		}
-		return out, true, nil
-	}
+	})
 }
 
 // coerceTime builds a time value of the same kind as the sample.
@@ -328,12 +326,12 @@ func coerceTime(sample types.Value, day int64) types.Value {
 // DupElim is DUPELIM^M: hash-based duplicate elimination, keeping the
 // first occurrence (order preserving).
 type DupElim struct {
-	in   rel.Iterator
+	in   rel.Input
 	seen map[string]bool
 }
 
 // NewDupElim removes duplicate tuples.
-func NewDupElim(in rel.Iterator) *DupElim { return &DupElim{in: in} }
+func NewDupElim(in rel.Iterator) *DupElim { return &DupElim{in: rel.In(in)} }
 
 // Schema returns the input schema.
 func (d *DupElim) Schema() types.Schema { return d.in.Schema() }
@@ -350,27 +348,23 @@ func (d *DupElim) Close() error {
 	return d.in.Close()
 }
 
-// Next returns the next first-occurrence tuple.
-func (d *DupElim) Next() (types.Tuple, bool, error) {
-	for {
-		t, ok, err := d.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k := canonKey(t)
+// NextBatch passes on the first occurrence of every tuple.
+func (d *DupElim) NextBatch(dst []types.Tuple) (int, error) {
+	return rel.Select(&d.in, dst, func(t types.Tuple) (bool, error) {
+		k := t.Key()
 		if d.seen[k] {
-			continue
+			return false, nil
 		}
 		d.seen[k] = true
-		return t, true, nil
-	}
+		return true, nil
+	})
 }
 
 // Coalesce is COALESCE^M: merges value-equivalent tuples whose periods
 // overlap or meet. The input must be sorted on all non-time columns
 // and then T1.
 type Coalesce struct {
-	in      rel.Iterator
+	in      *rel.Reader
 	t1, t2  int
 	pending types.Tuple
 	owned   bool // pending is this operator's copy, not an input tuple
@@ -379,7 +373,7 @@ type Coalesce struct {
 
 // NewCoalesce coalesces periods at columns t1/t2 of a sorted input.
 func NewCoalesce(in rel.Iterator, t1, t2 int) *Coalesce {
-	return &Coalesce{in: in, t1: t1, t2: t2}
+	return &Coalesce{in: rel.NewReader(in), t1: t1, t2: t2}
 }
 
 // Schema returns the input schema.
@@ -408,8 +402,10 @@ func (c *Coalesce) valueEquivalent(a, b types.Tuple) bool {
 	return true
 }
 
-// Next returns the next maximal coalesced tuple.
-func (c *Coalesce) Next() (types.Tuple, bool, error) {
+// NextBatch produces maximal coalesced tuples.
+func (c *Coalesce) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, c.next) }
+
+func (c *Coalesce) next() (types.Tuple, bool, error) {
 	if c.done {
 		return nil, false, nil
 	}
@@ -448,23 +444,4 @@ func (c *Coalesce) Next() (types.Tuple, bool, error) {
 		c.pending, c.owned = t, false
 		return out, true, nil
 	}
-}
-
-// canonKey renders a tuple so equal tuples produce equal keys.
-func canonKey(t types.Tuple) string {
-	buf := make([]byte, 0, 32)
-	for _, v := range t {
-		switch {
-		case v.IsNull():
-			buf = append(buf, 0, 'N')
-		case v.Kind() == types.KindString:
-			buf = append(buf, 's', ':')
-			buf = append(buf, v.AsString()...)
-		default:
-			buf = append(buf, 'n', ':')
-			buf = append(buf, fmt.Sprintf("%v", v.AsFloat())...)
-		}
-		buf = append(buf, 0x1f)
-	}
-	return string(buf)
 }
