@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 .PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_14.json
+BENCHOUT ?= BENCH_22.json
 
 all: ci
 
@@ -98,6 +98,10 @@ load:
 # scan + project + ORDER BY on integer and on string keys.
 ROWBENCH = SortTuples|HeapScanDecode|EngineSort
 
+# OPTBENCH is the optimizer layer: one Optimize of each paper query
+# (ns/op and allocs/op), so an optimizer regression names its query.
+OPTBENCH = Selectivity/optimize
+
 # bench-smoke runs every benchmark for a single iteration at both
 # GOMAXPROCS widths, so ci catches benchmarks that no longer compile
 # or crash without paying for real measurement. The Query1 pattern
@@ -105,13 +109,15 @@ ROWBENCH = SortTuples|HeapScanDecode|EngineSort
 # on every run; GroupCommit smokes the concurrent commit path.
 bench-smoke:
 	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x -cpu 1,2
+	$(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 1x
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
 	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
 
 # bench-json measures the sequential-vs-parallel query benchmarks
 # (-cpu 1,4: 1 = sequential algorithms, 4 = windowed fetch pipeline,
 # prefetched transfers, partitioned operators) plus the wire codec
-# benchmarks, and archives the parsed numbers — ns/op, B/op,
+# benchmarks and the optimizer benchmarks (OPTBENCH, 200 optimizations
+# per query), and archives the parsed numbers — ns/op, B/op,
 # allocs/op, rows/s, seq-vs-parallel speedups, and the tracing
 # overhead ratio (Query1Tracing vs Query1; bar <= 5%) — in
 # $(BENCHOUT). 15 iterations per benchmark keeps the overhead ratio
@@ -123,6 +129,7 @@ bench-json:
 	{ $(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM' -benchtime 15x -cpu 1,4; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'GroupCommit' -benchtime 200x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
+	  $(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 200x; \
 	  $(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 2000x; \
 	  $(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 20x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)
 

@@ -22,9 +22,9 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/algebra"
 	"tango/internal/bench"
 	"tango/internal/rel"
-	"tango/internal/stats"
 	"tango/internal/wire"
 )
 
@@ -108,7 +108,8 @@ func BenchmarkQuery4(b *testing.B) {
 }
 
 // BenchmarkSelectivity times the §3.3 estimators (they must be cheap
-// enough to run inside optimization) and the optimizer end to end.
+// enough to run inside optimization) and the optimizer on each of the
+// paper's four queries, so an optimizer regression names its query.
 func BenchmarkSelectivity(b *testing.B) {
 	rows, err := bench.RunSelectivity()
 	if err != nil {
@@ -117,17 +118,26 @@ func BenchmarkSelectivity(b *testing.B) {
 	if len(rows) != 3 {
 		b.Fatal("unexpected selectivity table")
 	}
-	_ = stats.ModeSemantic
 	sys := newSystem(b, 4000, 50)
-	b.Run("optimize-q2", func(b *testing.B) {
-		initial := bench.Q2Initial(bench.Day(1996, time.January, 1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sys.MW.Optimize(initial.Clone()); err != nil {
-				b.Fatal(err)
+	end := bench.Day(1996, time.January, 1)
+	for _, q := range []struct {
+		name    string
+		initial *algebra.Node
+	}{
+		{"optimize-q1", bench.Q1Initial()},
+		{"optimize-q2", bench.Q2Initial(end)},
+		{"optimize-q3", bench.Q3Initial(end)},
+		{"optimize-q4", bench.Q4Initial()},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.MW.Optimize(q.initial.Clone()); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationBulkLoad compares TRANSFER^D's direct-path loader

@@ -181,6 +181,22 @@ type Catalog interface {
 
 // Schema computes the output schema of the subtree.
 func (n *Node) Schema(cat Catalog) (types.Schema, error) {
+	var in []types.Schema
+	for _, c := range [2]*Node{n.Left, n.Right} {
+		if c != nil {
+			s, err := c.Schema(cat)
+			if err != nil {
+				return types.Schema{}, err
+			}
+			in = append(in, s)
+		}
+	}
+	return n.Derive(cat, in...)
+}
+
+// Derive computes the operator's output schema from its inputs'
+// schemas (left, then right); the catalog resolves scans.
+func (n *Node) Derive(cat Catalog, inputs ...types.Schema) (types.Schema, error) {
 	switch n.Op {
 	case OpScan:
 		s, err := cat.TableSchema(n.Table)
@@ -193,13 +209,10 @@ func (n *Node) Schema(cat Catalog) (types.Schema, error) {
 		return s, nil
 
 	case OpSelect, OpDupElim, OpCoalesce, OpSort, OpTM, OpTD:
-		return n.Left.Schema(cat)
+		return inputs[0], nil
 
 	case OpProject:
-		in, err := n.Left.Schema(cat)
-		if err != nil {
-			return types.Schema{}, err
-		}
+		in := inputs[0]
 		cols := make([]types.Column, len(n.Cols))
 		for i, pc := range n.Cols {
 			j := in.ColumnIndex(pc.Src)
@@ -211,25 +224,10 @@ func (n *Node) Schema(cat Catalog) (types.Schema, error) {
 		return types.Schema{Cols: cols}, nil
 
 	case OpJoin:
-		l, err := n.Left.Schema(cat)
-		if err != nil {
-			return types.Schema{}, err
-		}
-		r, err := n.Right.Schema(cat)
-		if err != nil {
-			return types.Schema{}, err
-		}
-		return l.Concat(r), nil
+		return inputs[0].Concat(inputs[1]), nil
 
 	case OpTJoin:
-		l, err := n.Left.Schema(cat)
-		if err != nil {
-			return types.Schema{}, err
-		}
-		r, err := n.Right.Schema(cat)
-		if err != nil {
-			return types.Schema{}, err
-		}
+		l, r := inputs[0], inputs[1]
 		// Left keeps all columns (T1/T2 carry the intersected period);
 		// the right side loses its time columns.
 		lt1, lt2 := timeCols(l)
@@ -250,10 +248,7 @@ func (n *Node) Schema(cat Catalog) (types.Schema, error) {
 		return types.Schema{Cols: cols}, nil
 
 	case OpTAggr:
-		in, err := n.Left.Schema(cat)
-		if err != nil {
-			return types.Schema{}, err
-		}
+		in := inputs[0]
 		var cols []types.Column
 		for _, g := range n.GroupBy {
 			j := in.ColumnIndex(g)

@@ -91,10 +91,3 @@ func (f *Factors) AdaptOp(o ObservedOp, alpha float64) bool {
 	}
 	return false
 }
-
-// PredTerms exposes the selection-condition weight f(P) the cost
-// formulas use (the number of atomic predicate terms), so callers
-// assembling ObservedOp values price selections consistently.
-func PredTerms(pred interface{ String() string }) float64 {
-	return predWeight(pred)
-}

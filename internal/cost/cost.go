@@ -8,10 +8,10 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 
 	"tango/internal/algebra"
+	"tango/internal/sqlast"
 	"tango/internal/stats"
 )
 
@@ -68,153 +68,72 @@ func NewModel(est *stats.Estimator) *Model {
 // PlanCost returns the estimated cost (µs) of the whole plan: the sum
 // of the per-operator costs given the derived statistics.
 func (m *Model) PlanCost(n *algebra.Node) (float64, error) {
-	if n == nil {
-		return 0, nil
-	}
-	c, err := m.opCost(n)
-	if err != nil {
-		return 0, err
-	}
-	l, err := m.PlanCost(n.Left)
-	if err != nil {
-		return 0, err
-	}
-	r, err := m.PlanCost(n.Right)
-	if err != nil {
-		return 0, err
-	}
-	return c + l + r, nil
+	var total float64
+	_, _, err := m.Est.Snapshot().Estimate(n, func(op *algebra.Node, out *stats.RelStats, in []*stats.RelStats) {
+		total += m.OpCost(op, op.Loc(), out, in...)
+	})
+	return total, err
 }
 
-// opCost prices one operator (excluding its inputs).
-func (m *Model) opCost(n *algebra.Node) (float64, error) {
-	inStats := func() (*stats.RelStats, error) { return m.Est.Estimate(n.Left) }
-	outStats := func() (*stats.RelStats, error) { return m.Est.Estimate(n) }
-
+// OpCost prices one operator executing at loc (its inputs excluded)
+// from its output statistics and its inputs' (left, then right).
+func (m *Model) OpCost(n *algebra.Node, loc algebra.Location, out *stats.RelStats, in ...*stats.RelStats) float64 {
+	mw := loc == algebra.LocMW
 	switch n.Op {
 	case algebra.OpScan:
-		out, err := outStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.ScanD * out.Size(), nil
-
+		return m.F.ScanD * out.Size()
 	case algebra.OpTM:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.TM * in.Size(), nil
-
+		return m.F.TM * in[0].Size()
 	case algebra.OpTD:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.TD * in.Size(), nil
-
+		return m.F.TD * in[0].Size()
 	case algebra.OpSelect:
-		if n.Loc() == algebra.LocDBMS {
-			return 0, nil // the paper assumes zero-cost DBMS selection
+		if !mw {
+			return 0 // the paper assumes zero-cost DBMS selection
 		}
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.SelM * predWeight(n.Pred) * in.Size(), nil
-
-	case algebra.OpProject:
-		return 0, nil // zero output-forming cost for projection
-
+		return m.F.SelM * PredTerms(n.Pred) * in[0].Size()
 	case algebra.OpSort:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
 		f := m.F.SortD
-		if n.Loc() == algebra.LocMW {
+		if mw {
 			f = m.F.SortM
 		}
-		return f * in.Size() * log2(in.Card), nil
-
+		return f * in[0].Size() * log2(in[0].Card)
 	case algebra.OpJoin, algebra.OpTJoin:
-		l, err := m.Est.Estimate(n.Left)
-		if err != nil {
-			return 0, err
-		}
-		r, err := m.Est.Estimate(n.Right)
-		if err != nil {
-			return 0, err
-		}
-		out, err := outStats()
-		if err != nil {
-			return 0, err
-		}
 		f := m.F.JoinD
-		if n.Loc() == algebra.LocMW {
+		if mw {
 			f = m.F.JoinM
 		}
-		return f * (l.Size() + r.Size() + out.Size()), nil
-
+		return f * (in[0].Size() + in[1].Size() + out.Size())
 	case algebra.OpTAggr:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		out, err := outStats()
-		if err != nil {
-			return 0, err
-		}
-		if n.Loc() == algebra.LocMW {
+		if mw {
 			// Figure 6: internal second sort + linear terms.
-			internalSort := m.F.SortM * in.Size() * log2(in.Card)
-			return internalSort + m.F.TAggrM1*in.Size() + m.F.TAggrM2*out.Size(), nil
+			internalSort := m.F.SortM * in[0].Size() * log2(in[0].Card)
+			return internalSort + m.F.TAggrM1*in[0].Size() + m.F.TAggrM2*out.Size()
 		}
-		return m.F.TAggrD1*in.Size() + m.F.TAggrD2*out.Size(), nil
-
+		return m.F.TAggrD1*in[0].Size() + m.F.TAggrD2*out.Size()
 	case algebra.OpDupElim:
-		in, err := inStats()
-		if err != nil {
-			return 0, err
+		if mw {
+			return m.F.DupM * in[0].Size()
 		}
-		if n.Loc() == algebra.LocMW {
-			return m.F.DupM * in.Size(), nil
-		}
-		return m.F.SortD * in.Size() * log2(in.Card), nil
-
+		return m.F.SortD * in[0].Size() * log2(in[0].Card)
 	case algebra.OpCoalesce:
-		if n.Loc() == algebra.LocDBMS {
+		if !mw {
 			// Coalescing has no SQL translation; a plan that leaves it
 			// in the DBMS is not executable.
-			return math.Inf(1), nil
+			return math.Inf(1)
 		}
-		in, err := inStats()
-		if err != nil {
-			return 0, err
-		}
-		return m.F.CoalM * in.Size(), nil
-
-	default:
-		return 0, fmt.Errorf("cost: unknown op %v", n.Op)
+		return m.F.CoalM * in[0].Size()
 	}
+	return 0 // projection: zero output-forming cost
 }
 
-// predWeight is the paper's f(P): a coefficient for the selection
-// condition — here the number of atomic predicate terms.
-func predWeight(pred interface{ String() string }) float64 {
-	if pred == nil {
-		return 1
+// PredTerms is the paper's f(P), the selection-condition weight of the
+// cost formulas: the number of atomic terms the condition's AND/OR tree
+// combines (1 for no condition).
+func PredTerms(pred sqlast.Expr) float64 {
+	if b, ok := pred.(sqlast.BinaryExpr); ok && (b.Op == sqlast.OpAnd || b.Op == sqlast.OpOr) {
+		return PredTerms(b.Left) + PredTerms(b.Right)
 	}
-	// Count comparison-ish tokens crudely but deterministically by
-	// splitting on AND/OR.
-	s := pred.String()
-	terms := 1.0
-	for i := 0; i+4 < len(s); i++ {
-		if s[i:i+5] == " AND " || (i+4 <= len(s) && s[i:i+4] == " OR ") {
-			terms++
-		}
-	}
-	return terms
+	return 1
 }
 
 func log2(card float64) float64 {

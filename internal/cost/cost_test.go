@@ -104,11 +104,23 @@ func TestTransferCostScalesWithSize(t *testing.T) {
 }
 
 func TestPredWeight(t *testing.T) {
-	if w := predWeight(mustPredExpr(t, "a = 1")); w != 1 {
-		t.Errorf("one term: %g", w)
+	for _, c := range []struct {
+		pred string
+		want float64
+	}{
+		{"a = 1", 1},
+		{"a = 1 AND b = 2 AND c = 3", 3},
+		{"a = 1 OR (b = 2 AND NOT c = 3)", 3},
+		// Connectives inside string literals are not terms.
+		{"(EmpName = 'Smith AND Sons') OR (EmpName = 'X')", 2},
+		{"EmpName = ' OR ' AND Dept = 'R AND D'", 2},
+	} {
+		if w := PredTerms(mustPredExpr(t, c.pred)); w != c.want {
+			t.Errorf("PredTerms(%s) = %g, want %g", c.pred, w, c.want)
+		}
 	}
-	if w := predWeight(mustPredExpr(t, "a = 1 AND b = 2 AND c = 3")); w != 3 {
-		t.Errorf("three terms: %g", w)
+	if w := PredTerms(nil); w != 1 {
+		t.Errorf("no condition: %g, want 1", w)
 	}
 }
 

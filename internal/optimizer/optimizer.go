@@ -7,17 +7,17 @@ import (
 
 	"tango/internal/algebra"
 	"tango/internal/cost"
+	"tango/internal/planck"
 )
 
-// Optimizer enumerates candidate plans by transformation-rule closure
-// (phase one) and costs each candidate with the cost model (phase
-// two), exactly the two-phase structure of §2.1.
+// Optimizer is the Volcano optimizer of §2.1: it explores the initial
+// plan's memo with the transformation rules, then searches it for the
+// cheapest plan under the cost model, each memo expression priced once
+// from its inputs' cheapest plans.
 type Optimizer struct {
-	Cat   algebra.Catalog
+	// Model prices plans; its estimator's catalog and statistics source
+	// are read once per base table per optimization.
 	Model *cost.Model
-	// MaxPlans caps the enumeration (a safety valve; the paper's
-	// queries stay in the hundreds of elements).
-	MaxPlans int
 	// DisabledGroups turns heuristic groups off for ablation
 	// experiments (e.g. {1: true} disables the move-to-middleware
 	// rules, leaving stratum-style all-DBMS plans).
@@ -25,11 +25,11 @@ type Optimizer struct {
 }
 
 // New creates an optimizer.
-func New(cat algebra.Catalog, model *cost.Model) *Optimizer {
-	return &Optimizer{Cat: cat, Model: model, MaxPlans: 512}
+func New(model *cost.Model) *Optimizer {
+	return &Optimizer{Model: model}
 }
 
-// Candidate is one enumerated plan with its estimated cost.
+// Candidate is one complete plan with its estimated cost.
 type Candidate struct {
 	Plan *algebra.Node
 	Cost float64
@@ -39,208 +39,81 @@ type Candidate struct {
 // paper reports per query: equivalence classes and class elements,
 // plus search statistics for the telemetry exporter.
 type Result struct {
-	Best       *algebra.Node
-	BestCost   float64
-	Candidates []Candidate // sorted by ascending cost
+	Best     *algebra.Node
+	BestCost float64
+	// Candidates, sorted by ascending cost, are the cheapest completion
+	// of every expression of the root group, plus the cheapest plan
+	// without a T^D and the cheapest all-DBMS plan (the fallbacks of
+	// tango/fallback.go).
+	Candidates []Candidate
 	Classes    int
 	Elements   int
-	// PlansCosted is the number of complete plans priced in phase two.
+	// PlansCosted counts (expression, required order) pairs priced by
+	// the searches.
 	PlansCosted int
 	// RulesFired counts successful rule applications by rule name
-	// (including rewrites later deduplicated or invalidated).
+	// (including rewrites the memo already held).
 	RulesFired map[string]int
 	// Elapsed is the wall time of the whole optimization.
 	Elapsed time.Duration
 }
 
-// Optimize runs both phases on an initial plan (which, per §2.1,
-// assigns all processing to the DBMS with a single T^M on top).
+// Optimize explores and searches the memo of an initial plan (which,
+// per §2.1, assigns all processing to the DBMS with a single T^M on
+// top). The chosen plan delivers the order the initial plan promises.
 func (o *Optimizer) Optimize(initial *algebra.Node) (*Result, error) {
 	start := time.Now()
 	if err := initial.Validate(); err != nil {
 		return nil, fmt.Errorf("optimizer: initial plan: %w", err)
 	}
-	maxPlans := o.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = 512
+	m := newMemo(o.Model.Est.Snapshot(), o.Model)
+	for _, r := range DefaultRules(m.schema) {
+		if !o.DisabledGroups[r.Group] {
+			m.rules = append(m.rules, r)
+		}
 	}
-	rules := o.activeRules()
-
-	// Phase one: transformation closure with memoized plan keys.
-	memo := newMemo()
-	seen := map[string]*algebra.Node{}
+	root := m.insert(initial, -1)
+	if root < 0 || m.groups[root].loc != algebra.LocMW {
+		return nil, fmt.Errorf("optimizer: initial plan does not deliver to the middleware")
+	}
 	var order []string
-	add := func(p *algebra.Node) {
-		k := p.Key()
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = p
-		order = append(order, k)
-		memo.addPlan(p)
+	if p, err := planck.Infer(initial, m.snap); err == nil {
+		order = p.Order
 	}
-	fired := map[string]int{}
-	add(initial.Clone())
-	for i := 0; i < len(order) && len(order) < maxPlans; i++ {
-		plan := seen[order[i]]
-		for _, rewritten := range applyRulesEverywhere(plan, rules, memo, fired) {
-			if len(order) >= maxPlans {
-				break
-			}
-			if rewritten.Validate() != nil {
-				continue
-			}
-			add(rewritten)
-		}
-	}
+	m.explore()
+	root = m.find(root)
 
-	// Phase two: cost every candidate.
-	res := &Result{RulesFired: fired}
-	for _, k := range order {
-		plan := seen[k]
-		// Only complete plans (root delivering to the middleware) are
-		// executable.
-		if plan.Loc() != algebra.LocMW {
-			continue
+	res := &Result{RulesFired: m.fired}
+	seen := map[string]bool{}
+	add := func(c Candidate) {
+		if k := c.Plan.Key(); !seen[k] {
+			seen[k] = true
+			res.Candidates = append(res.Candidates, c)
 		}
-		c, err := o.Model.PlanCost(plan)
-		if err != nil {
-			return nil, err
-		}
-		res.Candidates = append(res.Candidates, Candidate{Plan: plan, Cost: c})
-		res.PlansCosted++
 	}
-	if len(res.Candidates) == 0 {
+	winner := func(s *search) {
+		if w := s.best(root, order); w != nil {
+			add(Candidate{Plan: s.plan(root, order), Cost: w.cost})
+		}
+	}
+	all, noTD, allDBMS := m.search(searchAll), m.search(searchNoTD), m.search(searchAllDBMS)
+	if winner(all); len(res.Candidates) == 0 {
 		return nil, fmt.Errorf("optimizer: no executable candidate plans")
 	}
+	for _, e := range m.groups[root].exprs {
+		if c, ok := all.completion(e, order); ok {
+			add(c)
+		}
+	}
+	winner(noTD)
+	winner(allDBMS)
+	res.PlansCosted = all.costed + noTD.costed + allDBMS.costed
+	// The winner stays first among equal costs.
 	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		return res.Candidates[i].Cost < res.Candidates[j].Cost
+		return cheaper(res.Candidates[i].Cost, res.Candidates[j].Cost)
 	})
-	res.Best = res.Candidates[0].Plan
-	res.BestCost = res.Candidates[0].Cost
-	res.Classes, res.Elements = memo.counts()
+	res.Best, res.BestCost = res.Candidates[0].Plan, res.Candidates[0].Cost
+	res.Classes, res.Elements = m.counts()
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func (o *Optimizer) activeRules() []Rule {
-	all := DefaultRules(o.Cat)
-	if len(o.DisabledGroups) == 0 {
-		return all
-	}
-	var out []Rule
-	for _, r := range all {
-		if !o.DisabledGroups[r.Group] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// applyRulesEverywhere applies every rule at every node of the plan,
-// returning full rewritten plans. The memo records subtree
-// equivalences for the class/element accounting; fired counts
-// successful applications per rule name.
-func applyRulesEverywhere(plan *algebra.Node, rules []Rule, memo *memoTable, fired map[string]int) []*algebra.Node {
-	var out []*algebra.Node
-	// Enumerate node positions by a path of 0 (left) / 1 (right).
-	var walk func(n *algebra.Node, path []int)
-	walk = func(n *algebra.Node, path []int) {
-		if n == nil {
-			return
-		}
-		for _, r := range rules {
-			for _, sub := range r.Apply(n) {
-				if fired != nil {
-					fired[r.Name]++
-				}
-				memo.recordEquiv(n, sub)
-				out = append(out, replaceAt(plan, path, sub))
-			}
-		}
-		walk(n.Left, append(append([]int{}, path...), 0))
-		walk(n.Right, append(append([]int{}, path...), 1))
-	}
-	walk(plan, nil)
-	return out
-}
-
-// replaceAt clones the plan with the subtree at path replaced.
-func replaceAt(plan *algebra.Node, path []int, sub *algebra.Node) *algebra.Node {
-	if len(path) == 0 {
-		return sub.Clone()
-	}
-	c := *plan
-	cp := &c
-	cp.Left = plan.Left
-	cp.Right = plan.Right
-	if path[0] == 0 {
-		cp.Left = replaceAt(plan.Left, path[1:], sub)
-	} else {
-		cp.Right = replaceAt(plan.Right, path[1:], sub)
-	}
-	return cp
-}
-
-// --- Volcano-style accounting ---
-
-// memoTable tracks distinct subexpressions (elements) grouped into
-// equivalence classes via union-find, mirroring the class/element
-// counts the Volcano memo would hold.
-type memoTable struct {
-	parent map[string]string
-	known  map[string]bool
-}
-
-func newMemo() *memoTable {
-	return &memoTable{parent: map[string]string{}, known: map[string]bool{}}
-}
-
-func (m *memoTable) find(k string) string {
-	p, ok := m.parent[k]
-	if !ok {
-		m.parent[k] = k
-		return k
-	}
-	if p == k {
-		return k
-	}
-	root := m.find(p)
-	m.parent[k] = root
-	return root
-}
-
-func (m *memoTable) union(a, b string) {
-	ra, rb := m.find(a), m.find(b)
-	if ra != rb {
-		m.parent[ra] = rb
-	}
-}
-
-// addPlan registers every subtree of the plan as an element.
-func (m *memoTable) addPlan(p *algebra.Node) {
-	p.Walk(func(n *algebra.Node) {
-		k := n.Key()
-		m.known[k] = true
-		m.find(k)
-	})
-}
-
-// recordEquiv marks two subtrees as members of one equivalence class.
-func (m *memoTable) recordEquiv(a, b *algebra.Node) {
-	ka, kb := a.Key(), b.Key()
-	m.known[ka] = true
-	m.known[kb] = true
-	m.union(ka, kb)
-	// Their subtrees are elements too.
-	m.addPlan(b)
-}
-
-// counts returns (classes, elements).
-func (m *memoTable) counts() (int, int) {
-	roots := map[string]bool{}
-	for k := range m.known {
-		roots[m.find(k)] = true
-	}
-	return len(roots), len(m.known)
 }

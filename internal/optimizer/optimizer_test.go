@@ -61,10 +61,16 @@ func testSource() fixedSource {
 	}
 }
 
+// schemaIn resolves subtree schemas against a catalog, as rules see
+// them outside a memo.
+func schemaIn(cat algebra.Catalog) schemaOf {
+	return func(n *algebra.Node) (types.Schema, error) { return n.Schema(cat) }
+}
+
 func newOptimizer() *Optimizer {
 	cat := testCatalog()
 	est := stats.NewEstimator(cat, testSource())
-	return New(cat, cost.NewModel(est))
+	return New(cost.NewModel(est))
 }
 
 // query1Initial is the paper's Query 1 initial plan: temporal
@@ -130,9 +136,9 @@ func TestHeuristicGroup1Disabled(t *testing.T) {
 }
 
 func TestSortEliminatedWhenOrderSatisfied(t *testing.T) {
-	// TAGGR^M preserves (PosID, T1) order, so the top sort on PosID is
-	// redundant in the middleware plan; T10 should let the optimizer
-	// find a plan without a final sort.
+	// TAGGR^M delivers (PosID, T1) order, so the top sort on PosID is
+	// redundant in the middleware plan and the optimizer must not
+	// enforce it again.
 	o := newOptimizer()
 	res, err := o.Optimize(query1Initial())
 	if err != nil {
@@ -146,30 +152,49 @@ func TestSortEliminatedWhenOrderSatisfied(t *testing.T) {
 		}
 	})
 	if sortCount > 0 {
-		t.Errorf("best plan has %d middleware sorts; T10 should remove them:\n%s", sortCount, best)
+		t.Errorf("best plan has %d middleware sorts; TAGGR^M already delivers the order:\n%s", sortCount, best)
 	}
 }
 
 func TestOrderComputation(t *testing.T) {
-	scan := algebra.Scan("POSITION", "")
-	if o := Order(scan); o != nil {
-		t.Errorf("scan order = %v", o)
+	o := newOptimizer()
+	m := newMemo(o.Model.Est.Snapshot(), o.Model)
+	aggr := algebra.TAggr(algebra.TM(algebra.Scan("POSITION", "")), []string{"PosID"},
+		algebra.Agg{Fn: "COUNT", Col: "PosID"})
+	g := m.insert(algebra.TD(aggr), -1)
+	td := m.groups[g].exprs[0]
+	taggr := m.groups[td.kids[0]].exprs[0]
+	tm := m.groups[taggr.kids[0]].exprs[0]
+	scan := m.groups[tm.kids[0]].exprs[0]
+	orders := func(e *mexpr, order ...string) ([][]string, bool) { return m.inputOrders(e, order) }
+
+	// TAGGR^M needs (PosID, T1) and delivers it, so it satisfies any
+	// prefix of it.
+	if in, ok := orders(taggr, "PosID"); !ok || !isPrefixOf([]string{"PosID", "T1"}, in[0]) || len(in[0]) != 2 {
+		t.Errorf("TAGGR^M under order PosID: %v %v", in, ok)
 	}
-	s := algebra.Sort(scan, "PosID", "T1")
-	if o := Order(s); len(o) != 2 || o[0] != "PosID" {
-		t.Errorf("sort order = %v", o)
+	if _, ok := orders(taggr, "T1"); ok {
+		t.Error("TAGGR^M cannot deliver order T1")
 	}
-	tm := algebra.TM(s)
-	if o := Order(tm); len(o) != 2 {
-		t.Errorf("TM should preserve order: %v", o)
+	// T^M passes the order down: a sort below it lands in the SQL.
+	if in, ok := orders(tm, "PosID", "T1"); !ok || len(in[0]) != 2 {
+		t.Errorf("T^M should pass its order to the DBMS: %v %v", in, ok)
 	}
-	taggr := algebra.TAggr(tm, []string{"PosID"}, algebra.Agg{Fn: "COUNT", Col: "PosID"})
-	if o := Order(taggr); len(o) != 2 || !strings.EqualFold(o[1], "T1") {
-		t.Errorf("TAGGR^M order = %v", o)
+	// DBMS operators and T^D promise no order.
+	for _, e := range []*mexpr{scan, td} {
+		if _, ok := orders(e, "PosID"); ok {
+			t.Errorf("%v delivered an order", e.n.Op)
+		}
+		if _, ok := orders(e); !ok {
+			t.Errorf("%v refused to run unordered", e.n.Op)
+		}
 	}
-	td := algebra.TD(taggr)
-	if o := Order(td); o != nil {
-		t.Errorf("TD should destroy order: %v", o)
+	// A middleware projection renames the order it passes down.
+	m2 := newMemo(o.Model.Est.Snapshot(), o.Model)
+	pg := m2.insert(algebra.Project(algebra.TM(algebra.Scan("POSITION", "A")),
+		algebra.ProjCol{Src: "A.PosID", As: "P"}), -1)
+	if in, ok := m2.inputOrders(m2.groups[pg].exprs[0], []string{"P"}); !ok || in[0][0] != "A.PosID" {
+		t.Errorf("projection order: %v %v", in, ok)
 	}
 }
 
@@ -193,14 +218,11 @@ func TestRuleT1Shape(t *testing.T) {
 		t.Fatalf("T1 fired %d times", len(out))
 	}
 	p := out[0]
-	// Shape: TD(TAggr(TM(Sort(scan)))).
+	// Shape: TD(TAggr(TM(scan))); the sort TAGGR^M needs is enforced
+	// during the search (TestOrderComputation).
 	if p.Op != algebra.OpTD || p.Left.Op != algebra.OpTAggr ||
-		p.Left.Left.Op != algebra.OpTM || p.Left.Left.Left.Op != algebra.OpSort {
+		p.Left.Left.Op != algebra.OpTM || p.Left.Left.Left.Op != algebra.OpScan {
 		t.Fatalf("T1 shape:\n%s", p)
-	}
-	keys := p.Left.Left.Left.Keys
-	if len(keys) != 2 || keys[0] != "PosID" || keys[1] != "T1" {
-		t.Errorf("T1 sort keys = %v", keys)
 	}
 	// T1 must not fire on a middleware-resident aggregation.
 	mwAggr := algebra.TAggr(algebra.TM(algebra.Scan("POSITION", "")), []string{"PosID"})
@@ -210,7 +232,7 @@ func TestRuleT1Shape(t *testing.T) {
 }
 
 func TestRuleE2Commute(t *testing.T) {
-	rule := joinCommute(testCatalog())
+	rule := joinCommute(schemaIn(testCatalog()))
 	j := algebra.Join(algebra.Scan("POSITION", "A"), algebra.Scan("POSITION", "B"),
 		[]string{"A.PosID"}, []string{"B.PosID"})
 	out := rule(j)
@@ -247,7 +269,7 @@ func TestRuleE2Commute(t *testing.T) {
 
 func TestSelectPushdownBelowJoin(t *testing.T) {
 	cat := testCatalog()
-	rule := selectBelowJoin(cat)
+	rule := selectBelowJoin(schemaIn(cat))
 	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE B.PayRate > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -339,14 +361,134 @@ func TestOptimizationDeterministic(t *testing.T) {
 	}
 }
 
-func TestMaxPlansCapRespected(t *testing.T) {
-	o := newOptimizer()
-	o.MaxPlans = 5
-	res, err := o.Optimize(query1Initial())
+// TestCatalogTrafficPerOptimize: each Node.Schema or statistics lookup
+// used to reach the catalog — over TCP, one wire round trip each. An
+// optimization now reads each distinct base table's schema and
+// statistics at most once, however many scans and rewrites touch it.
+func TestCatalogTrafficPerOptimize(t *testing.T) {
+	cat, src := testCatalog(), testSource()
+	cat["EMPLOYEE"] = types.NewSchema(
+		types.Column{Name: "EmpID", Kind: types.KindInt},
+		types.Column{Name: "PosID", Kind: types.KindInt})
+	src["EMPLOYEE"] = &meta.TableStats{Table: "EMPLOYEE", Cardinality: 500, AvgTupleSize: 16,
+		Columns: map[string]*meta.ColumnStats{"POSID": {Name: "PosID", Distinct: 400}}}
+	schemas, tables := map[string]int{}, map[string]int{}
+	counted := countingCatalog{cat, schemas}
+	o := New(cost.NewModel(stats.NewEstimator(counted, countingSource{src, tables})))
+	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE B.PayRate > 10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Candidates) > 5 {
-		t.Errorf("cap exceeded: %d candidates", len(res.Candidates))
+	plans := []*algebra.Node{
+		query1Initial(),
+		algebra.TM(algebra.Select(algebra.TJoin(
+			algebra.ProjectCols(algebra.Scan("POSITION", "A"), "A.PosID", "A.T1", "A.T2"),
+			algebra.Scan("POSITION", "B"), []string{"A.PosID"}, []string{"B.PosID"}), sel.Where)),
+		algebra.TM(algebra.Join(algebra.Scan("POSITION", "P"), algebra.Scan("EMPLOYEE", "E"),
+			[]string{"P.PosID"}, []string{"E.PosID"})),
+	}
+	for _, p := range plans {
+		clear(schemas)
+		clear(tables)
+		if _, err := o.Optimize(p); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []map[string]int{schemas, tables} {
+			for table, n := range m {
+				if n > 1 {
+					t.Errorf("%s fetched %d times in one optimization (schemas %v, statistics %v):\n%s",
+						table, n, schemas, tables, p)
+				}
+			}
+		}
+	}
+}
+
+type countingCatalog struct {
+	fixedCatalog
+	n map[string]int
+}
+
+func (c countingCatalog) TableSchema(name string) (types.Schema, error) {
+	c.n[strings.ToUpper(name)]++
+	return c.fixedCatalog.TableSchema(name)
+}
+
+type countingSource struct {
+	fixedSource
+	n map[string]int
+}
+
+func (s countingSource) TableStats(table string, buckets int) (*meta.TableStats, error) {
+	s.n[strings.ToUpper(table)]++
+	return s.fixedSource.TableStats(table, buckets)
+}
+
+// TestSearchTerminatesOnCommutingJoins: E2 commutes a join in both
+// directions, each time under a restoring projection, which made the
+// whole-plan search infinite (it stopped at a plan cap). In the memo
+// the two orientations are two groups that refer to each other, so the
+// search ends on its own with both join placements among the
+// candidates.
+func TestSearchTerminatesOnCommutingJoins(t *testing.T) {
+	o := newOptimizer()
+	initial := algebra.TM(algebra.Join(
+		algebra.ProjectCols(algebra.Scan("POSITION", "A"), "A.PosID", "A.PayRate"),
+		algebra.ProjectCols(algebra.Scan("POSITION", "B"), "B.PosID", "B.EmpName"),
+		[]string{"A.PosID"}, []string{"B.PosID"}))
+	res, err := o.Optimize(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RulesFired["E2-join-commute"] == 0 {
+		t.Errorf("E2 never fired: %v", res.RulesFired)
+	}
+	locs := map[algebra.Location]bool{}
+	for _, c := range res.Candidates {
+		c.Plan.Walk(func(n *algebra.Node) {
+			if n.Op == algebra.OpJoin {
+				locs[n.Loc()] = true
+			}
+		})
+	}
+	if !locs[algebra.LocDBMS] || !locs[algebra.LocMW] {
+		t.Errorf("join placements among %d candidates: %v", len(res.Candidates), locs)
+	}
+	if res.Classes > 100 || res.Elements > 300 {
+		t.Errorf("memo of a two-way join: %d classes, %d elements", res.Classes, res.Elements)
+	}
+}
+
+// TestCandidateCostsArePlanCosts: the memo prices each expression once,
+// from its group's statistics and its inputs' cheapest plans; pricing
+// each extracted candidate whole (cost.Model.PlanCost, the reference)
+// must give the same number.
+func TestCandidateCostsArePlanCosts(t *testing.T) {
+	o := newOptimizer()
+	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE B.PayRate > 10 AND B.T1 < 9000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, initial := range []*algebra.Node{
+		query1Initial(),
+		algebra.TM(algebra.Sort(algebra.Select(algebra.TJoin(
+			algebra.ProjectCols(algebra.Scan("POSITION", "A"), "A.PosID", "A.T1", "A.T2"),
+			algebra.Scan("POSITION", "B"), []string{"A.PosID"}, []string{"B.PosID"}), sel.Where), "A.PosID")),
+		algebra.TM(algebra.Join(algebra.Scan("POSITION", "A"), algebra.Scan("POSITION", "B"),
+			[]string{"A.PosID"}, []string{"B.PosID"})),
+	} {
+		res, err := o.Optimize(initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Candidates {
+			want, err := o.Model.PlanCost(c.Plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := c.Cost - want; diff > 1e-9*want || -diff > 1e-9*want {
+				t.Errorf("memo priced %v, the plan costs %v:\n%s", c.Cost, want, c.Plan)
+			}
+		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package optimizer implements TANGO's query optimizer: a
-// Volcano-style transformation engine over the middleware algebra. The
-// transformation rules are the paper's T1–T12 heuristics and E1–E5
-// equivalences (§4); candidate plans are enumerated in phase one and
-// costed with the cost model in phase two, and the optimizer reports
-// its equivalence-class and element counts the way the paper does for
-// each experiment query.
+// Package optimizer implements TANGO's query optimizer: a Volcano
+// memo over the middleware algebra. The transformation rules are the
+// paper's T1–T12 heuristics and E1–E5 equivalences (§4), fired once per
+// memo expression; sort order is a required physical property with
+// sort as its enforcer, so the rules that only shuffle sorts are
+// subsumed. The optimizer reports its equivalence-class and element
+// counts the way the paper does for each experiment query.
 package optimizer
 
 import (
@@ -13,73 +13,67 @@ import (
 	"tango/internal/algebra"
 	"tango/internal/eval"
 	"tango/internal/sqlast"
+	"tango/internal/types"
 )
 
 // Rule is one transformation: given a subtree root, it returns zero or
-// more rewritten subtree roots (freshly cloned).
+// more equivalent subtree roots. Rewrites may share the subtree's
+// inputs (the memo never mutates a node).
 type Rule struct {
 	Name  string
-	Group int // heuristic group (1, 2) or 0 for equivalences
+	Group int // heuristic group (1, 2, 4) or 0 for equivalences
+	// Deep rules also match on the operator of the root's left input;
+	// the memo fires them once per (expression, left-input expression)
+	// pair and the others once per expression.
+	Deep  bool
 	Apply func(n *algebra.Node) []*algebra.Node
 }
 
-// DefaultRules returns the rule set of §4. The catalog is needed by
-// the heuristic-group-4 selection pushdown, which must resolve which
-// join input a predicate refers to.
-func DefaultRules(cat algebra.Catalog) []Rule {
+// schemaOf resolves a subtree's output schema (the memo answers from
+// the subtree's group).
+type schemaOf func(n *algebra.Node) (types.Schema, error)
+
+// DefaultRules returns the rule set of §4. The rules that inspect
+// column names (selection pushdown, narrowing, commuting, coalescing)
+// resolve schemas through schema.
+func DefaultRules(schema schemaOf) []Rule {
 	return []Rule{
 		{Name: "T1-taggr-to-mw", Group: 1, Apply: ruleT1},
-		{Name: "T2-join-to-mw", Group: 1, Apply: ruleT2},
-		{Name: "T3-tjoin-to-mw", Group: 1, Apply: ruleT3},
-		{Name: "T4-select-above-tm", Group: 1, Apply: ruleT4},
-		{Name: "T5-project-above-tm", Group: 1, Apply: ruleT5},
-		{Name: "T6-sort-above-tm", Group: 1, Apply: ruleT6},
-		{Name: "T7-collapse-tm-td", Group: 2, Apply: ruleT7},
-		{Name: "T8-collapse-td-tm", Group: 2, Apply: ruleT8},
-		{Name: "T10-drop-redundant-sort", Group: 2, Apply: ruleT10},
-		{Name: "T11-drop-sort-before-td", Group: 2, Apply: ruleT11},
-		{Name: "T12-collapse-sorts", Group: 2, Apply: ruleT12},
-		{Name: "E1-project-select-commute", Group: 0, Apply: ruleE1},
-		{Name: "E2-join-commute", Group: 0, Apply: joinCommute(cat)},
-		{Name: "E4-sort-select-commute", Group: 0, Apply: ruleE4},
-		{Name: "E5-sort-project-commute", Group: 0, Apply: ruleE5},
-		{Name: "G4-select-below-join", Group: 4, Apply: selectBelowJoin(cat)},
-		{Name: "G4-narrow-taggr-input", Group: 4, Apply: narrowTAggrInput(cat)},
-		{Name: "T5r-project-below-tm", Group: 4, Apply: ruleProjectBelowTM},
-		{Name: "TC1-coalesce-to-mw", Group: 1, Apply: coalesceToMW(cat)},
+		{Name: "T2-join-to-mw", Group: 1, Apply: joinToMW(algebra.OpJoin)},
+		{Name: "T3-tjoin-to-mw", Group: 1, Apply: joinToMW(algebra.OpTJoin)},
+		{Name: "T4-select-above-tm", Group: 1, Deep: true, Apply: ruleT4},
+		{Name: "T5-project-above-tm", Group: 1, Deep: true, Apply: ruleT5},
+		{Name: "T7-collapse-tm-td", Group: 2, Deep: true, Apply: ruleT7},
+		{Name: "T8-collapse-td-tm", Group: 2, Deep: true, Apply: ruleT8},
+		{Name: "E1-project-select-commute", Group: 0, Deep: true, Apply: ruleE1},
+		{Name: "E2-join-commute", Group: 0, Apply: joinCommute(schema)},
+		{Name: "G4-select-below-join", Group: 4, Deep: true, Apply: selectBelowJoin(schema)},
+		{Name: "G4-narrow-taggr-input", Group: 4, Deep: true, Apply: narrowTAggrInput(schema)},
+		{Name: "T5r-project-below-tm", Group: 4, Deep: true, Apply: ruleProjectBelowTM},
+		{Name: "TC1-coalesce-to-mw", Group: 1, Apply: coalesceToMW(schema)},
 		{Name: "TD1-dupelim-to-mw", Group: 1, Apply: ruleDupElimToMW},
-		{Name: "VC1-select-coalesce-commute", Group: 0, Apply: ruleSelectCoalesce},
+		{Name: "VC1-select-coalesce-commute", Group: 0, Deep: true, Apply: ruleSelectCoalesce},
 	}
 }
 
 // coalesceToMW moves a DBMS-resident coalescing to the middleware —
 // mandatory, since coalescing has no SQL translation (the paper lists
 // it among the operators "that may later be added to TANGO"):
-// coal(r) →M T^D(coal(T^M(sort_{attrs,T1}(r)))). COALESCE^M requires
-// its input sorted on all non-time attributes and T1.
-func coalesceToMW(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
+// coal(r) →M T^D(coal(T^M(r))). COALESCE^M requires its input sorted on
+// all non-time attributes and T1 (see inputOrders).
+func coalesceToMW(schema schemaOf) func(n *algebra.Node) []*algebra.Node {
 	return func(n *algebra.Node) []*algebra.Node {
 		if n.Op != algebra.OpCoalesce || n.Loc() != algebra.LocDBMS {
 			return nil
 		}
-		schema, err := n.Left.Schema(cat)
+		s, err := schema(n.Left)
 		if err != nil {
 			return nil
 		}
-		t1, t2 := algebra.TimeColumns(schema)
-		if t1 < 0 || t2 < 0 {
+		if t1, t2 := algebra.TimeColumns(s); t1 < 0 || t2 < 0 {
 			return nil
 		}
-		var keys []string
-		for i, c := range schema.Cols {
-			if i != t1 && i != t2 {
-				keys = append(keys, c.Name)
-			}
-		}
-		keys = append(keys, schema.Cols[t1].Name)
-		moved := algebra.TD(algebra.Coalesce(
-			algebra.TM(algebra.Sort(n.Left.Clone(), keys...))))
-		return []*algebra.Node{moved}
+		return []*algebra.Node{algebra.TD(algebra.Coalesce(algebra.TM(n.Left)))}
 	}
 }
 
@@ -90,9 +84,7 @@ func ruleDupElimToMW(n *algebra.Node) []*algebra.Node {
 	if n.Op != algebra.OpDupElim || n.Loc() != algebra.LocDBMS {
 		return nil
 	}
-	return []*algebra.Node{
-		algebra.TD(algebra.DupElim(algebra.TM(n.Left.Clone()))),
-	}
+	return []*algebra.Node{algebra.TD(algebra.DupElim(algebra.TM(n.Left)))}
 }
 
 // ruleSelectCoalesce adopts Vassilakis's coalesce/selection
@@ -101,65 +93,39 @@ func ruleDupElimToMW(n *algebra.Node) []*algebra.Node {
 // shrink the coalescing argument. Predicates over T1/T2 must not move:
 // coalescing changes the periods.
 func ruleSelectCoalesce(n *algebra.Node) []*algebra.Node {
-	timeFree := func(pred sqlast.Expr) bool {
-		for _, c := range eval.ExprColumns(pred) {
-			u := strings.ToUpper(algebra.Unqualify(c))
-			if u == "T1" || u == "T2" {
-				return false
-			}
-		}
-		return true
-	}
 	var out []*algebra.Node
-	if n.Op == algebra.OpSelect && n.Left.Op == algebra.OpCoalesce && timeFree(n.Pred) {
-		out = append(out, algebra.Coalesce(algebra.Select(n.Left.Left.Clone(), n.Pred)))
+	if n.Op == algebra.OpSelect && n.Left.Op == algebra.OpCoalesce && !mentionsPeriod(n.Pred) {
+		out = append(out, algebra.Coalesce(algebra.Select(n.Left.Left, n.Pred)))
 	}
-	if n.Op == algebra.OpCoalesce && n.Left.Op == algebra.OpSelect && timeFree(n.Left.Pred) {
-		out = append(out, algebra.Select(algebra.Coalesce(n.Left.Left.Clone()), n.Left.Pred))
+	if n.Op == algebra.OpCoalesce && n.Left.Op == algebra.OpSelect && !mentionsPeriod(n.Left.Pred) {
+		out = append(out, algebra.Select(algebra.Coalesce(n.Left.Left), n.Left.Pred))
 	}
 	return out
 }
 
 // ruleT1 moves a DBMS-resident temporal aggregation to the middleware:
-// ξ(r) →M T^D(ξ(T^M(sort_{G,T1}(r)))). The sort feeds the TAGGR^M
-// requirement of §3.4.
+// ξ(r) →M T^D(ξ(T^M(r))). TAGGR^M requires its input sorted on the
+// grouping attributes and T1 (§3.4); the sort enforcer provides it.
 func ruleT1(n *algebra.Node) []*algebra.Node {
 	if n.Op != algebra.OpTAggr || n.Loc() != algebra.LocDBMS {
 		return nil
 	}
-	keys := append(append([]string{}, n.GroupBy...), "T1")
-	moved := algebra.TD(algebra.TAggr(
-		algebra.TM(algebra.Sort(n.Left.Clone(), keys...)),
-		append([]string{}, n.GroupBy...),
-		append([]algebra.Agg{}, n.Aggs...)...))
-	return []*algebra.Node{moved}
+	return []*algebra.Node{algebra.TD(algebra.TAggr(algebra.TM(n.Left), n.GroupBy, n.Aggs...))}
 }
 
-// ruleT2 moves a DBMS join to the middleware as a sort-merge join:
-// r1 ⋈ r2 →M T^D(T^M(sort_{a1}(r1)) ⋈ T^M(sort_{a2}(r2))).
-func ruleT2(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpJoin || n.Loc() != algebra.LocDBMS {
-		return nil
+// joinToMW is T2 (op = join) and T3 (op = temporal join): a DBMS join
+// moves to the middleware as a sort-merge join,
+// r1 ⋈ r2 →M T^D(T^M(r1) ⋈ T^M(r2)), its inputs sorted on the join
+// columns by the enforcer.
+func joinToMW(op algebra.Op) func(n *algebra.Node) []*algebra.Node {
+	return func(n *algebra.Node) []*algebra.Node {
+		if n.Op != op || n.Loc() != algebra.LocDBMS {
+			return nil
+		}
+		moved := *n
+		moved.Left, moved.Right = algebra.TM(n.Left), algebra.TM(n.Right)
+		return []*algebra.Node{algebra.TD(&moved)}
 	}
-	moved := algebra.TD(algebra.Join(
-		algebra.TM(algebra.Sort(n.Left.Clone(), n.LeftCols...)),
-		algebra.TM(algebra.Sort(n.Right.Clone(), n.RightCols...)),
-		append([]string{}, n.LeftCols...),
-		append([]string{}, n.RightCols...)))
-	return []*algebra.Node{moved}
-}
-
-// ruleT3 is T2 for temporal joins.
-func ruleT3(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpTJoin || n.Loc() != algebra.LocDBMS {
-		return nil
-	}
-	moved := algebra.TD(algebra.TJoin(
-		algebra.TM(algebra.Sort(n.Left.Clone(), n.LeftCols...)),
-		algebra.TM(algebra.Sort(n.Right.Clone(), n.RightCols...)),
-		append([]string{}, n.LeftCols...),
-		append([]string{}, n.RightCols...)))
-	return []*algebra.Node{moved}
 }
 
 // ruleT4: T^M(σ_P(r)) →M σ_P(T^M(r)) — evaluate the selection in the
@@ -168,9 +134,7 @@ func ruleT4(n *algebra.Node) []*algebra.Node {
 	if n.Op != algebra.OpTM || n.Left.Op != algebra.OpSelect {
 		return nil
 	}
-	return []*algebra.Node{
-		algebra.Select(algebra.TM(n.Left.Left.Clone()), n.Left.Pred),
-	}
+	return []*algebra.Node{algebra.Select(algebra.TM(n.Left.Left), n.Left.Pred)}
 }
 
 // ruleT5: T^M(π(r)) →M π(T^M(r)).
@@ -178,69 +142,21 @@ func ruleT5(n *algebra.Node) []*algebra.Node {
 	if n.Op != algebra.OpTM || n.Left.Op != algebra.OpProject {
 		return nil
 	}
-	return []*algebra.Node{
-		algebra.Project(algebra.TM(n.Left.Left.Clone()), append([]algebra.ProjCol{}, n.Left.Cols...)...),
-	}
-}
-
-// ruleT6: T^M(sort_A(r)) →L sort_A(T^M(r)) — list equivalence because
-// T^M preserves order.
-func ruleT6(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpTM || n.Left.Op != algebra.OpSort {
-		return nil
-	}
-	return []*algebra.Node{
-		algebra.Sort(algebra.TM(n.Left.Left.Clone()), append([]string{}, n.Left.Keys...)...),
-	}
+	return []*algebra.Node{algebra.Project(algebra.TM(n.Left.Left), n.Left.Cols...)}
 }
 
 // ruleT7: T^M(T^D(r)) →M r.
-func ruleT7(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpTM || n.Left.Op != algebra.OpTD {
-		return nil
-	}
-	return []*algebra.Node{n.Left.Left.Clone()}
-}
+func ruleT7(n *algebra.Node) []*algebra.Node { return collapse(n, algebra.OpTM, algebra.OpTD) }
 
 // ruleT8: T^D(T^M(r)) →M r.
-func ruleT8(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpTD || n.Left.Op != algebra.OpTM {
-		return nil
-	}
-	return []*algebra.Node{n.Left.Left.Clone()}
-}
+func ruleT8(n *algebra.Node) []*algebra.Node { return collapse(n, algebra.OpTD, algebra.OpTM) }
 
-// ruleT10: sort_A(r) →L r when A is a prefix of Order(r).
-func ruleT10(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpSort {
+// collapse removes a transfer that directly undoes the one below it.
+func collapse(n *algebra.Node, outer, inner algebra.Op) []*algebra.Node {
+	if n.Op != outer || n.Left.Op != inner {
 		return nil
 	}
-	if isPrefixOf(n.Keys, Order(n.Left)) {
-		return []*algebra.Node{n.Left.Clone()}
-	}
-	return nil
-}
-
-// ruleT11: sort_A(r) →M r when the order is destroyed immediately
-// anyway — we apply the paper's multiset-equivalence sort elimination
-// in its one always-safe spot: a sort directly under a T^D (loading
-// into a DBMS table discards order).
-func ruleT11(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpTD || n.Left.Op != algebra.OpSort {
-		return nil
-	}
-	return []*algebra.Node{algebra.TD(n.Left.Left.Clone())}
-}
-
-// ruleT12: sort_A(sort_B(r)) →L sort_A(r) when B is a prefix of A.
-func ruleT12(n *algebra.Node) []*algebra.Node {
-	if n.Op != algebra.OpSort || n.Left.Op != algebra.OpSort {
-		return nil
-	}
-	if isPrefixOf(n.Left.Keys, n.Keys) {
-		return []*algebra.Node{algebra.Sort(n.Left.Left.Clone(), n.Keys...)}
-	}
-	return nil
+	return []*algebra.Node{n.Left.Left}
 }
 
 // ruleE1: π(σ_P(r)) ≡L σ_P(π(r)), left-to-right only when the
@@ -251,17 +167,13 @@ func ruleE1(n *algebra.Node) []*algebra.Node {
 	if n.Op == algebra.OpProject && n.Left.Op == algebra.OpSelect {
 		// π(σ(r)) → σ(π(r)) requires attrs(P) ⊆ projected outputs.
 		if predColsSurvive(n.Left.Pred, n.Cols) {
-			out = append(out, algebra.Select(
-				algebra.Project(n.Left.Left.Clone(), append([]algebra.ProjCol{}, n.Cols...)...),
-				renamePred(n.Left.Pred, n.Cols)))
+			out = append(out, algebra.Select(algebra.Project(n.Left.Left, n.Cols...), renamePred(n.Left.Pred, n.Cols)))
 		}
 	}
 	if n.Op == algebra.OpSelect && n.Left.Op == algebra.OpProject {
 		// σ(π(r)) → π(σ(r)): rewrite the predicate to source names.
 		if pred, ok := unrenamePred(n.Pred, n.Left.Cols); ok {
-			out = append(out, algebra.Project(
-				algebra.Select(n.Left.Left.Clone(), pred),
-				append([]algebra.ProjCol{}, n.Left.Cols...)...))
+			out = append(out, algebra.Project(algebra.Select(n.Left.Left, pred), n.Left.Cols...))
 		}
 	}
 	return out
@@ -273,12 +185,12 @@ func ruleE1(n *algebra.Node) []*algebra.Node {
 // relations, not merely up to column permutation. The rule skips
 // inputs whose schemas cannot be resolved or whose column names
 // collide (an unaliased self-join).
-func joinCommute(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
+func joinCommute(schema schemaOf) func(n *algebra.Node) []*algebra.Node {
 	return func(n *algebra.Node) []*algebra.Node {
 		if n.Op != algebra.OpJoin {
 			return nil
 		}
-		orig, err := n.Schema(cat)
+		orig, err := schema(n)
 		if err != nil {
 			return nil
 		}
@@ -292,46 +204,23 @@ func joinCommute(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
 			seen[key] = true
 			cols[i] = algebra.ProjCol{Src: c.Name, As: c.Name}
 		}
-		swapped := algebra.Join(
-			n.Right.Clone(), n.Left.Clone(),
-			append([]string{}, n.RightCols...),
-			append([]string{}, n.LeftCols...))
+		swapped := algebra.Join(n.Right, n.Left, n.RightCols, n.LeftCols)
 		return []*algebra.Node{algebra.Project(swapped, cols...)}
 	}
-}
-
-// ruleE4: sort_A(σ_P(r)) ≡L σ_P(sort_A(r)); used only when the
-// operations are middleware-resident (the paper's restriction).
-func ruleE4(n *algebra.Node) []*algebra.Node {
-	var out []*algebra.Node
-	if n.Op == algebra.OpSort && n.Left.Op == algebra.OpSelect && n.Loc() == algebra.LocMW {
-		out = append(out, algebra.Select(
-			algebra.Sort(n.Left.Left.Clone(), append([]string{}, n.Keys...)...),
-			n.Left.Pred))
-	}
-	if n.Op == algebra.OpSelect && n.Left.Op == algebra.OpSort && n.Loc() == algebra.LocMW {
-		out = append(out, algebra.Sort(
-			algebra.Select(n.Left.Left.Clone(), n.Pred),
-			append([]string{}, n.Left.Keys...)...))
-	}
-	return out
 }
 
 // narrowTAggrInput is the paper's "reduce the arguments of expensive
 // operations" applied to projection: temporal aggregation needs only
 // its grouping columns, aggregate columns, and the period; extra input
 // columns only inflate sorts and transfers. The rule inserts that
-// projection directly below the aggregation; E5/T5r then push it
-// toward the scan.
-func narrowTAggrInput(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
+// projection directly below the aggregation; T5r then pushes it into
+// the DBMS.
+func narrowTAggrInput(schema schemaOf) func(n *algebra.Node) []*algebra.Node {
 	return func(n *algebra.Node) []*algebra.Node {
-		if n.Op != algebra.OpTAggr {
-			return nil
+		if n.Op != algebra.OpTAggr || n.Left.Op == algebra.OpProject {
+			return nil // not an aggregation, or already narrowed (or user-projected)
 		}
-		if n.Left.Op == algebra.OpProject {
-			return nil // already narrowed (or user-projected)
-		}
-		in, err := n.Left.Schema(cat)
+		in, err := schema(n.Left)
 		if err != nil {
 			return nil
 		}
@@ -368,9 +257,9 @@ func narrowTAggrInput(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node
 				cols = append(cols, algebra.ProjCol{Src: c.Name, As: c.Name})
 			}
 		}
-		out := n.Clone()
-		out.Left = algebra.Project(n.Left.Clone(), cols...)
-		return []*algebra.Node{out}
+		out := *n
+		out.Left = algebra.Project(n.Left, cols...)
+		return []*algebra.Node{&out}
 	}
 }
 
@@ -378,65 +267,18 @@ func narrowTAggrInput(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node
 // pushing a projection into the DBMS so the transfer ships fewer
 // bytes. (The paper notes that introducing projections into DBMS parts
 // helps the optimizer estimate — and here reduce — transfer costs.)
-//
-// When the DBMS subtree is topped by a sort, the projection must land
-// BELOW it — T^M only preserves order when the sort stays on top of
-// the translated SQL (it becomes the statement's ORDER BY). Burying
-// the sort under a projection would silently drop the order a
-// downstream TAGGR^M or merge join depends on; the rule therefore only
-// fires when the sort keys survive the projection, and keeps the sort
-// outermost.
 func ruleProjectBelowTM(n *algebra.Node) []*algebra.Node {
 	if n.Op != algebra.OpProject || n.Left.Op != algebra.OpTM {
 		return nil
 	}
-	inner := n.Left.Left
-	cols := append([]algebra.ProjCol{}, n.Cols...)
-	if inner.Op != algebra.OpSort {
-		return []*algebra.Node{algebra.TM(algebra.Project(inner.Clone(), cols...))}
-	}
-	keys, ok := outputKeys(inner.Keys, cols)
-	if !ok {
-		return nil // a sort key would not survive the projection
-	}
-	return []*algebra.Node{
-		algebra.TM(algebra.Sort(algebra.Project(inner.Left.Clone(), cols...), keys...)),
-	}
-}
-
-// ruleE5: sort_A(π(r)) ≡L π(sort_A(r)). The paper restricts E4/E5 to
-// middleware-resident operations except where a rewrite helps the
-// optimizer estimate DBMS costs — pushing projections below sorts
-// changes (and reduces) estimated transfer sizes, so the
-// project-below-sort direction is allowed in both locations.
-func ruleE5(n *algebra.Node) []*algebra.Node {
-	var out []*algebra.Node
-	if n.Op == algebra.OpSort && n.Left.Op == algebra.OpProject && n.Loc() == algebra.LocMW {
-		// Keys are output names; translate them to source names.
-		if keys, ok := sourceKeys(n.Keys, n.Left.Cols); ok {
-			out = append(out, algebra.Project(
-				algebra.Sort(n.Left.Left.Clone(), keys...),
-				append([]algebra.ProjCol{}, n.Left.Cols...)...))
-		}
-	}
-	if n.Op == algebra.OpProject && n.Left.Op == algebra.OpSort {
-		// π(sort_A(r)) → sort_A'(π(r)) requires A to survive the
-		// projection under its output name. Allowed in both locations
-		// (see the doc comment above).
-		if keys, ok := outputKeys(n.Left.Keys, n.Cols); ok {
-			out = append(out, algebra.Sort(
-				algebra.Project(n.Left.Left.Clone(), append([]algebra.ProjCol{}, n.Cols...)...),
-				keys...))
-		}
-	}
-	return out
+	return []*algebra.Node{algebra.TM(algebra.Project(n.Left.Left, n.Cols...))}
 }
 
 // selectBelowJoin is a heuristic-group-4 rewrite ("reduce the
 // arguments of expensive operations"): σ_P(r1 ⋈ r2) is rewritten to
 // push P into the join input that can resolve all its columns,
 // shrinking the expensive operator's argument.
-func selectBelowJoin(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node {
+func selectBelowJoin(schema schemaOf) func(n *algebra.Node) []*algebra.Node {
 	return func(n *algebra.Node) []*algebra.Node {
 		if n.Op != algebra.OpSelect {
 			return nil
@@ -445,40 +287,27 @@ func selectBelowJoin(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node 
 		if j.Op != algebra.OpJoin && j.Op != algebra.OpTJoin {
 			return nil
 		}
-		cols := eval.ExprColumns(n.Pred)
-		if j.Op == algebra.OpTJoin {
+		if j.Op == algebra.OpTJoin && mentionsPeriod(n.Pred) {
 			// The temporal join replaces T1/T2 with the intersected
 			// period; predicates over them cannot move below it.
-			for _, c := range cols {
-				u := strings.ToUpper(algebra.Unqualify(c))
-				if u == "T1" || u == "T2" {
-					return nil
-				}
-			}
+			return nil
 		}
-		resolves := func(in *algebra.Node) bool {
-			schema, err := in.Schema(cat)
-			if err != nil {
-				return false
-			}
-			for _, c := range cols {
-				if schema.ColumnIndex(c) < 0 {
-					return false
-				}
-			}
-			return true
+		cols := eval.ExprColumns(n.Pred)
+		holds := func(in *algebra.Node) bool {
+			s, err := schema(in)
+			return err == nil && resolves(s, cols)
 		}
 		mk := func(left, right *algebra.Node) *algebra.Node {
-			out := j.Clone()
+			out := *j
 			out.Left, out.Right = left, right
-			return out
+			return &out
 		}
 		var rewrites []*algebra.Node
-		if resolves(j.Left) {
-			rewrites = append(rewrites, mk(algebra.Select(j.Left.Clone(), n.Pred), j.Right.Clone()))
+		if holds(j.Left) {
+			rewrites = append(rewrites, mk(algebra.Select(j.Left, n.Pred), j.Right))
 		}
-		if resolves(j.Right) {
-			rewrites = append(rewrites, mk(j.Left.Clone(), algebra.Select(j.Right.Clone(), n.Pred)))
+		if holds(j.Right) {
+			rewrites = append(rewrites, mk(j.Left, algebra.Select(j.Right, n.Pred)))
 		}
 		return rewrites
 	}
@@ -486,83 +315,52 @@ func selectBelowJoin(cat algebra.Catalog) func(n *algebra.Node) []*algebra.Node 
 
 // --- helpers ---
 
-// Order computes the output order of a subtree (column names), the
-// paper's Order(r). Middleware algorithms preserve order. In the DBMS,
-// order exists only through the statement's final ORDER BY: a sort is
-// authoritative exactly when it is the topmost operator the SQL
-// translation sees, so any DBMS-resident operator ABOVE a sort
-// destroys the guarantee (the translator skips mid-plan sorts, as real
-// DBMSs give no order promises on subqueries).
-func Order(n *algebra.Node) []string {
-	if n == nil {
-		return nil
+// colEq matches column names case-insensitively; a qualified name also
+// matches its unqualified form (A.PosID ~ PosID, but not ~ B.PosID).
+func colEq(a, b string) bool {
+	if strings.EqualFold(a, b) {
+		return true
 	}
-	switch n.Op {
-	case algebra.OpSort:
-		// Authoritative where directly consumed: a MW sort always
-		// orders; a DBMS sort orders its consumer only when nothing
-		// DBMS-resident sits above it, which the cases below enforce by
-		// refusing to propagate order through DBMS operators.
-		return n.Keys
-	case algebra.OpScan, algebra.OpTD:
-		return nil
-	case algebra.OpTAggr:
-		// TAGGR^M emits groups in input group order with ascending T1.
-		if n.Loc() == algebra.LocMW {
-			return append(append([]string{}, n.GroupBy...), "T1")
-		}
-		return nil
-	case algebra.OpTM:
-		return Order(n.Left)
-	case algebra.OpSelect, algebra.OpDupElim, algebra.OpCoalesce:
-		if n.Loc() == algebra.LocDBMS {
-			return nil // would bury any sort below it in the SQL
-		}
-		return Order(n.Left)
-	case algebra.OpProject:
-		if n.Loc() == algebra.LocDBMS {
-			return nil
-		}
-		// Order survives if its columns survive the projection.
-		in := Order(n.Left)
-		var out []string
-		for _, k := range in {
-			kept := ""
-			for _, pc := range n.Cols {
-				if strings.EqualFold(pc.Src, k) || strings.EqualFold(algebra.Unqualify(pc.Src), algebra.Unqualify(k)) {
-					kept = pc.Out()
-					break
-				}
-			}
-			if kept == "" {
-				break
-			}
-			out = append(out, kept)
-		}
-		return out
-	case algebra.OpJoin, algebra.OpTJoin:
-		if n.Loc() == algebra.LocMW {
-			return Order(n.Left) // merge joins follow the left input
-		}
-		return nil
-	default:
-		return nil
-	}
+	return (!strings.Contains(a, ".") || !strings.Contains(b, ".")) &&
+		strings.EqualFold(algebra.Unqualify(a), algebra.Unqualify(b))
 }
 
-// isPrefixOf reports whether a is a (case-insensitive, qualifier
-// tolerant) prefix of b.
+// isPrefixOf reports whether a is a prefix of b, column by column.
 func isPrefixOf(a, b []string) bool {
 	if len(a) > len(b) {
 		return false
 	}
 	for i := range a {
-		if !strings.EqualFold(a[i], b[i]) &&
-			!strings.EqualFold(algebra.Unqualify(a[i]), algebra.Unqualify(b[i])) {
+		if !colEq(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sourceKeys maps sort keys named by a projection's outputs to the
+// projection's source columns; ok is false when a key is not an output.
+func sourceKeys(keys []string, cols []algebra.ProjCol) ([]string, bool) {
+	out := make([]string, 0, len(keys))
+	for _, k := range keys {
+		for _, c := range cols {
+			if colEq(c.Out(), k) {
+				out = append(out, c.Src)
+				break
+			}
+		}
+	}
+	return out, len(out) == len(keys)
+}
+
+// mentionsPeriod reports whether a predicate reads T1 or T2.
+func mentionsPeriod(pred sqlast.Expr) bool {
+	for _, c := range eval.ExprColumns(pred) {
+		if u := strings.ToUpper(algebra.Unqualify(c)); u == "T1" || u == "T2" {
+			return true
+		}
+	}
+	return false
 }
 
 // predColsSurvive reports whether every predicate column appears among
@@ -649,44 +447,4 @@ func colRefOf(name string) sqlast.ColumnRef {
 		return sqlast.ColumnRef{Table: name[:dot], Name: name[dot+1:]}
 	}
 	return sqlast.ColumnRef{Name: name}
-}
-
-// sourceKeys maps sort keys expressed as projection outputs back to
-// source names.
-func sourceKeys(keys []string, cols []algebra.ProjCol) ([]string, bool) {
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		found := false
-		for _, pc := range cols {
-			if strings.EqualFold(pc.Out(), k) {
-				out[i] = pc.Src
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// outputKeys maps sort keys expressed as source names to projection
-// outputs.
-func outputKeys(keys []string, cols []algebra.ProjCol) ([]string, bool) {
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		found := false
-		for _, pc := range cols {
-			if strings.EqualFold(pc.Src, k) || strings.EqualFold(algebra.Unqualify(pc.Src), algebra.Unqualify(k)) {
-				out[i] = pc.Out()
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	return out, true
 }

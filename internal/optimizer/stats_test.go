@@ -6,7 +6,8 @@ import (
 
 // TestSearchStatisticsExported checks the telemetry accounting the
 // optimizer attaches to every Result: classes/elements, the number of
-// plans priced in phase two, per-rule firing counts, and wall time.
+// (expression, order) pairs the searches priced, per-rule firing
+// counts, and wall time.
 func TestSearchStatisticsExported(t *testing.T) {
 	o := newOptimizer()
 	res, err := o.Optimize(query1Initial())
@@ -19,8 +20,8 @@ func TestSearchStatisticsExported(t *testing.T) {
 	if res.Elements < res.Classes {
 		t.Errorf("elements (%d) < classes (%d)", res.Elements, res.Classes)
 	}
-	if res.PlansCosted != len(res.Candidates) {
-		t.Errorf("PlansCosted = %d, candidates = %d", res.PlansCosted, len(res.Candidates))
+	if res.PlansCosted < len(res.Candidates) {
+		t.Errorf("PlansCosted = %d < candidates = %d", res.PlansCosted, len(res.Candidates))
 	}
 	if res.PlansCosted <= 1 {
 		t.Errorf("expected several costed plans for Query 1, got %d", res.PlansCosted)
@@ -31,7 +32,6 @@ func TestSearchStatisticsExported(t *testing.T) {
 	if len(res.RulesFired) == 0 {
 		t.Fatal("no rule firings recorded")
 	}
-	total := 0
 	for rule, n := range res.RulesFired {
 		if rule == "" {
 			t.Error("unnamed rule fired")
@@ -39,13 +39,13 @@ func TestSearchStatisticsExported(t *testing.T) {
 		if n <= 0 {
 			t.Errorf("rule %s fired %d times", rule, n)
 		}
-		total += n
 	}
-	// Moving the aggregation to the middleware requires at least the
-	// transfer-introduction rules to have fired; the closure fires far
-	// more rewrites than distinct plans survive deduplication.
-	if total < res.PlansCosted {
-		t.Errorf("total firings %d < plans costed %d", total, res.PlansCosted)
+	// Moving the aggregation to the middleware takes T1, and bringing
+	// it up to the root group takes the T^M/T^D collapse T7.
+	for _, rule := range []string{"T1-taggr-to-mw", "T7-collapse-tm-td"} {
+		if res.RulesFired[rule] == 0 {
+			t.Errorf("%s never fired: %v", rule, res.RulesFired)
+		}
 	}
 }
 

@@ -213,7 +213,7 @@ func Infer(n *algebra.Node, cat algebra.Catalog) (Props, error) {
 			return Props{}, fmt.Errorf("planck: T^D over a DBMS-resident input (%s); transfers are only legal at the DBMS↔middleware boundary", n.Left.Label())
 		}
 		// Loading into a DBMS table discards order (multiset semantics),
-		// which is what licenses the optimizer's sort elimination T11.
+		// which is why the optimizer never asks for an order below one.
 		return Props{Schema: in.Schema, Order: nil, DupFree: in.DupFree, Loc: algebra.LocDBMS}, nil
 
 	default:
@@ -263,6 +263,7 @@ func inferJoin(n *algebra.Node, cat algebra.Catalog) (Props, error) {
 	}
 
 	var cols []types.Column
+	order := l.Order
 	if n.Op == algebra.OpJoin {
 		cols = append(append([]types.Column{}, l.Schema.Cols...), r.Schema.Cols...)
 	} else {
@@ -283,11 +284,19 @@ func inferJoin(n *algebra.Node, cat algebra.Catalog) (Props, error) {
 			}
 			cols = append(cols, c)
 		}
+		// The intersected period is not ordered like the left one: the
+		// order ends before it.
+		for i, k := range order {
+			if j := l.Schema.ColumnIndex(k); j == lt1 || j == lt2 {
+				order = order[:i]
+				break
+			}
+		}
 	}
 	return Props{
 		Schema: types.Schema{Cols: cols},
 		// Merge joins emit in left-input order (order preserving).
-		Order:   regionOrder(loc, l.Order),
+		Order:   regionOrder(loc, order),
 		DupFree: false,
 		Loc:     loc,
 	}, nil

@@ -173,6 +173,17 @@ func TestRejectsOrderViolations(t *testing.T) {
 			algebra.TM(algebra.Sort(algebra.Scan("EMPLOYEE", "E"), "E.PosID")),
 			[]string{"PosID"}, []string{"E.PosID"}),
 		"left input not sorted")
+
+	// A temporal join intersects the periods, so its output is not
+	// ordered on the left input's T1.
+	mustReject(t, "tjoin-period-order",
+		algebra.TAggr(
+			algebra.TJoin(
+				algebra.TM(algebra.Sort(algebra.Scan("POSITION", "P"), "P.PosID", "P.T1")),
+				algebra.TM(algebra.Sort(algebra.Scan("EMPLOYEE", "E"), "E.PosID")),
+				[]string{"P.PosID"}, []string{"E.PosID"}),
+			[]string{"P.PosID"}, algebra.Agg{Fn: "COUNT", Col: "P.PosID"}),
+		"not sorted")
 }
 
 func TestRejectsTransferViolations(t *testing.T) {

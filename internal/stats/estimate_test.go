@@ -6,6 +6,7 @@ import (
 
 	"tango/internal/algebra"
 	"tango/internal/meta"
+	"tango/internal/sqlast"
 	"tango/internal/sqlparser"
 	"tango/internal/types"
 )
@@ -209,20 +210,67 @@ func TestEstimateDupElimCoalesce(t *testing.T) {
 	}
 }
 
-func TestEstimateMemoized(t *testing.T) {
+// TestEstimateSeesFreshStats: the estimator keeps no statistics between
+// calls, so a re-ANALYZEd table is estimated from its new statistics.
+func TestEstimateSeesFreshStats(t *testing.T) {
 	e := estimator()
-	n := algebra.Scan("POSITION", "")
-	a, err := e.Estimate(n)
+	src := e.Source.(fixedSource)
+	n := algebra.Select(algebra.Scan("POSITION", ""), mustPred(t, "PosID = 7"))
+	before, err := e.Estimate(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Estimate(n.Clone())
+	grown := *src["POSITION"]
+	grown.Cardinality *= 11
+	src["POSITION"] = &grown
+	after, err := e.Estimate(n.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("identical subtrees should hit the memo cache")
+	if after.Card != 11*before.Card {
+		t.Errorf("estimate after re-ANALYZE = %g rows, want %g", after.Card, 11*before.Card)
 	}
+}
+
+// TestSnapshotFetchesEachTableOnce: within one snapshot (one
+// optimization), a base table's schema and statistics cross the wire
+// once however many scans read it.
+func TestSnapshotFetchesEachTableOnce(t *testing.T) {
+	e := estimator()
+	schemas, tables := map[string]int{}, map[string]int{}
+	cat, src := e.Cat, e.Source
+	e.Cat = catalogFunc(func(name string) (types.Schema, error) { schemas[name]++; return cat.TableSchema(name) })
+	e.Source = sourceFunc(func(name string, b int) (*meta.TableStats, error) { tables[name]++; return src.TableStats(name, b) })
+	snap := e.Snapshot()
+	self := algebra.TJoin(algebra.Scan("POSITION", "A"), algebra.Scan("POSITION", "B"),
+		[]string{"A.PosID"}, []string{"B.PosID"})
+	for i := 0; i < 3; i++ {
+		if _, _, err := snap.Estimate(self, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if schemas["POSITION"] != 1 || tables["POSITION"] != 1 {
+		t.Errorf("POSITION fetched %d schemas and %d statistics, want 1 and 1", schemas["POSITION"], tables["POSITION"])
+	}
+}
+
+type catalogFunc func(string) (types.Schema, error)
+
+func (f catalogFunc) TableSchema(name string) (types.Schema, error) { return f(name) }
+
+type sourceFunc func(string, int) (*meta.TableStats, error)
+
+func (f sourceFunc) TableStats(name string, buckets int) (*meta.TableStats, error) {
+	return f(name, buckets)
+}
+
+func mustPred(t *testing.T, src string) sqlast.Expr {
+	t.Helper()
+	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE " + src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel.Where
 }
 
 func TestEstimateErrors(t *testing.T) {

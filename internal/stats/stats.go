@@ -53,26 +53,21 @@ func (s *RelStats) Col(name string) *meta.ColumnStats {
 	if c, ok := s.Cols[strings.ToUpper(name)]; ok {
 		return c
 	}
-	// Unqualified fallback.
-	if !strings.Contains(name, ".") {
-		suffix := "." + strings.ToUpper(name)
-		for k, c := range s.Cols {
-			if strings.HasSuffix(k, suffix) {
-				return c
-			}
-		}
-	} else {
-		// Qualified lookup against unqualified key.
-		if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
-			if c, ok := s.Cols[strings.ToUpper(name[dot+1:])]; ok {
-				return c
-			}
+	if strings.Contains(name, ".") { // qualified lookup against an unqualified key
+		return s.Cols[strings.ToUpper(algebra.Unqualify(name))]
+	}
+	suffix := "." + strings.ToUpper(name) // unqualified lookup against a qualified key
+	for k, c := range s.Cols {
+		if strings.HasSuffix(k, suffix) {
+			return c
 		}
 	}
 	return nil
 }
 
-// Estimator derives statistics for algebra plans.
+// Estimator derives statistics for algebra plans. It keeps nothing
+// between calls: every Estimate and every Snapshot reads the catalog's
+// statistics as they are then (ANALYZE between two calls is seen).
 type Estimator struct {
 	Cat    algebra.Catalog
 	Source Source
@@ -80,8 +75,6 @@ type Estimator struct {
 	// HistogramBuckets requests histograms when collecting base stats;
 	// 0 disables them (the paper evaluates the optimizer both ways).
 	HistogramBuckets int
-
-	cache map[string]*RelStats
 }
 
 // NewEstimator creates an estimator in semantic mode with histograms.
@@ -89,106 +82,129 @@ func NewEstimator(cat algebra.Catalog, src Source) *Estimator {
 	return &Estimator{Cat: cat, Source: src, Mode: ModeSemantic, HistogramBuckets: 20}
 }
 
-// Estimate derives statistics for the subtree. Results are memoized by
-// plan key within this estimator.
+// Estimate derives statistics for the subtree.
 func (e *Estimator) Estimate(n *algebra.Node) (*RelStats, error) {
-	if e.cache == nil {
-		e.cache = map[string]*RelStats{}
-	}
-	key := n.Key()
-	if s, ok := e.cache[key]; ok {
-		return s, nil
-	}
-	s, err := e.estimate(n)
-	if err != nil {
-		return nil, err
-	}
-	e.cache[key] = s
-	return s, nil
+	s, _, err := e.Snapshot().Estimate(n, nil)
+	return s, err
 }
 
-func (e *Estimator) estimate(n *algebra.Node) (*RelStats, error) {
+// Snapshot is one optimization's (or one estimate's) view of the
+// catalog: each base table's schema and statistics are fetched at most
+// once, on first use. It implements algebra.Catalog.
+type Snapshot struct {
+	e       *Estimator
+	schemas map[string]types.Schema
+	tables  map[string]*meta.TableStats
+}
+
+// Snapshot starts an empty view of the catalog.
+func (e *Estimator) Snapshot() *Snapshot {
+	return &Snapshot{e: e, schemas: map[string]types.Schema{}, tables: map[string]*meta.TableStats{}}
+}
+
+// TableSchema returns the base table's schema, fetched once.
+func (s *Snapshot) TableSchema(name string) (types.Schema, error) {
+	return once(s.schemas, name, func() (types.Schema, error) { return s.e.Cat.TableSchema(name) })
+}
+
+func (s *Snapshot) tableStats(name string) (*meta.TableStats, error) {
+	return once(s.tables, name, func() (*meta.TableStats, error) { return s.e.Source.TableStats(name, s.e.HistogramBuckets) })
+}
+
+// once returns the cached value for a table name, fetching it on first
+// use (errors are not cached).
+func once[T any](cache map[string]T, name string, fetch func() (T, error)) (T, error) {
+	k := strings.ToUpper(name)
+	if v, ok := cache[k]; ok {
+		return v, nil
+	}
+	v, err := fetch()
+	if err == nil {
+		cache[k] = v
+	}
+	return v, err
+}
+
+// Estimate derives the statistics and schema of every operator of the
+// subtree bottom up; visit, when non-nil, sees each operator with its
+// output statistics and its inputs' (left, then right).
+func (s *Snapshot) Estimate(n *algebra.Node, visit func(n *algebra.Node, out *RelStats, in []*RelStats)) (*RelStats, types.Schema, error) {
+	var in []*RelStats
+	var inSchemas []types.Schema
+	for _, c := range [2]*algebra.Node{n.Left, n.Right} {
+		if c != nil {
+			st, sch, err := s.Estimate(c, visit)
+			if err != nil {
+				return nil, types.Schema{}, err
+			}
+			in, inSchemas = append(in, st), append(inSchemas, sch)
+		}
+	}
+	schema, err := n.Derive(s, inSchemas...)
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	out, err := s.Derive(n, schema, inSchemas, in)
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	if visit != nil {
+		visit(n, out, in)
+	}
+	return out, schema, nil
+}
+
+// Derive computes one operator's statistics from its inputs' statistics
+// (left, then right); schema is the operator's output schema and
+// inSchemas its inputs'.
+func (s *Snapshot) Derive(n *algebra.Node, schema types.Schema, inSchemas []types.Schema, in []*RelStats) (*RelStats, error) {
 	switch n.Op {
 	case algebra.OpScan:
-		return e.scanStats(n)
+		ts, err := s.tableStats(n.Table)
+		if err != nil {
+			return nil, err
+		}
+		return scanStats(ts, schema), nil
 	case algebra.OpTM, algebra.OpTD, algebra.OpSort:
-		return e.Estimate(n.Left)
+		return in[0], nil
 	case algebra.OpSelect:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		sel := e.Selectivity(n.Pred, in)
-		return scaleStats(in, sel), nil
+		return scaleStats(in[0], s.e.Selectivity(n.Pred, in[0])), nil
 	case algebra.OpProject:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
+		return projectStats(n, schema, inSchemas[0], in[0]), nil
+	case algebra.OpDupElim, algebra.OpCoalesce:
+		f := 0.9 // mild default duplicate factor
+		if n.Op == algebra.OpCoalesce {
+			f = 0.75
 		}
-		return e.projectStats(n, in)
-	case algebra.OpDupElim:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		out := *in
-		out.Card = in.Card * 0.9 // mild default duplicate factor
+		out := *in[0]
+		out.Card = in[0].Card * f
 		return &out, nil
-	case algebra.OpCoalesce:
-		in, err := e.Estimate(n.Left)
-		if err != nil {
-			return nil, err
-		}
-		out := *in
-		out.Card = in.Card * 0.75
-		return &out, nil
-	case algebra.OpJoin:
-		return e.joinStats(n, false)
-	case algebra.OpTJoin:
-		return e.joinStats(n, true)
+	case algebra.OpJoin, algebra.OpTJoin:
+		return joinStats(n, in[0], in[1]), nil
 	case algebra.OpTAggr:
-		return e.taggrStats(n)
+		return taggrStats(n, schema, in[0]), nil
 	default:
 		return nil, fmt.Errorf("stats: unknown op %v", n.Op)
 	}
 }
 
-func (e *Estimator) scanStats(n *algebra.Node) (*RelStats, error) {
-	ts, err := e.Source.TableStats(n.Table, e.HistogramBuckets)
-	if err != nil {
-		return nil, err
-	}
-	schema, err := n.Schema(e.Cat)
-	if err != nil {
-		return nil, err
-	}
-	base, err := e.Cat.TableSchema(n.Table)
-	if err != nil {
-		return nil, err
-	}
+// scanStats keys the base table's column statistics by the scan's
+// (possibly alias-qualified) column names.
+func scanStats(ts *meta.TableStats, schema types.Schema) *RelStats {
 	out := &RelStats{
 		Card:         float64(ts.Cardinality),
 		AvgTupleSize: ts.AvgTupleSize,
 		Cols:         map[string]*meta.ColumnStats{},
 	}
-	for i := range schema.Cols {
-		cs := ts.Column(base.Cols[i].Name)
-		if cs != nil {
-			out.Cols[strings.ToUpper(schema.Cols[i].Name)] = cs
+	for _, c := range schema.Cols {
+		if cs := ts.Column(algebra.Unqualify(c.Name)); cs != nil {
+			out.Cols[strings.ToUpper(c.Name)] = cs
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (e *Estimator) projectStats(n *algebra.Node, in *RelStats) (*RelStats, error) {
-	schema, err := n.Schema(e.Cat)
-	if err != nil {
-		return nil, err
-	}
-	inSchema, err := n.Left.Schema(e.Cat)
-	if err != nil {
-		return nil, err
-	}
+func projectStats(n *algebra.Node, schema, inSchema types.Schema, in *RelStats) *RelStats {
 	out := &RelStats{Card: in.Card, Cols: map[string]*meta.ColumnStats{}}
 	var size float64
 	for i, pc := range n.Cols {
@@ -211,7 +227,7 @@ func (e *Estimator) projectStats(n *algebra.Node, in *RelStats) (*RelStats, erro
 	} else {
 		out.AvgTupleSize = size
 	}
-	return out, nil
+	return out
 }
 
 func kindSize(k types.Kind) float64 {
@@ -239,15 +255,8 @@ func scaleStats(in *RelStats, sel float64) *RelStats {
 
 // --- Join estimation ---
 
-func (e *Estimator) joinStats(n *algebra.Node, temporal bool) (*RelStats, error) {
-	l, err := e.Estimate(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.Estimate(n.Right)
-	if err != nil {
-		return nil, err
-	}
+func joinStats(n *algebra.Node, l, r *RelStats) *RelStats {
+	temporal := n.Op == algebra.OpTJoin
 	card := l.Card * r.Card
 	for i := range n.LeftCols {
 		var dl, dr int64 = 1, 1
@@ -257,11 +266,7 @@ func (e *Estimator) joinStats(n *algebra.Node, temporal bool) (*RelStats, error)
 		if cs := r.Col(n.RightCols[i]); cs != nil {
 			dr = cs.Distinct
 		}
-		d := dl
-		if dr > d {
-			d = dr
-		}
-		if d > 0 {
+		if d := max(dl, dr); d > 0 {
 			card /= float64(d)
 		}
 	}
@@ -281,7 +286,7 @@ func (e *Estimator) joinStats(n *algebra.Node, temporal bool) (*RelStats, error)
 	if temporal {
 		out.AvgTupleSize = l.AvgTupleSize + math.Max(0, r.AvgTupleSize-16)
 	}
-	return out, nil
+	return out
 }
 
 // overlapProbability estimates the chance two periods drawn from the
@@ -298,14 +303,7 @@ func overlapProbability(l, r *RelStats) float64 {
 	if w <= 0 {
 		return 1
 	}
-	p := (ld + rd) / w
-	if p > 1 {
-		return 1
-	}
-	if p < 1e-6 {
-		return 1e-6
-	}
-	return p
+	return math.Min(1, math.Max(1e-6, (ld+rd)/w))
 }
 
 func durationAndSpan(s *RelStats) (dur, span float64, ok bool) {
@@ -323,17 +321,8 @@ func durationAndSpan(s *RelStats) (dur, span float64, ok bool) {
 
 // --- Temporal aggregation estimation (§3.4) ---
 
-func (e *Estimator) taggrStats(n *algebra.Node) (*RelStats, error) {
-	in, err := e.Estimate(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	card := TAggrCardinality(in, n.GroupBy)
-	schema, err := n.Schema(e.Cat)
-	if err != nil {
-		return nil, err
-	}
-	out := &RelStats{Card: card, Cols: map[string]*meta.ColumnStats{}}
+func taggrStats(n *algebra.Node, schema types.Schema, in *RelStats) *RelStats {
+	out := &RelStats{Card: TAggrCardinality(in, n.GroupBy), Cols: map[string]*meta.ColumnStats{}}
 	var size float64
 	for _, c := range schema.Cols {
 		size += kindSize(c.Kind)
@@ -342,7 +331,7 @@ func (e *Estimator) taggrStats(n *algebra.Node) (*RelStats, error) {
 		}
 	}
 	out.AvgTupleSize = size
-	return out, nil
+	return out
 }
 
 // TAggrCardinality implements the §3.4 bounds: the minimum is
@@ -369,12 +358,7 @@ func TAggrCardinality(in *RelStats, groupBy []string) float64 {
 		minG := math.Inf(1)
 		for _, g := range groupBy {
 			d := distinctOf(g)
-			if d < minG {
-				minG = d
-			}
-			if d > maxGroupDistinct {
-				maxGroupDistinct = d
-			}
+			minG, maxGroupDistinct = min(minG, d), max(maxGroupDistinct, d)
 		}
 		minCard = math.Min(minCard, minG)
 	}
@@ -416,15 +400,7 @@ func (e *Estimator) Selectivity(pred sqlast.Expr, in *RelStats) float64 {
 	return clampSel(sel)
 }
 
-func clampSel(s float64) float64 {
-	if s < 0 {
-		return 0
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
-}
+func clampSel(s float64) float64 { return math.Min(1, math.Max(0, s)) }
 
 // temporalPairSelectivity detects the Overlaps pattern
 // (T1 < B AND T2 > A) among the conjuncts and estimates it as
@@ -610,10 +586,7 @@ func fractionBelow(a float64, cs *meta.ColumnStats, card float64) float64 {
 	if a <= lo {
 		return 0
 	}
-	if a > hi {
-		return card
-	}
-	if hi == lo {
+	if a > hi || hi == lo {
 		return card
 	}
 	return (a - lo) / (hi - lo) * card

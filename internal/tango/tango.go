@@ -122,7 +122,7 @@ func OpenConn(conn *client.Conn, opts Options) *Middleware {
 		Cat:         cat,
 		Est:         est,
 		Model:       model,
-		Opt:         optimizer.New(cat, model),
+		Opt:         optimizer.New(model),
 		Alpha:       alpha,
 		Metrics:     opts.Metrics,
 		CheckPlans:  opts.CheckPlans,
@@ -144,7 +144,7 @@ func (m *Middleware) Calibrate(rows int) error {
 	return nil
 }
 
-// Optimize runs the two-phase optimizer on an initial plan.
+// Optimize runs the optimizer on an initial plan.
 func (m *Middleware) Optimize(initial *algebra.Node) (*optimizer.Result, error) {
 	res, elapsed, err := m.timedOptimize(initial, nil)
 	_ = elapsed
@@ -291,6 +291,7 @@ func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
 	}
 	var worstQ float64
 	var worstOp string
+	var snap *stats.Snapshot // fetches each base table's statistics once, not per operator
 	st.Walk(func(s *telemetry.OpStats) {
 		n, ok := s.Node.(*algebra.Node)
 		if !ok || n == nil {
@@ -314,7 +315,10 @@ func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
 			m.mu.Unlock()
 		}
 		if m.Metrics != nil && s.Rows > 0 {
-			if est, err := m.Est.Estimate(n); err == nil && est.Card > 0 {
+			if snap == nil {
+				snap = m.Est.Snapshot()
+			}
+			if est, _, err := snap.Estimate(n, nil); err == nil && est.Card > 0 {
 				q := est.Card / float64(s.Rows)
 				if q < 1 {
 					q = 1 / q

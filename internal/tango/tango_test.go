@@ -8,6 +8,7 @@ import (
 	"tango/internal/engine"
 	"tango/internal/server"
 	"tango/internal/tsql"
+	"tango/internal/uis"
 	"tango/internal/wire"
 )
 
@@ -231,5 +232,32 @@ func TestShareTransfers(t *testing.T) {
 	if got.Cardinality() != ref.Cardinality() || got.Cardinality() == 0 {
 		t.Fatalf("shared transfers changed the result: %d vs %d rows",
 			got.Cardinality(), ref.Cardinality())
+	}
+}
+
+// TestEstimateAfterReanalyze: the middleware's statistics are read
+// afresh per optimization, so ANALYZE after a load changes the estimate
+// (a plan-keyed estimate cache once kept reporting the first load).
+func TestEstimateAfterReanalyze(t *testing.T) {
+	mw := Open(server.New(engine.Open(engine.Config{}), wire.Latency{}), Options{HistogramBuckets: 8})
+	if err := mw.Conn.CreateTable("POSITION", uis.PositionSchema()); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, rows := range []int{100, 1000} {
+		if _, err := mw.Conn.Load("POSITION", (&uis.Generator{Seed: int64(rows)}).Positions(rows)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mw.Conn.Exec("ANALYZE POSITION"); err != nil {
+			t.Fatal(err)
+		}
+		total += rows
+		est, err := mw.Est.Estimate(algebra.Scan("POSITION", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Card != float64(total) {
+			t.Errorf("after loading %d rows and ANALYZE the estimate is %g rows", total, est.Card)
+		}
 	}
 }
