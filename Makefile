@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 .PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_22.json
+BENCHOUT ?= BENCH_23.json
 
 all: ci
 
@@ -49,11 +49,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder
-# and the wire decoders (frame, request and reply envelope) for
-# FUZZTIME each, seeded from the evaluation workload. Any
-# crasher is written to the package's testdata/fuzz corpus and replays
-# under plain `go test`.
+# fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder,
+# the wire decoders (frame, request and reply envelope), the WAL
+# decoder and the heap page decoder for FUZZTIME each, seeded from the
+# evaluation workload. Any crasher is written to the package's
+# testdata/fuzz corpus and replays under plain `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzPageDecode -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
 # drop/stall/partial schedules at both parallelism widths, plus the
@@ -94,9 +95,10 @@ load:
 	$(GO) run -race ./cmd/tangoload -sessions $(LOADSESSIONS) -ops 2 -retries 8 -op-timeout 2s -deadline 15s -chaos "seed=7;stall=200us;fetch@3=drop"
 
 # The per-layer row-path micro-benchmarks (rows/s and allocs/op each):
-# the shared sort routine, a heap scan's page decode, and the engine's
-# scan + project + ORDER BY on integer and on string keys.
-ROWBENCH = SortTuples|HeapScanDecode|EngineSort
+# the shared sort routine, a heap scan's page decode at 0, 3 and 8 of
+# POSITION's columns, the engine's scan + project + ORDER BY on integer
+# and on string keys, and its COUNT(*), filter and join scans.
+ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan
 
 # OPTBENCH is the optimizer layer: one Optimize of each paper query
 # (ns/op and allocs/op), so an optimizer regression names its query.

@@ -79,7 +79,7 @@ func tableRows(t *testing.T, sys *System, name string) []string {
 		t.Fatalf("table %s: %v", name, err)
 	}
 	var rows []string
-	err = tab.Heap.Scan(func(_ storage.RecordID, tuple types.Tuple) bool {
+	err = tab.Heap.Scan(nil, func(_ storage.RecordID, tuple types.Tuple) bool {
 		parts := make([]string, len(tuple))
 		for i, v := range tuple {
 			parts[i] = v.AsString()

@@ -43,6 +43,56 @@ func positionDB(tb testing.TB, n int) *DB {
 	return db
 }
 
+// addEmployee adds an EMPLOYEE table of n rows keyed by the EmpIDs
+// positionDB draws from.
+func addEmployee(tb testing.TB, db *DB, n int) {
+	tb.Helper()
+	schema := types.NewSchema(
+		types.Column{Name: "EmpID", Kind: types.KindInt},
+		types.Column{Name: "EmpName", Kind: types.KindString},
+		types.Column{Name: "Addr", Kind: types.KindString},
+		types.Column{Name: "Salary", Kind: types.KindFloat},
+	)
+	if _, err := db.CreateTable("EMPLOYEE", schema); err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = types.Tuple{
+			types.Int(int64(i * 4000 / n)), types.Str(fmt.Sprintf("Employee %d", i)),
+			types.Str(fmt.Sprintf("%d Elm St", i)), types.Float(float64(20 + i%50)),
+		}
+	}
+	if err := db.BulkLoad("EMPLOYEE", rows); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkEngineScan is the engine's share of plain statements over
+// a 12k-row POSITION: COUNT(*), which decodes no column; a filter
+// reading three of its eight columns; and a hash join with a 4k-row
+// EMPLOYEE reading two columns of one side and three of the other.
+func BenchmarkEngineScan(b *testing.B) {
+	const n = 12000
+	db := positionDB(b, n)
+	addEmployee(b, db, 4000)
+	for _, bc := range []struct{ name, sql string }{
+		{"count", "SELECT COUNT(*) FROM POSITION"},
+		{"filter", "SELECT PosID, EmpName FROM POSITION WHERE PayRate > 30"},
+		{"join", "SELECT P.PosID, E.EmpName, E.Addr FROM POSITION P, EMPLOYEE E WHERE P.EmpID = E.EmpID"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.QueryAll(bc.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
 // BenchmarkEngineSort is the engine's share of a sorted fetch: scan,
 // project, ORDER BY, with integer/date keys (the flat-key fast path)
 // and with a string key in front (the Compare path).

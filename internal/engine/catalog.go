@@ -490,8 +490,8 @@ func buildIndexTree(heap *storage.HeapFile, schema types.Schema, columnKey strin
 		return nil, fmt.Errorf("engine: no column %s", columnKey)
 	}
 	idx := btree.New()
-	err := heap.Scan(func(rid storage.RecordID, tuple types.Tuple) bool {
-		idx.Insert(tuple[i], rid)
+	err := heap.Scan([]int{i}, func(rid storage.RecordID, tuple types.Tuple) bool {
+		idx.Insert(tuple[0], rid)
 		return true
 	})
 	if err != nil {
@@ -526,7 +526,7 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 	ncols := t.Schema.Len()
 	values := make([][]types.Value, ncols)
 	var card, bytes int64
-	err := t.Heap.Scan(func(_ storage.RecordID, tuple types.Tuple) bool {
+	err := t.Heap.Scan(nil, func(_ storage.RecordID, tuple types.Tuple) bool {
 		card++
 		bytes += int64(tuple.ByteSize())
 		for i, v := range tuple {

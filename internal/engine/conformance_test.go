@@ -33,13 +33,14 @@ func TestConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	read := newTableRead(table, table.Schema, nil)
 	col := func(i int) evalFunc { return func(t types.Tuple) (types.Value, error) { return t[i], nil } }
 	keyEq := func(t types.Tuple) (types.Value, error) { return types.Bool(types.Equal(t[0], t[2])), nil }
 	one, two := []*rel.Relation{a}, []*rel.Relation{a, b}
 	itertest.Run(t, []itertest.Case{
-		{Name: "heapScan", Want: b, Build: func([]rel.Iterator) rel.Iterator { return newHeapScan(table, "") }},
+		{Name: "heapScan", Want: b, Build: func([]rel.Iterator) rel.Iterator { return newHeapScan(read) }},
 		{Name: "indexScan", Want: b, Build: func([]rel.Iterator) rel.Iterator {
-			return newIndexScan(table, "", "K", types.Null, types.Null, true)
+			return newIndexScan(read, "K", types.Null, types.Null, true)
 		}},
 		{Name: "filter", Inputs: one, Want: itertest.Ints("K V", []int64{2, 20}, []int64{3, 30}, []int64{2, 21}),
 			Build: func(in []rel.Iterator) rel.Iterator {
@@ -57,7 +58,7 @@ func TestConformance(t *testing.T) {
 			return newNLJoin(in[0], in[1], keyEq)
 		}},
 		{Name: "indexNLJoin", Inputs: one, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
-			return newIndexNLJoin(in[0], table, "", "K", col(0), nil)
+			return newIndexNLJoin(in[0], read, "K", col(0), nil)
 		}},
 		{Name: "hashJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
 			return newHashJoin(in[0], in[1], []evalFunc{col(0)}, []evalFunc{col(0)}, nil)

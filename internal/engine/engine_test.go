@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/types"
 )
 
@@ -94,6 +95,26 @@ func TestJoinMethodsAgree(t *testing.T) {
 		if !rel.EqualAsMultisets(want, got) {
 			t.Errorf("%s disagrees:\n%v\nvs\n%v", hint, want, got)
 		}
+	}
+}
+
+// TestHashJoinKeysOnce: the hash join evaluates each row's join key
+// once — a build row when it is hashed, a probe row when it arrives —
+// however many bucket candidates the probe row is compared with.
+func TestHashJoinKeysOnce(t *testing.T) {
+	l := itertest.Ints("K V", []int64{1, 10}, []int64{1, 11}, []int64{2, 20}, []int64{3, 30})
+	r := itertest.Ints("K W", []int64{1, 100}, []int64{1, 101}, []int64{2, 200}, []int64{4, 400})
+	var lcalls, rcalls int
+	counted := func(calls *int) []evalFunc {
+		return []evalFunc{func(t types.Tuple) (types.Value, error) { *calls++; return t[0], nil }}
+	}
+	got, err := rel.Drain(newHashJoin(l.Iter(), r.Iter(), counted(&lcalls), counted(&rcalls), nil))
+	if err != nil || got.Cardinality() != 5 {
+		t.Fatalf("join: %v, err %v", got, err)
+	}
+	if lcalls != len(l.Tuples) || rcalls != len(r.Tuples) {
+		t.Errorf("key evaluations: left %d, right %d; want one per row (%d, %d)",
+			lcalls, rcalls, len(l.Tuples), len(r.Tuples))
 	}
 }
 

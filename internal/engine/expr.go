@@ -28,3 +28,5 @@ func refersOnly(e sqlast.Expr, schema types.Schema) bool {
 }
 
 func exprKey(e sqlast.Expr) string { return eval.ExprKey(e) }
+
+func exprColumns(e sqlast.Expr) []string { return eval.ExprColumns(e) }

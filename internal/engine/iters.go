@@ -10,14 +10,36 @@ import (
 	"tango/internal/types"
 )
 
+// --- Table reads ---
+
+// tableRead is what every access path over one table shares: the
+// table, the columns its rows carry, and their schema.
+type tableRead struct {
+	table *Table
+	// cols lists the positions of the decoded columns, ascending; nil
+	// decodes every column.
+	cols   []int
+	schema types.Schema // the decoded columns, named as the statement names them
+}
+
+// newTableRead reads columns cols of t, whose columns the statement
+// names as in schema (t.Schema, qualified or not).
+func newTableRead(t *Table, schema types.Schema, cols []int) tableRead {
+	if cols != nil {
+		schema = schema.Project(cols)
+	}
+	return tableRead{table: t, cols: cols, schema: schema}
+}
+
+func (r *tableRead) Schema() types.Schema { return r.schema }
+
 // --- Heap scan ---
 
 // heapScan streams all live tuples of a table page-at-a-time through
 // the buffer pool: memory use is one page of decoded tuples, and the
 // pool's read accounting reflects the scan.
 type heapScan struct {
-	table  *Table
-	schema types.Schema
+	tableRead
 
 	numPages int
 	pageNo   int32
@@ -26,15 +48,7 @@ type heapScan struct {
 	opened   bool
 }
 
-func newHeapScan(t *Table, qualifier string) *heapScan {
-	schema := t.Schema
-	if qualifier != "" {
-		schema = schema.Qualify(qualifier)
-	}
-	return &heapScan{table: t, schema: schema}
-}
-
-func (s *heapScan) Schema() types.Schema { return s.schema }
+func newHeapScan(r tableRead) *heapScan { return &heapScan{tableRead: r} }
 
 func (s *heapScan) Open() error {
 	// The scan covers exactly the pinned version's visibility bound:
@@ -60,7 +74,7 @@ func (s *heapScan) NextBatch(dst []types.Tuple) (int, error) {
 			maxSlots = int(s.table.tailSlots)
 		}
 		var err error
-		s.buf, err = s.table.Heap.PageTuplesN(s.pageNo, maxSlots, s.buf[:0])
+		s.buf, err = s.table.Heap.PageTuples(s.pageNo, maxSlots, s.cols, s.buf[:0])
 		if err != nil {
 			return 0, err
 		}
@@ -76,24 +90,17 @@ func (s *heapScan) Close() error { s.buf = nil; s.page.Reset(nil); return nil }
 // indexScan reads tuples via a secondary index in key order, optionally
 // restricted to a key range.
 type indexScan struct {
-	table  *Table
+	tableRead
 	col    string
-	schema types.Schema
 	lo, hi types.Value
 	hiIncl bool
 	rids   []storage.RecordID
 	pos    int
 }
 
-func newIndexScan(t *Table, qualifier, col string, lo, hi types.Value, hiIncl bool) *indexScan {
-	schema := t.Schema
-	if qualifier != "" {
-		schema = schema.Qualify(qualifier)
-	}
-	return &indexScan{table: t, col: col, schema: schema, lo: lo, hi: hi, hiIncl: hiIncl}
+func newIndexScan(r tableRead, col string, lo, hi types.Value, hiIncl bool) *indexScan {
+	return &indexScan{tableRead: r, col: col, lo: lo, hi: hi, hiIncl: hiIncl}
 }
-
-func (s *indexScan) Schema() types.Schema { return s.schema }
 
 func (s *indexScan) Open() error {
 	idx := s.table.Index(s.col)
@@ -117,7 +124,7 @@ func (s *indexScan) Open() error {
 func (s *indexScan) NextBatch(dst []types.Tuple) (int, error) {
 	n := 0
 	for ; n < len(dst) && s.pos < len(s.rids); n++ {
-		t, err := s.table.Heap.Get(s.rids[s.pos])
+		t, err := s.table.Heap.Get(s.rids[s.pos], s.cols)
 		if err != nil {
 			return 0, err
 		}
@@ -340,8 +347,7 @@ func (j *nlJoin) Close() error {
 // residual (may be nil) filters the concatenated tuple.
 type indexNLJoin struct {
 	outer    *rel.Reader
-	inner    *Table
-	innerQ   string // qualifier for inner schema
+	inner    tableRead
 	innerCol string // indexed column (unqualified)
 	outerKey evalFunc
 	residual evalFunc
@@ -353,23 +359,19 @@ type indexNLJoin struct {
 	rows    types.TupleAlloc
 }
 
-func newIndexNLJoin(outer rel.Iterator, inner *Table, innerQ, innerCol string, outerKey evalFunc, residual evalFunc) *indexNLJoin {
-	is := inner.Schema
-	if innerQ != "" {
-		is = is.Qualify(innerQ)
-	}
+func newIndexNLJoin(outer rel.Iterator, inner tableRead, innerCol string, outerKey evalFunc, residual evalFunc) *indexNLJoin {
 	return &indexNLJoin{
-		outer: rel.NewReader(outer), inner: inner, innerQ: innerQ, innerCol: innerCol,
+		outer: rel.NewReader(outer), inner: inner, innerCol: innerCol,
 		outerKey: outerKey, residual: residual,
-		schema: outer.Schema().Concat(is),
+		schema: outer.Schema().Concat(inner.schema),
 	}
 }
 
 func (j *indexNLJoin) Schema() types.Schema { return j.schema }
 
 func (j *indexNLJoin) Open() error {
-	if j.inner.Index(j.innerCol) == nil {
-		return fmt.Errorf("engine: no index on %s.%s", j.inner.Name, j.innerCol)
+	if j.inner.table.Index(j.innerCol) == nil {
+		return fmt.Errorf("engine: no index on %s.%s", j.inner.table.Name, j.innerCol)
 	}
 	j.cur = nil
 	return j.outer.Open()
@@ -378,7 +380,8 @@ func (j *indexNLJoin) Open() error {
 func (j *indexNLJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
 
 func (j *indexNLJoin) next() (types.Tuple, bool, error) {
-	idx := j.inner.Index(j.innerCol)
+	inner := j.inner.table
+	idx := inner.Index(j.innerCol)
 	for {
 		if j.cur == nil {
 			t, ok, err := j.outer.Next()
@@ -393,10 +396,10 @@ func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 			j.matches = j.matches[:0]
 			if !key.IsNull() {
 				for _, rid := range idx.Lookup(key) {
-					if !j.inner.visible(rid) {
+					if !inner.visible(rid) {
 						continue
 					}
-					it, err := j.inner.Heap.Get(rid)
+					it, err := inner.Heap.Get(rid, j.inner.cols)
 					if err != nil {
 						return nil, false, err
 					}
@@ -426,7 +429,9 @@ func (j *indexNLJoin) Close() error { return j.outer.Close() }
 
 // hashJoin builds a hash table on the right input keyed by the right
 // key expressions and probes with the left; residual (may be nil)
-// filters concatenated tuples.
+// filters concatenated tuples. Each row's key is evaluated once: the
+// build side stores its key values beside the row, and a probe row's
+// are computed once and compared with the stored ones.
 type hashJoin struct {
 	left                *rel.Reader
 	right               rel.Input
@@ -434,11 +439,19 @@ type hashJoin struct {
 	residual            evalFunc
 	schema              types.Schema
 
-	table  map[uint64][]types.Tuple
+	table  map[uint64][]hashEntry
+	keys   types.TupleAlloc // the build rows' key values
 	cur    types.Tuple
-	bucket []types.Tuple
+	probe  types.Tuple // cur's key values
+	bucket []hashEntry
 	bi     int
 	rows   types.TupleAlloc
+}
+
+// hashEntry is a build row with its join key values.
+type hashEntry struct {
+	key types.Tuple
+	row types.Tuple
 }
 
 func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, residual evalFunc) *hashJoin {
@@ -451,33 +464,37 @@ func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, resid
 
 func (j *hashJoin) Schema() types.Schema { return j.schema }
 
-func hashKeys(t types.Tuple, keys []evalFunc) (uint64, bool, error) {
+// hashKeys evaluates keys over t into key and hashes the values; valid
+// is false when one is NULL, since NULL keys never join.
+func hashKeys(t types.Tuple, keys []evalFunc, key types.Tuple) (uint64, bool, error) {
 	var h uint64 = 14695981039346656037
-	for _, k := range keys {
+	for i, k := range keys {
 		v, err := k(t)
-		if err != nil {
+		if err != nil || v.IsNull() {
 			return 0, false, err
 		}
-		if v.IsNull() {
-			return 0, false, nil // NULL keys never join
-		}
+		key[i] = v
 		h = h*1099511628211 ^ v.Hash()
 	}
 	return h, true, nil
 }
 
 func (j *hashJoin) Open() error {
-	j.table = map[uint64][]types.Tuple{}
+	j.table = map[uint64][]hashEntry{}
 	if err := rel.Each(&j.right, func(t types.Tuple) error {
-		h, valid, err := hashKeys(t, j.rightKeys)
+		key := j.keys.Make(len(j.rightKeys))
+		h, valid, err := hashKeys(t, j.rightKeys, key)
 		if valid {
-			j.table[h] = append(j.table[h], t)
+			j.table[h] = append(j.table[h], hashEntry{key: key, row: t})
+		} else {
+			j.keys.Undo(key)
 		}
 		return err
 	}); err != nil {
 		return err
 	}
 	j.cur = nil
+	j.probe = make(types.Tuple, len(j.leftKeys))
 	return j.left.Open()
 }
 
@@ -491,7 +508,7 @@ func (j *hashJoin) next() (types.Tuple, bool, error) {
 				return nil, false, err
 			}
 			j.cur = t
-			h, valid, err := hashKeys(j.cur, j.leftKeys)
+			h, valid, err := hashKeys(j.cur, j.leftKeys, j.probe)
 			if err != nil {
 				return nil, false, err
 			}
@@ -503,28 +520,12 @@ func (j *hashJoin) next() (types.Tuple, bool, error) {
 			j.bi = 0
 		}
 		for j.bi < len(j.bucket) {
-			r := j.bucket[j.bi]
+			e := j.bucket[j.bi]
 			j.bi++
-			// Verify key equality (hash collisions).
-			match := true
-			for k := range j.leftKeys {
-				lv, err := j.leftKeys[k](j.cur)
-				if err != nil {
-					return nil, false, err
-				}
-				rv, err := j.rightKeys[k](r)
-				if err != nil {
-					return nil, false, err
-				}
-				if lv.IsNull() || rv.IsNull() || !types.Equal(lv, rv) {
-					match = false
-					break
-				}
+			if !slices.EqualFunc(j.probe, e.key, types.Equal) {
+				continue // a hash collision
 			}
-			if !match {
-				continue
-			}
-			out, ok, err := concatIf(&j.rows, j.cur, r, j.residual)
+			out, ok, err := concatIf(&j.rows, j.cur, e.row, j.residual)
 			if err != nil {
 				return nil, false, err
 			}

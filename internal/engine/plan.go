@@ -38,18 +38,31 @@ func asHeapScan(it rel.Iterator) (*heapScan, bool) {
 // one pinned catalog version, including any UNION chain and the
 // trailing ORDER BY. Table resolution, index choice, and visibility
 // bounds all come from v, so the plan reads one consistent snapshot.
+// Its scans decode only the columns the statement can reference (see
+// planSources). A statement that fails to plan so is planned again
+// without pruning and gets that plan or error, so pruning never changes
+// whether a statement plans, nor the error — down to the columns it
+// lists — with which it fails.
 func (db *DB) planSelect(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, error) {
-	it, err := db.planCore(v, s)
+	if it, err := db.planQuery(v, s, true); err == nil {
+		return it, nil
+	}
+	return db.planQuery(v, s, false)
+}
+
+// planQuery is planSelect with column pruning on or off.
+func (db *DB) planQuery(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel.Iterator, error) {
+	it, err := db.planCore(v, s, prune)
 	if err != nil {
 		return nil, err
 	}
 	// UNION chain.
 	if s.Union != nil {
-		right, err := db.planSelect(v, &sqlast.SelectStmt{
+		right, err := db.planQuery(v, &sqlast.SelectStmt{
 			Hint: s.Union.Hint, Distinct: s.Union.Distinct, Items: s.Union.Items,
 			From: s.Union.From, Where: s.Union.Where, GroupBy: s.Union.GroupBy,
 			Having: s.Union.Having, Union: s.Union.Union, UnionAll: s.Union.UnionAll,
-		})
+		}, prune)
 		if err != nil {
 			return nil, err
 		}
@@ -147,9 +160,9 @@ func stripQualifiers(e sqlast.Expr) sqlast.Expr {
 }
 
 // planCore plans one SELECT block (no UNION, no ORDER BY).
-func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, error) {
+func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel.Iterator, error) {
 	// 1. FROM sources.
-	sources, err := db.planSources(v, s)
+	sources, err := db.planSources(v, s, prune)
 	if err != nil {
 		return nil, err
 	}
@@ -246,11 +259,18 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt) (rel.Iterator, e
 }
 
 // planSources builds one iterator per FROM entry; schemas are
-// qualified by alias (or table name).
-func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt) ([]rel.Iterator, error) {
+// qualified by alias (or table name). When pruning, a source produces
+// only the columns the block can reference: a base table's scan decodes
+// just those, and a derived table drops the select items that feed
+// none.
+func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt, prune bool) ([]rel.Iterator, error) {
 	if len(s.From) == 0 {
 		// "SELECT expr" with no FROM: one empty row.
 		return []rel.Iterator{&dualIter{}}, nil
+	}
+	refs := colRefs{star: true} // every column
+	if prune {
+		refs = blockRefs(s)
 	}
 	sources := make([]rel.Iterator, len(s.From))
 	for i, ref := range s.From {
@@ -264,9 +284,20 @@ func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt) ([]rel.Iterat
 			if q == "" {
 				q = r.Name
 			}
-			sources[i] = db.instrument("scan("+t.Name+")", newHeapScan(t, q))
+			schema := t.Schema.Qualify(q)
+			scan := newHeapScan(newTableRead(t, schema, refs.need(schema)))
+			sources[i] = db.instrument("scan("+t.Name+")", scan)
 		case sqlast.Derived:
-			sub, err := db.planSelect(v, r.Select)
+			sel := pruneDerived(r, refs)
+			if sel != r.Select {
+				// The dropped items are never evaluated, but a block that
+				// fails to plan whole must still fail: plan it so, unpruned,
+				// and discard the plan.
+				if _, err := db.planQuery(v, r.Select, false); err != nil {
+					return nil, err
+				}
+			}
+			sub, err := db.planQuery(v, sel, prune)
 			if err != nil {
 				return nil, err
 			}
@@ -277,6 +308,126 @@ func (db *DB) planSources(v *catalogVersion, s *sqlast.SelectStmt) ([]rel.Iterat
 		}
 	}
 	return sources, nil
+}
+
+// colRefs is what a SELECT block can reference in its FROM sources.
+type colRefs struct {
+	// names are the column references in the select list, WHERE, GROUP
+	// BY, HAVING and ORDER BY (whose aggregates are computed from the
+	// sources), spelled as compileExpr resolves them.
+	names  []string
+	star   bool     // a * item: every column of every source
+	tables []string // the qualifiers of tab.* items
+}
+
+// blockRefs collects what block s can reference in its sources.
+func blockRefs(s *sqlast.SelectStmt) colRefs {
+	var r colRefs
+	for _, item := range s.Items {
+		switch x := item.Expr.(type) {
+		case sqlast.Star:
+			r.star = true
+		case sqlast.ColumnRef:
+			if x.Name == "*" {
+				r.tables = append(r.tables, x.Table)
+			}
+		}
+		r.names = append(r.names, exprColumns(item.Expr)...)
+	}
+	r.names = append(r.names, exprColumns(s.Where)...)
+	for _, g := range s.GroupBy {
+		r.names = append(r.names, exprColumns(g)...)
+	}
+	r.names = append(r.names, exprColumns(s.Having)...)
+	for _, o := range s.OrderBy {
+		r.names = append(r.names, exprColumns(o.Expr)...)
+	}
+	return r
+}
+
+// need returns the positions, ascending, of the columns of a source
+// with the given schema that the references resolve to — through
+// ColumnIndex, the rule compileExpr uses — or nil when that is all of
+// them. A reference resolving in several sources keeps its column in
+// each, so every schema the planner resolves against (one source, a
+// join's two sides, all of them) keeps the column it would pick among
+// every column, and picks it again.
+func (r colRefs) need(schema types.Schema) []int {
+	if r.star {
+		return nil
+	}
+	keep := make([]bool, schema.Len())
+	for _, name := range r.names {
+		if i := schema.ColumnIndex(name); i >= 0 {
+			keep[i] = true
+		}
+	}
+	for i, c := range schema.Cols {
+		for _, tab := range r.tables {
+			if starCovers(tab, c.Name) {
+				keep[i] = true
+			}
+		}
+	}
+	cols := make([]int, 0, schema.Len())
+	for i, k := range keep {
+		if k {
+			cols = append(cols, i)
+		}
+	}
+	if len(cols) == schema.Len() {
+		return nil
+	}
+	return cols
+}
+
+// starCovers reports whether tab.* covers the column.
+func starCovers(tab, column string) bool {
+	return strings.HasPrefix(strings.ToUpper(column), strings.ToUpper(tab)+".")
+}
+
+// pruneDerived returns d's SELECT without the items the outer block's
+// references r cannot reach. Kept items keep their output names (a
+// positional COLn name becomes an alias), and at least one is kept so
+// the row count holds. A block whose rows or names depend on every item
+// is returned whole: DISTINCT, a UNION, a * item, an ORDER BY (it
+// resolves against the items by name), or a grand aggregate (an
+// aggregate item, no GROUP BY or HAVING), which dropping its aggregates
+// would turn into a plain SELECT.
+func pruneDerived(d sqlast.Derived, r colRefs) *sqlast.SelectStmt {
+	s := d.Select
+	if s.Distinct || s.Union != nil || len(s.OrderBy) > 0 {
+		return s
+	}
+	grouped := len(s.GroupBy) > 0 || s.Having != nil
+	out := types.Schema{Cols: make([]types.Column, len(s.Items))}
+	for i, item := range s.Items {
+		switch x := item.Expr.(type) {
+		case sqlast.Star:
+			return s
+		case sqlast.ColumnRef:
+			if x.Name == "*" {
+				return s
+			}
+		}
+		if !grouped && sqlast.HasAggregate(item.Expr) {
+			return s
+		}
+		out.Cols[i].Name = outputName(item, i)
+	}
+	keep := r.need(out.Qualify(d.Alias))
+	if keep == nil {
+		return s
+	}
+	if len(keep) == 0 {
+		keep = []int{0}
+	}
+	pruned := *s
+	pruned.Items = make([]sqlast.SelectItem, len(keep))
+	for k, i := range keep {
+		pruned.Items[k] = sqlast.SelectItem{Expr: s.Items[i].Expr, Alias: out.Cols[i].Name}
+	}
+	return &pruned
 }
 
 // resolvesElsewhere reports whether e's columns could also all resolve
@@ -364,8 +515,7 @@ func tryIndexScan(hs *heapScan, preds []sqlast.Expr) (rel.Iterator, []sqlast.Exp
 		if op == sqlast.OpGt {
 			rest = append(rest, p) // residual for exclusivity
 		}
-		q := strings.SplitN(hs.schema.Cols[0].Name, ".", 2)[0]
-		return newIndexScan(hs.table, q, cr.Name, lo, hi, hiIncl), rest, true
+		return newIndexScan(hs.tableRead, cr.Name, lo, hi, hiIncl), rest, true
 	}
 	return nil, preds, false
 }
@@ -464,8 +614,7 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 					return nil, err
 				}
 				markUsed(equiIdx, residualIdx)
-				q := strings.SplitN(hs.schema.Cols[0].Name, ".", 2)[0]
-				inl := newIndexNLJoin(left, hs.table, q, cr.Name, outerKey, residual)
+				inl := newIndexNLJoin(left, hs.tableRead, cr.Name, outerKey, residual)
 				return db.instrument("indexnljoin", inl, left), nil
 			}
 		}
@@ -555,10 +704,9 @@ func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, [
 		case sqlast.ColumnRef:
 			if x.Name == "*" {
 				// tab.* form.
-				prefix := strings.ToUpper(x.Table) + "."
 				found := false
 				for ci := range in.Cols {
-					if strings.HasPrefix(strings.ToUpper(in.Cols[ci].Name), prefix) {
+					if starCovers(x.Table, in.Cols[ci].Name) {
 						idx := ci
 						cols = append(cols, types.Column{
 							Name: unqualify(in.Cols[ci].Name),

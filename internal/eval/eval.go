@@ -180,11 +180,18 @@ func compileBinary(op sqlast.BinaryOp, left, right Func) (Func, error) {
 		}, nil
 	}
 
-	arith := map[sqlast.BinaryOp]func(a, b types.Value) types.Value{
-		sqlast.OpAdd: types.Add, sqlast.OpSub: types.Sub,
-		sqlast.OpMul: types.Mul, sqlast.OpDiv: types.Div,
+	var arith func(a, b types.Value) types.Value
+	switch op {
+	case sqlast.OpAdd:
+		arith = types.Add
+	case sqlast.OpSub:
+		arith = types.Sub
+	case sqlast.OpMul:
+		arith = types.Mul
+	case sqlast.OpDiv:
+		arith = types.Div
 	}
-	if fn, ok := arith[op]; ok {
+	if arith != nil {
 		return func(t types.Tuple) (types.Value, error) {
 			l, err := left(t)
 			if err != nil {
@@ -194,7 +201,7 @@ func compileBinary(op sqlast.BinaryOp, left, right Func) (Func, error) {
 			if err != nil {
 				return types.Null, err
 			}
-			return fn(l, r), nil
+			return arith(l, r), nil
 		}, nil
 	}
 
@@ -240,16 +247,23 @@ func compileScalarFunc(x sqlast.FuncCall, schema types.Schema) (Func, error) {
 		}
 		args[i] = f
 	}
-	evalArgs := func(t types.Tuple) ([]types.Value, error) {
-		vals := make([]types.Value, len(args))
-		for i, f := range args {
-			v, err := f(t)
+	// fold evaluates every argument in order and combines the values
+	// left to right, stopping at the first error.
+	fold := func(combine func(acc, v types.Value) types.Value) Func {
+		return func(t types.Tuple) (types.Value, error) {
+			acc, err := args[0](t)
 			if err != nil {
-				return nil, err
+				return types.Null, err
 			}
-			vals[i] = v
+			for _, f := range args[1:] {
+				v, err := f(t)
+				if err != nil {
+					return types.Null, err
+				}
+				acc = combine(acc, v)
+			}
+			return acc, nil
 		}
-		return vals, nil
 	}
 	arity := func(n int) error {
 		if len(args) != n {
@@ -262,32 +276,12 @@ func compileScalarFunc(x sqlast.FuncCall, schema types.Schema) (Func, error) {
 		if len(args) < 2 {
 			return nil, fmt.Errorf("eval: GREATEST needs at least 2 arguments")
 		}
-		return func(t types.Tuple) (types.Value, error) {
-			vals, err := evalArgs(t)
-			if err != nil {
-				return types.Null, err
-			}
-			out := vals[0]
-			for _, v := range vals[1:] {
-				out = types.Greatest(out, v)
-			}
-			return out, nil
-		}, nil
+		return fold(types.Greatest), nil
 	case "LEAST":
 		if len(args) < 2 {
 			return nil, fmt.Errorf("eval: LEAST needs at least 2 arguments")
 		}
-		return func(t types.Tuple) (types.Value, error) {
-			vals, err := evalArgs(t)
-			if err != nil {
-				return types.Null, err
-			}
-			out := vals[0]
-			for _, v := range vals[1:] {
-				out = types.Least(out, v)
-			}
-			return out, nil
-		}, nil
+		return fold(types.Least), nil
 	case "ABS":
 		if err := arity(1); err != nil {
 			return nil, err
@@ -322,32 +316,25 @@ func compileScalarFunc(x sqlast.FuncCall, schema types.Schema) (Func, error) {
 			return types.Int(int64(len(v.AsString()))), nil
 		}, nil
 	case "COALESCE":
-		return func(t types.Tuple) (types.Value, error) {
-			vals, err := evalArgs(t)
-			if err != nil {
-				return types.Null, err
+		if len(args) == 0 {
+			return func(types.Tuple) (types.Value, error) { return types.Null, nil }, nil
+		}
+		return fold(func(acc, v types.Value) types.Value {
+			if acc.IsNull() {
+				return v
 			}
-			for _, v := range vals {
-				if !v.IsNull() {
-					return v, nil
-				}
-			}
-			return types.Null, nil
-		}, nil
+			return acc
+		}), nil
 	case "MOD":
 		if err := arity(2); err != nil {
 			return nil, err
 		}
-		return func(t types.Tuple) (types.Value, error) {
-			vals, err := evalArgs(t)
-			if err != nil {
-				return types.Null, err
+		return fold(func(a, b types.Value) types.Value {
+			if a.IsNull() || b.IsNull() || b.AsInt() == 0 {
+				return types.Null
 			}
-			if vals[0].IsNull() || vals[1].IsNull() || vals[1].AsInt() == 0 {
-				return types.Null, nil
-			}
-			return types.Int(vals[0].AsInt() % vals[1].AsInt()), nil
-		}, nil
+			return types.Int(a.AsInt() % b.AsInt())
+		}), nil
 	}
 	return nil, fmt.Errorf("eval: unknown function %s", x.Name)
 }

@@ -707,7 +707,7 @@ func TestDropFileInvalidateInteraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	h2.Scan(func(_ RecordID, tp types.Tuple) bool { n++; return true })
+	h2.Scan(nil, func(_ RecordID, tp types.Tuple) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("fresh heap scan saw %d tuples", n)
 	}
@@ -748,7 +748,7 @@ func TestHeapFileIterationOverRecoveredStore(t *testing.T) {
 	}
 	var sum int64
 	count := 0
-	if err := h2.Scan(func(_ RecordID, tp types.Tuple) bool {
+	if err := h2.Scan(nil, func(_ RecordID, tp types.Tuple) bool {
 		count++
 		sum += tp[0].AsInt()
 		return true
@@ -763,7 +763,7 @@ func TestHeapFileIterationOverRecoveredStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	count = 0
-	h2.Scan(func(RecordID, types.Tuple) bool { count++; return true })
+	h2.Scan(nil, func(RecordID, types.Tuple) bool { count++; return true })
 	if count != n+1 {
 		t.Fatalf("after append count = %d", count)
 	}

@@ -83,8 +83,9 @@ func (h *HeapFile) Insert(t types.Tuple) (RecordID, error) {
 	return RecordID{Page: pid.No, Slot: int32(slot)}, nil
 }
 
-// Get reads the tuple at the given record ID.
-func (h *HeapFile) Get(rid RecordID) (types.Tuple, error) {
+// Get reads the tuple at the given record ID, keeping the columns at
+// positions cols (ascending; nil keeps every column).
+func (h *HeapFile) Get(rid RecordID, cols []int) (types.Tuple, error) {
 	pid := PageID{File: h.file, No: rid.Page}
 	p, ref, err := h.pool.FetchShared(pid)
 	if err != nil {
@@ -95,7 +96,7 @@ func (h *HeapFile) Get(rid RecordID) (types.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, _, err := types.DecodeTuple(rec)
+	t, _, err := types.DecodeColumns(rec, cols)
 	return t, err
 }
 
@@ -117,11 +118,12 @@ func (h *HeapFile) Drop() {
 }
 
 // Scan iterates over every live tuple in the file in storage order,
-// calling fn with the record ID and tuple. fn returning false stops the
-// scan early. Each page is decoded under its shared content latch and
-// the latch released before fn runs, so callbacks may acquire other
-// locks (index builds) without entering the latch hierarchy.
-func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
+// calling fn with the record ID and the tuple's columns at positions
+// cols (ascending; nil keeps every column). fn returning false stops
+// the scan early. Each page is decoded under its shared content latch
+// and the latch released before fn runs, so callbacks may acquire
+// other locks (index builds) without entering the latch hierarchy.
+func (h *HeapFile) Scan(cols []int, fn func(RecordID, types.Tuple) bool) error {
 	n := h.NumPages()
 	var (
 		rids   []RecordID
@@ -130,7 +132,7 @@ func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
 	)
 	for pageNo := int32(0); pageNo < int32(n); pageNo++ {
 		rids = rids[:0]
-		tuples, err = h.pageTuples(pageNo, -1, tuples[:0], &rids)
+		tuples, err = h.pageTuples(pageNo, -1, cols, tuples[:0], &rids)
 		if err != nil {
 			return err
 		}
@@ -143,26 +145,21 @@ func (h *HeapFile) Scan(fn func(RecordID, types.Tuple) bool) error {
 	return nil
 }
 
-// PageTuples decodes all live tuples of one page, appending to dst.
-// It lets scans stream page-at-a-time instead of materializing the
-// whole table.
-func (h *HeapFile) PageTuples(pageNo int32, dst []types.Tuple) ([]types.Tuple, error) {
-	return h.PageTuplesN(pageNo, -1, dst)
+// PageTuples decodes the live tuples of one page up to (excluding)
+// slot maxSlots, keeping the columns at positions cols (ascending; nil
+// keeps every column), and appends them to dst; maxSlots < 0 means
+// every slot. It lets scans stream page-at-a-time instead of
+// materializing the whole table, and snapshot scans use the slot cap
+// to stop a tail page at the reader's visibility bound. The page is
+// read under its shared content latch and decoded in one validating
+// pass (types.Decoder): the tuples do not alias the page buffer.
+func (h *HeapFile) PageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple) ([]types.Tuple, error) {
+	return h.pageTuples(pageNo, maxSlots, cols, dst, nil)
 }
 
-// PageTuplesN decodes the live tuples of one page up to (excluding)
-// slot maxSlots, appending to dst; maxSlots < 0 means every slot.
-// Snapshot scans use the slot cap to stop a tail page at the reader's
-// visibility bound. The page is read under its shared content latch.
-// The tuples are carved from one exactly-sized types.Slab per page and
-// do not alias the page buffer.
-func (h *HeapFile) PageTuplesN(pageNo int32, maxSlots int, dst []types.Tuple) ([]types.Tuple, error) {
-	return h.pageTuples(pageNo, maxSlots, dst, nil)
-}
-
-// pageTuples is PageTuplesN that also appends each tuple's record ID
+// pageTuples is PageTuples that also appends each tuple's record ID
 // to *rids when rids is non-nil.
-func (h *HeapFile) pageTuples(pageNo int32, maxSlots int, dst []types.Tuple, rids *[]RecordID) ([]types.Tuple, error) {
+func (h *HeapFile) pageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple, rids *[]RecordID) ([]types.Tuple, error) {
 	pid := PageID{File: h.file, No: pageNo}
 	p, ref, err := h.pool.FetchShared(pid)
 	if err != nil {
@@ -173,33 +170,30 @@ func (h *HeapFile) pageTuples(pageNo int32, maxSlots int, dst []types.Tuple, rid
 	if maxSlots >= 0 && maxSlots < slots {
 		slots = maxSlots
 	}
-	var slab types.Slab
 	live := 0
-	for s := 0; s < slots; s++ {
+	for s := range slots {
+		if _, err := p.Record(s); err == nil {
+			live++
+		}
+	}
+	d := types.NewDecoder(live, cols)
+	start := len(dst)
+	dst = slices.Grow(dst, live)
+	for s := range slots {
 		rec, err := p.Record(s)
-		if err == ErrNoRecord {
+		if err != nil {
 			continue
 		}
+		t, _, err := d.Decode(rec)
 		if err != nil {
-			return dst, err
+			return dst[:start], err
 		}
-		if _, err := slab.Measure(rec); err != nil {
-			return dst, err
-		}
-		live++
-	}
-	dst = slices.Grow(dst, live)
-	for s := 0; s < slots; s++ {
-		rec, err := p.Record(s)
-		if err != nil {
-			continue // measured above: only ErrNoRecord is left
-		}
-		t, _ := slab.Decode(rec)
 		dst = append(dst, t)
 		if rids != nil {
 			*rids = append(*rids, RecordID{Page: pageNo, Slot: int32(s)})
 		}
 	}
+	d.Own(dst[start:])
 	return dst, nil
 }
 

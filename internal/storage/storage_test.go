@@ -193,7 +193,7 @@ func TestHeapFileInsertScan(t *testing.T) {
 	}
 	count := 0
 	sum := int64(0)
-	err := h.Scan(func(_ RecordID, tp types.Tuple) bool {
+	err := h.Scan(nil, func(_ RecordID, tp types.Tuple) bool {
 		count++
 		sum += tp[0].AsInt()
 		return true
@@ -220,18 +220,21 @@ func TestHeapFileGetDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Get(rid)
+	got, err := h.Get(rid, nil)
 	if err != nil || got[0].AsInt() != 7 || got[1].AsString() != "seven" {
 		t.Fatalf("Get: %v, %v", got, err)
+	}
+	if got, err := h.Get(rid, []int{1}); err != nil || len(got) != 1 || got[0].AsString() != "seven" {
+		t.Fatalf("Get of column 1: %v, %v", got, err)
 	}
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid); err == nil {
+	if _, err := h.Get(rid, nil); err == nil {
 		t.Error("Get after Delete should fail")
 	}
 	seen := 0
-	h.Scan(func(RecordID, types.Tuple) bool { seen++; return true })
+	h.Scan(nil, func(RecordID, types.Tuple) bool { seen++; return true })
 	if seen != 0 {
 		t.Errorf("scan after delete saw %d tuples", seen)
 	}
@@ -256,8 +259,8 @@ func TestBulkLoadEqualsInsert(t *testing.T) {
 		}
 	}
 	var a, b []int64
-	h1.Scan(func(_ RecordID, tp types.Tuple) bool { a = append(a, tp[0].AsInt()); return true })
-	h2.Scan(func(_ RecordID, tp types.Tuple) bool { b = append(b, tp[0].AsInt()); return true })
+	h1.Scan(nil, func(_ RecordID, tp types.Tuple) bool { a = append(a, tp[0].AsInt()); return true })
+	h2.Scan(nil, func(_ RecordID, tp types.Tuple) bool { b = append(b, tp[0].AsInt()); return true })
 	if len(a) != len(tuples) || len(b) != len(tuples) {
 		t.Fatalf("lengths: %d, %d, want %d", len(a), len(b), len(tuples))
 	}
@@ -278,7 +281,7 @@ func TestHeapFileDrop(t *testing.T) {
 	h := NewHeapFile(bp)
 	h.Insert(tup(1, "x"))
 	h.Drop()
-	if err := h.Scan(func(RecordID, types.Tuple) bool { return true }); err != nil {
+	if err := h.Scan(nil, func(RecordID, types.Tuple) bool { return true }); err != nil {
 		// Scan over a dropped file sees zero pages; either nil error with
 		// no tuples or an error is acceptable, but it must not panic.
 		t.Logf("scan after drop: %v", err)
@@ -296,13 +299,13 @@ func TestPageTuplesMatchesScan(t *testing.T) {
 		}
 	}
 	var viaScan []int64
-	h.Scan(func(_ RecordID, tp types.Tuple) bool {
+	h.Scan(nil, func(_ RecordID, tp types.Tuple) bool {
 		viaScan = append(viaScan, tp[0].AsInt())
 		return true
 	})
 	var viaPages []int64
 	for p := int32(0); int(p) < h.NumPages(); p++ {
-		tuples, err := h.PageTuples(p, nil)
+		tuples, err := h.PageTuples(p, -1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +325,7 @@ func TestPageTuplesMatchesScan(t *testing.T) {
 	if err := h.Delete(RecordID{Page: 0, Slot: 0}); err != nil {
 		t.Fatal(err)
 	}
-	tuples, err := h.PageTuples(0, nil)
+	tuples, err := h.PageTuples(0, -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +340,7 @@ func TestPageTuplesMatchesScan(t *testing.T) {
 // float, four integers) into a fresh in-memory heap file.
 func positionHeap(tb testing.TB, n int) *HeapFile {
 	tb.Helper()
-	h := NewHeapFile(NewBufferPool(NewDisk(), 64))
+	h := NewHeapFile(NewBufferPool(NewDisk(), 128)) // 12k rows fit: scans stay warm
 	rows := make([]types.Tuple, n)
 	for i := range rows {
 		rows[i] = tup(i, i%97, fmt.Sprintf("Employee %d", i), "Dept", 12.5, "Title", 9000+i, 9100+i)
@@ -352,7 +355,7 @@ func positionHeap(tb testing.TB, n int) *HeapFile {
 // they were read from may be evicted and reused at once.
 func TestPageTuplesOutlivePage(t *testing.T) {
 	h := positionHeap(t, 200)
-	rows, err := h.PageTuplesN(0, -1, nil)
+	rows, err := h.PageTuples(0, -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,21 +379,32 @@ func TestPageTuplesOutlivePage(t *testing.T) {
 
 // BenchmarkHeapScanDecode is the storage layer's share of a table
 // scan: every page of a 12k-row POSITION-shaped heap, fetched from a
-// warm pool and decoded.
+// warm pool and decoded keeping no column (COUNT(*)), three (PosID,
+// EmpName, PayRate: a filter's) or all eight.
 func BenchmarkHeapScanDecode(b *testing.B) {
 	const n = 12000
 	h := positionHeap(b, n)
 	pages := int32(h.NumPages())
-	var buf []types.Tuple
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := int32(0); p < pages; p++ {
-			var err error
-			if buf, err = h.PageTuplesN(p, -1, buf[:0]); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		cols []int
+	}{
+		{"cols=0", []int{}},
+		{"cols=3", []int{0, 2, 4}},
+		{"cols=8", nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var buf []types.Tuple
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for p := int32(0); p < pages; p++ {
+					var err error
+					if buf, err = h.PageTuples(p, -1, bc.cols, buf[:0]); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
-	b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

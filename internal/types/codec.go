@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"unsafe"
 )
 
 // EncodeTuple appends a compact binary encoding of the tuple to dst and
@@ -32,29 +31,45 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 
 // DecodeTuple decodes one tuple from buf, returning the tuple and the
 // number of bytes consumed.
-func DecodeTuple(buf []byte) (Tuple, int, error) {
-	var s Slab
-	used, err := s.Measure(buf)
+func DecodeTuple(buf []byte) (Tuple, int, error) { return DecodeColumns(buf, nil) }
+
+// DecodeColumns decodes the tuple encoded at the front of buf keeping
+// only the columns at positions cols, as a Decoder does, and returns it
+// with its encoded length.
+func DecodeColumns(buf []byte, cols []int) (Tuple, int, error) {
+	d := NewDecoder(1, cols)
+	t, used, err := d.Decode(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	t, _ := s.Decode(buf)
+	d.Own([]Tuple{t})
 	return t, used, nil
 }
 
-// Slab decodes a group of encoded tuples — a heap page, a wire batch —
-// into two allocations, one []Value holding every tuple's values back
-// to back and one []byte holding every string's bytes, instead of one
-// of each per row and per string. Both are sized exactly: Measure every
-// tuple first, then Decode the same tuples in the same order. The
-// decoded tuples do not alias the encoded bytes, and a slab is plain
-// garbage-collected memory, live for as long as any tuple (or copied
-// Value) carved from it is, and never reused.
-type Slab struct {
-	nvals, nstr int // measured, not yet carved
-	vals        []Value
-	str         []byte
+// A Decoder decodes a group of encoded tuples — the records of a heap
+// page, the rows of a wire batch — in one validating pass, keeping only
+// the columns at positions cols (strictly ascending; nil keeps every
+// column). Every value is validated, kept or not. The tuples' values
+// are carved from one slab sized for the group, and the bytes of their
+// kept strings point into the encoded bytes until Own copies them into
+// one exactly sized slab, allocated only when a kept string is
+// non-empty. A slab is plain garbage-collected memory, live for as long
+// as any tuple (or copied Value) carved from it is, and never reused.
+type Decoder struct {
+	cols []int   // positions to keep; nil keeps all
+	vals []Value // slab the next tuples are carved from
+	left int     // tuples still expected, to size the slab
+	strs int     // bytes of kept strings still pointing into the source
 }
+
+// NewDecoder returns a decoder for a group of n tuples keeping the
+// columns at positions cols. n only sizes the value slab: a group of a
+// different length decodes the same, in more or larger allocations.
+func NewDecoder(n int, cols []int) Decoder { return Decoder{cols: cols, left: n} }
+
+// maxSlab caps one value slab, so a corrupt tuple count cannot make the
+// decoder allocate more than this many values before it fails.
+const maxSlab = 1 << 16
 
 var (
 	errBadHeader       = errors.New("types: bad tuple header")
@@ -62,84 +77,111 @@ var (
 	errTruncatedVarint = errors.New("types: truncated varint")
 	errTruncatedFloat  = errors.New("types: truncated float")
 	errTruncatedString = errors.New("types: truncated string")
+	errMissingColumn   = errors.New("types: tuple lacks a decoded column")
 )
 
-// Measure validates the tuple encoded at the front of buf, adds its
-// size to the slab's, and returns its encoded length.
-func (s *Slab) Measure(buf []byte) (int, error) {
+// Decode validates the tuple encoded at the front of buf, carves its
+// kept columns out of the slab and returns it with its encoded length.
+// Its kept strings alias buf until Own runs.
+func (d *Decoder) Decode(buf []byte) (Tuple, int, error) {
 	n, pos := binary.Uvarint(buf)
 	if pos <= 0 {
-		return 0, errBadHeader
+		return nil, 0, errBadHeader
 	}
-	for i := uint64(0); i < n; i++ {
+	width := len(d.cols)
+	if d.cols == nil {
+		if n > uint64(len(buf)-pos) {
+			// Every value takes at least a byte, so the tuple is cut
+			// short; a pass keeping nothing finds where.
+			_, _, err := (&Decoder{cols: []int{}}).Decode(buf)
+			return nil, 0, err
+		}
+		width = int(n)
+	}
+	t := Tuple{} // a zero-width row is still a row, never nil
+	if width > 0 {
+		if len(d.vals) < width {
+			d.vals = make([]Value, max(width, min(width*d.left, maxSlab)))
+		}
+		t = d.vals[:width:width]
+	}
+	k := 0 // kept so far
+	for i := 0; uint64(i) < n; i++ {
 		if pos >= len(buf) {
-			return 0, errTruncatedTuple
+			return nil, 0, errTruncatedTuple
 		}
 		kind := Kind(buf[pos])
 		pos++
+		v := Value{kind: kind}
 		switch kind {
 		case KindNull:
 		case KindInt, KindDate, KindBool:
-			_, k := binary.Varint(buf[pos:])
-			if k <= 0 {
-				return 0, errTruncatedVarint
+			// binary.Varint, with the Uvarint it calls inlined.
+			ux, m := binary.Uvarint(buf[pos:])
+			if m <= 0 {
+				return nil, 0, errTruncatedVarint
 			}
-			pos += k
+			pos += m
+			v.n = int64(ux >> 1)
+			if ux&1 != 0 {
+				v.n = ^v.n
+			}
 		case KindFloat:
 			if pos+8 > len(buf) {
-				return 0, errTruncatedFloat
+				return nil, 0, errTruncatedFloat
 			}
+			v.n = int64(binary.LittleEndian.Uint64(buf[pos:]))
 			pos += 8
 		case KindString:
-			l, k := binary.Uvarint(buf[pos:])
-			if k <= 0 || l > uint64(len(buf)-pos-k) {
-				return 0, errTruncatedString
+			l, m := binary.Uvarint(buf[pos:])
+			if m <= 0 || l > uint64(len(buf)-pos-m) {
+				return nil, 0, errTruncatedString
 			}
-			pos += k + int(l)
-			s.nstr += int(l)
+			pos += m
+			if l > 0 {
+				v.p, v.n = &buf[pos], int64(l)
+			}
+			pos += int(l)
 		default:
-			return 0, fmt.Errorf("types: unknown kind %d", kind)
+			return nil, 0, fmt.Errorf("types: unknown kind %d", kind)
+		}
+		switch {
+		case d.cols == nil:
+			t[i] = v
+		case k < width && d.cols[k] == i:
+			t[k] = v
+			k++
+		default:
+			continue
+		}
+		if kind == KindString {
+			d.strs += int(v.n)
 		}
 	}
-	s.nvals += int(n) // n <= len(buf): every value took at least a byte
-	return pos, nil
+	if d.cols != nil && k < width {
+		return nil, 0, errMissingColumn
+	}
+	d.vals = d.vals[width:]
+	d.left--
+	return t, pos, nil
 }
 
-// Decode carves the tuple encoded at the front of buf out of the slab
-// and returns it with its encoded length. buf must hold bytes a Measure
-// call accepted, and every Measure must precede the first Decode;
-// anything else is a caller bug and panics on the slab's bounds.
-func (s *Slab) Decode(buf []byte) (Tuple, int) {
-	if s.vals == nil {
-		s.vals = make([]Value, s.nvals)
-		s.str = make([]byte, 0, s.nstr)
+// Own copies the kept strings of rows — every tuple Decode returned
+// since the last Own — out of the encoded bytes into one slab of their
+// own, so the encoded bytes may change once it returns.
+func (d *Decoder) Own(rows []Tuple) {
+	if d.strs == 0 {
+		return
 	}
-	n, pos := binary.Uvarint(buf)
-	t := s.vals[:n:n]
-	s.vals = s.vals[n:]
-	for i := range t {
-		kind := Kind(buf[pos])
-		pos++
-		switch kind {
-		case KindInt, KindDate, KindBool:
-			v, k := binary.Varint(buf[pos:])
-			pos += k
-			t[i] = Value{kind: kind, n: v}
-		case KindFloat:
-			t[i] = Value{kind: kind, n: int64(binary.LittleEndian.Uint64(buf[pos:]))}
-			pos += 8
-		case KindString:
-			l, k := binary.Uvarint(buf[pos:])
-			pos += k
-			if l > 0 {
-				off := len(s.str)
-				s.str = append(s.str, buf[pos:pos+int(l)]...)
-				pos += int(l)
-				t[i] = Value{kind: kind, p: unsafe.SliceData(s.str[off:]), n: int64(l)}
-			} else {
-				t[i] = Value{kind: kind}
+	str := make([]byte, 0, d.strs)
+	for _, t := range rows {
+		for i, v := range t {
+			if v.kind == KindString && v.n > 0 {
+				off := len(str)
+				str = append(str, v.str()...)
+				t[i].p = &str[off]
 			}
 		}
 	}
-	return t, pos
+	d.strs = 0
 }

@@ -194,8 +194,12 @@ type TupleAlloc struct {
 const maxChunkRows = 128
 
 // Make returns a tuple of n values for the caller to fill in entirely
-// (a slot may hold a value an Undo left behind).
+// (a slot may hold a value an Undo left behind). A zero-width tuple is
+// non-nil, like every row: operators use a nil tuple to mean "none".
 func (a *TupleAlloc) Make(n int) Tuple {
+	if n == 0 {
+		return Tuple{}
+	}
 	if len(a.chunk)-a.used < n {
 		if a.rows < maxChunkRows {
 			a.rows = max(4, 2*a.rows)

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -73,36 +75,125 @@ func (tupleGen) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(tupleGen(tp))
 }
 
-// slabDecode decodes back-to-back tuples through one Slab.
-func slabDecode(t testing.TB, enc []byte, n int) []Tuple {
-	t.Helper()
-	var s Slab
-	for pos, i := 0, 0; i < n; i++ {
-		used, err := s.Measure(enc[pos:])
-		if err != nil {
-			t.Fatalf("measure tuple %d: %v", i, err)
-		}
-		pos += used
+// refSlab is the two-pass group decoder Decoder replaced, kept as the
+// reference FuzzPageDecode checks Decoder against: Measure validates
+// every tuple and adds up its size, then Decode carves the same tuples,
+// in the same order, out of one exactly sized []Value and one []byte.
+type refSlab struct {
+	nvals, nstr int // measured, not yet carved
+	vals        []Value
+	str         []byte
+}
+
+// Measure validates the tuple encoded at the front of buf, adds its
+// size to the slab's, and returns its encoded length.
+func (s *refSlab) Measure(buf []byte) (int, error) {
+	n, pos := binary.Uvarint(buf)
+	if pos <= 0 {
+		return 0, errBadHeader
 	}
+	for i := uint64(0); i < n; i++ {
+		if pos >= len(buf) {
+			return 0, errTruncatedTuple
+		}
+		kind := Kind(buf[pos])
+		pos++
+		switch kind {
+		case KindNull:
+		case KindInt, KindDate, KindBool:
+			_, k := binary.Varint(buf[pos:])
+			if k <= 0 {
+				return 0, errTruncatedVarint
+			}
+			pos += k
+		case KindFloat:
+			if pos+8 > len(buf) {
+				return 0, errTruncatedFloat
+			}
+			pos += 8
+		case KindString:
+			l, k := binary.Uvarint(buf[pos:])
+			if k <= 0 || l > uint64(len(buf)-pos-k) {
+				return 0, errTruncatedString
+			}
+			pos += k + int(l)
+			s.nstr += int(l)
+		default:
+			return 0, fmt.Errorf("types: unknown kind %d", kind)
+		}
+	}
+	s.nvals += int(n) // n <= len(buf): every value took at least a byte
+	return pos, nil
+}
+
+// Decode carves the tuple encoded at the front of buf, which a Measure
+// call accepted before the first Decode, out of the slab and returns it
+// with its encoded length.
+func (s *refSlab) Decode(buf []byte) (Tuple, int) {
+	if s.vals == nil {
+		s.vals = make([]Value, s.nvals)
+		s.str = make([]byte, 0, s.nstr)
+	}
+	n, pos := binary.Uvarint(buf)
+	t := s.vals[:n:n]
+	s.vals = s.vals[n:]
+	for i := range t {
+		kind := Kind(buf[pos])
+		pos++
+		switch kind {
+		case KindInt, KindDate, KindBool:
+			v, k := binary.Varint(buf[pos:])
+			pos += k
+			t[i] = Value{kind: kind, n: v}
+		case KindFloat:
+			t[i] = Value{kind: kind, n: int64(binary.LittleEndian.Uint64(buf[pos:]))}
+			pos += 8
+		case KindString:
+			l, k := binary.Uvarint(buf[pos:])
+			pos += k
+			if l > 0 {
+				off := len(s.str)
+				s.str = append(s.str, buf[pos:pos+int(l)]...)
+				pos += int(l)
+				t[i] = Value{kind: kind, p: unsafe.SliceData(s.str[off:]), n: int64(l)}
+			} else {
+				t[i] = Value{kind: kind}
+			}
+		}
+	}
+	return t, pos
+}
+
+// groupDecode decodes n back-to-back tuples through one Decoder.
+func groupDecode(t testing.TB, enc []byte, n int) []Tuple {
+	t.Helper()
+	d := NewDecoder(n, nil)
 	out := make([]Tuple, n)
 	pos := 0
 	for i := range out {
-		var used int
-		out[i], used = s.Decode(enc[pos:])
+		var (
+			used int
+			err  error
+		)
+		if out[i], used, err = d.Decode(enc[pos:]); err != nil {
+			t.Fatalf("decode tuple %d: %v", i, err)
+		}
 		pos += used
 	}
+	d.Own(out)
 	return out
 }
 
-// TestSlabRoundTrip: a group of tuples decoded through one slab equals
-// what was encoded, bit for bit, and what DecodeTuple makes of each.
+// TestSlabRoundTrip: a group of tuples decoded through one Decoder
+// equals what was encoded, bit for bit, and what DecodeTuple makes of
+// each.
 func TestSlabRoundTrip(t *testing.T) {
 	f := func(group []tupleGen) bool {
 		var enc []byte
 		for _, tp := range group {
 			enc = EncodeTuple(enc, Tuple(tp))
 		}
-		got := slabDecode(t, enc, len(group))
+		got := groupDecode(t, enc, len(group))
 		pos := 0
 		for i, tp := range group {
 			one, used, err := DecodeTuple(enc[pos:])
@@ -130,7 +221,7 @@ func TestSlabRoundTrip(t *testing.T) {
 // TestDecodedValuesBehaveAlike: Compare, Equal and Hash give the same
 // answers on decoded values as on the values that were encoded.
 func TestDecodedValuesBehaveAlike(t *testing.T) {
-	dec := slabDecode(t, EncodeTuple(nil, edgeValues), 1)[0]
+	dec := groupDecode(t, EncodeTuple(nil, edgeValues), 1)[0]
 	for i, a := range edgeValues {
 		if a.Hash() != dec[i].Hash() {
 			t.Errorf("%v: Hash changed across the codec", a)
@@ -144,12 +235,12 @@ func TestDecodedValuesBehaveAlike(t *testing.T) {
 }
 
 // TestDecodedStringsOutliveSource: decoded tuples own their strings; a
-// page or frame buffer may be overwritten as soon as Decode returns.
+// page or frame buffer may be overwritten as soon as Own returns.
 func TestDecodedStringsOutliveSource(t *testing.T) {
 	src := Tuple{Str("alpha"), Int(7), Str(""), Str("omega")}
 	enc := EncodeTuple(nil, src)
 	enc = EncodeTuple(enc, src)
-	got := slabDecode(t, enc, 2)
+	got := groupDecode(t, enc, 2)
 	one, _, err := DecodeTuple(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -166,25 +257,26 @@ func TestDecodedStringsOutliveSource(t *testing.T) {
 	}
 }
 
-// TestSlabAllocs: the point of the slab — a group costs two
-// allocations however many rows and strings it holds.
+// TestSlabAllocs: the point of the Decoder's slabs — a group costs two
+// allocations, its values and its strings, however many rows and
+// strings it holds.
 func TestSlabAllocs(t *testing.T) {
 	var enc []byte
 	for i := 0; i < 100; i++ {
 		enc = EncodeTuple(enc, Tuple{Int(int64(i)), Str("name"), Float(1.5), Str("dept")})
 	}
+	rows := make([]Tuple, 0, 100)
 	allocs := testing.AllocsPerRun(20, func() {
-		var s Slab
+		d := NewDecoder(100, nil)
+		rows = rows[:0]
 		for pos := 0; pos < len(enc); {
-			used, _ := s.Measure(enc[pos:])
+			tp, used, _ := d.Decode(enc[pos:])
+			rows = append(rows, tp)
 			pos += used
 		}
-		for pos := 0; pos < len(enc); {
-			_, used := s.Decode(enc[pos:])
-			pos += used
-		}
+		d.Own(rows)
 	})
 	if allocs > 2 {
-		t.Errorf("slab decode of 100 rows took %.0f allocs, want <= 2", allocs)
+		t.Errorf("decode of 100 rows took %.0f allocs, want <= 2", allocs)
 	}
 }

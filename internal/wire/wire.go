@@ -64,34 +64,35 @@ func DecodeBatch(data []byte) ([]types.Tuple, error) {
 
 // DecodeBatchInto decodes a batch appending to dst, so a steady-state
 // consumer can recycle one row-header slice across fetches. The rows
-// are carved from one exactly-sized types.Slab per batch: they do not
-// alias data, consumers may retain them, and a retained row keeps its
-// whole batch's slab alive.
+// are decoded in one validating pass by a types.Decoder, so they share
+// one value slab and one string slab per batch: they do not alias data,
+// consumers may retain them, and a retained row keeps its whole batch's
+// slabs alive.
 func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("wire: bad batch header")
 	}
-	var slab types.Slab
-	pos := k
+	// Every row takes at least a byte, which bounds the rows a corrupt
+	// count can make room for.
+	rows := int(min(n, uint64(len(data)-k)))
+	if dst == nil {
+		dst = make([]types.Tuple, 0, rows)
+	}
+	d := types.NewDecoder(rows, nil)
+	start, pos := len(dst), k
 	for i := uint64(0); i < n; i++ {
-		used, err := slab.Measure(data[pos:])
+		t, used, err := d.Decode(data[pos:])
 		if err != nil {
 			return nil, fmt.Errorf("wire: row %d: %w", i, err)
 		}
 		pos += used
+		dst = append(dst, t)
 	}
 	if pos != len(data) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-pos)
 	}
-	if dst == nil {
-		dst = make([]types.Tuple, 0, n)
-	}
-	for pos = k; pos < len(data); {
-		t, used := slab.Decode(data[pos:])
-		pos += used
-		dst = append(dst, t)
-	}
+	d.Own(dst[start:])
 	return dst, nil
 }
 

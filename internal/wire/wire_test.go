@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -72,6 +74,35 @@ func TestDecodeBatchErrors(t *testing.T) {
 			if _, err := DecodeBatchInto(dst, c.data); err == nil || err.Error() != c.want {
 				t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 			}
+		}
+	}
+}
+
+// TestDecodeBatchCorruptCount: a batch whose header claims far more
+// rows than its bytes can hold fails at the first missing row without
+// first making room for the claimed rows — neither headers for 2^62
+// rows nor values for a thousand rows as wide as the first.
+func TestDecodeBatchCorruptCount(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		count uint64
+		width int
+	}{
+		{"huge count", 1 << 62, 1},
+		{"wide first row", 1 << 20, 1000},
+	} {
+		data := binary.AppendUvarint(nil, c.count)
+		data = binary.AppendUvarint(data, uint64(c.width))
+		data = append(data, make([]byte, c.width)...) // c.width NULLs
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBatch(data)
+		runtime.ReadMemStats(&after)
+		if want := "wire: row 1: types: bad tuple header"; err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, want)
+		}
+		if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb > 4<<10 {
+			t.Errorf("%s: decoding a %d-byte batch allocated %d KiB", c.name, len(data), kb)
 		}
 	}
 }
