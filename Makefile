@@ -41,8 +41,9 @@ lint-report:
 	$(GO) run ./cmd/tangolint -json -cache .tangolint-cache ./... > lint.json
 
 # test is tier-1 at four GOMAXPROCS widths: the parallel executor
-# (prefetch, partitioned operators) only engages above one, and a
-# lifecycle bug there once hid behind a one-core builder.
+# (windowed fetches, parallel sort, partitioned operators) only engages
+# above one, and a lifecycle bug there once hid behind a one-core
+# builder.
 test:
 	$(GO) test -cpu 1,2,4,8 ./...
 
@@ -117,7 +118,7 @@ bench-smoke:
 
 # bench-json measures the sequential-vs-parallel query benchmarks
 # (-cpu 1,4: 1 = sequential algorithms, 4 = windowed fetch pipeline,
-# prefetched transfers, partitioned operators) plus the wire codec
+# parallel sort, partitioned operators) plus the wire codec
 # benchmarks and the optimizer benchmarks (OPTBENCH, 200 optimizations
 # per query), and archives the parsed numbers — ns/op, B/op,
 # allocs/op, rows/s, seq-vs-parallel speedups, and the tracing

@@ -176,7 +176,7 @@ func batchDrained() (int, error) {
 
 // prefetcher is a parallel wrapper fixture: it owns a wrapped iterator
 // in a field (exempt — closed by the wrapper's own Close), and exposes
-// Unwrap like the real prefetch operator. Unwrap is a neutral use.
+// Unwrap like the real instrumentation wrapper. Unwrap is a neutral use.
 type prefetcher struct{ in *batchIter }
 
 func (p *prefetcher) Open() error                        { return p.in.Open() }

@@ -9,7 +9,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"tango/internal/client"
 	"tango/internal/optimizer"
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/telemetry"
 	"tango/internal/tsql"
 	"tango/internal/wire"
@@ -33,29 +33,6 @@ func chaosPolicy() client.RetryPolicy {
 		JitterFrac:  0.2,
 		OpTimeout:   500 * time.Millisecond,
 		Deadline:    5 * time.Second,
-	}
-}
-
-// chaosLeakCheck snapshots the goroutine count and verifies (with a
-// grace period for deadline-abandoned attempts to drain) that it
-// returns to the baseline.
-func chaosLeakCheck(t *testing.T) func() {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if runtime.NumGoroutine() <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				n := runtime.Stack(buf, true)
-				t.Fatalf("goroutine leak: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
 	}
 }
 
@@ -127,7 +104,7 @@ func TestChaosSweep(t *testing.T) {
 			for _, src := range chaosSchedules(testing.Short()) {
 				src := src
 				t.Run(src, func(t *testing.T) {
-					defer chaosLeakCheck(t)()
+					defer itertest.Goroutines(t)()
 					sched, err := wire.ParseSchedule(src)
 					if err != nil {
 						t.Fatalf("schedule %q: %v", src, err)

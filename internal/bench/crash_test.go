@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/storage"
 	"tango/internal/tsql"
 	"tango/internal/types"
@@ -161,7 +162,7 @@ func TestCrashMatrix(t *testing.T) {
 			for n := int64(1); n <= c.points; n += stride {
 				name := fmt.Sprintf("%v@%d=%v", c.target, n, mode)
 				t.Run(name, func(t *testing.T) {
-					defer chaosLeakCheck(t)()
+					defer itertest.Goroutines(t)()
 					dir := t.TempDir()
 					script := storage.NewCrashScript(storage.CrashPoint{Target: c.target, Nth: n, Mode: mode})
 					sys, err := NewSystem(crashConfig(dir, script))

@@ -33,8 +33,8 @@ func newBenchSystem(b *testing.B, posRows int) *System {
 // runPlanBench executes one plan per iteration with Parallelism bound
 // to GOMAXPROCS, exactly as the executor's auto setting resolves it —
 // so `-cpu 1` measures the sequential algorithms and `-cpu N` (N>1)
-// the parallel ones: windowed fetch pipelining, prefetched transfers,
-// background sort runs, and pipelined partitioned aggregation. On a
+// the parallel ones: windowed fetch pipelining, background sort runs,
+// and pipelined partitioned aggregation and joins. On a
 // single hardware thread the win is latency overlap (up to N fetch
 // round trips in flight while compute drains earlier batches); on
 // real cores the partition workers add CPU fan-out.

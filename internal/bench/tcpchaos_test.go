@@ -17,6 +17,7 @@ import (
 
 	"tango/internal/client"
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/tango"
 	"tango/internal/tsql"
@@ -126,7 +127,7 @@ func TestTCPChaosSweep(t *testing.T) {
 	}
 
 	t.Run("clean", func(t *testing.T) {
-		defer chaosLeakCheck(t)()
+		defer itertest.Goroutines(t)()
 		runTCP(t, ts.Addr())
 		waitTCPQuiesced(t, sys, ts, baseSessions)
 	})
@@ -134,7 +135,7 @@ func TestTCPChaosSweep(t *testing.T) {
 	for _, src := range tcpChaosSchedules(testing.Short()) {
 		src := src
 		t.Run(src, func(t *testing.T) {
-			defer chaosLeakCheck(t)()
+			defer itertest.Goroutines(t)()
 			sched, err := wire.ParseSchedule(src)
 			if err != nil {
 				t.Fatalf("schedule %q: %v", src, err)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/storage"
 	"tango/internal/telemetry"
 	"tango/internal/tsql"
@@ -186,7 +187,7 @@ func TestChaosTelemetryClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer chaosLeakCheck(t)()
+	defer itertest.Goroutines(t)()
 
 	schedules := []string{
 		"seed=1;fetch@1=drop",

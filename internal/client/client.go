@@ -248,6 +248,7 @@ type Rows struct {
 
 	batch  rel.Cursor // the current fetch's rows
 	done   bool
+	err    error // the failure that ended the stream; sticky
 	closed bool
 
 	win *fetchPipeline // non-nil in windowed mode
@@ -399,19 +400,18 @@ func (r *Rows) fetch() error {
 }
 
 // NextBatch hands over (up to) one decoded wire fetch at a time,
-// fetching the next when the current one is spent.
+// fetching the next when the current one is spent. A failed fetch ends
+// the stream: every later call returns its error.
 func (r *Rows) NextBatch(dst []types.Tuple) (int, error) {
 	for {
 		if n := r.batch.Read(dst); n > 0 {
 			r.fb.Rows += int64(n)
 			return n, nil
 		}
-		if r.done {
-			return 0, nil
+		if r.done || r.err != nil {
+			return 0, r.err
 		}
-		if err := r.fetch(); err != nil {
-			return 0, err
-		}
+		r.err = r.fetch()
 	}
 }
 

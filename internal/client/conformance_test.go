@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tango/internal/engine"
+	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/types"
 	"tango/internal/wire"
@@ -295,7 +296,7 @@ func TestTransportConformance(t *testing.T) {
 	}
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
-			defer leakCheck(t)()
+			defer itertest.Goroutines(t)()
 			srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
 			c, stop := tr.dial(t, srv)
 			defer stop()

@@ -8,6 +8,7 @@ import (
 
 	"tango/internal/engine"
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/types"
 	"tango/internal/wire"
@@ -68,7 +69,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // leaks.
 func TestTCPResumeAfterSever(t *testing.T) {
 	ts := tcpServer(t, 2000, server.TCPConfig{ResumeGrace: 2 * time.Second})
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	srv := ts.Server()
 
 	sched, err := wire.ParseSchedule("seed=3;fetch@4=drop;fetch@9=drop")
@@ -126,7 +127,7 @@ func TestTCPResumeAfterSever(t *testing.T) {
 // closed, temp tables dropped — and a later resume is refused.
 func TestTCPExpiredSessionGC(t *testing.T) {
 	ts := tcpServer(t, 100, server.TCPConfig{ResumeGrace: 50 * time.Millisecond})
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	srv := ts.Server()
 
 	tr := DialTransport(ts.Addr())
@@ -164,7 +165,7 @@ func TestTCPExpiredSessionGC(t *testing.T) {
 // connections behind.
 func TestTCPDrainTyped(t *testing.T) {
 	ts := tcpServer(t, 50, server.TCPConfig{DrainTimeout: 200 * time.Millisecond})
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	srv := ts.Server()
 	srv.SetAdmission(server.AdmissionConfig{MaxInFlight: 4})
 
@@ -196,7 +197,7 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 	ts := tcpServer(t, 100, server.TCPConfig{
 		Admission: server.AdmissionConfig{MaxInFlight: 1, MaxQueue: 0, RetryAfter: 2 * time.Millisecond},
 	})
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	srv := ts.Server()
 
 	tr := DialTransport(ts.Addr())

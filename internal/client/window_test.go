@@ -2,12 +2,12 @@ package client
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"tango/internal/engine"
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/types"
 	"tango/internal/wire"
@@ -39,34 +39,12 @@ func windowConn(t *testing.T, rows int, lat wire.Latency) *Conn {
 	return c
 }
 
-// leakCheck snapshots the goroutine count and verifies (with a grace
-// period) that it returns to the baseline.
-func leakCheck(t *testing.T) func() {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if runtime.NumGoroutine() <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				n := runtime.Stack(buf, true)
-				t.Fatalf("goroutine leak: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}
-
 // TestQueryWindowedMatchesSync drains the same statement through the
 // synchronous and pipelined fetch paths across window and prefetch
 // settings; the streams must be tuple-for-tuple identical and the
 // transfer feedback must agree on rows and bytes.
 func TestQueryWindowedMatchesSync(t *testing.T) {
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	c := windowConn(t, 1000, wire.Latency{RoundTrip: 100 * time.Microsecond})
 	const sql = "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY PosID, T1"
 	ref, refFB, err := c.QueryAll(sql)
@@ -100,7 +78,7 @@ func TestQueryWindowedMatchesSync(t *testing.T) {
 // depths — before the first batch, mid-stream, and after exhaustion —
 // and verifies every requester and delivery goroutine joins.
 func TestQueryWindowedEarlyClose(t *testing.T) {
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	c := windowConn(t, 1000, wire.Latency{RoundTrip: 200 * time.Microsecond})
 	c.Prefetch = 32
 	for round := 0; round < 20; round++ {
@@ -129,7 +107,7 @@ func TestQueryWindowedEarlyClose(t *testing.T) {
 // TestQueryWindowedDegenerate checks that window <= 1 stays on the
 // synchronous path (no pipeline machinery is started).
 func TestQueryWindowedDegenerate(t *testing.T) {
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	c := windowConn(t, 100, wire.Latency{})
 	for _, window := range []int{-1, 0, 1} {
 		rows, err := c.QueryWindowed("SELECT PosID FROM POSITION", window)

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
+	"tango/internal/types"
 	"tango/internal/wire"
 )
 
@@ -33,7 +35,7 @@ func windowRetry() RetryPolicy {
 // stopped draining after the error left delivery futures (and their
 // buffers) parked forever.
 func TestQueryWindowedDiesMidWindow(t *testing.T) {
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{RoundTrip: 200 * time.Microsecond})
 	c.Retry = windowRetry()
 
@@ -69,6 +71,10 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 	if !errors.As(ferr, &oe) || oe.Op != "fetch" {
 		t.Fatalf("want a typed fetch OpError, got %v", ferr)
 	}
+	// The error is sticky: the stream does not turn into a clean end.
+	if n, err := rows.NextBatch(make([]types.Tuple, 8)); n != 0 || err != ferr {
+		t.Fatalf("NextBatch after the failure: n=%d err=%v, want the same error", n, err)
+	}
 	done := make(chan error, 1)
 	go func() { done <- rows.Close() }()
 	select {
@@ -92,7 +98,7 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 // the requester is inside a retry/backoff loop must cancel the loop
 // instead of waiting out the whole retry budget.
 func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{})
 	// A pathological budget: without cancellation, Close would wait
 	// for minutes of backoff.
@@ -137,7 +143,7 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 // context mid-window surfaces a typed failure and unwinds the
 // pipeline.
 func TestQueryWindowedConnContextCancel(t *testing.T) {
-	defer leakCheck(t)()
+	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{RoundTrip: 100 * time.Microsecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -7,8 +7,10 @@ package itertest
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -77,13 +79,16 @@ type Case struct {
 }
 
 // Run checks every case: the output read with len(dst) of 1, 3 and
-// 256 is list-equal to Want and end of stream repeats; and Close,
-// called twice, reaches every input exactly once after end of stream,
-// without Open, and after each input in turn fails its Open or its
-// first NextBatch — a fault that must surface from Open or NextBatch.
+// 256 is list-equal to Want and end of stream repeats; Close, called
+// twice, reaches every input exactly once after end of stream, without
+// Open, and after each input in turn fails its Open or its first
+// NextBatch — a fault that must surface from Open or NextBatch; and
+// once the case's iterators are closed, every goroutine they started
+// has exited.
 func Run(t *testing.T, cases []Case) {
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
+			defer Goroutines(t)()
 			for _, size := range []int{1, 3, 256} {
 				in, it := c.build(-1, false)
 				got, err := exercise(t, fmt.Sprintf("after end of stream (len(dst)=%d)", size), it, in, size)
@@ -163,6 +168,27 @@ func checkClose(t *testing.T, when string, it rel.Iterator, in []*Child) {
 	for i, c := range in {
 		if c.closes != 1 {
 			t.Errorf("%s: input %d closed %d times, want 1", when, i, c.closes)
+		}
+	}
+}
+
+// Goroutines snapshots the goroutine count and returns a check that
+// fails t unless the count is back at that level within five seconds:
+// a worker or fetch goroutine must exit once what started
+// it is closed. Use it as `defer itertest.Goroutines(t)()`.
+func Goroutines(t testing.TB) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				n := runtime.Stack(buf, true)
+				t.Fatalf("goroutine leak: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 }

@@ -42,12 +42,13 @@ type Executor struct {
 	// iterator's schema is asserted against the algebra's derivation
 	// afterwards. The bench harness keeps this on for all tests.
 	CheckPlans bool
-	// Parallelism bounds the worker fan-out of the middleware
-	// operators: parallel SORT^M run generation, partitioned TAGGR^M
-	// and merge joins, and double-buffered T^M prefetching. 0 resolves
-	// to runtime.GOMAXPROCS(0); 1 forces the sequential algorithms.
-	// Results are tuple-for-tuple identical at any setting — every
-	// parallel operator preserves the sequential output order.
+	// Parallelism bounds the worker fan-out of the middleware: the
+	// worker pool of SORT^M and of partitioned TAGGR^M and merge joins,
+	// and the fetch window of every T^M (how many FETCH round trips are
+	// in flight at once). 0 resolves to runtime.GOMAXPROCS(0); 1 forces
+	// the sequential algorithms and synchronous fetches. Results are
+	// tuple-for-tuple identical at any setting — every parallel operator
+	// preserves the sequential output order.
 	Parallelism int
 	// SortMemory overrides the middleware sort's in-memory run size in
 	// tuples (the paper's middleware memory budget); 0 keeps
@@ -490,17 +491,7 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 		e.shared[sql] = src
 		return e.instrument(n, src.Reader()), nil
 	}
-	var it rel.Iterator = tm
-	if e.par() > 1 {
-		// Double-buffer the transfer: a worker prefetches the next wire
-		// batch while the middleware consumes the current one, hiding
-		// round-trip latency. Shared sources skip this — they
-		// materialize once anyway.
-		pf := xxl.NewPrefetch(tm)
-		pf.OnStats = e.observeParallel
-		it = pf
-	}
-	return e.instrument(n, it, tdIters...), nil
+	return e.instrument(n, tm, tdIters...), nil
 }
 
 func colIndexes(s types.Schema, names []string) ([]int, error) {

@@ -40,6 +40,27 @@ func TestConformance(t *testing.T) {
 			return s
 		}
 	}
+	transfer := func(window int) func([]rel.Iterator) rel.Iterator {
+		return func(in []rel.Iterator) rel.Iterator {
+			name := conn.TempName()
+			tm := NewTransferM(conn, "SELECT K, T1, T2 FROM "+name, a.Schema, NewTransferD(conn, in[0], name))
+			tm.Window = window
+			return tm
+		}
+	}
+	ptaggr := func(par int) func([]rel.Iterator) rel.Iterator {
+		return func(in []rel.Iterator) rel.Iterator {
+			return NewPTAggr(in[0], []int{0}, 1, 2, count, counts.Schema, par)
+		}
+	}
+	pmergejoin := func(par int) func([]rel.Iterator) rel.Iterator {
+		return func(in []rel.Iterator) rel.Iterator { return NewPMergeJoin(in[0], in[1], []int{0}, []int{0}, par) }
+	}
+	ptjoin := func(par int) func([]rel.Iterator) rel.Iterator {
+		return func(in []rel.Iterator) rel.Iterator {
+			return NewPTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2, par)
+		}
+	}
 	one := []*rel.Relation{a}
 	two := []*rel.Relation{a, b}
 	itertest.Run(t, []itertest.Case{
@@ -62,29 +83,23 @@ func TestConformance(t *testing.T) {
 		{Name: "SharedReader", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewSharedSource(in[0]).Reader()
 		}},
-		{Name: "Prefetch", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator { return NewPrefetch(in[0]) }},
-		{Name: "TransferM", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
-			name := conn.TempName()
-			return NewTransferM(conn, "SELECT K, T1, T2 FROM "+name, a.Schema, NewTransferD(conn, in[0], name))
-		}},
+		{Name: "TransferM", Inputs: one, Want: a, Build: transfer(0)},
+		{Name: "TransferM/windowed", Inputs: one, Want: a, Build: transfer(2)},
 		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
 		}},
-		{Name: "PTAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
-			return NewPTAggr(in[0], []int{0}, 1, 2, count, counts.Schema, 2)
-		}},
+		{Name: "PTAggr", Inputs: one, Want: counts, Build: ptaggr(2)},
+		{Name: "PTAggr/par1", Inputs: one, Want: counts, Build: ptaggr(1)},
 		{Name: "MergeJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewMergeJoin(in[0], in[1], []int{0}, []int{0})
 		}},
-		{Name: "PMergeJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
-			return NewPMergeJoin(in[0], in[1], []int{0}, []int{0}, 2)
-		}},
+		{Name: "PMergeJoin", Inputs: two, Want: joined, Build: pmergejoin(2)},
+		{Name: "PMergeJoin/par1", Inputs: two, Want: joined, Build: pmergejoin(1)},
 		{Name: "TJoin", Inputs: two, Want: tjoined, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2)
 		}},
-		{Name: "PTJoin", Inputs: two, Want: tjoined, Build: func(in []rel.Iterator) rel.Iterator {
-			return NewPTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2, 2)
-		}},
+		{Name: "PTJoin", Inputs: two, Want: tjoined, Build: ptjoin(2)},
+		{Name: "PTJoin/par1", Inputs: two, Want: tjoined, Build: ptjoin(1)},
 		{Name: "DupElim", Inputs: []*rel.Relation{dups},
 			Want:  itertest.Ints("K V", []int64{1, 2}, []int64{3, 4}, []int64{3, 5}),
 			Build: func(in []rel.Iterator) rel.Iterator { return NewDupElim(in[0]) }},

@@ -3,47 +3,18 @@ package xxl
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
+	"tango/internal/client"
+	"tango/internal/engine"
 	"tango/internal/rel"
+	"tango/internal/rel/itertest"
+	"tango/internal/server"
 	"tango/internal/types"
+	"tango/internal/wire"
 )
-
-// checkGoroutines fails the test if the goroutine count has not
-// returned to (about) its starting level — parallel operators must not
-// leak workers, even on error or early-Close paths. Call it as
-// `defer checkGoroutines(t)()` before creating the operator.
-func checkGoroutines(t *testing.T) func() {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	return func() {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			runtime.GC() // nudge finalizers; workers should already be joined
-			if n := runtime.NumGoroutine(); n <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<16)
-				n := runtime.Stack(buf, true)
-				t.Fatalf("goroutine leak: %d -> %d\n%s",
-					before, runtime.NumGoroutine(), truncStack(string(buf[:n])))
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-}
-
-func truncStack(s string) string {
-	if len(s) > 4000 {
-		return s[:4000] + "\n...(truncated)"
-	}
-	return s
-}
 
 // randomRel builds n rows of (K, Seq, V) with duplicate-heavy keys so
 // stability is observable via the Seq column.
@@ -79,7 +50,7 @@ func TestSortParallelMatchesSequential(t *testing.T) {
 		{"spill-tiny-runs", 5000, 64}, // many small runs
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer checkGoroutines(t)()
+			defer itertest.Goroutines(t)()
 			in := randomRel(tc.n, 50, 7)
 
 			seq := NewSort(in.Iter(), []int{0})
@@ -160,7 +131,7 @@ func (e *errAfterIter) NextBatch(dst []types.Tuple) (int, error) {
 // TestSortParallelInputError: an input error mid-spill must surface,
 // leak no goroutines, and leave no run files behind.
 func TestSortParallelInputError(t *testing.T) {
-	defer checkGoroutines(t)()
+	defer itertest.Goroutines(t)()
 	s2 := types.NewSchema(
 		types.Column{Name: "K", Kind: types.KindInt},
 		types.Column{Name: "Seq", Kind: types.KindInt},
@@ -181,7 +152,7 @@ func TestSortParallelInputError(t *testing.T) {
 // TestSortParallelCloseEarly: closing a spilled parallel sort before
 // exhausting it must release every run file and worker.
 func TestSortParallelCloseEarly(t *testing.T) {
-	defer checkGoroutines(t)()
+	defer itertest.Goroutines(t)()
 	in := randomRel(10000, 30, 3)
 	s := NewSort(in.Iter(), []int{0})
 	s.MemTuples = 512
@@ -241,38 +212,47 @@ func temporalRel(n, groups int, seed int64) *rel.Relation {
 }
 
 // TestPTAggrMatchesSequential: the partitioned temporal aggregation
-// must be list-equal to the streaming TAggr for every aggregate kind.
+// must be list-equal to the streaming TAggr for every aggregate kind,
+// also on one giant group (no cut possible) and on an empty input.
 func TestPTAggrMatchesSequential(t *testing.T) {
-	defer checkGoroutines(t)()
-	in := temporalRel(6000, 37, 5)
+	defer itertest.Goroutines(t)()
 	out := types.NewSchema(
 		types.Column{Name: "G", Kind: types.KindInt},
 		types.Column{Name: "T1", Kind: types.KindInt},
 		types.Column{Name: "T2", Kind: types.KindInt},
 		types.Column{Name: "A", Kind: types.KindInt},
 	)
-	for _, agg := range []AggSpec{
-		{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggAvg, Col: 1},
-		{Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 1},
+	for _, tc := range []struct {
+		name  string
+		in    *rel.Relation
+		parts int // partitions expected above par 1
+	}{
+		{"groups", temporalRel(6000, 37, 5), 2},
+		{"one-group", temporalRel(3000, 1, 6), 1},
+		{"empty", temporalRel(0, 1, 7), 0},
 	} {
-		seq := NewTAggr(in.Iter(), []int{0}, 2, 3, []AggSpec{agg}, out)
-		want, err := rel.Drain(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 2, 4, 8} {
-			pa := NewPTAggr(in.Iter(), []int{0}, 2, 3, []AggSpec{agg}, out, par)
-			var st ParallelStats
-			pa.OnStats = func(s ParallelStats) { st = s }
-			got, err := rel.Drain(pa)
+		for _, agg := range []AggSpec{
+			{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggAvg, Col: 1},
+			{Kind: AggMin, Col: 1}, {Kind: AggMax, Col: 1},
+		} {
+			want, err := rel.Drain(NewTAggr(tc.in.Iter(), []int{0}, 2, 3, []AggSpec{agg}, out))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rel.EqualAsLists(want, got) {
-				t.Fatalf("agg %s par %d: partitioned TAggr differs from sequential", agg.Kind, par)
-			}
-			if par > 1 && st.Partitions < 2 {
-				t.Errorf("agg %s par %d: expected multiple partitions, got %+v", agg.Kind, par, st)
+			for _, par := range []int{1, 2, 4, 8} {
+				pa := NewPTAggr(tc.in.Iter(), []int{0}, 2, 3, []AggSpec{agg}, out, par)
+				var st ParallelStats
+				pa.OnStats = func(s ParallelStats) { st = s }
+				got, err := rel.Drain(pa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rel.EqualAsLists(want, got) {
+					t.Fatalf("%s: agg %s par %d: partitioned TAggr differs from sequential", tc.name, agg.Kind, par)
+				}
+				if par > 1 && (st.Partitions < tc.parts || tc.parts < 2 && st.Partitions != tc.parts) {
+					t.Errorf("%s: agg %s par %d: want %d partitions, got %+v", tc.name, agg.Kind, par, tc.parts, st)
+				}
 			}
 		}
 	}
@@ -281,7 +261,7 @@ func TestPTAggrMatchesSequential(t *testing.T) {
 // TestPTAggrRejectsUnsortedInput: same contract violation, same error
 // as the sequential operator.
 func TestPTAggrRejectsUnsortedInput(t *testing.T) {
-	defer checkGoroutines(t)()
+	defer itertest.Goroutines(t)()
 	in := temporalRel(2000, 11, 9)
 	// Swap two rows to break (G, T1) order.
 	in.Tuples[100], in.Tuples[1500] = in.Tuples[1500], in.Tuples[100]
@@ -333,235 +313,199 @@ func joinRels(n, keys int, seed int64) (*rel.Relation, *rel.Relation) {
 }
 
 // TestPJoinMatchesSequential: partitioned equi and temporal merge
-// joins must be list-equal to their sequential counterparts.
+// joins must be list-equal to their sequential counterparts — also on
+// one giant key group (no cut possible), an empty left, an empty
+// right, and a left whose first chunks' key intervals hold no right
+// rows.
 func TestPJoinMatchesSequential(t *testing.T) {
-	defer checkGoroutines(t)()
+	defer itertest.Goroutines(t)()
 	left, right := joinRels(1600, 60, 21)
-
-	seqMJ, err := rel.Drain(NewMergeJoin(left.Iter(), right.Iter(), []int{0}, []int{0}))
-	if err != nil {
-		t.Fatal(err)
+	oneKey, _ := joinRels(3000, 1, 22)
+	_, oneKeyRight := joinRels(3, 1, 23)
+	wide, _ := joinRels(5000, 100, 24)
+	highRight := right.Clone()
+	highRight.Tuples = nil
+	for _, r := range right.Tuples {
+		if r[0].AsInt() >= 45 {
+			highRight.Append(r)
+		}
 	}
-	seqTJ, err := rel.Drain(NewTJoin(left.Iter(), right.Iter(), []int{0}, []int{0}, 2, 3, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 2, 4, 8} {
-		pmj := NewPMergeJoin(left.Iter(), right.Iter(), []int{0}, []int{0}, par)
-		gotMJ, err := rel.Drain(pmj)
+	for _, tc := range []struct {
+		name        string
+		left, right *rel.Relation
+		parts       int // partitions expected above par 1
+	}{
+		{"keys", left, right, 2},
+		{"one-key", oneKey, oneKeyRight, 1},
+		{"empty-left", rel.New(left.Schema), right, 0},
+		{"empty-right", left, rel.New(right.Schema), 2},
+		{"no-right-rows-in-chunk", wide, highRight, 2},
+	} {
+		seqMJ, err := rel.Drain(NewMergeJoin(tc.left.Iter(), tc.right.Iter(), []int{0}, []int{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rel.EqualAsLists(seqMJ, gotMJ) {
-			t.Fatalf("par %d: partitioned merge join differs from sequential", par)
-		}
-		ptj := NewPTJoin(left.Iter(), right.Iter(), []int{0}, []int{0}, 2, 3, 2, 3, par)
-		var st ParallelStats
-		ptj.OnStats = func(s ParallelStats) { st = s }
-		gotTJ, err := rel.Drain(ptj)
+		seqTJ, err := rel.Drain(NewTJoin(tc.left.Iter(), tc.right.Iter(), []int{0}, []int{0}, 2, 3, 2, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rel.EqualAsLists(seqTJ, gotTJ) {
-			t.Fatalf("par %d: partitioned temporal join differs from sequential", par)
-		}
-		if gotTJ.Schema.Len() != seqTJ.Schema.Len() {
-			t.Fatalf("par %d: schema mismatch", par)
-		}
-		if par > 1 && st.Partitions < 2 {
-			t.Errorf("par %d: expected multiple partitions, got %+v", par, st)
+		for _, par := range []int{1, 2, 4, 8} {
+			gotMJ, err := rel.Drain(NewPMergeJoin(tc.left.Iter(), tc.right.Iter(), []int{0}, []int{0}, par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rel.EqualAsLists(seqMJ, gotMJ) {
+				t.Fatalf("%s: par %d: partitioned merge join differs from sequential", tc.name, par)
+			}
+			ptj := NewPTJoin(tc.left.Iter(), tc.right.Iter(), []int{0}, []int{0}, 2, 3, 2, 3, par)
+			var st ParallelStats
+			ptj.OnStats = func(s ParallelStats) { st = s }
+			gotTJ, err := rel.Drain(ptj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rel.EqualAsLists(seqTJ, gotTJ) {
+				t.Fatalf("%s: par %d: partitioned temporal join differs from sequential", tc.name, par)
+			}
+			if gotTJ.Schema.Len() != seqTJ.Schema.Len() {
+				t.Fatalf("%s: par %d: schema mismatch", tc.name, par)
+			}
+			if par > 1 && (st.Partitions < tc.parts || tc.parts < 2 && st.Partitions != tc.parts) {
+				t.Errorf("%s: par %d: want %d partitions, got %+v", tc.name, par, tc.parts, st)
+			}
 		}
 	}
 }
 
 // TestPJoinRejectsUnsortedInputs: both sides validated, sequential
-// error text preserved.
+// error text preserved. The right side is drained in Open; a left-side
+// violation surfaces mid-stream, as in the sequential join.
 func TestPJoinRejectsUnsortedInputs(t *testing.T) {
-	defer checkGoroutines(t)()
+	defer itertest.Goroutines(t)()
 	left, right := joinRels(2000, 7, 31)
 	badLeft := left.Clone()
 	badLeft.Tuples[10], badLeft.Tuples[1700] = badLeft.Tuples[1700], badLeft.Tuples[10]
-	j := NewPMergeJoin(badLeft.Iter(), right.Iter(), []int{0}, []int{0}, 4)
-	if err := j.Open(); err == nil || !strings.Contains(err.Error(), "left input not sorted") {
+	if _, err := rel.Drain(NewPMergeJoin(badLeft.Iter(), right.Iter(), []int{0}, []int{0}, 4)); err == nil ||
+		!strings.Contains(err.Error(), "left input not sorted") {
 		t.Fatalf("left: err = %v", err)
 	}
 	badRight := right.Clone()
 	badRight.Tuples[5], badRight.Tuples[1900] = badRight.Tuples[1900], badRight.Tuples[5]
-	j2 := NewPMergeJoin(left.Iter(), badRight.Iter(), []int{0}, []int{0}, 4)
-	if err := j2.Open(); err == nil || !strings.Contains(err.Error(), "right input not sorted") {
+	if _, err := rel.Drain(NewPMergeJoin(left.Iter(), badRight.Iter(), []int{0}, []int{0}, 4)); err == nil ||
+		!strings.Contains(err.Error(), "right input not sorted") {
 		t.Fatalf("right: err = %v", err)
 	}
 }
 
-// TestSplitAtKeyBoundaries: partitions must be contiguous, cover the
-// input, and never split a key group.
+// TestSplitAtKeyBoundaries: the partitioned operator's chunks must be
+// contiguous, cover the input in order, and never split a key group.
 func TestSplitAtKeyBoundaries(t *testing.T) {
 	in := randomRel(5000, 19, 41)
 	in.SortBy("K")
-	parts := splitAtKeyBoundaries(in.Tuples, []int{0}, 4)
-	if len(parts) < 2 {
-		t.Fatalf("expected multiple partitions, got %d", len(parts))
+	for i, r := range in.Tuples {
+		in.Tuples[i] = types.Tuple{r[0], types.Int(int64(i)), r[2]} // Seq = position
 	}
-	total := 0
-	for i, p := range parts {
-		total += len(p)
-		if len(p) == 0 {
-			t.Fatalf("partition %d empty", i)
+	p := NewPTAggr(in.Iter(), []int{0}, 1, 1, nil, in.Schema, 4)
+	var mu sync.Mutex
+	starts := map[int]int{} // first position -> chunk length
+	p.kernel = func(chunk, _ rel.Iterator) rel.Iterator {
+		rows, err := rel.Drain(chunk)
+		if err != nil {
+			t.Error(err)
+			return rel.New(in.Schema).Iter()
 		}
-		if i > 0 {
-			prevLast := parts[i-1][len(parts[i-1])-1]
-			if types.CompareTuples(prevLast, p[0], []int{0}, nil) == 0 {
-				t.Fatalf("key group split across partitions %d/%d", i-1, i)
-			}
-		}
+		mu.Lock()
+		defer mu.Unlock()
+		starts[int(rows.Tuples[0][1].AsInt())] = rows.Cardinality()
+		return rows.Iter()
 	}
-	if total != len(in.Tuples) {
-		t.Fatalf("partitions cover %d of %d rows", total, len(in.Tuples))
-	}
-}
-
-// TestPrefetchMatchesDirect: prefetched streams are tuple-for-tuple
-// identical to direct iteration, for batch and row-at-a-time consumers.
-func TestPrefetchMatchesDirect(t *testing.T) {
-	defer checkGoroutines(t)()
-	in := randomRel(5000, 40, 51)
-	want := in.Clone()
-
-	p := NewPrefetch(in.Iter())
-	var st ParallelStats
-	p.OnStats = func(s ParallelStats) { st = s }
 	got, err := rel.Drain(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rel.EqualAsLists(want, got) {
-		t.Fatal("prefetched stream differs from direct")
+	if !rel.EqualAsLists(got, in) {
+		t.Fatal("chunk outputs are not the input in order")
 	}
-	if st.Rows != int64(want.Cardinality()) || st.Partitions == 0 {
-		t.Errorf("prefetch stats = %+v", st)
+	if len(starts) < 2 {
+		t.Fatalf("expected multiple chunks, got %d", len(starts))
 	}
-
-	// Row-at-a-time consumption too.
-	p2 := rel.NewReader(NewPrefetch(in.Iter()))
-	if err := p2.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var n int
-	for {
-		_, ok, err := p2.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for pos := 0; pos < len(in.Tuples); {
+		n, ok := starts[pos]
 		if !ok {
-			break
+			t.Fatalf("no chunk starts at %d", pos)
 		}
-		n++
-	}
-	if err := p2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != want.Cardinality() {
-		t.Fatalf("tuple path rows = %d, want %d", n, want.Cardinality())
+		pos += n
+		if pos < len(in.Tuples) && types.CompareTuples(in.Tuples[pos-1], in.Tuples[pos], []int{0}, nil) == 0 {
+			t.Fatalf("key group split at %d", pos)
+		}
 	}
 }
 
-// TestPrefetchCloseEarly: abandoning a prefetched stream mid-flight
-// must stop and join the worker without leaks and still close the
-// wrapped iterator.
-func TestPrefetchCloseEarly(t *testing.T) {
-	defer checkGoroutines(t)()
-	in := randomRel(10000, 40, 53)
-	p := NewPrefetch(in.Iter())
-	if err := p.Open(); err != nil {
+// serveRel loads r into a DBMS table R and returns the connection and
+// a constructor of T^M scans of it with a given fetch window.
+func serveRel(t *testing.T, r *rel.Relation) (*client.Conn, func(window int) *TransferM) {
+	t.Helper()
+	conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
+	if err := conn.CreateTable("R", r.Schema); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if n, err := p.NextBatch(make([]types.Tuple, 32)); n == 0 || err != nil {
-			t.Fatalf("NextBatch: n=%d err=%v", n, err)
-		}
-	}
-	if err := p.Close(); err != nil {
+	if _, err := conn.Load("R", r.Tuples); err != nil {
 		t.Fatal(err)
 	}
-	// Close is idempotent.
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+	return conn, func(window int) *TransferM {
+		tm := NewTransferM(conn, "SELECT "+strings.Join(r.Schema.Names(), ", ")+" FROM R", r.Schema)
+		tm.Window = window
+		return tm
 	}
 }
 
-// TestPrefetchErrorPropagates: a producer error mid-stream surfaces to
-// the consumer and the worker exits.
-func TestPrefetchErrorPropagates(t *testing.T) {
-	defer checkGoroutines(t)()
-	s2 := types.NewSchema(
-		types.Column{Name: "K", Kind: types.KindInt},
-		types.Column{Name: "Seq", Kind: types.KindInt},
-	)
-	p := NewPrefetch(&errAfterIter{schema: s2, n: 100})
-	if err := p.Open(); err != nil {
+// TestWindowedTransferReopen: a T^M with a fetch window can be drained,
+// closed and opened again (plans are occasionally re-run), each time
+// producing the synchronous transfer's stream.
+func TestWindowedTransferReopen(t *testing.T) {
+	defer itertest.Goroutines(t)()
+	conn, scan := serveRel(t, randomRel(2000, 10, 57))
+	want, err := rel.Drain(scan(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]types.Tuple, 16)
-	var sawErr error
-	for {
-		n, err := p.NextBatch(dst)
-		if err != nil {
-			sawErr = err
-			break
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if sawErr == nil || !strings.Contains(sawErr.Error(), "synthetic input failure") {
-		t.Fatalf("error not propagated: %v", sawErr)
-	}
-	// The error is sticky.
-	if n, err := p.NextBatch(dst); n != 0 || err == nil {
-		t.Fatal("error must be sticky")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPrefetchReopen: a closed prefetcher can be opened again (plans
-// are occasionally re-run).
-func TestPrefetchReopen(t *testing.T) {
-	defer checkGoroutines(t)()
-	in := randomRel(2000, 10, 57)
-	p := NewPrefetch(in.Iter())
+	tm := scan(4)
 	for round := 0; round < 2; round++ {
-		got, err := rel.Drain(p)
+		got, err := rel.Drain(tm)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if got.Cardinality() != in.Cardinality() {
-			t.Fatalf("round %d: rows = %d", round, got.Cardinality())
+		if !rel.EqualAsLists(got, want) {
+			t.Fatalf("round %d: windowed transfer differs from synchronous", round)
 		}
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestStackedPipelineStress layers every parallel operator into one
-// pipeline — Prefetch{ Sort^M(parallel, spilling){ Prefetch{ scan }}}
-// — and hammers it under the race detector: full drains, partial
-// consumptions with early Close, and random dst sizes. Whatever the
-// consumption pattern, no workers may leak and full drains must equal
-// the sequential order.
+// pipeline — Join^M(partitioned){ Sort^M(parallel, spilling){ T^M
+// (windowed fetch) }} — and hammers it under the race detector: full
+// drains, partial consumptions with early Close, and random dst sizes.
+// Whatever the consumption pattern, no workers may leak and full
+// drains must equal the sequential order.
 func TestStackedPipelineStress(t *testing.T) {
-	defer checkGoroutines(t)()
+	defer itertest.Goroutines(t)()
 	in := randomRel(6000, 40, 99)
-	want, err := rel.Drain(NewSort(in.Iter(), []int{0}))
+	conn, scan := serveRel(t, in)
+	right := itertest.Ints("K W", []int64{0, 1}, []int64{5, 2}, []int64{5, 3}, []int64{17, 4}, []int64{39, 5})
+	want, err := rel.Drain(NewMergeJoin(NewSort(scan(1), []int{0}), right.Iter(), []int{0}, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
-		srt := NewSort(NewPrefetch(in.Iter()), []int{0})
+		srt := NewSort(scan(2+rng.Intn(6)), []int{0})
 		srt.MemTuples = 512 // force spilling runs
 		srt.Parallelism = 2 + rng.Intn(6)
-		outer := NewPrefetch(srt)
+		outer := NewPMergeJoin(srt, right.Iter(), []int{0}, []int{0}, 2+rng.Intn(6))
 		if err := outer.Open(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -576,7 +520,7 @@ func TestStackedPipelineStress(t *testing.T) {
 			}
 			if n == 0 {
 				if !rel.EqualAsLists(got, want) {
-					t.Fatalf("round %d: parallel pipeline diverged from sequential sort", round)
+					t.Fatalf("round %d: parallel pipeline diverged from sequential", round)
 				}
 				break
 			}
@@ -585,5 +529,8 @@ func TestStackedPipelineStress(t *testing.T) {
 		if err := outer.Close(); err != nil {
 			t.Fatalf("round %d: close: %v", round, err)
 		}
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,11 +28,11 @@ type Sort struct {
 	keys      []int
 	descs     []bool
 	MemTuples int
-	// Parallelism bounds the concurrent run-generation workers (chunk
-	// sort + spill) and the in-memory chunk sort fan-out. 0 or 1 means
-	// sequential. Output order is identical either way: runs merge in
-	// chunk order and the merge heap breaks ties on run index, so the
-	// sort stays stable no matter which worker finishes first.
+	// Parallelism bounds the worker pool that sorts and writes spill
+	// runs and sorts in-memory chunks. 0 or 1 means sequential. Output
+	// order is identical either way: runs merge in chunk order and the
+	// merge heap breaks ties on run index, so the sort stays stable no
+	// matter which worker finishes first.
 	Parallelism int
 	// OnStats, when set, receives the parallel shape of the sort
 	// (workers, chunks, partition sizes) after Open completes.
@@ -58,80 +58,91 @@ func (s *Sort) Schema() types.Schema { return s.in.Schema() }
 
 // Open materializes and sorts the input, spilling if necessary. The
 // input is closed on every path, and on error any spilled run files
-// are released. With Parallelism > 1, spilled runs are sorted and
-// written by a bounded worker pool while the coordinator keeps pulling
-// input, and in-memory buffers are chunk-sorted concurrently; the
-// output order is identical to the sequential sort's.
-func (s *Sort) Open() (err error) {
+// are released. With Parallelism > 1, full buffers are sorted and
+// written as runs on the worker pool while the input drain continues,
+// and an in-memory buffer is sorted in chunks on it; the output order
+// is identical to the sequential sort's.
+func (s *Sort) Open() error {
 	if s.MemTuples <= 0 {
 		s.MemTuples = DefaultSortMemory
 	}
-	par := s.Parallelism
-	if par < 1 {
-		par = 1
-	}
+	par := max(s.Parallelism, 1)
 	s.out.Reset(nil)
 	s.merger = nil
+	s.spilled = 0
 
-	gen := newRunGen(s, par)
-	defer func() {
-		if err != nil {
-			gen.abort()
-		}
-	}()
+	gen := runGen{sort: s, runs: newPool[spillRun](par)}
 	buf := make([]types.Tuple, 0, 1024)
-	if err := rel.Each(&s.in, func(t types.Tuple) error {
+	err := rel.Each(&s.in, func(t types.Tuple) error {
 		buf = append(buf, t)
 		if len(buf) < s.MemTuples {
 			return nil
 		}
-		buf = gen.spill(buf)
-		return gen.err()
-	}); err != nil {
+		var err error
+		buf, err = gen.spill(buf)
 		return err
-	}
-	if gen.chunks == 0 {
+	})
+	if err == nil && gen.stats.Partitions == 0 {
 		// Pure in-memory sort (chunk-parallel when configured).
-		s.out.Reset(s.sortParallel(buf, par, &gen.stats))
-		s.reportStats(gen, par)
+		s.out.Reset(s.sortChunks(buf, par, &gen.stats))
+		s.report(gen.stats, par)
 		return nil
 	}
-	if len(buf) > 0 {
-		gen.spill(buf)
-		if err := gen.err(); err != nil {
-			return err
-		}
+	if err == nil && len(buf) > 0 {
+		_, err = gen.spill(buf)
 	}
-	files, err := gen.finish()
+	files, err := gen.finish(err)
 	if err != nil {
 		return err
 	}
-	s.spilled = gen.spilledBytes()
+	s.spilled = gen.bytes
 	// newRunMerger owns the files now and cleans up on error.
 	m, err := newRunMerger(files, s.keys, s.descs)
 	if err != nil {
 		return err
 	}
 	s.merger = m
-	s.reportStats(gen, par)
+	s.report(gen.stats, par)
 	return nil
 }
 
-// reportStats delivers the parallel shape to the OnStats observer.
-func (s *Sort) reportStats(gen *runGen, par int) {
-	if s.OnStats == nil {
-		return
+// report delivers the parallel shape to the OnStats observer.
+func (s *Sort) report(st ParallelStats, par int) {
+	if s.OnStats != nil {
+		s.OnStats(st.finish("Sort^M", par))
 	}
-	st := gen.stats
-	st.Op = "Sort^M"
-	st.Workers = par
-	if st.Partitions < st.Workers {
-		st.Workers = st.Partitions
+}
+
+// minParallelSort is the smallest in-memory buffer worth splitting
+// across workers; below it the merge overhead dominates.
+const minParallelSort = 4096
+
+// sortChunks sorts buf with up to par workers: contiguous chunks are
+// sorted on the pool and merged stably. Sequential (par <= 1) or small
+// inputs use plain sortBuf. The returned slice holds the sorted tuples
+// (buf itself or a fresh merge output).
+func (s *Sort) sortChunks(buf []types.Tuple, par int, stats *ParallelStats) []types.Tuple {
+	if par <= 1 || len(buf) < minParallelSort {
+		s.sortBuf(buf)
+		stats.observe(len(buf))
+		return buf
 	}
-	if st.Workers < 1 {
-		st.Workers = 1
+	// At most par chunks, so every submit finds a free slot.
+	sorted := newPool[[]types.Tuple](par)
+	size := (len(buf) + par - 1) / par
+	for lo := 0; lo < len(buf); lo += size {
+		c := buf[lo:min(lo+size, len(buf))]
+		stats.observe(len(c))
+		sorted.submit(func() ([]types.Tuple, error) { s.sortBuf(c); return c, nil })
 	}
-	s.OnStats(st)
+	var chunks [][]types.Tuple
+	for {
+		c, ok, _ := sorted.take() // sorting cannot fail
+		if !ok {
+			return mergeSortedChunks(chunks, s.keys, s.descs)
+		}
+		chunks = append(chunks, c)
+	}
 }
 
 func (s *Sort) sortBuf(buf []types.Tuple) { types.SortTuples(buf, s.keys, s.descs) }
@@ -208,6 +219,104 @@ func removeRuns(files []*os.File) {
 		_ = f.Close()
 		_ = os.Remove(f.Name())
 	}
+}
+
+// runGen writes SORT^M's spill runs on the worker pool and collects
+// them in chunk order, so the merge sees them in input order.
+type runGen struct {
+	sort  *Sort
+	runs  *pool[spillRun]
+	files []*os.File // collected runs, in chunk order
+	bytes int64      // written to the collected runs
+	stats ParallelStats
+}
+
+// spillRun is one written run, or the failure to write it.
+type spillRun struct {
+	f     *os.File
+	bytes int64
+}
+
+// spill hands buf to the pool to be sorted and written as the next
+// run, and returns an empty buffer to fill next. Its error is an
+// earlier run's failure.
+func (g *runGen) spill(buf []types.Tuple) ([]types.Tuple, error) {
+	g.stats.observe(len(buf))
+	if g.runs.full() {
+		if _, err := g.collect(); err != nil {
+			return nil, err
+		}
+	}
+	g.runs.submit(func() (spillRun, error) {
+		g.sort.sortBuf(buf) // reads only immutable keys/descs
+		f, n, err := writeRun(buf)
+		return spillRun{f: f, bytes: n}, err
+	})
+	if g.runs.n == 1 {
+		return buf[:0], nil // written already: safe to reuse
+	}
+	return make([]types.Tuple, 0, cap(buf)), nil
+}
+
+// collect takes the oldest run not yet collected; false when none is
+// left.
+func (g *runGen) collect() (bool, error) {
+	r, ok, err := g.runs.take()
+	if r.f != nil {
+		g.files = append(g.files, r.f)
+		g.bytes += r.bytes
+	}
+	return ok, err
+}
+
+// finish collects every run and returns them in chunk order. When err
+// (the caller's) is set or any run failed, it removes them all and
+// returns the first error instead.
+func (g *runGen) finish(err error) ([]*os.File, error) {
+	for {
+		ok, cerr := g.collect()
+		if !ok {
+			break
+		}
+		if err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		removeRuns(g.files)
+		return nil, err
+	}
+	return g.files, nil
+}
+
+// mergeSortedChunks merges sorted contiguous chunks of one underlying
+// buffer into a fresh slice. Ties break on chunk index, which — for
+// chunks split from a single input in order — makes the merge stable.
+func mergeSortedChunks(chunks [][]types.Tuple, keys []int, descs []bool) []types.Tuple {
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	out := make([]types.Tuple, 0, total)
+	h := &mergeHeap{keys: keys, descs: descs}
+	pos := make([]int, len(chunks))
+	for i, c := range chunks {
+		if len(c) > 0 {
+			h.items = append(h.items, mergeItem{tuple: c[0], src: i})
+			pos[i] = 1
+		}
+	}
+	heap.Init(h)
+	for h.Len() > 0 {
+		top := heap.Pop(h).(mergeItem)
+		out = append(out, top.tuple)
+		src := top.src
+		if p := pos[src]; p < len(chunks[src]) {
+			pos[src]++
+			heap.Push(h, mergeItem{tuple: chunks[src][p], src: src})
+		}
+	}
+	return out
 }
 
 // runReader streams tuples back from a run file.
