@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 .PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_23.json
+BENCHOUT ?= BENCH_25.json
 
 all: ci
 
@@ -52,7 +52,8 @@ race:
 
 # fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder,
 # the wire decoders (frame, request and reply envelope), the WAL
-# decoder and the heap page decoder for FUZZTIME each, seeded from the
+# decoder, the heap page decoder and the row sort (against the
+# comparison sort it replaced) for FUZZTIME each, seeded from the
 # evaluation workload. Any crasher is written to the package's
 # testdata/fuzz corpus and replays under plain `go test`.
 fuzz:
@@ -64,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzPageDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzSortTuples -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
 # drop/stall/partial schedules at both parallelism widths, plus the
@@ -96,9 +98,11 @@ load:
 	$(GO) run -race ./cmd/tangoload -sessions $(LOADSESSIONS) -ops 2 -retries 8 -op-timeout 2s -deadline 15s -chaos "seed=7;stall=200us;fetch@3=drop"
 
 # The per-layer row-path micro-benchmarks (rows/s and allocs/op each):
-# the shared sort routine, a heap scan's page decode at 0, 3 and 8 of
-# POSITION's columns, the engine's scan + project + ORDER BY on integer
-# and on string keys, and its COUNT(*), filter and join scans.
+# the shared sort routine (integer, string and name keys, and 8-row
+# group sorts), a heap scan's page decode at 0, 3 and 8 of POSITION's
+# columns, the engine's scan + project + ORDER BY on integer keys, on a
+# string key and on coalesce's key, and its COUNT(*), filter and join
+# scans.
 ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan
 
 # OPTBENCH is the optimizer layer: one Optimize of each paper query

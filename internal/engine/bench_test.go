@@ -94,14 +94,15 @@ func BenchmarkEngineScan(b *testing.B) {
 }
 
 // BenchmarkEngineSort is the engine's share of a sorted fetch: scan,
-// project, ORDER BY, with integer/date keys (the flat-key fast path)
-// and with a string key in front (the Compare path).
+// project, ORDER BY, with integer/date keys, with a string key in
+// front, and with coalesce's key (a string between two integers).
 func BenchmarkEngineSort(b *testing.B) {
 	const n = 12000
 	db := positionDB(b, n)
 	for _, bc := range []struct{ name, sql string }{
 		{"intkeys", "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY PosID, T1"},
 		{"mixedkeys", "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY EmpName, T1"},
+		{"coalesce", "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY PosID, EmpName, T1"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

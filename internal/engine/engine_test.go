@@ -118,6 +118,31 @@ func TestHashJoinKeysOnce(t *testing.T) {
 	}
 }
 
+// TestSortKeyErrorFirst: an ORDER BY key that fails on some rows fails
+// the sort with the error of the first failing row in input order,
+// whether the sort is small or large.
+func TestSortKeyErrorFirst(t *testing.T) {
+	for _, n := range []int{5, 40} {
+		in := itertest.Ints("K V")
+		for i := range n {
+			in.Append(types.Tuple{types.Int(int64((i * 7) % n)), types.Int(int64(i))})
+		}
+		failOn := func(col int, row int64) evalFunc {
+			return func(t types.Tuple) (types.Value, error) {
+				if t[1].AsInt() == row {
+					return types.Null, fmt.Errorf("key %d fails on row %d", col, row)
+				}
+				return t[col], nil
+			}
+		}
+		keys := []evalFunc{failOn(0, int64(n-1)), failOn(1, 3)}
+		_, err := rel.Drain(newSort(in.Iter(), keys, []bool{false, true}))
+		if want := "key 1 fails on row 3"; err == nil || err.Error() != want {
+			t.Errorf("n=%d: sort error %v, want %q", n, err, want)
+		}
+	}
+}
+
 func TestIndexNestedLoopJoin(t *testing.T) {
 	db := testDB(t)
 	if _, err := db.Exec("CREATE INDEX emp_name ON EMP (EmpName)"); err != nil {

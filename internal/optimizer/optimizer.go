@@ -8,6 +8,7 @@ import (
 	"tango/internal/algebra"
 	"tango/internal/cost"
 	"tango/internal/planck"
+	"tango/internal/stats"
 )
 
 // Optimizer is the Volcano optimizer of §2.1: it explores the initial
@@ -56,6 +57,10 @@ type Result struct {
 	RulesFired map[string]int
 	// Elapsed is the wall time of the whole optimization.
 	Elapsed time.Duration
+	// Catalog is the view of the catalog the optimization read: every
+	// base table's schema and statistics it fetched, each once. Running
+	// and explaining the chosen plan through it fetches them no more.
+	Catalog *stats.Snapshot
 }
 
 // Optimize explores and searches the memo of an initial plan (which,
@@ -83,7 +88,7 @@ func (o *Optimizer) Optimize(initial *algebra.Node) (*Result, error) {
 	m.explore()
 	root = m.find(root)
 
-	res := &Result{RulesFired: m.fired}
+	res := &Result{RulesFired: m.fired, Catalog: m.snap}
 	seen := map[string]bool{}
 	add := func(c Candidate) {
 		if k := c.Plan.Key(); !seen[k] {

@@ -94,14 +94,14 @@ func fallbackPlan(res *optimizer.Result, err error) (cand optimizer.Candidate, o
 	return optimizer.Candidate{}, false
 }
 
-// runWithFallback executes res.Best and, when it fails with a
-// degradable infrastructure error, re-sites the query onto a fallback
-// candidate and retries once. The returned executor is the one whose
-// run produced the result (for feedback absorption); the fallback, if
-// taken, appears as a "fallback" child of root and bumps
-// tango_plan_fallbacks_total{op}.
-func (m *Middleware) runWithFallback(res *optimizer.Result, root *telemetry.Span, analyze bool) (*rel.Relation, *Executor, error) {
-	ex := m.newExecutor(root, analyze)
+// runWithFallback executes res.Best through the catalog view cat and,
+// when it fails with a degradable infrastructure error, re-sites the
+// query onto a fallback candidate and retries once. The returned
+// executor is the one whose run produced the result (for feedback
+// absorption); the fallback, if taken, appears as a "fallback" child of
+// root and bumps tango_plan_fallbacks_total{op}.
+func (m *Middleware) runWithFallback(res *optimizer.Result, cat algebra.Catalog, root *telemetry.Span, analyze bool) (*rel.Relation, *Executor, error) {
+	ex := m.newExecutor(cat, root, analyze)
 	out, err := ex.Run(res.Best)
 	if err == nil {
 		return out, ex, nil
@@ -125,12 +125,12 @@ func (m *Middleware) runWithFallback(res *optimizer.Result, root *telemetry.Span
 		m.Metrics.Counter("tango_plan_fallbacks_total", telemetry.Labels{"op": op}).Inc()
 	}
 	if m.CheckPlans {
-		if cerr := planck.Check(cand.Plan, m.Cat); cerr != nil {
+		if cerr := planck.Check(cand.Plan, cat); cerr != nil {
 			sp.Finish()
 			return nil, nil, errors.Join(err, cerr)
 		}
 	}
-	ex2 := m.newExecutor(sp, analyze)
+	ex2 := m.newExecutor(cat, sp, analyze)
 	out, err2 := ex2.Run(cand.Plan)
 	sp.Finish()
 	if err2 != nil {

@@ -167,7 +167,7 @@ func (m *Middleware) timedOptimize(initial *algebra.Node, root *telemetry.Span) 
 	sp.SetInt("plans", int64(len(res.Candidates)))
 	sp.SetFloat("cost", res.BestCost)
 	if m.CheckPlans {
-		if cerr := planck.Check(res.Best, m.Cat); cerr != nil {
+		if cerr := planck.Check(res.Best, res.Catalog); cerr != nil {
 			return nil, elapsed, fmt.Errorf("tango: optimizer chose an invalid plan: %w", cerr)
 		}
 	}
@@ -191,14 +191,14 @@ func (m *Middleware) recordOptimizer(res *optimizer.Result, elapsed time.Duratio
 	}
 }
 
-// newExecutor builds an executor configured with the middleware's
-// telemetry. Instrumentation is on when a registry is attached, when
-// adaptation is enabled (the per-operator feedback loop needs measured
-// timings), or when analyze is forced.
-func (m *Middleware) newExecutor(root *telemetry.Span, analyze bool) *Executor {
+// newExecutor builds an executor reading cat and configured with the
+// middleware's telemetry. Instrumentation is on when a registry is
+// attached, when adaptation is enabled (the per-operator feedback loop
+// needs measured timings), or when analyze is forced.
+func (m *Middleware) newExecutor(cat algebra.Catalog, root *telemetry.Span, analyze bool) *Executor {
 	return &Executor{
 		Conn:        m.Conn,
-		Cat:         m.Cat,
+		Cat:         cat,
 		Metrics:     m.Metrics,
 		Analyze:     analyze || m.Alpha > 0,
 		Trace:       root,
@@ -219,12 +219,13 @@ func (m *Middleware) Execute(plan *algebra.Node) (out *rel.Relation, err error) 
 }
 
 func (m *Middleware) execute(plan *algebra.Node, root *telemetry.Span) (*rel.Relation, error) {
-	ex := m.newExecutor(root, false)
+	cat := m.Est.Snapshot()
+	ex := m.newExecutor(cat, root, false)
 	out, err := ex.Run(plan)
 	if err != nil {
 		return nil, err
 	}
-	m.absorb(ex, root)
+	m.absorb(ex, cat, root)
 	m.mu.Lock()
 	m.lastStats = ex.ExecStats()
 	m.mu.Unlock()
@@ -275,8 +276,10 @@ func planLabel(plan *algebra.Node) string {
 // absorb feeds one execution's measurements back into the model: the
 // whole-transfer EWMA (T^M/T^D factors), the per-operator factor
 // refinement, and the Q-error drift metrics comparing the optimizer's
-// cardinality estimates against observed row counts.
-func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
+// cardinality estimates, read from the query's catalog view, against
+// observed row counts. A view lives for one query only, so ANALYZE and
+// DDL between queries stay visible.
+func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.Span) {
 	if m.Alpha > 0 {
 		m.mu.Lock()
 		for _, fb := range ex.Feedback() {
@@ -291,7 +294,6 @@ func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
 	}
 	var worstQ float64
 	var worstOp string
-	var snap *stats.Snapshot // fetches each base table's statistics once, not per operator
 	st.Walk(func(s *telemetry.OpStats) {
 		n, ok := s.Node.(*algebra.Node)
 		if !ok || n == nil {
@@ -315,10 +317,7 @@ func (m *Middleware) absorb(ex *Executor, root *telemetry.Span) {
 			m.mu.Unlock()
 		}
 		if m.Metrics != nil && s.Rows > 0 {
-			if snap == nil {
-				snap = m.Est.Snapshot()
-			}
-			if est, _, err := snap.Estimate(n, nil); err == nil && est.Card > 0 {
+			if est, _, err := cat.Estimate(n, nil); err == nil && est.Card > 0 {
 				q := est.Card / float64(s.Rows)
 				if q < 1 {
 					q = 1 / q
@@ -368,11 +367,15 @@ func (m *Middleware) Run(initial *algebra.Node) (out *rel.Relation, res *optimiz
 // winning execution back into the cost model. Exposed so harnesses can
 // drive the degradation path with synthetic candidate lists.
 func (m *Middleware) ExecuteResult(res *optimizer.Result, root *telemetry.Span) (*rel.Relation, error) {
-	out, ex, err := m.runWithFallback(res, root, false)
+	cat := res.Catalog
+	if cat == nil { // a result built by hand rather than by Optimize
+		cat = m.Est.Snapshot()
+	}
+	out, ex, err := m.runWithFallback(res, cat, root, false)
 	if err != nil {
 		return nil, err
 	}
-	m.absorb(ex, root)
+	m.absorb(ex, cat, root)
 	m.mu.Lock()
 	m.lastStats = ex.ExecStats()
 	m.mu.Unlock()
@@ -417,7 +420,7 @@ func (m *Middleware) Explain(initial *algebra.Node) (string, error) {
 	}
 	out := fmt.Sprintf("cost %.0f µs, %d classes, %d elements\n%s",
 		res.BestCost, res.Classes, res.Elements, res.Best)
-	sqls, err := TransferSQL(m.Cat, res.Best)
+	sqls, err := TransferSQL(res.Catalog, res.Best)
 	if err == nil && len(sqls) > 0 {
 		out += "\nDBMS statements:\n"
 		for i, s := range sqls {
@@ -441,13 +444,13 @@ func (m *Middleware) ExplainAnalyze(initial *algebra.Node) (string, *rel.Relatio
 		m.finish(root, planLabel(initial), err)
 		return "", nil, err
 	}
-	out, ex, err := m.runWithFallback(res, root, true)
+	out, ex, err := m.runWithFallback(res, res.Catalog, root, true)
 	pop()
 	if err != nil {
 		m.finish(root, planLabel(initial), err)
 		return "", nil, err
 	}
-	m.absorb(ex, root)
+	m.absorb(ex, res.Catalog, root)
 	m.mu.Lock()
 	m.lastStats = ex.ExecStats()
 	m.mu.Unlock()

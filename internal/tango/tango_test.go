@@ -6,8 +6,12 @@ import (
 
 	"tango/internal/algebra"
 	"tango/internal/engine"
+	"tango/internal/meta"
 	"tango/internal/server"
+	"tango/internal/stats"
+	"tango/internal/telemetry"
 	"tango/internal/tsql"
+	"tango/internal/types"
 	"tango/internal/uis"
 	"tango/internal/wire"
 )
@@ -258,6 +262,80 @@ func TestEstimateAfterReanalyze(t *testing.T) {
 		}
 		if est.Card != float64(total) {
 			t.Errorf("after loading %d rows and ANALYZE the estimate is %g rows", total, est.Card)
+		}
+	}
+}
+
+// countingCatalog counts, per table, the schema and statistics fetches
+// that reach it.
+type countingCatalog struct {
+	cat     algebra.Catalog
+	src     stats.Source
+	schemas map[string]int
+	tables  map[string]int
+}
+
+func (c *countingCatalog) TableSchema(name string) (types.Schema, error) {
+	c.schemas[strings.ToUpper(name)]++
+	return c.cat.TableSchema(name)
+}
+
+func (c *countingCatalog) TableStats(name string, buckets int) (*meta.TableStats, error) {
+	c.tables[strings.ToUpper(name)]++
+	return c.src.TableStats(name, buckets)
+}
+
+// TestQueryReadsCatalogOnce: one query — optimization, plan checks,
+// build, execution and the Q-error feedback — fetches each base
+// table's schema and statistics once, all through the optimizer's
+// view of the catalog, and the next query fetches them afresh.
+func TestQueryReadsCatalogOnce(t *testing.T) {
+	mw := Open(server.New(engine.Open(engine.Config{}), wire.Latency{}),
+		Options{HistogramBuckets: 8, Metrics: telemetry.NewRegistry(), CheckPlans: true})
+	if _, err := uis.Load(mw.Conn, 300, 100, 8); err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string][]string{
+		"VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION GROUP BY PosID":                                  {"POSITION"},
+		"VALIDTIME COALESCE SELECT PosID, EmpName, T1, T2 FROM POSITION":                                     {"POSITION"},
+		"VALIDTIME SELECT A.PosID, A.EmpName, B.EmpName FROM POSITION A, POSITION B WHERE A.PosID = B.PosID": {"POSITION"},
+		"SELECT P.PosID, E.EmpName FROM POSITION P, EMPLOYEE E WHERE P.EmpID = E.EmpID":                      {"POSITION", "EMPLOYEE"},
+	}
+	plans := map[string]*algebra.Node{}
+	for q := range queries {
+		plan, err := tsql.Parse(q, mw.Cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[q] = plan
+	}
+	viewed := &countingCatalog{cat: mw.Est.Cat, src: mw.Est.Source}
+	mw.Est.Cat, mw.Est.Source = viewed, viewed
+	direct := &countingCatalog{cat: mw.Cat}
+	mw.Cat = direct
+	run := map[string]func(*algebra.Node) error{
+		"Run":            func(p *algebra.Node) error { _, _, err := mw.Run(p); return err },
+		"ExplainAnalyze": func(p *algebra.Node) error { _, _, err := mw.ExplainAnalyze(p); return err },
+		"Explain":        func(p *algebra.Node) error { _, err := mw.Explain(p); return err },
+	}
+	for q, tables := range queries {
+		for name, f := range run {
+			for round := range 2 {
+				viewed.schemas, viewed.tables = map[string]int{}, map[string]int{}
+				direct.schemas = map[string]int{}
+				if err := f(plans[q]); err != nil {
+					t.Fatalf("%s %q: %v", name, q, err)
+				}
+				for _, table := range tables {
+					if s, st := viewed.schemas[table], viewed.tables[table]; s != 1 || st != 1 {
+						t.Errorf("%s %q, round %d: %s schema fetched %d times, statistics %d times; want once each",
+							name, q, round, table, s, st)
+					}
+				}
+				if len(direct.schemas) != 0 {
+					t.Errorf("%s %q: schemas fetched past the query's catalog view: %v", name, q, direct.schemas)
+				}
+			}
 		}
 	}
 }
