@@ -8,7 +8,7 @@ FUZZTIME ?= 10s
 .PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_25.json
+BENCHOUT ?= BENCH_26.json
 
 all: ci
 
@@ -52,10 +52,11 @@ race:
 
 # fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder,
 # the wire decoders (frame, request and reply envelope), the WAL
-# decoder, the heap page decoder and the row sort (against the
-# comparison sort it replaced) for FUZZTIME each, seeded from the
-# evaluation workload. Any crasher is written to the package's
-# testdata/fuzz corpus and replays under plain `go test`.
+# decoder, the block decoder (heap pages, wire batches, spill runs)
+# and the row sort (against the comparison sort it replaced) for
+# FUZZTIME each, seeded from the evaluation workload. Any crasher is
+# written to the package's testdata/fuzz corpus and replays under
+# plain `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
@@ -64,7 +65,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzPageDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzSortTuples -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
@@ -99,10 +100,10 @@ load:
 
 # The per-layer row-path micro-benchmarks (rows/s and allocs/op each):
 # the shared sort routine (integer, string and name keys, and 8-row
-# group sorts), a heap scan's page decode at 0, 3 and 8 of POSITION's
-# columns, the engine's scan + project + ORDER BY on integer keys, on a
-# string key and on coalesce's key, and its COUNT(*), filter and join
-# scans.
+# group sorts), a heap scan's page decode at 0, 3, 4 and 8 of
+# POSITION's columns and at 3 of a 31-column EMPLOYEE-shaped heap's,
+# the engine's scan + project + ORDER BY on integer keys, on a string
+# key and on coalesce's key, and its COUNT(*), filter and join scans.
 ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan
 
 # OPTBENCH is the optimizer layer: one Optimize of each paper query

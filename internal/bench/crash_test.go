@@ -291,11 +291,10 @@ func TestCrashChecksumDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Checkpoint a nearly empty page, then grow it across the
-	// half-frame boundary (slotted pages fill record data from the
-	// back, so the late records live in the middle of the page). The
-	// next checkpoint rewrites the page in place; tearing that write
-	// leaves a new front half, a stale back half, and a checksum that
-	// matches neither.
+	// half-frame boundary (a page's block starts at its front, so ~120
+	// rows of this shape reach into its back half). The next checkpoint
+	// rewrites the page in place; tearing that write leaves a new front
+	// half, a stale back half, and a checksum that matches neither.
 	if _, err := sys.MW.Conn.Exec("CREATE TABLE CRASHT (ID INTEGER, PAD VARCHAR(60))"); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +305,7 @@ func TestCrashChecksumDetection(t *testing.T) {
 	if err := sys.DB.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 80; i++ {
+	for i := 1; i <= 120; i++ {
 		if _, err := sys.MW.Conn.Exec(fmt.Sprintf("INSERT INTO CRASHT VALUES (%d, '%s')", i, pad)); err != nil {
 			t.Fatal(err)
 		}

@@ -177,7 +177,7 @@ var conformance = []struct {
 	}, "n=2 cursor=0 eos=false; table holds 2 rows"},
 	{"load corrupt payload", func(e *confEnv) string {
 		return e.ask(wire.Request{Op: wire.MsgLoad, Name: "L", Body: []byte{0xFF, 0xFF}})
-	}, "error: wire: bad batch header"},
+	}, "error: wire: block at row 0: types: bad block header"},
 	{"insert rows", func(e *confEnv) string {
 		fb, err := e.c.InsertRows("L", intRows(1, 2, 3))
 		return fmt.Sprintf("rows=%d batches=%d bytes>0=%v err=%v", fb.Rows, fb.Batches, fb.Bytes > 0, err)
@@ -203,7 +203,7 @@ var conformance = []struct {
 			return "error: " + err.Error()
 		}
 		return fmt.Sprintf("%v %v fb rows=%d batches=%d bytes=%d", r.Schema, r.Tuples, fb.Rows, fb.Batches, fb.Bytes)
-	}, "(K INTEGER, V VARCHAR) [(1, a) (2, b) (3, c) (4, d) (5, e)] fb rows=5 batches=3 bytes=33"},
+	}, "(K INTEGER, V VARCHAR) [(1, a) (2, b) (3, c) (4, d) (5, e)] fb rows=5 batches=3 bytes=41"},
 	{"temp table: create, load, read back mangled, drop", func(e *confEnv) string {
 		schema := types.NewSchema(types.Column{Name: "A.K", Kind: types.KindInt}, types.Column{Name: "V", Kind: types.KindString})
 		const name = server.TempPrefix + "conf_rt"
@@ -237,7 +237,7 @@ var conformance = []struct {
 		e.srv.SetFaults(nil)
 		whole := e.ask(wire.Request{Op: wire.MsgFetch, Cursor: 5, Seq: 1})
 		return strings.Join([]string{open, torn, whole, e.ask(wire.Request{Op: wire.MsgCloseCursor, Cursor: 5})}, " | ")
-	}, "n=0 cursor=5 eos=false schema=(K INTEGER) | corrupt body: wire: row 2: types: truncated tuple" +
+	}, "n=0 cursor=5 eos=false schema=(K INTEGER) | corrupt body: wire: block at row 0: types: truncated column" +
 		" | n=0 cursor=0 eos=false rows=[(1) (2) (3) (4) (5)] | n=0 cursor=0 eos=false"},
 	{"OpError", func(e *confEnv) string {
 		e.faults("seed=1;stats~drop=1")

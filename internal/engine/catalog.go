@@ -7,6 +7,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -398,7 +399,16 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 	}
 	// Durable stores bracket the load so that a crash before the commit
 	// record becomes durable rolls the table back to its pre-load state
-	// — the T^D transfer is atomic.
+	// — the T^D transfer is atomic. A load that fails before its commit
+	// rolls back the same way at once: the heap is cut back to its
+	// pre-load pages (on a FileDisk the cut also ends the open load), so
+	// no later load's bound or index build publishes the failed rows.
+	before := t.Heap.NumPages()
+	fail := func(err error) error {
+		err = errors.Join(err, t.Heap.Truncate(before))
+		db.wmu.Unlock()
+		return err
+	}
 	if db.fd != nil {
 		if err := db.fd.BeginLoad(t.Heap.File(), t.Name); err != nil {
 			db.wmu.Unlock()
@@ -406,16 +416,14 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 		}
 	}
 	if err := t.Heap.BulkLoad(tuples); err != nil {
-		db.wmu.Unlock()
-		return err
+		return fail(err)
 	}
 	nt := t.clone()
 	nt.Indexes = make(map[string]*btree.Tree, len(t.Indexes))
 	for col := range t.Indexes {
 		idx, err := buildIndexTree(t.Heap, t.Schema, col)
 		if err != nil {
-			db.wmu.Unlock()
-			return err
+			return fail(err)
 		}
 		nt.Indexes[col] = idx
 	}
@@ -424,12 +432,10 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 	if db.fd != nil {
 		// Page images must precede the commit record in the WAL.
 		if err := db.pool.FlushAll(); err != nil {
-			db.wmu.Unlock()
-			return err
+			return fail(err)
 		}
 		if err := db.fd.CommitLoad(t.Heap.File()); err != nil {
-			db.wmu.Unlock()
-			return err
+			return fail(err)
 		}
 	}
 	next := cloneTables(cur.tables)

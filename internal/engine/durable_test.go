@@ -189,3 +189,69 @@ func equalRows(a, b []string) bool {
 	}
 	return true
 }
+
+// TestFailedBulkLoadLeavesNoRows: a bulk load that fails on a row too
+// large for a page leaves its table as it was, on both stores: the
+// next load neither publishes nor indexes the failed load's pages, and
+// on a FileDisk the failed load's open mark is cleared, so a reopen
+// agrees.
+func TestFailedBulkLoadLeavesNoRows(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		dir := t.TempDir()
+		db := Open(Config{})
+		if durable {
+			var err error
+			if db, _, err = OpenAt(dir, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Exec("CREATE TABLE T (ID INTEGER, Name VARCHAR(10000))"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateIndex("T", "ID"); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]types.Tuple, 301)
+		for i := range rows {
+			rows[i] = types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("n%d", i))}
+		}
+		rows[300][1] = types.Str(strings.Repeat("x", 9000))
+		if err := db.BulkLoad("T", rows); !errors.Is(err, storage.ErrPageFull) {
+			t.Fatalf("durable=%t: load of an oversize row: %v, want ErrPageFull", durable, err)
+		}
+		count := func(db *DB, sql string) string {
+			got := queryRows(t, db, sql)
+			if len(got) != 1 {
+				t.Fatalf("durable=%t: %s: %v", durable, sql, got)
+			}
+			return got[0]
+		}
+		if got := count(db, "SELECT COUNT(*) FROM T"); got != "0" {
+			t.Fatalf("durable=%t: failed load left %s rows", durable, got)
+		}
+		if err := db.BulkLoad("T", []types.Tuple{{types.Int(1000), types.Str("ok")}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range []string{"SELECT COUNT(*) FROM T", "SELECT COUNT(*) FROM T WHERE ID >= 0"} {
+			if got := count(db, sql); got != "1" {
+				t.Errorf("durable=%t: %s after the next load = %s, want 1", durable, sql, got)
+			}
+		}
+		if !durable {
+			continue
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, st, err := OpenAt(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := count(re, "SELECT COUNT(*) FROM T"); got != "1" || st.RolledBackLoads != 0 {
+			t.Errorf("reopened: %s rows, %d loads rolled back; want 1 and 0", got, st.RolledBackLoads)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -78,9 +78,10 @@ func TestSnapshotReaderNotBlockedByLoad(t *testing.T) {
 	}
 	preSeq := db.CommitSeq()
 
-	// Park the load after two fresh extents.
+	// Park the load after two fresh extents (a page holds ~2,000 of
+	// these rows).
 	gate.arm(2)
-	rows := make([]types.Tuple, 2000)
+	rows := make([]types.Tuple, 10000)
 	for i := range rows {
 		rows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(i))}
 	}

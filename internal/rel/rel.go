@@ -36,7 +36,7 @@ import (
 // drained relation) without copying it, and must not write to it — an
 // operator that edits a row, as coalescing does, edits its own copy.
 // Tuples of one heap page or wire batch share one decode slab
-// (types.Decoder), which is plain garbage-collected memory and is never
+// (types.DecodeBlock), which is plain garbage-collected memory and is never
 // pooled, so keeping one tuple keeps its slab. A consumer that keeps
 // only a few values for long — index keys, column statistics — detaches
 // them (Value.Detach) rather than pin a slab per value.

@@ -207,7 +207,7 @@ func (bp *BufferPool) NewPage(file FileID) (PageID, *Page, error) {
 		bp.ioDone.Broadcast()
 		return PageID{}, nil, err
 	}
-	f.page.Reset()
+	f.page.dirty = true // a fresh frame's zero page is an empty block
 	return pid, &f.page, nil
 }
 
@@ -387,13 +387,13 @@ func (bp *BufferPool) CachedPages(file FileID) int {
 	return n
 }
 
-// Invalidate drops any cached pages of the file without write-back
-// (used when a table is dropped).
-func (bp *BufferPool) Invalidate(file FileID) {
+// Invalidate drops any cached pages of the file numbered from on,
+// without write-back (used when a table is dropped or truncated).
+func (bp *BufferPool) Invalidate(file FileID, from int32) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for pid, f := range bp.frames {
-		if pid.File == file {
+		if pid.File == file && pid.No >= from {
 			bp.lru.Remove(f.elem)
 			delete(bp.frames, pid)
 		}

@@ -89,6 +89,18 @@ func (d *Disk) AppendPage(id FileID) (int32, error) {
 	return int32(len(pages)), nil
 }
 
+// Truncate cuts the file back to its first pages pages.
+func (d *Disk) Truncate(id FileID, pages int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p, ok := d.files[id]
+	if !ok || pages < 0 {
+		return fmt.Errorf("storage: truncate of missing file %d to %d pages", id, pages)
+	}
+	d.files[id] = p[:min(pages, len(p))]
+	return nil
+}
+
 // ReadPage copies the page into dst.
 func (d *Disk) ReadPage(pid PageID, dst *Page) error {
 	d.mu.Lock()

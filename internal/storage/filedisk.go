@@ -81,14 +81,24 @@ type loadMark struct {
 	Name        string
 }
 
+// pageFormat versions the page layout a store is written in: 2 is one
+// columnar block per page (types.AppendBlock). A meta.tango without a
+// format (0) belongs to a store of slotted row-record pages.
+const pageFormat = 2
+
+// ErrPageFormat is returned by Recover for a store written in another
+// page format: this build cannot read its pages.
+var ErrPageFormat = errors.New("storage: store written in another page format")
+
 // diskMeta is the checkpoint metadata file (meta.tango), replaced
 // atomically via tmp+rename at every checkpoint.
 type diskMeta struct {
-	NextID    FileID
-	NextLSN   uint64
-	Files     map[FileID]int
-	Meta      map[string]string
-	OpenLoads map[FileID]loadMark
+	PageFormat int
+	NextID     FileID
+	NextLSN    uint64
+	Files      map[FileID]int
+	Meta       map[string]string
+	OpenLoads  map[FileID]loadMark
 }
 
 func walPath(dir string) string  { return filepath.Join(dir, "wal.log") }
@@ -214,6 +224,31 @@ func (fd *FileDisk) CommitLoad(id FileID) error {
 	defer fd.fmu.Unlock()
 	fd.wal.append(&walRecord{typ: recCommitLoad, file: id})
 	delete(fd.openLoads, id)
+	return nil
+}
+
+// Truncate cuts the file back to its first pages pages, logging the
+// cut. It ends the file's open load, if any: truncating to the load's
+// pre-load page count is the rollback recovery would perform.
+func (fd *FileDisk) Truncate(id FileID, pages int) error {
+	if fd.crashed.Load() {
+		return ErrCrashed
+	}
+	fd.fmu.Lock()
+	defer fd.fmu.Unlock()
+	if !fd.Disk.hasFile(id) || pages < 0 {
+		return fmt.Errorf("storage: truncate of missing file %d to %d pages", id, pages)
+	}
+	fd.wal.append(&walRecord{typ: recTruncate, file: id, pageNo: int32(pages)})
+	if err := fd.Disk.Truncate(id, pages); err != nil {
+		return err
+	}
+	delete(fd.openLoads, id)
+	for pid := range fd.dirty {
+		if pid.File == id && pid.No >= int32(pages) {
+			delete(fd.dirty, pid)
+		}
+	}
 	return nil
 }
 
@@ -542,11 +577,12 @@ func (fd *FileDisk) checkpointLocked() error {
 // exist yet to supply the high-water mark.
 func (fd *FileDisk) writeMetaLocked(nextLSN uint64) error {
 	dm := diskMeta{
-		NextID:    fd.Disk.lastFileID(),
-		NextLSN:   nextLSN,
-		Files:     fd.Disk.fileSizes(),
-		Meta:      fd.metaKV,
-		OpenLoads: fd.openLoads,
+		PageFormat: pageFormat,
+		NextID:     fd.Disk.lastFileID(),
+		NextLSN:    nextLSN,
+		Files:      fd.Disk.fileSizes(),
+		Meta:       fd.metaKV,
+		OpenLoads:  fd.openLoads,
 	}
 	buf, err := json.Marshal(&dm)
 	if err != nil {
@@ -639,7 +675,8 @@ type RecoveryStats struct {
 // checksum verification, the WAL is replayed past the checkpoint
 // (truncating a torn tail), uncommitted loads are rolled back, and a
 // full tmp+rename checkpoint makes the recovered image durable. An
-// empty or missing directory yields a fresh empty store.
+// empty or missing directory yields a fresh empty store; a store whose
+// meta.tango records another page format is refused with ErrPageFormat.
 func Recover(dir string) (*FileDisk, *RecoveryStats, error) {
 	start := time.Now()
 	stats := &RecoveryStats{}
@@ -648,10 +685,14 @@ func Recover(dir string) (*FileDisk, *RecoveryStats, error) {
 	}
 
 	// Checkpoint metadata (absent on first boot).
-	dm := diskMeta{Files: map[FileID]int{}, Meta: map[string]string{}, OpenLoads: map[FileID]loadMark{}}
+	dm := diskMeta{PageFormat: pageFormat, Files: map[FileID]int{}, Meta: map[string]string{}, OpenLoads: map[FileID]loadMark{}}
 	if buf, err := os.ReadFile(metaPath(dir)); err == nil {
+		dm.PageFormat = 0
 		if err := json.Unmarshal(buf, &dm); err != nil {
 			return nil, stats, fmt.Errorf("storage: recover: corrupt meta.tango: %w", err)
+		}
+		if dm.PageFormat != pageFormat {
+			return nil, stats, fmt.Errorf("%w: meta.tango records page format %d, this build reads %d", ErrPageFormat, dm.PageFormat, pageFormat)
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, stats, fmt.Errorf("storage: recover: %w", err)
@@ -717,6 +758,18 @@ func Recover(dir string) (*FileDisk, *RecoveryStats, error) {
 			stats.RepairedPages++
 		}
 	}
+	// truncate cuts a file back to its first pages pages, forgetting
+	// the damage of the pages cut.
+	truncate := func(id FileID, pages int32) {
+		if p, ok := files[id]; ok && int32(len(p)) > pages {
+			files[id] = p[:pages]
+		}
+		for pid := range damaged {
+			if pid.File == id && pid.No >= pages {
+				delete(damaged, pid)
+			}
+		}
+	}
 	for _, r := range recs {
 		stats.ReplayedRecords++
 		if r.lsn >= nextLSN {
@@ -767,6 +820,9 @@ func Recover(dir string) (*FileDisk, *RecoveryStats, error) {
 			openLoads[r.file] = loadMark{PagesBefore: r.pagesBefore, Name: r.name}
 		case recCommitLoad:
 			delete(openLoads, r.file)
+		case recTruncate:
+			truncate(r.file, r.pageNo)
+			delete(openLoads, r.file)
 		case recMeta:
 			metaKV[r.key] = r.val
 		}
@@ -775,18 +831,10 @@ func Recover(dir string) (*FileDisk, *RecoveryStats, error) {
 	// Roll back loads whose commit never became durable: the file
 	// returns to its pre-load page count (atomic load).
 	for id, mark := range openLoads {
-		pages, ok := files[id]
-		if !ok {
+		if _, ok := files[id]; !ok {
 			continue
 		}
-		if int32(len(pages)) > mark.PagesBefore {
-			for pid := range damaged {
-				if pid.File == id && pid.No >= mark.PagesBefore {
-					delete(damaged, pid)
-				}
-			}
-			files[id] = pages[:mark.PagesBefore]
-		}
+		truncate(id, mark.PagesBefore)
 		stats.RolledBackLoads++
 	}
 

@@ -28,6 +28,7 @@ func walRecordFixtures() []*walRecord {
 		{typ: recCommitLoad, file: 4},
 		{typ: recMeta, key: "catalog", val: `{"tables":[]}`},
 		{typ: recMeta, key: "", val: ""},
+		{typ: recTruncate, file: 4, pageNo: 2},
 	}
 }
 
@@ -146,14 +147,11 @@ func TestPageFrameChecksum(t *testing.T) {
 
 // --- FileDisk: durability and recovery ---
 
+// pageWithRecord returns a page whose first row is rec, followed by a
+// row spreading rec over both halves of the page, so a torn write of
+// the page cannot match its old or new image.
 func pageWithRecord(t *testing.T, rec string) *Page {
-	t.Helper()
-	var p Page
-	p.Reset()
-	if _, err := p.Insert([]byte(rec)); err != nil {
-		t.Fatal(err)
-	}
-	return &p
+	return pageOf(t, tup(rec), tup(strings.Repeat(rec, 6000/max(len(rec), 1))))
 }
 
 func readRecord(t *testing.T, s Store, pid PageID) string {
@@ -162,11 +160,11 @@ func readRecord(t *testing.T, s Store, pid PageID) string {
 	if err := s.ReadPage(pid, &p); err != nil {
 		t.Fatalf("ReadPage %v: %v", pid, err)
 	}
-	rec, err := p.Record(0)
-	if err != nil {
-		t.Fatalf("Record %v: %v", pid, err)
+	rows := pageRows(t, &p)
+	if len(rows) == 0 {
+		t.Fatalf("page %v holds no row", pid)
 	}
-	return string(rec)
+	return rows[0][0].AsString()
 }
 
 func TestFileDiskPersistAcrossRecover(t *testing.T) {
@@ -377,6 +375,83 @@ func TestFileDiskLoadRollback(t *testing.T) {
 	}
 }
 
+// TestFileDiskTruncateEndsLoad: truncating a file under an open load
+// — how a failed bulk load rolls back — is replayed from the log, ends
+// the load (recovery has nothing left to roll back), and later appends
+// land where the cut left off.
+func TestFileDiskTruncateEndsLoad(t *testing.T) {
+	dir := t.TempDir()
+	fd, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fd.CreateFile()
+	write := func(fd *FileDisk, rec string) {
+		t.Helper()
+		no, err := fd.AppendPage(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fd.WritePage(PageID{File: f, No: no}, pageWithRecord(t, rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(fd, "before")
+	if err := fd.BeginLoad(f, "T"); err != nil {
+		t.Fatal(err)
+	}
+	for range 4 {
+		write(fd, "failed")
+	}
+	if err := fd.Truncate(f, 1); err != nil {
+		t.Fatal(err)
+	}
+	write(fd, "after")
+	if err := fd.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rec, st, err := Recover(dir) // the log is replayed: no checkpoint ran
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RolledBackLoads != 0 || rec.NumPages(f) != 2 {
+		t.Fatalf("recovered %d pages, %d loads rolled back; want 2 and 0", rec.NumPages(f), st.RolledBackLoads)
+	}
+	for i, want := range []string{"before", "after"} {
+		if got := readRecord(t, rec, PageID{File: f, No: int32(i)}); got != want {
+			t.Errorf("page %d = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestRecoverRefusesOtherPageFormat: a store whose meta.tango records
+// no page format — written with slotted row pages — is refused, typed,
+// rather than read as blocks.
+func TestRecoverRefusesOtherPageFormat(t *testing.T) {
+	dir := t.TempDir()
+	fd, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(metaPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(buf, []byte(fmt.Sprintf(`"PageFormat":%d,`, pageFormat)), nil, 1)
+	if bytes.Equal(old, buf) {
+		t.Fatalf("meta.tango records no page format: %s", buf)
+	}
+	if err := os.WriteFile(metaPath(dir), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(dir); !errors.Is(err, ErrPageFormat) {
+		t.Fatalf("Recover of a store without a page format: %v, want ErrPageFormat", err)
+	}
+}
+
 func TestFileDiskCrashScriptWAL(t *testing.T) {
 	// Count the WAL write points of a fixed workload with an observer
 	// script, then crash at each one and verify the recovered state is
@@ -454,19 +529,15 @@ func TestFileDiskCrashScriptWAL(t *testing.T) {
 				if err := rec.ReadPage(PageID{File: f, No: int32(i)}, &p); err != nil {
 					t.Fatalf("wal@%d=%d: read page %d: %v", n, mode, i, err)
 				}
-				r, err := p.Record(0)
-				switch {
-				case err == nil:
+				if rows := pageRows(t, &p); len(rows) == 0 {
+					content = false
+				} else {
 					if !content {
 						t.Errorf("wal@%d=%d: page %d has content after an empty page", n, mode, i)
 					}
-					if got, want := string(r), fmt.Sprintf("v%d", i); got != want {
+					if got, want := rows[0][0].AsString(), fmt.Sprintf("v%d", i); got != want {
 						t.Errorf("wal@%d=%d: page %d = %q, want %q", n, mode, i, got, want)
 					}
-				case errors.Is(err, ErrNoRecord):
-					content = false
-				default:
-					t.Fatalf("wal@%d=%d: page %d: %v", n, mode, i, err)
 				}
 			}
 		}
@@ -641,9 +712,7 @@ func TestFlushAllPartialFailureKeepsFramesDirty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Insert([]byte{byte('a' + i)}); err != nil {
-			t.Fatal(err)
-		}
+		*p = *pageOf(t, tup(i))
 		bp.Unpin(pid)
 	}
 	if got := bp.Dirty(); got != 4 {
@@ -674,9 +743,8 @@ func TestFlushAllPartialFailureKeepsFramesDirty(t *testing.T) {
 		if err := d.ReadPage(PageID{File: f, No: i}, &p); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := p.Record(0)
-		if err != nil || rec[0] != byte('a'+i) {
-			t.Fatalf("page %d: %q, %v", i, rec, err)
+		if rows := pageRows(t, &p); len(rows) != 1 || rows[0][0].AsInt() != int64(i) {
+			t.Fatalf("page %d: %v", i, rows)
 		}
 	}
 }

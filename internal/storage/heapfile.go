@@ -1,23 +1,25 @@
 package storage
 
 import (
-	"slices"
-
 	"tango/internal/types"
 )
 
-// HeapFile stores tuples of one table in a sequence of slotted pages
-// accessed through a buffer pool. Records are encoded with the shared
-// tuple codec.
+// HeapFile stores tuples of one table in a sequence of pages, each one
+// block of the shared block codec, accessed through a buffer pool.
 type HeapFile struct {
 	pool *BufferPool
 	file FileID
 	// lastPage caches the page number with free space for appends; -1
 	// when unknown/empty.
 	lastPage int32
+	// blk is where Insert builds the tail's next block. Like lastPage it
+	// belongs to the file's one writer: callers serialize Insert,
+	// BulkLoad and Truncate.
+	blk []byte
 }
 
-// RecordID locates one tuple within a heap file.
+// RecordID locates one tuple within a heap file: its page, and its row
+// index in that page's block.
 type RecordID struct {
 	Page int32
 	Slot int32
@@ -47,97 +49,121 @@ func (h *HeapFile) File() FileID { return h.file }
 func (h *HeapFile) NumPages() int { return h.pool.disk.NumPages(h.file) }
 
 // Insert appends a tuple and returns its record ID. The tail page is
-// mutated under its exclusive content latch: snapshot readers whose
-// visibility bound ends on that page read it under the shared latch,
-// so a half-inserted record is never observed. A fresh page needs no
-// latch — it lies beyond every published bound until the caller's
-// commit publishes a new one.
+// re-encoded with the tuple appended under its exclusive content latch:
+// snapshot readers whose visibility bound ends on that page read it
+// under the shared latch, so a half-written block is never observed,
+// and the rows before the new one keep their slots. A tuple that keeps
+// the tail's column tags is spliced into its block's bytes
+// (types.AppendRow); only one that changes a tag (a column's first NULL
+// or first value of a second kind) makes the page's rows be decoded and
+// encoded again. A tuple that does not join the tail's block (another
+// arity, or no room) starts a fresh page, which needs no latch — it
+// lies beyond every published bound until the caller's commit
+// publishes a new one. A tuple too large for any page fails with
+// ErrPageFull before a page is allocated.
 func (h *HeapFile) Insert(t types.Tuple) (RecordID, error) {
-	rec := types.EncodeTuple(nil, t)
-	// Try the cached last page first.
 	if h.lastPage >= 0 {
 		pid := PageID{File: h.file, No: h.lastPage}
 		p, ref, err := h.pool.FetchExclusive(pid)
 		if err != nil {
 			return RecordID{}, err
 		}
-		slot, err := p.Insert(rec)
-		ref.Release()
-		if err == nil {
-			return RecordID{Page: pid.No, Slot: int32(slot)}, nil
+		var n, old int
+		if h.blk, n, old = types.AppendRow(h.blk[:0], p.buf[:], t); n == 0 {
+			var rows []types.Tuple
+			if rows, old, err = types.DecodeBlock(nil, p.buf[:], nil, 0, -1); err == nil {
+				rows = append(rows, t)
+				if h.blk, n = types.AppendBlock(h.blk[:0], rows); n < len(rows) {
+					n = 0
+				}
+			}
 		}
-		if err != ErrPageFull {
+		if n > 0 && p.setBlock(h.blk, old) == nil {
+			ref.Release()
+			return RecordID{Page: pid.No, Slot: int32(n - 1)}, nil
+		}
+		ref.Release()
+		if err != nil {
 			return RecordID{}, err
 		}
+	}
+	if h.blk, _ = types.AppendBlock(h.blk[:0], []types.Tuple{t}); len(h.blk) > PageSize {
+		return RecordID{}, ErrPageFull
 	}
 	pid, p, err := h.pool.NewPage(h.file)
 	if err != nil {
 		return RecordID{}, err
 	}
-	slot, err := p.Insert(rec)
+	err = p.setBlock(h.blk, 0)
 	h.pool.Unpin(pid)
 	if err != nil {
-		return RecordID{}, err // record larger than a page
+		return RecordID{}, err
 	}
 	h.lastPage = pid.No
-	return RecordID{Page: pid.No, Slot: int32(slot)}, nil
+	return RecordID{Page: pid.No, Slot: 0}, nil
 }
 
 // Get reads the tuple at the given record ID, keeping the columns at
-// positions cols (ascending; nil keeps every column).
+// positions cols (ascending; nil keeps every column). It decodes that
+// row alone, reaching it through the block's column offsets.
 func (h *HeapFile) Get(rid RecordID, cols []int) (types.Tuple, error) {
+	if rid.Slot < 0 {
+		return nil, ErrNoRecord
+	}
 	pid := PageID{File: h.file, No: rid.Page}
 	p, ref, err := h.pool.FetchShared(pid)
 	if err != nil {
 		return nil, err
 	}
 	defer ref.Release()
-	rec, err := p.Record(int(rid.Slot))
+	var one [1]types.Tuple // keeps the row header off the heap
+	rows, _, err := types.DecodeBlock(one[:0], p.buf[:], cols, int(rid.Slot), int(rid.Slot)+1)
 	if err != nil {
 		return nil, err
 	}
-	t, _, err := types.DecodeColumns(rec, cols)
-	return t, err
-}
-
-// Delete removes the tuple at the given record ID.
-func (h *HeapFile) Delete(rid RecordID) error {
-	pid := PageID{File: h.file, No: rid.Page}
-	p, ref, err := h.pool.FetchExclusive(pid)
-	if err != nil {
-		return err
+	if len(rows) == 0 {
+		return nil, ErrNoRecord
 	}
-	defer ref.Release()
-	return p.Delete(int(rid.Slot))
+	return rows[0], nil
 }
 
 // Drop releases the file's pages.
 func (h *HeapFile) Drop() {
-	h.pool.Invalidate(h.file)
+	h.pool.Invalidate(h.file, 0)
 	h.pool.disk.DropFile(h.file)
 }
 
-// Scan iterates over every live tuple in the file in storage order,
-// calling fn with the record ID and the tuple's columns at positions
-// cols (ascending; nil keeps every column). fn returning false stops
-// the scan early. Each page is decoded under its shared content latch
-// and the latch released before fn runs, so callbacks may acquire
-// other locks (index builds) without entering the latch hierarchy.
+// Truncate cuts the file back to its first pages pages, discarding any
+// cached frame past them — how a failed bulk load rolls back. On a
+// FileDisk the cut also ends the file's open load (see FileDisk.Truncate).
+func (h *HeapFile) Truncate(pages int) error {
+	h.pool.Invalidate(h.file, int32(pages))
+	if err := h.pool.disk.Truncate(h.file, pages); err != nil {
+		return err
+	}
+	h.lastPage = int32(pages) - 1
+	return nil
+}
+
+// Scan iterates over every tuple in the file in storage order, calling
+// fn with the record ID and the tuple's columns at positions cols
+// (ascending; nil keeps every column). fn returning false stops the
+// scan early. Each page is decoded under its shared content latch and
+// the latch released before fn runs, so callbacks may acquire other
+// locks (index builds) without entering the latch hierarchy.
 func (h *HeapFile) Scan(cols []int, fn func(RecordID, types.Tuple) bool) error {
 	n := h.NumPages()
 	var (
-		rids   []RecordID
 		tuples []types.Tuple
 		err    error
 	)
 	for pageNo := int32(0); pageNo < int32(n); pageNo++ {
-		rids = rids[:0]
-		tuples, err = h.pageTuples(pageNo, -1, cols, tuples[:0], &rids)
+		tuples, err = h.PageTuples(pageNo, -1, cols, tuples[:0])
 		if err != nil {
 			return err
 		}
 		for i, t := range tuples {
-			if !fn(rids[i], t) {
+			if !fn(RecordID{Page: pageNo, Slot: int32(i)}, t) {
 				return nil
 			}
 		}
@@ -145,63 +171,29 @@ func (h *HeapFile) Scan(cols []int, fn func(RecordID, types.Tuple) bool) error {
 	return nil
 }
 
-// PageTuples decodes the live tuples of one page up to (excluding)
-// slot maxSlots, keeping the columns at positions cols (ascending; nil
-// keeps every column), and appends them to dst; maxSlots < 0 means
-// every slot. It lets scans stream page-at-a-time instead of
-// materializing the whole table, and snapshot scans use the slot cap
-// to stop a tail page at the reader's visibility bound. The page is
-// read under its shared content latch and decoded in one validating
-// pass (types.Decoder): the tuples do not alias the page buffer.
+// PageTuples decodes the tuples of one page up to (excluding) slot
+// maxSlots, keeping the columns at positions cols (ascending; nil keeps
+// every column), and appends them to dst; maxSlots < 0 means every
+// slot. It lets scans stream page-at-a-time instead of materializing
+// the whole table, and snapshot scans use the slot cap to stop a tail
+// page at the reader's visibility bound. The page is read under its
+// shared content latch and decoded in one validating pass
+// (types.DecodeBlock): the tuples do not alias the page buffer.
 func (h *HeapFile) PageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple) ([]types.Tuple, error) {
-	return h.pageTuples(pageNo, maxSlots, cols, dst, nil)
-}
-
-// pageTuples is PageTuples that also appends each tuple's record ID
-// to *rids when rids is non-nil.
-func (h *HeapFile) pageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple, rids *[]RecordID) ([]types.Tuple, error) {
-	pid := PageID{File: h.file, No: pageNo}
-	p, ref, err := h.pool.FetchShared(pid)
+	p, ref, err := h.pool.FetchShared(PageID{File: h.file, No: pageNo})
 	if err != nil {
 		return dst, err
 	}
 	defer ref.Release()
-	slots := p.NumSlots()
-	if maxSlots >= 0 && maxSlots < slots {
-		slots = maxSlots
-	}
-	live := 0
-	for s := range slots {
-		if _, err := p.Record(s); err == nil {
-			live++
-		}
-	}
-	d := types.NewDecoder(live, cols)
-	start := len(dst)
-	dst = slices.Grow(dst, live)
-	for s := range slots {
-		rec, err := p.Record(s)
-		if err != nil {
-			continue
-		}
-		t, _, err := d.Decode(rec)
-		if err != nil {
-			return dst[:start], err
-		}
-		dst = append(dst, t)
-		if rids != nil {
-			*rids = append(*rids, RecordID{Page: pageNo, Slot: int32(s)})
-		}
-	}
-	d.Own(dst[start:])
-	return dst, nil
+	dst, _, err = types.DecodeBlock(dst, p.buf[:], cols, 0, maxSlots)
+	return dst, err
 }
 
 // Bound reports the file's current visibility bound: the page count
 // and the number of slots on the last page. A snapshot publishing
 // (pages, tailSlots) makes exactly the rows existing now visible —
-// later appends land past the bound (pages fill strictly in order and
-// sealed pages never gain slots).
+// later appends land past the bound (pages fill strictly in order, an
+// append keeps the slots before it, and sealed pages never gain slots).
 func (h *HeapFile) Bound() (pages, tailSlots int32) {
 	n := int32(h.NumPages())
 	if n == 0 {
@@ -213,43 +205,43 @@ func (h *HeapFile) Bound() (pages, tailSlots int32) {
 		return n, 0
 	}
 	defer ref.Release()
-	return n, int32(p.NumSlots())
+	rows, _, _, _ := types.BlockLen(p.buf[:])
+	return n, int32(rows)
 }
 
 // BulkLoad appends all tuples from the slice using a direct page-fill
-// path: pages are filled to capacity with no free space left behind,
-// modelling the paper's SQL*Loader direct-path load into an
-// exactly-sized initial extent.
+// path: each fresh page takes as many rows as its block holds within
+// PageSize — sized from per-column statistics as rows are added, not by
+// trial encodes — modelling the paper's SQL*Loader direct-path load into
+// an exactly-sized initial extent. A tuple too large for a page fails
+// the load with ErrPageFull; the pages filled before it stay in the
+// file for the caller to roll back (Truncate).
 func (h *HeapFile) BulkLoad(tuples []types.Tuple) error {
 	var (
-		pid PageID
-		p   *Page
-		err error
+		s   types.BlockSizer
+		blk []byte
 	)
-	buf := make([]byte, 0, 512)
-	for _, t := range tuples {
-		buf = types.EncodeTuple(buf[:0], t)
-		if p != nil {
-			if _, err := p.Insert(buf); err == nil {
-				continue
-			} else if err != ErrPageFull {
-				h.pool.Unpin(pid)
-				return err
-			}
-			h.pool.Unpin(pid)
+	for len(tuples) > 0 {
+		s.Reset()
+		n := 0
+		for n < len(tuples) && s.Add(tuples[n]) && s.Size() <= PageSize {
+			n++
 		}
-		pid, p, err = h.pool.NewPage(h.file)
+		if n == 0 {
+			return ErrPageFull
+		}
+		blk, _ = types.AppendBlock(blk[:0], tuples[:n])
+		pid, p, err := h.pool.NewPage(h.file)
 		if err != nil {
 			return err
 		}
-		if _, err := p.Insert(buf); err != nil {
-			h.pool.Unpin(pid)
+		err = p.setBlock(blk, 0)
+		h.pool.Unpin(pid)
+		if err != nil {
 			return err
 		}
-	}
-	if p != nil {
-		h.pool.Unpin(pid)
 		h.lastPage = pid.No
+		tuples = tuples[n:]
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,42 +9,53 @@ import (
 	"tango/internal/types"
 )
 
+// pageOf returns a page holding one block of rows.
+func pageOf(t testing.TB, rows ...types.Tuple) *Page {
+	t.Helper()
+	var p Page
+	blk, _ := types.AppendBlock(nil, rows)
+	if err := p.setBlock(blk, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	return &p
+}
+
+// pageRows decodes every row of the page.
+func pageRows(t testing.TB, p *Page) []types.Tuple {
+	t.Helper()
+	rows, _, err := types.DecodeBlock(nil, p.buf[:], nil, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestPageInsertRecord(t *testing.T) {
 	var p Page
-	p.Reset()
-	if p.NumSlots() != 0 {
-		t.Fatalf("fresh page has %d slots", p.NumSlots())
+	if n := len(pageRows(t, &p)); n != 0 {
+		t.Fatalf("fresh page has %d rows", n)
 	}
-	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("")}
-	// Empty record is not representable as live (length 0 == deleted);
-	// use non-empty records.
-	recs[2] = []byte("c")
-	var slots []int
-	for _, r := range recs {
-		s, err := p.Insert(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots = append(slots, s)
+	recs := []types.Tuple{tup(1, "alpha"), tup(2, "beta"), tup(3, "")}
+	q := pageOf(t, recs...)
+	got := pageRows(t, q)
+	if len(got) != len(recs) {
+		t.Fatalf("page has %d rows, want %d", len(got), len(recs))
 	}
-	for i, s := range slots {
-		got, err := p.Record(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(recs[i]) {
-			t.Errorf("slot %d = %q, want %q", s, got, recs[i])
+	for i, got := range got {
+		if !types.TupleEqualOn(got, recs[i], []int{0, 1}) {
+			t.Errorf("slot %d = %v, want %v", i, got, recs[i])
 		}
 	}
 }
 
 func TestPageFull(t *testing.T) {
 	var p Page
-	p.Reset()
-	rec := make([]byte, 1000)
 	n := 0
+	var rows []types.Tuple
 	for {
-		if _, err := p.Insert(rec); err != nil {
+		rows = append(rows, tup(n, string(make([]byte, 1000))))
+		blk, _ := types.AppendBlock(nil, rows)
+		if err := p.setBlock(blk, PageSize); err != nil {
 			if err != ErrPageFull {
 				t.Fatal(err)
 			}
@@ -51,27 +63,9 @@ func TestPageFull(t *testing.T) {
 		}
 		n++
 	}
-	// 8KB page, 1000-byte records + 4-byte slots: expect 8 records.
-	if n != 8 {
-		t.Errorf("inserted %d records, want 8", n)
-	}
-	if p.FreeSpace() >= 1000 {
-		t.Error("page reports space after ErrPageFull")
-	}
-}
-
-func TestPageDelete(t *testing.T) {
-	var p Page
-	p.Reset()
-	s, _ := p.Insert([]byte("x"))
-	if err := p.Delete(s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Record(s); err != ErrNoRecord {
-		t.Errorf("deleted record read: %v", err)
-	}
-	if err := p.Delete(99); err != ErrNoRecord {
-		t.Errorf("out-of-range delete: %v", err)
+	// 8KB page, 1000-byte strings plus a few bytes of columns: 8 rows.
+	if held := len(pageRows(t, &p)); n != 8 || held != 8 {
+		t.Errorf("page took %d rows and holds %d, want 8", n, held)
 	}
 }
 
@@ -82,22 +76,17 @@ func TestDiskReadWrite(t *testing.T) {
 	if err != nil || no != 0 {
 		t.Fatalf("AppendPage: %d, %v", no, err)
 	}
-	var p Page
-	p.Reset()
-	if _, err := p.Insert([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
+	p := pageOf(t, tup("hello"))
 	pid := PageID{File: f, No: 0}
-	if err := d.WritePage(pid, &p); err != nil {
+	if err := d.WritePage(pid, p); err != nil {
 		t.Fatal(err)
 	}
 	var q Page
 	if err := d.ReadPage(pid, &q); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := q.Record(0)
-	if err != nil || string(rec) != "hello" {
-		t.Fatalf("round trip: %q, %v", rec, err)
+	if rows := pageRows(t, &q); len(rows) != 1 || rows[0][0].AsString() != "hello" {
+		t.Fatalf("round trip: %v", rows)
 	}
 	r, w := d.Stats()
 	if r != 1 || w != 2 { // append + write
@@ -112,15 +101,13 @@ func TestBufferPoolEviction(t *testing.T) {
 	d := NewDisk()
 	f := d.CreateFile()
 	bp := NewBufferPool(d, 2)
-	// Create 3 pages each holding a distinct record, exceeding capacity.
+	// Create 3 pages each holding a distinct row, exceeding capacity.
 	for i := 0; i < 3; i++ {
 		pid, p, err := bp.NewPage(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Insert([]byte{byte('a' + i)}); err != nil {
-			t.Fatal(err)
-		}
+		*p = *pageOf(t, tup(i))
 		bp.Unpin(pid)
 	}
 	// All three pages must read back correctly despite eviction.
@@ -130,9 +117,8 @@ func TestBufferPoolEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := p.Record(0)
-		if err != nil || rec[0] != byte('a'+i) {
-			t.Fatalf("page %d: %q, %v", i, rec, err)
+		if rows := pageRows(t, p); len(rows) != 1 || rows[0][0].AsInt() != int64(i) {
+			t.Fatalf("page %d: %v", i, rows)
 		}
 		bp.Unpin(pid)
 	}
@@ -212,31 +198,32 @@ func TestHeapFileInsertScan(t *testing.T) {
 	}
 }
 
-func TestHeapFileGetDelete(t *testing.T) {
+func TestHeapFileGet(t *testing.T) {
 	d := NewDisk()
 	bp := NewBufferPool(d, 4)
 	h := NewHeapFile(bp)
-	rid, err := h.Insert(tup(7, "seven"))
-	if err != nil {
-		t.Fatal(err)
+	var rids []RecordID
+	for i := 0; i < 500; i++ {
+		rid, err := h.Insert(tup(i, fmt.Sprintf("name-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
 	}
-	got, err := h.Get(rid, nil)
-	if err != nil || got[0].AsInt() != 7 || got[1].AsString() != "seven" {
-		t.Fatalf("Get: %v, %v", got, err)
+	for i, rid := range rids {
+		got, err := h.Get(rid, nil)
+		if err != nil || got[0].AsInt() != int64(i) || got[1].AsString() != fmt.Sprintf("name-%d", i) {
+			t.Fatalf("Get(%v): %v, %v", rid, got, err)
+		}
+		if got, err := h.Get(rid, []int{1}); err != nil || len(got) != 1 || got[0].AsString() != fmt.Sprintf("name-%d", i) {
+			t.Fatalf("Get of column 1 of %v: %v, %v", rid, got, err)
+		}
 	}
-	if got, err := h.Get(rid, []int{1}); err != nil || len(got) != 1 || got[0].AsString() != "seven" {
-		t.Fatalf("Get of column 1: %v, %v", got, err)
-	}
-	if err := h.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get(rid, nil); err == nil {
-		t.Error("Get after Delete should fail")
-	}
-	seen := 0
-	h.Scan(nil, func(RecordID, types.Tuple) bool { seen++; return true })
-	if seen != 0 {
-		t.Errorf("scan after delete saw %d tuples", seen)
+	last := rids[len(rids)-1]
+	for _, rid := range []RecordID{{Page: last.Page, Slot: last.Slot + 1}, {Page: 0, Slot: -1}} {
+		if _, err := h.Get(rid, nil); !errors.Is(err, ErrNoRecord) {
+			t.Errorf("Get(%v) past the rows: %v, want ErrNoRecord", rid, err)
+		}
 	}
 }
 
@@ -321,19 +308,6 @@ func TestPageTuplesMatchesScan(t *testing.T) {
 			t.Fatalf("row %d: %d vs %d", i, viaScan[i], viaPages[i])
 		}
 	}
-	// Deleted tuples are skipped by both paths.
-	if err := h.Delete(RecordID{Page: 0, Slot: 0}); err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := h.PageTuples(0, -1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tp := range tuples {
-		if tp[0].AsInt() == 0 {
-			t.Fatal("deleted tuple still visible")
-		}
-	}
 }
 
 // positionHeap bulk-loads n POSITION-shaped rows (three strings, a
@@ -345,6 +319,40 @@ func positionHeap(tb testing.TB, n int) *HeapFile {
 	for i := range rows {
 		rows[i] = tup(i, i%97, fmt.Sprintf("Employee %d", i), "Dept", 12.5, "Title", 9000+i, 9100+i)
 	}
+	if err := h.BulkLoad(rows); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+// employeeHeap bulk-loads n rows shaped like the 31-column EMPLOYEE
+// relation — an integer key, seven strings, two dates, then 21 filler
+// attributes, every third an integer — into a fresh in-memory heap.
+func employeeHeap(tb testing.TB, n int) *HeapFile {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		name := fmt.Sprintf("Name%d Last%d", rng.Intn(28), rng.Intn(14))
+		r := types.Tuple{
+			types.Int(int64(i + 1)), types.Str(name),
+			types.Str(fmt.Sprintf("%d Street%d St", 1+rng.Intn(9999), rng.Intn(14))),
+			types.Str(fmt.Sprintf("City%d", rng.Intn(6))), types.Str("AZ"),
+			types.Str(fmt.Sprintf("%05d", rng.Intn(99999))),
+			types.Str(fmt.Sprintf("(520) %03d-%04d", rng.Intn(1000), rng.Intn(10000))),
+			types.Str(fmt.Sprintf("%s.%d@uis.edu", name, i+1)),
+			types.Date(int64(-10000 + rng.Intn(14000))), types.Date(int64(2000 + rng.Intn(8000))),
+		}
+		for c := 1; c <= 21; c++ {
+			if c%3 == 0 {
+				r = append(r, types.Int(rng.Int63n(100000)))
+			} else {
+				r = append(r, types.Str(fmt.Sprintf("%08x", rng.Uint32())))
+			}
+		}
+		rows[i] = r
+	}
+	h := NewHeapFile(NewBufferPool(NewDisk(), 512))
 	if err := h.BulkLoad(rows); err != nil {
 		tb.Fatal(err)
 	}
@@ -380,31 +388,37 @@ func TestPageTuplesOutlivePage(t *testing.T) {
 // BenchmarkHeapScanDecode is the storage layer's share of a table
 // scan: every page of a 12k-row POSITION-shaped heap, fetched from a
 // warm pool and decoded keeping no column (COUNT(*)), three (PosID,
-// EmpName, PayRate: a filter's) or all eight.
+// EmpName, PayRate: a filter's), four (PosID, EmpName, T1, T2: a sorted
+// scan's) or all eight; and of a 4k-row heap of 31-column EMPLOYEE rows
+// keeping the three a join reads (EmpID, EmpName, Addr).
 func BenchmarkHeapScanDecode(b *testing.B) {
-	const n = 12000
-	h := positionHeap(b, n)
-	pages := int32(h.NumPages())
+	pos := positionHeap(b, 12000)
+	emp := employeeHeap(b, 4000)
 	for _, bc := range []struct {
 		name string
+		h    *HeapFile
+		rows int
 		cols []int
 	}{
-		{"cols=0", []int{}},
-		{"cols=3", []int{0, 2, 4}},
-		{"cols=8", nil},
+		{"cols=0", pos, 12000, []int{}},
+		{"cols=3", pos, 12000, []int{0, 2, 4}},
+		{"cols=4", pos, 12000, []int{0, 2, 6, 7}},
+		{"cols=8", pos, 12000, nil},
+		{"emp31/cols=3", emp, 4000, []int{0, 1, 2}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var buf []types.Tuple
+			pages := int32(bc.h.NumPages())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for p := int32(0); p < pages; p++ {
 					var err error
-					if buf, err = h.PageTuples(p, -1, bc.cols, buf[:0]); err != nil {
+					if buf, err = bc.h.PageTuples(p, -1, bc.cols, buf[:0]); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
-			b.ReportMetric(n*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(bc.rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
 }

@@ -22,6 +22,8 @@ type Store interface {
 	NumPages(id FileID) int
 	// AppendPage grows the file by one zero page, returning its number.
 	AppendPage(id FileID) (int32, error)
+	// Truncate cuts the file back to its first pages pages.
+	Truncate(id FileID, pages int) error
 	// ReadPage copies the page into dst.
 	ReadPage(pid PageID, dst *Page) error
 	// WritePage copies the page back to the device.

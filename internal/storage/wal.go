@@ -2,10 +2,11 @@
 //
 // Every mutation of the store is described by one LSN-stamped record:
 // file create/drop, page append, full page image, load begin/commit
-// bracket, or a metadata key write. Records are buffered in memory
-// (group commit) and only reach the log file — record by record, each
-// framed with a CRC32C — when Sync is called; Sync returns once the
-// file is fsynced, which is the store's durability barrier. Recovery
+// bracket, file truncation, or a metadata key write. Records are
+// buffered in memory (group commit) and only reach the log file —
+// record by record, each framed with a CRC32C — when Sync is called;
+// Sync returns once the file is fsynced, which is the store's
+// durability barrier. Recovery
 // reads the log sequentially, stops at the first frame whose length or
 // checksum does not verify (a torn tail from a crash mid-write), and
 // redoes every valid record onto the in-memory page state.
@@ -23,6 +24,7 @@
 //	image      file int32, pageNo int32, page [PageSize]byte
 //	beginLoad  file int32, pagesBefore int32, nameLen uint16, name
 //	commitLoad file int32
+//	truncate   file int32, pages int32 (in the pageNo field)
 //	meta       keyLen uint16, key, valLen uint32, val
 package storage
 
@@ -48,6 +50,7 @@ const (
 	recBeginLoad
 	recCommitLoad
 	recMeta
+	recTruncate
 )
 
 func (t walRecType) String() string {
@@ -66,6 +69,8 @@ func (t walRecType) String() string {
 		return "commit-load"
 	case recMeta:
 		return "meta"
+	case recTruncate:
+		return "truncate"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -75,7 +80,7 @@ type walRecord struct {
 	lsn         uint64
 	typ         walRecType
 	file        FileID
-	pageNo      int32
+	pageNo      int32 // append, image; truncate: the pages kept
 	pagesBefore int32
 	name        string // beginLoad: table being loaded (diagnostics)
 	key, val    string // meta
@@ -99,7 +104,7 @@ func encodeWALRecord(dst []byte, r *walRecord) []byte {
 	switch r.typ {
 	case recCreate, recDrop, recCommitLoad:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.file))
-	case recAppend:
+	case recAppend, recTruncate:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.file))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.pageNo))
 	case recImage:
@@ -153,7 +158,7 @@ func decodeWALBody(body []byte) (*walRecord, error) {
 			return nil, err
 		}
 		r.file = FileID(u32())
-	case recAppend:
+	case recAppend, recTruncate:
 		if err := need(8); err != nil {
 			return nil, err
 		}

@@ -4,184 +4,638 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 )
 
-// EncodeTuple appends a compact binary encoding of the tuple to dst and
-// returns the extended slice. The encoding is self-describing (kind
-// tags) and is shared by the storage pages and the client/server wire,
-// so that shipping a row across the middleware/DBMS boundary costs real
-// serialization work, as it does over JDBC.
-func EncodeTuple(dst []byte, t Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	for _, v := range t {
-		dst = append(dst, byte(v.kind))
-		switch v.kind {
-		case KindNull:
-		case KindInt, KindDate, KindBool:
-			dst = binary.AppendVarint(dst, v.n)
-		case KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(v.n))
-			dst = append(dst, v.str()...)
+// The block is the one byte form of a group of rows: a heap page is one
+// block, a wire batch a sequence of blocks and a SORT^M spill run a
+// sequence of length-prefixed blocks, so every row crossing the
+// middleware/DBMS boundary costs real serialization work, as over JDBC.
+// A block is PAX (Ailamaki, DeWitt, Hill & Skounakis, "Weaving Relations
+// for Cache Performance", VLDB 2001): its rows are stored column by
+// column, so a reader skips a column it does not keep at the cost of one
+// header and decodes a kept one in one tight loop. Layout (varints as in
+// encoding/binary, fixed-width fields little endian):
+//
+//	block  = rows uvarint, cols uvarint, column × cols
+//	column = tag byte — the column's kind, | 0x80 when it holds a NULL —
+//	         then, unless the kind is NULL (every row NULL):
+//	         [NULL bitmap: ⌈rows/8⌉ bytes, bit r set = row r NULL, when tagged]
+//	         [rows kind bytes, when the non-NULL kinds differ (mixed)]
+//	         width byte w, base varint, rows × w-byte words
+//	         [n uvarint, n string bytes, when the column holds strings]
+//
+// A row's word is base + its w-byte field: an integer, date or boolean
+// payload, a float's IEEE-754 bits (so -0.0 and NaN round-trip bit
+// exact), a string's end offset in the string bytes, or — in a mixed
+// column, whose base is 0 and width 8 — the payload, with a string's
+// offset in the low and its length in the high 32 bits. w is 0, 1, 2, 4
+// or 8: the fewest bytes holding the words' span, computed in uint64 so
+// MinInt64…MaxInt64 takes 8; width 0 is a constant column. Every row of
+// a block has one arity. A NULL row's field is zero, or in a string
+// column the previous row's end.
+
+const (
+	nullFlag  = 0x80
+	kindMixed = KindDate + 1 // the tag of a column whose non-NULL kinds differ
+
+	// maxBlockValues caps rows × max(arity, 1) in a block of more than
+	// one row, so one decode allocates at most this many values (384 KiB
+	// of them) whatever a corrupt header claims. An 8 KB page reaches it
+	// only with under half a byte per value; a 256-row fetch only past
+	// 64 columns.
+	maxBlockValues = 1 << 14
+)
+
+var (
+	errBadHeader     = errors.New("types: bad block header")
+	errTruncated     = errors.New("types: truncated column")
+	errBadOffset     = errors.New("types: string offset out of range")
+	errMissingColumn = errors.New("types: block lacks a decoded column")
+)
+
+// colStat accumulates what a column's layout depends on: the kinds of
+// its non-NULL values, whether it holds a NULL, the span of their
+// payloads and their string bytes.
+type colStat struct {
+	kinds  uint8 // bit k set: the column holds a non-NULL value of kind k
+	nulls  bool
+	lo, hi int64
+	strs   int
+}
+
+func (s *colStat) add(v Value) {
+	switch {
+	case v.kind == KindNull:
+		s.nulls = true
+		return
+	case s.kinds == 0:
+		s.lo, s.hi = v.n, v.n
+	default:
+		s.lo, s.hi = min(s.lo, v.n), max(s.hi, v.n)
+	}
+	s.kinds |= 1 << v.kind
+	if v.kind == KindString {
+		s.strs += int(v.n)
+	}
+}
+
+// layout returns the column's tag kind and its words' base and width.
+func (s *colStat) layout() (k Kind, base uint64, w int) {
+	switch {
+	case s.kinds&(s.kinds-1) != 0:
+		return kindMixed, 0, 8
+	case s.kinds == 0:
+		return KindNull, 0, 0
+	case s.kinds == 1<<KindString:
+		return KindString, 0, width(uint64(s.strs))
+	}
+	return Kind(bits.TrailingZeros8(s.kinds)), uint64(s.lo), width(uint64(s.hi) - uint64(s.lo))
+}
+
+// size returns the length of the column's encoding over n rows: what
+// appendColumn writes.
+func (s *colStat) size(n int) int {
+	k, base, w := s.layout()
+	if k == KindNull {
+		return 1
+	}
+	size := 2 + varintLen(int64(base)) + n*w
+	if s.nulls {
+		size += (n + 7) / 8
+	}
+	if k == kindMixed {
+		size += n
+	}
+	if k == KindString || k == kindMixed {
+		size += uvarintLen(uint64(s.strs)) + s.strs
+	}
+	return size
+}
+
+// appendColumn appends column c of rows, whose statistics s holds.
+func (s *colStat) appendColumn(dst []byte, rows []Tuple, c int) []byte {
+	k, base, w := s.layout()
+	if k == KindNull {
+		return append(dst, byte(KindNull))
+	}
+	if !s.nulls {
+		dst = append(dst, byte(k))
+	} else {
+		dst = append(dst, byte(k)|nullFlag)
+		at := len(dst)
+		dst = append(dst, make([]byte, (len(rows)+7)/8)...)
+		for r, t := range rows {
+			if t[c].kind == KindNull {
+				dst[at+r/8] |= 1 << (r % 8)
+			}
+		}
+	}
+	if k == kindMixed {
+		for _, t := range rows {
+			dst = append(dst, byte(t[c].kind))
+		}
+	}
+	dst = append(dst, byte(w))
+	dst = binary.AppendVarint(dst, int64(base))
+	end := uint64(0) // string bytes so far
+	for _, t := range rows {
+		dst = appendUint(dst, field(k, base, t[c], end), w)
+		if t[c].kind == KindString {
+			end += uint64(t[c].n)
+		}
+	}
+	if k == KindString || k == kindMixed {
+		dst = binary.AppendUvarint(dst, uint64(s.strs))
+		for _, t := range rows {
+			if t[c].kind == KindString {
+				dst = append(dst, t[c].str()...)
+			}
 		}
 	}
 	return dst
 }
 
-// DecodeTuple decodes one tuple from buf, returning the tuple and the
-// number of bytes consumed.
-func DecodeTuple(buf []byte) (Tuple, int, error) { return DecodeColumns(buf, nil) }
+// field returns v's field in a column of tag kind k and base base whose
+// rows before v hold end string bytes.
+func field(k Kind, base uint64, v Value, end uint64) uint64 {
+	switch {
+	case k == KindString:
+		return end + uint64(v.n) // a NULL's n is 0
+	case v.kind == KindString:
+		return end | uint64(v.n)<<32
+	case v.kind == KindNull:
+		return 0
+	}
+	return uint64(v.n) - base
+}
 
-// DecodeColumns decodes the tuple encoded at the front of buf keeping
-// only the columns at positions cols, as a Decoder does, and returns it
-// with its encoded length.
-func DecodeColumns(buf []byte, cols []int) (Tuple, int, error) {
-	d := NewDecoder(1, cols)
-	t, used, err := d.Decode(buf)
+// width returns the bytes of a field holding 0…span: 0, 1, 2, 4 or 8.
+func width(span uint64) int {
+	if span == 0 {
+		return 0
+	}
+	return 1 << bits.Len(uint(bits.Len64(span)-1)/8)
+}
+
+// maxField returns the largest field w bytes hold.
+func maxField(w int) uint64 { return uint64(1)<<(8*w) - 1 }
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(x int64) int   { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// appendUint appends the w low bytes of x.
+func appendUint(dst []byte, x uint64, w int) []byte {
+	return binary.LittleEndian.AppendUint64(dst, x)[:len(dst)+w]
+}
+
+// uintAt returns the i-th w-byte field of b.
+func uintAt(b []byte, i, w int) uint64 {
+	switch w {
+	case 1:
+		return uint64(b[i])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b[2*i:]))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b[4*i:]))
+	case 8:
+		return binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return 0
+}
+
+// AppendBlock appends one block to dst holding the longest prefix of
+// rows that shares rows[0]'s arity and fits the block's value cap, and
+// returns the extended slice and the prefix's length. A caller with rows
+// left writes further blocks, so no block ever decodes to rows other
+// than those it was given. Empty rows append an empty block.
+func AppendBlock(dst []byte, rows []Tuple) ([]byte, int) {
+	n, arity := 0, 0
+	if len(rows) > 0 {
+		arity = len(rows[0])
+		n = min(len(rows), max(1, maxBlockValues/max(arity, 1)))
+		for i := 1; i < n; i++ {
+			if len(rows[i]) != arity {
+				n = i
+			}
+		}
+	}
+	rows = rows[:n]
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.AppendUvarint(dst, uint64(arity))
+	for c := range arity {
+		var s colStat
+		for _, t := range rows {
+			s.add(t[c])
+		}
+		dst = s.appendColumn(dst, rows, c)
+	}
+	return dst, n
+}
+
+// A BlockSizer measures the block a growing group of rows encodes to —
+// exactly the length AppendBlock would write — from per-column
+// statistics, without encoding it.
+type BlockSizer struct {
+	cols []colStat
+	rows int
+}
+
+// Reset empties the group.
+func (s *BlockSizer) Reset() { s.cols, s.rows = s.cols[:0], 0 }
+
+// Add adds t to the group and reports true, or reports false and leaves
+// the group as it was when t cannot join it: its arity differs, or the
+// block is at its value cap.
+func (s *BlockSizer) Add(t Tuple) bool {
+	if s.rows == 0 {
+		s.cols = append(s.cols[:0], make([]colStat, len(t))...)
+	} else if len(t) != len(s.cols) || (s.rows+1)*max(len(t), 1) > maxBlockValues {
+		return false
+	}
+	for i, v := range t {
+		s.cols[i].add(v)
+	}
+	s.rows++
+	return true
+}
+
+// Size returns the length of the group's block.
+func (s *BlockSizer) Size() int {
+	n := uvarintLen(uint64(s.rows)) + uvarintLen(uint64(len(s.cols)))
+	for i := range s.cols {
+		n += s.cols[i].size(s.rows)
+	}
+	return n
+}
+
+// AppendRow appends to dst block b with row t added, when t keeps every
+// column's tag — a value of the column's kind (any kind in a mixed
+// column), a NULL where it has a bitmap — and returns the extended
+// slice, the new block's row count and the length of b's block. It
+// writes what AppendBlock writes for b's rows and t, working on the
+// block's bytes: a column's words are copied, or rewritten when t moves
+// their base or widens them. It returns dst, 0 and 0 when t changes a
+// tag, or b is empty, corrupt or at its value cap: the caller
+// re-encodes the rows.
+func AppendRow(dst, b []byte, t Tuple) ([]byte, int, int) {
+	rows, cols, pos, err := blockHeader(b)
+	if err != nil || rows == 0 || cols != len(t) || (rows+1)*max(cols, 1) > maxBlockValues {
+		return dst, 0, 0
+	}
+	at := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(rows+1))
+	dst = binary.AppendUvarint(dst, uint64(cols))
+	for _, v := range t {
+		c, used, err := parseColumn(b[pos:], rows)
+		if pos += used; err != nil || !c.fits(v, rows) {
+			return dst[:at], 0, 0
+		}
+		dst = c.appendRow(dst, rows, v)
+	}
+	return dst, rows + 1, pos
+}
+
+// BlockLen returns the row and column counts of the block at the front
+// of b and its length, checking every column's header and length
+// against b without visiting a value.
+func BlockLen(b []byte) (rows, cols, n int, err error) {
+	rows, cols, n, err = blockHeader(b)
+	for c := 0; c < cols && err == nil; c++ {
+		var used int
+		_, used, err = parseColumn(b[n:], rows)
+		n += used
+	}
+	return rows, cols, n, err
+}
+
+// blockHeader parses a block header: rows, columns, and its length.
+func blockHeader(b []byte) (rows, cols, pos int, err error) {
+	r, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, 0, 0, errBadHeader
+	}
+	c, k2 := binary.Uvarint(b[k:])
+	// Each column takes at least its tag byte.
+	if k2 <= 0 || c > uint64(len(b)) || r > maxBlockValues || (r > 1 && r*max(c, 1) > maxBlockValues) {
+		return 0, 0, 0, errBadHeader
+	}
+	return int(r), int(c), k + k2, nil
+}
+
+// column is one parsed column of a block.
+type column struct {
+	kind   Kind
+	nulls  []byte // the NULL bitmap; nil when the column holds no NULL
+	kinds  []byte // a mixed column's row kinds
+	width  int
+	base   uint64
+	words  []byte
+	region []byte // the string bytes
+}
+
+// parseColumn parses the column at the front of b, checking its header
+// and its length against b, and returns it with its encoded length.
+func parseColumn(b []byte, rows int) (c column, pos int, err error) {
+	if len(b) == 0 {
+		return c, 0, errTruncated
+	}
+	tag := b[0]
+	if c.kind, pos = Kind(tag&^nullFlag), 1; c.kind > kindMixed || c.kind == KindNull && tag != 0 {
+		return c, 0, fmt.Errorf("types: bad column tag %#x", tag)
+	}
+	if c.kind == KindNull {
+		return c, pos, nil
+	}
+	cut := func(n int) []byte { // the next n bytes, or nil when b is short
+		if n < 0 || n > len(b)-pos {
+			err = errTruncated
+			return nil
+		}
+		pos += n
+		return b[pos-n : pos]
+	}
+	if tag&nullFlag != 0 {
+		c.nulls = cut((rows + 7) / 8)
+	}
+	if c.kind == kindMixed {
+		c.kinds = cut(rows)
+	}
+	w := cut(1)
 	if err != nil {
-		return nil, 0, err
+		return c, 0, err
 	}
-	d.Own([]Tuple{t})
-	return t, used, nil
+	if c.width = int(w[0]); c.width > 8 || c.width&(c.width-1) != 0 {
+		return c, 0, fmt.Errorf("types: bad column width %d", c.width)
+	}
+	base, k := binary.Varint(b[pos:])
+	if k <= 0 {
+		return c, 0, errTruncated
+	}
+	c.base, pos = uint64(base), pos+k
+	c.words = cut(rows * c.width)
+	if c.kind == KindString || c.kind == kindMixed {
+		n, k := binary.Uvarint(b[min(pos, len(b)):]) // pos is past b when the words are cut
+		if k <= 0 || n > uint64(len(b)) {
+			return c, 0, errTruncated
+		}
+		pos += k
+		c.region = cut(int(n))
+	}
+	return c, pos, err
 }
 
-// A Decoder decodes a group of encoded tuples — the records of a heap
-// page, the rows of a wire batch — in one validating pass, keeping only
-// the columns at positions cols (strictly ascending; nil keeps every
-// column). Every value is validated, kept or not. The tuples' values
-// are carved from one slab sized for the group, and the bytes of their
-// kept strings point into the encoded bytes until Own copies them into
-// one exactly sized slab, allocated only when a kept string is
-// non-empty. A slab is plain garbage-collected memory, live for as long
-// as any tuple (or copied Value) carved from it is, and never reused.
-type Decoder struct {
-	cols []int   // positions to keep; nil keeps all
-	vals []Value // slab the next tuples are carved from
-	left int     // tuples still expected, to size the slab
-	strs int     // bytes of kept strings still pointing into the source
+// fits reports whether v can join the column's rows rows keeping its
+// tag: a value of its kind (any kind if mixed), a NULL if it has a
+// bitmap. A string column must also end where AppendBlock ends it.
+func (c *column) fits(v Value, rows int) bool {
+	switch {
+	case c.kind == KindString && c.word(rows-1) != uint64(len(c.region)):
+		return false
+	case v.kind == KindNull:
+		return c.kind == KindNull || c.nulls != nil
+	case c.kind == kindMixed:
+		return c.width == 8 && c.base == 0
+	}
+	return v.kind == c.kind
 }
 
-// NewDecoder returns a decoder for a group of n tuples keeping the
-// columns at positions cols. n only sizes the value slab: a group of a
-// different length decodes the same, in more or larger allocations.
-func NewDecoder(n int, cols []int) Decoder { return Decoder{cols: cols, left: n} }
-
-// maxSlab caps one value slab, so a corrupt tuple count cannot make the
-// decoder allocate more than this many values before it fails.
-const maxSlab = 1 << 16
-
-var (
-	errBadHeader       = errors.New("types: bad tuple header")
-	errTruncatedTuple  = errors.New("types: truncated tuple")
-	errTruncatedVarint = errors.New("types: truncated varint")
-	errTruncatedFloat  = errors.New("types: truncated float")
-	errTruncatedString = errors.New("types: truncated string")
-	errMissingColumn   = errors.New("types: tuple lacks a decoded column")
-)
-
-// Decode validates the tuple encoded at the front of buf, carves its
-// kept columns out of the slab and returns it with its encoded length.
-// Its kept strings alias buf until Own runs.
-func (d *Decoder) Decode(buf []byte) (Tuple, int, error) {
-	n, pos := binary.Uvarint(buf)
-	if pos <= 0 {
-		return nil, 0, errBadHeader
+// relayout returns the base and width of the column's words once v, which
+// fits, joins its rows rows: AppendBlock's choice for them all.
+func (c *column) relayout(v Value, rows int) (base uint64, w int) {
+	switch {
+	case c.kind == KindString:
+		return 0, width(uint64(len(c.region)) + uint64(v.n)) // a NULL's n is 0
+	case c.kind == kindMixed || v.kind == KindNull:
+		return c.base, c.width
+	case v.n >= int64(c.base) && uint64(v.n)-c.base <= maxField(c.width):
+		return c.base, c.width
 	}
-	width := len(d.cols)
-	if d.cols == nil {
-		if n > uint64(len(buf)-pos) {
-			// Every value takes at least a byte, so the tuple is cut
-			// short; a pass keeping nothing finds where.
-			_, _, err := (&Decoder{cols: []int{}}).Decode(buf)
-			return nil, 0, err
+	lo, hi := v.n, v.n
+	for i := range rows {
+		if !c.null(i) {
+			x := int64(c.word(i))
+			lo, hi = min(lo, x), max(hi, x)
 		}
-		width = int(n)
 	}
-	t := Tuple{} // a zero-width row is still a row, never nil
-	if width > 0 {
-		if len(d.vals) < width {
-			d.vals = make([]Value, max(width, min(width*d.left, maxSlab)))
-		}
-		t = d.vals[:width:width]
+	return uint64(lo), width(uint64(hi) - uint64(lo))
+}
+
+// null reports whether the column's row i is NULL by its bitmap.
+func (c *column) null(i int) bool { return c.nulls != nil && c.nulls[i/8]&(1<<(i%8)) != 0 }
+
+// appendRow appends the column with v, which fits, added after its rows
+// rows, rewriting its words when v moves their base or widens them.
+func (c *column) appendRow(dst []byte, rows int, v Value) []byte {
+	if c.kind == KindNull {
+		return append(dst, byte(KindNull))
 	}
-	k := 0 // kept so far
-	for i := 0; uint64(i) < n; i++ {
-		if pos >= len(buf) {
-			return nil, 0, errTruncatedTuple
+	if c.nulls == nil {
+		dst = append(dst, byte(c.kind))
+	} else {
+		dst = append(append(dst, byte(c.kind)|nullFlag), c.nulls...)
+		if rows%8 == 0 {
+			dst = append(dst, 0)
 		}
-		kind := Kind(buf[pos])
-		pos++
-		v := Value{kind: kind}
-		switch kind {
-		case KindNull:
-		case KindInt, KindDate, KindBool:
-			// binary.Varint, with the Uvarint it calls inlined.
-			ux, m := binary.Uvarint(buf[pos:])
-			if m <= 0 {
-				return nil, 0, errTruncatedVarint
-			}
-			pos += m
-			v.n = int64(ux >> 1)
-			if ux&1 != 0 {
-				v.n = ^v.n
-			}
-		case KindFloat:
-			if pos+8 > len(buf) {
-				return nil, 0, errTruncatedFloat
-			}
-			v.n = int64(binary.LittleEndian.Uint64(buf[pos:]))
-			pos += 8
-		case KindString:
-			l, m := binary.Uvarint(buf[pos:])
-			if m <= 0 || l > uint64(len(buf)-pos-m) {
-				return nil, 0, errTruncatedString
-			}
-			pos += m
-			if l > 0 {
-				v.p, v.n = &buf[pos], int64(l)
-			}
-			pos += int(l)
-		default:
-			return nil, 0, fmt.Errorf("types: unknown kind %d", kind)
+		bit := byte(1) << (rows % 8)
+		if dst[len(dst)-1] &^= bit; v.kind == KindNull {
+			dst[len(dst)-1] |= bit
 		}
-		switch {
-		case d.cols == nil:
-			t[i] = v
-		case k < width && d.cols[k] == i:
-			t[k] = v
-			k++
-		default:
+	}
+	if c.kinds != nil {
+		dst = append(append(dst, c.kinds...), byte(v.kind))
+	}
+	base, w := c.relayout(v, rows)
+	dst = append(dst, byte(w))
+	dst = binary.AppendVarint(dst, int64(base))
+	if base == c.base && w == c.width {
+		dst = append(dst, c.words...)
+	} else {
+		for i := range rows {
+			f := c.word(i) - base
+			if c.kind != KindString && c.null(i) {
+				f = 0
+			}
+			dst = appendUint(dst, f, w)
+		}
+	}
+	end := uint64(len(c.region))
+	dst = appendUint(dst, field(c.kind, base, v, end), w)
+	if c.kind == KindString || c.kind == kindMixed {
+		var s string
+		if v.kind == KindString {
+			s = v.str()
+		}
+		dst = binary.AppendUvarint(dst, end+uint64(len(s)))
+		dst = append(append(dst, c.region...), s...)
+	}
+	return dst
+}
+
+// word returns row i's word, 0 before row 0.
+func (c *column) word(i int) uint64 {
+	if i < 0 {
+		return 0
+	}
+	return c.base + uintAt(c.words, i, c.width)
+}
+
+// strBytes checks the string offsets bounding rows [lo, hi) and returns
+// how many string bytes decoding those rows copies.
+func (c *column) strBytes(lo, hi int) (int, error) {
+	switch {
+	case hi == lo:
+	case c.kind == KindString:
+		from, to := c.word(lo-1), c.word(hi-1)
+		if from > to || to > uint64(len(c.region)) {
+			return 0, errBadOffset
+		}
+		return int(to - from), nil
+	case c.kind == kindMixed:
+		return len(c.region), nil
+	}
+	return 0, nil
+}
+
+// decode fills every stride-th value of vals, from the first, with rows
+// [lo, hi) of the column, copying the strings they hold to the end of
+// slab in one copy of the string bytes they span.
+func (c *column) decode(vals []Value, stride, lo, hi int, slab []byte) ([]byte, error) {
+	if c.kind == KindNull {
+		return slab, nil
+	}
+	for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
+		vals[j].kind, vals[j].n = c.kind, int64(c.base+uintAt(c.words, i, c.width))
+	}
+	switch c.kind {
+	case KindString:
+		from, last := c.word(lo-1), c.word(hi-1) // checked by strBytes
+		at := len(slab) - int(from)              // slab index of string byte 0
+		slab = append(slab, c.region[from:last]...)
+		for i, j, prev := lo, 0, from; i < hi; i, j = i+1, j+stride {
+			end := uint64(vals[j].n)
+			if end < prev || end > last {
+				return slab, errBadOffset
+			}
+			if vals[j].n = int64(end - prev); end > prev {
+				vals[j].p = &slab[at+int(prev)]
+			}
+			prev = end
+		}
+	case kindMixed:
+		at := len(slab)
+		slab = append(slab, c.region...)
+		for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
+			k, word := Kind(c.kinds[i]), uint64(vals[j].n)
+			switch vals[j].kind = k; {
+			case k >= kindMixed:
+				return slab, fmt.Errorf("types: unknown kind %d", k)
+			case k == KindNull:
+				vals[j].n = 0
+			case k != KindString:
+			case word&math.MaxUint32+word>>32 > uint64(len(c.region)):
+				return slab, errBadOffset
+			case word>>32 > 0:
+				vals[j].p, vals[j].n = &slab[at+int(word&math.MaxUint32)], int64(word>>32)
+			default:
+				vals[j].n = 0
+			}
+		}
+	}
+	if c.nulls != nil {
+		for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
+			if c.nulls[i/8]&(1<<(i%8)) != 0 {
+				vals[j] = Value{}
+			}
+		}
+	}
+	return slab, nil
+}
+
+// DecodeBlock is the one decoder of the system: heap pages, wire
+// batches, statistics and spill runs all decode through it. It appends
+// rows [lo, hi) of the block at the front of buf to dst — every row from
+// lo on when hi < 0 or past the block's end — keeping only the columns
+// at positions cols (strictly ascending; nil keeps every column), and
+// returns dst and the block's length. Every column's header and length
+// is checked against buf, and every string offset of a kept column the
+// rows use; an unkept column's values are never visited. Corrupt bytes
+// return an error and dst as it was, never a panic. The rows share one
+// value slab, and their strings one slab holding one copy of each kept
+// string column's bytes: they do not alias buf. A zero-width row is
+// still a row, never nil.
+func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int) ([]Tuple, int, error) {
+	rows, ncols, pos, err := blockHeader(buf)
+	if err != nil {
+		return dst, 0, err
+	}
+	if hi < 0 || hi > rows {
+		hi = rows
+	}
+	lo = max(0, min(lo, hi))
+	kept := len(cols)
+	if cols == nil {
+		kept = ncols
+	} else if kept > 0 && cols[kept-1] >= ncols {
+		return dst, 0, errMissingColumn
+	}
+	// Pass 1: every column's header and length, and the kept strings'
+	// bytes.
+	start, strs := pos, 0
+	for c, k := 0, 0; c < ncols; c++ {
+		col, used, err := parseColumn(buf[pos:], rows)
+		if err != nil {
+			return dst, 0, err
+		}
+		pos += used
+		if keeps(cols, c, &k) {
+			n, err := col.strBytes(lo, hi)
+			if err != nil {
+				return dst, 0, err
+			}
+			strs += n
+		}
+	}
+	n, base := hi-lo, len(dst)
+	dst = slices.Grow(dst, n)
+	if kept == 0 || n == 0 {
+		for range n {
+			dst = append(dst, Tuple{})
+		}
+		return dst, pos, nil
+	}
+	// Pass 2: the kept columns, one at a time, into row-major tuples.
+	vals := make([]Value, n*kept)
+	for r := range n {
+		dst = append(dst, vals[r*kept:(r+1)*kept:(r+1)*kept])
+	}
+	var slab []byte
+	if strs > 0 {
+		slab = make([]byte, 0, strs)
+	}
+	end := pos
+	pos = start
+	for c, k := 0, 0; k < kept; c++ {
+		col, used, _ := parseColumn(buf[pos:], rows) // checked by pass 1
+		pos += used
+		if !keeps(cols, c, &k) {
 			continue
 		}
-		if kind == KindString {
-			d.strs += int(v.n)
+		if slab, err = col.decode(vals[k-1:], kept, lo, hi, slab); err != nil {
+			return dst[:base], 0, err
 		}
 	}
-	if d.cols != nil && k < width {
-		return nil, 0, errMissingColumn
-	}
-	d.vals = d.vals[width:]
-	d.left--
-	return t, pos, nil
+	return dst, end, nil
 }
 
-// Own copies the kept strings of rows — every tuple Decode returned
-// since the last Own — out of the encoded bytes into one slab of their
-// own, so the encoded bytes may change once it returns.
-func (d *Decoder) Own(rows []Tuple) {
-	if d.strs == 0 {
-		return
+// keeps reports whether column c is among cols (nil: every column),
+// advancing *k past it when so; *k counts the kept columns before c.
+func keeps(cols []int, c int, k *int) bool {
+	if cols != nil && (*k >= len(cols) || cols[*k] != c) {
+		return false
 	}
-	str := make([]byte, 0, d.strs)
-	for _, t := range rows {
-		for i, v := range t {
-			if v.kind == KindString && v.n > 0 {
-				off := len(str)
-				str = append(str, v.str()...)
-				t[i].p = &str[off]
-			}
-		}
-	}
-	d.strs = 0
+	*k++
+	return true
 }

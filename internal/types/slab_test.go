@@ -2,6 +2,7 @@ package types
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -75,26 +76,47 @@ func (tupleGen) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(tupleGen(tp))
 }
 
-// refSlab is the two-pass group decoder Decoder replaced, kept as the
-// reference FuzzPageDecode checks Decoder against: Measure validates
-// every tuple and adds up its size, then Decode carves the same tuples,
-// in the same order, out of one exactly sized []Value and one []byte.
+// encodeRow is the row-major record codec the block replaced, kept as
+// the test oracle: a value count, then per value a kind byte and its
+// payload (a varint, 8 float bytes, or a length-prefixed string).
+func encodeRow(dst []byte, t Tuple) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t)))
+	for _, v := range t {
+		dst = append(dst, byte(v.kind))
+		switch v.kind {
+		case KindInt, KindDate, KindBool:
+			dst = binary.AppendVarint(dst, v.n)
+		case KindFloat:
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
+		case KindString:
+			dst = binary.AppendUvarint(dst, uint64(v.n))
+			dst = append(dst, v.str()...)
+		}
+	}
+	return dst
+}
+
+// refSlab is the oracle's decoder: Measure validates every record and
+// adds up its size, then Decode carves the same tuples, in the same
+// order, out of one exactly sized []Value and one []byte.
 type refSlab struct {
 	nvals, nstr int // measured, not yet carved
 	vals        []Value
 	str         []byte
 }
 
-// Measure validates the tuple encoded at the front of buf, adds its
-// size to the slab's, and returns its encoded length.
+var errBadRecord = errors.New("oracle: bad record")
+
+// Measure validates the record at the front of buf, adds its size to
+// the slab's, and returns its encoded length.
 func (s *refSlab) Measure(buf []byte) (int, error) {
 	n, pos := binary.Uvarint(buf)
 	if pos <= 0 {
-		return 0, errBadHeader
+		return 0, errBadRecord
 	}
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(buf) {
-			return 0, errTruncatedTuple
+			return 0, errBadRecord
 		}
 		kind := Kind(buf[pos])
 		pos++
@@ -103,23 +125,23 @@ func (s *refSlab) Measure(buf []byte) (int, error) {
 		case KindInt, KindDate, KindBool:
 			_, k := binary.Varint(buf[pos:])
 			if k <= 0 {
-				return 0, errTruncatedVarint
+				return 0, errBadRecord
 			}
 			pos += k
 		case KindFloat:
 			if pos+8 > len(buf) {
-				return 0, errTruncatedFloat
+				return 0, errBadRecord
 			}
 			pos += 8
 		case KindString:
 			l, k := binary.Uvarint(buf[pos:])
 			if k <= 0 || l > uint64(len(buf)-pos-k) {
-				return 0, errTruncatedString
+				return 0, errBadRecord
 			}
 			pos += k + int(l)
 			s.nstr += int(l)
 		default:
-			return 0, fmt.Errorf("types: unknown kind %d", kind)
+			return 0, fmt.Errorf("oracle: unknown kind %d", kind)
 		}
 	}
 	s.nvals += int(n) // n <= len(buf): every value took at least a byte
@@ -164,50 +186,84 @@ func (s *refSlab) Decode(buf []byte) (Tuple, int) {
 	return t, pos
 }
 
-// groupDecode decodes n back-to-back tuples through one Decoder.
-func groupDecode(t testing.TB, enc []byte, n int) []Tuple {
-	t.Helper()
-	d := NewDecoder(n, nil)
-	out := make([]Tuple, n)
+// oracleRows decodes the records at the front of buf through the
+// oracle, stopping at the first one it rejects.
+func oracleRows(buf []byte) []Tuple {
+	var s refSlab
+	var lens []int
+	for pos := 0; pos < len(buf); {
+		n, err := s.Measure(buf[pos:])
+		if err != nil {
+			break
+		}
+		lens = append(lens, n)
+		pos += n
+	}
+	rows := make([]Tuple, len(lens))
 	pos := 0
-	for i := range out {
+	for i := range rows {
+		rows[i], _ = s.Decode(buf[pos:])
+		pos += lens[i]
+	}
+	return rows
+}
+
+// encodeBlocks encodes rows as back-to-back blocks, as a wire batch is.
+func encodeBlocks(rows []Tuple) []byte {
+	var enc []byte
+	for {
+		var n int
+		enc, n = AppendBlock(enc, rows)
+		if rows = rows[n:]; len(rows) == 0 {
+			return enc
+		}
+	}
+}
+
+// decodeBlocks decodes back-to-back blocks keeping the columns cols.
+func decodeBlocks(t testing.TB, enc []byte, cols []int) []Tuple {
+	t.Helper()
+	var rows []Tuple
+	for pos := 0; pos < len(enc); {
 		var (
 			used int
 			err  error
 		)
-		if out[i], used, err = d.Decode(enc[pos:]); err != nil {
-			t.Fatalf("decode tuple %d: %v", i, err)
+		if rows, used, err = DecodeBlock(rows, enc[pos:], cols, 0, -1); err != nil {
+			t.Fatalf("decode block at byte %d: %v", pos, err)
 		}
 		pos += used
 	}
-	d.Own(out)
-	return out
+	return rows
 }
 
-// TestSlabRoundTrip: a group of tuples decoded through one Decoder
-// equals what was encoded, bit for bit, and what DecodeTuple makes of
-// each.
+// TestSlabRoundTrip: groups of tuples of any arities, encoded as blocks
+// and decoded, equal what was encoded, bit for bit, and what the row
+// oracle makes of each.
 func TestSlabRoundTrip(t *testing.T) {
 	f := func(group []tupleGen) bool {
-		var enc []byte
-		for _, tp := range group {
-			enc = EncodeTuple(enc, Tuple(tp))
-		}
-		got := groupDecode(t, enc, len(group))
-		pos := 0
+		rows := make([]Tuple, len(group))
+		var rec []byte
 		for i, tp := range group {
-			one, used, err := DecodeTuple(enc[pos:])
-			if err != nil || len(one) != len(tp) || len(got[i]) != len(tp) {
+			rows[i] = Tuple(tp)
+			rec = encodeRow(rec, rows[i])
+		}
+		got := decodeBlocks(t, encodeBlocks(rows), nil)
+		ref := oracleRows(rec)
+		if len(got) != len(rows) || len(ref) != len(rows) {
+			return false
+		}
+		for i, tp := range rows {
+			if len(got[i]) != len(tp) || got[i] == nil {
 				return false
 			}
-			pos += used
 			for j := range tp {
-				if !identical(got[i][j], tp[j]) || !identical(one[j], tp[j]) {
+				if !identical(got[i][j], tp[j]) || !identical(ref[i][j], tp[j]) {
 					return false
 				}
 			}
 		}
-		return pos == len(enc)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -221,7 +277,7 @@ func TestSlabRoundTrip(t *testing.T) {
 // TestDecodedValuesBehaveAlike: Compare, Equal and Hash give the same
 // answers on decoded values as on the values that were encoded.
 func TestDecodedValuesBehaveAlike(t *testing.T) {
-	dec := groupDecode(t, EncodeTuple(nil, edgeValues), 1)[0]
+	dec := decodeBlocks(t, encodeBlocks([]Tuple{edgeValues}), nil)[0]
 	for i, a := range edgeValues {
 		if a.Hash() != dec[i].Hash() {
 			t.Errorf("%v: Hash changed across the codec", a)
@@ -235,46 +291,42 @@ func TestDecodedValuesBehaveAlike(t *testing.T) {
 }
 
 // TestDecodedStringsOutliveSource: decoded tuples own their strings; a
-// page or frame buffer may be overwritten as soon as Own returns.
+// page or frame buffer may be overwritten as soon as Decode returns.
 func TestDecodedStringsOutliveSource(t *testing.T) {
 	src := Tuple{Str("alpha"), Int(7), Str(""), Str("omega")}
-	enc := EncodeTuple(nil, src)
-	enc = EncodeTuple(enc, src)
-	got := groupDecode(t, enc, 2)
-	one, _, err := DecodeTuple(enc)
+	mixed := Tuple{Int(1), Str("beta"), Null, Null}
+	enc := encodeBlocks([]Tuple{src, mixed, src})
+	got := decodeBlocks(t, enc, nil)
+	one, _, err := DecodeBlock(nil, enc, []int{1, 3}, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range enc {
 		enc[i] = 0xff
 	}
-	for _, tp := range append(got, one) {
-		for j := range src {
-			if !identical(tp[j], src[j]) {
-				t.Errorf("column %d reads %q after the source was overwritten", j, tp[j].AsString())
+	got = append(got, one...)
+	for i, want := range []Tuple{src, mixed, src, {src[1], src[3]}} {
+		tp := got[i]
+		for j := range want {
+			if !identical(tp[j], want[j]) {
+				t.Errorf("row %d column %d reads %q after the source was overwritten", i, j, tp[j].AsString())
 			}
 		}
 	}
 }
 
-// TestSlabAllocs: the point of the Decoder's slabs — a group costs two
+// TestSlabAllocs: the point of DecodeBlock's slabs — a block costs two
 // allocations, its values and its strings, however many rows and
 // strings it holds.
 func TestSlabAllocs(t *testing.T) {
-	var enc []byte
-	for i := 0; i < 100; i++ {
-		enc = EncodeTuple(enc, Tuple{Int(int64(i)), Str("name"), Float(1.5), Str("dept")})
+	src := make([]Tuple, 100)
+	for i := range src {
+		src[i] = Tuple{Int(int64(i)), Str("name"), Float(1.5), Str("dept")}
 	}
+	enc, _ := AppendBlock(nil, src)
 	rows := make([]Tuple, 0, 100)
 	allocs := testing.AllocsPerRun(20, func() {
-		d := NewDecoder(100, nil)
-		rows = rows[:0]
-		for pos := 0; pos < len(enc); {
-			tp, used, _ := d.Decode(enc[pos:])
-			rows = append(rows, tp)
-			pos += used
-		}
-		d.Own(rows)
+		rows, _, _ = DecodeBlock(rows[:0], enc, nil, 0, -1)
 	})
 	if allocs > 2 {
 		t.Errorf("decode of 100 rows took %.0f allocs, want <= 2", allocs)

@@ -31,9 +31,11 @@ import (
 
 // ProtocolVersion is the framed-protocol version spoken by this build.
 // Version 2 replaced the per-message payload layouts of version 1 with
-// the one request/reply envelope of request.go; a version-1 peer is
-// refused at the handshake with ErrBadHandshake.
-const ProtocolVersion = 2
+// the one request/reply envelope of request.go; version 3 ships batches
+// and statistics min/max as columnar blocks (types.AppendBlock) instead
+// of row records. A peer at another version is refused at the handshake
+// with ErrBadHandshake.
+const ProtocolVersion = 3
 
 // Magic opens every MsgHello payload, so a server can reject a
 // non-TANGO peer on the first frame instead of mis-parsing garbage.

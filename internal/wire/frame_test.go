@@ -105,9 +105,13 @@ func TestHello(t *testing.T) {
 		t.Fatalf("empty hello: %v", err)
 	}
 	// A version-1 peer lays its payloads out per message, not in the
-	// request envelope: it is refused at the door, typed.
+	// request envelope, and a version-2 peer ships row records, not
+	// blocks: both are refused at the door, typed.
 	if _, err := CheckHello([]byte(Magic + "\x01")); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("version 1 hello: %v", err)
+	}
+	if _, err := CheckHello([]byte(Magic + "\x02")); !errors.Is(err, ErrBadHandshake) {
+		t.Fatalf("version 2 hello: %v", err)
 	}
 }
 

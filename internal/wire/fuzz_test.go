@@ -156,6 +156,12 @@ func FuzzDecodeReply(f *testing.F) {
 		{N: 5},
 		{Cursor: 1, Schema: schema},
 		{Body: EncodeBatch(nil, []types.Tuple{{types.Int(1), types.Str("a")}})},
+		{Body: EncodeBatch(nil, []types.Tuple{{types.Int(1), types.Null, types.Float(2.5)}, {types.Int(9), types.Str(""), types.Str("x")}, {types.Date(3)}})},
+		{Stats: &meta.TableStats{Table: "U", Columns: map[string]*meta.ColumnStats{
+			"a": {Name: "A", Min: types.Str(""), Max: types.Str("zz\x00")},
+			"b": {Name: "B", Min: types.Null, Max: types.Null},
+			"c": {Name: "C", Min: types.Float(-1), Max: types.Int(7)},
+		}}},
 		{EOS: true},
 		{Stats: stats},
 		{Schema: schema},

@@ -1,8 +1,8 @@
 // Binary codec for catalog statistics crossing the wire (the MsgStats
 // reply). Column min/max are dynamically typed values, so they ride the
-// tuple codec; histograms are flat float64 bound arrays. Encoding is
-// deterministic (columns sorted by key) so identical stats encode to
-// identical bytes.
+// block codec as a 1-row, 2-column block; histograms are flat float64
+// bound arrays. Encoding is deterministic (columns sorted by key) so
+// identical stats encode to identical bytes.
 package wire
 
 import (
@@ -31,7 +31,7 @@ func AppendTableStats(dst []byte, st *meta.TableStats) []byte {
 		c := st.Columns[k]
 		dst = AppendString(dst, k)
 		dst = AppendString(dst, c.Name)
-		dst = types.EncodeTuple(dst, types.Tuple{c.Min, c.Max})
+		dst, _ = types.AppendBlock(dst, []types.Tuple{{c.Min, c.Max}})
 		dst = binary.AppendVarint(dst, c.Distinct)
 		dst = binary.AppendVarint(dst, c.NullCount)
 		var idx byte
@@ -91,14 +91,14 @@ func DecodeTableStats(data []byte) (*meta.TableStats, error) {
 		if c.Name, rest, err = CutString(rest); err != nil {
 			return nil, err
 		}
-		mm, used, err := types.DecodeTuple(rest)
+		mm, used, err := types.DecodeBlock(nil, rest, nil, 0, -1)
 		if err != nil {
 			return nil, fmt.Errorf("%w: column %s min/max: %v", ErrBadFrame, key, err)
 		}
-		if len(mm) != 2 {
+		if len(mm) != 1 || len(mm[0]) != 2 {
 			return nil, bad("min/max arity")
 		}
-		c.Min, c.Max = mm[0], mm[1]
+		c.Min, c.Max = mm[0][0], mm[0][1]
 		rest = rest[used:]
 		if c.Distinct, k = binary.Varint(rest); k <= 0 {
 			return nil, bad("distinct")

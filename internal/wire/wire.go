@@ -47,14 +47,46 @@ func PutBuf(b []byte) {
 	bufPool.Put(&b)
 }
 
-// EncodeBatch appends the encoding of rows to dst: a row count
-// followed by each tuple.
+// EncodeBatch appends the encoding of rows to dst: one block
+// (types.AppendBlock), or a block per run of rows the block codec keeps
+// together when their arities differ or they overflow its value cap.
+// Every block after the first is dense (denseRows), so DecodeBatchInto
+// takes every batch EncodeBatch writes.
 func EncodeBatch(dst []byte, rows []types.Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	for _, r := range rows {
-		dst = types.EncodeTuple(dst, r)
+	dst, n := types.AppendBlock(dst, rows)
+	for rows = rows[n:]; len(rows) > 0; rows = rows[n:] {
+		dst, n = types.AppendBlock(dst, rows[:denseRows(rows)])
 	}
 	return dst
+}
+
+// dense reports whether a block of rows rows of cols columns in size
+// bytes takes a byte per row and per value, as a row record does. A
+// NULL or constant column takes no byte per row, so a 5-byte block can
+// hold 16,384 rows; a batch's blocks after the first must be dense,
+// which keeps what decoding a batch allocates linear in its length.
+// A one-row block is always dense: its header and column tags suffice.
+func dense(rows, cols, size int) bool { return rows*(cols+1) <= size }
+
+// denseRows returns how many of rows the next block after a batch's
+// first takes, sizing them without encoding them: all AppendBlock would
+// take when they make a dense block, else the longest power-of-two
+// prefix below the first power-of-two prefix that is not dense.
+func denseRows(rows []types.Tuple) int {
+	var s types.BlockSizer
+	n, m := 0, 0
+	for m < len(rows) && s.Add(rows[m]) {
+		if m++; m&(m-1) == 0 {
+			if !dense(m, len(rows[0]), s.Size()) {
+				return n
+			}
+			n = m
+		}
+	}
+	if dense(m, len(rows[0]), s.Size()) {
+		return m
+	}
+	return n
 }
 
 // DecodeBatch decodes a batch produced by EncodeBatch.
@@ -63,36 +95,36 @@ func DecodeBatch(data []byte) ([]types.Tuple, error) {
 }
 
 // DecodeBatchInto decodes a batch appending to dst, so a steady-state
-// consumer can recycle one row-header slice across fetches. The rows
-// are decoded in one validating pass by a types.Decoder, so they share
-// one value slab and one string slab per batch: they do not alias data,
-// consumers may retain them, and a retained row keeps its whole batch's
-// slabs alive.
+// consumer can recycle one row-header slice across fetches. Each block
+// is decoded in one validating pass (types.DecodeBlock), so its rows
+// share one value slab and one string slab: they do not alias data,
+// consumers may retain them, and a retained row keeps its block's slabs
+// alive. A block after the first is measured before it is decoded and
+// refused unless dense.
 func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
+	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: bad batch header")
 	}
-	// Every row takes at least a byte, which bounds the rows a corrupt
-	// count can make room for.
-	rows := int(min(n, uint64(len(data)-k)))
-	if dst == nil {
-		dst = make([]types.Tuple, 0, rows)
-	}
-	d := types.NewDecoder(rows, nil)
-	start, pos := len(dst), k
-	for i := uint64(0); i < n; i++ {
-		t, used, err := d.Decode(data[pos:])
+	start := len(dst)
+	for pos := 0; pos < len(data); {
+		var (
+			used int
+			err  error
+		)
+		if pos > 0 {
+			rows, cols, n, lerr := types.BlockLen(data[pos:])
+			if err = lerr; err == nil && !dense(rows, cols, n) {
+				err = fmt.Errorf("%d rows of %d columns in %d bytes", rows, cols, n)
+			}
+		}
+		if err == nil {
+			dst, used, err = types.DecodeBlock(dst, data[pos:], nil, 0, -1)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("wire: row %d: %w", i, err)
+			return nil, fmt.Errorf("wire: block at row %d: %w", len(dst)-start, err)
 		}
 		pos += used
-		dst = append(dst, t)
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(data)-pos)
-	}
-	d.Own(dst[start:])
 	return dst, nil
 }
 

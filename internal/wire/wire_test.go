@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -9,24 +10,74 @@ import (
 	"tango/internal/types"
 )
 
+// TestBatchRoundTrip also pins what a batch of rows of differing
+// arity becomes: a block per run of one arity, decoding to exactly the
+// rows given.
 func TestBatchRoundTrip(t *testing.T) {
-	rows := []types.Tuple{
-		{types.Int(1), types.Str("Tom"), types.Date(9862)},
-		{types.Int(2), types.Null, types.Float(2.5)},
-	}
-	enc := EncodeBatch(nil, rows)
-	got, err := DecodeBatch(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("rows = %d", len(got))
-	}
-	for i := range rows {
-		for j := range rows[i] {
-			if !types.Equal(got[i][j], rows[i][j]) {
-				t.Errorf("row %d col %d: %v vs %v", i, j, got[i][j], rows[i][j])
+	for _, rows := range [][]types.Tuple{
+		{
+			{types.Int(1), types.Str("Tom"), types.Date(9862)},
+			{types.Int(2), types.Null, types.Float(2.5)},
+		},
+		{{types.Int(1), types.Str("a")}, {types.Int(2)}, {}, {types.Int(3), types.Str("b")}},
+	} {
+		enc := EncodeBatch(nil, rows)
+		got, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("rows = %d, want %d", len(got), len(rows))
+		}
+		for i := range rows {
+			if len(got[i]) != len(rows[i]) {
+				t.Fatalf("row %d has %d columns, want %d", i, len(got[i]), len(rows[i]))
 			}
+			for j := range rows[i] {
+				if got[i][j].Kind() != rows[i][j].Kind() || !types.Equal(got[i][j], rows[i][j]) {
+					t.Errorf("row %d col %d: %v vs %v", i, j, got[i][j], rows[i][j])
+				}
+			}
+		}
+	}
+}
+
+// TestSparseBatchRoundTrip: batches whose blocks after the first would
+// take less than a byte per row and per value — NULL-only, zero-width
+// and mostly constant rows, past the block value cap — are cut into
+// dense blocks, so they still decode to exactly the rows given.
+func TestSparseBatchRoundTrip(t *testing.T) {
+	for name, row := range map[string]func(i int) types.Tuple{
+		"null":       func(int) types.Tuple { return types.Tuple{types.Null} },
+		"zero-width": func(int) types.Tuple { return types.Tuple{} },
+		"mostly constant": func(i int) types.Tuple {
+			return types.Tuple{types.Int(int64(i % 200)), types.Int(7), types.Null, types.Str("")}
+		},
+	} {
+		rows := make([]types.Tuple, 150_000)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		enc := EncodeBatch(nil, rows)
+		got, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got), len(rows))
+		}
+		for i := range rows {
+			if len(got[i]) != len(rows[i]) {
+				t.Fatalf("%s: row %d = %v, want %v", name, i, got[i], rows[i])
+			}
+			for j, v := range rows[i] {
+				if got[i][j].Kind() != v.Kind() || !types.Equal(got[i][j], v) {
+					t.Fatalf("%s: row %d = %v, want %v", name, i, got[i], rows[i])
+				}
+			}
+		}
+		if len(enc) > 2*len(rows)*(len(rows[0])+1) {
+			t.Errorf("%s: %d rows took %d bytes", name, len(rows), len(enc))
 		}
 	}
 }
@@ -51,7 +102,9 @@ func TestBatchCorruption(t *testing.T) {
 
 // TestDecodeBatchErrors pins the error a malformed batch gets, so a
 // change to how batches are decoded keeps telling callers the same
-// thing. Kind tags: 1 int, 2 float, 3 string.
+// thing. A block is rows, cols, then per column a tag (1 int, 2 float,
+// 3 string, 0x80: a NULL bitmap follows), a width byte, a base varint,
+// the words, and for strings their byte count and bytes.
 func TestDecodeBatchErrors(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -59,16 +112,20 @@ func TestDecodeBatchErrors(t *testing.T) {
 		want string
 	}{
 		{"empty", nil, "wire: bad batch header"},
-		{"missing row", []byte{1}, "wire: row 0: types: bad tuple header"},
-		{"missing value", []byte{1, 1}, "wire: row 0: types: truncated tuple"},
-		{"cut varint", []byte{1, 1, 1, 0x80}, "wire: row 0: types: truncated varint"},
-		{"cut float", []byte{1, 1, 2, 0, 0, 0}, "wire: row 0: types: truncated float"},
-		{"cut string", []byte{1, 1, 3, 5, 'a', 'b'}, "wire: row 0: types: truncated string"},
-		// A length near 2^64 overflowed the old bounds check and panicked.
-		{"huge string", []byte{1, 1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}, "wire: row 0: types: truncated string"},
-		{"unknown kind", []byte{1, 1, 250}, "wire: row 0: types: unknown kind 250"},
-		{"second row", []byte{2, 1, 1, 2, 1}, "wire: row 1: types: truncated tuple"},
-		{"trailing", []byte{1, 1, 1, 2, 9, 9}, "wire: 2 trailing bytes"},
+		{"missing header", []byte{1}, "wire: block at row 0: types: bad block header"},
+		{"missing column", []byte{1, 1}, "wire: block at row 0: types: truncated column"},
+		{"cut base", []byte{1, 1, 1, 0, 0x80}, "wire: block at row 0: types: truncated column"},
+		{"cut float", []byte{1, 1, 2, 8, 0, 0, 0}, "wire: block at row 0: types: truncated column"},
+		{"cut bitmap", []byte{9, 1, 0x81}, "wire: block at row 0: types: truncated column"},
+		{"cut string", []byte{1, 1, 3, 1, 0, 5, 5, 'a', 'b'}, "wire: block at row 0: types: truncated column"},
+		// A length near 2^64 must not overflow the bounds check.
+		{"huge string", []byte{1, 1, 3, 1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 1}, "wire: block at row 0: types: truncated column"},
+		{"bad offset", []byte{1, 1, 3, 1, 0, 5, 2, 'a', 'b'}, "wire: block at row 0: types: string offset out of range"},
+		{"bad width", []byte{1, 1, 1, 3, 0}, "wire: block at row 0: types: bad column width 3"},
+		{"unknown kind", []byte{1, 1, 0x7a}, "wire: block at row 0: types: bad column tag 0x7a"},
+		{"over the cap", []byte{0x80, 0x80, 0x40, 0}, "wire: block at row 0: types: bad block header"},
+		{"second block", []byte{1, 1, 1, 0, 2, 1, 1, 1}, "wire: block at row 1: types: truncated column"},
+		{"trailing", []byte{1, 1, 1, 0, 2, 9}, "wire: block at row 1: types: bad block header"},
 	} {
 		for _, dst := range [][]types.Tuple{nil, make([]types.Tuple, 0, 4)} {
 			if _, err := DecodeBatchInto(dst, c.data); err == nil || err.Error() != c.want {
@@ -78,31 +135,38 @@ func TestDecodeBatchErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchCorruptCount: a batch whose header claims far more
-// rows than its bytes can hold fails at the first missing row without
-// first making room for the claimed rows — neither headers for 2^62
-// rows nor values for a thousand rows as wide as the first.
+// TestDecodeBatchCorruptCount: what decoding a batch allocates is
+// bounded by its length, whatever its headers claim. A block claiming
+// more rows than the block codec's value cap is refused at its header,
+// without first making room for them — neither headers for 2^62 rows
+// nor values for a million rows a thousand NULL columns wide. And a
+// NULL or zero-width column costs no byte per row, so a 5-byte block
+// can hold 16,384 rows: a kilobyte of such blocks back to back is
+// refused at the second, which is not dense.
 func TestDecodeBatchCorruptCount(t *testing.T) {
+	block := func(rows uint64, cols int) []byte { // cols NULL columns
+		b := binary.AppendUvarint(nil, rows)
+		return append(binary.AppendUvarint(b, uint64(cols)), make([]byte, cols)...)
+	}
 	for _, c := range []struct {
-		name  string
-		count uint64
-		width int
+		name string
+		data []byte
+		want string
 	}{
-		{"huge count", 1 << 62, 1},
-		{"wide first row", 1 << 20, 1000},
+		{"huge count", block(1<<62, 1), "wire: block at row 0: types: bad block header"},
+		{"wide first row", block(1<<20, 1000), "wire: block at row 0: types: bad block header"},
+		{"sparse blocks", bytes.Repeat(block(1<<14, 1), 200), "wire: block at row 16384: 16384 rows of 1 columns in 5 bytes"},
+		{"zero-width blocks", bytes.Repeat(block(1<<14, 0), 250), "wire: block at row 16384: 16384 rows of 0 columns in 4 bytes"},
 	} {
-		data := binary.AppendUvarint(nil, c.count)
-		data = binary.AppendUvarint(data, uint64(c.width))
-		data = append(data, make([]byte, c.width)...) // c.width NULLs
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeBatch(data)
+		_, err := DecodeBatch(c.data)
 		runtime.ReadMemStats(&after)
-		if want := "wire: row 1: types: bad tuple header"; err == nil || err.Error() != want {
-			t.Errorf("%s: err = %v, want %q", c.name, err, want)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 		if kb := (after.TotalAlloc - before.TotalAlloc) >> 10; kb > 4<<10 {
-			t.Errorf("%s: decoding a %d-byte batch allocated %d KiB", c.name, len(data), kb)
+			t.Errorf("%s: decoding a %d-byte batch allocated %d KiB", c.name, len(c.data), kb)
 		}
 	}
 }

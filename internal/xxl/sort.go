@@ -9,8 +9,11 @@ package xxl
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -178,8 +181,9 @@ func (s *Sort) Close() error {
 
 // --- run files ---
 
-// writeRun writes a sorted run of tuples to a temp file, returning the
-// file and the bytes written.
+// writeRun writes a sorted run of tuples to a temp file as a sequence
+// of blocks of at most rel.DefaultBatchSize rows, each prefixed with its
+// length (uint32), returning the file and the bytes written.
 func writeRun(rows []types.Tuple) (*os.File, int64, error) {
 	f, err := os.CreateTemp("", "tango-sort-*.run")
 	if err != nil {
@@ -187,9 +191,11 @@ func writeRun(rows []types.Tuple) (*os.File, int64, error) {
 	}
 	var written int64
 	buf := make([]byte, 0, 1<<16)
-	for _, t := range rows {
-		buf = types.EncodeTuple(buf, t)
-		if len(buf) >= 1<<16 {
+	for len(rows) > 0 {
+		at, n := len(buf), 0
+		buf, n = types.AppendBlock(append(buf, 0, 0, 0, 0), rows[:min(len(rows), rel.DefaultBatchSize)])
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		if rows = rows[n:]; len(buf) >= 1<<16 || len(rows) == 0 {
 			if _, err := f.Write(buf); err != nil {
 				removeRuns([]*os.File{f})
 				return nil, 0, err
@@ -197,13 +203,6 @@ func writeRun(rows []types.Tuple) (*os.File, int64, error) {
 			written += int64(len(buf))
 			buf = buf[:0]
 		}
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			removeRuns([]*os.File{f})
-			return nil, 0, err
-		}
-		written += int64(len(buf))
 	}
 	if _, err := f.Seek(0, 0); err != nil {
 		removeRuns([]*os.File{f})
@@ -319,35 +318,36 @@ func mergeSortedChunks(chunks [][]types.Tuple, keys []int, descs []bool) []types
 	return out
 }
 
-// runReader streams tuples back from a run file.
+// runReader streams tuples back from a run file, holding one block of
+// it at a time.
 type runReader struct {
 	f    *os.File
-	data []byte
-	pos  int
-}
-
-func newRunReader(f *os.File) (*runReader, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, info.Size())
-	if _, err := f.ReadAt(data, 0); err != nil && info.Size() > 0 {
-		return nil, err
-	}
-	return &runReader{f: f, data: data}, nil
+	data []byte        // the current block's bytes
+	rows []types.Tuple // its rows
+	pos  int           // the next of rows
 }
 
 func (r *runReader) next() (types.Tuple, bool, error) {
-	if r.pos >= len(r.data) {
-		return nil, false, nil
+	for r.pos == len(r.rows) {
+		var hdr [4]byte
+		if _, err := io.ReadFull(r.f, hdr[:]); err == io.EOF {
+			return nil, false, nil
+		} else if err != nil {
+			return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
+		}
+		n := int(binary.LittleEndian.Uint32(hdr[:]))
+		r.data = slices.Grow(r.data[:0], n)[:n]
+		if _, err := io.ReadFull(r.f, r.data); err != nil {
+			return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
+		}
+		rows, _, err := types.DecodeBlock(r.rows[:0], r.data, nil, 0, -1)
+		if err != nil {
+			return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
+		}
+		r.rows, r.pos = rows, 0
 	}
-	t, n, err := types.DecodeTuple(r.data[r.pos:])
-	if err != nil {
-		return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
-	}
-	r.pos += n
-	return t, true, nil
+	r.pos++
+	return r.rows[r.pos-1], true, nil
 }
 
 func (r *runReader) close() error {
@@ -356,7 +356,7 @@ func (r *runReader) close() error {
 	if rerr := os.Remove(name); err == nil {
 		err = rerr
 	}
-	r.data = nil
+	r.data, r.rows = nil, nil
 	return err
 }
 
@@ -398,14 +398,8 @@ type runMerger struct {
 
 func newRunMerger(files []*os.File, keys []int, descs []bool) (*runMerger, error) {
 	m := &runMerger{h: &mergeHeap{keys: keys, descs: descs}}
-	for i, f := range files {
-		r, err := newRunReader(f)
-		if err != nil {
-			_ = m.close()
-			removeRuns(files[i:]) // files not yet wrapped in readers
-			return nil, err
-		}
-		m.readers = append(m.readers, r)
+	for _, f := range files {
+		m.readers = append(m.readers, &runReader{f: f})
 	}
 	for i, r := range m.readers {
 		t, ok, err := r.next()

@@ -519,6 +519,54 @@ func TestSortExternalSpill(t *testing.T) {
 	}
 }
 
+// TestSortMergeHoldsOneBlockPerRun: the external merge reads each
+// spilled run a block at a time, so the run bytes it buffers stay
+// within one block per run however long the runs are.
+func TestSortMergeHoldsOneBlockPerRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	in := rel.New(types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "V", Kind: types.KindString},
+	))
+	const n, runs = 5000, 5
+	for i := 0; i < n; i++ {
+		in.Append(types.Tuple{types.Int(rng.Int63n(10000)), types.Str(fmt.Sprintf("v%05d", i))})
+	}
+	// Every block of these rows takes about as many bytes as this one.
+	block, _ := types.AppendBlock(nil, in.Tuples[:rel.DefaultBatchSize])
+	bound := runs * (len(block) + 16)
+	s := NewSort(in.Iter(), []int{0})
+	s.MemTuples = n / runs
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.merger == nil || len(s.merger.readers) != runs {
+		t.Fatalf("want a merge of %d runs", runs)
+	}
+	dst := make([]types.Tuple, 100)
+	for total := 0; ; {
+		buffered := 0
+		for _, r := range s.merger.readers {
+			buffered += len(r.data)
+		}
+		if buffered > bound {
+			t.Fatalf("after %d rows the merge buffers %d run bytes, want <= %d (%d runs × one block)", total, buffered, bound, runs)
+		}
+		k, err := s.NextBatch(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			if total != n {
+				t.Fatalf("merge returned %d rows, want %d", total, n)
+			}
+			return
+		}
+		total += k
+	}
+}
+
 func TestSortStability(t *testing.T) {
 	// Stable within memory and deterministic across runs.
 	in := mkRel("K,Seq",
