@@ -5,10 +5,10 @@ GO ?= go
 # Fuzz smoke budget per target (ci runs each fuzzer this long).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json tangobench-smoke loc ci clean
+.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json bench-pairs tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_26.json
+BENCHOUT ?= BENCH_27.json
 
 all: ci
 
@@ -148,6 +148,19 @@ bench-json:
 # rather than in the benchmark driver.
 tangobench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench-pairs measures the working tree against HEAD the way a
+# performance claim is judged: PAIRS alternated tangobench runs of
+# SECS seconds on workload W and seed SEED, then per end-to-end metric
+# the parent's median and quartiles, the change's median, the median
+# per-pair ratio and the pairs won (scripts/benchpairs.sh). It writes
+# only under .bench_build/ and is not part of ci.
+W ?= plain_sql
+SEED ?= 1
+PAIRS ?= 10
+SECS ?= 20
+bench-pairs:
+	bash scripts/benchpairs.sh $(W) $(SEED) $(PAIRS) $(SECS)
 
 # loc prints the tracked size metric: non-test Go lines per package and
 # in total, benchmark/ (a separate module with its own contract)

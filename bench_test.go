@@ -173,10 +173,12 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 }
 
 // BenchmarkAblationPrefetch measures the wire row-prefetch setting's
-// effect on TRANSFER^M (the Oracle row-prefetch observation of §3.2).
+// effect on TRANSFER^M (the Oracle row-prefetch observation of §3.2):
+// fixed row counts, and 0 — the default — where the server sizes each
+// fetch by bytes.
 func BenchmarkAblationPrefetch(b *testing.B) {
 	sys := newSystem(b, 8000, 50)
-	for _, prefetch := range []int{1, 16, 256, 4096} {
+	for _, prefetch := range []int{0, 1, 16, 256, 4096} {
 		b.Run(fmt.Sprintf("prefetch=%d", prefetch), func(b *testing.B) {
 			sys.MW.Conn.Prefetch = prefetch
 			b.ResetTimer()

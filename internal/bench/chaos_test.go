@@ -17,6 +17,7 @@ import (
 	"tango/internal/optimizer"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
+	"tango/internal/tango"
 	"tango/internal/telemetry"
 	"tango/internal/tsql"
 	"tango/internal/wire"
@@ -75,6 +76,30 @@ func chaosSchedules(short bool) []string {
 	return out
 }
 
+// chaosRuns is what a chaos sweep executes under each schedule: every
+// seed query through the middleware, then Query 2's two plans that ship
+// an intermediate down through T^D (P1 and P5), run as given by runPlan.
+// The optimizer picks no such plan for the seed queries at sweep sizes,
+// and without them no load or exec trap would have a call to land on.
+func chaosRuns(mw *tango.Middleware, runPlan func(NamedPlan) (*rel.Relation, error)) []func() (*rel.Relation, error) {
+	var runs []func() (*rel.Relation, error)
+	for _, q := range SeedQueries {
+		runs = append(runs, func() (*rel.Relation, error) {
+			plan, err := tsql.Parse(q, mw.Cat)
+			if err != nil {
+				return nil, err
+			}
+			out, _, err := mw.Run(plan)
+			return out, err
+		})
+	}
+	plans := Q2Plans(Day(1996, time.January, 1))
+	for _, np := range []NamedPlan{plans[0], plans[4]} {
+		runs = append(runs, func() (*rel.Relation, error) { return runPlan(np) })
+	}
+	return runs
+}
+
 // TestChaosSweep runs every workload query under every fault schedule
 // at middleware parallelism 1 and 4.
 func TestChaosSweep(t *testing.T) {
@@ -89,15 +114,15 @@ func TestChaosSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Fault-free references.
-			refs := make([]*rel.Relation, len(SeedQueries))
-			for i, q := range SeedQueries {
-				plan, err := tsql.Parse(q, sys.MW.Cat)
+			runs := chaosRuns(sys.MW, func(np NamedPlan) (*rel.Relation, error) {
+				out, _, err := sys.RunPlan(np)
+				return out, err
+			})
+			refs := make([]*rel.Relation, len(runs))
+			for i, run := range runs {
+				out, err := run()
 				if err != nil {
-					t.Fatalf("parse %q: %v", q, err)
-				}
-				out, _, err := sys.MW.Run(plan)
-				if err != nil {
-					t.Fatalf("fault-free %q: %v", q, err)
+					t.Fatalf("fault-free run %d: %v", i, err)
 				}
 				refs[i] = out
 			}
@@ -109,15 +134,12 @@ func TestChaosSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("schedule %q: %v", src, err)
 					}
-					sys.Srv.SetFaults(sched.Injector())
+					inj := sched.Injector()
+					sys.Srv.SetFaults(inj)
 					defer sys.Srv.SetFaults(nil)
 					persistent := strings.Contains(src, "~")
-					for i, q := range SeedQueries {
-						plan, err := tsql.Parse(q, sys.MW.Cat)
-						if err != nil {
-							t.Fatalf("parse %q: %v", q, err)
-						}
-						out, _, err := sys.MW.Run(plan)
+					for i, run := range runs {
+						out, err := run()
 						switch {
 						case err != nil:
 							if !typedFailure(err) {
@@ -141,6 +163,10 @@ func TestChaosSweep(t *testing.T) {
 						if temps := sys.Srv.TempTables(); len(temps) != 0 {
 							t.Fatalf("q%d: temp tables leaked under %q: %v", i, src, temps)
 						}
+					}
+					// A scripted trap the workload never reaches tests nothing.
+					if strings.Contains(src, "@") && inj.Injected() == 0 {
+						t.Fatalf("no fault injected under %q", src)
 					}
 				})
 			}

@@ -12,6 +12,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,6 @@ import (
 	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/tango"
-	"tango/internal/tsql"
 	"tango/internal/wire"
 )
 
@@ -77,15 +77,15 @@ func TestTCPChaosSweep(t *testing.T) {
 
 	// In-process references first, then verify clean TCP matches them
 	// exactly — the "matrices pass unchanged over TCP" acceptance leg.
-	refs := make([]*rel.Relation, len(SeedQueries))
-	for i, q := range SeedQueries {
-		plan, err := tsql.Parse(q, sys.MW.Cat)
+	runs := chaosRuns(sys.MW, func(np NamedPlan) (*rel.Relation, error) {
+		out, _, err := sys.RunPlan(np)
+		return out, err
+	})
+	refs := make([]*rel.Relation, len(runs))
+	for i, run := range runs {
+		out, err := run()
 		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
-		}
-		out, _, err := sys.MW.Run(plan)
-		if err != nil {
-			t.Fatalf("in-process %q: %v", q, err)
+			t.Fatalf("in-process run %d: %v", i, err)
 		}
 		refs[i] = out
 	}
@@ -103,12 +103,12 @@ func TestTCPChaosSweep(t *testing.T) {
 			_ = mw.Conn.Close()
 			_ = tr.Close()
 		}()
-		for i, q := range SeedQueries {
-			plan, err := tsql.Parse(q, mw.Cat)
-			if err != nil {
-				t.Fatalf("parse %q: %v", q, err)
-			}
-			out, _, err := mw.Run(plan)
+		runs := chaosRuns(mw, func(np NamedPlan) (*rel.Relation, error) {
+			ex := &tango.Executor{Conn: mw.Conn, Cat: mw.Cat, CheckPlans: true}
+			return ex.Run(np.Plan.Clone())
+		})
+		for i, run := range runs {
+			out, err := run()
 			switch {
 			case err != nil:
 				if !tcpTypedFailure(err) {
@@ -140,13 +140,18 @@ func TestTCPChaosSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("schedule %q: %v", src, err)
 			}
-			proxy, err := wire.NewProxy(ts.Addr(), sched.Injector())
+			inj := sched.Injector()
+			proxy, err := wire.NewProxy(ts.Addr(), inj)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer proxy.Close()
 			runTCP(t, proxy.Addr())
 			waitTCPQuiesced(t, sys, ts, baseSessions)
+			// A scripted trap the workload never reaches tests nothing.
+			if strings.Contains(src, "@") && inj.Injected() == 0 {
+				t.Fatalf("no fault injected under %q", src)
+			}
 		})
 	}
 }

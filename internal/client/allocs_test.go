@@ -14,8 +14,9 @@ import (
 // 256-row batch served, framed, sent over a loopback socket, read and
 // decoded. The batch is encoded once into the session worker's reused
 // scratch, copied once into the connection's reused write buffer, read
-// once into the frame the client decodes it from — so per round trip
-// only that frame and the decoded rows are batch-sized allocations.
+// once into the pooled scratch the fetch supplied, and decoded from
+// there — so per round trip only the decoded rows are batch-sized
+// allocations.
 func TestFetchOverSocketAllocs(t *testing.T) {
 	const batches = 40
 	ts := tcpServer(t, (batches+2)*wire.DefaultPrefetch, server.TCPConfig{})
@@ -24,6 +25,7 @@ func TestFetchOverSocketAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.Prefetch = wire.DefaultPrefetch // the subject is a fetch's allocations, not its size
 	rows, err := c.Query("SELECT PosID, EmpName, T1, T2 FROM POSITION")
 	if err != nil {
 		t.Fatal(err)
@@ -44,11 +46,11 @@ func TestFetchOverSocketAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(batches, fetch)
 	t.Logf("%.0f allocs per fetch of a %d-byte batch", allocs, encoded)
 
-	// Measured 17, process-wide: the server's heap-page decode,
+	// Measured 15, process-wide: the server's heap-page decode,
 	// projection and request frame; the client's attempt, pending call,
-	// reply frame and decoded rows. A batch copied into fresh memory
+	// frame header and decoded rows. A batch copied into fresh memory
 	// anywhere on the way adds one.
-	if allocs > 17 {
-		t.Errorf("%.0f allocs per fetch round trip, want <= 17", allocs)
+	if allocs > 15 {
+		t.Errorf("%.0f allocs per fetch round trip, want <= 15", allocs)
 	}
 }

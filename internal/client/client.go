@@ -34,7 +34,9 @@ type Conn struct {
 	// in-process loopback (Connect) or a TCP transport session (Dial).
 	be Backend
 	// Prefetch is the rows-per-fetch setting (the paper's Oracle
-	// row-prefetch); 0 uses the wire default.
+	// row-prefetch). 0 lets the server size fetches by bytes: 256 rows
+	// first, growing toward 64 KiB a fetch; > 0 pins every fetch to
+	// exactly that many rows.
 	Prefetch int
 	// Metrics, when set, receives wire-level series: serialized bytes
 	// by direction (tango_wire_bytes_total{dir="in"|"out"}), row
@@ -346,10 +348,13 @@ func (r *Rows) requester(p *fetchPipeline, ctx context.Context) {
 func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
 	out, err := doValCtx(r.conn, ctx, "fetch", func(sp *telemetry.Span) (fetched, error) {
 		buf := wire.GetBuf()
-		defer wire.PutBuf(buf)
 		rep, err := r.conn.be.call(ctx, wire.Request{
 			Op: wire.MsgFetch, TraceHdr: traceHeader(sp), Cursor: r.cur, Seq: seq, Buf: buf,
 		})
+		if rep.Body != nil {
+			buf = rep.Body // a reply that outgrew the scratch holds a larger one
+		}
+		defer wire.PutBuf(buf)
 		if err != nil || rep.EOS {
 			return fetched{}, err
 		}

@@ -72,8 +72,9 @@ type Transport struct {
 
 // pendingCall is one in-flight request awaiting its reply.
 type pendingCall struct {
-	ch chan rpcResult
-	nc net.Conn // the connection the request went out on
+	ch  chan rpcResult
+	nc  net.Conn // the connection the request went out on
+	buf []byte   // the caller's scratch (Request.Buf) the reply is read into
 }
 
 // rpcResult is one reply (or transport failure).
@@ -155,22 +156,31 @@ func (t *Transport) ensureConn() (net.Conn, uint64, error) {
 }
 
 // reader pumps replies off one connection, pairing them to their
-// pending calls by request ID; on connection death it fails that
-// connection's in-flight calls with ErrConnLost.
+// pending calls by request ID and reading each payload into the buffer
+// its call supplied; on connection death it fails that connection's
+// in-flight calls with ErrConnLost.
 func (t *Transport) reader(nc net.Conn) {
 	defer t.wg.Done()
 	for {
-		f, _, err := wire.ReadFrame(nc, nil)
+		var pc *pendingCall
+		f, err := wire.ReadFrameInto(nc, func(h wire.Frame) []byte {
+			t.pmu.Lock()
+			pc = t.pending[h.Request]
+			delete(t.pending, h.Request)
+			t.pmu.Unlock()
+			if pc == nil {
+				return nil
+			}
+			return pc.buf
+		})
 		if err != nil {
+			if pc != nil {
+				// Already off the pending table, so failPending misses it.
+				pc.ch <- rpcResult{err: &ErrConnLost{Addr: t.addr, Err: err}}
+			}
 			t.dropConn(nc, err)
 			return
 		}
-		t.pmu.Lock()
-		pc := t.pending[f.Request]
-		if pc != nil {
-			delete(t.pending, f.Request)
-		}
-		t.pmu.Unlock()
 		if pc == nil {
 			continue // reply to an abandoned request
 		}
@@ -232,13 +242,15 @@ func remoteToError(re wire.RemoteError) error {
 }
 
 // rpcOn sends one request frame on an already-resolved connection and
-// waits for the reply payload, which aliases the frame the reader read.
+// waits for the reply payload, which the reader read into req.Buf (or a
+// fresh buffer when that is too small). The caller owns req.Buf until
+// the reply arrives, so a buffer is never shared with another call.
 // A session request's envelope is encoded straight into the write
 // buffer; the connection-scope session plumbing (session 0) is not an
 // envelope and sends req.Body as its whole payload.
 func (t *Transport) rpcOn(nc net.Conn, session uint32, req wire.Request) ([]byte, error) {
 	id := t.reqID.Add(1)
-	pc := &pendingCall{ch: make(chan rpcResult, 1), nc: nc}
+	pc := &pendingCall{ch: make(chan rpcResult, 1), nc: nc, buf: req.Buf}
 	t.pmu.Lock()
 	t.pending[id] = pc
 	t.pmu.Unlock()

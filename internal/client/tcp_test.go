@@ -268,3 +268,43 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 		t.Fatalf("InFlight = %d after teardown", got)
 	}
 }
+
+// TestTCPAbandonedFetchOwnsItsBuffer: the reader lands each reply in
+// the scratch its call supplied. A fetch abandoned at its deadline
+// still gets its (late) reply into its own buffer while the retry
+// replays the batch into another, so under -race a buffer shared
+// between them shows as a race, and the rows must arrive intact.
+func TestTCPAbandonedFetchOwnsItsBuffer(t *testing.T) {
+	ts := tcpServer(t, 6000, server.TCPConfig{})
+	inj := wire.NewFaultInjector(1).AddTrap(wire.OpFetch, 2, wire.KindStall).AddTrap(wire.OpFetch, 5, wire.KindStall)
+	inj.StallTime = 25 * time.Millisecond
+	ts.Server().SetFaults(inj)
+	c, err := Dial(ts.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Retry = RetryPolicy{
+		MaxAttempts: 8,
+		BaseDelay:   100 * time.Microsecond,
+		MaxDelay:    time.Millisecond,
+		Multiplier:  2,
+		OpTimeout:   10 * time.Millisecond,
+		Deadline:    10 * time.Second,
+	}
+	out, _, err := c.QueryAll("SELECT PosID, EmpName FROM POSITION ORDER BY PosID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cardinality() != 6000 {
+		t.Fatalf("got %d rows, want 6000", out.Cardinality())
+	}
+	for i, row := range out.Tuples {
+		if row[0].AsInt() != int64(i) || row[1].AsString() != fmt.Sprintf("emp-%d", i%37) {
+			t.Fatalf("row %d = %v", i, row)
+		}
+	}
+	if inj.Injected() != 2 {
+		t.Fatalf("%d stalls injected, want 2", inj.Injected())
+	}
+}

@@ -38,6 +38,9 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{RoundTrip: 200 * time.Microsecond})
 	c.Retry = windowRetry()
+	// 16 fixed-size fetches, so the stream is still mid-window when the
+	// wire dies; sized by bytes it would take 5.
+	c.Prefetch = wire.DefaultPrefetch
 
 	rows, err := c.QueryWindowed("SELECT PosID, EmpName, T1, T2 FROM POSITION", 8)
 	if err != nil {

@@ -202,8 +202,9 @@ type Cursor struct {
 	id       uint64
 	it       rel.Iterator
 	snap     *engine.Snapshot // pinned commit sequence; released on close
-	prefetch int
-	release  func() // admission unit held while the statement is open
+	prefetch int              // rows in the next batch
+	grow     bool             // size batches by bytes (the client left the row count unset)
+	release  func()           // admission unit held while the statement is open
 
 	// The cursor lock is held across iterator pulls (engine I/O): an
 	// ordered class, not a latch.
@@ -220,15 +221,19 @@ type Cursor struct {
 // Schema returns the result schema.
 func (c *Cursor) Schema() types.Schema { return c.it.Schema() }
 
-// produce fills the next batch of up to prefetch rows from the result
+// fetchBytes is the encoded size a cursor whose client left the row
+// count unset grows its batches toward (see grown).
+const fetchBytes = 64 << 10
+
+// produce fills the next batch of prefetch rows from the result
 // iterator — as many NextBatch calls as it takes, so a fetch is short
-// only at end of stream — returning nil at end of stream. Caller holds
-// c.mu.
+// only at end of stream — returning nil at end of stream. The row slice
+// is allocated only when the batch size grows. Caller holds c.mu.
 func (c *Cursor) produce() ([]types.Tuple, error) {
 	if c.done {
 		return nil, nil
 	}
-	if c.rows == nil {
+	if cap(c.rows) < c.prefetch {
 		c.rows = make([]types.Tuple, 0, c.prefetch)
 	}
 	rows := c.rows[:c.prefetch]
@@ -253,20 +258,29 @@ func (c *Cursor) produce() ([]types.Tuple, error) {
 	return rows, nil
 }
 
+// grown returns the row count of the batch after a full one of n rows
+// that encoded to size bytes: twice n, but no more rows than fit in
+// limit bytes at this batch's bytes per row, nor than one block holds,
+// and never fewer than n. Sizes follow only from the data, so fetches
+// stay deterministic.
+func grown(n, size, arity int, limit int64) int {
+	perRow := int64(max(1, (size+n-1)/n))
+	return max(n, min(2*n, int(limit/perRow), types.MaxBlockRows(arity)))
+}
+
 // fetch produces or replays the batch with the given 1-based sequence
 // number, encoding it into dst. seq == 0 means "the next batch".
 // Asking for the current sequence number replays the last batch (the
 // idempotent retry after a lost or corrupted reply); asking for the
-// next one produces it. Caller holds c.mu.
-func (c *Cursor) fetch(seq int64, dst []byte) (wire.Reply, error) {
+// next one produces it, and a batch sized by bytes then sets the size
+// of the one after it, at most limit bytes. Caller holds c.mu.
+func (c *Cursor) fetch(seq int64, dst []byte, limit int64) (wire.Reply, error) {
 	if seq == 0 {
 		seq = c.seq + 1
 	}
-	var rows []types.Tuple
 	switch {
 	case seq == c.seq+1:
-		var err error
-		rows, err = c.produce()
+		rows, err := c.produce()
 		if err != nil {
 			return wire.Reply{}, err
 		}
@@ -276,18 +290,22 @@ func (c *Cursor) fetch(seq int64, dst []byte) (wire.Reply, error) {
 			return wire.Reply{EOS: true}, nil
 		}
 		c.seq = seq
+		body := wire.EncodeBatch(dst[:0], rows)
+		if c.grow && len(rows) == c.prefetch {
+			c.prefetch = grown(len(rows), len(body), len(rows[0]), limit)
+		}
+		return wire.Reply{Body: body}, nil
 	case seq == c.seq && c.seq > 0:
 		// Replay: the previous reply was lost or corrupted in flight.
-		rows = c.rows
+		return wire.Reply{Body: wire.EncodeBatch(dst[:0], c.rows)}, nil
 	default:
 		return wire.Reply{}, fmt.Errorf("server: cursor out of sync: asked batch %d, at %d", seq, c.seq)
 	}
-	return wire.Reply{Body: wire.EncodeBatch(dst[:0], rows)}, nil
 }
 
-// FetchBatch produces the next serialized batch of up to prefetch
-// rows. It returns nil when the result is exhausted. The returned
-// slice is only valid until the next call.
+// FetchBatch produces the next serialized batch. It returns nil when
+// the result is exhausted. The returned slice is only valid until the
+// next call.
 func (c *Cursor) FetchBatch() ([]byte, error) {
 	if c.buf == nil {
 		c.buf = wire.GetBuf()

@@ -175,7 +175,8 @@ func (se *Session) control(req wire.Request) (wire.Reply, error) {
 // are released when it closes (or here, on failure).
 func (se *Session) open(sql string, prefetch int, release func()) (wire.Reply, error) {
 	s := se.srv
-	if prefetch <= 0 {
+	grow := prefetch <= 0
+	if grow {
 		prefetch = wire.DefaultPrefetch
 	}
 	snap := s.db.Snapshot()
@@ -192,7 +193,7 @@ func (se *Session) open(sql string, prefetch int, release func()) (wire.Reply, e
 	}
 	atomic.AddInt64(&s.queries, 1)
 	atomic.AddInt64(&s.openCursors, 1)
-	cur := &Cursor{se: se, it: it, snap: snap, prefetch: prefetch, release: release}
+	cur := &Cursor{se: se, it: it, snap: snap, prefetch: prefetch, grow: grow, release: release}
 	se.mu.Lock()
 	if se.closed {
 		// The session was collected (reaper, drain) under this request.
@@ -208,14 +209,21 @@ func (se *Session) open(sql string, prefetch int, release func()) (wire.Reply, e
 }
 
 // fetch serves one FETCH from the session's cursor table and records
-// the size of the batch the cursor now keeps replayable.
+// the size of the batch the cursor now keeps replayable. Under a
+// session budget a batch sized by bytes grows to at most half of what
+// the budget has left beside the session's other cursors, so the
+// session's resident batches stay within the budget together.
 func (se *Session) fetch(req wire.Request) (wire.Reply, error) {
 	cur := se.cursor(req.Cursor)
 	if cur == nil {
 		return wire.Reply{}, fmt.Errorf("server: unknown cursor %d", req.Cursor)
 	}
+	limit := int64(fetchBytes)
+	if budget := se.srv.Admission().SessionBudget; budget > 0 {
+		limit = min(limit, (budget-se.resident(cur))/2)
+	}
 	cur.mu.Lock()
-	rep, err := cur.fetch(req.Seq, req.Buf)
+	rep, err := cur.fetch(req.Seq, req.Buf, limit)
 	cur.mu.Unlock()
 	if err == nil && !rep.EOS {
 		se.mu.Lock()
@@ -232,19 +240,25 @@ func (se *Session) cursor(id uint64) *Cursor {
 	return se.cursors[id]
 }
 
+// resident sums the replayable batches of the session's cursors other
+// than skip: the bytes its budget already bills.
+func (se *Session) resident(skip *Cursor) int64 {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	var n int64
+	for _, cur := range se.cursors {
+		if cur != skip {
+			n += cur.mem
+		}
+	}
+	return n
+}
+
 // overBudget enforces the per-session memory budget: the request's
 // payload plus the session's resident cursor batches must fit.
 func (se *Session) overBudget(extra int64) bool {
 	budget := se.srv.Admission().SessionBudget
-	if budget <= 0 {
-		return false
-	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	for _, cur := range se.cursors {
-		extra += cur.mem
-	}
-	return extra > budget
+	return budget > 0 && extra+se.resident(nil) > budget
 }
 
 // Close ends the session: its cursors are closed and its orphaned temp

@@ -75,7 +75,9 @@ type Options struct {
 	Naive bool
 	// Alpha is the EWMA feedback rate; default 0.2.
 	Alpha float64
-	// Prefetch is the wire rows-per-fetch; 0 uses the default.
+	// Prefetch is the wire rows-per-fetch. 0, the default, lets the
+	// server size fetches by bytes (256 rows first, growing toward 64 KiB
+	// a fetch); > 0 pins every fetch to exactly that many rows.
 	Prefetch int
 	// Metrics attaches a telemetry registry to the middleware (see
 	// Middleware.Metrics); nil disables metrics.

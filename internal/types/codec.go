@@ -206,6 +206,10 @@ func uintAt(b []byte, i, w int) uint64 {
 	return 0
 }
 
+// MaxBlockRows is the most rows of the given arity one block holds: a
+// batch of at most this many rows encodes as a single block.
+func MaxBlockRows(arity int) int { return max(1, maxBlockValues/max(arity, 1)) }
+
 // AppendBlock appends one block to dst holding the longest prefix of
 // rows that shares rows[0]'s arity and fits the block's value cap, and
 // returns the extended slice and the prefix's length. A caller with rows
@@ -215,7 +219,7 @@ func AppendBlock(dst []byte, rows []Tuple) ([]byte, int) {
 	n, arity := 0, 0
 	if len(rows) > 0 {
 		arity = len(rows[0])
-		n = min(len(rows), max(1, maxBlockValues/max(arity, 1)))
+		n = min(len(rows), MaxBlockRows(arity))
 		for i := 1; i < n; i++ {
 			if len(rows[i]) != arity {
 				n = i

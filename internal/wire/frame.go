@@ -211,45 +211,68 @@ func DecodeFrame(data []byte) (Frame, int, error) {
 }
 
 // ReadFrame reads one frame from r, reusing buf (grown as needed) for
-// the frame body; the returned payload aliases the returned buffer.
+// the payload; the returned payload aliases the returned buffer.
 // io.EOF is returned untouched at a clean frame boundary so the
 // connection loop can distinguish "peer hung up" from "peer died
 // mid-frame" (ErrFrameTruncated).
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var prefix [framePrefixLen]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = ErrFrameTruncated
-		}
-		return Frame{}, buf, err
+	f, err := ReadFrameInto(r, func(Frame) []byte { return buf })
+	if f.Payload != nil {
+		buf = f.Payload
 	}
-	rest := binary.BigEndian.Uint32(prefix[:])
+	return f, buf, err
+}
+
+// ReadFrameInto is ReadFrame with the payload buffer chosen once the
+// header is known: bufFor sees the frame without its payload and
+// returns the scratch to read the payload into (grown when short), so
+// a reader can land each reply in the buffer its caller supplied.
+func ReadFrameInto(r io.Reader, bufFor func(Frame) []byte) (Frame, error) {
+	var hdr [framePrefixLen + frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:framePrefixLen]); err != nil {
+		if err != io.EOF {
+			err = truncated(err)
+		}
+		return Frame{}, err
+	}
+	rest := binary.BigEndian.Uint32(hdr[:])
 	if rest > MaxFrameSize {
-		return Frame{}, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, rest)
+		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, rest)
 	}
 	if rest < frameHeaderLen {
-		return Frame{}, buf, fmt.Errorf("%w: remainder %d shorter than header", ErrBadFrame, rest)
+		return Frame{}, fmt.Errorf("%w: remainder %d shorter than header", ErrBadFrame, rest)
 	}
-	if cap(buf) < int(rest) {
-		buf = make([]byte, rest)
-	}
-	buf = buf[:rest]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = ErrFrameTruncated
-		}
-		return Frame{}, buf, err
+	if _, err := io.ReadFull(r, hdr[framePrefixLen:]); err != nil {
+		return Frame{}, truncated(err)
 	}
 	f := Frame{
-		Type:    buf[0],
-		Session: binary.BigEndian.Uint32(buf[1:5]),
-		Request: binary.BigEndian.Uint64(buf[5:13]),
-		Payload: buf[13:],
+		Type:    hdr[4],
+		Session: binary.BigEndian.Uint32(hdr[5:9]),
+		Request: binary.BigEndian.Uint64(hdr[9:]),
 	}
 	if f.Type == 0 || f.Type >= msgTypeEnd {
-		return Frame{}, buf, fmt.Errorf("%w: unknown message type %d", ErrBadFrame, f.Type)
+		return Frame{}, fmt.Errorf("%w: unknown message type %d", ErrBadFrame, f.Type)
 	}
-	return f, buf, nil
+	n := int(rest) - frameHeaderLen
+	buf := bufFor(f)
+	if cap(buf) < n {
+		// Slack, so a stream of slightly growing payloads does not
+		// reallocate on every frame.
+		buf = make([]byte, n, n+n/4)
+	}
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
+		return Frame{}, truncated(err)
+	}
+	f.Payload = buf[:n]
+	return f, nil
+}
+
+// truncated maps an end of input inside a frame to ErrFrameTruncated.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrFrameTruncated
+	}
+	return err
 }
 
 // AppendHello appends the MsgHello payload: magic + version.

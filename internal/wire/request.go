@@ -17,6 +17,8 @@
 //
 //	MsgExec          name = SQL text                      → Reply.N rows affected
 //	MsgQuery         name = SQL text, n = rows per fetch  → Reply.Cursor, Reply.Schema
+//	                 (0 = sized by bytes: DefaultPrefetch
+//	                 rows first, growing toward 64 KiB)
 //	MsgFetch         cursor, seq = 1-based batch number   → Reply.Body batch, or Reply.EOS
 //	                 (0 = the next one)
 //	MsgCloseCursor   cursor                               → empty reply

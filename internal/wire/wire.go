@@ -15,7 +15,10 @@ import (
 	"tango/internal/types"
 )
 
-// DefaultPrefetch is the default number of rows per fetch batch.
+// DefaultPrefetch is the row count of a cursor's first fetch when the
+// client leaves the fetch size unset (0): the server then sizes each
+// later fetch by bytes, doubling the rows toward 64 KiB a fetch. A
+// client that sets a row count > 0 gets exactly that many per fetch.
 const DefaultPrefetch = 256
 
 // bufPool recycles encode scratch buffers across batches. Steady-state
