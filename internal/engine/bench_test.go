@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"tango/internal/rel"
 	"tango/internal/types"
 )
 
@@ -72,19 +74,58 @@ func addEmployee(tb testing.TB, db *DB, n int) {
 // a 12k-row POSITION: COUNT(*), which decodes no column; a filter
 // reading three of its eight columns; and a hash join with a 4k-row
 // EMPLOYEE reading two columns of one side and three of the other.
+//
+// The range-sel sweep reads a range of the indexed PosID (uniform over
+// 0..2000, in no key order) at selectivities 0.1 %, 1 %, 5 % and 46 %,
+// each by three paths on the same data: "index", the index range scan
+// planned before ANALYZE; "heap", the heap scan and filter (the range
+// written so that no index answers it); and "chosen", the path the
+// planner takes from ANALYZE's statistics. Where the chosen path is
+// slow, the cost formula's crossover is in the wrong place.
 func BenchmarkEngineScan(b *testing.B) {
 	const n = 12000
 	db := positionDB(b, n)
 	addEmployee(b, db, 4000)
-	for _, bc := range []struct{ name, sql string }{
-		{"count", "SELECT COUNT(*) FROM POSITION"},
-		{"filter", "SELECT PosID, EmpName FROM POSITION WHERE PayRate > 30"},
-		{"join", "SELECT P.PosID, E.EmpName, E.Addr FROM POSITION P, EMPLOYEE E WHERE P.EmpID = E.EmpID"},
+	if _, err := db.Exec("CREATE INDEX pos_posid ON POSITION (PosID)"); err != nil {
+		b.Fatal(err)
+	}
+	unanalyzed := db.Snapshot()
+	defer unanalyzed.Release()
+	if _, err := db.Exec("ANALYZE POSITION HISTOGRAM 10"); err != nil {
+		b.Fatal(err)
+	}
+	query := func(sql string) func() (*rel.Relation, error) {
+		return func() (*rel.Relation, error) { return db.QueryAll(sql) }
+	}
+	type benchCase struct {
+		name string
+		run  func() (*rel.Relation, error)
+	}
+	cases := []benchCase{
+		{"count", query("SELECT COUNT(*) FROM POSITION")},
+		{"filter", query("SELECT PosID, EmpName FROM POSITION WHERE PayRate > 30")},
+		{"join", query("SELECT P.PosID, E.EmpName, E.Addr FROM POSITION P, EMPLOYEE E WHERE P.EmpID = E.EmpID")},
+	}
+	for _, r := range []struct{ sel, pred string }{
+		{"0.001", "PosID < 2"}, {"0.01", "PosID < 20"}, {"0.05", "PosID < 100"}, {"0.46", "PosID > 1080"},
 	} {
+		sql := "SELECT PosID, EmpName FROM POSITION WHERE " + r.pred
+		cases = append(cases,
+			benchCase{"range-sel=" + r.sel + "/index", func() (*rel.Relation, error) {
+				it, err := unanalyzed.Query(sql)
+				if err != nil {
+					return nil, err
+				}
+				return rel.Drain(it)
+			}},
+			benchCase{"range-sel=" + r.sel + "/heap", query(strings.Replace(sql, "PosID ", "PosID + 0 ", 1))},
+			benchCase{"range-sel=" + r.sel + "/chosen", query(sql)})
+	}
+	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryAll(bc.sql); err != nil {
+				if _, err := bc.run(); err != nil {
 					b.Fatal(err)
 				}
 			}

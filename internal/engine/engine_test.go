@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"tango/internal/rel"
@@ -307,10 +309,7 @@ func TestIndexRangeScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Exec("CREATE INDEX tk ON T (K)"); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []struct {
+	queries := []struct {
 		sql  string
 		want int
 	}{
@@ -321,12 +320,87 @@ func TestIndexRangeScan(t *testing.T) {
 		{"SELECT K FROM T WHERE K >= 489", 11},
 		{"SELECT K FROM T WHERE 489 < K", 10},
 		{"SELECT K FROM T WHERE K > 100 AND K < 103", 2},
-	} {
-		r := queryAll(t, db, q.sql)
-		if r.Cardinality() != q.want {
-			t.Errorf("%s: %d rows, want %d", q.sql, r.Cardinality(), q.want)
+		{"SELECT K FROM T WHERE K > 10 AND K < 400", 389},
+		// A comparison with NULL holds for no row; as an index bound
+		// NULL would mean "unbounded".
+		{"SELECT K FROM T WHERE K = NULL", 0},
+		{"SELECT K FROM T WHERE K <= NULL", 0},
+		{"SELECT K FROM T WHERE K >= NULL", 0},
+		{"SELECT K FROM T WHERE NULL >= K", 0},
+	}
+	// Each query returns the same multiset without the index, through it
+	// by rule (no statistics), and by the path ANALYZE's statistics pick.
+	var first []*rel.Relation
+	for _, step := range []string{"", "CREATE INDEX tk ON T (K)", "ANALYZE T"} {
+		if step != "" {
+			if _, err := db.Exec(step); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, q := range queries {
+			r := queryAll(t, db, q.sql)
+			if r.Cardinality() != q.want {
+				t.Errorf("after %q: %s: %d rows, want %d", step, q.sql, r.Cardinality(), q.want)
+			}
+			if len(first) <= i {
+				first = append(first, r)
+			} else if !rel.EqualAsMultisets(first[i], r) {
+				t.Errorf("after %q: %s: rows differ from the unindexed scan's", step, q.sql)
+			}
 		}
 	}
+}
+
+// TestAccessPathByCost: after ANALYZE the planner reads a table by the
+// cheaper of a heap scan (its pages) and an index range scan (the
+// range's selectivity times the clustering factor); without statistics
+// for the index it keeps the rule that any indexed range is an index
+// scan.
+func TestAccessPathByCost(t *testing.T) {
+	// POSITION's PosIDs are Zipf-skewed over 0..1000 and stored in no
+	// key order: PosID < 5 holds for most rows, though min/max
+	// interpolation would call it 0.5 %.
+	db := Open(Config{})
+	if _, err := db.Exec("CREATE TABLE POSITION (PosID INTEGER, EmpID INTEGER, EmpName VARCHAR(40), Title VARCHAR(60))"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.2, 1, 1000)
+	rows := make([]types.Tuple, 6000)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(zipf.Uint64())), types.Int(rng.Int63n(4000)),
+			types.Str(fmt.Sprintf("Employee %d", rng.Intn(4000))), types.Str(strings.Repeat("t", 40))}
+	}
+	rows[0][0] = types.Int(1000) // pin the maximum
+	if err := db.BulkLoad("POSITION", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("CREATE INDEX pos_posid ON POSITION (PosID)"); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		unselective = "SELECT PosID, EmpName FROM POSITION WHERE PosID < 5"
+		selective   = "SELECT PosID, EmpName FROM POSITION WHERE PosID = 700"
+		empID       = "SELECT PosID, EmpName FROM POSITION WHERE EmpID > 20"
+	)
+	check := func(when, sql, want string) {
+		t.Helper()
+		if got := accessPaths(t, db, sql); !slices.Equal(got, []string{want}) {
+			t.Errorf("%s: %s reads by %v, want [%s]", when, sql, got, want)
+		}
+	}
+	check("before ANALYZE", unselective, "index")
+	check("before ANALYZE", selective, "index")
+	if _, err := db.Exec("ANALYZE POSITION HISTOGRAM 20"); err != nil {
+		t.Fatal(err)
+	}
+	check("after ANALYZE", unselective, "heap")
+	check("after ANALYZE", selective, "index")
+	if _, err := db.Exec("CREATE INDEX pos_empid ON POSITION (EmpID)"); err != nil {
+		t.Fatal(err)
+	}
+	check("index created after ANALYZE", empID, "index")
+	check("index created after ANALYZE", unselective, "heap")
 }
 
 func TestAnalyzeStatistics(t *testing.T) {

@@ -121,17 +121,31 @@ func (s *indexScan) Open() error {
 	return nil
 }
 
+// NextBatch fetches the next entries' rows in key order, visiting a
+// heap page once for each run of entries on it — the page changes the
+// clustering factor counts.
 func (s *indexScan) NextBatch(dst []types.Tuple) (int, error) {
 	n := 0
-	for ; n < len(dst) && s.pos < len(s.rids); n++ {
-		t, err := s.table.Heap.Get(s.rids[s.pos], s.cols)
+	for n < len(dst) && s.pos < len(s.rids) {
+		run := samePage(s.rids[s.pos:min(len(s.rids), s.pos+len(dst)-n)])
+		rows, err := s.table.Heap.Get(run, s.cols, dst[n:n])
 		if err != nil {
 			return 0, err
 		}
-		dst[n] = t
-		s.pos++
+		n += len(rows)
+		s.pos += len(run)
 	}
 	return n, nil
+}
+
+// samePage returns the leading run of rids on rids[0]'s page.
+func samePage(rids []storage.RecordID) []storage.RecordID {
+	for i := 1; i < len(rids); i++ {
+		if rids[i].Page != rids[0].Page {
+			return rids[:i]
+		}
+	}
+	return rids
 }
 
 func (s *indexScan) Close() error { s.rids = nil; return nil }
@@ -395,15 +409,13 @@ func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 			}
 			j.matches = j.matches[:0]
 			if !key.IsNull() {
-				for _, rid := range idx.Lookup(key) {
-					if !inner.visible(rid) {
-						continue
-					}
-					it, err := inner.Heap.Get(rid, j.inner.cols)
-					if err != nil {
+				rids := slices.DeleteFunc(idx.Lookup(key), func(rid storage.RecordID) bool { return !inner.visible(rid) })
+				for len(rids) > 0 {
+					run := samePage(rids)
+					if j.matches, err = inner.Heap.Get(run, j.inner.cols, j.matches); err != nil {
 						return nil, false, err
 					}
-					j.matches = append(j.matches, it)
+					rids = rids[len(run):]
 				}
 			}
 			j.mi = 0

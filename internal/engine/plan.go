@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tango/internal/meta"
 	"tango/internal/rel"
 	"tango/internal/sqlast"
 	"tango/internal/telemetry"
@@ -445,11 +446,11 @@ func resolvesElsewhere(e sqlast.Expr, sources []rel.Iterator, self int) bool {
 }
 
 // applySelection applies predicates to a source, using an index range
-// scan when the source is a plain table scan and a predicate compares
-// an indexed column with a literal.
+// scan when the source is a plain table scan and accessPath prefers
+// one.
 func (db *DB) applySelection(src rel.Iterator, preds []sqlast.Expr) (rel.Iterator, error) {
 	if hs, ok := asHeapScan(src); ok {
-		if it, rest, ok2 := tryIndexScan(hs, preds); ok2 {
+		if it, rest, ok2 := accessPath(hs, preds); ok2 {
 			preds = rest
 			src = db.instrument("indexscan("+hs.table.Name+")", it)
 		}
@@ -464,60 +465,130 @@ func (db *DB) applySelection(src rel.Iterator, preds []sqlast.Expr) (rel.Iterato
 	return db.instrument("filter", newFilter(src, pred), src), nil
 }
 
-// tryIndexScan converts one "col op literal" predicate on an indexed
-// column into an index range scan, returning the remaining predicates.
-func tryIndexScan(hs *heapScan, preds []sqlast.Expr) (rel.Iterator, []sqlast.Expr, bool) {
+// indexRange is a conjunct "indexed column op literal" that an index
+// range scan can answer, with the column on the left of op.
+type indexRange struct {
+	pred int // its position among the conjuncts
+	col  string
+	op   sqlast.BinaryOp
+	lit  types.Value
+}
+
+// indexRanges gathers, in order, every conjunct an index range scan on
+// t can answer. A NULL literal is never one: "K = NULL" holds for no
+// row, while a NULL range bound would mean "unbounded".
+func indexRanges(t *Table, preds []sqlast.Expr) []indexRange {
+	var out []indexRange
 	for i, p := range preds {
 		b, ok := p.(sqlast.BinaryExpr)
 		if !ok {
 			continue
 		}
-		cr, okL := b.Left.(sqlast.ColumnRef)
-		lit, okR := b.Right.(sqlast.Literal)
+		cr, okC := b.Left.(sqlast.ColumnRef)
+		lit, okL := b.Right.(sqlast.Literal)
 		op := b.Op
-		if !okL || !okR {
-			// literal op col form
-			if lit2, okL2 := b.Left.(sqlast.Literal); okL2 {
-				if cr2, okR2 := b.Right.(sqlast.ColumnRef); okR2 {
-					cr, lit = cr2, lit2
-					op = flipOp(b.Op)
-					okL, okR = true, true
-				}
-			}
+		if !okC || !okL {
+			// literal op col
+			cr, okC = b.Right.(sqlast.ColumnRef)
+			lit, okL = b.Left.(sqlast.Literal)
+			op = flipOp(b.Op)
 		}
-		if !okL || !okR {
+		if !okC || !okL || lit.Value.IsNull() || t.Index(cr.Name) == nil {
 			continue
 		}
-		if hs.table.Index(cr.Name) == nil {
-			continue
-		}
-		var lo, hi types.Value
-		hiIncl := true
 		switch op {
-		case sqlast.OpEq:
-			lo, hi = lit.Value, lit.Value
-		case sqlast.OpLt:
-			hi, hiIncl = lit.Value, false
-		case sqlast.OpLe:
-			hi = lit.Value
-		case sqlast.OpGt:
-			// Exclusive lower bound is approximated by keeping the
-			// predicate as a residual filter over an inclusive scan.
-			lo = lit.Value
-		case sqlast.OpGe:
-			lo = lit.Value
-		default:
-			continue
+		case sqlast.OpEq, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
+			out = append(out, indexRange{pred: i, col: cr.Name, op: op, lit: lit.Value})
 		}
-		rest := make([]sqlast.Expr, 0, len(preds)-1)
-		rest = append(rest, preds[:i]...)
-		rest = append(rest, preds[i+1:]...)
-		if op == sqlast.OpGt {
-			rest = append(rest, p) // residual for exclusivity
-		}
-		return newIndexScan(hs.tableRead, cr.Name, lo, hi, hiIncl), rest, true
 	}
-	return nil, preds, false
+	return out
+}
+
+// rowsPerVisit is how many rows a scan decodes in the time one heap
+// page visit takes (pin, latch, block header). Access paths are costed
+// in page visits plus rows decoded over rowsPerVisit: a heap scan
+// visits every page and decodes every row, an index range scan visits
+// a page per clustering-factor step in its range and decodes only the
+// range's rows. BenchmarkEngineScan's range-sel sweep measures where
+// the two paths cross; this value puts the estimate there.
+const rowsPerVisit = 8
+
+// cost estimates an index range scan for r: the range's selectivity
+// times the page changes of a walk over the whole index (the column's
+// clustering factor) and the table's rows, from ANALYZE statistics; ok
+// is false without them (never analyzed, or indexed since).
+func (r indexRange) cost(ts *meta.TableStats) (cost float64, ok bool) {
+	cs := ts.Column(r.col)
+	if cs == nil || !cs.HasIndex {
+		return 0, false
+	}
+	var sel float64
+	switch r.op {
+	case sqlast.OpEq:
+		sel = 1 / float64(max(cs.Distinct, 1))
+	case sqlast.OpLt, sqlast.OpLe:
+		sel = cs.FractionBelow(r.lit.AsFloat())
+	default: // OpGt, OpGe
+		sel = 1 - cs.FractionBelow(r.lit.AsFloat())
+	}
+	return sel * (float64(cs.ClusteringFactor) + float64(ts.Cardinality)/rowsPerVisit), true
+}
+
+// scan returns the index range scan for r over hs's table and the
+// conjuncts left to filter.
+func (r indexRange) scan(hs *heapScan, preds []sqlast.Expr) (rel.Iterator, []sqlast.Expr) {
+	var lo, hi types.Value
+	hiIncl := true
+	switch r.op {
+	case sqlast.OpEq:
+		lo, hi = r.lit, r.lit
+	case sqlast.OpLt:
+		hi, hiIncl = r.lit, false
+	case sqlast.OpLe:
+		hi = r.lit
+	default: // OpGt, OpGe
+		lo = r.lit
+	}
+	rest := make([]sqlast.Expr, 0, len(preds))
+	rest = append(rest, preds[:r.pred]...)
+	rest = append(rest, preds[r.pred+1:]...)
+	if r.op == sqlast.OpGt {
+		// The scan's lower bound is inclusive; the conjunct stays as a
+		// residual filter for exclusivity.
+		rest = append(rest, preds[r.pred])
+	}
+	return newIndexScan(hs.tableRead, r.col, lo, hi, hiIncl), rest
+}
+
+// accessPath chooses how hs's table is read under the conjuncts preds:
+// by the heap scan itself (ok false) or by an index range scan on one
+// conjunct, returned with the conjuncts left to filter. With statistics
+// for every candidate conjunct the cheapest path wins: a heap scan
+// costs the version's pages and its rows (see rowsPerVisit), an index
+// range scan its indexRange.cost. Without them the planner keeps its
+// rule-based choice, the first candidate.
+func accessPath(hs *heapScan, preds []sqlast.Expr) (rel.Iterator, []sqlast.Expr, bool) {
+	cands := indexRanges(hs.table, preds)
+	ts := hs.table.Stats
+	pick, cheapest := -1, 0.0
+	if ts != nil {
+		cheapest = float64(hs.table.pages) + float64(ts.Cardinality)/rowsPerVisit
+	}
+	for i, r := range cands {
+		cost, ok := r.cost(ts)
+		if !ok {
+			pick = 0
+			break
+		}
+		if cost < cheapest {
+			pick, cheapest = i, cost
+		}
+	}
+	if pick < 0 {
+		return nil, preds, false
+	}
+	it, rest := cands[pick].scan(hs, preds)
+	return it, rest, true
 }
 
 func flipOp(op sqlast.BinaryOp) sqlast.BinaryOp {

@@ -161,9 +161,39 @@ func digest(r *rel.Relation) string {
 }
 
 // planWidths plans sql and lists the width of every table read in the
-// plan, depth first, inputs in field order. It finds them by type,
-// following only fields that hold iterators.
+// plan, depth first, inputs in field order.
 func planWidths(t *testing.T, db *DB, sql string) []int {
+	t.Helper()
+	readType := reflect.TypeOf(tableRead{})
+	var widths []int
+	walkPlan(t, db, sql, func(v reflect.Value) {
+		if v.Type() == readType {
+			widths = append(widths, v.FieldByName("schema").FieldByName("Cols").Len())
+		}
+	})
+	return widths
+}
+
+// accessPaths plans sql and lists how each base table in the plan is
+// read, "heap" or "index", depth first, inputs in field order.
+func accessPaths(t *testing.T, db *DB, sql string) []string {
+	t.Helper()
+	var paths []string
+	walkPlan(t, db, sql, func(v reflect.Value) {
+		switch v.Type() {
+		case reflect.TypeOf(heapScan{}):
+			paths = append(paths, "heap")
+		case reflect.TypeOf(indexScan{}):
+			paths = append(paths, "index")
+		}
+	})
+	return paths
+}
+
+// walkPlan plans sql against the current version and calls visit on
+// every struct in the plan, depth first, inputs in field order,
+// following only fields that hold iterators or table reads.
+func walkPlan(t *testing.T, db *DB, sql string, visit func(reflect.Value)) {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
@@ -177,7 +207,6 @@ func planWidths(t *testing.T, db *DB, sql string) []int {
 	}
 	defer it.Close()
 	var (
-		widths     []int
 		readType   = reflect.TypeOf(tableRead{})
 		iterType   = reflect.TypeOf((*rel.Iterator)(nil)).Elem()
 		inputType  = reflect.TypeOf(rel.Input{})
@@ -185,14 +214,13 @@ func planWidths(t *testing.T, db *DB, sql string) []int {
 	)
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
-		switch {
-		case v.Type() == readType:
-			widths = append(widths, v.FieldByName("schema").FieldByName("Cols").Len())
-		case v.Kind() == reflect.Interface || v.Kind() == reflect.Pointer:
+		switch v.Kind() {
+		case reflect.Interface, reflect.Pointer:
 			if !v.IsNil() {
 				walk(v.Elem())
 			}
-		case v.Kind() == reflect.Struct:
+		case reflect.Struct:
+			visit(v)
 			for i := 0; i < v.NumField(); i++ {
 				f := v.Field(i)
 				if ft := f.Type(); ft == readType || ft == inputType || ft == readerType || ft.Implements(iterType) {
@@ -202,5 +230,4 @@ func planWidths(t *testing.T, db *DB, sql string) []int {
 		}
 	}
 	walk(reflect.ValueOf(it))
-	return widths
 }

@@ -37,6 +37,28 @@ type ColumnStats struct {
 	ClusteringFactor int64
 }
 
+// FractionBelow estimates the fraction of the column's values strictly
+// below a: from the histogram when there is one, else by linear
+// interpolation between Min and Max, and a third when neither is known.
+// It is the one range-selectivity helper: the middleware's estimator
+// and the DBMS's access-path choice both call it.
+func (c *ColumnStats) FractionBelow(a float64) float64 {
+	if c.Histogram != nil {
+		return c.Histogram.FractionBelow(a)
+	}
+	if c.Min.IsNull() || c.Max.IsNull() {
+		return 1.0 / 3
+	}
+	lo, hi := c.Min.AsFloat(), c.Max.AsFloat()
+	if a <= lo {
+		return 0
+	}
+	if a > hi || hi == lo {
+		return 1
+	}
+	return (a - lo) / (hi - lo)
+}
+
 // Size returns cardinality × average tuple size — the paper's size(r)
 // used throughout the cost formulas.
 func (s *TableStats) Size() float64 {

@@ -504,7 +504,7 @@ func (e *Estimator) simpleSelectivity(c sqlast.Expr, in *RelStats) float64 {
 		if cr, okC := bt.Expr.(sqlast.ColumnRef); okC && okLo && okHi {
 			cs := in.Col(cr.String())
 			if cs != nil {
-				s := fractionBelow(hi+1, cs, in.Card)/in.Card - fractionBelow(lo, cs, in.Card)/in.Card
+				s := cs.FractionBelow(hi+1) - cs.FractionBelow(lo)
 				if bt.Not {
 					s = 1 - s
 				}
@@ -533,13 +533,13 @@ func (e *Estimator) simpleSelectivity(c sqlast.Expr, in *RelStats) float64 {
 		}
 		return 0.99
 	case sqlast.OpLt:
-		return clampSel(fractionBelow(val, cs, in.Card) / in.Card)
+		return clampSel(cs.FractionBelow(val))
 	case sqlast.OpLe:
-		return clampSel(fractionBelow(val+1, cs, in.Card) / in.Card)
+		return clampSel(cs.FractionBelow(val + 1))
 	case sqlast.OpGt:
-		return clampSel(1 - fractionBelow(val+1, cs, in.Card)/in.Card)
+		return clampSel(1 - cs.FractionBelow(val+1))
 	case sqlast.OpGe:
-		return clampSel(1 - fractionBelow(val, cs, in.Card)/in.Card)
+		return clampSel(1 - cs.FractionBelow(val))
 	}
 	return defaultSel(c)
 }
@@ -563,31 +563,11 @@ func defaultSel(e sqlast.Expr) float64 {
 // StartBefore implements the paper's StartBefore(A, r): the number of
 // tuples whose T1 is strictly before A.
 func StartBefore(a float64, t1 *meta.ColumnStats, card float64) float64 {
-	return fractionBelow(a, t1, card)
+	return t1.FractionBelow(a) * card
 }
 
 // EndBefore implements the paper's EndBefore(A, r): the number of
 // tuples whose T2 is strictly before A.
 func EndBefore(a float64, t2 *meta.ColumnStats, card float64) float64 {
-	return fractionBelow(a, t2, card)
-}
-
-// fractionBelow returns the estimated COUNT of values strictly below a
-// (not the fraction — it is scaled by card), using a histogram when
-// available and the uniform min/max interpolation otherwise.
-func fractionBelow(a float64, cs *meta.ColumnStats, card float64) float64 {
-	if cs.Histogram != nil {
-		return cs.Histogram.FractionBelow(a) * card
-	}
-	if cs.Min.IsNull() || cs.Max.IsNull() {
-		return card / 3
-	}
-	lo, hi := cs.Min.AsFloat(), cs.Max.AsFloat()
-	if a <= lo {
-		return 0
-	}
-	if a > hi || hi == lo {
-		return card
-	}
-	return (a - lo) / (hi - lo) * card
+	return t2.FractionBelow(a) * card
 }

@@ -161,9 +161,9 @@ func TestHistogramSharpensSkewedEstimate(t *testing.T) {
 	actual := 0.1 // 10% start before 8000
 
 	csNoHist := &meta.ColumnStats{Name: "T1", Min: types.Int(0), Max: types.Int(11000), Distinct: 5000}
-	uniformEst := fractionBelow(cutoff, csNoHist, 10000) / 10000
+	uniformEst := csNoHist.FractionBelow(cutoff)
 	csHist := &meta.ColumnStats{Name: "T1", Min: types.Int(0), Max: types.Int(11000), Distinct: 5000, Histogram: hist}
-	histEst := fractionBelow(cutoff, csHist, 10000) / 10000
+	histEst := csHist.FractionBelow(cutoff)
 
 	if histErr, uniErr := abs(histEst-actual), abs(uniformEst-actual); histErr > uniErr/3 {
 		t.Errorf("histogram estimate %.3f should beat uniform %.3f (actual %.3f)",

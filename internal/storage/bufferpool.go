@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -29,7 +28,11 @@ type BufferPool struct {
 	mu     sync.Mutex //tango:lock-order bufferpool latch
 	ioDone *sync.Cond // signaled when a loading or evicting frame settles
 	frames map[PageID]*frame
-	lru    *list.List // of *frame, most-recent at front
+	lru    frameList // the frames of the table, most recent at front
+	// free holds frames that cache no page, for the next miss, new page
+	// or write-back image to reuse: a frame is over 8 KiB, and a scan of
+	// a heap larger than the pool used to allocate one per page.
+	free []*frame
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -40,7 +43,9 @@ type frame struct {
 	pid  PageID
 	page Page
 	pins int
-	elem *list.Element
+	// prev and next link the frame into BufferPool.lru while it is in
+	// the frame table; guarded by BufferPool.mu.
+	prev, next *frame
 	// loading marks a frame whose page image is being read from disk;
 	// evicting marks one whose image is being written back. Either
 	// state keeps the frame out of eviction, and loading additionally
@@ -55,6 +60,41 @@ type frame struct {
 	latch sync.RWMutex //tango:lock-order frame latch
 }
 
+// frameList is the LRU order, linked through the frames themselves so
+// that inserting, touching and removing a frame allocates nothing.
+type frameList struct{ front, back *frame }
+
+func (l *frameList) pushFront(f *frame) {
+	f.prev, f.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = f
+	} else {
+		l.back = f
+	}
+	l.front = f
+}
+
+func (l *frameList) remove(f *frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.front = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.back = f.prev
+	}
+	f.prev, f.next = nil, nil
+}
+
+func (l *frameList) moveToFront(f *frame) {
+	if l.front != f {
+		l.remove(f)
+		l.pushFront(f)
+	}
+}
+
 // The pool latch and the per-frame content latch are never held
 // together, but the declared order pins the hierarchy: frame latches
 // live below the pool in the tree.
@@ -62,68 +102,55 @@ type frame struct {
 //tango:lock-order bufferpool < frame
 
 // PageRef is a pinned, content-latched page handle returned by
-// FetchShared/FetchExclusive; Release drops the latch and the pin.
+// FetchShared/FetchExclusive; Release drops the latch and the pin. It
+// is a value, so a fetch allocates nothing.
 type PageRef struct {
 	bp   *BufferPool
-	f    *frame // nil if the frame vanished between pin and latch
-	pid  PageID
+	f    *frame // nil once released
 	excl bool
 }
 
 // FetchShared pins the page and takes its content latch in shared
 // mode, blocking only if a writer holds the page exclusively. Any
-// disk read happens inside Fetch, before the latch is touched.
-func (bp *BufferPool) FetchShared(pid PageID) (*Page, *PageRef, error) {
-	p, f, err := bp.fetchFrame(pid)
+// disk read happens inside the fetch, before the latch is touched.
+func (bp *BufferPool) FetchShared(pid PageID) (*Page, PageRef, error) {
+	f, err := bp.fetch(pid)
 	if err != nil {
-		return nil, nil, err
+		return nil, PageRef{}, err
 	}
-	if f != nil {
-		f.latch.RLock()
-	}
-	return p, &PageRef{bp: bp, f: f, pid: pid, excl: false}, nil
+	f.latch.RLock()
+	return &f.page, PageRef{bp: bp, f: f}, nil
 }
 
 // FetchExclusive pins the page and takes its content latch in
 // exclusive mode, for in-place mutation of a published page.
-func (bp *BufferPool) FetchExclusive(pid PageID) (*Page, *PageRef, error) {
-	p, f, err := bp.fetchFrame(pid)
+func (bp *BufferPool) FetchExclusive(pid PageID) (*Page, PageRef, error) {
+	f, err := bp.fetch(pid)
 	if err != nil {
-		return nil, nil, err
+		return nil, PageRef{}, err
 	}
-	if f != nil {
-		f.latch.Lock()
-	}
-	return p, &PageRef{bp: bp, f: f, pid: pid, excl: true}, nil
+	f.latch.Lock()
+	return &f.page, PageRef{bp: bp, f: f, excl: true}, nil
 }
 
-// fetchFrame pins the page and looks up its frame for latching. The
-// pool latch is released before the caller touches the content latch
-// (bufferpool < frame, never nested the other way). A nil frame means
-// the entry vanished between pin and lookup; the caller skips the
-// latch — the pin alone keeps the page stable.
-func (bp *BufferPool) fetchFrame(pid PageID) (*Page, *frame, error) {
-	p, err := bp.Fetch(pid)
-	if err != nil {
-		return nil, nil, err
-	}
-	bp.mu.Lock()
-	f := bp.frames[pid]
-	bp.mu.Unlock()
-	return p, f, nil
-}
-
-// Release drops the content latch, then the pin.
+// Release drops the content latch, then the pin — of the frame itself,
+// which stays valid while pinned even if Invalidate has dropped it from
+// the table.
 func (r *PageRef) Release() {
-	if r.f != nil {
-		if r.excl {
-			r.f.latch.Unlock()
-		} else {
-			r.f.latch.RUnlock()
-		}
-		r.f = nil
+	if r.f == nil {
+		return
 	}
-	r.bp.Unpin(r.pid)
+	if r.excl {
+		r.f.latch.Unlock()
+	} else {
+		r.f.latch.RUnlock()
+	}
+	r.bp.mu.Lock()
+	if r.f.pins > 0 {
+		r.f.pins--
+	}
+	r.bp.mu.Unlock()
+	r.f = nil
 }
 
 // NewBufferPool creates a pool of the given capacity (in pages) over
@@ -136,7 +163,6 @@ func NewBufferPool(disk Store, capacity int) *BufferPool {
 		disk:     disk,
 		capacity: capacity,
 		frames:   map[PageID]*frame{},
-		lru:      list.New(),
 	}
 	bp.ioDone = sync.NewCond(&bp.mu)
 	return bp
@@ -144,6 +170,15 @@ func NewBufferPool(disk Store, capacity int) *BufferPool {
 
 // Fetch pins and returns the page; it is read from disk on a miss.
 func (bp *BufferPool) Fetch(pid PageID) (*Page, error) {
+	f, err := bp.fetch(pid)
+	if err != nil {
+		return nil, err
+	}
+	return &f.page, nil
+}
+
+// fetch pins the page's frame, reading the page on a miss.
+func (bp *BufferPool) fetch(pid PageID) (*frame, error) {
 	bp.mu.Lock()
 	for {
 		f, ok := bp.frames[pid]
@@ -157,10 +192,10 @@ func (bp *BufferPool) Fetch(pid PageID) (*Page, error) {
 			continue
 		}
 		f.pins++
-		bp.lru.MoveToFront(f.elem)
+		bp.lru.moveToFront(f)
 		bp.mu.Unlock()
 		bp.hits.Add(1)
-		return &f.page, nil
+		return f, nil
 	}
 	// Miss: reserve a loading placeholder first so concurrent fetchers
 	// of this page wait on it, make room, then read with the latch
@@ -169,7 +204,7 @@ func (bp *BufferPool) Fetch(pid PageID) (*Page, error) {
 	f := bp.insertFrame(pid)
 	f.loading = true
 	if err := bp.evictToCapacity(); err != nil {
-		bp.freeFrame(f)
+		bp.dropFrame(f)
 		bp.ioDone.Broadcast()
 		bp.mu.Unlock()
 		return nil, err
@@ -182,13 +217,13 @@ func (bp *BufferPool) Fetch(pid PageID) (*Page, error) {
 	f.loading = false
 	bp.ioDone.Broadcast()
 	if readErr != nil {
-		bp.freeFrame(f)
+		bp.dropFrame(f)
 		bp.mu.Unlock()
 		return nil, readErr
 	}
 	f.pins = 1
 	bp.mu.Unlock()
-	return &f.page, nil
+	return f, nil
 }
 
 // NewPage appends a fresh page to the file, pins it, and returns it.
@@ -203,27 +238,47 @@ func (bp *BufferPool) NewPage(file FileID) (PageID, *Page, error) {
 	f := bp.insertFrame(pid)
 	f.pins = 1 // pin immediately so eviction cannot pick the new frame
 	if err := bp.evictToCapacity(); err != nil {
-		bp.freeFrame(f)
+		bp.dropFrame(f)
 		bp.ioDone.Broadcast()
 		return PageID{}, nil, err
 	}
-	f.page.dirty = true // a fresh frame's zero page is an empty block
+	clear(f.page.buf[:]) // a zero page is an empty block
+	f.page.dirty = true
 	return pid, &f.page, nil
+}
+
+// spare returns a frame that caches no page: a recycled one, or a new
+// one. Its page bytes are whatever it last held. Caller holds mu.
+func (bp *BufferPool) spare() *frame {
+	n := len(bp.free)
+	if n == 0 {
+		return &frame{}
+	}
+	f := bp.free[n-1]
+	bp.free[n-1] = nil
+	bp.free = bp.free[:n-1]
+	f.pins, f.loading, f.evicting = 0, false, false
+	return f
 }
 
 // insertFrame adds a frame for pid at the front of the LRU; caller
 // holds mu. The pool may transiently exceed capacity until
 // evictToCapacity runs.
 func (bp *BufferPool) insertFrame(pid PageID) *frame {
-	f := &frame{pid: pid}
-	f.elem = bp.lru.PushFront(f)
+	f := bp.spare()
+	f.pid = pid
+	bp.lru.pushFront(f)
 	bp.frames[pid] = f
 	return f
 }
 
-func (bp *BufferPool) freeFrame(f *frame) {
-	bp.lru.Remove(f.elem)
-	delete(bp.frames, f.pid)
+// dropFrame removes f from the frame table and the LRU, unless
+// Invalidate already has; caller holds mu.
+func (bp *BufferPool) dropFrame(f *frame) {
+	if bp.frames[f.pid] == f {
+		bp.lru.remove(f)
+		delete(bp.frames, f.pid)
+	}
 }
 
 // evictToCapacity evicts unpinned frames until the pool fits; caller
@@ -238,15 +293,15 @@ func (bp *BufferPool) evictToCapacity() error {
 	return nil
 }
 
-// evictOne removes the least recently used unpinned frame; caller
-// holds mu. A dirty victim is fenced with evicting and written back
-// with the latch released; a failed write-back keeps the frame dirty
-// and resident — the same no-data-loss contract as the old
-// latch-holding protocol, without the I/O under the latch.
+// evictOne removes the least recently used unpinned frame and keeps it
+// for reuse; caller holds mu. A dirty victim is fenced with evicting
+// and its image written back from a spare frame with the latch
+// released; a failed write-back keeps the frame dirty and resident —
+// the same no-data-loss contract as the old latch-holding protocol,
+// without the I/O under the latch.
 func (bp *BufferPool) evictOne() error {
 	var victim *frame
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*frame)
+	for f := bp.lru.back; f != nil; f = f.prev {
 		if f.pins > 0 || f.loading || f.evicting {
 			continue
 		}
@@ -257,21 +312,24 @@ func (bp *BufferPool) evictOne() error {
 		return fmt.Errorf("storage: buffer pool exhausted (all %d pages pinned)", bp.capacity)
 	}
 	if !victim.page.dirty {
-		bp.freeFrame(victim)
+		bp.dropFrame(victim)
+		bp.free = append(bp.free, victim)
 		bp.evictions.Add(1)
 		return nil
 	}
 
 	victim.evicting = true
-	img := victim.page
+	img := bp.spare()
+	img.page = victim.page
 	// Clear the bit with the image copy in the same latch hold: any
 	// mutation during the write re-marks the page dirty rather than
 	// being clobbered afterwards.
 	victim.page.dirty = false
 	pid := victim.pid
 	bp.mu.Unlock()
-	err := bp.disk.WritePage(pid, &img)
+	err := bp.disk.WritePage(pid, &img.page)
 	bp.mu.Lock()
+	bp.free = append(bp.free, img)
 	victim.evicting = false
 	bp.ioDone.Broadcast()
 	if bp.frames[pid] != victim {
@@ -284,7 +342,8 @@ func (bp *BufferPool) evictOne() error {
 		return err
 	}
 	if victim.pins == 0 && !victim.page.dirty {
-		bp.freeFrame(victim)
+		bp.dropFrame(victim)
+		bp.free = append(bp.free, victim)
 		bp.evictions.Add(1)
 	}
 	return nil
@@ -310,7 +369,8 @@ func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	dirty := make([]*frame, 0, len(bp.frames))
 	for _, f := range bp.frames {
-		if f.page.dirty {
+		// A loading frame's page is being read into, not dirty.
+		if !f.loading && f.page.dirty {
 			dirty = append(dirty, f)
 		}
 	}
@@ -322,20 +382,24 @@ func (bp *BufferPool) FlushAll() error {
 	})
 	var errs []error
 	for _, f := range dirty {
-		if !f.page.dirty {
-			continue // already written back by a concurrent eviction
+		if bp.frames[f.pid] != f || f.loading || !f.page.dirty {
+			// Evicted — and perhaps reused — or already written back by
+			// a concurrent eviction.
+			continue
 		}
 		// Copy the image and clear the dirty bit in one latch hold, pin
 		// the frame so eviction leaves it alone, and write with the
 		// latch released. A mutation during the write re-marks the page
 		// dirty; a failed write restores the bit.
 		f.pins++
-		img := f.page
+		img := bp.spare()
+		img.page = f.page
 		f.page.dirty = false
 		pid := f.pid
 		bp.mu.Unlock()
-		err := bp.disk.WritePage(pid, &img)
+		err := bp.disk.WritePage(pid, &img.page)
 		bp.mu.Lock()
+		bp.free = append(bp.free, img)
 		f.pins--
 		if err != nil {
 			f.page.dirty = true
@@ -354,7 +418,7 @@ func (bp *BufferPool) Dirty() int {
 	defer bp.mu.Unlock()
 	n := 0
 	for _, f := range bp.frames {
-		if f.page.dirty {
+		if !f.loading && f.page.dirty {
 			n++
 		}
 	}
@@ -394,8 +458,16 @@ func (bp *BufferPool) Invalidate(file FileID, from int32) {
 	defer bp.mu.Unlock()
 	for pid, f := range bp.frames {
 		if pid.File == file && pid.No >= from {
-			bp.lru.Remove(f.elem)
+			bp.lru.remove(f)
 			delete(bp.frames, pid)
+			// A pinned frame is not reused: its holder still reads the
+			// page through it — a snapshot scanning a table dropped after
+			// the snapshot was taken — and will release the pin on it.
+			// A loading or evicting frame has an owner that still
+			// refers to it, so it is not reused either.
+			if f.pins == 0 && !f.loading && !f.evicting {
+				bp.free = append(bp.free, f)
+			}
 		}
 	}
 }

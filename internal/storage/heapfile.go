@@ -103,28 +103,38 @@ func (h *HeapFile) Insert(t types.Tuple) (RecordID, error) {
 	return RecordID{Page: pid.No, Slot: 0}, nil
 }
 
-// Get reads the tuple at the given record ID, keeping the columns at
-// positions cols (ascending; nil keeps every column). It decodes that
-// row alone, reaching it through the block's column offsets.
-func (h *HeapFile) Get(rid RecordID, cols []int) (types.Tuple, error) {
-	if rid.Slot < 0 {
-		return nil, ErrNoRecord
+// Get appends to dst the tuples at rids, which must all lie on one
+// page, keeping the columns at positions cols (ascending; nil keeps
+// every column). The page is visited once for them all, and each run of
+// consecutive slots is decoded in one pass, reaching its rows through
+// the block's column offsets.
+func (h *HeapFile) Get(rids []RecordID, cols []int, dst []types.Tuple) ([]types.Tuple, error) {
+	if len(rids) == 0 {
+		return dst, nil
 	}
-	pid := PageID{File: h.file, No: rid.Page}
-	p, ref, err := h.pool.FetchShared(pid)
+	p, ref, err := h.pool.FetchShared(PageID{File: h.file, No: rids[0].Page})
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer ref.Release()
-	var one [1]types.Tuple // keeps the row header off the heap
-	rows, _, err := types.DecodeBlock(one[:0], p.buf[:], cols, int(rid.Slot), int(rid.Slot)+1)
-	if err != nil {
-		return nil, err
+	for i := 0; i < len(rids); {
+		j := i + 1
+		for j < len(rids) && rids[j].Slot == rids[j-1].Slot+1 {
+			j++
+		}
+		lo, n := rids[i].Slot, len(dst)
+		if lo < 0 {
+			return dst, ErrNoRecord
+		}
+		if dst, _, err = types.DecodeBlock(dst, p.buf[:], cols, int(lo), int(lo)+j-i); err != nil {
+			return dst, err
+		}
+		if len(dst)-n < j-i {
+			return dst, ErrNoRecord
+		}
+		i = j
 	}
-	if len(rows) == 0 {
-		return nil, ErrNoRecord
-	}
-	return rows[0], nil
+	return dst, nil
 }
 
 // Drop releases the file's pages.

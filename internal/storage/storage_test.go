@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tango/internal/types"
@@ -198,6 +199,78 @@ func TestHeapFileInsertScan(t *testing.T) {
 	}
 }
 
+// TestBufferPoolConcurrentReuse: readers scanning a heap larger than
+// the pool, a writer whose dirty pages are written back through spare
+// frames, and FlushAll all share one small pool, so frames are evicted
+// and reused under them; no reader ever sees another page's rows, and
+// no write is lost.
+func TestBufferPoolConcurrentReuse(t *testing.T) {
+	h := positionHeap(t, 4000)
+	if err := h.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	pool := NewBufferPool(h.pool.disk, 8)
+	h.pool = pool
+	pages := int32(h.NumPages())
+	w := NewHeapFile(pool)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rows []types.Tuple
+			for scan := 0; scan < 5; scan++ {
+				next := int64(0)
+				for p := int32(0); p < pages; p++ {
+					var err error
+					if rows, err = h.PageTuples(p, -1, []int{0}, rows[:0]); err != nil {
+						t.Error(err)
+						return
+					}
+					for _, row := range rows {
+						if row[0].AsInt() != next {
+							t.Errorf("page %d: PosID %d, want %d", p, row[0].AsInt(), next)
+							return
+						}
+						next++
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3000; i++ {
+			if _, err := w.Insert(tup(i, fmt.Sprintf("row %d", i))); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%500 == 0 {
+				if err := pool.FlushAll(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	next := int64(0)
+	if err := w.Scan(nil, func(_ RecordID, row types.Tuple) bool {
+		if row[0].AsInt() != next || row[1].AsString() != fmt.Sprintf("row %d", next) {
+			t.Errorf("written row %d reads back as %v", next, row)
+			return false
+		}
+		next++
+		return true
+	}); err != nil || next != 3000 {
+		t.Errorf("read back %d of 3000 written rows, err %v", next, err)
+	}
+	if n := pool.Pinned(); n != 0 {
+		t.Errorf("%d pins left", n)
+	}
+}
+
 func TestHeapFileGet(t *testing.T) {
 	d := NewDisk()
 	bp := NewBufferPool(d, 4)
@@ -211,18 +284,39 @@ func TestHeapFileGet(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		got, err := h.Get(rid, nil)
-		if err != nil || got[0].AsInt() != int64(i) || got[1].AsString() != fmt.Sprintf("name-%d", i) {
+		got, err := h.Get(rids[i:i+1], nil, nil)
+		if err != nil || len(got) != 1 || got[0][0].AsInt() != int64(i) || got[0][1].AsString() != fmt.Sprintf("name-%d", i) {
 			t.Fatalf("Get(%v): %v, %v", rid, got, err)
 		}
-		if got, err := h.Get(rid, []int{1}); err != nil || len(got) != 1 || got[0].AsString() != fmt.Sprintf("name-%d", i) {
+		if got, err := h.Get(rids[i:i+1], []int{1}, nil); err != nil || len(got) != 1 || len(got[0]) != 1 ||
+			got[0][0].AsString() != fmt.Sprintf("name-%d", i) {
 			t.Fatalf("Get of column 1 of %v: %v, %v", rid, got, err)
 		}
 	}
+	// Several records of one page, in runs of consecutive slots and not.
+	var onPage []RecordID
+	for _, rid := range rids {
+		if rid.Page == 0 && (rid.Slot < 5 || rid.Slot%7 == 3 || rid.Slot == 40) {
+			onPage = append(onPage, rid)
+		}
+	}
+	got, err := h.Get(onPage, []int{0}, nil)
+	if err != nil || len(got) != len(onPage) {
+		t.Fatalf("Get of %d records of page 0: %d rows, %v", len(onPage), len(got), err)
+	}
+	for k, rid := range onPage {
+		if got[k][0].AsInt() != int64(rid.Slot) {
+			t.Errorf("Get of %v: row %v", rid, got[k])
+		}
+	}
 	last := rids[len(rids)-1]
-	for _, rid := range []RecordID{{Page: last.Page, Slot: last.Slot + 1}, {Page: 0, Slot: -1}} {
-		if _, err := h.Get(rid, nil); !errors.Is(err, ErrNoRecord) {
-			t.Errorf("Get(%v) past the rows: %v, want ErrNoRecord", rid, err)
+	for _, bad := range [][]RecordID{
+		{{Page: last.Page, Slot: last.Slot + 1}},
+		{{Page: 0, Slot: -1}},
+		{last, {Page: last.Page, Slot: last.Slot + 1}},
+	} {
+		if _, err := h.Get(bad, nil, nil); !errors.Is(err, ErrNoRecord) {
+			t.Errorf("Get(%v) past the rows: %v, want ErrNoRecord", bad, err)
 		}
 	}
 }
