@@ -5,7 +5,7 @@ GO ?= go
 # Fuzz smoke budget per target (ci runs each fuzzer this long).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-fix lint-report test race fuzz chaos crash load bench-smoke bench-json bench-pairs tangobench-smoke loc ci clean
+.PHONY: all build vet lint lint-report test race fuzz chaos crash load bench-smoke bench-json bench-pairs tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json.
 BENCHOUT ?= BENCH_28.json
@@ -18,27 +18,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project-specific analyzers (iterator and span
-# lifecycles, dropped errors, mixed atomic/plain field access,
-# hand-written operator schemas, and the interprocedural concurrency
-# suite: latch order, lock-held I/O, goroutine leaks) over the whole
-# tree, with per-package parallelism and a content-hash summary cache
-# under .tangolint-cache/ — the stderr summary prints elapsed time and
-# how many packages were served from the cache, so a warm rerun shows
-# its speedup directly. Exit status 1 means findings.
+# lint runs every project analyzer (DESIGN.md §4c lists them and the
+# mutant each one alone catches) over the whole tree in one serial,
+# uncached pass; the stderr summary prints the finding count and the
+# elapsed time. Exit status 1 means findings, 2 a failed run.
 lint:
-	$(GO) run ./cmd/tangolint -cache .tangolint-cache ./...
-
-# lint-fix is lint plus the machine-applyable suggestion attached to
-# each finding that has one (e.g. "delete the suppression comment").
-lint-fix:
-	$(GO) run ./cmd/tangolint -fix -cache .tangolint-cache ./...
+	$(GO) run ./cmd/tangolint ./...
 
 # lint-report is the ci form: same gate (a finding fails the build),
 # but the machine-readable report is published to lint.json either
 # way — stdout is redirected before the exit status is checked.
 lint-report:
-	$(GO) run ./cmd/tangolint -json -cache .tangolint-cache ./... > lint.json
+	$(GO) run ./cmd/tangolint -json ./... > lint.json
 
 # test is tier-1 at four GOMAXPROCS widths: the parallel executor
 # (windowed fetches, parallel sort, partitioned operators) only engages

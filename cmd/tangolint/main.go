@@ -1,7 +1,7 @@
-// Command tangolint is TANGO's project linter: a multichecker that
-// runs the internal/analysis suite — including the interprocedural
-// concurrency analyzers (latchorder, lockio, goleak) — over the
-// package patterns given on the command line.
+// Command tangolint is TANGO's project linter: it runs every analyzer
+// of the internal/analysis suite — including the interprocedural
+// concurrency analyzers — over the package patterns given on the
+// command line, in one serial, uncached pass.
 //
 // Usage:
 //
@@ -9,13 +9,8 @@
 //
 // With no patterns it checks ./... . Flags:
 //
-//	-checks list   comma-separated analyzers to run (default: all)
-//	-list          list available analyzers and exit
 //	-json          emit a machine-readable report on stdout
-//	-fix           print machine-applyable suggestions after findings
 //	-dir path      module directory to analyze (default: cwd)
-//	-cache path    summary-cache directory ("" disables caching)
-//	-p n           packages analyzed in parallel (default: GOMAXPROCS)
 //
 // Exit status contract (relied on by make lint and CI): 0 means a
 // clean run, 1 means findings were reported, 2 means the run itself
@@ -25,8 +20,8 @@
 //	//lint:ignore <analyzer> <why the finding is safe>
 //
 // or per file with //lint:file-ignore; the reason is mandatory by
-// convention, and a suppression matching no finding is itself reported
-// (stalesuppress).
+// convention, and a suppression matching no finding, or naming no
+// analyzer, is itself reported (stalesuppress).
 package main
 
 import (
@@ -35,16 +30,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"time"
 
 	"tango/internal/analysis"
 )
-
-// version participates in cache keys: bump it when an analyzer's
-// semantics change without a source change in the analyzed tree.
-const version = "tangolint-1"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -53,34 +42,26 @@ func main() {
 // jsonReport is the -json output schema, consumed by CI (lint.json).
 type jsonReport struct {
 	Version   string        `json:"version"`
-	Tool      string        `json:"tool"`
 	Analyzers []string      `json:"analyzers"`
 	Packages  int           `json:"packages"`
-	Cached    int           `json:"cached"`
 	ElapsedMs int64         `json:"elapsedMs"`
 	Findings  []jsonFinding `json:"findings"`
 }
 
 type jsonFinding struct {
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Message    string `json:"message"`
-	Suggestion string `json:"suggestion,omitempty"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Message  string `json:"message"`
 }
 
 // run is the testable driver body; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tangolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	checks := fs.String("checks", "", "comma-separated analyzers to run (default: all)")
-	list := fs.Bool("list", false, "list available analyzers and exit")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report on stdout")
-	fix := fs.Bool("fix", false, "print machine-applyable suggestions after findings")
 	dir := fs.String("dir", "", "module directory to analyze (default: current directory)")
-	cacheDir := fs.String("cache", "", "summary-cache directory (empty disables caching)")
-	parallel := fs.Int("p", runtime.GOMAXPROCS(0), "packages analyzed in parallel")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: tangolint [flags] [packages...]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
@@ -92,35 +73,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *list {
-		for _, a := range analysis.All() {
-			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	analyzers, err := analysis.ByName(*checks)
-	if err != nil {
-		fmt.Fprintln(stderr, "tangolint:", err)
-		return 2
-	}
-
 	start := time.Now()
 	pkgs, err := analysis.Load(*dir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "tangolint:", err)
 		return 2
 	}
-
-	cache := *cacheDir
-	if cache != "" && !filepath.IsAbs(cache) && *dir != "" {
-		cache = filepath.Join(*dir, cache)
-	}
-	diags, stats, err := analysis.RunCached(pkgs, analyzers, analysis.RunOptions{
-		CacheDir: cache,
-		Parallel: *parallel,
-		Version:  version,
-	})
+	analyzers := analysis.All()
+	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "tangolint:", err)
 		return 2
@@ -130,9 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		report := jsonReport{
 			Version:   "1",
-			Tool:      version,
-			Packages:  stats.Packages,
-			Cached:    stats.Cached,
+			Packages:  len(pkgs),
 			ElapsedMs: elapsed.Milliseconds(),
 			Findings:  []jsonFinding{},
 		}
@@ -141,12 +99,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, d := range diags {
 			report.Findings = append(report.Findings, jsonFinding{
-				Analyzer:   d.Analyzer,
-				File:       d.Pos.Filename,
-				Line:       d.Pos.Line,
-				Col:        d.Pos.Column,
-				Message:    d.Message,
-				Suggestion: d.Suggestion,
+				Analyzer: d.Analyzer,
+				File:     d.Pos.Filename,
+				Line:     d.Pos.Line,
+				Col:      d.Pos.Column,
+				Message:  d.Message,
 			})
 		}
 		enc := json.NewEncoder(stdout)
@@ -158,18 +115,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
-			if *fix && d.Suggestion != "" {
-				fmt.Fprintf(stdout, "\tfix: %s\n", d.Suggestion)
-			}
 		}
 	}
 
-	cachedNote := ""
-	if cache != "" {
-		cachedNote = fmt.Sprintf(", %d cached", stats.Cached)
-	}
-	fmt.Fprintf(stderr, "tangolint: %d finding(s) in %d package(s)%s in %s\n",
-		len(diags), stats.Packages, cachedNote, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "tangolint: %d finding(s) in %d package(s) in %s\n",
+		len(diags), len(pkgs), elapsed.Round(time.Millisecond))
 	if len(diags) > 0 {
 		return 1
 	}

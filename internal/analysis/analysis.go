@@ -1,64 +1,53 @@
 // Package analysis is a small, dependency-free static-analysis
 // framework in the spirit of golang.org/x/tools/go/analysis, plus the
-// project-specific analyzers that machine-check TANGO's iterator and
-// plan-building contracts:
+// project-specific analyzers that machine-check TANGO's iterator,
+// error, context, span and locking contracts:
 //
 //   - iterclose: every opened rel.Iterator-shaped value is Closed on
-//     all paths (a leaked Close pins buffer-pool pages and skews the
-//     telemetry that feeds the adaptive cost loop), and NextBatch is
-//     not called on an exhausted iterator without re-Open;
+//     all paths, and NextBatch is not called on an exhausted iterator
+//     without re-Open;
 //   - errlost: errors from Close/Next/NextBatch/Open and wire-layer
 //     calls are not silently dropped;
 //   - atomicfield: struct fields touched by both sync/atomic calls and
-//     plain loads/stores (the class of data race behind the TempName
-//     counter fix);
-//   - schemaprop: operator constructors derive their output schema
-//     from their input schemas instead of hard-coding column literals,
-//     preserving the algebra's schema-propagation invariant;
+//     plain loads/stores;
 //   - faultpath: wire/client call sites neither sever their caller's
 //     context.Context nor classify resilience failures with
 //     unwrap-unsafe type assertions (see faultpath.go);
-//   - walorder: in durability-tagged packages (//tango:durability), a
-//     BufferPool.FlushAll is followed by a WAL durability barrier
-//     (Sync/Checkpoint/Close/CommitLoad), keeping the WAL-before-data
-//     protocol machine-checked at its weakest seam (see walorder.go);
 //   - spanfinish: every created telemetry.Span-shaped value is
-//     Finished on all paths (an unfinished span never reaches the
-//     flight recorder or the latency histograms), mirroring the
-//     iterclose lifecycle contract for trace spans (see spanfinish.go);
+//     Finished on all paths (see spanfinish.go);
 //   - latchorder: lock acquisitions respect the //tango:lock-order
 //     hierarchy — no re-entry of a held class, no acquisition against
 //     the declared partial order — checked through calls via
 //     interprocedural effect summaries (see latchorder.go);
 //   - lockio: no blocking operation (store/file I/O, WAL sync, wire
 //     round trip, unguarded channel op, sleep) is reachable while a
-//     latch-class lock is held (see lockio.go);
-//   - goleak: every spawned goroutine is provably joinable — its
-//     blocking channel ops are buffered, guarded by a done/ctx
-//     select, or matched by a guaranteed counterpart in the spawner
-//     (see goleak.go).
+//     latch-class lock is held (see lockio.go).
 //
-// The last three are interprocedural: summary.go classifies every
+// Each is kept because it alone kills a mutant of the real tree that
+// tests, the race detector, the chaos and crash matrices and the
+// rel/itertest conformance table all miss; DESIGN.md §4c has the
+// mutant table.
+//
+// The last two are interprocedural: summary.go classifies every
 // function into effect events, callgraph.go folds them bottom-up over
 // the SCC condensation of the call graph into per-function summaries
-// (lock classes acquired, blocking operations reachable, channel ops
-// on parameters), and the analyzers replay each function's critical
-// sections against the summaries of everything it calls. Summaries
-// are serializable; cache.go reuses them across runs keyed on content
-// hashes, so dependency packages are not recomputed.
+// (lock classes acquired, blocking operations reachable), and the
+// analyzers replay each function's critical sections against the
+// summaries of everything it calls.
 //
 // The framework loads and type-checks packages with the standard
 // library only: `go list -export -json -deps` supplies file lists and
-// compiler export data, go/parser and go/types do the rest. Findings
+// compiler export data, go/parser and go/types do the rest. Run is the
+// one run path: serial, in dependency order, with no cache. Findings
 // can be suppressed with a
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // comment on the flagged line or the line above it, or for a whole
 // file with //lint:file-ignore <analyzer> <reason>. A suppression
-// that no longer matches any finding is itself reported (analyzer
-// name "stalesuppress"), so silenced findings cannot outlive their
-// fix.
+// that matches no finding, or names no analyzer, is itself reported
+// (analyzer name "stalesuppress"), so silenced findings cannot
+// outlive their fix.
 package analysis
 
 import (
@@ -83,31 +72,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{IterClose, ErrLost, AtomicField, SchemaProp, FaultPath, WALOrder, SpanFinish, LatchOrder, LockIO, GoLeak}
-}
-
-// ByName resolves a comma-separated analyzer list ("" means all).
-func ByName(list string) ([]*Analyzer, error) {
-	if strings.TrimSpace(list) == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return []*Analyzer{IterClose, ErrLost, AtomicField, FaultPath, SpanFinish, LatchOrder, LockIO}
 }
 
 // Pass carries one analyzer's view of one package.
@@ -128,14 +93,11 @@ type Pass struct {
 // pkg returns the full loaded package behind the pass.
 func (p *Pass) pkg() *Package { return p.pkgInfo }
 
-// Diagnostic is one finding. Suggestion, when non-empty, is a
-// machine-applyable fix hint printed by `tangolint -fix` and carried
-// in the JSON report.
+// Diagnostic is one finding.
 type Diagnostic struct {
-	Analyzer   string
-	Pos        token.Position
-	Message    string
-	Suggestion string
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -152,73 +114,43 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// ReportfFix records a finding with a machine-applyable suggestion.
-func (p *Pass) ReportfFix(pos token.Pos, suggestion, format string, args ...interface{}) {
-	p.diags = append(p.diags, Diagnostic{
-		Analyzer:   p.Analyzer.Name,
-		Pos:        p.Fset.Position(pos),
-		Message:    fmt.Sprintf(format, args...),
-		Suggestion: suggestion,
-	})
-}
-
 // Run applies the analyzers to the packages and returns the combined,
 // suppression-filtered findings sorted by position. Packages should
 // arrive in dependency order (Load guarantees it) so the
 // interprocedural analyzers see dependency summaries; packages
-// analyzed in isolation simply see fewer cross-package effects.
+// analyzed in isolation simply see fewer cross-package effects. For
+// each package Run computes its effect summaries (installing them for
+// downstream packages), runs the analyzers, applies suppressions, and
+// reports stale ones.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	ix := NewIndex()
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := AnalyzePackage(pkg, analyzers, ix)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, diags...)
-	}
-	sortDiags(out)
-	return out, nil
-}
-
-// AnalyzePackage computes the package's effect summaries (installing
-// them into ix for downstream packages), runs the analyzers, applies
-// suppressions, and reports stale suppressions. The cache layer calls
-// this per package; Run wraps it for whole-slice use.
-func AnalyzePackage(pkg *Package, analyzers []*Analyzer, ix *Index) ([]Diagnostic, error) {
-	facts := buildPkgFacts(pkg, ix)
-	computeSummaries(facts, ix)
-	return runAnalyzersOn(pkg, facts, analyzers, ix)
-}
-
-// runAnalyzersOn runs the analyzers over a package whose facts and
-// summaries are already in the index. Safe to call concurrently for
-// different packages: the analyzers only read the shared index.
-func runAnalyzersOn(pkg *Package, facts *pkgFacts, analyzers []*Analyzer, ix *Index) ([]Diagnostic, error) {
-	sup := collectSuppressions(pkg.Fset, pkg.Files)
-	var out []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			pkgInfo:  pkg,
-			facts:    facts,
-			index:    ix,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
-		}
-		for _, d := range pass.diags {
-			if sup.suppressed(d) {
-				continue
+		facts := buildPkgFacts(pkg, ix)
+		computeSummaries(facts, ix)
+		sup := collectSuppressions(pkg.Fset, pkg.Files)
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				pkgInfo:  pkg,
+				facts:    facts,
+				index:    ix,
 			}
-			out = append(out, d)
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
+			}
+			for _, d := range pass.diags {
+				if !sup.suppressed(d) {
+					out = append(out, d)
+				}
+			}
 		}
+		out = append(out, sup.stale(analyzers)...)
 	}
-	out = append(out, sup.stale(analyzers)...)
 	sortDiags(out)
 	return out, nil
 }
@@ -317,29 +249,35 @@ func (s *suppressionSet) suppressed(d Diagnostic) bool {
 	return hit
 }
 
-// stale returns a diagnostic for every directive that names an
-// analyzer in the run set but matched no finding — a suppression that
-// has outlived its finding hides the next real one, so it must go.
+// stale returns a diagnostic for every directive that matched no
+// finding. One naming an analyzer in the run set has outlived its
+// finding and would hide the next real one; one naming no analyzer at
+// all (a typo, or an analyzer since deleted) never suppressed
+// anything. Directives for a known analyzer outside the run set are
+// left alone.
 func (s *suppressionSet) stale(analyzers []*Analyzer) []Diagnostic {
 	inSet := map[string]bool{"all": true}
 	for _, a := range analyzers {
 		inSet[a.Name] = true
 	}
+	known := map[string]bool{"all": true}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, sp := range s.list {
-		if sp.used || !inSet[sp.analyzer] {
+		if sp.used || (known[sp.analyzer] && !inSet[sp.analyzer]) {
 			continue
 		}
 		form := "//lint:ignore"
 		if sp.fileLevel {
 			form = "//lint:file-ignore"
 		}
-		out = append(out, Diagnostic{
-			Analyzer:   StaleSuppressName,
-			Pos:        sp.pos,
-			Message:    fmt.Sprintf("stale suppression: %s %s matches no finding; delete it", form, sp.analyzer),
-			Suggestion: "delete the suppression comment",
-		})
+		msg := fmt.Sprintf("stale suppression: %s %s matches no finding; delete it", form, sp.analyzer)
+		if !known[sp.analyzer] {
+			msg = fmt.Sprintf("stale suppression: %s %s names no analyzer; fix or delete it", form, sp.analyzer)
+		}
+		out = append(out, Diagnostic{Analyzer: StaleSuppressName, Pos: sp.pos, Message: msg})
 	}
 	return out
 }
@@ -456,15 +394,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// callSignature returns the signature of the called expression, or nil
-// (e.g. for conversions and builtins).
-func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
-	tv, ok := info.Types[call.Fun]
-	if !ok {
-		return nil
-	}
-	sig, _ := tv.Type.Underlying().(*types.Signature)
-	return sig
 }

@@ -9,33 +9,16 @@ func TestIterClose(t *testing.T)   { testAnalyzer(t, IterClose, "iterclose") }
 func TestErrLost(t *testing.T)     { testAnalyzer(t, ErrLost, "errlost") }
 func TestErrLostDur(t *testing.T)  { testAnalyzer(t, ErrLost, "errlostdur") }
 func TestAtomicField(t *testing.T) { testAnalyzer(t, AtomicField, "atomicfield") }
-func TestSchemaProp(t *testing.T)  { testAnalyzer(t, SchemaProp, "schemaprop") }
 func TestFaultPath(t *testing.T)   { testAnalyzer(t, FaultPath, "faultpath") }
-func TestWALOrder(t *testing.T)    { testAnalyzer(t, WALOrder, "walorder") }
 func TestSpanFinish(t *testing.T)  { testAnalyzer(t, SpanFinish, "spanfinish") }
 
 func TestLatchOrder(t *testing.T)      { testAnalyzer(t, LatchOrder, "latchorder") }
 func TestLatchOrderCycle(t *testing.T) { testAnalyzer(t, LatchOrder, "latchordercycle") }
 func TestLockIO(t *testing.T)          { testAnalyzer(t, LockIO, "lockio") }
-func TestGoLeak(t *testing.T)          { testAnalyzer(t, GoLeak, "goleak") }
 
 // TestSuppress exercises file-level ignores and the stale-suppression
 // check through the regular fixture harness.
 func TestSuppress(t *testing.T) { testAnalyzer(t, ErrLost, "suppress") }
-
-func TestByName(t *testing.T) {
-	all, err := ByName("")
-	if err != nil || len(all) != len(All()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
-	}
-	two, err := ByName("iterclose, errlost")
-	if err != nil || len(two) != 2 || two[0] != IterClose || two[1] != ErrLost {
-		t.Fatalf("ByName(\"iterclose, errlost\") = %v, err %v", two, err)
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName(\"nosuch\") succeeded; want error")
-	}
-}
 
 // TestLoadRealPackage proves the go list + export-data loading pipeline
 // end to end on a real project package.

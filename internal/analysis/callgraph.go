@@ -6,18 +6,15 @@ package analysis
 // (Tarjan), and calls that leave the package consult the global Index,
 // which holds the summaries of every previously-analyzed package — in
 // a whole-tree run the loader hands packages over in dependency order,
-// so dependency summaries are always already present (and a cached run
-// deserializes them instead of recomputing, see cache.go).
+// so dependency summaries are always already present.
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Index is the cross-package summary store shared by one analysis run.
 type Index struct {
-	mu        sync.RWMutex
 	summaries map[string]*FuncEffects    // funcKey -> effects
 	classes   map[string]LockClassDecl   // fieldLockKey -> class
 	edges     map[[2]string]OrderEdge    // (less,greater) -> first decl
@@ -36,29 +33,12 @@ func NewIndex() *Index {
 
 // lockClass looks up an annotated field.
 func (ix *Index) lockClass(fieldKey string) (LockClassDecl, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	d, ok := ix.classes[fieldKey]
 	return d, ok
 }
 
-// classDecl returns the declaration for a class name (latch or not);
-// ok is false for undeclared classes.
-func (ix *Index) classDecl(class string) (LockClassDecl, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, d := range ix.classes {
-		if d.Class == class {
-			return d, true
-		}
-	}
-	return LockClassDecl{}, false
-}
-
 // isLatch reports whether any field of the class is latch-marked.
 func (ix *Index) isLatch(class string) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	for _, d := range ix.classes {
 		if d.Class == class && d.Latch {
 			return true
@@ -71,8 +51,6 @@ func (ix *Index) isLatch(class string) bool {
 // index. Cycles in the declared order are diagnosed by latchorder at
 // the declaring package, not rejected here.
 func (ix *Index) addPackageDecls(classes map[string]LockClassDecl, edges []OrderEdge) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	for k, v := range classes {
 		ix.classes[k] = v
 	}
@@ -86,23 +64,9 @@ func (ix *Index) addPackageDecls(classes map[string]LockClassDecl, edges []Order
 	}
 }
 
-// Less reports whether a < b in the declared partial order.
-func (ix *Index) Less(a, b string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.reachableLocked(a, b)
-}
-
-// Comparable reports whether a and b are related at all.
-func (ix *Index) Comparable(a, b string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.reachableLocked(a, b) || ix.reachableLocked(b, a)
-}
-
-// reachableLocked is DFS reachability less→greater with memoization;
-// callers hold ix.mu.
-func (ix *Index) reachableLocked(from, to string) bool {
+// Less reports whether from < to in the declared partial order: DFS
+// reachability less→greater, memoized per source class.
+func (ix *Index) Less(from, to string) bool {
 	if from == to {
 		return false
 	}
@@ -129,36 +93,14 @@ func (ix *Index) effects(key string) *FuncEffects {
 	if key == "" {
 		return nil
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	return ix.summaries[key]
 }
 
 // addEffects installs computed summaries.
 func (ix *Index) addEffects(effs map[string]*FuncEffects) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	for k, v := range effs {
 		ix.summaries[k] = v
 	}
-}
-
-// OrderEdges returns the declared order, deterministically sorted (for
-// serialization and the DESIGN.md hierarchy table).
-func (ix *Index) OrderEdges() []OrderEdge {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]OrderEdge, 0, len(ix.edges))
-	for _, e := range ix.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Less != out[j].Less {
-			return out[i].Less < out[j].Less
-		}
-		return out[i].Greater < out[j].Greater
-	})
-	return out
 }
 
 // --- bottom-up summary computation ---
@@ -263,21 +205,7 @@ func computeSummaries(pf *pkgFacts, index *Index) {
 			}
 		}
 		for _, key := range scc {
-			e := &FuncEffects{Key: key, Acquires: eff.Acquires, Blocks: eff.Blocks}
-			// ChanOps are per-function (they talk about the function's
-			// own parameters), so recompute them per member rather than
-			// sharing the SCC union.
-			e.ChanOps = nil
-			ff := pf.funcs[key]
-			for _, ev := range ff.events {
-				if ev.kind == evChanOp && !ev.guarded {
-					if idx := paramIndex(pf.pkg, ff.decl, ev.chanEx); idx >= 0 {
-						posStr := pf.pkg.Fset.Position(ev.pos)
-						e.ChanOps = append(e.ChanOps, ChanParamOp{Param: idx, Send: ev.send, Pos: fmt.Sprintf("%s:%d", trimPath(posStr.Filename), posStr.Line)})
-					}
-				}
-			}
-			out[key] = e
+			out[key] = eff
 		}
 	}
 	index.addEffects(out)

@@ -21,8 +21,8 @@ import (
 // acknowledgment. Anything subtler needs handling or a
 // //lint:ignore errlost comment explaining why the drop is safe.
 //
-// Exception to the exception: in durability-tagged packages
-// (//tango:durability, the walorder opt-in) `defer x.Close()` IS a
+// Exception to the exception: in durability-tagged packages (any file
+// carrying a //tango:durability comment) `defer x.Close()` IS a
 // finding. On a durability path Close is where buffered writes and
 // the final fsync surface their failure — deferring it without
 // capturing the error (e.g. into a named return) silently reports a
@@ -160,4 +160,19 @@ func recvTypeName(sig *types.Signature) string {
 		return named.Obj().Name()
 	}
 	return t.String()
+}
+
+// hasDurabilityTag reports whether any file of the package opts into
+// the durability rules with a //tango:durability comment.
+func hasDurabilityTag(files []*ast.File) bool {
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.TrimSpace(c.Text) == "//tango:durability" {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -24,12 +24,13 @@ import (
 //     effect summary may acquire, witness path included;
 //   - malformed directives and cycles in the declared order itself.
 //
-// The simulation is linear in source order (like walorder): a
-// deferred Unlock keeps the class held to the end of the function,
-// which matches Go's defer semantics. Conditional acquisitions in one
-// branch can over-approximate into a sibling branch; in this codebase
-// critical sections are `Lock(); defer Unlock()` at function top, so
-// in practice the approximation is exact.
+// The simulation is linear in source order: a deferred Unlock keeps
+// the class held to the end of the function, which matches Go's defer
+// semantics. Branches are not told apart: an acquisition in one branch
+// over-approximates into its siblings, and a release in one branch (an
+// early-exit `Unlock(); return`) ends the hold for the rest of the
+// function, so a lock still held after such an exit is missed
+// (DESIGN.md §4c, mutant M2x).
 var LatchOrder = &Analyzer{
 	Name: "latchorder",
 	Doc:  "check lock acquisitions against the //tango:lock-order hierarchy, including through calls",
@@ -40,7 +41,6 @@ var LatchOrder = &Analyzer{
 type heldLock struct {
 	class string
 	pos   token.Pos
-	rlock bool
 }
 
 // simulateHeld replays a function's events in source order,
@@ -52,7 +52,7 @@ func simulateHeld(ff *funcFacts, cb func(ev funcEvent, held []heldLock)) {
 		cb(ev, held)
 		switch ev.kind {
 		case evAcquire:
-			held = append(held, heldLock{class: ev.class, pos: ev.pos, rlock: ev.rlock})
+			held = append(held, heldLock{class: ev.class, pos: ev.pos})
 		case evRelease:
 			for i := len(held) - 1; i >= 0; i-- {
 				if held[i].class == ev.class {

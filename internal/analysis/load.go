@@ -20,14 +20,11 @@ import (
 
 // Package is one parsed and type-checked package ready for analysis.
 type Package struct {
-	Path    string
-	Dir     string
-	GoFiles []string // absolute paths, for content hashing
-	Imports []string // direct imports, for dependency-ordered caching
-	Fset    *token.FileSet
-	Files   []*ast.File
-	Types   *types.Package
-	Info    *types.Info
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader needs.
@@ -129,10 +126,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Imports = append(pkg.Imports, p.Imports...)
-		for _, name := range p.GoFiles {
-			pkg.GoFiles = append(pkg.GoFiles, filepath.Join(p.Dir, name))
-		}
 		out = append(out, pkg)
 	}
 	return out, nil
@@ -230,14 +223,7 @@ func LoadDir(dir string) (*Package, error) {
 		}
 	}
 	imp := importer.ForCompiler(fset, "gc", exports.open)
-	pkg, err := checkPackageFiles(fset, imp, parsed[0].Name.Name, dir, parsed)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range files {
-		pkg.GoFiles = append(pkg.GoFiles, filepath.Join(dir, name))
-	}
-	return pkg, nil
+	return checkPackageFiles(fset, imp, parsed[0].Name.Name, parsed)
 }
 
 // checkPackage parses the named files and type-checks them as one
@@ -251,16 +237,11 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 		}
 		parsed = append(parsed, f)
 	}
-	pkg, err := checkPackageFiles(fset, imp, path, dir, parsed)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Path = path
-	return pkg, nil
+	return checkPackageFiles(fset, imp, path, parsed)
 }
 
 // checkPackageFiles type-checks already-parsed files.
-func checkPackageFiles(fset *token.FileSet, imp types.Importer, path, dir string, parsed []*ast.File) (*Package, error) {
+func checkPackageFiles(fset *token.FileSet, imp types.Importer, path string, parsed []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -289,5 +270,5 @@ func checkPackageFiles(fset *token.FileSet, imp types.Importer, path, dir string
 		}
 		return nil, fmt.Errorf("analysis: type checking %s:\n  %s", path, strings.Join(msgs, "\n  "))
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: parsed, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: fset, Files: parsed, Types: tpkg, Info: info}, nil
 }

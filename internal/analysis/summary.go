@@ -1,10 +1,10 @@
 package analysis
 
 // Per-function effect summaries: what a function acquires, releases,
-// blocks on, and spawns. Summaries are computed bottom-up over the
-// call graph's SCC condensation (callgraph.go), so a caller's summary
+// and blocks on. Summaries are computed bottom-up over the call
+// graph's SCC condensation (callgraph.go), so a caller's summary
 // includes everything reachable through its callees — that is what
-// makes latchorder, lockio, and goleak interprocedural where the older
+// makes latchorder and lockio interprocedural where the other
 // analyzers are per-function.
 //
 // Two //tango:lock-order directive forms feed the model:
@@ -32,16 +32,16 @@ import (
 
 // LockClassDecl is one annotated mutex field.
 type LockClassDecl struct {
-	Class string `json:"class"`
-	Latch bool   `json:"latch,omitempty"`
+	Class string
+	Latch bool
 }
 
 // OrderEdge is one declared `less < greater` pair with the position of
 // its declaration (for diagnostics about the order itself).
 type OrderEdge struct {
-	Less    string `json:"less"`
-	Greater string `json:"greater"`
-	Pos     string `json:"pos"`
+	Less    string
+	Greater string
+	Pos     string
 }
 
 // BlockEffect is one blocking operation reachable from a function,
@@ -53,34 +53,22 @@ type OrderEdge struct {
 // the held latch; a block recorded with an empty set is charged
 // against every held class.
 type BlockEffect struct {
-	Kind     string   `json:"kind"`   // "store-io", "file-io", "wal-sync", "chan-send", "chan-recv", "sleep", "wait", "net-io"
-	Detail   string   `json:"detail"` // e.g. "(*os.File).Sync"
-	Path     []string `json:"path,omitempty"`
-	Unlocked []string `json:"unlocked,omitempty"`
+	Kind     string // "store-io", "file-io", "wal-sync", "chan-send", "chan-recv", "sleep", "wait", "net-io"
+	Detail   string // e.g. "(*os.File).Sync"
+	Path     []string
+	Unlocked []string
 }
 
-// ChanParamOp records an unguarded blocking channel operation a
-// function performs directly on one of its own parameters, so a
-// spawner (`go helper(ch)`) can reason about the channel it passed in.
-type ChanParamOp struct {
-	Param int    `json:"param"` // 0-based index into the signature's parameters
-	Send  bool   `json:"send"`
-	Pos   string `json:"pos"`
-}
-
-// FuncEffects is the serializable summary of one function: the lock
-// classes it may (transitively) acquire, the blocking operations it
-// may reach, and the unguarded channel ops it performs on its own
-// parameters. Witness paths keep diagnostics explainable across
-// package boundaries.
+// FuncEffects is the summary of one function: the lock classes it may
+// (transitively) acquire and the blocking operations it may reach.
+// Witness paths keep diagnostics explainable across package
+// boundaries.
 type FuncEffects struct {
-	Key      string              `json:"key"`
-	Acquires map[string][]string `json:"acquires,omitempty"` // class -> witness path
-	Blocks   []BlockEffect       `json:"blocks,omitempty"`
-	ChanOps  []ChanParamOp       `json:"chanOps,omitempty"`
+	Acquires map[string][]string // class -> witness path
+	Blocks   []BlockEffect
 }
 
-// --- intra-function facts (not serialized) ---
+// --- intra-function facts ---
 
 type eventKind uint8
 
@@ -91,7 +79,6 @@ const (
 	evCall
 	evBlock
 	evChanOp
-	evSpawn
 )
 
 // funcEvent is one effect-relevant action, in source-position order.
@@ -99,21 +86,13 @@ type funcEvent struct {
 	kind eventKind
 	pos  token.Pos
 
-	class string // evAcquire/evRelease/evDeferRelease
-	rlock bool
-
-	calleeKey string // evCall/evSpawn (empty when unresolvable)
-	call      *ast.CallExpr
-
-	block BlockEffect // evBlock
+	class     string      // evAcquire/evRelease/evDeferRelease
+	calleeKey string      // evCall (empty when unresolvable)
+	block     BlockEffect // evBlock/evChanOp
 
 	// evChanOp
 	send    bool
-	guarded bool     // inside a select with a default or done/ctx case
-	chanEx  ast.Expr // the channel operand
-	inDefer bool
-
-	goStmt *ast.GoStmt // evSpawn
+	guarded bool // inside a select with a default or done/ctx case
 }
 
 // funcFacts is the per-function record the interprocedural analyzers
@@ -121,7 +100,6 @@ type funcEvent struct {
 type funcFacts struct {
 	key    string
 	name   string // display name ("(*BufferPool).Fetch")
-	decl   *ast.FuncDecl
 	events []funcEvent
 }
 
@@ -335,7 +313,7 @@ func buildPkgFacts(pkg *Package, index *Index) *pkgFacts {
 			if obj == nil {
 				continue
 			}
-			ff := &funcFacts{key: funcKey(obj), name: displayFuncName(fn), decl: fn}
+			ff := &funcFacts{key: funcKey(obj), name: displayFuncName(fn)}
 			w := &eventWalker{pkg: pkg, index: index, ff: ff}
 			w.walkBody(fn.Body, walkCtx{})
 			pf.funcs[ff.key] = ff
@@ -379,9 +357,8 @@ func (w *eventWalker) emit(e funcEvent) { w.ff.events = append(w.ff.events, e) }
 
 // walkBody visits statements in source order, classifying effects.
 // Function literals are NOT descended into for the enclosing
-// function's event stream (their bodies run elsewhere); goleak walks
-// go-statement literals on demand, and deferred literals contribute
-// their Unlock calls as deferred releases.
+// function's event stream (their bodies run elsewhere), and deferred
+// literals contribute their Unlock calls as deferred releases.
 func (w *eventWalker) walkBody(n ast.Node, ctx walkCtx) {
 	if n == nil {
 		return
@@ -390,14 +367,8 @@ func (w *eventWalker) walkBody(n ast.Node, ctx walkCtx) {
 	case *ast.FuncLit:
 		return
 	case *ast.GoStmt:
-		// Spawn event; the body's own blocking runs on another
-		// goroutine and does not block the spawner.
-		key := ""
-		if fn := calleeFunc(w.pkg.Info, s.Call); fn != nil {
-			key = funcKey(fn)
-		}
-		w.emit(funcEvent{kind: evSpawn, pos: s.Pos(), calleeKey: key, call: s.Call, goStmt: s})
-		// Arguments are evaluated by the spawner.
+		// The goroutine's own blocking does not block the spawner;
+		// only its arguments are evaluated here.
 		for _, arg := range s.Call.Args {
 			w.walkBody(arg, ctx)
 		}
@@ -409,8 +380,8 @@ func (w *eventWalker) walkBody(n ast.Node, ctx walkCtx) {
 			// sections and are ignored here.
 			ast.Inspect(lit.Body, func(m ast.Node) bool {
 				if call, ok := m.(*ast.CallExpr); ok {
-					if class, rl, ok2 := w.lockOp(call); ok2 == lockRelease {
-						w.emit(funcEvent{kind: evDeferRelease, pos: s.Pos(), class: class, rlock: rl})
+					if class, kind := w.lockOp(call); kind == lockRelease {
+						w.emit(funcEvent{kind: evDeferRelease, pos: s.Pos(), class: class})
 					}
 				}
 				return true
@@ -436,13 +407,13 @@ func (w *eventWalker) walkBody(n ast.Node, ctx walkCtx) {
 	case *ast.SendStmt:
 		w.walkBody(s.Chan, ctx)
 		w.walkBody(s.Value, ctx)
-		w.emit(funcEvent{kind: evChanOp, pos: s.Pos(), send: true, guarded: ctx.guarded, chanEx: s.Chan, inDefer: ctx.inDefer,
+		w.emit(funcEvent{kind: evChanOp, pos: s.Pos(), send: true, guarded: ctx.guarded,
 			block: BlockEffect{Kind: "chan-send", Detail: exprString(s.Chan)}})
 		return
 	case *ast.UnaryExpr:
 		if s.Op == token.ARROW {
 			w.walkBody(s.X, ctx)
-			w.emit(funcEvent{kind: evChanOp, pos: s.Pos(), send: false, guarded: ctx.guarded, chanEx: s.X, inDefer: ctx.inDefer,
+			w.emit(funcEvent{kind: evChanOp, pos: s.Pos(), send: false, guarded: ctx.guarded,
 				block: BlockEffect{Kind: "chan-recv", Detail: exprString(s.X)}})
 			return
 		}
@@ -450,7 +421,7 @@ func (w *eventWalker) walkBody(n ast.Node, ctx walkCtx) {
 		w.walkBody(s.X, ctx)
 		if tv, ok := w.pkg.Info.Types[s.X]; ok {
 			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				w.emit(funcEvent{kind: evChanOp, pos: s.X.Pos(), send: false, guarded: ctx.guarded, chanEx: s.X, inDefer: ctx.inDefer,
+				w.emit(funcEvent{kind: evChanOp, pos: s.X.Pos(), send: false, guarded: ctx.guarded,
 					block: BlockEffect{Kind: "chan-recv", Detail: "range " + exprString(s.X)}})
 			}
 		}
@@ -489,10 +460,10 @@ const (
 // `RUnlock` / `TryLock` where field carries a //tango:lock-order
 // directive (looked up through the global index so cross-package
 // fields resolve too).
-func (w *eventWalker) lockOp(call *ast.CallExpr) (class string, rlock bool, kind lockOpKind) {
+func (w *eventWalker) lockOp(call *ast.CallExpr) (class string, kind lockOpKind) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", false, lockNone
+		return "", lockNone
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "TryLock", "TryRLock":
@@ -500,20 +471,19 @@ func (w *eventWalker) lockOp(call *ast.CallExpr) (class string, rlock bool, kind
 	case "Unlock", "RUnlock":
 		kind = lockRelease
 	default:
-		return "", false, lockNone
+		return "", lockNone
 	}
-	rlock = strings.HasPrefix(sel.Sel.Name, "R") || strings.HasPrefix(sel.Sel.Name, "TryR")
 	// The operand must be a field selection (x.mu) or a bare
 	// identifier resolving to an annotated field var.
 	key := w.lockFieldKey(sel.X)
 	if key == "" {
-		return "", false, lockNone
+		return "", lockNone
 	}
 	decl, ok := w.index.lockClass(key)
 	if !ok {
-		return "", false, lockNone
+		return "", lockNone
 	}
-	return decl.Class, rlock, kind
+	return decl.Class, kind
 }
 
 // lockFieldKey resolves the expression to an annotated field key, or
@@ -538,20 +508,20 @@ func (w *eventWalker) lockFieldKey(x ast.Expr) string {
 // classifyCall emits acquire/release, direct blocking, or plain call
 // events for one call expression.
 func (w *eventWalker) classifyCall(call *ast.CallExpr, ctx walkCtx) {
-	if class, rl, kind := w.lockOp(call); kind != lockNone {
+	if class, kind := w.lockOp(call); kind != lockNone {
 		switch {
 		case kind == lockAcquire:
-			w.emit(funcEvent{kind: evAcquire, pos: call.Pos(), class: class, rlock: rl})
+			w.emit(funcEvent{kind: evAcquire, pos: call.Pos(), class: class})
 		case ctx.inDefer:
-			w.emit(funcEvent{kind: evDeferRelease, pos: call.Pos(), class: class, rlock: rl})
+			w.emit(funcEvent{kind: evDeferRelease, pos: call.Pos(), class: class})
 		default:
-			w.emit(funcEvent{kind: evRelease, pos: call.Pos(), class: class, rlock: rl})
+			w.emit(funcEvent{kind: evRelease, pos: call.Pos(), class: class})
 		}
 		return
 	}
 	if be, ok := blockingCall(w.pkg.Info, call); ok {
 		if !ctx.guarded {
-			w.emit(funcEvent{kind: evBlock, pos: call.Pos(), block: be, call: call})
+			w.emit(funcEvent{kind: evBlock, pos: call.Pos(), block: be})
 		}
 		return
 	}
@@ -559,7 +529,7 @@ func (w *eventWalker) classifyCall(call *ast.CallExpr, ctx walkCtx) {
 	if fn == nil {
 		return
 	}
-	w.emit(funcEvent{kind: evCall, pos: call.Pos(), calleeKey: funcKey(fn), call: call})
+	w.emit(funcEvent{kind: evCall, pos: call.Pos(), calleeKey: funcKey(fn)})
 }
 
 // blockingCall reports whether the call is a known directly-blocking
@@ -696,33 +666,6 @@ func isDoneChan(info *types.Info, x ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-// paramIndex resolves an expression to the 0-based index of the
-// function parameter it names directly, or -1 (fields, locals, and
-// captured variables do not qualify).
-func paramIndex(pkg *Package, decl *ast.FuncDecl, x ast.Expr) int {
-	id, ok := ast.Unparen(x).(*ast.Ident)
-	if !ok || decl == nil || decl.Type.Params == nil {
-		return -1
-	}
-	obj, _ := pkg.Info.Uses[id].(*types.Var)
-	if obj == nil {
-		return -1
-	}
-	idx := 0
-	for _, field := range decl.Type.Params.List {
-		for _, name := range field.Names {
-			if def, _ := pkg.Info.Defs[name].(*types.Var); def == obj {
-				return idx
-			}
-			idx++
-		}
-		if len(field.Names) == 0 {
-			idx++
-		}
-	}
-	return -1
 }
 
 func exprString(x ast.Expr) string {

@@ -24,6 +24,13 @@ func (c *counter) reset() {
 	c.n = 0 // want `field n is accessed with sync/atomic at .* but plainly here`
 }
 
+// gauge reads n plainly inside a metrics callback — the mutant only
+// atomicfield catches (DESIGN.md §4c): the race detector sees it only
+// when a scrape overlaps an increment in some test.
+func (c *counter) gauge() func() float64 {
+	return func() float64 { return float64(c.n) } // want `field n is accessed with sync/atomic at .* but plainly here`
+}
+
 func (c *counter) incHot() {
 	atomic.AddInt64(&c.hot, 1)
 }

@@ -18,6 +18,18 @@ func drops(x *it) {
 	x.Close() // want `error returned by it\.Close is silently dropped`
 }
 
+// transfer forwards Close to the cursor it holds in a field.
+type transfer struct{ rows *it }
+
+// Close drops the cursor's close error — the mutant only errlost
+// catches (DESIGN.md §4c): the operator reports a clean close while
+// the server cursor failed to release.
+func (t *transfer) Close() error {
+	t.rows.Close() // want `error returned by it\.Close is silently dropped`
+	t.rows = nil
+	return nil
+}
+
 // goDrop loses the error through a go statement.
 func goDrop(x *it) {
 	go x.Close() // want `error returned by it\.Close is silently dropped`

@@ -31,6 +31,19 @@ func seversInLiteral(ctx context.Context) func() context.Context {
 	}
 }
 
+// retries hands each attempt a fresh context — the mutant only
+// faultpath catches (DESIGN.md §4c): cancelling the query no longer
+// stops its retries.
+func retries(ctx context.Context, attempt func(context.Context) error) error {
+	var err error
+	for i := 0; i < 3; i++ {
+		if err = attempt(context.Background()); err == nil { // want `context\.Background\(\) inside a function that receives ctx`
+			return nil
+		}
+	}
+	return err
+}
+
 // threads is the clean idiom: the caller's context flows through.
 func threads(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithCancel(ctx)
@@ -61,7 +74,9 @@ func asserts(err error) bool {
 	return ok
 }
 
-// assertsOp does the same on the client's typed failure.
+// assertsOp does the same on the client's typed failure — the shape
+// of the mutant only faultpath catches in client.Degradable (DESIGN.md
+// §4c): a wrapped OpError is no longer degradable.
 func assertsOp(err error) bool {
 	if oe, ok := err.(*client.OpError); ok { // want `type assertion on client\.OpError misses wrapped errors`
 		return oe.Timeout

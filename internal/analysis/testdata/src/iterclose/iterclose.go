@@ -44,6 +44,28 @@ func leakOnError(c *conn) error {
 	return it.Close()
 }
 
+// drainLeaksOnError drains a cursor by hand and closes it only after
+// the loop, so a pull error returns with the cursor still open — the
+// mutant only iterclose catches (DESIGN.md §4c).
+func drainLeaksOnError(c *conn) ([]tuple, error) {
+	rows, err := c.Query("SELECT 6")
+	if err != nil {
+		return nil, err
+	}
+	var out []tuple
+	for {
+		t, ok, err := rows.Next()
+		if err != nil {
+			return nil, err // want `return leaks rows: opened at line \d+`
+		}
+		if !ok {
+			break
+		}
+		out = append(out, t)
+	}
+	return out, rows.Close()
+}
+
 // nextAfterExhaustion calls Next again after the consuming loop
 // without re-opening.
 func nextAfterExhaustion(c *conn) error {

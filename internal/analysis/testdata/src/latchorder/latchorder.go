@@ -125,6 +125,7 @@ func (p *Pool) okHandOverHand() {
 // sync lock, and the snapshot pin registry is a leaf under catalog.
 
 //tango:lock-order walsync < groupcommit
+//tango:lock-order walsync < store
 //tango:lock-order catalog < snapreg
 
 // WAL serializes durability barriers; held across fsync by design.
@@ -159,6 +160,23 @@ func badCommitInversion(w *WAL, b *Batch) {
 	defer b.mu.Unlock()
 	w.mu.Lock() // want `acquires lock class "walsync" while holding "groupcommit"`
 	w.mu.Unlock()
+}
+
+// Disk holds both storage locks; the declared order is walsync <
+// store.
+type Disk struct {
+	fmu sync.Mutex //tango:lock-order store
+	smu sync.Mutex //tango:lock-order walsync
+}
+
+// Checkpoint takes the store lock before the sync lock — the swapped
+// order only latchorder catches (DESIGN.md §4c): it deadlocks against a
+// group-commit leader that holds smu and waits for fmu.
+func (d *Disk) Checkpoint() {
+	d.fmu.Lock()
+	defer d.fmu.Unlock()
+	d.smu.Lock() // want `acquires lock class "walsync" while holding "store"`
+	defer d.smu.Unlock()
 }
 
 // badCatalogUnderSnapReg pins a version while holding the registry

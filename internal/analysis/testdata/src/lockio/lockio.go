@@ -265,6 +265,18 @@ func (m *Mux) badDialUnderLatch() {
 	net.Dial("tcp", "127.0.0.1:0") // want `performs blocking net-io`
 }
 
+// badRefuseUnderLatch closes a connection it refuses while still
+// holding the latch — the mutant only lockio catches (DESIGN.md §4c).
+func (m *Mux) badRefuseUnderLatch(c net.Conn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.attached == nil {
+		_ = c.Close() // want `performs blocking net-io`
+		return false
+	}
+	return true
+}
+
 // okSnapshotThenWrite snapshots the conn under the latch and does the
 // I/O with it released — the detach/notify protocol.
 func (m *Mux) okSnapshotThenWrite(b []byte) {

@@ -54,6 +54,23 @@ func leakOnEarlyReturn() error {
 	return nil
 }
 
+// finishAfterChecks finishes the child only after checking the result,
+// so the check's return leaks it — the mutant only spanfinish catches
+// (DESIGN.md §4c). The first error check after creation is taken for
+// the creation's own and not reported.
+func finishAfterChecks(parent *span, run func() (int, error), check func(int) error) (int, error) {
+	sp := parent.Child("optimize")
+	n, err := run()
+	if err != nil {
+		return 0, err
+	}
+	if cerr := check(n); cerr != nil {
+		return 0, cerr // want `return leaks span sp: created at line \d+`
+	}
+	sp.Finish()
+	return n, nil
+}
+
 // deferred is the sanctioned shape: defer the Finish right after
 // creation, annotate freely after.
 func deferred() error {

@@ -22,10 +22,20 @@ func fileIgnored(r *res) {
 
 // clean has nothing to suppress, so its directive is stale — but only
 // directives naming analyzers in the run set are reported, so the
-// walorder one below stays quiet when only errlost runs.
+// lockio one below stays quiet when only errlost runs.
 func clean(r *res) error {
 	//lint:ignore errlost nothing on the next line drops an error // want `stale suppression`
 	err := r.Close()
-	//lint:ignore walorder not in the run set, so never reported as stale
+	//lint:ignore lockio not in the run set, so never reported as stale
+	return err
+}
+
+// misnamed carries directives naming no analyzer — one invented, one a
+// misspelling of errlost. They suppress nothing, so they are reported
+// whatever the run set.
+func misnamed(r *res) error {
+	//lint:ignore nosuchanalyzer not an analyzer // want `names no analyzer`
+	err := r.Close()
+	//lint:ignore errlots misspelled // want `names no analyzer`
 	return err
 }

@@ -198,7 +198,6 @@ func (db *DB) stageDurableLocked() error {
 	// The barrier lives in awaitDurable (FileDisk.Commit), which every
 	// writer calls after publishing with wmu released — splitting the
 	// two halves is what lets N sessions share one fsync.
-	//lint:ignore walorder barrier is FileDisk.Commit in awaitDurable, after the publish
 	return db.pool.FlushAll()
 }
 
