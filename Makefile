@@ -43,8 +43,9 @@ race:
 
 # fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder,
 # the wire decoders (frame, request and reply envelope), the WAL
-# decoder, the block decoder (heap pages, wire batches, spill runs)
-# and the row sort (against the comparison sort it replaced) for
+# decoder, the block decoder (heap pages, wire batches, spill runs),
+# its conjunct filter (against the compiled eval predicate) and the
+# row sort (against the comparison sort it replaced) for
 # FUZZTIME each, seeded from the evaluation workload. Any crasher is
 # written to the package's testdata/fuzz corpus and replays under
 # plain `go test`.
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/storage/ -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzBlockFilter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzSortTuples -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
@@ -97,7 +99,8 @@ load:
 # key and on coalesce's key, its COUNT(*), filter and join scans, and
 # the range-sel sweep: an indexed range at 0.1 %, 1 %, 5 % and 46 %
 # read by index, by heap scan and by the path ANALYZE's statistics
-# choose.
+# choose, and the heap-filter sweep: a heap scan testing a float and a
+# date conjunct on its pages at 2 %, 25 % and 90 % selectivity.
 ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan
 
 # OPTBENCH is the optimizer layer: one Optimize of each paper query

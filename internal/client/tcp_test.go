@@ -274,10 +274,17 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 // still gets its (late) reply into its own buffer while the retry
 // replays the batch into another, so under -race a buffer shared
 // between them shows as a race, and the rows must arrive intact.
+//
+// Only the two stalled fetches may outlive the per-attempt deadline.
+// The OPEN sorts 6000 rows, which took 9–14 ms under -race on a
+// 2-vCPU Xeon, and the server serializes a retry behind the attempt it
+// abandoned, so a deadline that one unstalled call can overrun makes
+// every retry of that call overrun too. The deadline is several times
+// that OPEN, and the stall several times the deadline.
 func TestTCPAbandonedFetchOwnsItsBuffer(t *testing.T) {
 	ts := tcpServer(t, 6000, server.TCPConfig{})
 	inj := wire.NewFaultInjector(1).AddTrap(wire.OpFetch, 2, wire.KindStall).AddTrap(wire.OpFetch, 5, wire.KindStall)
-	inj.StallTime = 25 * time.Millisecond
+	inj.StallTime = 300 * time.Millisecond
 	ts.Server().SetFaults(inj)
 	c, err := Dial(ts.Addr())
 	if err != nil {
@@ -289,7 +296,7 @@ func TestTCPAbandonedFetchOwnsItsBuffer(t *testing.T) {
 		BaseDelay:   100 * time.Microsecond,
 		MaxDelay:    time.Millisecond,
 		Multiplier:  2,
-		OpTimeout:   10 * time.Millisecond,
+		OpTimeout:   100 * time.Millisecond,
 		Deadline:    10 * time.Second,
 	}
 	out, _, err := c.QueryAll("SELECT PosID, EmpName FROM POSITION ORDER BY PosID")

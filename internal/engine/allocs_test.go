@@ -2,7 +2,10 @@
 
 package engine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestOrderByAllocs guards the row path end to end inside the engine —
 // parse, plan, heap scan into page slabs, projection into chunks, the
@@ -21,5 +24,32 @@ func TestOrderByAllocs(t *testing.T) {
 	})
 	if perRow := allocs / n; perRow > 2 {
 		t.Errorf("ORDER BY over %d rows: %.2f allocs/row, want <= 2", n, perRow)
+	}
+}
+
+// TestFilteredScanAllocs: a heap scan keeping about 2 % of a 12k-row
+// POSITION decodes only those rows, so it allocates under a tenth of
+// the bytes of the same scan unfiltered. Decoding every row and
+// filtering after allocates about a third of them.
+func TestFilteredScanAllocs(t *testing.T) {
+	const n = 12000
+	db := positionDB(t, n)
+	bytesPerOp := func(sql string) float64 {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := db.QueryAll(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	const cols = "SELECT PosID, EmpName, T1 FROM POSITION"
+	filtered, whole := bytesPerOp(cols+" WHERE T1 < 160"), bytesPerOp(cols)
+	if filtered > whole/10 {
+		t.Errorf("scan keeping 2 %% of %d rows: %.0f B/op, want under a tenth of the unfiltered scan's %.0f B/op",
+			n, filtered, whole)
 	}
 }

@@ -40,6 +40,9 @@ func (r *tableRead) Schema() types.Schema { return r.schema }
 // pool's read accounting reflects the scan.
 type heapScan struct {
 	tableRead
+	// where holds the conjuncts each page tests before decoding a row,
+	// on the table's column positions (see push); nil tests none.
+	where []types.Conjunct
 
 	numPages int
 	pageNo   int32
@@ -74,7 +77,7 @@ func (s *heapScan) NextBatch(dst []types.Tuple) (int, error) {
 			maxSlots = int(s.table.tailSlots)
 		}
 		var err error
-		s.buf, err = s.table.Heap.PageTuples(s.pageNo, maxSlots, s.cols, s.buf[:0])
+		s.buf, err = s.table.Heap.PageTuples(s.pageNo, maxSlots, s.cols, s.buf[:0], s.where...)
 		if err != nil {
 			return 0, err
 		}

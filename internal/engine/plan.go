@@ -445,14 +445,17 @@ func resolvesElsewhere(e sqlast.Expr, sources []rel.Iterator, self int) bool {
 	return false
 }
 
-// applySelection applies predicates to a source, using an index range
-// scan when the source is a plain table scan and accessPath prefers
-// one.
+// applySelection applies predicates to a source. A plain table scan
+// reads by an index range scan when accessPath prefers one; otherwise
+// its pages test every "column op literal" conjunct before decoding a
+// row (heapScan.push). Only the conjuncts left are filtered.
 func (db *DB) applySelection(src rel.Iterator, preds []sqlast.Expr) (rel.Iterator, error) {
 	if hs, ok := asHeapScan(src); ok {
 		if it, rest, ok2 := accessPath(hs, preds); ok2 {
 			preds = rest
 			src = db.instrument("indexscan("+hs.table.Name+")", it)
+		} else {
+			preds = hs.push(preds)
 		}
 	}
 	if len(preds) == 0 {
@@ -463,6 +466,55 @@ func (db *DB) applySelection(src rel.Iterator, preds []sqlast.Expr) (rel.Iterato
 		return nil, err
 	}
 	return db.instrument("filter", newFilter(src, pred), src), nil
+}
+
+// colLiteral recognises a conjunct "column op literal" whose literal is
+// not NULL, either side, and returns it with the column on the left of
+// op.
+func colLiteral(p sqlast.Expr) (cr sqlast.ColumnRef, op sqlast.BinaryOp, lit types.Value, ok bool) {
+	b, ok := p.(sqlast.BinaryExpr)
+	if !ok {
+		return cr, op, lit, false
+	}
+	cr, okC := b.Left.(sqlast.ColumnRef)
+	l, okL := b.Right.(sqlast.Literal)
+	op = b.Op
+	if !okC || !okL {
+		cr, okC = b.Right.(sqlast.ColumnRef)
+		l, okL = b.Left.(sqlast.Literal)
+		op = flipOp(b.Op)
+	}
+	return cr, op, l.Value, okC && okL && !l.Value.IsNull()
+}
+
+// outcomes holds, for each comparison operator, the Compare outcomes
+// under which "value op literal" holds.
+var outcomes = map[sqlast.BinaryOp]types.Outcomes{
+	sqlast.OpEq: types.Equals, sqlast.OpNe: types.Below | types.Above,
+	sqlast.OpLt: types.Below, sqlast.OpLe: types.Below | types.Equals,
+	sqlast.OpGt: types.Above, sqlast.OpGe: types.Above | types.Equals,
+}
+
+// push hands every conjunct "column op literal" on one of the scan's
+// columns to the scan, which tests them on each page's column words
+// before decoding the passing rows (types.DecodeBlock), and returns the
+// conjuncts left. A pushed conjunct holds for exactly the rows its
+// compiled form (eval) passes, and never fails at run time.
+func (s *heapScan) push(preds []sqlast.Expr) []sqlast.Expr {
+	var rest []sqlast.Expr
+	for _, p := range preds {
+		cr, op, lit, ok := colLiteral(p)
+		k := s.schema.ColumnIndex(cr.String())
+		if !ok || outcomes[op] == 0 || k < 0 {
+			rest = append(rest, p)
+			continue
+		}
+		if s.cols != nil {
+			k = s.cols[k]
+		}
+		s.where = append(s.where, types.Conjunct{Col: k, Lit: lit, Pass: outcomes[op]})
+	}
+	return rest
 }
 
 // indexRange is a conjunct "indexed column op literal" that an index
@@ -480,25 +532,13 @@ type indexRange struct {
 func indexRanges(t *Table, preds []sqlast.Expr) []indexRange {
 	var out []indexRange
 	for i, p := range preds {
-		b, ok := p.(sqlast.BinaryExpr)
-		if !ok {
-			continue
-		}
-		cr, okC := b.Left.(sqlast.ColumnRef)
-		lit, okL := b.Right.(sqlast.Literal)
-		op := b.Op
-		if !okC || !okL {
-			// literal op col
-			cr, okC = b.Right.(sqlast.ColumnRef)
-			lit, okL = b.Left.(sqlast.Literal)
-			op = flipOp(b.Op)
-		}
-		if !okC || !okL || lit.Value.IsNull() || t.Index(cr.Name) == nil {
+		cr, op, lit, ok := colLiteral(p)
+		if !ok || t.Index(cr.Name) == nil {
 			continue
 		}
 		switch op {
 		case sqlast.OpEq, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe:
-			out = append(out, indexRange{pred: i, col: cr.Name, op: op, lit: lit.Value})
+			out = append(out, indexRange{pred: i, col: cr.Name, op: op, lit: lit})
 		}
 	}
 	return out
@@ -661,8 +701,9 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 	switch hint {
 	case sqlast.HintNestedLoop:
 		// Index nested loop when the inner (right) side is a base-table
-		// scan with an index on an equi-join column.
-		if hs, ok := asHeapScan(right); ok {
+		// scan with an index on an equi-join column, and no conjuncts
+		// of its own: the index probes would not test them.
+		if hs, ok := asHeapScan(right); ok && hs.where == nil {
 			for ei, e := range equis {
 				cr, okCR := e.r.(sqlast.ColumnRef)
 				if !okCR || hs.table.Index(cr.Name) == nil {

@@ -183,19 +183,21 @@ func (h *HeapFile) Scan(cols []int, fn func(RecordID, types.Tuple) bool) error {
 
 // PageTuples decodes the tuples of one page up to (excluding) slot
 // maxSlots, keeping the columns at positions cols (ascending; nil keeps
-// every column), and appends them to dst; maxSlots < 0 means every
-// slot. It lets scans stream page-at-a-time instead of materializing
-// the whole table, and snapshot scans use the slot cap to stop a tail
-// page at the reader's visibility bound. The page is read under its
-// shared content latch and decoded in one validating pass
-// (types.DecodeBlock): the tuples do not alias the page buffer.
-func (h *HeapFile) PageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple) ([]types.Tuple, error) {
+// every column) and only the tuples passing every conjunct of where,
+// and appends them to dst; maxSlots < 0 means every slot. It lets scans
+// stream page-at-a-time instead of materializing the whole table, and
+// snapshot scans use the slot cap to stop a tail page at the reader's
+// visibility bound. The page is read under its shared content latch and
+// decoded in one validating pass (types.DecodeBlock), which tests the
+// conjuncts on the slots below the cap before decoding the passing
+// tuples: the tuples do not alias the page buffer.
+func (h *HeapFile) PageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple, where ...types.Conjunct) ([]types.Tuple, error) {
 	p, ref, err := h.pool.FetchShared(PageID{File: h.file, No: pageNo})
 	if err != nil {
 		return dst, err
 	}
 	defer ref.Release()
-	dst, _, err = types.DecodeBlock(dst, p.buf[:], cols, 0, maxSlots)
+	dst, _, err = types.DecodeBlock(dst, p.buf[:], cols, 0, maxSlots, where...)
 	return dst, err
 }
 

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -486,30 +487,51 @@ func (c *column) word(i int) uint64 {
 	return c.base + uintAt(c.words, i, c.width)
 }
 
-// strBytes checks the string offsets bounding rows [lo, hi) and returns
-// how many string bytes decoding those rows copies.
-func (c *column) strBytes(lo, hi int) (int, error) {
-	switch {
-	case hi == lo:
-	case c.kind == KindString:
-		from, to := c.word(lo-1), c.word(hi-1)
-		if from > to || to > uint64(len(c.region)) {
-			return 0, errBadOffset
-		}
-		return int(to - from), nil
-	case c.kind == kindMixed:
+// strBytes checks the string offsets bounding each run of selected rows
+// in [lo, hi) (sel nil: every row) and returns how many string bytes
+// decoding those rows copies: all of a mixed column's.
+func (c *column) strBytes(sel []uint64, lo, hi int) (int, error) {
+	switch c.kind {
+	case kindMixed:
 		return len(c.region), nil
+	case KindString:
+		n := 0
+		for a, b := nextRun(sel, lo, hi); a < hi; a, b = nextRun(sel, b, hi) {
+			from, to := c.word(a-1), c.word(b-1)
+			if from > to || to > uint64(len(c.region)) {
+				return 0, errBadOffset
+			}
+			n += int(to - from)
+		}
+		return n, nil
 	}
 	return 0, nil
 }
 
-// decode fills every stride-th value of vals, from the first, with rows
-// [lo, hi) of the column, copying the strings they hold to the end of
-// slab in one copy of the string bytes they span.
-func (c *column) decode(vals []Value, stride, lo, hi int, slab []byte) ([]byte, error) {
+// decode fills every stride-th value of vals, from the first, with the
+// selected rows in [lo, hi) of the column (sel nil: every row), of
+// which there is at least one, copying the strings they hold to the end
+// of slab: for each run of selected rows one copy of the string bytes it
+// spans, or a mixed column's string bytes once.
+func (c *column) decode(vals []Value, stride int, sel []uint64, lo, hi int, slab []byte) ([]byte, error) {
 	if c.kind == KindNull {
 		return slab, nil
 	}
+	at := len(slab) // slab index of a mixed column's string byte 0
+	if c.kind == kindMixed {
+		slab = append(slab, c.region...)
+	}
+	var err error
+	for a, b := nextRun(sel, lo, hi); a < hi && err == nil; a, b = nextRun(sel, b, hi) {
+		slab, err = c.decodeRun(vals, stride, a, b, slab, at)
+		vals = vals[min(len(vals), (b-a)*stride):]
+	}
+	return slab, err
+}
+
+// decodeRun is decode for every row of [lo, hi), a mixed column's string
+// bytes lying in slab from index at.
+func (c *column) decodeRun(vals []Value, stride, lo, hi int, slab []byte, at int) ([]byte, error) {
 	for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
 		vals[j].kind, vals[j].n = c.kind, int64(c.base+uintAt(c.words, i, c.width))
 	}
@@ -529,28 +551,20 @@ func (c *column) decode(vals []Value, stride, lo, hi int, slab []byte) ([]byte, 
 			prev = end
 		}
 	case kindMixed:
-		at := len(slab)
-		slab = append(slab, c.region...)
 		for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
-			k, word := Kind(c.kinds[i]), uint64(vals[j].n)
-			switch vals[j].kind = k; {
-			case k >= kindMixed:
-				return slab, fmt.Errorf("types: unknown kind %d", k)
-			case k == KindNull:
-				vals[j].n = 0
-			case k != KindString:
-			case word&math.MaxUint32+word>>32 > uint64(len(c.region)):
-				return slab, errBadOffset
-			case word>>32 > 0:
-				vals[j].p, vals[j].n = &slab[at+int(word&math.MaxUint32)], int64(word>>32)
-			default:
-				vals[j].n = 0
+			v, err := c.value(i)
+			if err != nil {
+				return slab, err
 			}
+			if v.p != nil { // a string: point it into the slab's copy
+				v.p = &slab[at+int(c.word(i)&math.MaxUint32)]
+			}
+			vals[j] = v
 		}
 	}
 	if c.nulls != nil {
 		for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
-			if c.nulls[i/8]&(1<<(i%8)) != 0 {
+			if c.null(i) {
 				vals[j] = Value{}
 			}
 		}
@@ -558,19 +572,142 @@ func (c *column) decode(vals []Value, stride, lo, hi int, slab []byte) ([]byte, 
 	return slab, nil
 }
 
+// A Conjunct is one "column op literal" test a block decode applies to
+// its rows before decoding any: a row passes when its value in column
+// Col is not NULL and Compare orders it against Lit with an outcome in
+// Pass — exactly when SQL's "value op Lit" holds.
+type Conjunct struct {
+	Col  int
+	Lit  Value
+	Pass Outcomes
+}
+
+// Outcomes is a set of Compare outcomes.
+type Outcomes uint8
+
+// The outcomes of Compare(value, literal): below, equal, above.
+const (
+	Below Outcomes = 1 << iota
+	Equals
+	Above
+)
+
+// filter clears in sel every row of [lo, hi) whose value in the column
+// fails f. An integer, date or boolean column tested against such a
+// literal compares its words; any other reads each selected row's value
+// — pointing into the block, checked like decode checks it — and calls
+// Compare.
+func (c *column) filter(sel []uint64, lo, hi int, f Conjunct) error {
+	if c.onWords(f) {
+		for i := lo; i < hi; i++ {
+			x := int64(c.base + uintAt(c.words, i, c.width))
+			if c.null(i) || f.Pass&(1<<(cmp.Compare(x, f.Lit.n)+1)) == 0 {
+				sel[i/64] &^= 1 << (i % 64)
+			}
+		}
+		return nil
+	}
+	for i := lo; i < hi; i++ {
+		if sel[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		v := Value{kind: c.kind, n: int64(c.base + uintAt(c.words, i, c.width))}
+		if c.kind == KindString || c.kind == kindMixed {
+			var err error
+			if v, err = c.value(i); err != nil {
+				return err
+			}
+		}
+		if c.null(i) || v.kind == KindNull || f.Pass&(1<<(Compare(v, f.Lit)+1)) == 0 {
+			sel[i/64] &^= 1 << (i % 64)
+		}
+	}
+	return nil
+}
+
+// onWords reports whether f is tested on the column's words: Compare
+// orders an integer, date or boolean against another by payload alone.
+func (c *column) onWords(f Conjunct) bool { return intLike(c.kind) && intLike(f.Lit.kind) }
+
+func intLike(k Kind) bool { return k == KindInt || k == KindDate || k == KindBool }
+
+// value returns row i of a string or mixed column, its string pointing
+// into the block, checking its kind and offsets.
+func (c *column) value(i int) (Value, error) {
+	word := c.word(i)
+	if c.kind == KindString {
+		from := c.word(i - 1)
+		if from > word || word > uint64(len(c.region)) {
+			return Value{}, errBadOffset
+		}
+		return strAt(c.region, from, word-from), nil
+	}
+	switch k := Kind(c.kinds[i]); {
+	case k >= kindMixed:
+		return Value{}, fmt.Errorf("types: unknown kind %d", k)
+	case k == KindNull:
+		return Value{}, nil
+	case k != KindString:
+		return Value{kind: k, n: int64(word)}, nil
+	case word&math.MaxUint32+word>>32 > uint64(len(c.region)):
+		return Value{}, errBadOffset
+	}
+	return strAt(c.region, word&math.MaxUint32, word>>32), nil
+}
+
+// strAt returns the string of the n bytes of b from index from.
+func strAt(b []byte, from, n uint64) Value {
+	if n == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, p: &b[from], n: int64(n)}
+}
+
+// nextRun returns the first run [a, b) of rows selected in sel (nil:
+// every row) from row i on and below hi, or a == hi when there is none.
+// It inlines, so an unfiltered decode pays no call for it.
+func nextRun(sel []uint64, i, hi int) (a, b int) {
+	if sel == nil {
+		return i, hi
+	}
+	return selectedRun(sel, i, hi)
+}
+
+// selectedRun is nextRun for a non-nil sel.
+func selectedRun(sel []uint64, i, hi int) (a, b int) {
+	a = nextBit(sel, i, hi, 0)
+	return a, nextBit(sel, a, hi, ^uint64(0))
+}
+
+// nextBit returns the first row from i on, below hi, whose bit in sel
+// differs from flip's, or hi.
+func nextBit(sel []uint64, i, hi int, flip uint64) int {
+	for i < hi {
+		if w := (sel[i/64] ^ flip) >> (i % 64); w != 0 {
+			return min(i+bits.TrailingZeros64(w), hi)
+		}
+		i = (i | 63) + 1
+	}
+	return hi
+}
+
 // DecodeBlock is the one decoder of the system: heap pages, wire
 // batches, statistics and spill runs all decode through it. It appends
 // rows [lo, hi) of the block at the front of buf to dst — every row from
 // lo on when hi < 0 or past the block's end — keeping only the columns
-// at positions cols (strictly ascending; nil keeps every column), and
-// returns dst and the block's length. Every column's header and length
-// is checked against buf, and every string offset of a kept column the
-// rows use; an unkept column's values are never visited. Corrupt bytes
-// return an error and dst as it was, never a panic. The rows share one
-// value slab, and their strings one slab holding one copy of each kept
-// string column's bytes: they do not alias buf. A zero-width row is
-// still a row, never nil.
-func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int) ([]Tuple, int, error) {
+// at positions cols (strictly ascending; nil keeps every column) and
+// only the rows that pass every conjunct of where, and returns dst and
+// the block's length. The conjuncts are tested on the column words of
+// rows [lo, hi) before any value is decoded, and only the rows passing
+// them all are decoded. Every column's header and length is checked
+// against buf, and every string offset of a tested row or of a kept
+// column the passing rows use; an unkept, untested column's values are
+// never visited. Corrupt bytes return an error and dst as it was, never
+// a panic. The rows share one value slab, and their strings one slab
+// holding one copy of the kept string bytes of each run of passing
+// rows: they do not alias buf. A zero-width row is still a row, never
+// nil.
+func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int, where ...Conjunct) ([]Tuple, int, error) {
 	rows, ncols, pos, err := blockHeader(buf)
 	if err != nil {
 		return dst, 0, err
@@ -585,8 +722,13 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int) ([]Tuple, int,
 	} else if kept > 0 && cols[kept-1] >= ncols {
 		return dst, 0, errMissingColumn
 	}
-	// Pass 1: every column's header and length, and the kept strings'
-	// bytes.
+	for _, f := range where {
+		if f.Col < 0 || f.Col >= ncols {
+			return dst, 0, errMissingColumn
+		}
+	}
+	// Pass 1: every column's header and length and, without conjuncts,
+	// the kept strings' bytes.
 	start, strs := pos, 0
 	for c, k := 0, 0; c < ncols; c++ {
 		col, used, err := parseColumn(buf[pos:], rows)
@@ -594,21 +736,64 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int) ([]Tuple, int,
 			return dst, 0, err
 		}
 		pos += used
-		if keeps(cols, c, &k) {
-			n, err := col.strBytes(lo, hi)
+		if keeps(cols, c, &k) && len(where) == 0 {
+			s, err := col.strBytes(nil, lo, hi)
 			if err != nil {
 				return dst, 0, err
 			}
-			strs += n
+			strs += s
 		}
 	}
-	n, base := hi-lo, len(dst)
+	end, n := pos, hi-lo
+	// The conjuncts, on the tested columns' words: sel marks the rows
+	// passing so far.
+	var sel []uint64
+	if len(where) > 0 && n > 0 {
+		var mark [maxBlockValues / 64]uint64
+		sel = mark[:(hi+63)/64]
+		for i := lo; i < hi; i++ {
+			sel[i/64] |= 1 << (i % 64)
+		}
+		// The word tests first: the others then read fewer rows.
+		for _, words := range [2]bool{true, false} {
+			pos = start
+			for c := range ncols {
+				col, used, _ := parseColumn(buf[pos:], rows) // checked by pass 1
+				pos += used
+				for _, f := range where {
+					if f.Col != c || col.onWords(f) != words {
+						continue
+					}
+					if err := col.filter(sel, lo, hi, f); err != nil {
+						return dst, 0, err
+					}
+				}
+			}
+		}
+		n = 0
+		for _, w := range sel {
+			n += bits.OnesCount64(w)
+		}
+	}
+	base := len(dst)
 	dst = slices.Grow(dst, n)
 	if kept == 0 || n == 0 {
 		for range n {
 			dst = append(dst, Tuple{})
 		}
-		return dst, pos, nil
+		return dst, end, nil
+	}
+	// The kept strings' bytes of the passing rows.
+	for c, k, at := 0, 0, start; sel != nil && k < kept; c++ {
+		col, used, _ := parseColumn(buf[at:], rows) // checked by pass 1
+		at += used
+		if keeps(cols, c, &k) {
+			s, err := col.strBytes(sel, lo, hi)
+			if err != nil {
+				return dst, 0, err
+			}
+			strs += s
+		}
 	}
 	// Pass 2: the kept columns, one at a time, into row-major tuples.
 	vals := make([]Value, n*kept)
@@ -619,7 +804,6 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int) ([]Tuple, int,
 	if strs > 0 {
 		slab = make([]byte, 0, strs)
 	}
-	end := pos
 	pos = start
 	for c, k := 0, 0; k < kept; c++ {
 		col, used, _ := parseColumn(buf[pos:], rows) // checked by pass 1
@@ -627,7 +811,7 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int) ([]Tuple, int,
 		if !keeps(cols, c, &k) {
 			continue
 		}
-		if slab, err = col.decode(vals[k-1:], kept, lo, hi, slab); err != nil {
+		if slab, err = col.decode(vals[k-1:], kept, sel, lo, hi, slab); err != nil {
 			return dst[:base], 0, err
 		}
 	}

@@ -246,12 +246,15 @@ func numericKind(k Kind) bool {
 // lexicographically. Comparing a numeric with a string compares the
 // numeric's display form.
 func Compare(a, b Value) int {
-	// Same-kind integers and strings are nearly every comparison a sort
-	// or a join makes; they skip the promotion rules below.
+	// Same-kind integers, floats and strings are nearly every comparison
+	// a sort, a join or a scan's conjunct makes; they skip the promotion
+	// rules below.
 	if a.kind == b.kind {
 		switch a.kind {
 		case KindInt, KindDate, KindBool:
 			return cmp.Compare(a.n, b.n)
+		case KindFloat:
+			return compareFloats(a.float(), b.float())
 		case KindString:
 			return strings.Compare(a.str(), b.str())
 		}
@@ -266,15 +269,7 @@ func Compare(a, b Value) int {
 	}
 	if numericKind(a.kind) && numericKind(b.kind) {
 		if a.kind == KindFloat || b.kind == KindFloat {
-			af, bf := a.AsFloat(), b.AsFloat()
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
+			return compareFloats(a.AsFloat(), b.AsFloat())
 		}
 		switch {
 		case a.n < b.n:
@@ -294,6 +289,18 @@ func Compare(a, b Value) int {
 	default:
 		return 0
 	}
+}
+
+// compareFloats orders two floats on the numeric axis: NaN compares
+// equal to every float, and -0 to 0.
+func compareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // Equal reports whether two values compare equal.
