@@ -100,8 +100,10 @@ load:
 # the range-sel sweep: an indexed range at 0.1 %, 1 %, 5 % and 46 %
 # read by index, by heap scan and by the path ANALYZE's statistics
 # choose, and the heap-filter sweep: a heap scan testing a float and a
-# date conjunct on its pages at 2 %, 25 % and 90 % selectivity.
-ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan
+# date conjunct on its pages at 2 %, 25 % and 90 % selectivity; and a
+# server cursor's fetches draining a 12k-row filter + projection and an
+# ORDER BY (ns/op, B/op and allocs/op).
+ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch
 
 # OPTBENCH is the optimizer layer: one Optimize of each paper query
 # (ns/op and allocs/op), so an optimizer regression names its query.
@@ -116,7 +118,7 @@ bench-smoke:
 	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x -cpu 1,2
 	$(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 1x
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
-	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
+	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
 
 # bench-json measures the sequential-vs-parallel query benchmarks
 # (-cpu 1,4: 1 = sequential algorithms, 4 = windowed fetch pipeline,
@@ -136,7 +138,7 @@ bench-json:
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
 	  $(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 200x; \
 	  $(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 2000x; \
-	  $(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 20x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)
+	  $(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 20x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)
 
 # tangobench-smoke vets and tests the nested benchmark module, which
 # `go build ./...` at the root does not see: it imports the codec, the

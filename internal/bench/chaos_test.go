@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/algebra"
 	"tango/internal/client"
 	"tango/internal/optimizer"
 	"tango/internal/rel"
@@ -35,6 +36,35 @@ func chaosPolicy() client.RetryPolicy {
 		OpTimeout:   500 * time.Millisecond,
 		Deadline:    5 * time.Second,
 	}
+}
+
+// budgetTraps returns the schedule entries that drop the first
+// k·(n−1)+1 round trips of op, where k is the number of T^M cursors of
+// the plan the middleware chooses for initial and n the chaos retry
+// budget. However the k cursors interleave, one of them meets n drops
+// in a row and gives up, so the plan fails; and the at most n−1 drops
+// left cannot exhaust the budget of a cursor of the fallback plan.
+func budgetTraps(t *testing.T, sys *System, initial *algebra.Node, op string) []string {
+	t.Helper()
+	res, err := sys.MW.Optimize(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	res.Best.Walk(func(n *algebra.Node) {
+		if n.Op == algebra.OpTM {
+			k++
+		}
+	})
+	n := chaosPolicy().MaxAttempts
+	traps := make([]string, k*(n-1)+1)
+	if len(traps)-n >= n {
+		t.Fatalf("%d cursors: %d traps could exhaust a fallback cursor too", k, len(traps))
+	}
+	for i := range traps {
+		traps[i] = fmt.Sprintf("%s@%d=drop", op, i+1)
+	}
+	return traps
 }
 
 // typedFailure reports whether err is one of the resilience layer's
@@ -272,14 +302,10 @@ func TestChaosFallbackQueryVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Trap the first logical OPEN for the whole retry budget: attempt
-	// i of the first T^M hits trap query@i, so the best plan dies of
-	// an exhausted OpError and the middleware must re-site.
-	n := chaosPolicy().MaxAttempts
-	traps := make([]string, n)
-	for i := range traps {
-		traps[i] = fmt.Sprintf("query@%d=drop", i+1)
-	}
+	// Trap the first logical OPEN for the whole retry budget, on
+	// whichever T^M of the best plan meets the traps first: the plan
+	// dies of an exhausted OpError and the middleware must re-site.
+	traps := budgetTraps(t, sys, Q2Initial(end), "query")
 	sched, err := wire.ParseSchedule("seed=3;" + strings.Join(traps, ";"))
 	if err != nil {
 		t.Fatal(err)

@@ -67,15 +67,12 @@ func TestTraceStitchedFallback(t *testing.T) {
 	}
 	queries := int64(1)
 
-	// Trap attempts 1..MaxAttempts of the first logical fetch: the
-	// winning plan's T^M dies of an exhausted OpError and the
-	// middleware must re-site onto a fallback candidate, whose own
-	// fetches (trap list exhausted) succeed.
+	// Trap every attempt of the first logical fetch of whichever T^M
+	// meets the traps first: the winning plan dies of an exhausted
+	// OpError and the middleware must re-site onto a fallback
+	// candidate, whose own fetches (too few traps left) succeed.
 	n := chaosPolicy().MaxAttempts
-	traps := make([]string, n)
-	for i := range traps {
-		traps[i] = fmt.Sprintf("fetch@%d=drop", i+1)
-	}
+	traps := budgetTraps(t, sys, Q2Initial(end), "fetch")
 	sched, err := wire.ParseSchedule("seed=9;" + strings.Join(traps, ";"))
 	if err != nil {
 		t.Fatal(err)

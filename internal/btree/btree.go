@@ -46,6 +46,7 @@ type Tree struct {
 	mu   sync.RWMutex //tango:lock-order index latch
 	root *node
 	size int
+	keys types.Arena // the keys' string bytes
 }
 
 // New creates an empty tree.
@@ -61,12 +62,12 @@ func (t *Tree) Len() int {
 }
 
 // Insert adds an entry; duplicate keys are allowed. The tree outlives
-// the scan that feeds it, so it keeps a detached copy of the key.
+// the scan that feeds it, so it keeps a copy of the key.
 func (t *Tree) Insert(key types.Value, rid storage.RecordID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.size++
-	mid, right := t.root.insert(key.Detach(), rid)
+	mid, right := t.root.insert(t.keys.Value(key), rid)
 	if right != nil {
 		t.root = &node{
 			keys:     []types.Value{mid},

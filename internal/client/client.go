@@ -15,6 +15,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,14 +242,21 @@ func (c *Conn) QueryWindowed(sql string, window int) (*Rows, error) {
 	return r, nil
 }
 
-// Rows iterates a query result fetched in batches over the wire.
+// Rows iterates a query result fetched in batches over the wire. Each
+// fetch is decoded into a slab that goes back to the pool once the
+// consumer has asked for the batch after it.
 type Rows struct {
 	conn   *Conn
 	cur    uint64 // server cursor id
 	schema types.Schema
 	sql    string
 
-	batch  rel.Cursor // the current fetch's rows
+	batch rel.Cursor // the current fetch's rows
+	mem   *slab      // their memory
+	// keep has every fetch decoded into fresh memory and its rows
+	// gathered in kept (QueryAll).
+	keep   bool
+	kept   [][]types.Tuple
 	done   bool
 	err    error // the failure that ended the stream; sticky
 	closed bool
@@ -276,9 +284,27 @@ type fetchPipeline struct {
 // stream). rows == nil with a nil err is end of stream.
 type fetched struct {
 	rows  []types.Tuple
+	mem   *slab // what rows are decoded into
 	bytes int
 	delay time.Duration // propagation still owed (loopback only)
 	err   error
+}
+
+// slab is the memory one fetch is decoded into: its row headers and
+// the arena of their values and strings. Slabs are pooled across every
+// result set, and a released slab frees its arena's chunks for any
+// arena, so a steady stream of fetches decodes without allocating.
+type slab struct {
+	rows []types.Tuple
+	mem  types.Arena
+}
+
+var slabs = sync.Pool{New: func() any { return new(slab) }}
+
+// put frees the slab's rows and returns it to the pool.
+func (s *slab) put() {
+	s.mem.Free()
+	slabs.Put(s)
 }
 
 // startPipeline launches the requester with the given window.
@@ -342,9 +368,9 @@ func (r *Rows) requester(p *fetchPipeline, ctx context.Context) {
 // fetchBatch is the one fetch round trip: it asks the cursor for batch
 // seq (retrying under the resilience policy, every attempt replaying
 // the same sequence number) and decodes the reply straight from the
-// bytes the transport returned. Each attempt owns its scratch buffer,
-// so an attempt abandoned at its deadline can never race a retry or
-// the consumer.
+// bytes the transport returned. Each attempt owns its scratch buffer
+// and its slab, so an attempt abandoned at its deadline can never race
+// a retry or the consumer.
 func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
 	out, err := doValCtx(r.conn, ctx, "fetch", func(sp *telemetry.Span) (fetched, error) {
 		buf := wire.GetBuf()
@@ -358,12 +384,22 @@ func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
 		if err != nil || rep.EOS {
 			return fetched{}, err
 		}
-		rows, derr := wire.DecodeBatch(rep.Body)
+		if r.keep {
+			rows, derr := wire.DecodeBatch(rep.Body)
+			if derr != nil {
+				return fetched{}, &corruptReply{err: derr}
+			}
+			return fetched{rows: rows, bytes: len(rep.Body), delay: rep.Delay}, nil
+		}
+		s := slabs.Get().(*slab)
+		rows, derr := wire.DecodeBatchArena(s.rows[:0], &s.mem, rep.Body)
 		if derr != nil {
+			s.put()
 			// Truncated reply: retry replays the same sequence number.
 			return fetched{}, &corruptReply{err: derr}
 		}
-		return fetched{rows: rows, bytes: len(rep.Body), delay: rep.Delay}, nil
+		s.rows = rows
+		return fetched{rows: rows, mem: s, bytes: len(rep.Body), delay: rep.Delay}, nil
 	}, nil)
 	out.err = err
 	return out
@@ -401,7 +437,21 @@ func (r *Rows) fetch() error {
 	r.fb.Bytes += int64(b.bytes)
 	r.fb.Batches++
 	r.batch.Reset(b.rows)
+	r.release()
+	r.mem = b.mem
+	if r.keep {
+		r.kept = append(r.kept, b.rows)
+	}
 	return nil
+}
+
+// release returns the slab of the last batch, which the consumer is
+// done with, to the pool.
+func (r *Rows) release() {
+	if r.mem != nil {
+		r.mem.put()
+		r.mem = nil
+	}
 }
 
 // NextBatch hands over (up to) one decoded wire fetch at a time,
@@ -435,6 +485,8 @@ func (r *Rows) Close() error {
 		r.done = true
 		r.finish()
 	}
+	r.batch.Reset(nil)
+	r.release()
 	if r.closed {
 		return nil
 	}
@@ -455,17 +507,20 @@ func (r *Rows) finish() {
 func (r *Rows) Feedback() Feedback { return r.fb }
 
 // QueryAll runs a query and materializes the result, returning the
-// transfer feedback.
+// transfer feedback. It keeps every row, so rather than copy them out
+// of reused slabs, as rel.Drain would, it has each fetch decoded into
+// fresh memory that the relation keeps.
 func (c *Conn) QueryAll(sql string) (*rel.Relation, Feedback, error) {
 	rows, err := c.Query(sql)
 	if err != nil {
 		return nil, Feedback{}, err
 	}
-	out, err := rel.Drain(rows) // closes rows on every path
-	if err != nil {
+	rows.keep = true
+	// Each closes rows on every path; the fetches pile up in rows.kept.
+	if err := rel.Each(rows, func(types.Tuple) error { return nil }); err != nil {
 		return nil, Feedback{}, err
 	}
-	return out, rows.Feedback(), nil
+	return &rel.Relation{Schema: rows.Schema(), Tuples: slices.Concat(rows.kept...)}, rows.Feedback(), nil
 }
 
 // CreateTable issues a CREATE TABLE for the given schema. Qualified

@@ -550,6 +550,7 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 	if card > 0 {
 		stats.AvgTupleSize = float64(bytes) / float64(card)
 	}
+	var kept types.Arena // the min and max strings, which outlive the scan
 	for i, col := range t.Schema.Cols {
 		cs := &meta.ColumnStats{Name: col.Name}
 		distinct := map[string]bool{}
@@ -566,7 +567,7 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 			}
 			distinct[v.AsString()] = true
 		}
-		cs.Min, cs.Max = cs.Min.Detach(), cs.Max.Detach()
+		cs.Min, cs.Max = kept.Value(cs.Min), kept.Value(cs.Max)
 		cs.Distinct = int64(len(distinct))
 		if histogramBuckets > 0 && col.Kind != types.KindString && col.Kind != types.KindBool {
 			cs.Histogram = meta.BuildHistogram(values[i], histogramBuckets)

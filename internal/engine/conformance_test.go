@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"tango/internal/rel"
@@ -112,4 +113,57 @@ func TestInsertSelectReleasesSnapshot(t *testing.T) {
 			t.Errorf("%s: %d snapshots left pinned", stmt, n)
 		}
 	}
+}
+
+// TestConformanceStrings runs the engine's keepers over string
+// columns. The poisoned inputs reuse their string bytes batch after
+// batch, so a keeper that copied a row's values but not their bytes
+// would read another row's strings.
+func TestConformanceStrings(t *testing.T) {
+	s, i := types.Str, types.Int
+	a := strRel("K V", []types.Value{s("bb"), s("v1")}, []types.Value{s("aa"), s("v2")},
+		[]types.Value{s("cc"), s("v3")}, []types.Value{s("aa"), s("v0")}, []types.Value{s("bb"), s("v4")})
+	b := strRel("K W", []types.Value{s("aa"), s("w1")}, []types.Value{s("cc"), s("w2")}, []types.Value{s("dd"), s("w3")})
+	joined := strRel("K V K W", []types.Value{s("aa"), s("v2"), s("aa"), s("w1")},
+		[]types.Value{s("cc"), s("v3"), s("cc"), s("w2")}, []types.Value{s("aa"), s("v0"), s("aa"), s("w1")})
+	col := func(c int) evalFunc { return func(t types.Tuple) (types.Value, error) { return t[c], nil } }
+	keyEq := func(t types.Tuple) (types.Value, error) { return types.Bool(types.Equal(t[0], t[2])), nil }
+	one, two := []*rel.Relation{a}, []*rel.Relation{a, b}
+	itertest.Run(t, []itertest.Case{
+		{Name: "sort", Inputs: one,
+			Want: strRel("K V", []types.Value{s("aa"), s("v2")}, []types.Value{s("aa"), s("v0")},
+				[]types.Value{s("bb"), s("v1")}, []types.Value{s("bb"), s("v4")}, []types.Value{s("cc"), s("v3")}),
+			Build: func(in []rel.Iterator) rel.Iterator { return newSort(in[0], []evalFunc{col(0)}, nil) }},
+		{Name: "hashJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
+			return newHashJoin(in[0], in[1], []evalFunc{col(0)}, []evalFunc{col(0)}, nil)
+		}},
+		{Name: "nlJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
+			return newNLJoin(in[0], in[1], keyEq)
+		}},
+		{Name: "group", Inputs: one,
+			Want: strRel("K N M", []types.Value{s("bb"), i(2), s("v1")}, []types.Value{s("aa"), i(2), s("v0")},
+				[]types.Value{s("cc"), i(1), s("v3")}),
+			Build: func(in []rel.Iterator) rel.Iterator {
+				aggs := []*aggSpec{{name: "COUNT"}, {name: "MIN", arg: col(1)}}
+				return newGroup(in[0], []evalFunc{col(0)}, aggs, strRel("K N M").Schema)
+			}},
+	})
+}
+
+// strRel builds a relation of the given rows; cols names the columns,
+// separated by spaces, and each column takes its first row's kind.
+func strRel(cols string, rows ...[]types.Value) *rel.Relation {
+	var schema types.Schema
+	for c, name := range strings.Fields(cols) {
+		kind := types.KindString
+		if len(rows) > 0 {
+			kind = rows[0][c].Kind()
+		}
+		schema.Cols = append(schema.Cols, types.Column{Name: name, Kind: kind})
+	}
+	r := rel.New(schema)
+	for _, row := range rows {
+		r.Append(row)
+	}
+	return r
 }

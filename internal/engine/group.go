@@ -32,7 +32,9 @@ func newAggState(spec *aggSpec) *aggState {
 	return s
 }
 
-func (s *aggState) add(t types.Tuple) error {
+// add adds t's value; a value it keeps (a first sum, a minimum or a
+// maximum) is copied into mem.
+func (s *aggState) add(t types.Tuple, mem *types.Arena) error {
 	var v types.Value
 	if s.spec.arg == nil {
 		// COUNT(*): every row counts.
@@ -57,17 +59,17 @@ func (s *aggState) add(t types.Tuple) error {
 	switch s.spec.name {
 	case "SUM", "AVG":
 		if s.sum.IsNull() {
-			s.sum = v
+			s.sum = mem.Value(v)
 		} else {
 			s.sum = types.Add(s.sum, v)
 		}
 	case "MIN":
 		if s.min.IsNull() || types.Less(v, s.min) {
-			s.min = v
+			s.min = mem.Value(v)
 		}
 	case "MAX":
 		if s.max.IsNull() || types.Less(s.max, v) {
-			s.max = v
+			s.max = mem.Value(v)
 		}
 	}
 	return nil
@@ -94,12 +96,15 @@ func (s *aggState) result() types.Value {
 
 // groupIter implements hash aggregation. Its output schema is the
 // group-key expressions followed by the aggregate results; the select
-// planner rewrites the select list against this internal schema.
+// planner rewrites the select list against this internal schema. The
+// group keys and the values the aggregates keep, and the result rows,
+// are copied into its arena.
 type groupIter struct {
 	in      rel.Input
 	keys    []evalFunc
 	aggs    []*aggSpec
 	schema  types.Schema
+	mem     types.Arena
 	results []types.Tuple
 	out     rel.Cursor
 	// global reports a grand aggregate (no GROUP BY): exactly one
@@ -121,8 +126,9 @@ func (g *groupIter) Open() error {
 	groups := map[string]*groupState{}
 	var order []string // preserve first-seen order
 	g.out.Reset(nil)
+	g.mem.Reset()
+	key := make(types.Tuple, len(g.keys))
 	if err := rel.Each(&g.in, func(t types.Tuple) error {
-		key := make(types.Tuple, len(g.keys))
 		for i, k := range g.keys {
 			v, err := k(t)
 			if err != nil {
@@ -133,7 +139,7 @@ func (g *groupIter) Open() error {
 		kstr := key.Key()
 		gs, ok := groups[kstr]
 		if !ok {
-			gs = &groupState{key: key}
+			gs = &groupState{key: g.mem.Copy(key)}
 			for _, a := range g.aggs {
 				gs.states = append(gs.states, newAggState(a))
 			}
@@ -141,7 +147,7 @@ func (g *groupIter) Open() error {
 			order = append(order, kstr)
 		}
 		for _, st := range gs.states {
-			if err := st.add(t); err != nil {
+			if err := st.add(t, &g.mem); err != nil {
 				return err
 			}
 		}
@@ -153,7 +159,7 @@ func (g *groupIter) Open() error {
 	if g.global && len(groups) == 0 {
 		// Grand aggregate over empty input: one row of empty-group
 		// results (COUNT=0, others NULL).
-		row := make(types.Tuple, 0, len(g.aggs))
+		row := g.mem.Make(len(g.aggs))[:0]
 		for _, a := range g.aggs {
 			row = append(row, newAggState(a).result())
 		}
@@ -161,8 +167,7 @@ func (g *groupIter) Open() error {
 	}
 	for _, kstr := range order {
 		gs := groups[kstr]
-		row := make(types.Tuple, 0, len(gs.key)+len(gs.states))
-		row = append(row, gs.key...)
+		row := append(g.mem.Make(len(gs.key) + len(gs.states))[:0], gs.key...)
 		for _, st := range gs.states {
 			row = append(row, st.result())
 		}
@@ -176,6 +181,7 @@ func (g *groupIter) NextBatch(dst []types.Tuple) (int, error) { return g.out.Rea
 
 func (g *groupIter) Close() error {
 	g.results = nil
+	g.mem.Free()
 	g.out.Reset(nil)
 	return g.in.Close()
 }

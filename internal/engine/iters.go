@@ -36,8 +36,9 @@ func (r *tableRead) Schema() types.Schema { return r.schema }
 // --- Heap scan ---
 
 // heapScan streams all live tuples of a table page-at-a-time through
-// the buffer pool: memory use is one page of decoded tuples, and the
-// pool's read accounting reflects the scan.
+// the buffer pool: memory use is one page of decoded tuples, decoded
+// into one arena each page reuses, and the pool's read accounting
+// reflects the scan.
 type heapScan struct {
 	tableRead
 	// where holds the conjuncts each page tests before decoding a row,
@@ -47,6 +48,7 @@ type heapScan struct {
 	numPages int
 	pageNo   int32
 	buf      []types.Tuple // the current page's tuples
+	rows     types.Arena   // their values and strings
 	page     rel.Cursor
 	opened   bool
 }
@@ -64,29 +66,42 @@ func (s *heapScan) Open() error {
 	return nil
 }
 
+// NextBatch fills dst with the rows of as many pages as it holds; the
+// rows of the last page that do not fit are the next batch. The pages
+// of a batch are decoded into the arena the batch before used.
 func (s *heapScan) NextBatch(dst []types.Tuple) (int, error) {
 	if !s.opened {
 		return 0, fmt.Errorf("engine: scan not opened")
 	}
-	for {
-		if n := s.page.Read(dst); n > 0 || int(s.pageNo) >= s.numPages {
-			return n, nil
-		}
+	if n := s.page.Read(dst); n > 0 || int(s.pageNo) >= s.numPages {
+		return n, nil
+	}
+	s.rows.Reset()
+	n := 0
+	for n < len(dst) && int(s.pageNo) < s.numPages {
 		maxSlots := -1
 		if int(s.pageNo) == s.numPages-1 {
 			maxSlots = int(s.table.tailSlots)
 		}
 		var err error
-		s.buf, err = s.table.Heap.PageTuples(s.pageNo, maxSlots, s.cols, s.buf[:0], s.where...)
+		s.buf, err = s.table.Heap.PageTuples(s.pageNo, maxSlots, s.cols, s.buf[:0], &s.rows, s.where...)
 		if err != nil {
 			return 0, err
 		}
 		s.pageNo++
-		s.page.Reset(s.buf)
+		k := copy(dst[n:], s.buf)
+		n += k
+		s.page.Reset(s.buf[k:])
 	}
+	return n, nil
 }
 
-func (s *heapScan) Close() error { s.buf = nil; s.page.Reset(nil); return nil }
+func (s *heapScan) Close() error {
+	s.buf = nil
+	s.rows.Free()
+	s.page.Reset(nil)
+	return nil
+}
 
 // --- Index scan ---
 
@@ -99,6 +114,7 @@ type indexScan struct {
 	hiIncl bool
 	rids   []storage.RecordID
 	pos    int
+	rows   types.Arena // the current batch's values and strings
 }
 
 func newIndexScan(r tableRead, col string, lo, hi types.Value, hiIncl bool) *indexScan {
@@ -128,10 +144,11 @@ func (s *indexScan) Open() error {
 // heap page once for each run of entries on it — the page changes the
 // clustering factor counts.
 func (s *indexScan) NextBatch(dst []types.Tuple) (int, error) {
+	s.rows.Reset()
 	n := 0
 	for n < len(dst) && s.pos < len(s.rids) {
 		run := samePage(s.rids[s.pos:min(len(s.rids), s.pos+len(dst)-n)])
-		rows, err := s.table.Heap.Get(run, s.cols, dst[n:n])
+		rows, err := s.table.Heap.Get(run, s.cols, dst[n:n], &s.rows)
 		if err != nil {
 			return 0, err
 		}
@@ -151,7 +168,7 @@ func samePage(rids []storage.RecordID) []storage.RecordID {
 	return rids
 }
 
-func (s *indexScan) Close() error { s.rids = nil; return nil }
+func (s *indexScan) Close() error { s.rids = nil; s.rows.Free(); return nil }
 
 // --- Filter ---
 
@@ -181,7 +198,7 @@ type projectIter struct {
 	in     rel.Input
 	schema types.Schema
 	exprs  []evalFunc
-	rows   types.TupleAlloc
+	rows   types.Arena // the last batch's output rows
 }
 
 func newProject(in rel.Iterator, schema types.Schema, exprs []evalFunc) *projectIter {
@@ -190,15 +207,16 @@ func newProject(in rel.Iterator, schema types.Schema, exprs []evalFunc) *project
 
 func (p *projectIter) Schema() types.Schema { return p.schema }
 func (p *projectIter) Open() error          { return p.in.Open() }
-func (p *projectIter) Close() error         { return p.in.Close() }
+func (p *projectIter) Close() error         { p.rows.Free(); return p.in.Close() }
 
 // NextBatch pulls an input batch into dst and replaces each tuple by
-// its projection.
+// its projection, written over the last batch's.
 func (p *projectIter) NextBatch(dst []types.Tuple) (int, error) {
 	n, err := p.in.NextBatch(dst)
 	if err != nil {
 		return 0, err
 	}
+	p.rows.Reset()
 	for i, t := range dst[:n] {
 		out := p.rows.Make(len(p.exprs))
 		for k, e := range p.exprs {
@@ -213,12 +231,13 @@ func (p *projectIter) NextBatch(dst []types.Tuple) (int, error) {
 
 // --- Sort ---
 
-// sortIter materializes its input and sorts it by key expressions.
+// sortIter materializes its input, copied into its arena, and sorts it
+// by key expressions.
 type sortIter struct {
 	in    rel.Input
 	keys  []evalFunc
 	descs []bool
-	rows  []types.Tuple
+	rows  types.Arena
 	out   rel.Cursor
 }
 
@@ -229,18 +248,18 @@ func newSort(in rel.Iterator, keys []evalFunc, descs []bool) *sortIter {
 func (s *sortIter) Schema() types.Schema { return s.in.Schema() }
 
 func (s *sortIter) Open() error {
-	s.rows = s.rows[:0]
+	s.rows.Reset()
 	s.out.Reset(nil)
 	if err := rel.Each(&s.in, func(t types.Tuple) error {
-		s.rows = append(s.rows, t)
+		s.rows.Keep(t)
 		return nil
 	}); err != nil {
 		return err
 	}
-	if err := sortByKeys(s.rows, s.keys, s.descs); err != nil {
+	if err := sortByKeys(s.rows.Rows(), s.keys, s.descs); err != nil {
 		return err
 	}
-	s.out.Reset(s.rows)
+	s.out.Reset(s.rows.Rows())
 	return nil
 }
 
@@ -261,27 +280,47 @@ func sortByKeys(rows []types.Tuple, keys []evalFunc, descs []bool) error {
 func (s *sortIter) NextBatch(dst []types.Tuple) (int, error) { return s.out.Read(dst), nil }
 
 func (s *sortIter) Close() error {
-	s.rows = nil
+	s.rows.Free()
 	s.out.Reset(nil)
 	return s.in.Close()
 }
 
 // --- Joins ---
 
-// concatIf builds the join candidate l ++ r in rows and keeps it when
-// pred (nil means always) holds; a rejected candidate's memory goes to
-// the next one.
-func concatIf(rows *types.TupleAlloc, l, r types.Tuple, pred evalFunc) (types.Tuple, bool, error) {
-	out := rows.Make(len(l) + len(r))
-	copy(out[copy(out, l):], r)
+// joinOut is the output side every join shares: each output row is a
+// join candidate l ++ r, built in a scratch row and, when the join's
+// predicate holds, copied into the rows of the batch. The strings of
+// its first deep columns are copied too: they come from an input row
+// that the join's next pull may overwrite while this batch is still
+// being filled. The other columns come from rows the join keeps.
+type joinOut struct {
+	deep int
+	cand types.Tuple
+	rows types.Arena // the batch's output rows
+}
+
+// concatIf builds the candidate l ++ r and returns its copy when pred
+// (nil means always) holds.
+func (o *joinOut) concatIf(l, r types.Tuple, pred evalFunc) (types.Tuple, bool, error) {
+	o.cand = append(append(o.cand[:0], l...), r...)
 	if pred != nil {
-		v, err := pred(out)
+		v, err := pred(o.cand)
 		if err != nil || v.IsNull() || !v.AsBool() {
-			rows.Undo(out)
 			return nil, false, err
 		}
 	}
+	out := o.rows.Make(len(o.cand))
+	copy(out, o.cand)
+	for i, v := range out[:o.deep] {
+		out[i] = o.rows.Value(v)
+	}
 	return out, true, nil
+}
+
+// fill is a join's NextBatch: the last batch's rows are free again.
+func (o *joinOut) fill(dst []types.Tuple, next func() (types.Tuple, bool, error)) (int, error) {
+	o.rows.Reset()
+	return rel.Fill(dst, next)
 }
 
 // --- Nested-loop join ---
@@ -290,20 +329,21 @@ func concatIf(rows *types.TupleAlloc, l, r types.Tuple, pred evalFunc) (types.Tu
 // once, the left input streams; pred (may be nil) filters the
 // concatenated tuple.
 type nlJoin struct {
-	left      *rel.Reader
-	right     rel.Input
-	pred      evalFunc
-	schema    types.Schema
-	rightRows []types.Tuple
-	cur       types.Tuple
-	ri        int
-	rows      types.TupleAlloc
+	left   *rel.Reader
+	right  rel.Input
+	pred   evalFunc
+	schema types.Schema
+	inner  types.Arena // the right input's rows
+	cur    types.Tuple
+	ri     int
+	out    joinOut
 }
 
 func newNLJoin(left, right rel.Iterator, pred evalFunc) *nlJoin {
 	return &nlJoin{
 		left: rel.NewReader(left), right: rel.In(right), pred: pred,
 		schema: left.Schema().Concat(right.Schema()),
+		out:    joinOut{deep: left.Schema().Len()},
 	}
 }
 
@@ -313,15 +353,15 @@ func (j *nlJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	j.rightRows = j.rightRows[:0]
+	j.inner.Reset()
 	j.cur = nil
 	return rel.Each(&j.right, func(t types.Tuple) error {
-		j.rightRows = append(j.rightRows, t)
+		j.inner.Keep(t)
 		return nil
 	})
 }
 
-func (j *nlJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+func (j *nlJoin) NextBatch(dst []types.Tuple) (int, error) { return j.out.fill(dst, j.next) }
 
 func (j *nlJoin) next() (types.Tuple, bool, error) {
 	for {
@@ -333,10 +373,10 @@ func (j *nlJoin) next() (types.Tuple, bool, error) {
 			j.cur = t
 			j.ri = 0
 		}
-		for j.ri < len(j.rightRows) {
-			r := j.rightRows[j.ri]
+		for inner := j.inner.Rows(); j.ri < len(inner); {
+			r := inner[j.ri]
 			j.ri++
-			out, ok, err := concatIf(&j.rows, j.cur, r, j.pred)
+			out, ok, err := j.out.concatIf(j.cur, r, j.pred)
 			if err != nil {
 				return nil, false, err
 			}
@@ -349,7 +389,8 @@ func (j *nlJoin) next() (types.Tuple, bool, error) {
 }
 
 func (j *nlJoin) Close() error {
-	j.rightRows = nil
+	j.inner.Free()
+	j.out.rows.Free()
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr
@@ -372,15 +413,17 @@ type indexNLJoin struct {
 
 	cur     types.Tuple
 	matches []types.Tuple
+	mrows   types.Arena // the matches' values and strings
 	mi      int
-	rows    types.TupleAlloc
+	out     joinOut
 }
 
 func newIndexNLJoin(outer rel.Iterator, inner tableRead, innerCol string, outerKey evalFunc, residual evalFunc) *indexNLJoin {
+	schema := outer.Schema().Concat(inner.schema)
 	return &indexNLJoin{
 		outer: rel.NewReader(outer), inner: inner, innerCol: innerCol,
-		outerKey: outerKey, residual: residual,
-		schema: outer.Schema().Concat(inner.schema),
+		outerKey: outerKey, residual: residual, schema: schema,
+		out: joinOut{deep: schema.Len()}, // an outer row's matches go with it
 	}
 }
 
@@ -394,7 +437,7 @@ func (j *indexNLJoin) Open() error {
 	return j.outer.Open()
 }
 
-func (j *indexNLJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+func (j *indexNLJoin) NextBatch(dst []types.Tuple) (int, error) { return j.out.fill(dst, j.next) }
 
 func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 	inner := j.inner.table
@@ -411,11 +454,12 @@ func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 				return nil, false, err
 			}
 			j.matches = j.matches[:0]
+			j.mrows.Reset() // the output rows copied what they took of the last matches
 			if !key.IsNull() {
 				rids := slices.DeleteFunc(idx.Lookup(key), func(rid storage.RecordID) bool { return !inner.visible(rid) })
 				for len(rids) > 0 {
 					run := samePage(rids)
-					if j.matches, err = inner.Heap.Get(run, j.inner.cols, j.matches); err != nil {
+					if j.matches, err = inner.Heap.Get(run, j.inner.cols, j.matches, &j.mrows); err != nil {
 						return nil, false, err
 					}
 					rids = rids[len(run):]
@@ -426,7 +470,7 @@ func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 		for j.mi < len(j.matches) {
 			r := j.matches[j.mi]
 			j.mi++
-			out, ok, err := concatIf(&j.rows, j.cur, r, j.residual)
+			out, ok, err := j.out.concatIf(j.cur, r, j.residual)
 			if err != nil {
 				return nil, false, err
 			}
@@ -438,15 +482,21 @@ func (j *indexNLJoin) next() (types.Tuple, bool, error) {
 	}
 }
 
-func (j *indexNLJoin) Close() error { return j.outer.Close() }
+func (j *indexNLJoin) Close() error {
+	j.matches = nil
+	j.mrows.Free()
+	j.out.rows.Free()
+	return j.outer.Close()
+}
 
 // --- Hash join ---
 
-// hashJoin builds a hash table on the right input keyed by the right
-// key expressions and probes with the left; residual (may be nil)
-// filters concatenated tuples. Each row's key is evaluated once: the
-// build side stores its key values beside the row, and a probe row's
-// are computed once and compared with the stored ones.
+// hashJoin builds a hash table on the right input, its rows copied
+// into the join's arena, keyed by the right key expressions and probes
+// with the left; residual (may be nil) filters concatenated tuples.
+// Each row's key is evaluated once: the build side stores its key
+// values beside the row, and a probe row's are computed once and
+// compared with the stored ones.
 type hashJoin struct {
 	left                *rel.Reader
 	right               rel.Input
@@ -455,12 +505,12 @@ type hashJoin struct {
 	schema              types.Schema
 
 	table  map[uint64][]hashEntry
-	keys   types.TupleAlloc // the build rows' key values
+	build  types.Arena // the build rows and their key values
 	cur    types.Tuple
-	probe  types.Tuple // cur's key values
+	probe  types.Tuple // cur's key values; a build row's while building
 	bucket []hashEntry
 	bi     int
-	rows   types.TupleAlloc
+	out    joinOut
 }
 
 // hashEntry is a build row with its join key values.
@@ -474,6 +524,7 @@ func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, resid
 		left: rel.NewReader(left), right: rel.In(right),
 		leftKeys: leftKeys, rightKeys: rightKeys, residual: residual,
 		schema: left.Schema().Concat(right.Schema()),
+		out:    joinOut{deep: left.Schema().Len()},
 	}
 }
 
@@ -496,24 +547,27 @@ func hashKeys(t types.Tuple, keys []evalFunc, key types.Tuple) (uint64, bool, er
 
 func (j *hashJoin) Open() error {
 	j.table = map[uint64][]hashEntry{}
+	j.build.Reset()
+	j.probe = make(types.Tuple, max(len(j.leftKeys), len(j.rightKeys)))
 	if err := rel.Each(&j.right, func(t types.Tuple) error {
-		key := j.keys.Make(len(j.rightKeys))
-		h, valid, err := hashKeys(t, j.rightKeys, key)
+		// The keys are taken from the copy, as they may point into it.
+		row := j.build.Copy(t)
+		h, valid, err := hashKeys(row, j.rightKeys, j.probe)
 		if valid {
-			j.table[h] = append(j.table[h], hashEntry{key: key, row: t})
-		} else {
-			j.keys.Undo(key)
+			key := j.build.Make(len(j.rightKeys))
+			copy(key, j.probe)
+			j.table[h] = append(j.table[h], hashEntry{key: key, row: row})
 		}
 		return err
 	}); err != nil {
 		return err
 	}
 	j.cur = nil
-	j.probe = make(types.Tuple, len(j.leftKeys))
+	j.probe = j.probe[:len(j.leftKeys)]
 	return j.left.Open()
 }
 
-func (j *hashJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+func (j *hashJoin) NextBatch(dst []types.Tuple) (int, error) { return j.out.fill(dst, j.next) }
 
 func (j *hashJoin) next() (types.Tuple, bool, error) {
 	for {
@@ -540,7 +594,7 @@ func (j *hashJoin) next() (types.Tuple, bool, error) {
 			if !slices.EqualFunc(j.probe, e.key, types.Equal) {
 				continue // a hash collision
 			}
-			out, ok, err := concatIf(&j.rows, j.cur, e.row, j.residual)
+			out, ok, err := j.out.concatIf(j.cur, e.row, j.residual)
 			if err != nil {
 				return nil, false, err
 			}
@@ -554,6 +608,8 @@ func (j *hashJoin) next() (types.Tuple, bool, error) {
 
 func (j *hashJoin) Close() error {
 	j.table = nil
+	j.build.Free()
+	j.out.rows.Free()
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr
@@ -564,20 +620,21 @@ func (j *hashJoin) Close() error {
 // --- Sort-merge join ---
 
 // mergeJoin performs a sort-merge equi-join on single key expressions
-// from each side. Inputs are materialized and sorted on their keys;
-// residual filters output tuples.
+// from each side. Inputs are materialized, copied into the join's
+// arenas, and sorted on their keys; residual filters output tuples.
 type mergeJoin struct {
 	left, right       rel.Input
 	leftKey, rightKey evalFunc
 	residual          evalFunc
 	schema            types.Schema
 
-	l, r   []keyedRow
-	li, rj int
+	l, r         []keyedRow
+	lrows, rrows types.Arena
+	li, rj       int
 	// group state: matching right-run [rstart, rend) for current left key
 	rstart, rend int
 	gi           int
-	rows         types.TupleAlloc
+	out          joinOut
 }
 
 // keyedRow is a merge-join input row with its join key, evaluated once.
@@ -596,11 +653,14 @@ func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, residual
 
 func (j *mergeJoin) Schema() types.Schema { return j.schema }
 
-// materializeKeyed drains in (closing it on every path), evaluating
-// the key of each row once, and sorts the rows stably by key.
-func materializeKeyed(in rel.Iterator, key evalFunc) ([]keyedRow, error) {
+// materializeKeyed drains in (closing it on every path) into mem,
+// evaluating the key of each row's copy once, and sorts the rows stably
+// by key.
+func materializeKeyed(in rel.Iterator, key evalFunc, mem *types.Arena) ([]keyedRow, error) {
 	var rows []keyedRow
+	mem.Reset()
 	if err := rel.Each(in, func(t types.Tuple) error {
+		t = mem.Copy(t)
 		k, err := key(t)
 		rows = append(rows, keyedRow{key: k, row: t})
 		return err
@@ -613,10 +673,10 @@ func materializeKeyed(in rel.Iterator, key evalFunc) ([]keyedRow, error) {
 
 func (j *mergeJoin) Open() error {
 	var err error
-	if j.l, err = materializeKeyed(&j.left, j.leftKey); err != nil {
+	if j.l, err = materializeKeyed(&j.left, j.leftKey, &j.lrows); err != nil {
 		return err
 	}
-	if j.r, err = materializeKeyed(&j.right, j.rightKey); err != nil {
+	if j.r, err = materializeKeyed(&j.right, j.rightKey, &j.rrows); err != nil {
 		return err
 	}
 	j.li, j.rj = 0, 0
@@ -624,7 +684,7 @@ func (j *mergeJoin) Open() error {
 	return nil
 }
 
-func (j *mergeJoin) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, j.next) }
+func (j *mergeJoin) NextBatch(dst []types.Tuple) (int, error) { return j.out.fill(dst, j.next) }
 
 func (j *mergeJoin) next() (types.Tuple, bool, error) {
 	for {
@@ -633,7 +693,7 @@ func (j *mergeJoin) next() (types.Tuple, bool, error) {
 			l := j.l[j.li].row
 			r := j.r[j.gi].row
 			j.gi++
-			out, ok, err := concatIf(&j.rows, l, r, j.residual)
+			out, ok, err := j.out.concatIf(l, r, j.residual)
 			if err != nil {
 				return nil, false, err
 			}
@@ -685,6 +745,9 @@ func (j *mergeJoin) next() (types.Tuple, bool, error) {
 
 func (j *mergeJoin) Close() error {
 	j.l, j.r = nil, nil
+	j.lrows.Free()
+	j.rrows.Free()
+	j.out.rows.Free()
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr

@@ -28,11 +28,27 @@ func (db *DB) instrument(op string, it rel.Iterator, inputs ...rel.Iterator) rel
 // asHeapScan sees through instrumentation wrappers to the concrete
 // heap scan (used by index-scan and index-nested-loop rewrites).
 func asHeapScan(it rel.Iterator) (*heapScan, bool) {
-	if w, ok := it.(interface{ Unwrap() rel.Iterator }); ok {
-		it = w.Unwrap()
-	}
-	hs, ok := it.(*heapScan)
+	hs, ok := unwrap(it).(*heapScan)
 	return hs, ok
+}
+
+// unwrap sees through an instrumentation wrapper.
+func unwrap(it rel.Iterator) rel.Iterator {
+	if w, ok := it.(interface{ Unwrap() rel.Iterator }); ok {
+		return w.Unwrap()
+	}
+	return it
+}
+
+// asTableRead returns the table read of a heap or index scan, or nil.
+func asTableRead(it rel.Iterator) *tableRead {
+	switch s := unwrap(it).(type) {
+	case *heapScan:
+		return &s.tableRead
+	case *indexScan:
+		return &s.tableRead
+	}
+	return nil
 }
 
 // planSelect builds an iterator tree for a SELECT statement against
@@ -224,8 +240,11 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel
 			hasAgg = true
 		}
 	}
-	var itemExprs []evalFunc
-	var outSchema types.Schema
+	var (
+		itemExprs []evalFunc
+		outSchema types.Schema
+		picks     []int
+	)
 	if hasAgg {
 		grouped, gCtx, err := db.planGroup(it, s)
 		if err != nil {
@@ -245,12 +264,18 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel
 			return nil, err
 		}
 	} else {
-		outSchema, itemExprs, err = planProjection(s.Items, it.Schema())
+		outSchema, itemExprs, picks, err = planProjection(s.Items, it.Schema())
 		if err != nil {
 			return nil, err
 		}
 	}
-	it = db.instrument("project", newProject(it, outSchema, itemExprs), it)
+	if tr := asTableRead(it); tr != nil && identity(picks, tr.schema.Len()) {
+		// The select list picks every column the scan decodes, in order:
+		// the scan's rows are the result's, under the select list's names.
+		tr.schema = outSchema
+	} else {
+		it = db.instrument("project", newProject(it, outSchema, itemExprs), it)
+	}
 
 	// 6. DISTINCT.
 	if s.Distinct {
@@ -798,10 +823,28 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 	}
 }
 
-// planProjection compiles the select list without aggregation.
-func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, []evalFunc, error) {
+// identity reports whether picks picks each of n columns in order.
+func identity(picks []int, n int) bool {
+	if len(picks) != n {
+		return false
+	}
+	for i, k := range picks {
+		if k != i {
+			return false
+		}
+	}
+	return true
+}
+
+// planProjection compiles the select list without aggregation. When
+// every item is a column of in, picks lists them (nil otherwise).
+func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, []evalFunc, []int, error) {
 	var cols []types.Column
-	var exprs []evalFunc
+	var (
+		exprs    []evalFunc
+		picks    []int
+		computed bool
+	)
 	for i, item := range items {
 		switch x := item.Expr.(type) {
 		case sqlast.Star:
@@ -812,6 +855,7 @@ func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, [
 					Kind: in.Cols[ci].Kind,
 				})
 				exprs = append(exprs, func(t types.Tuple) (types.Value, error) { return t[idx], nil })
+				picks = append(picks, idx)
 			}
 		case sqlast.ColumnRef:
 			if x.Name == "*" {
@@ -825,30 +869,36 @@ func planProjection(items []sqlast.SelectItem, in types.Schema) (types.Schema, [
 							Kind: in.Cols[ci].Kind,
 						})
 						exprs = append(exprs, func(t types.Tuple) (types.Value, error) { return t[idx], nil })
+						picks = append(picks, idx)
 						found = true
 					}
 				}
 				if !found {
-					return types.Schema{}, nil, fmt.Errorf("engine: no columns for %s.*", x.Table)
+					return types.Schema{}, nil, nil, fmt.Errorf("engine: no columns for %s.*", x.Table)
 				}
 				continue
 			}
 			f, err := compileExpr(x, in)
 			if err != nil {
-				return types.Schema{}, nil, err
+				return types.Schema{}, nil, nil, err
 			}
 			cols = append(cols, types.Column{Name: outputName(item, i), Kind: inferKind(x, in)})
 			exprs = append(exprs, f)
+			picks = append(picks, in.ColumnIndex(x.String()))
 		default:
 			f, err := compileExpr(item.Expr, in)
 			if err != nil {
-				return types.Schema{}, nil, err
+				return types.Schema{}, nil, nil, err
 			}
 			cols = append(cols, types.Column{Name: outputName(item, i), Kind: inferKind(item.Expr, in)})
 			exprs = append(exprs, f)
+			computed = true
 		}
 	}
-	return types.Schema{Cols: cols}, exprs, nil
+	if computed {
+		picks = nil
+	}
+	return types.Schema{Cols: cols}, exprs, picks, nil
 }
 
 func unqualify(name string) string {

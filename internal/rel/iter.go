@@ -64,11 +64,17 @@ func (in *Input) Close() error {
 // Reader is the consumer side for code that really takes one row at a
 // time — a merge join advancing one side, a group reader, a coalescing
 // pass: it buffers one batch of its input and hands it out row by row.
-// Its Close follows Input's once-per-Open rule.
+// A row Next returns stays valid until the Next after the one that
+// follows it, so a consumer can always compare the row with the one
+// before: the last row of each batch, which the pull for the next batch
+// may overwrite, is handed out as a copy. Its Close follows Input's
+// once-per-Open rule.
 type Reader struct {
 	in     Input
 	buf    []types.Tuple
 	pos, n int
+	last   [2]types.Arena // the copies of the last two batches' last rows
+	flip   int
 }
 
 // NewReader reads it one row at a time.
@@ -93,11 +99,21 @@ func (r *Reader) Next() (types.Tuple, bool, error) {
 		r.pos, r.n = 0, n
 	}
 	r.pos++
-	return r.buf[r.pos-1], true, nil
+	t := r.buf[r.pos-1]
+	if r.pos == r.n {
+		r.flip ^= 1
+		r.last[r.flip].Reset()
+		t = r.last[r.flip].Copy(t)
+	}
+	return t, true, nil
 }
 
 // Close closes the input.
-func (r *Reader) Close() error { return r.in.Close() }
+func (r *Reader) Close() error {
+	r.last[0].Free()
+	r.last[1].Free()
+	return r.in.Close()
+}
 
 // Each opens it, calls fn on every row it produces, and closes it — on
 // every path, a failed Open included. The first error wins.

@@ -1,7 +1,9 @@
 // Package itertest is the conformance table of the rel.Iterator
 // contract: every iterator type in rel, xxl, engine, client and
-// telemetry runs the same checks, built over fault-injecting inputs.
-// It is imported only by tests.
+// telemetry runs the same checks, built over fault-injecting inputs
+// that, like every producer, reuse their row memory: a consumer that
+// keeps a row past the batch it came in without copying it keeps
+// poison. It is imported only by tests.
 package itertest
 
 import (
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -19,10 +22,59 @@ import (
 // ErrInjected is the fault a Child raises.
 var ErrInjected = errors.New("itertest: injected fault")
 
+// Poisoned is a producer's rows under the row-lifetime rule at its
+// strictest: it hands out copies of in's rows that it owns, and when
+// the next batch is asked for, or at Close, it overwrites the values of
+// the last batch with Poison and their strings' bytes with '#'. Every producer in a conformance table is
+// read through one, and every Child serves its rows through one.
+func Poisoned(in rel.Iterator) rel.Iterator { return &poisoned{in: in} }
+
+// Poison is the value a row kept past its batch turns into.
+var Poison = types.Str("itertest: row kept past its batch")
+
+type poisoned struct {
+	in   rel.Iterator
+	rows types.Arena   // copies of the last batch's rows
+	out  []types.Tuple // the last batch as handed out
+}
+
+func (p *poisoned) Schema() types.Schema { return p.in.Schema() }
+func (p *poisoned) Open() error          { p.poison(); return p.in.Open() }
+func (p *poisoned) Close() error         { p.poison(); return p.in.Close() }
+
+func (p *poisoned) NextBatch(dst []types.Tuple) (int, error) {
+	p.poison()
+	n, err := p.in.NextBatch(dst)
+	for i, t := range dst[:n] {
+		dst[i] = p.rows.Copy(t)
+	}
+	p.out = append(p.out[:0], dst[:n]...)
+	return n, err
+}
+
+// poison overwrites the last batch, its strings' bytes too, and takes
+// its memory back.
+func (p *poisoned) poison() {
+	for _, t := range p.out {
+		for i, v := range t {
+			if s := v.AsString(); v.Kind() == types.KindString && s != "" {
+				// The bytes are the copy p.rows made: p's to overwrite.
+				b := unsafe.Slice(unsafe.StringData(s), len(s))
+				for j := range b {
+					b[j] = '#'
+				}
+			}
+			t[i] = Poison
+		}
+	}
+	p.out = p.out[:0]
+	p.rows.Reset()
+}
+
 // Child is a fault-injecting input. It serves its rows in short
-// batches (2, 3, 1, 2, ... rows, never more than len(dst)), can fail
-// its Open or its first NextBatch, rejects use before Open or after
-// Close, and counts its Closes.
+// batches (2, 3, 1, 2, ... rows, never more than len(dst)) through
+// Poisoned, can fail its Open or its first NextBatch, rejects use
+// before Open or after Close, and counts its Closes.
 type Child struct {
 	rows     *rel.Relation
 	failOpen bool
@@ -124,19 +176,20 @@ func (c Case) build(fail int, pull bool) ([]*Child, rel.Iterator) {
 	its := make([]rel.Iterator, len(c.Inputs))
 	for i, r := range c.Inputs {
 		children[i] = &Child{rows: r, failOpen: i == fail && !pull, failPull: i == fail && pull}
-		its[i] = children[i]
+		its[i] = Poisoned(children[i])
 	}
-	return children, c.Build(its)
+	return children, Poisoned(c.Build(its))
 }
 
 // exercise opens it, reads it to the end with len(dst) = size —
-// checking the count bounds and that end of stream repeats — and then
-// closes it with checkClose.
+// checking the count bounds and that end of stream repeats, and
+// keeping copies of the rows — and then closes it with checkClose.
 func exercise(t *testing.T, when string, it rel.Iterator, in []*Child, size int) (*rel.Relation, error) {
 	defer checkClose(t, when, it, in)
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
+	var rows types.Arena
 	out := rel.New(it.Schema())
 	dst := make([]types.Tuple, size)
 	for {
@@ -147,12 +200,15 @@ func exercise(t *testing.T, when string, it rel.Iterator, in []*Child, size int)
 		case n < 0 || n > size:
 			return nil, fmt.Errorf("NextBatch returned %d rows into a dst of %d", n, size)
 		case n > 0:
-			out.Tuples = append(out.Tuples, dst[:n]...)
+			for _, r := range dst[:n] {
+				rows.Keep(r)
+			}
 			continue
 		}
 		if n, err := it.NextBatch(dst); n != 0 || err != nil {
 			return nil, fmt.Errorf("NextBatch after end of stream: n=%d err=%v", n, err)
 		}
+		out.Tuples = rows.Rows()
 		return out, nil
 	}
 }

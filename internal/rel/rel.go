@@ -29,17 +29,18 @@ import (
 // still has a temp table to drop). Open after Close starts the stream
 // again.
 //
-// Row lifetime: a produced tuple is immutable and stays valid for as
-// long as anyone references it. A producer never writes to a tuple it
-// has returned and never hands the same backing memory out twice; a
-// consumer may keep a tuple (a sort buffer, a join build side, a
-// drained relation) without copying it, and must not write to it — an
-// operator that edits a row, as coalescing does, edits its own copy.
-// Tuples of one heap page or wire batch share one decode slab
-// (types.DecodeBlock), which is plain garbage-collected memory and is never
-// pooled, so keeping one tuple keeps its slab. A consumer that keeps
-// only a few values for long — index keys, column statistics — detaches
-// them (Value.Detach) rather than pin a slab per value.
+// Row lifetime: a tuple NextBatch produces is valid until the next
+// NextBatch or Close on the same iterator, so a producer writes each
+// batch into memory it reuses for the next (a scan's decode arena, a
+// projection's or a join's output rows). A consumer that keeps a tuple
+// longer copies it into a types.Arena of its own. The keepers are few:
+// the engine's sort, hash-join build, nested-loop and merge-join inputs
+// and grouping; Drain; xxl's Sort, Partitioned, TAggr's groups, the
+// merge joins' key groups, Coalesce's current row and SharedSource (by
+// Drain); the index-key and statistics collectors; and the server
+// cursor, which gathers several batches into one fetch. Nobody writes
+// to a tuple it did not make: an operator that edits a row, as
+// coalescing does, edits its own copy.
 type Iterator interface {
 	// Schema describes the tuples the iterator produces.
 	Schema() types.Schema
@@ -49,9 +50,9 @@ type Iterator interface {
 	// must be at least 1) and returns how many; fewer than len(dst) does
 	// not mean the end. 0 is end of stream, and every later call until
 	// the next Open returns 0 again. A non-nil error ends the stream; the
-	// count returned with it is 0. The tuples are the caller's to keep
-	// but not to modify (see the row-lifetime rule above); dst itself
-	// stays the caller's.
+	// count returned with it is 0. The tuples are valid until the next
+	// NextBatch or Close, and not the caller's to modify (see the
+	// row-lifetime rule above); dst itself stays the caller's.
 	NextBatch(dst []types.Tuple) (int, error)
 	// Close releases the iterator's resources and closes its inputs,
 	// under the lifecycle rule above.
@@ -162,17 +163,17 @@ func (it *sliceIter) NextBatch(dst []types.Tuple) (int, error) {
 }
 
 // Drain materializes an iterator into a relation, opening it and
-// closing it on every path. The relation holds the produced tuples
-// themselves (they are immutable).
+// closing it on every path. It keeps every row, so it copies them into
+// an arena of the relation's own.
 func Drain(it Iterator) (*Relation, error) {
-	out := New(it.Schema())
+	var rows types.Arena
 	if err := Each(it, func(t types.Tuple) error {
-		out.Tuples = append(out.Tuples, t)
+		rows.Keep(t)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Relation{Schema: it.Schema(), Tuples: rows.Rows()}, nil
 }
 
 // EqualAsLists reports list equality: same length and pairwise equal

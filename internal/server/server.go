@@ -212,11 +212,24 @@ type Cursor struct {
 	done   bool
 	closed bool
 	seq    int64         // sequence number of the batch held in rows
-	rows   []types.Tuple // current batch (replayable); scratch reused
+	rows   []types.Tuple // current batch (replayable), in batch
+	batch  *batchMem     // pooled, reused
 	mem    int64         // encoded size of that batch, billed to the session budget (guarded by se.mu)
 
 	buf []byte // pooled encode scratch behind FetchBatch
 }
+
+// batchMem is the memory of a cursor's current batch: its rows, and
+// the arena of the copies of those the iterator may overwrite before
+// the batch is complete. It is pooled across cursors, and the arena's
+// chunks are freed for any arena, so a steady stream of statements
+// produces batches without allocating.
+type batchMem struct {
+	rows []types.Tuple
+	kept types.Arena
+}
+
+var batchMems = sync.Pool{New: func() any { return new(batchMem) }}
 
 // Schema returns the result schema.
 func (c *Cursor) Schema() types.Schema { return c.it.Schema() }
@@ -227,18 +240,29 @@ const fetchBytes = 64 << 10
 
 // produce fills the next batch of prefetch rows from the result
 // iterator — as many NextBatch calls as it takes, so a fetch is short
-// only at end of stream — returning nil at end of stream. The row slice
-// is allocated only when the batch size grows. Caller holds c.mu.
+// only at end of stream — returning nil at end of stream. The rows of
+// each call but the last are copied into the cursor's arena before the
+// next call may overwrite them; the last call's stay valid, and the
+// batch replayable, until the next produce. The row slice is allocated
+// only when the batch size grows. Caller holds c.mu.
 func (c *Cursor) produce() ([]types.Tuple, error) {
 	if c.done {
 		return nil, nil
 	}
-	if cap(c.rows) < c.prefetch {
-		c.rows = make([]types.Tuple, 0, c.prefetch)
+	if c.batch == nil {
+		c.batch = batchMems.Get().(*batchMem)
 	}
-	rows := c.rows[:c.prefetch]
-	n := 0
+	b := c.batch
+	if cap(b.rows) < c.prefetch {
+		b.rows = make([]types.Tuple, 0, c.prefetch)
+	}
+	rows := b.rows[:c.prefetch]
+	b.kept.Reset()
+	n, kept := 0, 0
 	for n < len(rows) {
+		for ; kept < n; kept++ {
+			rows[kept] = b.kept.Copy(rows[kept])
+		}
 		k, err := c.it.NextBatch(rows[n:])
 		if err != nil {
 			return nil, err
@@ -335,7 +359,13 @@ func (c *Cursor) close() error {
 	}
 	c.closed, c.done = true, true
 	wire.PutBuf(c.buf)
-	c.buf, c.rows = nil, nil
+	if b := c.batch; b != nil {
+		// Rows the iterator made must not outlive it in the pool.
+		clear(b.rows[:cap(b.rows)])
+		b.kept.Free()
+		batchMems.Put(b)
+	}
+	c.buf, c.rows, c.batch = nil, nil, nil
 	atomic.AddInt64(&c.se.srv.openCursors, -1)
 	c.release()
 	err := c.it.Close()

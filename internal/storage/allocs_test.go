@@ -25,17 +25,30 @@ func TestPageTuplesAllocs(t *testing.T) {
 		{"all columns", nil, 3},
 		{"PosID, T1, T2", []int{0, 6, 7}, 2},
 	} {
-		rows, err := h.PageTuples(0, -1, tc.cols, nil)
+		rows, err := h.PageTuples(0, -1, tc.cols, nil, nil)
 		if err != nil || len(rows) < 50 {
 			t.Fatalf("%s: page 0: %d rows, err %v", tc.name, len(rows), err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := h.PageTuples(0, -1, tc.cols, nil); err != nil {
+			if _, err := h.PageTuples(0, -1, tc.cols, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > tc.max {
 			t.Errorf("%s: PageTuples of a %d-row page: %.0f allocs, want <= %.0f", tc.name, len(rows), allocs, tc.max)
+		}
+		// A scan decodes each page into the arena it reset: once the
+		// arena has grown to a page, a page costs nothing.
+		var a types.Arena
+		buf := make([]types.Tuple, 0, len(rows))
+		allocs = testing.AllocsPerRun(50, func() {
+			a.Reset()
+			if _, err := h.PageTuples(0, -1, tc.cols, buf, &a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: PageTuples into a reused arena: %.0f allocs, want 0", tc.name, allocs)
 		}
 	}
 }
@@ -85,7 +98,7 @@ func TestScanReusesFrames(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		for p := int32(0); p < pages; p++ {
 			var err error
-			if rows, err = h.PageTuples(p, -1, []int{}, rows[:0]); err != nil {
+			if rows, err = h.PageTuples(p, -1, []int{}, rows[:0], nil); err != nil {
 				t.Fatal(err)
 			}
 		}

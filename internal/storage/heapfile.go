@@ -71,7 +71,7 @@ func (h *HeapFile) Insert(t types.Tuple) (RecordID, error) {
 		var n, old int
 		if h.blk, n, old = types.AppendRow(h.blk[:0], p.buf[:], t); n == 0 {
 			var rows []types.Tuple
-			if rows, old, err = types.DecodeBlock(nil, p.buf[:], nil, 0, -1); err == nil {
+			if rows, old, err = types.DecodeBlock(nil, nil, p.buf[:], nil, 0, -1); err == nil {
 				rows = append(rows, t)
 				if h.blk, n = types.AppendBlock(h.blk[:0], rows); n < len(rows) {
 					n = 0
@@ -105,10 +105,11 @@ func (h *HeapFile) Insert(t types.Tuple) (RecordID, error) {
 
 // Get appends to dst the tuples at rids, which must all lie on one
 // page, keeping the columns at positions cols (ascending; nil keeps
-// every column). The page is visited once for them all, and each run of
-// consecutive slots is decoded in one pass, reaching its rows through
-// the block's column offsets.
-func (h *HeapFile) Get(rids []RecordID, cols []int, dst []types.Tuple) ([]types.Tuple, error) {
+// every column), decoded into a (nil: fresh memory). The page is
+// visited once for them all, and each run of consecutive slots is
+// decoded in one pass, reaching its rows through the block's column
+// offsets.
+func (h *HeapFile) Get(rids []RecordID, cols []int, dst []types.Tuple, a *types.Arena) ([]types.Tuple, error) {
 	if len(rids) == 0 {
 		return dst, nil
 	}
@@ -126,7 +127,7 @@ func (h *HeapFile) Get(rids []RecordID, cols []int, dst []types.Tuple) ([]types.
 		if lo < 0 {
 			return dst, ErrNoRecord
 		}
-		if dst, _, err = types.DecodeBlock(dst, p.buf[:], cols, int(lo), int(lo)+j-i); err != nil {
+		if dst, _, err = types.DecodeBlock(dst, a, p.buf[:], cols, int(lo), int(lo)+j-i); err != nil {
 			return dst, err
 		}
 		if len(dst)-n < j-i {
@@ -168,7 +169,7 @@ func (h *HeapFile) Scan(cols []int, fn func(RecordID, types.Tuple) bool) error {
 		err    error
 	)
 	for pageNo := int32(0); pageNo < int32(n); pageNo++ {
-		tuples, err = h.PageTuples(pageNo, -1, cols, tuples[:0])
+		tuples, err = h.PageTuples(pageNo, -1, cols, tuples[:0], nil)
 		if err != nil {
 			return err
 		}
@@ -184,20 +185,21 @@ func (h *HeapFile) Scan(cols []int, fn func(RecordID, types.Tuple) bool) error {
 // PageTuples decodes the tuples of one page up to (excluding) slot
 // maxSlots, keeping the columns at positions cols (ascending; nil keeps
 // every column) and only the tuples passing every conjunct of where,
-// and appends them to dst; maxSlots < 0 means every slot. It lets scans
+// into a (nil: fresh memory), and appends them to dst; maxSlots < 0
+// means every slot. It lets scans
 // stream page-at-a-time instead of materializing the whole table, and
 // snapshot scans use the slot cap to stop a tail page at the reader's
 // visibility bound. The page is read under its shared content latch and
 // decoded in one validating pass (types.DecodeBlock), which tests the
 // conjuncts on the slots below the cap before decoding the passing
 // tuples: the tuples do not alias the page buffer.
-func (h *HeapFile) PageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple, where ...types.Conjunct) ([]types.Tuple, error) {
+func (h *HeapFile) PageTuples(pageNo int32, maxSlots int, cols []int, dst []types.Tuple, a *types.Arena, where ...types.Conjunct) ([]types.Tuple, error) {
 	p, ref, err := h.pool.FetchShared(PageID{File: h.file, No: pageNo})
 	if err != nil {
 		return dst, err
 	}
 	defer ref.Release()
-	dst, _, err = types.DecodeBlock(dst, p.buf[:], cols, 0, maxSlots, where...)
+	dst, _, err = types.DecodeBlock(dst, a, p.buf[:], cols, 0, maxSlots, where...)
 	return dst, err
 }
 

@@ -24,7 +24,7 @@ func pageOf(t testing.TB, rows ...types.Tuple) *Page {
 // pageRows decodes every row of the page.
 func pageRows(t testing.TB, p *Page) []types.Tuple {
 	t.Helper()
-	rows, _, err := types.DecodeBlock(nil, p.buf[:], nil, 0, -1)
+	rows, _, err := types.DecodeBlock(nil, nil, p.buf[:], nil, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestBufferPoolConcurrentReuse(t *testing.T) {
 				next := int64(0)
 				for p := int32(0); p < pages; p++ {
 					var err error
-					if rows, err = h.PageTuples(p, -1, []int{0}, rows[:0]); err != nil {
+					if rows, err = h.PageTuples(p, -1, []int{0}, rows[:0], nil); err != nil {
 						t.Error(err)
 						return
 					}
@@ -284,11 +284,11 @@ func TestHeapFileGet(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i, rid := range rids {
-		got, err := h.Get(rids[i:i+1], nil, nil)
+		got, err := h.Get(rids[i:i+1], nil, nil, nil)
 		if err != nil || len(got) != 1 || got[0][0].AsInt() != int64(i) || got[0][1].AsString() != fmt.Sprintf("name-%d", i) {
 			t.Fatalf("Get(%v): %v, %v", rid, got, err)
 		}
-		if got, err := h.Get(rids[i:i+1], []int{1}, nil); err != nil || len(got) != 1 || len(got[0]) != 1 ||
+		if got, err := h.Get(rids[i:i+1], []int{1}, nil, nil); err != nil || len(got) != 1 || len(got[0]) != 1 ||
 			got[0][0].AsString() != fmt.Sprintf("name-%d", i) {
 			t.Fatalf("Get of column 1 of %v: %v, %v", rid, got, err)
 		}
@@ -300,7 +300,7 @@ func TestHeapFileGet(t *testing.T) {
 			onPage = append(onPage, rid)
 		}
 	}
-	got, err := h.Get(onPage, []int{0}, nil)
+	got, err := h.Get(onPage, []int{0}, nil, nil)
 	if err != nil || len(got) != len(onPage) {
 		t.Fatalf("Get of %d records of page 0: %d rows, %v", len(onPage), len(got), err)
 	}
@@ -315,7 +315,7 @@ func TestHeapFileGet(t *testing.T) {
 		{{Page: 0, Slot: -1}},
 		{last, {Page: last.Page, Slot: last.Slot + 1}},
 	} {
-		if _, err := h.Get(bad, nil, nil); !errors.Is(err, ErrNoRecord) {
+		if _, err := h.Get(bad, nil, nil, nil); !errors.Is(err, ErrNoRecord) {
 			t.Errorf("Get(%v) past the rows: %v, want ErrNoRecord", bad, err)
 		}
 	}
@@ -386,7 +386,7 @@ func TestPageTuplesMatchesScan(t *testing.T) {
 	})
 	var viaPages []int64
 	for p := int32(0); int(p) < h.NumPages(); p++ {
-		tuples, err := h.PageTuples(p, -1, nil, nil)
+		tuples, err := h.PageTuples(p, -1, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +457,7 @@ func employeeHeap(tb testing.TB, n int) *HeapFile {
 // they were read from may be evicted and reused at once.
 func TestPageTuplesOutlivePage(t *testing.T) {
 	h := positionHeap(t, 200)
-	rows, err := h.PageTuples(0, -1, nil, nil)
+	rows, err := h.PageTuples(0, -1, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,13 +501,17 @@ func BenchmarkHeapScanDecode(b *testing.B) {
 		{"emp31/cols=3", emp, 4000, []int{0, 1, 2}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var buf []types.Tuple
+			var (
+				buf []types.Tuple
+				a   types.Arena
+			)
 			pages := int32(bc.h.NumPages())
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for p := int32(0); p < pages; p++ {
 					var err error
-					if buf, err = bc.h.PageTuples(p, -1, bc.cols, buf[:0]); err != nil {
+					a.Reset() // as a scan does for each page
+					if buf, err = bc.h.PageTuples(p, -1, bc.cols, buf[:0], &a); err != nil {
 						b.Fatal(err)
 					}
 				}

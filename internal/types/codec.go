@@ -515,6 +515,9 @@ func (c *column) strBytes(sel []uint64, lo, hi int) (int, error) {
 // spans, or a mixed column's string bytes once.
 func (c *column) decode(vals []Value, stride int, sel []uint64, lo, hi int, slab []byte) ([]byte, error) {
 	if c.kind == KindNull {
+		for j := 0; j < len(vals); j += stride {
+			vals[j] = Value{}
+		}
 		return slab, nil
 	}
 	at := len(slab) // slab index of a mixed column's string byte 0
@@ -533,7 +536,7 @@ func (c *column) decode(vals []Value, stride int, sel []uint64, lo, hi int, slab
 // bytes lying in slab from index at.
 func (c *column) decodeRun(vals []Value, stride, lo, hi int, slab []byte, at int) ([]byte, error) {
 	for i, j := lo, 0; i < hi; i, j = i+1, j+stride {
-		vals[j].kind, vals[j].n = c.kind, int64(c.base+uintAt(c.words, i, c.width))
+		vals[j] = Value{kind: c.kind, n: int64(c.base + uintAt(c.words, i, c.width))}
 	}
 	switch c.kind {
 	case KindString:
@@ -703,11 +706,12 @@ func nextBit(sel []uint64, i, hi int, flip uint64) int {
 // against buf, and every string offset of a tested row or of a kept
 // column the passing rows use; an unkept, untested column's values are
 // never visited. Corrupt bytes return an error and dst as it was, never
-// a panic. The rows share one value slab, and their strings one slab
-// holding one copy of the kept string bytes of each run of passing
-// rows: they do not alias buf. A zero-width row is still a row, never
-// nil.
-func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int, where ...Conjunct) ([]Tuple, int, error) {
+// a panic. The rows' values are made in a, and their strings copied
+// into it, one copy of the kept string bytes of each run of passing
+// rows: they do not alias buf, and they last until a is Reset (a nil a
+// decodes into fresh memory of the exact size). A zero-width row is
+// still a row, never nil.
+func DecodeBlock(dst []Tuple, a *Arena, buf []byte, cols []int, lo, hi int, where ...Conjunct) ([]Tuple, int, error) {
 	rows, ncols, pos, err := blockHeader(buf)
 	if err != nil {
 		return dst, 0, err
@@ -728,8 +732,8 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int, where ...Conju
 		}
 	}
 	// Pass 1: every column's header and length and, without conjuncts,
-	// the kept strings' bytes.
-	start, strs := pos, 0
+	// the kept strings' offsets.
+	start := pos
 	for c, k := 0, 0; c < ncols; c++ {
 		col, used, err := parseColumn(buf[pos:], rows)
 		if err != nil {
@@ -737,11 +741,9 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int, where ...Conju
 		}
 		pos += used
 		if keeps(cols, c, &k) && len(where) == 0 {
-			s, err := col.strBytes(nil, lo, hi)
-			if err != nil {
+			if _, err := col.strBytes(nil, lo, hi); err != nil {
 				return dst, 0, err
 			}
-			strs += s
 		}
 	}
 	end, n := pos, hi-lo
@@ -783,39 +785,81 @@ func DecodeBlock(dst []Tuple, buf []byte, cols []int, lo, hi int, where ...Conju
 		}
 		return dst, end, nil
 	}
-	// The kept strings' bytes of the passing rows.
+	// The kept strings' offsets of the passing rows, checked before any
+	// row is decoded.
 	for c, k, at := 0, 0, start; sel != nil && k < kept; c++ {
 		col, used, _ := parseColumn(buf[at:], rows) // checked by pass 1
 		at += used
 		if keeps(cols, c, &k) {
-			s, err := col.strBytes(sel, lo, hi)
-			if err != nil {
+			if _, err := col.strBytes(sel, lo, hi); err != nil {
 				return dst, 0, err
 			}
-			strs += s
 		}
 	}
-	// Pass 2: the kept columns, one at a time, into row-major tuples.
-	vals := make([]Value, n*kept)
-	for r := range n {
-		dst = append(dst, vals[r*kept:(r+1)*kept:(r+1)*kept])
+	// Pass 2: the kept columns, one at a time, into row-major tuples, a
+	// window of rows at a time whose values fit one chunk of a (fresh
+	// memory takes every row at once).
+	win := n
+	if a != nil {
+		win = max(1, valueChunks.most/kept)
 	}
-	var slab []byte
-	if strs > 0 {
-		slab = make([]byte, 0, strs)
-	}
-	pos = start
-	for c, k := 0, 0; k < kept; c++ {
-		col, used, _ := parseColumn(buf[pos:], rows) // checked by pass 1
-		pos += used
-		if !keeps(cols, c, &k) {
-			continue
+	for wlo := lo; ; {
+		whi, m := window(sel, wlo, hi, win)
+		if m == 0 {
+			return dst, end, nil
 		}
-		if slab, err = col.decode(vals[k-1:], kept, sel, lo, hi, slab); err != nil {
-			return dst[:base], 0, err
+		strs := 0
+		for c, k, at := 0, 0, start; k < kept; c++ {
+			col, used, _ := parseColumn(buf[at:], rows) // checked by pass 1
+			at += used
+			if keeps(cols, c, &k) {
+				s, _ := col.strBytes(sel, wlo, whi) // checked above
+				strs += s
+			}
+		}
+		var (
+			vals []Value
+			slab []byte
+		)
+		if a == nil {
+			vals, slab = make([]Value, m*kept), make([]byte, 0, strs)
+		} else {
+			vals, slab = a.Make(m*kept), a.bytes(strs)
+		}
+		for r := range m {
+			dst = append(dst, vals[r*kept:(r+1)*kept:(r+1)*kept])
+		}
+		for c, k, at := 0, 0, start; k < kept; c++ {
+			col, used, _ := parseColumn(buf[at:], rows) // checked by pass 1
+			at += used
+			if !keeps(cols, c, &k) {
+				continue
+			}
+			if slab, err = col.decode(vals[k-1:], kept, sel, wlo, whi, slab); err != nil {
+				return dst[:base], 0, err
+			}
+		}
+		wlo = whi
+	}
+}
+
+// window returns the end of the window of rows from lo that holds the
+// next (at most) win rows selected in sel (nil: every row) below hi,
+// and how many it holds.
+func window(sel []uint64, lo, hi, win int) (end, m int) {
+	if sel == nil {
+		end = min(lo+win, hi)
+		return end, end - lo
+	}
+	for i := lo; i < hi; i++ {
+		if sel[i/64]&(1<<(i%64)) != 0 {
+			if m == win {
+				return i, m
+			}
+			m++
 		}
 	}
-	return dst, end, nil
+	return hi, m
 }
 
 // keeps reports whether column c is among cols (nil: every column),

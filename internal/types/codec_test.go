@@ -13,7 +13,7 @@ import (
 // decodes to them, kind for kind, using the whole block.
 func blockRoundTrip(rows []Tuple) bool {
 	enc, n := AppendBlock(nil, rows)
-	got, used, err := DecodeBlock(nil, enc, nil, 0, -1)
+	got, used, err := DecodeBlock(nil, nil, enc, nil, 0, -1)
 	if err != nil || n != len(rows) || used != len(enc) || len(got) != len(rows) {
 		return false
 	}
@@ -89,11 +89,11 @@ func TestCodecQuick(t *testing.T) {
 func TestCodecStream(t *testing.T) {
 	buf, _ := AppendBlock(nil, []Tuple{{Int(1), Str("x")}})
 	buf, _ = AppendBlock(buf, []Tuple{{Float(2.5)}})
-	got1, n1, err := DecodeBlock(nil, buf, nil, 0, -1)
+	got1, n1, err := DecodeBlock(nil, nil, buf, nil, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, n2, err := DecodeBlock(nil, buf[n1:], nil, 0, -1)
+	got2, n2, err := DecodeBlock(nil, nil, buf[n1:], nil, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestCodecStream(t *testing.T) {
 func TestCodecCorruption(t *testing.T) {
 	enc, _ := AppendBlock(nil, []Tuple{{Str("hello world"), Int(42), Null}, {Str(""), Int(-3), Float(1)}})
 	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeBlock(nil, enc[:cut], nil, 0, -1); err == nil {
+		if _, _, err := DecodeBlock(nil, nil, enc[:cut], nil, 0, -1); err == nil {
 			t.Errorf("block cut to %d of %d bytes decoded", cut, len(enc))
 		}
 	}
 	bad := bytes.Clone(enc)
 	bad[2] = 0x7a // the first column's tag
-	if _, _, err := DecodeBlock(nil, bad, nil, 0, -1); err == nil {
+	if _, _, err := DecodeBlock(nil, nil, bad, nil, 0, -1); err == nil {
 		t.Error("invalid column tag should error")
 	}
 }
@@ -290,7 +290,7 @@ func TestBlockDecodeRows(t *testing.T) {
 	enc, _ := AppendBlock(nil, rows)
 	for _, r := range [][2]int{{0, 0}, {0, 1}, {49, 50}, {10, 20}, {7, 8}, {45, -1}, {3, 99}} {
 		for _, cols := range [][]int{nil, {1}, {0, 2}, {}} {
-			got, _, err := DecodeBlock(nil, enc, cols, r[0], r[1])
+			got, _, err := DecodeBlock(nil, nil, enc, cols, r[0], r[1])
 			if err != nil {
 				t.Fatalf("rows %v cols %v: %v", r, cols, err)
 			}

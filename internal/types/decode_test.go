@@ -21,6 +21,9 @@ func maskCols(mask, width uint64) []int {
 	return cols
 }
 
+// reused is the arena checkBlock decodes into, reset between inputs.
+var reused Arena
+
 // checkBlock is the property both block fuzzers hold the codec to:
 //
 //   - data as a block: decoding it, whole, under the column mask or for
@@ -33,12 +36,14 @@ func maskCols(mask, width uint64) []int {
 //     encoded as blocks, decode to exactly those rows, masked too.
 func checkBlock(t *testing.T, data []byte, mask uint64) {
 	src := bytes.Clone(data)
-	full, _, err := DecodeBlock(nil, src, nil, 0, -1)
+	full, _, err := DecodeBlock(nil, nil, src, nil, 0, -1)
 	_, ncols, _, _ := blockHeader(data)
 	cols := maskCols(mask, uint64(ncols))
 	lo, hi := int(mask>>56)%8, int(mask>>48)%64
-	masked, _, merr := DecodeBlock(nil, src, cols, 0, -1)
-	ranged, _, rerr := DecodeBlock(nil, src, nil, lo, hi)
+	// The masked decode reuses an arena that earlier inputs dirtied.
+	reused.Reset()
+	masked, _, merr := DecodeBlock(nil, &reused, src, cols, 0, -1)
+	ranged, _, rerr := DecodeBlock(nil, nil, src, nil, lo, hi)
 	if err == nil {
 		if merr != nil || rerr != nil {
 			t.Fatalf("whole block decodes, but cols %v: %v, rows [%d,%d): %v", cols, merr, lo, hi, rerr)
@@ -64,8 +69,8 @@ func checkBlock(t *testing.T, data []byte, mask uint64) {
 			if n == 0 {
 				continue
 			}
-			_, whole, _ := DecodeBlock(nil, data, nil, 0, 0)
-			got, _, err := DecodeBlock(nil, blk, nil, 0, -1)
+			_, whole, _ := DecodeBlock(nil, nil, data, nil, 0, 0)
+			got, _, err := DecodeBlock(nil, nil, blk, nil, 0, -1)
 			if err != nil || n != len(full)+1 || len(got) != n || used != whole {
 				t.Fatalf("AppendRow onto %d rows of %d bytes: %d rows (%d decoded) over %d bytes, %v", len(full), whole, n, len(got), used, err)
 			}
@@ -80,7 +85,7 @@ func checkBlock(t *testing.T, data []byte, mask uint64) {
 		block := rows[:n]
 		rows = rows[n:]
 		for _, cs := range [][]int{nil, maskCols(mask, uint64(len(block[0])))} {
-			got, used, err := DecodeBlock(nil, enc, cs, 0, -1)
+			got, used, err := DecodeBlock(nil, nil, enc, cs, 0, -1)
 			if err != nil || used != len(enc) || len(got) != n {
 				t.Fatalf("cols %v: block of %d oracle rows: %d rows, %d of %d bytes, %v", cs, n, len(got), used, len(enc), err)
 			}
@@ -165,7 +170,7 @@ func FuzzPageDecode(f *testing.F) {
 // have is an error, not a NULL.
 func TestDecodeColumnsBeyondWidth(t *testing.T) {
 	enc, _ := AppendBlock(nil, []Tuple{{Int(1), Str("x")}})
-	if _, _, err := DecodeBlock(nil, enc, []int{1, 2}, 0, -1); !errors.Is(err, errMissingColumn) {
+	if _, _, err := DecodeBlock(nil, nil, enc, []int{1, 2}, 0, -1); !errors.Is(err, errMissingColumn) {
 		t.Fatalf("columns 1 and 2 of a 2-column block: error %v, want %v", err, errMissingColumn)
 	}
 }

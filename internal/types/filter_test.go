@@ -137,7 +137,7 @@ func FuzzBlockFilter(f *testing.F) {
 			hi = -1
 		}
 
-		all, _, err := types.DecodeBlock(nil, enc, nil, lo, hi)
+		all, _, err := types.DecodeBlock(nil, nil, enc, nil, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func FuzzBlockFilter(f *testing.F) {
 			}
 			want = append(want, row)
 		}
-		got, _, err := types.DecodeBlock(nil, enc, cols, lo, hi, where...)
+		got, _, err := types.DecodeBlock(nil, nil, enc, cols, lo, hi, where...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,44 +178,6 @@ func (t Tuple) Key() string {
 	return string(buf)
 }
 
-// TupleAlloc carves an operator's output rows out of chunks, one
-// allocation per chunk instead of one per row. Chunks start at a few
-// rows and double up to maxChunkRows, so a one-row result does not pay
-// for a big chunk and a big result wastes at most part of its last
-// one. Like decode slabs, chunks are plain garbage-collected memory and
-// are never reused: the rows carved from them are immutable and belong
-// to whoever holds them. The zero value is ready to use.
-type TupleAlloc struct {
-	chunk []Value
-	used  int
-	rows  int // rows the current chunk was sized for
-}
-
-const maxChunkRows = 128
-
-// Make returns a tuple of n values for the caller to fill in entirely
-// (a slot may hold a value an Undo left behind). A zero-width tuple is
-// non-nil, like every row: operators use a nil tuple to mean "none".
-func (a *TupleAlloc) Make(n int) Tuple {
-	if n == 0 {
-		return Tuple{}
-	}
-	if len(a.chunk)-a.used < n {
-		if a.rows < maxChunkRows {
-			a.rows = max(4, 2*a.rows)
-		}
-		a.chunk, a.used = make([]Value, a.rows*n), 0
-	}
-	t := a.chunk[a.used : a.used+n : a.used+n]
-	a.used += n
-	return t
-}
-
-// Undo takes back t, the tuple the last Make returned, when it turns
-// out not to be needed (a join candidate its predicate rejected); the
-// next Make hands the same memory out again.
-func (a *TupleAlloc) Undo(t Tuple) { a.used -= len(t) }
-
 // ByteSize returns the approximate size of the tuple in bytes.
 func (t Tuple) ByteSize() int {
 	n := 0

@@ -229,7 +229,7 @@ func decodeBlocks(t testing.TB, enc []byte, cols []int) []Tuple {
 			used int
 			err  error
 		)
-		if rows, used, err = DecodeBlock(rows, enc[pos:], cols, 0, -1); err != nil {
+		if rows, used, err = DecodeBlock(rows, nil, enc[pos:], cols, 0, -1); err != nil {
 			t.Fatalf("decode block at byte %d: %v", pos, err)
 		}
 		pos += used
@@ -297,7 +297,7 @@ func TestDecodedStringsOutliveSource(t *testing.T) {
 	mixed := Tuple{Int(1), Str("beta"), Null, Null}
 	enc := encodeBlocks([]Tuple{src, mixed, src})
 	got := decodeBlocks(t, enc, nil)
-	one, _, err := DecodeBlock(nil, enc, []int{1, 3}, 2, 3)
+	one, _, err := DecodeBlock(nil, nil, enc, []int{1, 3}, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestSlabAllocs(t *testing.T) {
 	enc, _ := AppendBlock(nil, src)
 	rows := make([]Tuple, 0, 100)
 	allocs := testing.AllocsPerRun(20, func() {
-		rows, _, _ = DecodeBlock(rows[:0], enc, nil, 0, -1)
+		rows, _, _ = DecodeBlock(rows[:0], nil, enc, nil, 0, -1)
 	})
 	if allocs > 2 {
 		t.Errorf("decode of 100 rows took %.0f allocs, want <= 2", allocs)

@@ -57,9 +57,10 @@ func (k Kind) String() string {
 // It is three words (24 bytes): every row the system decodes, holds,
 // copies or sorts is a []Value, so its size is the constant under all
 // of them. One payload word serves every kind, and a string is its data
-// pointer plus its length rather than a two-word header. Values are
-// immutable — the bytes a string Value points to are never written
-// after it is built — so copying one is always safe. Equal strings may
+// pointer plus its length rather than a two-word header. Copying a
+// Value copies that pointer, not the bytes: they live as long as the
+// row the value came in (rel.Iterator's row-lifetime rule), and a value
+// kept longer is copied into an Arena (Arena.Value). Equal strings may
 // live at different addresses, so == would be wrong; the zero-size
 // first field makes it a compile error (use Equal or Compare).
 type Value struct {
@@ -88,17 +89,6 @@ func Str(v string) Value {
 
 // str returns the payload of a string Value.
 func (v Value) str() string { return unsafe.String(v.p, int(v.n)) }
-
-// Detach returns v with its string bytes, if any, copied into memory
-// of their own. A decoded string points into its page's or batch's
-// slab and keeps all of it alive; whoever keeps a few values for long
-// (index keys, column statistics) detaches them first.
-func (v Value) Detach() Value {
-	if v.kind != KindString {
-		return v
-	}
-	return Str(strings.Clone(v.str()))
-}
 
 // float returns the payload of a float Value.
 func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }

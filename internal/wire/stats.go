@@ -91,7 +91,7 @@ func DecodeTableStats(data []byte) (*meta.TableStats, error) {
 		if c.Name, rest, err = CutString(rest); err != nil {
 			return nil, err
 		}
-		mm, used, err := types.DecodeBlock(nil, rest, nil, 0, -1)
+		mm, used, err := types.DecodeBlock(nil, nil, rest, nil, 0, -1)
 		if err != nil {
 			return nil, fmt.Errorf("%w: column %s min/max: %v", ErrBadFrame, key, err)
 		}

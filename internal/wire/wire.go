@@ -98,13 +98,18 @@ func DecodeBatch(data []byte) ([]types.Tuple, error) {
 }
 
 // DecodeBatchInto decodes a batch appending to dst, so a steady-state
-// consumer can recycle one row-header slice across fetches. Each block
-// is decoded in one validating pass (types.DecodeBlock), so its rows
-// share one value slab and one string slab: they do not alias data,
-// consumers may retain them, and a retained row keeps its block's slabs
-// alive. A block after the first is measured before it is decoded and
-// refused unless dense.
+// consumer can recycle one row-header slice across fetches. The rows
+// are fresh memory (see DecodeBatchArena).
 func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
+	return DecodeBatchArena(dst, nil, data)
+}
+
+// DecodeBatchArena decodes a batch appending to dst, its rows made in
+// a (nil: fresh memory), so a consumer that resets a between batches
+// decodes without allocating. Each block is decoded in one validating
+// pass (types.DecodeBlock): the rows do not alias data. A block after
+// the first is measured before it is decoded and refused unless dense.
+func DecodeBatchArena(dst []types.Tuple, a *types.Arena, data []byte) ([]types.Tuple, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("wire: bad batch header")
 	}
@@ -121,7 +126,7 @@ func DecodeBatchInto(dst []types.Tuple, data []byte) ([]types.Tuple, error) {
 			}
 		}
 		if err == nil {
-			dst, used, err = types.DecodeBlock(dst, data[pos:], nil, 0, -1)
+			dst, used, err = types.DecodeBlock(dst, a, data[pos:], nil, 0, -1)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("wire: block at row %d: %w", len(dst)-start, err)

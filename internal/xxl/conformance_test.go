@@ -1,6 +1,7 @@
 package xxl
 
 import (
+	"strings"
 	"testing"
 
 	"tango/internal/client"
@@ -9,6 +10,7 @@ import (
 	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/sqlparser"
+	"tango/internal/types"
 	"tango/internal/wire"
 )
 
@@ -107,4 +109,69 @@ func TestConformance(t *testing.T) {
 			Want:  itertest.Ints("G T1 T2", []int64{1, 1, 12}, []int64{1, 20, 25}, []int64{2, 3, 7}),
 			Build: func(in []rel.Iterator) rel.Iterator { return NewCoalesce(in[0], 1, 2) }},
 	})
+}
+
+// TestConformanceStrings runs the middleware keepers over string
+// columns. The poisoned inputs reuse their string bytes batch after
+// batch, so a keeper that copied a row's values but not their bytes
+// would read another row's strings.
+func TestConformanceStrings(t *testing.T) {
+	s, i := types.Str, types.Int
+	a := strRel("K T1 T2", []types.Value{s("aa"), i(0), i(5)}, []types.Value{s("aa"), i(3), i(8)},
+		[]types.Value{s("bb"), i(1), i(4)}, []types.Value{s("cc"), i(0), i(2)}, []types.Value{s("cc"), i(2), i(6)})
+	b := strRel("K T1 T2", []types.Value{s("aa"), i(4), i(9)}, []types.Value{s("cc"), i(1), i(3)}, []types.Value{s("dd"), i(0), i(1)})
+	count := []AggSpec{{Kind: AggCount}}
+	counts := strRel("K T1 T2 N", []types.Value{s("aa"), i(0), i(3), i(1)}, []types.Value{s("aa"), i(3), i(5), i(2)},
+		[]types.Value{s("aa"), i(5), i(8), i(1)}, []types.Value{s("bb"), i(1), i(4), i(1)},
+		[]types.Value{s("cc"), i(0), i(2), i(1)}, []types.Value{s("cc"), i(2), i(6), i(1)})
+	periods := strRel("G T1 T2", []types.Value{s("g1"), i(1), i(5)}, []types.Value{s("g1"), i(5), i(9)},
+		[]types.Value{s("g1"), i(20), i(25)}, []types.Value{s("g2"), i(3), i(7)}, []types.Value{s("g2"), i(7), i(8)})
+	// Key groups of three span the inputs' short batches.
+	dup := strRel("K W", []types.Value{s("aa"), s("w1")}, []types.Value{s("aa"), s("w2")}, []types.Value{s("aa"), s("w3")},
+		[]types.Value{s("cc"), s("w4")}, []types.Value{s("cc"), s("w5")}, []types.Value{s("cc"), s("w6")})
+	joined := rel.New(a.Schema.Concat(dup.Schema))
+	for _, l := range a.Tuples {
+		for _, r := range dup.Tuples {
+			if types.Equal(l[0], r[0]) {
+				joined.Append(append(append(types.Tuple{}, l...), r...))
+			}
+		}
+	}
+	one, two := []*rel.Relation{a}, []*rel.Relation{a, b}
+	itertest.Run(t, []itertest.Case{
+		{Name: "MergeJoin", Inputs: []*rel.Relation{a, dup}, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewMergeJoin(in[0], in[1], []int{0}, []int{0})
+		}},
+		{Name: "Sort", Inputs: []*rel.Relation{b}, Want: strRel("K T1 T2", []types.Value{s("dd"), i(0), i(1)},
+			[]types.Value{s("cc"), i(1), i(3)}, []types.Value{s("aa"), i(4), i(9)}),
+			Build: func(in []rel.Iterator) rel.Iterator { return NewSort(in[0], []int{1}) }},
+		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
+		}},
+		{Name: "PTAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
+			return NewPTAggr(in[0], []int{0}, 1, 2, count, counts.Schema, 2)
+		}},
+		{Name: "TJoin", Inputs: two, Want: strRel("K T1 T2 K", []types.Value{s("aa"), i(4), i(5), s("aa")},
+			[]types.Value{s("aa"), i(4), i(8), s("aa")}, []types.Value{s("cc"), i(1), i(2), s("cc")},
+			[]types.Value{s("cc"), i(2), i(3), s("cc")}),
+			Build: func(in []rel.Iterator) rel.Iterator { return NewTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2) }},
+		{Name: "Coalesce", Inputs: []*rel.Relation{periods},
+			Want: strRel("G T1 T2", []types.Value{s("g1"), i(1), i(9)}, []types.Value{s("g1"), i(20), i(25)},
+				[]types.Value{s("g2"), i(3), i(8)}),
+			Build: func(in []rel.Iterator) rel.Iterator { return NewCoalesce(in[0], 1, 2) }},
+	})
+}
+
+// strRel builds a relation of the given rows; cols names the columns,
+// separated by spaces, and each column takes its first row's kind.
+func strRel(cols string, rows ...[]types.Value) *rel.Relation {
+	var schema types.Schema
+	for c, name := range strings.Fields(cols) {
+		schema.Cols = append(schema.Cols, types.Column{Name: name, Kind: rows[0][c].Kind()})
+	}
+	r := rel.New(schema)
+	for _, row := range rows {
+		r.Append(row)
+	}
+	return r
 }

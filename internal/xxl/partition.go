@@ -51,9 +51,11 @@ type Partitioned struct {
 
 	opened    bool
 	rightRows []types.Tuple
+	rightMem  types.Arena // rightRows' copies
 	chunks    *pool[[]types.Tuple]
 	buf       []types.Tuple // one left input batch
-	pending   []types.Tuple // left rows read but not yet submitted
+	pending   []types.Tuple // copies of left rows read but not yet submitted
+	mem       types.Arena   // where they are copied; a submitted chunk keeps its own
 	prev      types.Tuple   // order validation
 	inDone    bool
 	stats     ParallelStats
@@ -105,18 +107,20 @@ func (p *Partitioned) Open() error {
 	if err := p.left.Open(); err != nil {
 		return err
 	}
-	p.rightRows = nil
+	p.rightMem = types.Arena{}
 	if p.right != nil {
+		var last types.Tuple
 		if err := rel.Each(p.right, func(t types.Tuple) error {
-			if n := len(p.rightRows); n > 0 && types.CompareTuples(p.rightRows[n-1], t, p.rkeys, nil) > 0 {
+			if last != nil && types.CompareTuples(last, t, p.rkeys, nil) > 0 {
 				return errJoinUnsorted("right")
 			}
-			p.rightRows = append(p.rightRows, t)
+			last = p.rightMem.Keep(t)
 			return nil
 		}); err != nil {
 			return err
 		}
 	}
+	p.rightRows = p.rightMem.Rows()
 	p.chunks = newPool[[]types.Tuple](p.Parallelism)
 	p.buf = make([]types.Tuple, rel.DefaultBatchSize)
 	p.pending, p.prev, p.inDone = nil, nil, false
@@ -175,9 +179,9 @@ func (p *Partitioned) read() error {
 		if p.prev != nil && types.CompareTuples(p.prev, t, p.order, nil) > 0 {
 			return p.unsorted(p.prev, t)
 		}
-		p.prev = t
+		p.prev = p.mem.Copy(t)
+		p.pending = append(p.pending, p.prev)
 	}
-	p.pending = append(p.pending, p.buf[:n]...)
 	if len(p.pending) < minPartitionRows {
 		return nil
 	}
@@ -192,8 +196,11 @@ func (p *Partitioned) read() error {
 	return nil
 }
 
-// submit hands one chunk to the pool.
+// submit hands one chunk to the pool. The rows copied so far are the
+// chunk's and the pending rows', so the next are copied into a new
+// arena.
 func (p *Partitioned) submit(chunk []types.Tuple) {
+	p.mem = types.Arena{}
 	p.stats.observe(len(chunk))
 	p.chunks.submit(func() ([]types.Tuple, error) { return p.run(chunk) })
 }
@@ -238,6 +245,8 @@ func (p *Partitioned) Close() error {
 	}
 	p.cur.Reset(nil)
 	p.buf, p.pending, p.prev, p.rightRows = nil, nil, nil, nil
+	p.mem.Free() // every kernel has finished
+	p.rightMem.Free()
 	err := p.left.Close()
 	if p.right != nil {
 		if rerr := p.right.Close(); err == nil {

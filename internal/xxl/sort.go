@@ -24,8 +24,9 @@ import (
 const DefaultSortMemory = 1 << 17 // 128k tuples
 
 // Sort is SORT^M: an external merge sort. Runs of at most MemTuples
-// tuples are sorted in memory; larger inputs spill sorted runs to
-// temporary files and merge them with a k-way heap.
+// tuples, copied into an arena of each run's own, are sorted in memory;
+// larger inputs spill sorted runs to temporary files and merge them
+// with a k-way heap.
 type Sort struct {
 	in        rel.Input
 	keys      []int
@@ -41,9 +42,10 @@ type Sort struct {
 	// (workers, chunks, partition sizes) after Open completes.
 	OnStats func(ParallelStats)
 
-	out     rel.Cursor // in-memory case
-	merger  *runMerger // external case
-	spilled int64      // bytes written to spill runs by the last Open
+	rows    types.Arena // the run being filled; the in-memory case's rows
+	out     rel.Cursor  // in-memory case
+	merger  *runMerger  // external case
+	spilled int64       // bytes written to spill runs by the last Open
 }
 
 // NewSort sorts by the given column indexes, ascending.
@@ -75,24 +77,25 @@ func (s *Sort) Open() error {
 	s.spilled = 0
 
 	gen := runGen{sort: s, runs: newPool[spillRun](par)}
-	buf := make([]types.Tuple, 0, 1024)
+	s.rows.Reset()
+	kept := 0
 	err := rel.Each(&s.in, func(t types.Tuple) error {
-		buf = append(buf, t)
-		if len(buf) < s.MemTuples {
+		if s.rows.Keep(t); kept+1 < s.MemTuples {
+			kept++
 			return nil
 		}
-		var err error
-		buf, err = gen.spill(buf)
+		err := gen.spill(s.rows.Rows())
+		s.rows, kept = types.Arena{}, 0 // the spilled rows are the run writer's
 		return err
 	})
 	if err == nil && gen.stats.Partitions == 0 {
 		// Pure in-memory sort (chunk-parallel when configured).
-		s.out.Reset(s.sortChunks(buf, par, &gen.stats))
+		s.out.Reset(s.sortChunks(s.rows.Rows(), par, &gen.stats))
 		s.report(gen.stats, par)
 		return nil
 	}
-	if err == nil && len(buf) > 0 {
-		_, err = gen.spill(buf)
+	if err == nil && kept > 0 {
+		err = gen.spill(s.rows.Rows())
 	}
 	files, err := gen.finish(err)
 	if err != nil {
@@ -169,6 +172,7 @@ func (s *Sort) NextBatch(dst []types.Tuple) (int, error) {
 // to drain it.
 func (s *Sort) Close() error {
 	s.out.Reset(nil)
+	s.rows.Free()
 	err := s.in.Close()
 	if s.merger != nil {
 		if merr := s.merger.close(); err == nil {
@@ -237,13 +241,12 @@ type spillRun struct {
 }
 
 // spill hands buf to the pool to be sorted and written as the next
-// run, and returns an empty buffer to fill next. Its error is an
-// earlier run's failure.
-func (g *runGen) spill(buf []types.Tuple) ([]types.Tuple, error) {
+// run. Its error is an earlier run's failure.
+func (g *runGen) spill(buf []types.Tuple) error {
 	g.stats.observe(len(buf))
 	if g.runs.full() {
 		if _, err := g.collect(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	g.runs.submit(func() (spillRun, error) {
@@ -251,10 +254,7 @@ func (g *runGen) spill(buf []types.Tuple) ([]types.Tuple, error) {
 		f, n, err := writeRun(buf)
 		return spillRun{f: f, bytes: n}, err
 	})
-	if g.runs.n == 1 {
-		return buf[:0], nil // written already: safe to reuse
-	}
-	return make([]types.Tuple, 0, cap(buf)), nil
+	return nil
 }
 
 // collect takes the oldest run not yet collected; false when none is
@@ -340,7 +340,7 @@ func (r *runReader) next() (types.Tuple, bool, error) {
 		if _, err := io.ReadFull(r.f, r.data); err != nil {
 			return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
 		}
-		rows, _, err := types.DecodeBlock(r.rows[:0], r.data, nil, 0, -1)
+		rows, _, err := types.DecodeBlock(r.rows[:0], nil, r.data, nil, 0, -1)
 		if err != nil {
 			return nil, false, fmt.Errorf("xxl: corrupt sort run: %w", err)
 		}

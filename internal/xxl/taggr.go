@@ -32,8 +32,9 @@ type AggSpec struct {
 // algorithm internally sorts a second copy of each group on T2 and
 // sweeps both orders like a sort-merge, computing the aggregate values
 // group by group over the constant intervals between event points.
-// Memory use is one group at a time. Order preserving on the grouping
-// attributes.
+// Memory use is the groups of one output batch, copied into the
+// operator's arena with their output rows. Order preserving on the
+// grouping attributes.
 type TAggr struct {
 	in      *rel.Reader
 	groupBy []int
@@ -46,8 +47,8 @@ type TAggr struct {
 	prevRow types.Tuple // order validation
 	inDone  bool
 	opened  bool
-	sortKey []int // groupBy + T1, for input order validation
-	rows    types.TupleAlloc
+	sortKey []int       // groupBy + T1, for input order validation
+	mem     types.Arena // this batch's groups and output rows
 }
 
 // NewTAggr creates a temporal aggregation over input columns. The
@@ -77,6 +78,7 @@ func (a *TAggr) Open() error {
 // Close closes the input.
 func (a *TAggr) Close() error {
 	a.out.Reset(nil)
+	a.mem.Free()
 	return a.in.Close()
 }
 
@@ -88,11 +90,17 @@ func errTAggrUnsorted(prev, cur types.Tuple) error {
 }
 
 // NextBatch returns constant-interval aggregate rows, sweeping groups
-// until dst is full.
+// until dst is full. A group whose intervals did not all fit is
+// finished first, in a batch of its own; then the memory of every row
+// handed out before is taken back.
 func (a *TAggr) NextBatch(dst []types.Tuple) (int, error) {
 	if !a.opened {
 		return 0, errNotOpened("taggr")
 	}
+	if n := a.out.Read(dst); n > 0 {
+		return n, nil
+	}
+	a.mem.Reset()
 	n := 0
 	for n < len(dst) {
 		if k := a.out.Read(dst[n:]); k > 0 {
@@ -111,13 +119,14 @@ func (a *TAggr) NextBatch(dst []types.Tuple) (int, error) {
 	return n, nil
 }
 
-// readGroup collects the next run of input tuples sharing the grouping
-// attribute values (the input is sorted on them). nil means end of
-// input.
+// readGroup collects copies of the next run of input tuples sharing
+// the grouping attribute values (the input is sorted on them). nil
+// means end of input. The lookahead and the row validated against are
+// each the row before the one read next, which the reader keeps valid.
 func (a *TAggr) readGroup() ([]types.Tuple, error) {
 	var group []types.Tuple
 	if a.nextRow != nil {
-		group = append(group, a.nextRow)
+		group = append(group, a.mem.Copy(a.nextRow))
 		a.nextRow = nil
 	}
 	for !a.inDone {
@@ -140,7 +149,7 @@ func (a *TAggr) readGroup() ([]types.Tuple, error) {
 			a.nextRow = t
 			break
 		}
-		group = append(group, t)
+		group = append(group, a.mem.Copy(t))
 	}
 	if len(group) == 0 {
 		return nil, nil
@@ -167,7 +176,7 @@ func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
 		if from >= to || active == 0 {
 			return
 		}
-		row := a.rows.Make(a.schema.Len())[:0]
+		row := a.mem.Make(a.schema.Len())[:0]
 		for _, g := range a.groupBy {
 			row = append(row, group[0][g])
 		}

@@ -48,7 +48,7 @@ type Project struct {
 	in     rel.Input
 	idx    []int
 	schema types.Schema
-	rows   types.TupleAlloc
+	rows   types.Arena // the last batch's output rows
 }
 
 // NewProject keeps the input columns at the given indexes, renaming
@@ -64,15 +64,16 @@ func (p *Project) Schema() types.Schema { return p.schema }
 func (p *Project) Open() error { return p.in.Open() }
 
 // Close closes the input.
-func (p *Project) Close() error { return p.in.Close() }
+func (p *Project) Close() error { p.rows.Free(); return p.in.Close() }
 
 // NextBatch pulls an input batch into dst and replaces each tuple by
-// its projection.
+// its projection, written over the last batch's.
 func (p *Project) NextBatch(dst []types.Tuple) (int, error) {
 	n, err := p.in.NextBatch(dst)
 	if err != nil || n == 0 {
 		return 0, err
 	}
+	p.rows.Reset()
 	for i, t := range dst[:n] {
 		out := p.rows.Make(len(p.idx))
 		for j, k := range p.idx {
@@ -85,7 +86,10 @@ func (p *Project) NextBatch(dst []types.Tuple) (int, error) {
 
 // MergeJoin is JOIN^M: a sort-merge equi-join. Both inputs must be
 // sorted on their join columns. Output order follows the left input
-// (order preserving in the paper's sense).
+// (order preserving in the paper's sense). The right rows of the
+// current key group are copied into the join's arena, and each output
+// row, strings too, into the rows of its batch, so none aliases an
+// input row a later pull may overwrite.
 type MergeJoin struct {
 	left, right  *rel.Reader
 	lkeys, rkeys []int
@@ -94,11 +98,13 @@ type MergeJoin struct {
 	lcur   types.Tuple
 	lprev  types.Tuple   // previous left tuple; run matches its key
 	run    []types.Tuple // right tuples matching lprev's key
+	runMem types.Arena   // their copies
 	ri     int
 	rnext  types.Tuple // lookahead on right
 	rdone  bool
 	opened bool
-	rows   types.TupleAlloc
+	cand   types.Tuple // an output row, before it is copied
+	out    types.Arena // the batch's output rows
 }
 
 // NewMergeJoin joins sorted inputs on pairwise key columns.
@@ -162,14 +168,14 @@ func compareOn(a types.Tuple, akeys []int, b types.Tuple, bkeys []int) int {
 
 // NextBatch produces joined tuples.
 func (j *MergeJoin) NextBatch(dst []types.Tuple) (int, error) {
+	j.out.Reset()
 	return rel.Fill(dst, func() (types.Tuple, bool, error) {
 		l, r, ok, err := j.nextPair()
 		if !ok {
 			return nil, false, err
 		}
-		out := j.rows.Make(len(l) + len(r))
-		copy(out[copy(out, l):], r)
-		return out, true, nil
+		j.cand = append(append(j.cand[:0], l...), r...)
+		return j.out.Copy(j.cand), true, nil
 	})
 }
 
@@ -194,7 +200,8 @@ func (j *MergeJoin) nextPair() (l, r types.Tuple, ok bool, err error) {
 		if j.lprev != nil {
 			switch compareOn(t, j.lkeys, j.lprev, j.lkeys) {
 			case 0:
-				j.ri = 0 // same key: reuse the run
+				j.lprev = t // the row before the next: the reader keeps it valid
+				j.ri = 0    // same key: reuse the run
 				continue
 			case -1:
 				return nil, nil, false, errJoinUnsorted("left")
@@ -203,6 +210,7 @@ func (j *MergeJoin) nextPair() (l, r types.Tuple, ok bool, err error) {
 		j.lprev = t
 		// Advance right until its key >= the left key, collecting the matching run.
 		j.run = j.run[:0]
+		j.runMem.Reset()
 		j.ri = 0
 		for !j.rdone {
 			c := compareOn(j.rnext, j.rkeys, t, j.lkeys)
@@ -210,7 +218,7 @@ func (j *MergeJoin) nextPair() (l, r types.Tuple, ok bool, err error) {
 				break
 			}
 			if c == 0 {
-				j.run = append(j.run, j.rnext)
+				j.run = append(j.run, j.runMem.Copy(j.rnext))
 			}
 			if err := j.advanceRight(); err != nil {
 				return nil, nil, false, err
@@ -224,6 +232,8 @@ func (j *MergeJoin) Close() error {
 	err1 := j.left.Close()
 	err2 := j.right.Close()
 	j.run = nil
+	j.runMem.Free()
+	j.out.Free()
 	if err1 != nil {
 		return err1
 	}
@@ -290,6 +300,7 @@ func (j *TJoin) Close() error { return j.mj.Close() }
 // NextBatch produces the overlapping pairs with their intersected
 // periods.
 func (j *TJoin) NextBatch(dst []types.Tuple) (int, error) {
+	j.mj.out.Reset()
 	return rel.Fill(dst, func() (types.Tuple, bool, error) {
 		for {
 			l, r, ok, err := j.mj.nextPair()
@@ -302,7 +313,7 @@ func (j *TJoin) NextBatch(dst []types.Tuple) (int, error) {
 			if !ok {
 				continue
 			}
-			out := append(j.mj.rows.Make(j.schema.Len())[:0], l...)
+			out := append(j.mj.cand[:0], l...)
 			out[j.lt1] = coerceTime(l[j.lt1], inter.Start)
 			out[j.lt2] = coerceTime(l[j.lt2], inter.End)
 			for i, v := range r {
@@ -310,7 +321,8 @@ func (j *TJoin) NextBatch(dst []types.Tuple) (int, error) {
 					out = append(out, v)
 				}
 			}
-			return out, true, nil
+			j.mj.cand = out
+			return j.mj.out.Copy(out), true, nil
 		}
 	})
 }
@@ -362,12 +374,15 @@ func (d *DupElim) NextBatch(dst []types.Tuple) (int, error) {
 
 // Coalesce is COALESCE^M: merges value-equivalent tuples whose periods
 // overlap or meet. The input must be sorted on all non-time columns
-// and then T1.
+// and then T1. A current row it extends is its own copy, and each
+// output row is copied into the rows of its batch.
 type Coalesce struct {
 	in      *rel.Reader
 	t1, t2  int
 	pending types.Tuple
-	owned   bool // pending is this operator's copy, not an input tuple
+	owned   bool        // pending is this operator's copy, not an input tuple
+	mem     types.Arena // pending's copy
+	out     types.Arena // the batch's output rows
 	done    bool
 }
 
@@ -387,7 +402,11 @@ func (c *Coalesce) Open() error {
 }
 
 // Close closes the input.
-func (c *Coalesce) Close() error { return c.in.Close() }
+func (c *Coalesce) Close() error {
+	c.mem.Free()
+	c.out.Free()
+	return c.in.Close()
+}
 
 // valueEquivalent compares all non-time columns.
 func (c *Coalesce) valueEquivalent(a, b types.Tuple) bool {
@@ -403,7 +422,10 @@ func (c *Coalesce) valueEquivalent(a, b types.Tuple) bool {
 }
 
 // NextBatch produces maximal coalesced tuples.
-func (c *Coalesce) NextBatch(dst []types.Tuple) (int, error) { return rel.Fill(dst, c.next) }
+func (c *Coalesce) NextBatch(dst []types.Tuple) (int, error) {
+	c.out.Reset()
+	return rel.Fill(dst, c.next)
+}
 
 func (c *Coalesce) next() (types.Tuple, bool, error) {
 	if c.done {
@@ -417,7 +439,7 @@ func (c *Coalesce) next() (types.Tuple, bool, error) {
 		if !ok {
 			c.done = true
 			if c.pending != nil {
-				out := c.pending
+				out := c.out.Copy(c.pending)
 				c.pending = nil
 				return out, true, nil
 			}
@@ -431,16 +453,18 @@ func (c *Coalesce) next() (types.Tuple, bool, error) {
 		q := types.Period{Start: t[c.t1].AsInt(), End: t[c.t2].AsInt()}
 		if c.valueEquivalent(c.pending, t) && q.Start <= p.End {
 			// Extend the pending period — in a copy: input tuples are
-			// immutable.
+			// not ours to write. The pending row is the one before t,
+			// which the reader keeps valid.
 			if !c.owned {
-				c.pending, c.owned = c.pending.Clone(), true
+				c.mem.Reset()
+				c.pending, c.owned = c.mem.Copy(c.pending), true
 			}
 			m := p.Merge(q)
 			c.pending[c.t1] = coerceTime(c.pending[c.t1], m.Start)
 			c.pending[c.t2] = coerceTime(c.pending[c.t2], m.End)
 			continue
 		}
-		out := c.pending
+		out := c.out.Copy(c.pending)
 		c.pending, c.owned = t, false
 		return out, true, nil
 	}
