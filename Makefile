@@ -7,8 +7,9 @@ FUZZTIME ?= 10s
 
 .PHONY: all build vet lint lint-report test race fuzz chaos crash load bench-smoke bench-json bench-pairs tangobench-smoke loc ci clean
 
-# Benchmark report written by bench-json.
-BENCHOUT ?= BENCH_28.json
+# Benchmark report written by bench-json. The default is git-ignored
+# scratch; archive a run with an explicit BENCHOUT=BENCH_<n>.json.
+BENCHOUT ?= .bench_build/bench.json
 
 all: ci
 
@@ -133,6 +134,7 @@ bench-smoke:
 # fsyncs/commit metric is measured under real contention: the
 # archived number must fall below 1 at 8 and 64 sessions.
 bench-json:
+	mkdir -p $(dir $(BENCHOUT))
 	{ $(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM' -benchtime 15x -cpu 1,4; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'GroupCommit' -benchtime 200x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
@@ -171,11 +173,11 @@ loc:
 
 # ci is the full verification gate: compile everything, vet, run the
 # project analyzers (publishing lint.json), smoke the fuzz targets and
-# the benchmarks, run the test suite under the race detector (tests
-# also planck-check every plan), run the short chaos sweep under
-# -race, sweep the crash-recovery matrix under -race, and print the
-# size metric.
-ci: build vet lint-report fuzz race chaos crash load bench-smoke tangobench-smoke loc
+# the benchmarks, run the test suite at every GOMAXPROCS width and
+# under the race detector (tests also planck-check every plan), run
+# the short chaos sweep under -race, sweep the crash-recovery matrix
+# under -race, and print the size metric.
+ci: build vet lint-report fuzz test race chaos crash load bench-smoke tangobench-smoke loc
 
 clean:
 	$(GO) clean ./...

@@ -5,7 +5,7 @@
 //
 //   - iterclose: every opened rel.Iterator-shaped value is Closed on
 //     all paths, and NextBatch is not called on an exhausted iterator
-//     without re-Open;
+//     without re-Open (see lifecycle.go);
 //   - errlost: errors from Close/Next/NextBatch/Open and wire-layer
 //     calls are not silently dropped;
 //   - atomicfield: struct fields touched by both sync/atomic calls and
@@ -14,7 +14,8 @@
 //     context.Context nor classify resilience failures with
 //     unwrap-unsafe type assertions (see faultpath.go);
 //   - spanfinish: every created telemetry.Span-shaped value is
-//     Finished on all paths (see spanfinish.go);
+//     Finished on all paths — the same lifecycle checker as iterclose,
+//     with a span descriptor;
 //   - latchorder: lock acquisitions respect the //tango:lock-order
 //     hierarchy — no re-entry of a held class, no acquisition against
 //     the declared partial order — checked through calls via

@@ -52,6 +52,7 @@ func drainLeaksOnError(c *conn) ([]tuple, error) {
 	if err != nil {
 		return nil, err
 	}
+	rows.done = false // a field write is a use, not a hand-off
 	var out []tuple
 	for {
 		t, ok, err := rows.Next()
@@ -64,6 +65,45 @@ func drainLeaksOnError(c *conn) ([]tuple, error) {
 		out = append(out, t)
 	}
 	return out, rows.Close()
+}
+
+// holder owns a cursor once it is stored in one.
+type holder struct{ rows *iter }
+
+func (*conn) reset() {}
+
+// openFailLeaks hands the cursor to an owner only after its Open
+// succeeded, so the failed Open's return leaks it: an escape releases
+// the value only where it happens — the mutant only iterclose catches
+// (DESIGN.md §4c).
+func openFailLeaks(c *conn, release func()) (*holder, error) {
+	rows, err := c.Query("SELECT 7")
+	if err == nil {
+		err = rows.Open()
+	}
+	if err != nil {
+		c.reset()
+		release()
+		return nil, err // want `return leaks rows: opened at line \d+, handed away only at line \d+`
+	}
+	return &holder{rows: rows}, nil
+}
+
+// openFailCloses is the sanctioned shape: the failed Open's branch
+// closes the cursor before the shared error return.
+func openFailCloses(c *conn, release func()) (*holder, error) {
+	rows, err := c.Query("SELECT 8")
+	if err == nil {
+		if err = rows.Open(); err != nil {
+			_ = rows.Close()
+		}
+	}
+	if err != nil {
+		c.reset()
+		release()
+		return nil, err
+	}
+	return &holder{rows: rows}, nil
 }
 
 // nextAfterExhaustion calls Next again after the consuming loop

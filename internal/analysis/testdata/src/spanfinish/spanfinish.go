@@ -55,14 +55,14 @@ func leakOnEarlyReturn() error {
 }
 
 // finishAfterChecks finishes the child only after checking the result,
-// so the check's return leaks it — the mutant only spanfinish catches
-// (DESIGN.md §4c). The first error check after creation is taken for
-// the creation's own and not reported.
+// so both checks' returns leak it — the mutants only spanfinish catches
+// (DESIGN.md §4c). Child cannot fail, so no error check after it is
+// the creation's own: the first one leaks too.
 func finishAfterChecks(parent *span, run func() (int, error), check func(int) error) (int, error) {
 	sp := parent.Child("optimize")
 	n, err := run()
 	if err != nil {
-		return 0, err
+		return 0, err // want `return leaks span sp: created at line \d+`
 	}
 	if cerr := check(n); cerr != nil {
 		return 0, cerr // want `return leaks span sp: created at line \d+`

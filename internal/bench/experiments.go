@@ -425,10 +425,13 @@ func RunQ2Choice(sc Scale, years []int) ([]Q2ChoiceRow, error) {
 	for _, cfg := range configs {
 		sys, err := NewSystem(Config{
 			PositionRows: sc.Q2Position, EmployeeRows: 100,
-			Histograms: cfg.hist, Naive: cfg.naive, Calibrate: sc.Calibrate,
+			Histograms: cfg.hist, Calibrate: sc.Calibrate,
 		})
 		if err != nil {
 			return nil, err
+		}
+		if cfg.naive {
+			sys.MW.Est.Mode = stats.ModeNaive
 		}
 		chosen[cfg.name] = map[int]string{}
 		for _, y := range years {

@@ -75,8 +75,6 @@ type Config struct {
 	// Histograms controls ANALYZE histogram buckets (0 disables — the
 	// Query 2 with/without comparison).
 	Histograms int
-	// Naive switches the optimizer to the naive temporal selectivity.
-	Naive bool
 	// Calibrate runs cost-factor calibration (with the given sample
 	// rows) after loading.
 	Calibrate int
@@ -148,7 +146,6 @@ func NewSystem(cfg Config) (*System, error) {
 	srv := server.New(db, cfg.Latency)
 	opts := tango.Options{
 		HistogramBuckets: cfg.Histograms,
-		Naive:            cfg.Naive,
 		Metrics:          cfg.Metrics,
 		Parallelism:      cfg.Parallelism,
 		Retry:            cfg.Retry,

@@ -70,15 +70,8 @@ type Options struct {
 	// HistogramBuckets controls the statistics collector; 0 disables
 	// histograms (the paper evaluates Query 2 both ways).
 	HistogramBuckets int
-	// Naive switches temporal selectivity estimation to the
-	// independent-predicate straw man (for the §3.3 comparison).
-	Naive bool
 	// Alpha is the EWMA feedback rate; default 0.2.
 	Alpha float64
-	// Prefetch is the wire rows-per-fetch. 0, the default, lets the
-	// server size fetches by bytes (256 rows first, growing toward 64 KiB
-	// a fetch); > 0 pins every fetch to exactly that many rows.
-	Prefetch int
 	// Metrics attaches a telemetry registry to the middleware (see
 	// Middleware.Metrics); nil disables metrics.
 	Metrics *telemetry.Registry
@@ -105,15 +98,11 @@ func Open(srv *server.Server, opts Options) *Middleware {
 // — the seam the TCP transport plugs into (client.Dial /
 // Transport.Conn); the in-process Open goes through here too.
 func OpenConn(conn *client.Conn, opts Options) *Middleware {
-	conn.Prefetch = opts.Prefetch
 	conn.Metrics = opts.Metrics
 	conn.Retry = opts.Retry
 	cat := ConnCatalog{Conn: conn}
 	est := stats.NewEstimator(cat, conn)
 	est.HistogramBuckets = opts.HistogramBuckets
-	if opts.Naive {
-		est.Mode = stats.ModeNaive
-	}
 	model := cost.NewModel(est)
 	alpha := opts.Alpha
 	if alpha == 0 {
