@@ -5,7 +5,7 @@ GO ?= go
 # Fuzz smoke budget per target (ci runs each fuzzer this long).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint lint-report test race fuzz chaos crash load bench-smoke bench-json bench-pairs tangobench-smoke loc ci clean
+.PHONY: all build fmt vet lint lint-report test race fuzz chaos crash load bench-smoke bench-json bench-pairs tangobench-smoke loc ci clean
 
 # Benchmark report written by bench-json. The default is git-ignored
 # scratch; archive a run with an explicit BENCHOUT=BENCH_<n>.json.
@@ -15,6 +15,12 @@ all: ci
 
 build:
 	$(GO) build ./...
+
+# fmt fails, naming the files, when gofmt would change any tracked Go
+# file.
+fmt:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -33,7 +39,7 @@ lint-report:
 	$(GO) run ./cmd/tangolint -json ./... > lint.json
 
 # test is tier-1 at four GOMAXPROCS widths: the parallel executor
-# (windowed fetches, parallel sort, partitioned operators) only engages
+# (parallel sort, partitioned operators) only engages
 # above one, and a lifecycle bug there once hid behind a one-core
 # builder.
 test:
@@ -122,8 +128,8 @@ bench-smoke:
 	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
 
 # bench-json measures the sequential-vs-parallel query benchmarks
-# (-cpu 1,4: 1 = sequential algorithms, 4 = windowed fetch pipeline,
-# parallel sort, partitioned operators) plus the wire codec
+# (-cpu 1,4: 1 = sequential algorithms, 4 = parallel sort and
+# partitioned operators) plus the wire codec
 # benchmarks and the optimizer benchmarks (OPTBENCH, 200 optimizations
 # per query), and archives the parsed numbers — ns/op, B/op,
 # allocs/op, rows/s, seq-vs-parallel speedups, and the tracing
@@ -171,13 +177,13 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total non-test Go lines\n", t }' | sort -k2
 
-# ci is the full verification gate: compile everything, vet, run the
-# project analyzers (publishing lint.json), smoke the fuzz targets and
-# the benchmarks, run the test suite at every GOMAXPROCS width and
+# ci is the full verification gate: compile everything, check gofmt,
+# vet, run the project analyzers (publishing lint.json), smoke the fuzz
+# targets and the benchmarks, run the test suite at every GOMAXPROCS width and
 # under the race detector (tests also planck-check every plan), run
 # the short chaos sweep under -race, sweep the crash-recovery matrix
 # under -race, and print the size metric.
-ci: build vet lint-report fuzz test race chaos crash load bench-smoke tangobench-smoke loc
+ci: build fmt vet lint-report fuzz test race chaos crash load bench-smoke tangobench-smoke loc
 
 clean:
 	$(GO) clean ./...

@@ -23,8 +23,8 @@ import (
 
 	"tango/internal/bench"
 	"tango/internal/client"
-	"tango/internal/server"
 	"tango/internal/rel"
+	"tango/internal/server"
 	"tango/internal/storage"
 	"tango/internal/tango"
 	"tango/internal/telemetry"

@@ -12,7 +12,7 @@ import (
 // TestParallelExecutionDeterministic is the contract behind the
 // Parallelism knob: for every query in the evaluation workload, the
 // parallel operators (parallel SORT^M run generation, partitioned
-// TAGGR^M and merge joins, windowed T^M fetches) must produce
+// TAGGR^M and merge joins) must produce
 // a result tuple-for-tuple identical — including order — to the
 // sequential algorithms. The same optimized plan is executed once with
 // Parallelism=1 and once per parallel setting, all under the planck

@@ -33,11 +33,11 @@ func newBenchSystem(b *testing.B, posRows int) *System {
 // runPlanBench executes one plan per iteration with Parallelism bound
 // to GOMAXPROCS, exactly as the executor's auto setting resolves it —
 // so `-cpu 1` measures the sequential algorithms and `-cpu N` (N>1)
-// the parallel ones: windowed fetch pipelining, background sort runs,
-// and pipelined partitioned aggregation and joins. On a
-// single hardware thread the win is latency overlap (up to N fetch
-// round trips in flight while compute drains earlier batches); on
-// real cores the partition workers add CPU fan-out.
+// the parallel ones: background sort runs and pipelined partitioned
+// aggregation and joins. Every T^M reads one batch ahead at either
+// setting, so its fetch round trips overlap the operators' compute but
+// never each other; on real cores the partition workers add CPU
+// fan-out.
 func runPlanBench(b *testing.B, sys *System, np NamedPlan, sortMem int) {
 	par := runtime.GOMAXPROCS(0)
 	rows := 0
@@ -61,9 +61,8 @@ func runPlanBench(b *testing.B, sys *System, np NamedPlan, sortMem int) {
 // BenchmarkQuery1 is the paper's Query 1 under its best plan (Figure
 // 7, plan 1): the DBMS sorts, TAGGR^M aggregates above the transfer.
 // With parallelism the aggregation is the pipelined partitioned
-// TAGGR^M fed by a double-buffered transfer with a windowed fetch
-// pipeline, so group sweeps and consecutive fetch round trips all
-// overlap.
+// TAGGR^M fed by a double-buffered transfer whose cursor reads one
+// batch ahead, so group sweeps overlap the fetch round trips.
 func BenchmarkQuery1(b *testing.B) {
 	sys := newBenchSystem(b, 8400)
 	runPlanBench(b, sys, Q1Plans()[0], 0)
@@ -115,9 +114,9 @@ func BenchmarkQuery1Tracing(b *testing.B) {
 
 // BenchmarkSortM is SORT^M over an unsorted transfer with a small
 // memory budget, so the sort spills runs. With parallelism the run
-// generation happens on background workers while the windowed
-// transfer keeps several fetches in flight, hiding the run sorts and
-// writes under overlapped wire latency.
+// generation happens on background workers while the transfer's
+// cursor reads its next batch, hiding the run sorts and writes under
+// the wire latency.
 func BenchmarkSortM(b *testing.B) {
 	sys := newBenchSystem(b, 8400)
 	plan := algebra.Sort(algebra.TM(

@@ -1,7 +1,7 @@
 // The transport seam: a connection reaches its server session through
 // exactly one call carrying a wire.Request and returning a wire.Reply.
-// The typed operations, the retry machinery, fetch pipelining and the
-// temp-table protocol are written once above it (client.go) and run
+// The typed operations, the retry machinery, the cursor's fetch loop and
+// the temp-table protocol are written once above it (client.go) and run
 // unchanged over both transports: the loopback below hands the Request
 // value to server.Session.Handle in process, tcp.go frames the same
 // value onto a socket whose far end decodes it and calls Handle too.
@@ -40,8 +40,8 @@ type loopback struct {
 // round trip plus the transmit time of the bytes that crossed, and a
 // round trip per row for the conventional-path INSERT. Failed calls
 // and end-of-stream answers are free, as are the bookkeeping ops. A
-// fetch reply's delay is returned in Reply.Delay instead of slept, so
-// a windowed client overlaps the propagation of consecutive batches.
+// fetch is billed like any other statement, so a cursor pays one round
+// trip per batch.
 func (l *loopback) call(ctx context.Context, req wire.Request) (wire.Reply, error) {
 	rep, err := l.se.Handle(ctx, req)
 	if _, statement := wire.MsgOp(req.Op); !statement || err != nil || rep.EOS {
@@ -49,11 +49,7 @@ func (l *loopback) call(ctx context.Context, req wire.Request) (wire.Reply, erro
 	}
 	lat := l.srv.Latency()
 	d := lat.Wire(len(req.Name) + len(req.Body) + len(rep.Body))
-	switch req.Op {
-	case wire.MsgFetch:
-		rep.Delay = d
-		return rep, nil
-	case wire.MsgInsert:
+	if req.Op == wire.MsgInsert {
 		d += lat.RoundTrip * time.Duration(rep.N)
 	}
 	wire.SleepCtx(ctx, d)

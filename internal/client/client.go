@@ -202,10 +202,11 @@ func (c *Conn) Exec(sql string) (int64, error) {
 	return rep.N, err
 }
 
-// Query opens a SELECT on the DBMS and returns a pipelined iterator
-// over the deserialized rows. OPEN is idempotent (a lost request
-// opens nothing server-side), so it retries; a cursor opened by an
-// attempt abandoned at its deadline is closed by the reaper.
+// Query opens a SELECT on the DBMS and returns an iterator over the
+// deserialized rows, which it fetches one batch ahead of the consumer.
+// OPEN is idempotent (a lost request opens nothing server-side), so it
+// retries; a cursor opened by an attempt abandoned at its deadline is
+// closed by the reaper.
 func (c *Conn) Query(sql string) (*Rows, error) {
 	start := time.Now()
 	rep, err := c.retried("query", wire.Request{Op: wire.MsgQuery, Name: sql, N: int64(c.Prefetch)},
@@ -226,23 +227,15 @@ func (c *Conn) closeCursor(id uint64) error {
 	return err
 }
 
-// QueryWindowed is Query with a pipelined fetch window: up to window
-// FETCH round trips are outstanding at once, so the wire latency of
-// consecutive batches overlaps instead of accumulating (the cursor
-// still produces batches strictly in order). window <= 1 fetches
-// inline, one round trip at a time.
-func (c *Conn) QueryWindowed(sql string, window int) (*Rows, error) {
-	r, err := c.Query(sql)
-	if err != nil {
-		return nil, err
-	}
-	if window > 1 {
-		r.startPipeline(window)
-	}
-	return r, nil
-}
+// readAheadDepth is how many fetched batches a cursor's fetch loop may
+// hold ready beyond the one the consumer is reading: a synchronous
+// cursor with row prefetch, as over JDBC, with one fetch on the wire
+// at a time.
+const readAheadDepth = 1
 
-// Rows iterates a query result fetched in batches over the wire. Each
+// Rows iterates a query result fetched in batches over the wire. One
+// goroutine per cursor, started by the first NextBatch, fetches the
+// batches in order and reads one batch ahead of the consumer. Each
 // fetch is decoded into a slab that goes back to the pool once the
 // consumer has asked for the batch after it.
 type Rows struct {
@@ -261,23 +254,14 @@ type Rows struct {
 	err    error // the failure that ended the stream; sticky
 	closed bool
 
-	win *fetchPipeline // non-nil in windowed mode
+	// ahead carries the fetch loop's batches in order; nil until the
+	// first NextBatch, so keep is set before the loop reads it. stop
+	// cancels the loop's context.
+	ahead chan fetched
+	stop  context.CancelFunc
 
 	start time.Time
 	fb    Feedback
-}
-
-// fetchPipeline is the windowed-fetch machinery: a requester
-// goroutine issues sequence-numbered FETCHes back to back against the
-// serial cursor (retrying each one through the resilience layer), and
-// each reply's wire delay is slept in its own delivery goroutine, so
-// up to `window` round trips are in flight concurrently. Replies are
-// reassembled in issue order through a queue of single-use futures.
-type fetchPipeline struct {
-	slots  chan chan fetched // futures, in fetch order
-	stop   chan struct{}
-	done   chan struct{}
-	cancel context.CancelFunc
 }
 
 // fetched is one decoded fetch reply (or the failure that ended the
@@ -286,7 +270,6 @@ type fetched struct {
 	rows  []types.Tuple
 	mem   *slab // what rows are decoded into
 	bytes int
-	delay time.Duration // propagation still owed (loopback only)
 	err   error
 }
 
@@ -301,67 +284,29 @@ type slab struct {
 
 var slabs = sync.Pool{New: func() any { return new(slab) }}
 
-// put frees the slab's rows and returns it to the pool.
+// put frees the slab's rows and returns it to the pool; a nil slab
+// (a kept fetch, or none) is a no-op.
 func (s *slab) put() {
+	if s == nil {
+		return
+	}
 	s.mem.Free()
 	slabs.Put(s)
 }
 
-// startPipeline launches the requester with the given window.
-func (r *Rows) startPipeline(window int) {
-	p := &fetchPipeline{
-		slots: make(chan chan fetched, window),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	// Tie the requester's retry loops to the pipeline lifetime: Close
-	// cancels outstanding backoff sleeps and abandons stalled calls
-	// instead of waiting out the whole retry budget.
-	ctx, cancel := context.WithCancel(r.conn.baseCtx())
-	p.cancel = cancel
-	go func() {
-		select {
-		case <-p.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	r.win = p
-	go r.requester(p, ctx)
-}
-
-// requester drives the pipelined cursor until end of stream, error,
-// or stop. It reserves an in-order future, performs the (retried)
-// fetch-and-decode, and hands the decoded batch to a delivery
-// goroutine that sleeps the reply's wire delay — so consecutive round
-// trips overlap while batches stay strictly ordered. The final future
-// (nil rows) carries the error/EOS signal, after which the slot queue
-// is closed.
-func (r *Rows) requester(p *fetchPipeline, ctx context.Context) {
-	defer close(p.done)
-	var wg sync.WaitGroup
-	defer wg.Wait()
+// fetchLoop is the cursor's one fetch path: it fetches batches 1, 2, …
+// in order into ahead, up to and including the one that ends the stream
+// (end of stream or a failure), and then closes ahead. It never drops a
+// batch: the consumer takes each one, or Close, which cancels ctx so
+// the fetches fail fast, drains ahead to the end.
+func (r *Rows) fetchLoop(ctx context.Context, ahead chan<- fetched) {
+	defer close(ahead)
 	for seq := int64(1); ; seq++ {
-		res := make(chan fetched, 1)
-		select {
-		case <-p.stop:
-			return
-		case p.slots <- res:
-		}
 		b := r.fetchBatch(ctx, seq)
+		ahead <- b
 		if b.rows == nil {
-			res <- b
-			close(p.slots)
 			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Propagation: the reply is on the wire while later fetches
-			// are issued and earlier batches are consumed.
-			time.Sleep(b.delay)
-			res <- b
-		}()
 	}
 }
 
@@ -389,7 +334,7 @@ func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
 			if derr != nil {
 				return fetched{}, &corruptReply{err: derr}
 			}
-			return fetched{rows: rows, bytes: len(rep.Body), delay: rep.Delay}, nil
+			return fetched{rows: rows, bytes: len(rep.Body)}, nil
 		}
 		s := slabs.Get().(*slab)
 		rows, derr := wire.DecodeBatchArena(s.rows[:0], &s.mem, rep.Body)
@@ -399,7 +344,7 @@ func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
 			return fetched{}, &corruptReply{err: derr}
 		}
 		s.rows = rows
-		return fetched{rows: rows, mem: s, bytes: len(rep.Body), delay: rep.Delay}, nil
+		return fetched{rows: rows, mem: s, bytes: len(rep.Body)}, nil
 	}, nil)
 	out.err = err
 	return out
@@ -412,20 +357,17 @@ func (r *Rows) Schema() types.Schema { return r.schema }
 // Open is a no-op; the cursor is opened by Query.
 func (r *Rows) Open() error { return nil }
 
-// fetch installs the next wire batch, setting done at end of stream.
-// In windowed mode it takes the next in-order future from the
-// pipeline; otherwise it performs the round trip inline and sleeps the
-// reply's propagation delay itself.
+// fetch installs the next batch from the fetch loop, starting the loop
+// on the first call, and sets done at end of stream.
 func (r *Rows) fetch() error {
-	var b fetched
-	if r.win == nil {
-		// Batches are numbered from 1, so the count fetched so far names
-		// the next one.
-		b = r.fetchBatch(r.conn.baseCtx(), r.fb.Batches+1)
-		time.Sleep(b.delay)
-	} else if res, ok := <-r.win.slots; ok {
-		b = <-res
+	if r.ahead == nil {
+		// The loop's context is canceled by Close, which abandons
+		// in-flight retries instead of waiting out their budget.
+		ctx, stop := context.WithCancel(r.conn.baseCtx())
+		r.ahead, r.stop = make(chan fetched, readAheadDepth), stop
+		go r.fetchLoop(ctx, r.ahead)
 	}
+	b := <-r.ahead
 	if b.err != nil {
 		return b.err
 	}
@@ -437,21 +379,12 @@ func (r *Rows) fetch() error {
 	r.fb.Bytes += int64(b.bytes)
 	r.fb.Batches++
 	r.batch.Reset(b.rows)
-	r.release()
+	r.mem.put()
 	r.mem = b.mem
 	if r.keep {
 		r.kept = append(r.kept, b.rows)
 	}
 	return nil
-}
-
-// release returns the slab of the last batch, which the consumer is
-// done with, to the pool.
-func (r *Rows) release() {
-	if r.mem != nil {
-		r.mem.put()
-		r.mem = nil
-	}
 }
 
 // NextBatch hands over (up to) one decoded wire fetch at a time,
@@ -470,23 +403,24 @@ func (r *Rows) NextBatch(dst []types.Tuple) (int, error) {
 	}
 }
 
-// Close stops the fetch pipeline — canceling in-flight retry loops
-// and waiting for the requester and every delivery goroutine to join,
-// so the serial cursor is quiescent — and releases the server cursor.
-// Idempotent.
+// Close stops the fetch loop and joins it by draining ahead to the end —
+// so the serial cursor is quiescent and every batch the loop fetched
+// goes back to the pool — and releases the server cursor. Idempotent.
 func (r *Rows) Close() error {
-	if p := r.win; p != nil {
-		r.win = nil
-		close(p.stop)
-		<-p.done
-		p.cancel()
+	if r.ahead != nil {
+		r.stop()
+		for b := range r.ahead {
+			b.mem.put()
+		}
+		r.ahead = nil
 	}
 	if !r.done {
 		r.done = true
 		r.finish()
 	}
 	r.batch.Reset(nil)
-	r.release()
+	r.mem.put()
+	r.mem = nil
 	if r.closed {
 		return nil
 	}

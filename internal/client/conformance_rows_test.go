@@ -10,8 +10,8 @@ import (
 	"tango/internal/wire"
 )
 
-// TestRowsConformance runs the wire row set, inline and windowed,
-// through the iterator contract table.
+// TestRowsConformance runs the wire row set through the iterator
+// contract table.
 func TestRowsConformance(t *testing.T) {
 	want := itertest.Ints("K V", []int64{1, 10}, []int64{2, 20}, []int64{3, 30}, []int64{4, 40}, []int64{5, 50})
 	srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
@@ -23,18 +23,14 @@ func TestRowsConformance(t *testing.T) {
 	if _, err := c.Load("N", want.Tuples); err != nil {
 		t.Fatal(err)
 	}
-	query := func(window int) func([]rel.Iterator) rel.Iterator {
-		return func([]rel.Iterator) rel.Iterator {
-			rows, err := c.QueryWindowed("SELECT K, V FROM N", window)
+	itertest.Run(t, []itertest.Case{
+		{Name: "Rows", Want: want, Build: func([]rel.Iterator) rel.Iterator {
+			rows, err := c.Query("SELECT K, V FROM N")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return rows
-		}
-	}
-	itertest.Run(t, []itertest.Case{
-		{Name: "Rows", Want: want, Build: query(1)},
-		{Name: "Rows/windowed", Want: want, Build: query(3)},
+		}},
 	})
 	if n := srv.OpenCursors(); n != 0 {
 		t.Errorf("%d server cursors left open", n)

@@ -39,50 +39,48 @@ func windowConn(t *testing.T, rows int, lat wire.Latency) *Conn {
 	return c
 }
 
-// TestQueryWindowedMatchesSync drains the same statement through the
-// synchronous and pipelined fetch paths across window and prefetch
+// TestQueryWindowedMatchesSync drains the same statement through
+// Query, whose fetches decode into pooled slabs, and QueryAll, whose
+// fetches decode into memory the relation keeps, across prefetch
 // settings; the streams must be tuple-for-tuple identical and the
 // transfer feedback must agree on rows and bytes.
 func TestQueryWindowedMatchesSync(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	c := windowConn(t, 1000, wire.Latency{RoundTrip: 100 * time.Microsecond})
 	const sql = "SELECT PosID, EmpName, T1, T2 FROM POSITION ORDER BY PosID, T1"
-	ref, refFB, err := c.QueryAll(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, prefetch := range []int{7, 64, 256} {
-		for _, window := range []int{2, 4, 8} {
-			c.Prefetch = prefetch
-			rows, err := c.QueryWindowed(sql, window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rel.Drain(rows)
-			if err != nil {
-				t.Fatalf("prefetch %d window %d: %v", prefetch, window, err)
-			}
-			if !rel.EqualAsLists(got, ref) {
-				t.Fatalf("prefetch %d window %d: pipelined stream differs from sync", prefetch, window)
-			}
-			fb := rows.Feedback()
-			if fb.Rows != refFB.Rows || fb.Bytes == 0 {
-				t.Errorf("prefetch %d window %d: feedback %+v, want %d rows", prefetch, window, fb, refFB.Rows)
-			}
+		c.Prefetch = prefetch
+		ref, refFB, err := c.QueryAll(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := c.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rel.Drain(rows)
+		if err != nil {
+			t.Fatalf("prefetch %d: %v", prefetch, err)
+		}
+		if !rel.EqualAsLists(got, ref) {
+			t.Fatalf("prefetch %d: Query's stream differs from QueryAll's", prefetch)
+		}
+		if fb := rows.Feedback(); fb.Rows != refFB.Rows || fb.Bytes != refFB.Bytes || fb.Batches != refFB.Batches {
+			t.Errorf("prefetch %d: feedback %+v, want %+v", prefetch, fb, refFB)
 		}
 	}
 	c.Prefetch = 0
 }
 
-// TestQueryWindowedEarlyClose abandons pipelined streams at several
+// TestQueryWindowedEarlyClose abandons read-ahead streams at several
 // depths — before the first batch, mid-stream, and after exhaustion —
-// and verifies every requester and delivery goroutine joins.
+// and verifies every fetch loop joins.
 func TestQueryWindowedEarlyClose(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	c := windowConn(t, 1000, wire.Latency{RoundTrip: 200 * time.Microsecond})
 	c.Prefetch = 32
 	for round := 0; round < 20; round++ {
-		rows, err := c.QueryWindowed("SELECT PosID, T1, T2 FROM POSITION", 4)
+		rows, err := c.Query("SELECT PosID, T1, T2 FROM POSITION")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,32 +95,12 @@ func TestQueryWindowedEarlyClose(t *testing.T) {
 		if err := rows.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Close is idempotent even with the pipeline torn down.
+		// Close is idempotent with the fetch loop joined.
 		if err := rows.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestQueryWindowedDegenerate checks that window <= 1 stays on the
-// synchronous path (no pipeline machinery is started).
-func TestQueryWindowedDegenerate(t *testing.T) {
-	defer itertest.Goroutines(t)()
-	c := windowConn(t, 100, wire.Latency{})
-	for _, window := range []int{-1, 0, 1} {
-		rows, err := c.QueryWindowed("SELECT PosID FROM POSITION", window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rows.win != nil {
-			t.Fatalf("window %d: pipeline unexpectedly started", window)
-		}
-		got, err := rel.Drain(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cardinality() != 100 {
-			t.Fatalf("window %d: %d rows", window, got.Cardinality())
-		}
+	if n := c.be.(*loopback).srv.OpenCursors(); n != 0 {
+		t.Fatalf("%d cursor(s) leaked", n)
 	}
 }

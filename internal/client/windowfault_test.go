@@ -12,7 +12,7 @@ import (
 	"tango/internal/wire"
 )
 
-// windowRetry is a fast policy for the windowed fault tests.
+// windowRetry is a fast policy for the read-ahead fault tests.
 func windowRetry() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 3,
@@ -25,28 +25,23 @@ func windowRetry() RetryPolicy {
 	}
 }
 
-// TestQueryWindowedDiesMidWindow is the regression test for the
-// delivery-future goroutine leak: when the wire dies partway through
-// a pipelined fetch window, the requester's in-flight retry loops,
-// the delivery goroutines, and the futures parked in the slot queue
-// must all unwind — Close returns promptly and the goroutine count
-// returns to baseline. Before the pipeline held its buffers through a
-// blocking free-list and had no cancellation path, a consumer that
-// stopped draining after the error left delivery futures (and their
-// buffers) parked forever.
+// TestQueryWindowedDiesMidWindow: when the wire dies partway through
+// a stream, the fetch loop's retries give up with a typed error that
+// stays sticky, and Close still returns promptly, joins the loop and
+// frees the server cursor, so the goroutine count returns to baseline.
 func TestQueryWindowedDiesMidWindow(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{RoundTrip: 200 * time.Microsecond})
 	c.Retry = windowRetry()
-	// 16 fixed-size fetches, so the stream is still mid-window when the
+	// 16 fixed-size fetches, so the stream is still mid-way when the
 	// wire dies; sized by bytes it would take 5.
 	c.Prefetch = wire.DefaultPrefetch
 
-	rows, err := c.QueryWindowed("SELECT PosID, EmpName, T1, T2 FROM POSITION", 8)
+	rows, err := c.Query("SELECT PosID, EmpName, T1, T2 FROM POSITION")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain a little so the window is primed with in-flight futures.
+	// Drain a little so the fetch loop is running and reading ahead.
 	rd := rel.NewReader(rows)
 	for i := 0; i < 10; i++ {
 		if _, ok, err := rd.Next(); err != nil || !ok {
@@ -86,7 +81,7 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on a dead pipelined window")
+		t.Fatal("Close hung on a dead wire")
 	}
 	c.be.(*loopback).srv.SetFaults(nil)
 	if n := c.be.(*loopback).srv.OpenCursors(); n != 0 {
@@ -98,7 +93,7 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 }
 
 // TestQueryWindowedCloseAbandonsRetries: closing the iterator while
-// the requester is inside a retry/backoff loop must cancel the loop
+// the fetch loop is inside a retry/backoff loop must cancel the loop
 // instead of waiting out the whole retry budget.
 func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 	defer itertest.Goroutines(t)()
@@ -112,16 +107,31 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 		OpTimeout:   time.Second,
 		Deadline:    5 * time.Minute,
 	}
+	c.Prefetch = wire.DefaultPrefetch // 16 batches
+	rows, err := c.Query("SELECT PosID FROM POSITION")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Take the first batch, and let the fetch loop fill its read-ahead
+	// while the wire still works.
+	rd := rel.NewReader(rows)
+	if _, ok, err := rd.Next(); err != nil || !ok {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	// Kill the wire, then take the second batch: the fetch loop goes on
+	// to a fetch that every retry drops.
 	sched, err := wire.ParseSchedule("seed=9;fetch~drop=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.be.(*loopback).srv.SetFaults(sched.Injector())
-	rows, err := c.QueryWindowed("SELECT PosID FROM POSITION", 4)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < wire.DefaultPrefetch; i++ {
+		if _, ok, err := rd.Next(); err != nil || !ok {
+			t.Fatalf("row %d: ok=%v err=%v", i+1, ok, err)
+		}
 	}
-	time.Sleep(20 * time.Millisecond) // let the requester enter its retry loop
+	time.Sleep(20 * time.Millisecond) // let the fetch loop enter its retry loop
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() { done <- rows.Close() }()
@@ -143,8 +153,8 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 }
 
 // TestQueryWindowedConnContextCancel: canceling the connection
-// context mid-window surfaces a typed failure and unwinds the
-// pipeline.
+// context mid-stream surfaces a typed failure and unwinds the fetch
+// loop.
 func TestQueryWindowedConnContextCancel(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{RoundTrip: 100 * time.Microsecond})
@@ -153,7 +163,7 @@ func TestQueryWindowedConnContextCancel(t *testing.T) {
 	c.Ctx = ctx
 	c.Retry = windowRetry()
 
-	rows, err := c.QueryWindowed("SELECT PosID, T1, T2 FROM POSITION", 4)
+	rows, err := c.Query("SELECT PosID, T1, T2 FROM POSITION")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +183,7 @@ func TestQueryWindowedConnContextCancel(t *testing.T) {
 			break
 		}
 		if !ok {
-			// The pipeline may have finished the stream before the
+			// The fetch loop may have finished the stream before the
 			// cancellation landed; that is a clean outcome too.
 			break
 		}

@@ -3,8 +3,9 @@ package rel
 import "tango/internal/types"
 
 // DefaultBatchSize is the tuple count of one execution batch. It
-// matches the wire prefetch default so a middleware batch is exactly
-// one fetch batch in the common TRANSFER^M-fed pipeline.
+// equals wire.DefaultPrefetch, the size of a cursor's first fetch only:
+// later fetches grow toward 64 KiB, so a TRANSFER^M hands one fetch
+// over in several batches of this size.
 const DefaultBatchSize = 256
 
 // Cursor serves a materialized tuple slice a batch at a time: the read

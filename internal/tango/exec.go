@@ -43,12 +43,11 @@ type Executor struct {
 	// afterwards. The bench harness keeps this on for all tests.
 	CheckPlans bool
 	// Parallelism bounds the worker fan-out of the middleware: the
-	// worker pool of SORT^M and of partitioned TAGGR^M and merge joins,
-	// and the fetch window of every T^M (how many FETCH round trips are
-	// in flight at once). 0 resolves to runtime.GOMAXPROCS(0); 1 forces
-	// the sequential algorithms and synchronous fetches. Results are
-	// tuple-for-tuple identical at any setting — every parallel operator
-	// preserves the sequential output order.
+	// worker pool of SORT^M and of partitioned TAGGR^M and merge joins.
+	// A T^M's cursor reads one batch ahead at every setting. 0 resolves
+	// to runtime.GOMAXPROCS(0); 1 forces the sequential algorithms.
+	// Results are tuple-for-tuple identical at any setting — every
+	// parallel operator preserves the sequential output order.
 	Parallelism int
 	// SortMemory overrides the middleware sort's in-memory run size in
 	// tuples (the paper's middleware memory budget); 0 keeps
@@ -474,12 +473,6 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 		return nil, err
 	}
 	tm := xxl.NewTransferM(e.Conn, sql, schema, deps...)
-	if p := e.par(); p > 1 {
-		// Pipelined fetch: keep up to p FETCH round trips in flight so
-		// the wire latency of consecutive batches overlaps instead of
-		// accumulating.
-		tm.Window = p
-	}
 	e.transfersM = append(e.transfersM, tm)
 	// §7 refinement: identical transfer statements (no T^D
 	// dependencies) are issued once per plan execution.

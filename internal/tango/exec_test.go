@@ -3,6 +3,7 @@ package tango
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"tango/internal/algebra"
 	"tango/internal/client"
@@ -259,5 +260,45 @@ func TestPlanValidationErrors(t *testing.T) {
 	// Unknown table.
 	if _, err := ex.Run(algebra.TM(algebra.Scan("NOPE", ""))); err == nil {
 		t.Error("unknown table should fail")
+	}
+}
+
+// TestTransferMPaysARoundTripPerBatch: a T^M's cursor has one fetch on
+// the wire at a time, whatever the executor's parallelism, so a
+// transfer that fetches k batches over a link with round trip RTT
+// takes at least k·RTT.
+func TestTransferMPaysARoundTripPerBatch(t *testing.T) {
+	srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
+	conn := client.Connect(srv)
+	schema := types.Schema{Cols: []types.Column{{Name: "K", Kind: types.KindInt}}}
+	if err := conn.CreateTable("R", schema); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Tuple, 1000)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i))}
+	}
+	if _, err := conn.Load("R", rows); err != nil {
+		t.Fatal(err)
+	}
+	const rtt = 4 * time.Millisecond
+	srv.SetLatency(wire.Latency{RoundTrip: rtt})
+	conn.Prefetch = 50 // 20 batches
+	ex := &Executor{Conn: conn, Cat: ConnCatalog{Conn: conn}, Parallelism: 4}
+	start := time.Now()
+	got, err := ex.Run(algebra.TM(algebra.Scan("R", "")))
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cardinality() != len(rows) {
+		t.Fatalf("%d rows, want %d", got.Cardinality(), len(rows))
+	}
+	k := ex.Feedback()[0].Batches
+	if k != 20 {
+		t.Fatalf("%d batches, want 20", k)
+	}
+	if elapsed < time.Duration(k)*rtt {
+		t.Fatalf("%d batches took %v, less than %d round trips of %v", k, elapsed, k, rtt)
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"tango/internal/meta"
 	"tango/internal/types"
@@ -76,11 +75,6 @@ type Reply struct {
 	Schema types.Schema
 	Stats  *meta.TableStats
 	Body   []byte
-	// Delay is the propagation delay the loopback transport bills for a
-	// fetch reply; the client sleeps it off the requester's path so
-	// consecutive round trips overlap. It is never encoded: over a
-	// real socket the wire itself is the delay.
-	Delay time.Duration
 }
 
 const (

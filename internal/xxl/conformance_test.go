@@ -42,13 +42,9 @@ func TestConformance(t *testing.T) {
 			return s
 		}
 	}
-	transfer := func(window int) func([]rel.Iterator) rel.Iterator {
-		return func(in []rel.Iterator) rel.Iterator {
-			name := conn.TempName()
-			tm := NewTransferM(conn, "SELECT K, T1, T2 FROM "+name, a.Schema, NewTransferD(conn, in[0], name))
-			tm.Window = window
-			return tm
-		}
+	transfer := func(in []rel.Iterator) rel.Iterator {
+		name := conn.TempName()
+		return NewTransferM(conn, "SELECT K, T1, T2 FROM "+name, a.Schema, NewTransferD(conn, in[0], name))
 	}
 	ptaggr := func(par int) func([]rel.Iterator) rel.Iterator {
 		return func(in []rel.Iterator) rel.Iterator {
@@ -85,8 +81,7 @@ func TestConformance(t *testing.T) {
 		{Name: "SharedReader", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewSharedSource(in[0]).Reader()
 		}},
-		{Name: "TransferM", Inputs: one, Want: a, Build: transfer(0)},
-		{Name: "TransferM/windowed", Inputs: one, Want: a, Build: transfer(2)},
+		{Name: "TransferM", Inputs: one, Want: a, Build: transfer},
 		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
 		}},

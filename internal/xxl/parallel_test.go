@@ -442,8 +442,8 @@ func TestSplitAtKeyBoundaries(t *testing.T) {
 }
 
 // serveRel loads r into a DBMS table R and returns the connection and
-// a constructor of T^M scans of it with a given fetch window.
-func serveRel(t *testing.T, r *rel.Relation) (*client.Conn, func(window int) *TransferM) {
+// a constructor of T^M scans of it.
+func serveRel(t *testing.T, r *rel.Relation) (*client.Conn, func() *TransferM) {
 	t.Helper()
 	conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
 	if err := conn.CreateTable("R", r.Schema); err != nil {
@@ -452,31 +452,26 @@ func serveRel(t *testing.T, r *rel.Relation) (*client.Conn, func(window int) *Tr
 	if _, err := conn.Load("R", r.Tuples); err != nil {
 		t.Fatal(err)
 	}
-	return conn, func(window int) *TransferM {
-		tm := NewTransferM(conn, "SELECT "+strings.Join(r.Schema.Names(), ", ")+" FROM R", r.Schema)
-		tm.Window = window
-		return tm
+	return conn, func() *TransferM {
+		return NewTransferM(conn, "SELECT "+strings.Join(r.Schema.Names(), ", ")+" FROM R", r.Schema)
 	}
 }
 
-// TestWindowedTransferReopen: a T^M with a fetch window can be drained,
-// closed and opened again (plans are occasionally re-run), each time
-// producing the synchronous transfer's stream.
+// TestWindowedTransferReopen: a T^M, whose cursor reads ahead through
+// its own fetch loop, can be drained, closed and opened again (plans
+// are occasionally re-run), each time producing the same stream.
 func TestWindowedTransferReopen(t *testing.T) {
 	defer itertest.Goroutines(t)()
-	conn, scan := serveRel(t, randomRel(2000, 10, 57))
-	want, err := rel.Drain(scan(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := scan(4)
+	in := randomRel(2000, 10, 57)
+	conn, scan := serveRel(t, in)
+	tm := scan()
 	for round := 0; round < 2; round++ {
 		got, err := rel.Drain(tm)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if !rel.EqualAsLists(got, want) {
-			t.Fatalf("round %d: windowed transfer differs from synchronous", round)
+		if !rel.EqualAsLists(got, in) {
+			t.Fatalf("round %d: transfer differs from the loaded relation", round)
 		}
 	}
 	if err := conn.Close(); err != nil {
@@ -486,7 +481,7 @@ func TestWindowedTransferReopen(t *testing.T) {
 
 // TestStackedPipelineStress layers every parallel operator into one
 // pipeline — Join^M(partitioned){ Sort^M(parallel, spilling){ T^M
-// (windowed fetch) }} — and hammers it under the race detector: full
+// (read-ahead fetch) }} — and hammers it under the race detector: full
 // drains, partial consumptions with early Close, and random dst sizes.
 // Whatever the consumption pattern, no workers may leak and full
 // drains must equal the sequential order.
@@ -495,14 +490,14 @@ func TestStackedPipelineStress(t *testing.T) {
 	in := randomRel(6000, 40, 99)
 	conn, scan := serveRel(t, in)
 	right := itertest.Ints("K W", []int64{0, 1}, []int64{5, 2}, []int64{5, 3}, []int64{17, 4}, []int64{39, 5})
-	want, err := rel.Drain(NewMergeJoin(NewSort(scan(1), []int{0}), right.Iter(), []int{0}, []int{0}))
+	want, err := rel.Drain(NewMergeJoin(NewSort(scan(), []int{0}), right.Iter(), []int{0}, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
-		srt := NewSort(scan(2+rng.Intn(6)), []int{0})
+		srt := NewSort(scan(), []int{0})
 		srt.MemTuples = 512 // force spilling runs
 		srt.Parallelism = 2 + rng.Intn(6)
 		outer := NewPMergeJoin(srt, right.Iter(), []int{0}, []int{0}, 2+rng.Intn(6))

@@ -19,12 +19,6 @@ type TransferM struct {
 	schema types.Schema
 	deps   []*TransferD
 
-	// Window is the pipelined fetch window: when > 1, up to Window
-	// FETCH round trips are kept in flight so their wire latency
-	// overlaps (the parallel executor sets it to its fan-out).
-	// <= 1 fetches synchronously.
-	Window int
-
 	rows *client.Rows
 	fb   client.Feedback
 }
@@ -49,7 +43,7 @@ func (t *TransferM) Open() error {
 			return err
 		}
 	}
-	rows, err := t.conn.QueryWindowed(t.sql, t.Window)
+	rows, err := t.conn.Query(t.sql)
 	if err != nil {
 		return fmt.Errorf("xxl: transfer^M: %w", err)
 	}
