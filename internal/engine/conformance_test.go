@@ -9,6 +9,7 @@ import (
 	"tango/internal/rel/itertest"
 	"tango/internal/storage"
 	"tango/internal/types"
+	"tango/internal/xxl"
 )
 
 // TestConformance runs every engine iterator through the iterator
@@ -54,7 +55,10 @@ func TestConformance(t *testing.T) {
 			}},
 		{Name: "sort", Inputs: one,
 			Want:  itertest.Ints("K V", []int64{1, 10}, []int64{1, 11}, []int64{2, 20}, []int64{2, 21}, []int64{3, 30}),
-			Build: func(in []rel.Iterator) rel.Iterator { return newSort(in[0], []evalFunc{col(0)}, nil) }},
+			Build: func(in []rel.Iterator) rel.Iterator { return newSort(in[0], []sortKey{{col: 0}}) }},
+		{Name: "sort/computed", Inputs: one,
+			Want:  itertest.Ints("K V", []int64{3, 30}, []int64{2, 21}, []int64{2, 20}, []int64{1, 11}, []int64{1, 10}),
+			Build: func(in []rel.Iterator) rel.Iterator { return newSort(in[0], []sortKey{{expr: col(1), desc: true}}) }},
 		{Name: "nlJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
 			return newNLJoin(in[0], in[1], keyEq)
 		}},
@@ -66,10 +70,17 @@ func TestConformance(t *testing.T) {
 		}},
 		{Name: "mergeJoin", Inputs: two,
 			Want:  itertest.Ints("K V K W", []int64{1, 10, 1, 100}, []int64{1, 11, 1, 100}, []int64{3, 30, 3, 300}, []int64{3, 30, 3, 301}),
-			Build: func(in []rel.Iterator) rel.Iterator { return newMergeJoin(in[0], in[1], col(0), col(0), nil) }},
+			Build: func(in []rel.Iterator) rel.Iterator { return newMergeJoin(in[0], in[1], []int{0}, []int{0}, nil) }},
+		{Name: "mergeJoin/residual", Inputs: two,
+			Want: itertest.Ints("K V K W", []int64{1, 11, 1, 100}, []int64{3, 30, 3, 300}, []int64{3, 30, 3, 301}),
+			Build: func(in []rel.Iterator) rel.Iterator {
+				return newMergeJoin(in[0], in[1], []int{0}, []int{0}, func(t types.Tuple) (types.Value, error) {
+					return types.Bool(t[1].AsInt() > 10), nil
+				})
+			}},
 		{Name: "distinct", Inputs: []*rel.Relation{dups},
 			Want:  itertest.Ints("K V", []int64{1, 2}, []int64{3, 4}, []int64{3, 5}),
-			Build: func(in []rel.Iterator) rel.Iterator { return newDistinct(in[0]) }},
+			Build: func(in []rel.Iterator) rel.Iterator { return xxl.NewDupElim(in[0]) }},
 		{Name: "union", Inputs: two, Want: &rel.Relation{Schema: a.Schema, Tuples: append(append([]types.Tuple{}, a.Tuples...), b.Tuples...)},
 			Build: func(in []rel.Iterator) rel.Iterator { return newUnionAll(in[0], in[1]) }},
 		{Name: "group", Inputs: one, Want: itertest.Ints("K N S", []int64{2, 2, 41}, []int64{1, 2, 21}, []int64{3, 1, 30}),
@@ -133,7 +144,7 @@ func TestConformanceStrings(t *testing.T) {
 		{Name: "sort", Inputs: one,
 			Want: strRel("K V", []types.Value{s("aa"), s("v2")}, []types.Value{s("aa"), s("v0")},
 				[]types.Value{s("bb"), s("v1")}, []types.Value{s("bb"), s("v4")}, []types.Value{s("cc"), s("v3")}),
-			Build: func(in []rel.Iterator) rel.Iterator { return newSort(in[0], []evalFunc{col(0)}, nil) }},
+			Build: func(in []rel.Iterator) rel.Iterator { return newSort(in[0], []sortKey{{col: 0}}) }},
 		{Name: "hashJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
 			return newHashJoin(in[0], in[1], []evalFunc{col(0)}, []evalFunc{col(0)}, nil)
 		}},

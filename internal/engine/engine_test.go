@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/types"
+	"tango/internal/xxl"
 )
 
 // testDB builds the paper's POSITION example (Figure 3a) plus an
@@ -90,13 +92,156 @@ func TestJoinDefault(t *testing.T) {
 
 func TestJoinMethodsAgree(t *testing.T) {
 	db := testDB(t)
-	base := "SELECT P.PosID, P.EmpName, E.Salary FROM POSITION P, EMP E WHERE P.EmpName = E.EmpName"
-	want := queryAll(t, db, base)
-	for _, hint := range []string{"/*+ USE_NL */", "/*+ USE_MERGE */", "/*+ USE_HASH */"} {
-		got := queryAll(t, db, "SELECT "+hint+" P.PosID, P.EmpName, E.Salary FROM POSITION P, EMP E WHERE P.EmpName = E.EmpName")
-		if !rel.EqualAsMultisets(want, got) {
-			t.Errorf("%s disagrees:\n%v\nvs\n%v", hint, want, got)
+	// NULL keys, which no join method may match, and rows that match on
+	// a second key column.
+	for _, sql := range []string{
+		"INSERT INTO POSITION VALUES (3, NULL, 2, 9), (4, 'Jane', NULL, 30)",
+		"INSERT INTO EMP VALUES (NULL, '5 Ash Ct', 2.0), ('Tom', '7 Fir Ln', 2.0), ('Jane', '3 Elm Ct', NULL)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("exec %q: %v", sql, err)
 		}
+	}
+	for _, where := range []string{"P.EmpName = E.EmpName", "P.EmpName = E.EmpName AND P.T1 = E.Salary"} {
+		base := "SELECT P.PosID, P.EmpName, E.Salary FROM POSITION P, EMP E WHERE " + where
+		want := queryAll(t, db, base)
+		if want.Cardinality() == 0 {
+			t.Fatalf("%s: no rows", where)
+		}
+		for _, hint := range []string{"/*+ USE_NL */", "/*+ USE_MERGE */", "/*+ USE_HASH */"} {
+			got := queryAll(t, db, strings.Replace(base, "SELECT", "SELECT "+hint, 1))
+			if !rel.EqualAsMultisets(want, got) {
+				t.Errorf("%s on %s disagrees:\n%v\nvs\n%v", hint, where, want, got)
+			}
+		}
+	}
+}
+
+// TestNullKeysNeverJoin: a key with a NULL column matches no key, NULL
+// included. xxl's merge and temporal joins, sequential and
+// partitioned, return what the engine's hash join returns, and so does
+// the engine under every join hint, on one key column and on two.
+func TestNullKeysNeverJoin(t *testing.T) {
+	i, null := types.Int, types.Null
+	mk := func(rows ...types.Tuple) *rel.Relation {
+		r := itertest.Ints("K J T1 T2")
+		for _, row := range rows {
+			r.Append(row)
+		}
+		return r
+	}
+	a := mk(types.Tuple{null, i(1), i(0), i(10)}, types.Tuple{null, null, i(2), i(8)}, types.Tuple{i(1), null, i(0), i(5)},
+		types.Tuple{i(1), i(1), i(3), i(9)}, types.Tuple{i(2), i(2), i(1), i(4)}, types.Tuple{i(3), null, i(0), i(6)})
+	b := mk(types.Tuple{null, i(1), i(1), i(3)}, types.Tuple{null, null, i(4), i(9)}, types.Tuple{i(1), null, i(2), i(7)},
+		types.Tuple{i(1), i(1), i(0), i(4)}, types.Tuple{i(2), i(2), i(2), i(6)}, types.Tuple{i(3), i(1), i(1), i(2)})
+	db := Open(Config{})
+	for name, r := range map[string]*rel.Relation{"A": a, "B": b} {
+		if _, err := db.Exec("CREATE TABLE " + name + " (K INTEGER, J INTEGER, T1 INTEGER, T2 INTEGER)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BulkLoad(name, r.Tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted := func(r *rel.Relation, keys []int) rel.Iterator { return xxl.NewSort(r.Iter(), keys) }
+	for _, keys := range [][]int{{0}, {0, 1}} {
+		where := "A.K = B.K"
+		if len(keys) == 2 {
+			where += " AND A.J = B.J"
+		}
+		const cols = " A.K, A.J, A.T1, A.T2, B.K, B.J, B.T1, B.T2 FROM A, B WHERE "
+		join := queryAll(t, db, "SELECT /*+ USE_HASH */"+cols+where)
+		tjoin := queryAll(t, db, "SELECT /*+ USE_HASH */ A.K, A.J, GREATEST(A.T1, B.T1), LEAST(A.T2, B.T2), B.K, B.J"+
+			" FROM A, B WHERE "+where+" AND A.T1 < B.T2 AND B.T1 < A.T2")
+		if join.Cardinality() == 0 || tjoin.Cardinality() == 0 {
+			t.Fatalf("%s: the hash joins return no rows", where)
+		}
+		for _, c := range []struct {
+			name string
+			it   rel.Iterator
+			want *rel.Relation
+		}{
+			{"MergeJoin", xxl.NewMergeJoin(sorted(a, keys), sorted(b, keys), keys, keys), join},
+			{"PMergeJoin", xxl.NewPMergeJoin(sorted(a, keys), sorted(b, keys), keys, keys, 2), join},
+			{"TJoin", xxl.NewTJoin(sorted(a, keys), sorted(b, keys), keys, keys, 2, 3, 2, 3), tjoin},
+			{"PTJoin", xxl.NewPTJoin(sorted(a, keys), sorted(b, keys), keys, keys, 2, 3, 2, 3, 2), tjoin},
+		} {
+			got, err := rel.Drain(c.it)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.name, where, err)
+			}
+			if !rel.EqualAsMultisets(c.want, got) {
+				t.Errorf("%s on %s:\n%v\nwant the hash join's\n%v", c.name, where, got, c.want)
+			}
+		}
+		for _, hint := range []string{"", "/*+ USE_NL */", "/*+ USE_MERGE */"} {
+			if got := queryAll(t, db, "SELECT "+hint+cols+where); !rel.EqualAsMultisets(join, got) {
+				t.Errorf("%q on %s:\n%v\nwant the hash join's\n%v", hint, where, got, join)
+			}
+		}
+	}
+}
+
+// TestOrderBySpills: an ORDER BY over more rows than a sort holds in
+// memory spills sorted runs to the temporary directory, returns the
+// rows in order, and removes its runs at Close.
+func TestOrderBySpills(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	n := xxl.DefaultSortMemory + 1
+	rows := make([]types.Tuple, n)
+	for k := range rows {
+		rows[k] = types.Tuple{types.Int(int64(k*7919) % int64(n)), types.Int(int64(k))}
+	}
+	db := Open(Config{})
+	if _, err := db.Exec("CREATE TABLE R (K INTEGER, V INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BulkLoad("R", rows); err != nil {
+		t.Fatal(err)
+	}
+	runs := func() []string {
+		files, err := filepath.Glob(filepath.Join(dir, "tango-sort-*.run"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	it, err := db.Query("SELECT K, V FROM R ORDER BY K DESC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if err := it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs()) == 0 {
+		t.Fatal("the sort spilled no runs")
+	}
+	got, prev := 0, int64(n)
+	for {
+		r, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		k := r[0].AsInt()
+		if k >= prev {
+			t.Fatalf("row %d: key %d after %d", got, k, prev)
+		}
+		prev = k
+		got++
+	}
+	if got != n {
+		t.Fatalf("%d rows, want %d", got, n)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := runs(); len(left) > 0 {
+		t.Errorf("runs left after Close: %v", left)
 	}
 }
 
@@ -137,8 +282,8 @@ func TestSortKeyErrorFirst(t *testing.T) {
 				return t[col], nil
 			}
 		}
-		keys := []evalFunc{failOn(0, int64(n-1)), failOn(1, 3)}
-		_, err := rel.Drain(newSort(in.Iter(), keys, []bool{false, true}))
+		keys := []sortKey{{expr: failOn(0, int64(n-1))}, {expr: failOn(1, 3), desc: true}}
+		_, err := rel.Drain(newSort(in.Iter(), keys))
 		if want := "key 1 fails on row 3"; err == nil || err.Error() != want {
 			t.Errorf("n=%d: sort error %v, want %q", n, err, want)
 		}

@@ -8,6 +8,7 @@ import (
 	"tango/internal/rel"
 	"tango/internal/storage"
 	"tango/internal/types"
+	"tango/internal/xxl"
 )
 
 // --- Table reads ---
@@ -231,58 +232,43 @@ func (p *projectIter) NextBatch(dst []types.Tuple) (int, error) {
 
 // --- Sort ---
 
-// sortIter materializes its input, copied into its arena, and sorts it
-// by key expressions.
-type sortIter struct {
-	in    rel.Input
-	keys  []evalFunc
-	descs []bool
-	rows  types.Arena
-	out   rel.Cursor
+// sortKey is one ORDER BY key: column col of the input or, when expr is
+// set, a value computed from the row.
+type sortKey struct {
+	col  int
+	expr evalFunc
+	desc bool
 }
 
-func newSort(in rel.Iterator, keys []evalFunc, descs []bool) *sortIter {
-	return &sortIter{in: rel.In(in), keys: keys, descs: descs}
-}
-
-func (s *sortIter) Schema() types.Schema { return s.in.Schema() }
-
-func (s *sortIter) Open() error {
-	s.rows.Reset()
-	s.out.Reset(nil)
-	if err := rel.Each(&s.in, func(t types.Tuple) error {
-		s.rows.Keep(t)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := sortByKeys(s.rows.Rows(), s.keys, s.descs); err != nil {
-		return err
-	}
-	s.out.Reset(s.rows.Rows())
-	return nil
-}
-
-// sortByKeys stably sorts rows by key expressions, reporting the first
-// evaluation error.
-func sortByKeys(rows []types.Tuple, keys []evalFunc, descs []bool) error {
-	var keyErr error
-	types.SortTuplesFunc(rows, len(keys), func(t types.Tuple, k int) types.Value {
-		v, err := keys[k](t)
-		if err != nil && keyErr == nil {
-			keyErr = err
+// newSort sorts in by keys through xxl's external sort, which is
+// stable and spills past xxl.DefaultSortMemory rows. A computed key is
+// evaluated into a trailing column by a projection below the sort, and
+// a projection above the sort drops it again.
+func newSort(in rel.Iterator, keys []sortKey) rel.Iterator {
+	schema := in.Schema()
+	cols := make([]int, len(keys))
+	descs := make([]bool, len(keys))
+	var wide []evalFunc // the input's columns, then the computed keys
+	for i, k := range keys {
+		cols[i], descs[i] = k.col, k.desc
+		if k.expr == nil {
+			continue
 		}
-		return v
-	}, descs)
-	return keyErr
-}
-
-func (s *sortIter) NextBatch(dst []types.Tuple) (int, error) { return s.out.Read(dst), nil }
-
-func (s *sortIter) Close() error {
-	s.rows.Free()
-	s.out.Reset(nil)
-	return s.in.Close()
+		if wide == nil {
+			for c := range schema.Cols {
+				wide = append(wide, func(t types.Tuple) (types.Value, error) { return t[c], nil })
+			}
+		}
+		cols[i] = len(wide)
+		wide = append(wide, k.expr)
+	}
+	if wide == nil {
+		return xxl.NewSortDesc(in, cols, descs)
+	}
+	// The key columns need no name or kind: only the sort reads them.
+	ws := types.Schema{Cols: append(slices.Clone(schema.Cols), make([]types.Column, len(wide)-schema.Len())...)}
+	sorted := xxl.NewSortDesc(newProject(in, ws, wide), cols, descs)
+	return newProject(sorted, schema, wide[:schema.Len()])
 }
 
 // --- Joins ---
@@ -619,172 +605,15 @@ func (j *hashJoin) Close() error {
 
 // --- Sort-merge join ---
 
-// mergeJoin performs a sort-merge equi-join on single key expressions
-// from each side. Inputs are materialized, copied into the join's
-// arenas, and sorted on their keys; residual filters output tuples.
-type mergeJoin struct {
-	left, right       rel.Input
-	leftKey, rightKey evalFunc
-	residual          evalFunc
-	schema            types.Schema
-
-	l, r         []keyedRow
-	lrows, rrows types.Arena
-	li, rj       int
-	// group state: matching right-run [rstart, rend) for current left key
-	rstart, rend int
-	gi           int
-	out          joinOut
-}
-
-// keyedRow is a merge-join input row with its join key, evaluated once.
-type keyedRow struct {
-	key types.Value
-	row types.Tuple
-}
-
-func newMergeJoin(left, right rel.Iterator, leftKey, rightKey evalFunc, residual evalFunc) *mergeJoin {
-	return &mergeJoin{
-		left: rel.In(left), right: rel.In(right),
-		leftKey: leftKey, rightKey: rightKey, residual: residual,
-		schema: left.Schema().Concat(right.Schema()),
+// newMergeJoin sorts both inputs on their key columns and merge-joins
+// them with xxl's operators; residual (may be nil) filters the joined
+// rows.
+func newMergeJoin(left, right rel.Iterator, lkeys, rkeys []int, residual evalFunc) rel.Iterator {
+	var it rel.Iterator = xxl.NewMergeJoin(xxl.NewSort(left, lkeys), xxl.NewSort(right, rkeys), lkeys, rkeys)
+	if residual != nil {
+		it = newFilter(it, residual)
 	}
-}
-
-func (j *mergeJoin) Schema() types.Schema { return j.schema }
-
-// materializeKeyed drains in (closing it on every path) into mem,
-// evaluating the key of each row's copy once, and sorts the rows stably
-// by key.
-func materializeKeyed(in rel.Iterator, key evalFunc, mem *types.Arena) ([]keyedRow, error) {
-	var rows []keyedRow
-	mem.Reset()
-	if err := rel.Each(in, func(t types.Tuple) error {
-		t = mem.Copy(t)
-		k, err := key(t)
-		rows = append(rows, keyedRow{key: k, row: t})
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	slices.SortStableFunc(rows, func(a, b keyedRow) int { return types.Compare(a.key, b.key) })
-	return rows, nil
-}
-
-func (j *mergeJoin) Open() error {
-	var err error
-	if j.l, err = materializeKeyed(&j.left, j.leftKey, &j.lrows); err != nil {
-		return err
-	}
-	if j.r, err = materializeKeyed(&j.right, j.rightKey, &j.rrows); err != nil {
-		return err
-	}
-	j.li, j.rj = 0, 0
-	j.rstart, j.rend, j.gi = 0, 0, 0
-	return nil
-}
-
-func (j *mergeJoin) NextBatch(dst []types.Tuple) (int, error) { return j.out.fill(dst, j.next) }
-
-func (j *mergeJoin) next() (types.Tuple, bool, error) {
-	for {
-		// Emit remaining pairs for the current left row's right-run.
-		if j.gi < j.rend {
-			l := j.l[j.li].row
-			r := j.r[j.gi].row
-			j.gi++
-			out, ok, err := j.out.concatIf(l, r, j.residual)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return out, true, nil
-			}
-			continue
-		}
-		// Current left row exhausted its run; advance left.
-		if j.rstart < j.rend {
-			j.li++
-			if j.li < len(j.l) && types.Equal(j.l[j.li].key, j.l[j.li-1].key) {
-				j.gi = j.rstart // same key: reuse the run
-				continue
-			}
-			j.rj = j.rend
-			j.rstart, j.rend = 0, 0
-			continue
-		}
-		// Find the next matching key runs.
-		if j.li >= len(j.l) || j.rj >= len(j.r) {
-			return nil, false, nil
-		}
-		lk, rk := j.l[j.li].key, j.r[j.rj].key
-		if lk.IsNull() {
-			j.li++
-			continue
-		}
-		if rk.IsNull() {
-			j.rj++
-			continue
-		}
-		c := types.Compare(lk, rk)
-		switch {
-		case c < 0:
-			j.li++
-		case c > 0:
-			j.rj++
-		default:
-			j.rstart = j.rj
-			j.rend = j.rj
-			for j.rend < len(j.r) && types.Equal(j.r[j.rend].key, rk) {
-				j.rend++
-			}
-			j.gi = j.rstart
-		}
-	}
-}
-
-func (j *mergeJoin) Close() error {
-	j.l, j.r = nil, nil
-	j.lrows.Free()
-	j.rrows.Free()
-	j.out.rows.Free()
-	err := j.left.Close()
-	if rerr := j.right.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// --- Distinct ---
-
-type distinctIter struct {
-	in   rel.Input
-	seen map[string]bool
-}
-
-func newDistinct(in rel.Iterator) *distinctIter { return &distinctIter{in: rel.In(in)} }
-
-func (d *distinctIter) Schema() types.Schema { return d.in.Schema() }
-
-func (d *distinctIter) Open() error {
-	d.seen = map[string]bool{}
-	return d.in.Open()
-}
-
-func (d *distinctIter) NextBatch(dst []types.Tuple) (int, error) {
-	return rel.Select(&d.in, dst, func(t types.Tuple) (bool, error) {
-		k := t.Key()
-		if d.seen[k] {
-			return false, nil
-		}
-		d.seen[k] = true
-		return true, nil
-	})
-}
-
-func (d *distinctIter) Close() error {
-	d.seen = nil
-	return d.in.Close()
+	return it
 }
 
 // --- Union ---

@@ -9,6 +9,7 @@ import (
 	"tango/internal/sqlast"
 	"tango/internal/telemetry"
 	"tango/internal/types"
+	"tango/internal/xxl"
 )
 
 // instrument wraps a physical operator with telemetry when a metrics
@@ -91,16 +92,16 @@ func (db *DB) planQuery(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (re
 		if s.UnionAll {
 			it = u
 		} else {
-			it = db.instrument("distinct", newDistinct(u), u)
+			it = db.instrument("distinct", xxl.NewDupElim(u), u)
 		}
 	}
 	// ORDER BY applies to the whole result.
 	if len(s.OrderBy) > 0 {
-		sorted, err := applyOrderBy(it, s.OrderBy)
+		keys, err := orderKeys(it.Schema(), s.OrderBy)
 		if err != nil {
 			return nil, err
 		}
-		it = db.instrument("sort", sorted, it)
+		it = db.instrument("sort", newSort(it, keys), it)
 	}
 	if s.Limit > 0 {
 		it = db.instrument("limit", &limitIter{in: rel.In(it), n: s.Limit}, it)
@@ -131,24 +132,35 @@ func (l *limitIter) NextBatch(dst []types.Tuple) (int, error) {
 	return n, err
 }
 
-func applyOrderBy(it rel.Iterator, order []sqlast.OrderItem) (rel.Iterator, error) {
-	keys := make([]evalFunc, len(order))
-	descs := make([]bool, len(order))
+// orderKeys resolves the ORDER BY keys over the result's schema: a key
+// naming an output column sorts by it, and any other is compiled.
+func orderKeys(schema types.Schema, order []sqlast.OrderItem) ([]sortKey, error) {
+	keys := make([]sortKey, len(order))
 	for i, o := range order {
-		k, err := compileExpr(o.Expr, it.Schema())
-		if err != nil {
+		keys[i].desc = o.Desc
+		if cr, ok := o.Expr.(sqlast.ColumnRef); ok {
 			// The projection strips qualifiers, so "ORDER BY P.PosID"
 			// over an output column PosID needs a dequalified retry.
-			k2, err2 := compileExpr(stripQualifiers(o.Expr), it.Schema())
+			c := schema.ColumnIndex(cr.String())
+			if c < 0 {
+				c = schema.ColumnIndex(cr.Name)
+			}
+			if c >= 0 {
+				keys[i].col = c
+				continue
+			}
+		}
+		k, err := compileExpr(o.Expr, schema)
+		if err != nil {
+			k2, err2 := compileExpr(stripQualifiers(o.Expr), schema)
 			if err2 != nil {
 				return nil, err
 			}
 			k = k2
 		}
-		keys[i] = k
-		descs[i] = o.Desc
+		keys[i].expr = k
 	}
-	return newSort(it, keys, descs), nil
+	return keys, nil
 }
 
 // stripQualifiers removes table qualifiers from every column reference
@@ -279,7 +291,7 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel
 
 	// 6. DISTINCT.
 	if s.Distinct {
-		it = db.instrument("distinct", newDistinct(it), it)
+		it = db.instrument("distinct", xxl.NewDupElim(it), it)
 	}
 	return it, nil
 }
@@ -755,41 +767,27 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 				return db.instrument("indexnljoin", inl, left), nil
 			}
 		}
-		residual, err := compileResidual(applicable)
-		if err != nil {
-			return nil, err
-		}
-		markUsed(applicable)
-		return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
 
 	case sqlast.HintMerge:
-		if len(equis) > 0 {
-			lk, err := compileExpr(equis[0].l, left.Schema())
-			if err != nil {
-				return nil, err
+		// Sort-merge on the column equi-keys; the other equalities
+		// join the residual filter.
+		var lks, rks, others []int
+		for k, e := range equis {
+			l, r := colIndex(e.l, left.Schema()), colIndex(e.r, right.Schema())
+			if l < 0 || r < 0 {
+				others = append(others, equiIdx[k])
+				continue
 			}
-			rk, err := compileExpr(equis[0].r, right.Schema())
-			if err != nil {
-				return nil, err
-			}
-			var others []int
-			others = append(others, equiIdx[1:]...)
-			others = append(others, residualIdx...)
-			residual, err := compileResidual(others)
+			lks, rks = append(lks, l), append(rks, r)
+		}
+		if len(lks) > 0 {
+			residual, err := compileResidual(append(others, residualIdx...))
 			if err != nil {
 				return nil, err
 			}
 			markUsed(equiIdx, residualIdx)
-			mj := newMergeJoin(left, right, lk, rk, residual)
-			return db.instrument("mergejoin", mj, left, right), nil
+			return db.instrument("mergejoin", newMergeJoin(left, right, lks, rks, residual), left, right), nil
 		}
-		// No equi predicate: fall back to nested loop.
-		residual, err := compileResidual(applicable)
-		if err != nil {
-			return nil, err
-		}
-		markUsed(applicable)
-		return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
 
 	default: // HintHash or no hint
 		if len(equis) > 0 {
@@ -814,13 +812,24 @@ func (db *DB) join(hint sqlast.JoinHint, left, right rel.Iterator, conjuncts []s
 			hj := newHashJoin(left, right, lks, rks, residual)
 			return db.instrument("hashjoin", hj, left, right), nil
 		}
-		residual, err := compileResidual(applicable)
-		if err != nil {
-			return nil, err
-		}
-		markUsed(applicable)
-		return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
 	}
+	// Block nested loop: the hint's, or a join without the equi-key its
+	// method needs.
+	residual, err := compileResidual(applicable)
+	if err != nil {
+		return nil, err
+	}
+	markUsed(applicable)
+	return db.instrument("nljoin", newNLJoin(left, right, residual), left, right), nil
+}
+
+// colIndex is the position in schema of the column e names, or -1 when
+// e is not a column reference resolving there.
+func colIndex(e sqlast.Expr, schema types.Schema) int {
+	if cr, ok := e.(sqlast.ColumnRef); ok {
+		return schema.ColumnIndex(cr.String())
+	}
+	return -1
 }
 
 // identity reports whether picks picks each of n columns in order.

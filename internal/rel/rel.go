@@ -34,10 +34,10 @@ import (
 // batch into memory it reuses for the next (a scan's decode arena, a
 // projection's or a join's output rows). A consumer that keeps a tuple
 // longer copies it into a types.Arena of its own. The keepers are few:
-// the engine's sort, hash-join build, nested-loop and merge-join inputs
-// and grouping; Drain; xxl's Sort, Partitioned, TAggr's groups, the
-// merge joins' key groups, Coalesce's current row and SharedSource (by
-// Drain); the index-key and statistics collectors; and the server
+// the engine's hash-join build, nested-loop input and grouping; Drain;
+// xxl's Sort (which also sorts the engine's ORDER BY and merge-join
+// inputs), Partitioned, TAggr's groups, the merge joins' key groups,
+// Coalesce's current row and SharedSource (by Drain); the index-key and statistics collectors; and the server
 // cursor, which gathers several batches into one fetch. Nobody writes
 // to a tuple it did not make: an operator that edits a row, as
 // coalescing does, edits its own copy.

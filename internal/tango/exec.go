@@ -76,8 +76,8 @@ type Executor struct {
 	// per-session accounting carry the query's redo volume.
 	WALProbe func() (int64, int64)
 
-	transfersM []*xxl.TransferM
-	transfersD []*xxl.TransferD
+	transfersM []*TransferM
+	transfersD []*TransferD
 	shared     map[string]*xxl.SharedSource
 	sorts      []*xxl.Sort
 	root       *telemetry.Iter
@@ -430,7 +430,7 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 // TRANSFER^D dependencies for any middleware-resident islands below.
 func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 	gen := &sqlgen.Gen{Cat: e.Cat, TempTables: map[*algebra.Node]string{}, Hint: e.Hint}
-	var deps []*xxl.TransferD
+	var deps []*TransferD
 	var tdIters []rel.Iterator
 	// Find T^D nodes in the DBMS region (stop descending at them).
 	var visit func(m *algebra.Node) error
@@ -449,7 +449,7 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 			in = e.instrument(m, in, in)
 			tdIters = append(tdIters, in)
 			name := e.Conn.TempName()
-			td := xxl.NewTransferD(e.Conn, in, name)
+			td := NewTransferD(e.Conn, in, name)
 			td.UseInserts = e.UseInserts
 			gen.TempTables[m] = name
 			deps = append(deps, td)
@@ -472,7 +472,7 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	tm := xxl.NewTransferM(e.Conn, sql, schema, deps...)
+	tm := NewTransferM(e.Conn, sql, schema, deps...)
 	e.transfersM = append(e.transfersM, tm)
 	// §7 refinement: identical transfer statements (no T^D
 	// dependencies) are issued once per plan execution.

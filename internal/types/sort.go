@@ -8,9 +8,9 @@ import (
 
 // SortTuples sorts rows in place by the given key column indexes;
 // desc[i], when provided, reverses key i. The sort is stable and orders
-// values as Compare does. It is the one row sort of the system: ORDER
-// BY and the merge-join build in the engine, SORT^M, TAGGR^M's internal
-// sort and Relation.SortBy all come here.
+// values as Compare does. It is the one row sort of the system: SORT^M
+// (which the engine's ORDER BY and merge join run too), TAGGR^M's
+// internal sort and Relation.SortBy all come here.
 func SortTuples(rows []Tuple, keys []int, desc []bool) {
 	if len(rows) < 2 {
 		return

@@ -4,14 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"tango/internal/client"
-	"tango/internal/engine"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
-	"tango/internal/server"
 	"tango/internal/sqlparser"
 	"tango/internal/types"
-	"tango/internal/wire"
 )
 
 // TestConformance runs every middleware operator through the iterator
@@ -33,7 +29,6 @@ func TestConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
 	count := []AggSpec{{Kind: AggCount}}
 	sort := func(mem, par int) func([]rel.Iterator) rel.Iterator {
 		return func(in []rel.Iterator) rel.Iterator {
@@ -41,10 +36,6 @@ func TestConformance(t *testing.T) {
 			s.MemTuples, s.Parallelism = mem, par
 			return s
 		}
-	}
-	transfer := func(in []rel.Iterator) rel.Iterator {
-		name := conn.TempName()
-		return NewTransferM(conn, "SELECT K, T1, T2 FROM "+name, a.Schema, NewTransferD(conn, in[0], name))
 	}
 	ptaggr := func(par int) func([]rel.Iterator) rel.Iterator {
 		return func(in []rel.Iterator) rel.Iterator {
@@ -81,7 +72,6 @@ func TestConformance(t *testing.T) {
 		{Name: "SharedReader", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewSharedSource(in[0]).Reader()
 		}},
-		{Name: "TransferM", Inputs: one, Want: a, Build: transfer},
 		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
 		}},

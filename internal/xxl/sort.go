@@ -1,10 +1,14 @@
-// Package xxl implements the middleware's query-processing algorithms
-// as pipelined iterators, in the style of the XXL library the paper
-// builds on: external sort, merge join, temporal (overlap) merge join,
-// sweep-line temporal aggregation, filtering, projection, duplicate
-// elimination, coalescing, and the two transfer algorithms. All
-// middleware algorithms are order preserving, which is what lets the
-// optimizer use list equivalences for middleware-resident plan parts.
+// Package xxl implements the query-processing algorithms as pipelined
+// iterators, in the style of the XXL library the paper builds on:
+// external sort, merge join, temporal (overlap) merge join, sweep-line
+// temporal aggregation, filtering, projection, duplicate elimination
+// and coalescing. All of them are order preserving, which is what lets
+// the optimizer use list equivalences for middleware-resident plan
+// parts. The package sits below both the middleware and the DBMS
+// substitute — it imports no connection, server or wire code — so the
+// engine's ORDER BY, sort-merge join and DISTINCT run these same
+// operators. The two transfer algorithms, which need a connection,
+// live in package tango.
 package xxl
 
 import (

@@ -85,7 +85,8 @@ func (p *Project) NextBatch(dst []types.Tuple) (int, error) {
 }
 
 // MergeJoin is JOIN^M: a sort-merge equi-join. Both inputs must be
-// sorted on their join columns. Output order follows the left input
+// sorted on their join columns. As in SQL, a key with a NULL column
+// matches nothing, NULL included. Output order follows the left input
 // (order preserving in the paper's sense). The right rows of the
 // current key group are copied into the join's arena, and each output
 // row, strings too, into the rows of its batch, so none aliases an
@@ -166,6 +167,16 @@ func compareOn(a types.Tuple, akeys []int, b types.Tuple, bkeys []int) int {
 	return 0
 }
 
+// nullKey reports whether one of t's key columns is NULL.
+func nullKey(t types.Tuple, keys []int) bool {
+	for _, k := range keys {
+		if t[k].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
 // NextBatch produces joined tuples.
 func (j *MergeJoin) NextBatch(dst []types.Tuple) (int, error) {
 	j.out.Reset()
@@ -212,6 +223,9 @@ func (j *MergeJoin) nextPair() (l, r types.Tuple, ok bool, err error) {
 		j.run = j.run[:0]
 		j.runMem.Reset()
 		j.ri = 0
+		if nullKey(t, j.lkeys) {
+			continue // NULL keys never join: the run stays empty for t's key
+		}
 		for !j.rdone {
 			c := compareOn(j.rnext, j.rkeys, t, j.lkeys)
 			if c > 0 {
