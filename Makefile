@@ -38,10 +38,10 @@ lint:
 lint-report:
 	$(GO) run ./cmd/tangolint -json ./... > lint.json
 
-# test is tier-1 at four GOMAXPROCS widths: the parallel executor
-# (parallel sort, partitioned operators) only engages
-# above one, and a lifecycle bug there once hid behind a one-core
-# builder.
+# test is tier-1 at four GOMAXPROCS widths: the middleware is
+# sequential, but each T^M cursor's read-ahead goroutine, the retry
+# path and the server run beside the consumer, and a lifecycle bug
+# there can hide behind a one-core machine.
 test:
 	$(GO) test -cpu 1,2,4,8 ./...
 
@@ -69,7 +69,7 @@ fuzz:
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzSortTuples -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
-# drop/stall/partial schedules at both parallelism widths, plus the
+# drop/stall/partial schedules at GOMAXPROCS 1 and 4, plus the
 # 8-session concurrent sweep sharing one server) and the wire-death
 # regression tests under the race detector. -short trims
 # the schedule grid so ci stays fast; run `go test ./internal/bench/
@@ -116,32 +116,29 @@ ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch
 # (ns/op and allocs/op), so an optimizer regression names its query.
 OPTBENCH = Selectivity/optimize
 
-# bench-smoke runs every benchmark for a single iteration at both
-# GOMAXPROCS widths, so ci catches benchmarks that no longer compile
-# or crash without paying for real measurement. The Query1 pattern
-# also matches Query1Tracing, so ci smokes the tracing-overhead pair
-# on every run; GroupCommit smokes the concurrent commit path.
+# bench-smoke runs every benchmark for a single iteration, so ci
+# catches benchmarks that no longer compile or crash without paying
+# for real measurement. The Query1 pattern also matches Query1Tracing,
+# so ci smokes the tracing-overhead pair on every run; GroupCommit
+# smokes the concurrent commit path.
 bench-smoke:
-	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x -cpu 1,2
+	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x
 	$(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 1x
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
 	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
 
-# bench-json measures the sequential-vs-parallel query benchmarks
-# (-cpu 1,4: 1 = sequential algorithms, 4 = parallel sort and
-# partitioned operators) plus the wire codec
+# bench-json measures the query benchmarks plus the wire codec
 # benchmarks and the optimizer benchmarks (OPTBENCH, 200 optimizations
 # per query), and archives the parsed numbers — ns/op, B/op,
-# allocs/op, rows/s, seq-vs-parallel speedups, and the tracing
-# overhead ratio (Query1Tracing vs Query1; bar <= 5%) — in
-# $(BENCHOUT). 15 iterations per benchmark keeps the overhead ratio
+# allocs/op, rows/s, and the tracing overhead ratio (Query1Tracing vs
+# Query1; bar <= 5%) — in $(BENCHOUT). 15 iterations per benchmark keeps the overhead ratio
 # above measurement noise on small machines.
 # GroupCommit runs 200 commits per session count so the
 # fsyncs/commit metric is measured under real contention: the
 # archived number must fall below 1 at 8 and 64 sessions.
 bench-json:
 	mkdir -p $(dir $(BENCHOUT))
-	{ $(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM' -benchtime 15x -cpu 1,4; \
+	{ $(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM' -benchtime 15x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'GroupCommit' -benchtime 200x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
 	  $(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 200x; \

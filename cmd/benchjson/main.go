@@ -3,13 +3,10 @@
 // and diffed (`make bench-json` writes BENCH_6.json with it).
 //
 // Each benchmark line becomes one record carrying the iteration
-// count, ns/op, B/op, allocs/op, and any custom metrics (rows/s). The
-// `-cpu 1,N` convention used by the parallel suite is folded into a
-// speedup table: for every benchmark measured at GOMAXPROCS=1 and at
-// a higher width, speedup = ns/op(seq) / ns/op(widest). Benchmarks
-// named "<Name>Tracing" are additionally paired with their plain
-// <Name> baseline at the same width into an overhead table, so the
-// tracing tax is archived next to the numbers it was computed from.
+// count, ns/op, B/op, allocs/op, and any custom metrics (rows/s).
+// Benchmarks named "<Name>Tracing" are paired with their plain <Name>
+// baseline at the same width into an overhead table, so the tracing
+// tax is archived next to the numbers it was computed from.
 package main
 
 import (
@@ -35,11 +32,10 @@ type Result struct {
 
 // Report is the document written to stdout.
 type Report struct {
-	Goos    string             `json:"goos,omitempty"`
-	Goarch  string             `json:"goarch,omitempty"`
-	CPU     string             `json:"cpu,omitempty"`
-	Results []Result           `json:"results"`
-	Speedup map[string]float64 `json:"speedup,omitempty"`
+	Goos    string   `json:"goos,omitempty"`
+	Goarch  string   `json:"goarch,omitempty"`
+	CPU     string   `json:"cpu,omitempty"`
+	Results []Result `json:"results"`
 	// Overhead pairs each "<Name>Tracing" benchmark with its plain
 	// <Name> baseline at the same GOMAXPROCS:
 	// ns/op(tracing) / ns/op(base) - 1. The tracing acceptance bar is
@@ -88,7 +84,7 @@ func parseLine(pkg, line string) (Result, bool) {
 }
 
 func main() {
-	rep := Report{Speedup: map[string]float64{}}
+	var rep Report
 	var pkg string
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -112,34 +108,6 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
-	}
-	// Sequential-vs-parallel speedups: ns/op at procs=1 over ns/op at
-	// the widest measured procs.
-	type best struct {
-		seq   float64
-		par   float64
-		procs int
-	}
-	byName := map[string]*best{}
-	for _, r := range rep.Results {
-		b := byName[r.Name]
-		if b == nil {
-			b = &best{}
-			byName[r.Name] = b
-		}
-		if r.Procs == 1 {
-			b.seq = r.NsPerOp
-		} else if r.Procs > b.procs {
-			b.par, b.procs = r.NsPerOp, r.Procs
-		}
-	}
-	for name, b := range byName {
-		if b.seq > 0 && b.par > 0 {
-			rep.Speedup[fmt.Sprintf("%s@%d", name, b.procs)] = b.seq / b.par
-		}
-	}
-	if len(rep.Speedup) == 0 {
-		rep.Speedup = nil
 	}
 	// Tracing overhead: "<Name>Tracing" against "<Name>" at equal procs.
 	rep.Overhead = map[string]float64{}

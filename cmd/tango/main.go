@@ -43,7 +43,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "with -listen: admission-control concurrent statement limit (0 = admit everything)")
 	maxQueue := flag.Int("max-queue", 256, "with -listen and -max-inflight: admission wait-queue bound")
 	checkPlans := flag.Bool("checkplans", true, "validate every optimized plan and executor build with the planck plan checker")
-	parallelism := flag.Int("parallelism", 0, "middleware operator fan-out: 0 = GOMAXPROCS, 1 = sequential algorithms")
 	retries := flag.Int("retries", client.DefaultRetryPolicy().MaxAttempts, "max attempts per idempotent wire call (1 = no retries, 0 = disable the resilience layer)")
 	opTimeout := flag.Duration("op-timeout", client.DefaultRetryPolicy().OpTimeout, "per-attempt deadline for a wire call (0 = none)")
 	chaos := flag.String("chaos", "", `inject a deterministic fault schedule into the wire, e.g. "seed=7;stall=2ms;fetch@3=drop;load~partial=0.05"`)
@@ -125,7 +124,6 @@ func main() {
 		Histograms:   20,
 		Calibrate:    *calibrate,
 		Metrics:      reg,
-		Parallelism:  *parallelism,
 		Retry:        retry,
 		Faults:       faults,
 		DataDir:      *dataDir,

@@ -1,5 +1,5 @@
 // Chaos suite: every workload query is executed under a sweep of
-// seeded wire-fault schedules and middleware parallelism settings.
+// seeded wire-fault schedules at two scheduler widths.
 // The contract is strict — each run must either produce a result
 // list-equal to the fault-free reference (retries and plan fallback
 // absorbed the faults) or fail with a typed, classified error; and no
@@ -9,6 +9,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -131,14 +132,18 @@ func chaosRuns(mw *tango.Middleware, runPlan func(NamedPlan) (*rel.Relation, err
 }
 
 // TestChaosSweep runs every workload query under every fault schedule
-// at middleware parallelism 1 and 4.
+// at GOMAXPROCS 1 and 4. The middleware is sequential, but each T^M
+// cursor's read-ahead goroutine, the retry path's abandoned attempts
+// and the server still run concurrently with the consumer, and one
+// processor versus four interleaves them differently.
 func TestChaosSweep(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		par := par
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			sys, err := NewSystem(Config{
 				PositionRows: 700, EmployeeRows: 250, Histograms: 10,
-				Parallelism: par, Retry: chaosPolicy(),
+				Retry: chaosPolicy(),
 			})
 			if err != nil {
 				t.Fatal(err)

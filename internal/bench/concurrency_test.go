@@ -225,7 +225,7 @@ func TestChaosConcurrentSessions(t *testing.T) {
 	const sessions = 8
 	sys, err := NewSystem(Config{
 		PositionRows: 300, EmployeeRows: 120, Histograms: 10,
-		Parallelism: 1, Retry: chaosPolicy(),
+		Retry: chaosPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,12 +28,11 @@ import (
 // crashConfig is the durable system used across the matrix: small
 // tables, an aggressive auto-checkpoint threshold (so the workload
 // crosses several checkpoints and the page-write crash points exist),
-// sequential middleware (deterministic write-point numbering), and
-// planck plan checking on (harness default).
+// and planck plan checking on (harness default). The middleware is
+// sequential, so write points number deterministically.
 func crashConfig(dir string, script *storage.CrashScript) Config {
 	return Config{
 		PositionRows: 90, EmployeeRows: 45, Histograms: 4,
-		Parallelism:     1,
 		DataDir:         dir,
 		Crash:           script,
 		CheckpointBytes: 2 * storage.PageSize,

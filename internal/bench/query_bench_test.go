@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -30,22 +29,16 @@ func newBenchSystem(b *testing.B, posRows int) *System {
 	return sys
 }
 
-// runPlanBench executes one plan per iteration with Parallelism bound
-// to GOMAXPROCS, exactly as the executor's auto setting resolves it —
-// so `-cpu 1` measures the sequential algorithms and `-cpu N` (N>1)
-// the parallel ones: background sort runs and pipelined partitioned
-// aggregation and joins. Every T^M reads one batch ahead at either
-// setting, so its fetch round trips overlap the operators' compute but
-// never each other; on real cores the partition workers add CPU
-// fan-out.
+// runPlanBench executes one plan per iteration through the sequential
+// executor. Every T^M reads one batch ahead, so its fetch round trips
+// overlap the operators' compute but never each other.
 func runPlanBench(b *testing.B, sys *System, np NamedPlan, sortMem int) {
-	par := runtime.GOMAXPROCS(0)
 	rows := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := &tango.Executor{Conn: sys.MW.Conn, Cat: sys.MW.Cat, Hint: np.Hint,
-			CheckPlans: true, Parallelism: par, SortMemory: sortMem}
+			CheckPlans: true, SortMemory: sortMem}
 		out, err := ex.Run(np.Plan.Clone())
 		if err != nil {
 			b.Fatal(err)
@@ -59,16 +52,15 @@ func runPlanBench(b *testing.B, sys *System, np NamedPlan, sortMem int) {
 }
 
 // BenchmarkQuery1 is the paper's Query 1 under its best plan (Figure
-// 7, plan 1): the DBMS sorts, TAGGR^M aggregates above the transfer.
-// With parallelism the aggregation is the pipelined partitioned
-// TAGGR^M fed by a double-buffered transfer whose cursor reads one
-// batch ahead, so group sweeps overlap the fetch round trips.
+// 7, plan 1): the DBMS sorts, TAGGR^M aggregates above the transfer,
+// whose cursor reads one batch ahead, so group sweeps overlap the
+// fetch round trips.
 func BenchmarkQuery1(b *testing.B) {
 	sys := newBenchSystem(b, 8400)
 	runPlanBench(b, sys, Q1Plans()[0], 0)
 }
 
-// BenchmarkQuery1Tracing is BenchmarkQuery1 with this PR's telemetry
+// BenchmarkQuery1Tracing is BenchmarkQuery1 with the telemetry
 // pipeline live: a root span per query, trace headers on every wire
 // op, per-attempt client spans, DBMS-side remote spans collected and
 // stitched, the per-op and end-to-end latency histograms, and a
@@ -87,14 +79,13 @@ func BenchmarkQuery1Tracing(b *testing.B) {
 	sys.Srv.SetLatency(benchLatency)
 	sys.MW.Conn.Metrics = reg
 	np := Q1Plans()[0]
-	par := runtime.GOMAXPROCS(0)
 	rows := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		root := telemetry.NewSpan("query")
 		ex := &tango.Executor{Conn: sys.MW.Conn, Cat: sys.MW.Cat, Hint: np.Hint,
-			CheckPlans: true, Parallelism: par, Trace: root, WALProbe: sys.MW.WALProbe}
+			CheckPlans: true, Trace: root, WALProbe: sys.MW.WALProbe}
 		out, err := ex.Run(np.Plan.Clone())
 		if err != nil {
 			b.Fatal(err)
@@ -113,10 +104,8 @@ func BenchmarkQuery1Tracing(b *testing.B) {
 }
 
 // BenchmarkSortM is SORT^M over an unsorted transfer with a small
-// memory budget, so the sort spills runs. With parallelism the run
-// generation happens on background workers while the transfer's
-// cursor reads its next batch, hiding the run sorts and writes under
-// the wire latency.
+// memory budget, so the sort spills runs; the transfer's cursor reads
+// its next batch while a run is sorted and written.
 func BenchmarkSortM(b *testing.B) {
 	sys := newBenchSystem(b, 8400)
 	plan := algebra.Sort(algebra.TM(

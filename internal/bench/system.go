@@ -31,9 +31,6 @@ type System struct {
 	// Metrics is the registry wired through every layer (nil when
 	// Config.Metrics was nil).
 	Metrics *telemetry.Registry
-	// Parallelism is forwarded to every executor the harness builds
-	// (see tango.Executor.Parallelism; 0 = GOMAXPROCS).
-	Parallelism int
 
 	PositionRows int
 	EmployeeRows int
@@ -84,9 +81,6 @@ type Config struct {
 	// middleware's IOProbe is pointed at the embedded engine so query
 	// traces carry per-query I/O deltas.
 	Metrics *telemetry.Registry
-	// Parallelism bounds middleware operator fan-out (0 = GOMAXPROCS,
-	// 1 = sequential). Results are identical at any setting.
-	Parallelism int
 	// Retry configures the client connection's wire resilience layer
 	// (retries, per-call deadlines, backoff); zero disables it.
 	Retry client.RetryPolicy
@@ -147,7 +141,6 @@ func NewSystem(cfg Config) (*System, error) {
 	opts := tango.Options{
 		HistogramBuckets: cfg.Histograms,
 		Metrics:          cfg.Metrics,
-		Parallelism:      cfg.Parallelism,
 		Retry:            cfg.Retry,
 		// Every harness-driven run (and therefore every test) validates
 		// optimized plans and executor builds with planck.
@@ -256,7 +249,6 @@ func NewSystem(cfg Config) (*System, error) {
 		srv.SetFaults(cfg.Faults)
 	}
 	return &System{DB: db, Srv: srv, MW: mw, Metrics: cfg.Metrics,
-		Parallelism:  cfg.Parallelism,
 		PositionRows: posRows, EmployeeRows: empRows,
 		Flight: flight, Collector: collector, PreCrashFlight: preCrash,
 		Recovery: rstats, Reopened: reopened, GCCollected: gcCollected,
@@ -347,7 +339,7 @@ func (m Measurement) Seconds() float64 { return m.Elapsed.Seconds() }
 // RunPlan executes a plan and times it.
 func (s *System) RunPlan(np NamedPlan) (*rel.Relation, time.Duration, error) {
 	ex := &tango.Executor{Conn: s.MW.Conn, Cat: s.MW.Cat, Hint: np.Hint,
-		CheckPlans: true, Parallelism: s.Parallelism}
+		CheckPlans: true}
 	start := time.Now()
 	out, err := ex.Run(np.Plan.Clone())
 	return out, time.Since(start), err

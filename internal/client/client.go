@@ -206,7 +206,9 @@ func (c *Conn) Exec(sql string) (int64, error) {
 // deserialized rows, which it fetches one batch ahead of the consumer.
 // OPEN is idempotent (a lost request opens nothing server-side), so it
 // retries; a cursor opened by an attempt abandoned at its deadline is
-// closed by the reaper.
+// closed by the reaper. The cursor's fetch attempts are traced under
+// the trace parent active now, whatever the connection's is when they
+// run.
 func (c *Conn) Query(sql string) (*Rows, error) {
 	start := time.Now()
 	rep, err := c.retried("query", wire.Request{Op: wire.MsgQuery, Name: sql, N: int64(c.Prefetch)},
@@ -217,7 +219,7 @@ func (c *Conn) Query(sql string) (*Rows, error) {
 	// Each open cursor pins one MVCC snapshot server-side; attribute it
 	// to the session so the harness leak checks can diff open vs closed.
 	c.AddSessionStat("snapshots", 1)
-	return &Rows{conn: c, cur: rep.Cursor, schema: rep.Schema.Unqualified(), start: start, sql: sql}, nil
+	return &Rows{conn: c, cur: rep.Cursor, schema: rep.Schema.Unqualified(), start: start, sql: sql, trace: c.TraceSpan()}, nil
 }
 
 // closeCursor releases a server cursor. The server treats an unknown
@@ -243,6 +245,7 @@ type Rows struct {
 	cur    uint64 // server cursor id
 	schema types.Schema
 	sql    string
+	trace  *telemetry.Span // the parent of the fetch attempts' spans
 
 	batch rel.Cursor // the current fetch's rows
 	mem   *slab      // their memory
@@ -317,7 +320,7 @@ func (r *Rows) fetchLoop(ctx context.Context, ahead chan<- fetched) {
 // and its slab, so an attempt abandoned at its deadline can never race
 // a retry or the consumer.
 func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
-	out, err := doValCtx(r.conn, ctx, "fetch", func(sp *telemetry.Span) (fetched, error) {
+	out, err := doValCtx(r.conn, ctx, r.trace, "fetch", func(sp *telemetry.Span) (fetched, error) {
 		buf := wire.GetBuf()
 		rep, err := r.conn.be.call(ctx, wire.Request{
 			Op: wire.MsgFetch, TraceHdr: traceHeader(sp), Cursor: r.cur, Seq: seq, Buf: buf,

@@ -357,16 +357,15 @@ func abandon[T any](done <-chan result[T], discard func(T)) {
 //
 // f receives the attempt's span so it can propagate the trace context
 // across the wire (traceHeader) — each retry attempt is its own child
-// span of the connection's active trace, tagged with its attempt
-// number and, on failure, its error class. With tracing off the span
-// is nil and f's header is empty.
-func doValCtx[T any](c *Conn, ctx context.Context, op string, f func(sp *telemetry.Span) (T, error), discard func(T)) (T, error) {
+// span of parent, tagged with its attempt number and, on failure, its
+// error class. With tracing off the span is nil and f's header is
+// empty.
+func doValCtx[T any](c *Conn, ctx context.Context, parent *telemetry.Span, op string, f func(sp *telemetry.Span) (T, error), discard func(T)) (T, error) {
 	start := time.Now()
 	attempts := c.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	parent := c.TraceSpan()
 	var zero T
 	var last error
 	for i := 1; ; i++ {
@@ -422,9 +421,10 @@ func doValCtx[T any](c *Conn, ctx context.Context, op string, f func(sp *telemet
 	}
 }
 
-// doVal is doValCtx under the connection's base context.
+// doVal is doValCtx under the connection's base context and active
+// trace parent.
 func doVal[T any](c *Conn, op string, f func(sp *telemetry.Span) (T, error), discard func(T)) (T, error) {
-	return doValCtx(c, c.baseCtx(), op, f, discard)
+	return doValCtx(c, c.baseCtx(), c.TraceSpan(), op, f, discard)
 }
 
 // do runs one logical idempotent operation that produces no value.

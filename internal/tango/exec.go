@@ -6,7 +6,6 @@ package tango
 
 import (
 	"fmt"
-	"runtime"
 
 	"tango/internal/algebra"
 	"tango/internal/client"
@@ -22,7 +21,9 @@ import (
 // Executor turns a validated physical plan (an algebra tree with
 // transfer operators) into a pipelined iterator: DBMS-resident parts
 // are translated to SQL and pulled through TRANSFER^M; middleware
-// parts run on the XXL algorithms.
+// parts run on XXL's sequential algorithms, one Open/Next/Close
+// pipeline per operator. The only concurrency is each T^M cursor's
+// one-batch read-ahead, which overlaps the wire, not CPU.
 type Executor struct {
 	Conn *client.Conn
 	Cat  algebra.Catalog
@@ -42,18 +43,13 @@ type Executor struct {
 	// iterator's schema is asserted against the algebra's derivation
 	// afterwards. The bench harness keeps this on for all tests.
 	CheckPlans bool
-	// Parallelism bounds the worker fan-out of the middleware: the
-	// worker pool of SORT^M and of partitioned TAGGR^M and merge joins.
-	// A T^M's cursor reads one batch ahead at every setting. 0 resolves
-	// to runtime.GOMAXPROCS(0); 1 forces the sequential algorithms.
-	// Results are tuple-for-tuple identical at any setting — every
-	// parallel operator preserves the sequential output order.
+	// Parallelism has no effect; the middleware is sequential. It is
+	// kept for the benchmark module, which still sets it, and is
+	// deleted with ROADMAP item 9's replay.
 	Parallelism int
 	// SortMemory overrides the middleware sort's in-memory run size in
 	// tuples (the paper's middleware memory budget); 0 keeps
-	// xxl.DefaultSortMemory. Smaller budgets spill more runs, which the
-	// parallel sort generates in the background while the input drain
-	// continues.
+	// xxl.DefaultSortMemory. Smaller budgets spill more runs to disk.
 	SortMemory int
 
 	// Metrics, when set, enables per-operator instrumentation and
@@ -81,30 +77,6 @@ type Executor struct {
 	shared     map[string]*xxl.SharedSource
 	sorts      []*xxl.Sort
 	root       *telemetry.Iter
-	parStats   []xxl.ParallelStats
-}
-
-// par resolves the effective worker bound.
-func (e *Executor) par() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// observeParallel collects one operator's parallel shape (workers,
-// partitions, skew) for the execute span and exports it as registry
-// series. Callbacks fire on the goroutine driving the query.
-func (e *Executor) observeParallel(s xxl.ParallelStats) {
-	e.parStats = append(e.parStats, s)
-	if e.Metrics == nil {
-		return
-	}
-	l := telemetry.Labels{"op": s.Op}
-	e.Metrics.Gauge("tango_parallel_workers", l).Set(float64(s.Workers))
-	e.Metrics.Histogram("tango_parallel_partitions", l, telemetry.CountBuckets).Observe(float64(s.Partitions))
-	e.Metrics.Gauge("tango_parallel_skew_last", l).Set(s.Skew())
-	e.Metrics.Counter("tango_parallel_rows_total", l).Add(s.Rows)
 }
 
 // Build compiles the plan into an iterator. The plan root must be
@@ -126,7 +98,6 @@ func (e *Executor) Build(plan *algebra.Node) (rel.Iterator, error) {
 	e.shared = map[string]*xxl.SharedSource{}
 	e.sorts = nil
 	e.root = nil
-	e.parStats = nil
 	it, err := e.buildMW(plan)
 	if err != nil {
 		return nil, err
@@ -142,8 +113,9 @@ func (e *Executor) Build(plan *algebra.Node) (rel.Iterator, error) {
 
 // Run builds and drains the plan, returning the materialized result.
 // The executor's trace span is pushed onto the connection for the
-// duration, so every wire op of the run carries the query's trace
-// context across to the DBMS.
+// duration, and its execute child while the plan drains, so every wire
+// op of the run carries the query's trace context across to the DBMS
+// and each transfer's span (see TransferM.Open) nests inside execute.
 func (e *Executor) Run(plan *algebra.Node) (*rel.Relation, error) {
 	pop := e.Conn.PushTrace(e.Trace)
 	defer pop()
@@ -154,6 +126,7 @@ func (e *Executor) Run(plan *algebra.Node) (*rel.Relation, error) {
 		return nil, err
 	}
 	se := e.Trace.Child("execute")
+	popExec := e.Conn.PushTrace(se)
 	var ioBase storage.IOStats
 	var poolBase storage.PoolStats
 	if e.IOProbe != nil {
@@ -164,6 +137,7 @@ func (e *Executor) Run(plan *algebra.Node) (*rel.Relation, error) {
 		walBase, walRecBase = e.WALProbe()
 	}
 	out, err := rel.Drain(it) // closes it on every path
+	popExec()
 	if out != nil {
 		se.SetInt("rows", int64(out.Cardinality()))
 		se.SetInt("bytes", int64(out.ByteSize()))
@@ -201,20 +175,6 @@ func (e *Executor) Run(plan *algebra.Node) (*rel.Relation, error) {
 	if tempBytes > 0 {
 		se.SetInt("temp_bytes", tempBytes)
 		e.Conn.AddSessionStat("temp_bytes", tempBytes)
-	}
-	for _, fb := range e.Feedback() {
-		c := se.AddChild("transfer", fb.Elapsed)
-		c.SetInt("rows", fb.Rows)
-		c.SetInt("bytes", fb.Bytes)
-		c.SetInt("batches", fb.Batches)
-		c.Set("sql", abbreviate(fb.SQL, 48))
-	}
-	for _, ps := range e.parStats {
-		c := se.AddChild("parallel", 0)
-		c.Set("op", ps.Op)
-		c.SetInt("workers", int64(ps.Workers))
-		c.SetInt("partitions", int64(ps.Partitions))
-		c.SetFloat("skew", ps.Skew())
 	}
 	se.Finish()
 	if e.Metrics != nil && e.root != nil {
@@ -321,10 +281,6 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 		if e.SortMemory > 0 {
 			srt.MemTuples = e.SortMemory
 		}
-		if p := e.par(); p > 1 {
-			srt.Parallelism = p
-			srt.OnStats = e.observeParallel
-		}
 		return e.instrument(n, srt, in), nil
 
 	case algebra.OpJoin, algebra.OpTJoin:
@@ -345,22 +301,12 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 			return nil, err
 		}
 		if n.Op == algebra.OpJoin {
-			if p := e.par(); p > 1 {
-				pj := xxl.NewPMergeJoin(left, right, lkeys, rkeys, p)
-				pj.OnStats = e.observeParallel
-				return e.instrument(n, pj, left, right), nil
-			}
 			return e.instrument(n, xxl.NewMergeJoin(left, right, lkeys, rkeys), left, right), nil
 		}
 		lt1, lt2 := algebra.TimeColumns(left.Schema())
 		rt1, rt2 := algebra.TimeColumns(right.Schema())
 		if lt1 < 0 || lt2 < 0 || rt1 < 0 || rt2 < 0 {
 			return nil, fmt.Errorf("tango: temporal join inputs lack T1/T2")
-		}
-		if p := e.par(); p > 1 {
-			ptj := xxl.NewPTJoin(left, right, lkeys, rkeys, lt1, lt2, rt1, rt2, p)
-			ptj.OnStats = e.observeParallel
-			return e.instrument(n, ptj, left, right), nil
 		}
 		tj := xxl.NewTJoin(left, right, lkeys, rkeys, lt1, lt2, rt1, rt2)
 		return e.instrument(n, tj, left, right), nil
@@ -394,11 +340,6 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 				spec.Col = j
 			}
 			aggs[i] = spec
-		}
-		if p := e.par(); p > 1 {
-			pta := xxl.NewPTAggr(in, groupBy, t1, t2, aggs, outSchema, p)
-			pta.OnStats = e.observeParallel
-			return e.instrument(n, pta, in), nil
 		}
 		ta := xxl.NewTAggr(in, groupBy, t1, t2, aggs, outSchema)
 		return e.instrument(n, ta, in), nil

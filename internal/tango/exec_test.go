@@ -264,9 +264,8 @@ func TestPlanValidationErrors(t *testing.T) {
 }
 
 // TestTransferMPaysARoundTripPerBatch: a T^M's cursor has one fetch on
-// the wire at a time, whatever the executor's parallelism, so a
-// transfer that fetches k batches over a link with round trip RTT
-// takes at least k·RTT.
+// the wire at a time, read-ahead or not, so a transfer that fetches k
+// batches over a link with round trip RTT takes at least k·RTT.
 func TestTransferMPaysARoundTripPerBatch(t *testing.T) {
 	srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
 	conn := client.Connect(srv)
@@ -284,7 +283,7 @@ func TestTransferMPaysARoundTripPerBatch(t *testing.T) {
 	const rtt = 4 * time.Millisecond
 	srv.SetLatency(wire.Latency{RoundTrip: rtt})
 	conn.Prefetch = 50 // 20 batches
-	ex := &Executor{Conn: conn, Cat: ConnCatalog{Conn: conn}, Parallelism: 4}
+	ex := &Executor{Conn: conn, Cat: ConnCatalog{Conn: conn}}
 	start := time.Now()
 	got, err := ex.Run(algebra.TM(algebra.Scan("R", "")))
 	elapsed := time.Since(start)

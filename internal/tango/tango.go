@@ -38,12 +38,6 @@ type Middleware struct {
 	// tests via the bench harness).
 	CheckPlans bool
 
-	// Parallelism bounds the middleware operators' worker fan-out (see
-	// Executor.Parallelism): 0 resolves to runtime.GOMAXPROCS(0), 1
-	// forces the sequential algorithms. Results are identical at any
-	// setting.
-	Parallelism int
-
 	// Metrics, when set, receives middleware telemetry: per-operator
 	// series (engine="mw"), optimizer search statistics, per-operator
 	// cardinality drift (Q-error), and query counters. It is also
@@ -78,9 +72,6 @@ type Options struct {
 	// CheckPlans turns on the planck plan validator (see
 	// Middleware.CheckPlans).
 	CheckPlans bool
-	// Parallelism bounds middleware operator fan-out (see
-	// Middleware.Parallelism); 0 means runtime.GOMAXPROCS(0).
-	Parallelism int
 	// Retry configures the connection's wire resilience layer (per-call
 	// deadlines, capped jittered backoff); the zero value disables it.
 	Retry client.RetryPolicy
@@ -109,16 +100,15 @@ func OpenConn(conn *client.Conn, opts Options) *Middleware {
 		alpha = 0.2
 	}
 	return &Middleware{
-		Conn:        conn,
-		Cat:         cat,
-		Est:         est,
-		Model:       model,
-		Opt:         optimizer.New(model),
-		Alpha:       alpha,
-		Metrics:     opts.Metrics,
-		CheckPlans:  opts.CheckPlans,
-		Parallelism: opts.Parallelism,
-		Flight:      opts.Flight,
+		Conn:       conn,
+		Cat:        cat,
+		Est:        est,
+		Model:      model,
+		Opt:        optimizer.New(model),
+		Alpha:      alpha,
+		Metrics:    opts.Metrics,
+		CheckPlans: opts.CheckPlans,
+		Flight:     opts.Flight,
 	}
 }
 
@@ -188,15 +178,14 @@ func (m *Middleware) recordOptimizer(res *optimizer.Result, elapsed time.Duratio
 // needs measured timings), or when analyze is forced.
 func (m *Middleware) newExecutor(cat algebra.Catalog, root *telemetry.Span, analyze bool) *Executor {
 	return &Executor{
-		Conn:        m.Conn,
-		Cat:         cat,
-		Metrics:     m.Metrics,
-		Analyze:     analyze || m.Alpha > 0,
-		Trace:       root,
-		IOProbe:     m.IOProbe,
-		WALProbe:    m.WALProbe,
-		CheckPlans:  m.CheckPlans,
-		Parallelism: m.Parallelism,
+		Conn:       m.Conn,
+		Cat:        cat,
+		Metrics:    m.Metrics,
+		Analyze:    analyze || m.Alpha > 0,
+		Trace:      root,
+		IOProbe:    m.IOProbe,
+		WALProbe:   m.WALProbe,
+		CheckPlans: m.CheckPlans,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"tango/internal/algebra"
 	"tango/internal/client"
 	"tango/internal/engine"
 	"tango/internal/rel"
@@ -135,6 +136,54 @@ func TestMiddlewareTraceSpans(t *testing.T) {
 	}
 	if mw.LastExecStats() == nil {
 		t.Error("no exec stats after instrumented Run")
+	}
+}
+
+// TestFetchSpansNestUnderTransfers: in a traced run, every cursor's
+// query and fetch attempts are children of the "transfer" span of the
+// T^M that opened the cursor, and every transfer (T^M or T^D) is a
+// child of "execute" — so a fetch's time is counted once, inside
+// execute. The plans read over several fetches each, one from a T^M
+// whose SQL depends on a T^D load.
+func TestFetchSpansNestUnderTransfers(t *testing.T) {
+	mw, _ := openMWMetrics(t, 400)
+	mw.Conn.Prefetch = 50
+	for _, plan := range []*algebra.Node{paperPlanAllMW(), paperPlanMWAggr()} {
+		root := telemetry.NewSpan("query")
+		ex := &Executor{Conn: mw.Conn, Cat: mw.Cat, Trace: root}
+		if _, err := ex.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+		root.Finish()
+		if open := telemetry.UnfinishedSpans(root); len(open) > 0 {
+			t.Fatalf("unfinished spans %v:\n%s", open, root.Render())
+		}
+		fetches := 0
+		var walk func(parent, sp *telemetry.Span)
+		walk = func(parent, sp *telemetry.Span) {
+			switch sp.Name {
+			case "fetch", "query":
+				if sp.Name == "fetch" {
+					fetches++
+				}
+				if parent.Name != "transfer" {
+					t.Errorf("%s span under %q, want transfer:\n%s", sp.Name, parent.Name, root.Render())
+				}
+			case "transfer":
+				if parent.Name != "execute" {
+					t.Errorf("transfer span under %q, want execute:\n%s", parent.Name, root.Render())
+				}
+			}
+			for _, c := range sp.Children() {
+				walk(sp, c)
+			}
+		}
+		for _, c := range root.Children() {
+			walk(root, c)
+		}
+		if fetches < 2*len(ex.Feedback()) {
+			t.Fatalf("%d fetch spans for %d transfers:\n%s", fetches, len(ex.Feedback()), root.Render())
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"tango/internal/client"
 	"tango/internal/rel"
+	"tango/internal/telemetry"
 	"tango/internal/types"
 )
 
@@ -21,6 +22,7 @@ type TransferM struct {
 
 	rows *client.Rows
 	fb   client.Feedback
+	span *telemetry.Span // "transfer": parent of the cursor's query and fetch attempts
 }
 
 // NewTransferM creates a transfer with the expected output schema (the
@@ -36,15 +38,21 @@ func (t *TransferM) Schema() types.Schema { return t.schema }
 // SQL returns the statement this transfer issues.
 func (t *TransferM) SQL() string { return t.sql }
 
-// Open runs dependency loads, then opens the server-side cursor.
+// Open runs dependency loads, then opens the server-side cursor under
+// a "transfer" span of the connection's trace parent, so the cursor's
+// query and fetch attempts nest inside the transfer that issued them.
 func (t *TransferM) Open() error {
 	for _, d := range t.deps {
 		if err := d.Run(); err != nil {
 			return err
 		}
 	}
+	t.span = t.conn.TraceSpan().Child("transfer")
+	pop := t.conn.PushTrace(t.span)
 	rows, err := t.conn.Query(t.sql)
+	pop()
 	if err != nil {
+		finishTransfer(t.span, client.Feedback{SQL: t.sql})
 		return fmt.Errorf("tango: transfer^M: %w", err)
 	}
 	if rows.Schema().Len() != t.schema.Len() {
@@ -67,6 +75,7 @@ func (t *TransferM) NextBatch(dst []types.Tuple) (int, error) {
 	n, err := t.rows.NextBatch(dst)
 	if err != nil || n == 0 {
 		t.fb = t.rows.Feedback()
+		finishTransfer(t.span, t.fb)
 	}
 	return n, err
 }
@@ -80,6 +89,7 @@ func (t *TransferM) Close() error {
 			first = err
 		}
 		t.rows = nil
+		finishTransfer(t.span, t.fb)
 	}
 	for _, d := range t.deps {
 		if err := d.Cleanup(); err != nil && first == nil {
@@ -91,6 +101,19 @@ func (t *TransferM) Close() error {
 
 // Feedback returns transfer statistics after the stream is drained.
 func (t *TransferM) Feedback() client.Feedback { return t.fb }
+
+// finishTransfer records a transfer's statistics on its span and
+// finishes it; a finished span is left as it is.
+func finishTransfer(sp *telemetry.Span, fb client.Feedback) {
+	if sp == nil || sp.Done() {
+		return
+	}
+	sp.SetInt("rows", fb.Rows)
+	sp.SetInt("bytes", fb.Bytes)
+	sp.SetInt("batches", fb.Batches)
+	sp.Set("sql", abbreviate(fb.SQL, 48))
+	sp.Finish()
+}
 
 // TransferD is TRANSFER^D: its Run (the paper's init()) drains a
 // middleware-resident input, creates a uniquely named table in the
@@ -136,6 +159,9 @@ func (t *TransferD) Run() error {
 	if err != nil {
 		return fmt.Errorf("tango: transfer^D: drain: %w", err)
 	}
+	sp := t.conn.TraceSpan().Child("transfer")
+	defer t.conn.PushTrace(sp)()
+	defer func() { finishTransfer(sp, t.fb) }()
 	err = t.createAndLoad(src)
 	if err != nil && !t.UseInserts && client.Degradable(err) {
 		if derr := t.conn.DropTable(t.table); derr == nil {

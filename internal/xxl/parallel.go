@@ -1,11 +1,10 @@
 package xxl
 
-// Parallel execution support: the one worker pool every parallel
-// operator in this package runs on (the partitioned operator's kernels,
-// SORT^M's run generation and in-memory chunk sort), and the
-// ParallelStats shape report that operators hand to the executor
-// through their OnStats callbacks (so this package stays free of
-// telemetry dependencies).
+// Parallel execution support: the one worker pool the partitioned
+// operators' kernels and SORT^M's parallel run generation and
+// in-memory chunk sort run on. The middleware executor builds only the
+// sequential operators; these forms remain for callers that replay a
+// plan at a chosen fan-out.
 //
 // Every parallel path preserves the sequential operator's output order
 // exactly — the optimizer relies on list equivalence for
@@ -13,54 +12,6 @@ package xxl
 // hard contract, not best effort. The pool hands results back in
 // submission order; what callers submit in input order therefore comes
 // back in input order, whichever worker finishes first.
-
-// ParallelStats describes the parallel shape of one operator
-// execution: how many workers ran, how many partitions (sort runs /
-// chunks, aggregation group ranges, join key ranges) they processed,
-// and the partition size spread for skew monitoring.
-type ParallelStats struct {
-	// Op is the operator label, e.g. "Sort^M" or "TAggr^M".
-	Op string
-	// Workers is the number of concurrent workers used (1 = sequential).
-	Workers int
-	// Partitions is the number of independent work units.
-	Partitions int
-	// Rows is the total rows across all partitions.
-	Rows int64
-	// MaxPart and MinPart are the largest and smallest partition sizes
-	// in rows.
-	MaxPart int
-	MinPart int
-}
-
-// observe folds one partition of n rows into the stats.
-func (p *ParallelStats) observe(n int) {
-	p.Partitions++
-	p.Rows += int64(n)
-	if n > p.MaxPart {
-		p.MaxPart = n
-	}
-	if p.Partitions == 1 || n < p.MinPart {
-		p.MinPart = n
-	}
-}
-
-// finish sets Workers for a run with a worker bound of par and
-// labels the stats op.
-func (p ParallelStats) finish(op string, par int) ParallelStats {
-	p.Op = op
-	p.Workers = max(1, min(par, p.Partitions))
-	return p
-}
-
-// Skew is the largest partition relative to the mean partition size;
-// 1 means perfectly balanced, higher means one partition dominates.
-func (p ParallelStats) Skew() float64 {
-	if p.Partitions == 0 || p.Rows == 0 {
-		return 1
-	}
-	return float64(p.MaxPart) / (float64(p.Rows) / float64(p.Partitions))
-}
 
 // pool runs tasks on at most n goroutines and hands their results back
 // in submission order. A task holds its slot from submit until its

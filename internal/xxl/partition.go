@@ -29,7 +29,8 @@ const minPartitionRows = 1024
 // free, while earlier chunks compute on the workers: the kernels fan
 // out across cores and overlap the input's latency, and an input's
 // measured time stays inside this operator's, as for the sequential
-// operator.
+// operator. The middleware executor builds the sequential operators
+// only; the benchmark module's per-layer replay builds this form.
 type Partitioned struct {
 	left  rel.Input
 	right *rel.Input // nil for TAGGR^M
@@ -46,8 +47,6 @@ type Partitioned struct {
 	// Parallelism bounds the concurrent kernels; at 1 each kernel runs
 	// inline.
 	Parallelism int
-	// OnStats, when set, receives the partition shape at Close.
-	OnStats func(ParallelStats)
 
 	opened    bool
 	rightRows []types.Tuple
@@ -58,7 +57,6 @@ type Partitioned struct {
 	mem       types.Arena   // where they are copied; a submitted chunk keeps its own
 	prev      types.Tuple   // order validation
 	inDone    bool
-	stats     ParallelStats
 
 	cur rel.Cursor // the current chunk's output
 	err error
@@ -124,7 +122,6 @@ func (p *Partitioned) Open() error {
 	p.chunks = newPool[[]types.Tuple](p.Parallelism)
 	p.buf = make([]types.Tuple, rel.DefaultBatchSize)
 	p.pending, p.prev, p.inDone = nil, nil, false
-	p.stats = ParallelStats{}
 	p.cur.Reset(nil)
 	p.err = nil
 	p.opened = true
@@ -201,7 +198,6 @@ func (p *Partitioned) read() error {
 // arena.
 func (p *Partitioned) submit(chunk []types.Tuple) {
 	p.mem = types.Arena{}
-	p.stats.observe(len(chunk))
 	p.chunks.submit(func() ([]types.Tuple, error) { return p.run(chunk) })
 }
 
@@ -233,15 +229,12 @@ func rightRange(right []types.Tuple, rkeys []int, chunk []types.Tuple, lkeys []i
 	return lo, hi
 }
 
-// Close waits for the running kernels, reports the partition
-// statistics, and closes the inputs. Idempotent.
+// Close waits for the running kernels and closes the inputs.
+// Idempotent.
 func (p *Partitioned) Close() error {
 	if p.opened {
 		p.opened = false
 		p.chunks.drain()
-		if p.OnStats != nil {
-			p.OnStats(p.stats.finish(p.op, p.Parallelism))
-		}
 	}
 	p.cur.Reset(nil)
 	p.buf, p.pending, p.prev, p.rightRows = nil, nil, nil, nil

@@ -37,14 +37,12 @@ type Sort struct {
 	descs     []bool
 	MemTuples int
 	// Parallelism bounds the worker pool that sorts and writes spill
-	// runs and sorts in-memory chunks. 0 or 1 means sequential. Output
-	// order is identical either way: runs merge in chunk order and the
-	// merge heap breaks ties on run index, so the sort stays stable no
-	// matter which worker finishes first.
+	// runs and sorts in-memory chunks. 0 or 1 means sequential, the
+	// only setting the middleware executor uses. Output order is
+	// identical either way: runs merge in chunk order and the merge
+	// heap breaks ties on run index, so the sort stays stable no matter
+	// which worker finishes first.
 	Parallelism int
-	// OnStats, when set, receives the parallel shape of the sort
-	// (workers, chunks, partition sizes) after Open completes.
-	OnStats func(ParallelStats)
 
 	rows    types.Arena // the run being filled; the in-memory case's rows
 	out     rel.Cursor  // in-memory case
@@ -92,10 +90,9 @@ func (s *Sort) Open() error {
 		s.rows, kept = types.Arena{}, 0 // the spilled rows are the run writer's
 		return err
 	})
-	if err == nil && gen.stats.Partitions == 0 {
+	if err == nil && gen.runCount == 0 {
 		// Pure in-memory sort (chunk-parallel when configured).
-		s.out.Reset(s.sortChunks(s.rows.Rows(), par, &gen.stats))
-		s.report(gen.stats, par)
+		s.out.Reset(s.sortChunks(s.rows.Rows(), par))
 		return nil
 	}
 	if err == nil && kept > 0 {
@@ -112,15 +109,7 @@ func (s *Sort) Open() error {
 		return err
 	}
 	s.merger = m
-	s.report(gen.stats, par)
 	return nil
-}
-
-// report delivers the parallel shape to the OnStats observer.
-func (s *Sort) report(st ParallelStats, par int) {
-	if s.OnStats != nil {
-		s.OnStats(st.finish("Sort^M", par))
-	}
 }
 
 // minParallelSort is the smallest in-memory buffer worth splitting
@@ -131,10 +120,9 @@ const minParallelSort = 4096
 // sorted on the pool and merged stably. Sequential (par <= 1) or small
 // inputs use plain sortBuf. The returned slice holds the sorted tuples
 // (buf itself or a fresh merge output).
-func (s *Sort) sortChunks(buf []types.Tuple, par int, stats *ParallelStats) []types.Tuple {
+func (s *Sort) sortChunks(buf []types.Tuple, par int) []types.Tuple {
 	if par <= 1 || len(buf) < minParallelSort {
 		s.sortBuf(buf)
-		stats.observe(len(buf))
 		return buf
 	}
 	// At most par chunks, so every submit finds a free slot.
@@ -142,7 +130,6 @@ func (s *Sort) sortChunks(buf []types.Tuple, par int, stats *ParallelStats) []ty
 	size := (len(buf) + par - 1) / par
 	for lo := 0; lo < len(buf); lo += size {
 		c := buf[lo:min(lo+size, len(buf))]
-		stats.observe(len(c))
 		sorted.submit(func() ([]types.Tuple, error) { s.sortBuf(c); return c, nil })
 	}
 	var chunks [][]types.Tuple
@@ -231,11 +218,11 @@ func removeRuns(files []*os.File) {
 // runGen writes SORT^M's spill runs on the worker pool and collects
 // them in chunk order, so the merge sees them in input order.
 type runGen struct {
-	sort  *Sort
-	runs  *pool[spillRun]
-	files []*os.File // collected runs, in chunk order
-	bytes int64      // written to the collected runs
-	stats ParallelStats
+	sort     *Sort
+	runs     *pool[spillRun]
+	files    []*os.File // collected runs, in chunk order
+	bytes    int64      // written to the collected runs
+	runCount int        // runs submitted
 }
 
 // spillRun is one written run, or the failure to write it.
@@ -247,7 +234,7 @@ type spillRun struct {
 // spill hands buf to the pool to be sorted and written as the next
 // run. Its error is an earlier run's failure.
 func (g *runGen) spill(buf []types.Tuple) error {
-	g.stats.observe(len(buf))
+	g.runCount++
 	if g.runs.full() {
 		if _, err := g.collect(); err != nil {
 			return err
