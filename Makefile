@@ -100,7 +100,7 @@ load:
 
 # The per-layer row-path micro-benchmarks (rows/s and allocs/op each):
 # the shared sort routine (integer, string and name keys, and 8-row
-# group sorts), a heap scan's page decode at 0, 3, 4 and 8 of
+# sorts), a heap scan's page decode at 0, 3, 4 and 8 of
 # POSITION's columns and at 3 of a 31-column EMPLOYEE-shaped heap's,
 # the engine's scan + project + ORDER BY on integer keys, on a string
 # key and on coalesce's key, its COUNT(*), filter and join scans, and
@@ -111,6 +111,11 @@ load:
 # server cursor's fetches draining a 12k-row filter + projection and an
 # ORDER BY (ns/op, B/op and allocs/op).
 ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch
+
+# XXLBENCH is the middleware operator layer: TAGGR^M's sweep per
+# aggregate kind, the temporal and the regular merge join, and SORT^M in
+# memory and spilling (ns/op, B/op and allocs/op).
+XXLBENCH = TAggrSweep|TJoinOverlap|MergeJoin|SortSpill
 
 # OPTBENCH is the optimizer layer: one Optimize of each paper query
 # (ns/op and allocs/op), so an optimizer regression names its query.
@@ -125,11 +130,13 @@ bench-smoke:
 	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x
 	$(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 1x
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/xxl/ -run '^$$' -bench '$(XXLBENCH)' -benchtime 1x
 	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
 
 # bench-json measures the query benchmarks plus the wire codec
-# benchmarks and the optimizer benchmarks (OPTBENCH, 200 optimizations
-# per query), and archives the parsed numbers — ns/op, B/op,
+# benchmarks, the optimizer benchmarks (OPTBENCH, 200 optimizations
+# per query) and the middleware operators (XXLBENCH, 10 runs each), and
+# archives the parsed numbers — ns/op, B/op,
 # allocs/op, rows/s, and the tracing overhead ratio (Query1Tracing vs
 # Query1; bar <= 5%) — in $(BENCHOUT). 15 iterations per benchmark keeps the overhead ratio
 # above measurement noise on small machines.
@@ -143,6 +150,7 @@ bench-json:
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
 	  $(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 200x; \
 	  $(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 2000x; \
+	  $(GO) test ./internal/xxl/ -run '^$$' -bench '$(XXLBENCH)' -benchtime 10x; \
 	  $(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 20x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)
 
 # tangobench-smoke vets and tests the nested benchmark module, which

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -691,5 +692,28 @@ func TestOrderByOutputAlias(t *testing.T) {
 	r := queryAll(t, db, "SELECT PosID, COUNT(*) AS N FROM POSITION GROUP BY PosID ORDER BY N DESC")
 	if r.Cardinality() != 2 || r.Tuples[0][1].AsInt() != 2 {
 		t.Fatalf("order by alias: %v", r)
+	}
+}
+
+// TestHashJoinMatchesSignedZeros: -0.0 = +0.0 (Compare calls them
+// equal), so the hash join matches them as the nested-loop and merge
+// joins do.
+func TestHashJoinMatchesSignedZeros(t *testing.T) {
+	db := Open(Config{})
+	for _, sql := range []string{
+		"CREATE TABLE L (X FLOAT)", "CREATE TABLE R (Y FLOAT)",
+		"INSERT INTO L VALUES (-0.0)", "INSERT INTO R VALUES (0.0)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("exec %q: %v", sql, err)
+		}
+	}
+	if l := queryAll(t, db, "SELECT X FROM L"); !math.Signbit(l.Tuples[0][0].AsFloat()) {
+		t.Fatalf("L holds %v, want -0", l.Tuples[0][0])
+	}
+	for _, hint := range []string{"", "/*+ USE_NL */", "/*+ USE_MERGE */", "/*+ USE_HASH */"} {
+		if got := queryAll(t, db, "SELECT "+hint+" X, Y FROM L, R WHERE X = Y"); got.Cardinality() != 1 {
+			t.Errorf("join %q: %d rows, want 1", hint, got.Cardinality())
+		}
 	}
 }

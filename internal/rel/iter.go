@@ -63,12 +63,12 @@ func (in *Input) Close() error {
 }
 
 // Reader is the consumer side for code that really takes one row at a
-// time — a merge join advancing one side, a group reader, a coalescing
-// pass: it buffers one batch of its input and hands it out row by row.
-// A row Next returns stays valid until the Next after the one that
-// follows it, so a consumer can always compare the row with the one
-// before: the last row of each batch, which the pull for the next batch
-// may overwrite, is handed out as a copy. Its Close follows Input's
+// time — a merge join advancing one side, a coalescing pass: it
+// buffers one batch of its input and hands it out row by row. A row
+// Next returns stays valid until the Next after the one that follows
+// it, so a consumer can always compare the row with the one before: the
+// last row of each batch, which the pull for the next batch may
+// overwrite, is handed out as a copy. Its Close follows Input's
 // once-per-Open rule.
 type Reader struct {
 	in     Input

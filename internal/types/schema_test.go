@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func testSchema() Schema {
 	return NewSchema(
@@ -160,11 +163,17 @@ func TestPeriodIntersectCommutes(t *testing.T) {
 // floats, dates, strings and NULL — Int(2), Float(2) and Date(2) key
 // alike, NULL never keys as Str("N"), and a string's length keeps a
 // separator byte inside it from shifting the next column.
+// equalityGrid holds values that Equal relates across kinds (2, 2.0 and
+// day 2), that tell apart only in their low bits or last bytes, NULL,
+// and both zeros: Float(-0.0) is a constant expression, hence +0.
+var equalityGrid = []Value{
+	Null, Int(2), Float(2), Date(2), Int(3), Float(2.5), Float(-0.0), Int(0),
+	Int(1 << 60), Int(1<<60 + 1), Str("N"), Str(""), Str("a"), Str("a\x00"), Str("ab"),
+	Float(math.Copysign(0, -1)),
+}
+
 func TestTupleKeyMatchesEqual(t *testing.T) {
-	vals := []Value{
-		Null, Int(2), Float(2), Date(2), Int(3), Float(2.5), Float(-0.0), Int(0),
-		Int(1 << 60), Int(1<<60 + 1), Str("N"), Str(""), Str("a"), Str("a\x00"), Str("ab"),
-	}
+	vals := equalityGrid
 	var tuples []Tuple
 	for _, a := range vals {
 		tuples = append(tuples, Tuple{a})

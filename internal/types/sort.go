@@ -9,8 +9,9 @@ import (
 // SortTuples sorts rows in place by the given key column indexes;
 // desc[i], when provided, reverses key i. The sort is stable and orders
 // values as Compare does. It is the one row sort of the system: SORT^M
-// (which the engine's ORDER BY and merge join run too), TAGGR^M's
-// internal sort and Relation.SortBy all come here.
+// (which the engine's ORDER BY and merge join run too) and
+// Relation.SortBy come here. (TAGGR^M's internal sort orders integer
+// period ends, not rows.)
 func SortTuples(rows []Tuple, keys []int, desc []bool) {
 	if len(rows) < 2 {
 		return
@@ -25,7 +26,7 @@ func SortTuples(rows []Tuple, keys []int, desc []bool) {
 
 // A sort of at most smallKeys keys whose rows × keys is at most
 // smallSort runs the comparator on stack buffers and allocates nothing:
-// TAGGR^M sorts every group, and most groups are a few rows. Below
+// an ORDER BY of a few rows, or the last short run of a SORT^M. Below
 // this size the radix sort's 256-entry count tables and allocations
 // cost more than the comparisons they save.
 const smallSort, smallKeys = 64, 4

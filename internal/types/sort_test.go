@@ -366,7 +366,7 @@ func BenchmarkSortTuples(b *testing.B) {
 		{"mixedkeys", mk(12000, func(i int) Value { return Str(fmt.Sprintf("P%04d", i)) })},
 		// coalesce's key: "First Last" names ahead of a date.
 		{"uisnames", mk(12000, func(i int) Value { return Str(first[i%len(first)] + " " + last[i/len(first)%len(last)]) })},
-		// TAGGR^M's per-group sort: many sorts of 8 rows.
+		// The small-sort path (an ORDER BY of a few rows): many sorts of 8 rows.
 		{"groups8", mk(8, func(i int) Value { return Int(int64(i)) })},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

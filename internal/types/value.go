@@ -302,28 +302,26 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 var hashSeed = maphash.MakeSeed()
 
 // Hash returns a hash of the value consistent with Equal (for hash
-// joins and duplicate elimination).
+// joins and duplicate elimination). Every numeric hashes through its
+// float64, so Int(2), Float(2.0) and Date(2) hash alike, and -0 as +0,
+// matching Compare.
 func (v Value) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
 	switch {
 	case v.kind == KindNull:
-		h.WriteByte(0)
+		return 0
 	case numericKind(v.kind):
-		// Normalize all numerics through float64 so Int(2), Float(2.0)
-		// and Date(2) hash alike, matching Compare.
-		var buf [9]byte
-		buf[0] = 1
-		bits := math.Float64bits(v.AsFloat())
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(bits >> (8 * i))
+		f := v.AsFloat()
+		if f == 0 {
+			f = 0 // -0 equals +0
 		}
-		h.Write(buf[:])
+		// murmur3's 64-bit finalizer
+		x := math.Float64bits(f)
+		x = (x ^ x>>33) * 0xff51afd7ed558ccd
+		x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+		return x ^ x>>33
 	default:
-		h.WriteByte(2)
-		h.WriteString(v.str())
+		return maphash.String(hashSeed, v.str())
 	}
-	return h.Sum64()
 }
 
 // Add returns a+b with numeric promotion. String addition concatenates.

@@ -98,6 +98,18 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 }
 
+// TestHashAgreesWithEqual: values Equal calls equal hash alike, over
+// the grid TestTupleKeyMatchesEqual keys (-0 and +0 included).
+func TestHashAgreesWithEqual(t *testing.T) {
+	for _, a := range equalityGrid {
+		for _, b := range equalityGrid {
+			if Equal(a, b) && a.Hash() != b.Hash() {
+				t.Errorf("Hash(%v) = %#x, Hash(%v) = %#x, but the values are equal", a, a.Hash(), b, b.Hash())
+			}
+		}
+	}
+}
+
 func TestHashDistribution(t *testing.T) {
 	// Not a strict guarantee, but equal values must collide and a
 	// spread of values should not all collide.

@@ -41,6 +41,7 @@ func BenchmarkTAggrSweep(b *testing.B) {
 		{Kind: AggCount}, {Kind: AggSum, Col: 1}, {Kind: AggMax, Col: 1},
 	} {
 		b.Run(string(spec.Kind), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ta := NewTAggr(in.Iter(), []int{0}, 2, 3, []AggSpec{spec}, out)
 				got, err := rel.Drain(ta)
@@ -64,6 +65,7 @@ func BenchmarkSortSpill(b *testing.B) {
 			name = fmt.Sprintf("spill-%d", mem)
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := NewSort(in.Iter(), []int{2})
 				s.MemTuples = mem
@@ -83,6 +85,7 @@ func BenchmarkSortSpill(b *testing.B) {
 func BenchmarkTJoinOverlap(b *testing.B) {
 	l := benchRelation(20000, 500, 1000, 3)
 	r := benchRelation(20000, 500, 1000, 4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tj := NewTJoin(l.Iter(), r.Iter(), []int{0}, []int{0}, 2, 3, 2, 3)
@@ -100,6 +103,7 @@ func BenchmarkTJoinOverlap(b *testing.B) {
 func BenchmarkMergeJoin(b *testing.B) {
 	l := benchRelation(50000, 2000, 100, 5)
 	r := benchRelation(50000, 2000, 100, 6)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mj := NewMergeJoin(l.Iter(), r.Iter(), []int{0}, []int{0})

@@ -1,8 +1,9 @@
 package xxl
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -32,30 +33,52 @@ type AggSpec struct {
 // algorithm internally sorts a second copy of each group on T2 and
 // sweeps both orders like a sort-merge, computing the aggregate values
 // group by group over the constant intervals between event points.
-// Memory use is the groups of one output batch, copied into the
-// operator's arena with their output rows. Order preserving on the
-// grouping attributes.
+//
+// A group is read a batch at a time into typed event arrays: its key,
+// its T1 starts (already in order), its T2 ends and, per aggregate other
+// than COUNT, that column's values, each indexed by the row's position
+// in the group. No input row is kept past its batch. The second copy is
+// the ends' positions sorted on T2; the sweep merges it with the starts
+// into output rows. Memory use is the groups of one output batch, their
+// key and string values and output rows held in the operator's arena;
+// every array and aggregate state is reused across groups and Opens.
+// Order preserving on the grouping attributes.
 type TAggr struct {
-	in      *rel.Reader
+	in      rel.Input
 	groupBy []int
 	t1, t2  int
-	aggs    []AggSpec
+	aggs    []aggRun
 	schema  types.Schema
 
-	out     rel.Cursor  // intervals of the current group
-	nextRow types.Tuple // lookahead into the next group
-	prevRow types.Tuple // order validation
-	inDone  bool
-	opened  bool
-	sortKey []int       // groupBy + T1, for input order validation
-	mem     types.Arena // this batch's groups and output rows
+	buf    []types.Tuple // one input batch
+	pos, n int           // the next unread row of buf, and the batch size
+	inDone bool
+	prev   types.Tuple // the row read last (order validation): in buf, or its copy in last
+	last   types.Arena // the copy of the previous batch's last row
+	opened bool
+
+	// The group being read or swept.
+	key    []types.Value // its grouping values, copied into mem
+	sample types.Value   // Date(0) or Int(0): the kind of its periods
+	starts []int64       // T1 by position, ascending
+	ends   []int64       // T2 by position
+	byEnd  []uint64      // positions in T2 order, packed under the end's offset (sweep)
+	gone   []bool        // positions whose end the sweep has passed
+
+	rows []types.Tuple // the swept group's output
+	out  rel.Cursor    // the rows not yet handed out
+	mem  types.Arena   // this batch's keys, string values and output rows
 }
 
 // NewTAggr creates a temporal aggregation over input columns. The
 // output schema is the group columns, T1, T2, then one column per
 // aggregate; the caller supplies it (derived from the algebra).
 func NewTAggr(in rel.Iterator, groupBy []int, t1, t2 int, aggs []AggSpec, out types.Schema) *TAggr {
-	return &TAggr{in: rel.NewReader(in), groupBy: groupBy, t1: t1, t2: t2, aggs: aggs, schema: out}
+	a := &TAggr{in: rel.In(in), groupBy: groupBy, t1: t1, t2: t2, schema: out}
+	for _, spec := range aggs {
+		a.aggs = append(a.aggs, aggRun{AggSpec: spec})
+	}
+	return a
 }
 
 // Schema returns the output schema.
@@ -66,19 +89,21 @@ func (a *TAggr) Open() error {
 	if err := a.in.Open(); err != nil {
 		return err
 	}
+	if a.buf == nil {
+		a.buf = make([]types.Tuple, rel.DefaultBatchSize)
+	}
+	a.pos, a.n, a.inDone, a.prev = 0, 0, false, nil
 	a.out.Reset(nil)
-	a.nextRow = nil
-	a.prevRow = nil
-	a.inDone = false
 	a.opened = true
-	a.sortKey = append(append([]int{}, a.groupBy...), a.t1)
 	return nil
 }
 
 // Close closes the input.
 func (a *TAggr) Close() error {
 	a.out.Reset(nil)
+	a.prev = nil
 	a.mem.Free()
+	a.last.Free()
 	return a.in.Close()
 }
 
@@ -107,273 +132,255 @@ func (a *TAggr) NextBatch(dst []types.Tuple) (int, error) {
 			n += k
 			continue
 		}
-		group, err := a.readGroup()
+		ok, err := a.readGroup()
 		if err != nil {
 			return 0, err
 		}
-		if group == nil {
+		if !ok {
 			break
 		}
-		a.out.Reset(a.sweep(group))
+		a.out.Reset(a.sweep())
 	}
 	return n, nil
 }
 
-// readGroup collects copies of the next run of input tuples sharing
-// the grouping attribute values (the input is sorted on them). nil
-// means end of input. The lookahead and the row validated against are
-// each the row before the one read next, which the reader keeps valid.
-func (a *TAggr) readGroup() ([]types.Tuple, error) {
-	var group []types.Tuple
-	if a.nextRow != nil {
-		group = append(group, a.mem.Copy(a.nextRow))
-		a.nextRow = nil
+// readGroup reads the next run of input rows sharing the grouping
+// attribute values (the input is sorted on them) into the group's
+// arrays; false means end of input. The first row of the next group
+// stays unread in buf.
+func (a *TAggr) readGroup() (bool, error) {
+	a.starts, a.ends = a.starts[:0], a.ends[:0]
+	for i := range a.aggs {
+		a.aggs[i].vals = a.aggs[i].vals[:0]
 	}
-	for !a.inDone {
-		t, ok, err := a.in.Next()
-		if err != nil {
-			return nil, err
+	for {
+		if a.pos == a.n {
+			if a.inDone {
+				break
+			}
+			if a.prev != nil {
+				a.last.Reset()
+				a.prev = a.last.Copy(a.prev) // the pull may overwrite it
+			}
+			n, err := a.in.NextBatch(a.buf)
+			if err != nil {
+				return false, err
+			}
+			a.pos, a.n, a.inDone = 0, n, n == 0
+			continue
 		}
-		if !ok {
-			a.inDone = true
-			break
+		t := a.buf[a.pos]
+		if a.prev != nil {
+			// The algorithm's contract (§3.4) requires the argument
+			// sorted on the grouping attributes and T1; a violation
+			// means a broken plan, and silent acceptance would produce
+			// wrong aggregates.
+			c := types.CompareTuples(a.prev, t, a.groupBy, nil)
+			if c > 0 || c == 0 && types.Compare(a.prev[a.t1], t[a.t1]) > 0 {
+				return false, errTAggrUnsorted(a.prev, t)
+			}
+			if c != 0 && len(a.starts) > 0 {
+				break
+			}
 		}
-		// The algorithm's contract (§3.4) requires the argument sorted
-		// on the grouping attributes and T1; a violation means a broken
-		// plan, and silent acceptance would produce wrong aggregates.
-		if a.prevRow != nil && types.CompareTuples(a.prevRow, t, a.sortKey, nil) > 0 {
-			return nil, errTAggrUnsorted(a.prevRow, t)
+		if len(a.starts) == 0 {
+			a.key = a.key[:0]
+			for _, g := range a.groupBy {
+				a.key = append(a.key, a.mem.Value(t[g]))
+			}
+			a.sample = coerceTime(t[a.t1], 0)
 		}
-		a.prevRow = t
-		if len(group) > 0 && types.CompareTuples(group[0], t, a.groupBy, nil) != 0 {
-			a.nextRow = t
-			break
+		a.starts = append(a.starts, t[a.t1].AsInt())
+		a.ends = append(a.ends, t[a.t2].AsInt())
+		for i := range a.aggs {
+			if r := &a.aggs[i]; r.Kind != AggCount {
+				r.vals = append(r.vals, a.mem.Value(t[r.Col]))
+			}
 		}
-		group = append(group, a.mem.Copy(t))
+		a.prev = t
+		a.pos++
 	}
-	if len(group) == 0 {
-		return nil, nil
-	}
-	return group, nil
+	return len(a.starts) > 0, nil
 }
 
-// sweep computes the constant intervals for one group. The group
-// arrives sorted by T1; a second copy is sorted by T2 (the paper's
-// internal sort), and the two orders are merged as event streams.
-func (a *TAggr) sweep(group []types.Tuple) []types.Tuple {
-	byEnd := make([]types.Tuple, len(group))
-	copy(byEnd, group)
-	types.SortTuples(byEnd, []int{a.t2}, nil)
-
-	states := make([]aggRun, len(a.aggs))
-	for i, spec := range a.aggs {
-		states[i] = newAggRun(spec)
+// sweep computes the constant intervals of the group read last: it
+// sorts the ends' positions on T2 (among equal ends, in T1 order) and
+// merges them with the starts as two event streams.
+func (a *TAggr) sweep() []types.Tuple {
+	n := len(a.starts)
+	lo, hi := slices.Min(a.ends), slices.Max(a.ends)
+	a.byEnd = a.byEnd[:0]
+	// The key packs the end's offset above the position (a group is far
+	// below 2^32 rows), so one integer sort keeps equal ends in T1 order.
+	if uint64(hi-lo) < 1<<32 {
+		for i, e := range a.ends {
+			a.byEnd = append(a.byEnd, uint64(e-lo)<<32|uint64(i))
+		}
+		slices.Sort(a.byEnd)
+	} else {
+		for i := range a.ends {
+			a.byEnd = append(a.byEnd, uint64(i))
+		}
+		slices.SortStableFunc(a.byEnd, func(x, y uint64) int { return cmp.Compare(a.ends[x], a.ends[y]) })
+	}
+	a.gone = append(a.gone[:0], make([]bool, n)...)
+	for i := range a.aggs {
+		a.aggs[i].reset()
 	}
 
-	timeSample := group[0][a.t1]
-	var out []types.Tuple
-	emit := func(from, to int64, active int) {
-		if from >= to || active == 0 {
-			return
-		}
-		row := a.mem.Make(a.schema.Len())[:0]
-		for _, g := range a.groupBy {
-			row = append(row, group[0][g])
-		}
-		row = append(row, coerceTime(timeSample, from), coerceTime(timeSample, to))
-		for i := range states {
-			row = append(row, states[i].result())
-		}
-		out = append(out, row)
-	}
-
-	si, ei := 0, 0 // cursors into starts (group) and ends (byEnd)
-	active := 0
+	a.rows = a.rows[:0]
+	si, ei, active := 0, 0, 0
 	var prev int64
-	first := true
-	for ei < len(byEnd) {
+	for ei < n {
 		// Next event point: the smaller of next start and next end.
-		var p int64
-		if si < len(group) {
-			s := group[si][a.t1].AsInt()
-			e := byEnd[ei][a.t2].AsInt()
-			if s < e {
-				p = s
-			} else {
-				p = e
-			}
-		} else {
-			p = byEnd[ei][a.t2].AsInt()
+		p := a.ends[uint32(a.byEnd[ei])]
+		if si < n && a.starts[si] < p {
+			p = a.starts[si]
 		}
-		if !first {
-			emit(prev, p, active)
+		if si+ei > 0 { // past the first event point
+			a.emit(prev, p, active)
 		}
 		// Ends at p leave before starts at p arrive (closed-open).
-		for ei < len(byEnd) && byEnd[ei][a.t2].AsInt() == p {
-			for i := range states {
-				states[i].remove(byEnd[ei])
+		for ; ei < n && a.ends[uint32(a.byEnd[ei])] == p; ei++ {
+			pos := int(uint32(a.byEnd[ei]))
+			a.gone[pos] = true
+			for i := range a.aggs {
+				a.aggs[i].remove(pos)
 			}
 			active--
-			ei++
 		}
-		for si < len(group) && group[si][a.t1].AsInt() == p {
-			for i := range states {
-				states[i].add(group[si])
+		for ; si < n && a.starts[si] == p; si++ {
+			for i := range a.aggs {
+				a.aggs[i].add(si, a.gone)
 			}
 			active++
-			si++
 		}
 		prev = p
-		first = false
 	}
-	return out
+	return a.rows
+}
+
+// emit appends the output row of the constant interval [from, to) of
+// the current group, unless it is empty or no row is valid in it.
+func (a *TAggr) emit(from, to int64, active int) {
+	if from >= to || active == 0 {
+		return
+	}
+	row := append(a.mem.Make(a.schema.Len())[:0], a.key...)
+	row = append(row, coerceTime(a.sample, from), coerceTime(a.sample, to))
+	for i := range a.aggs {
+		row = append(row, a.aggs[i].result(active, a.gone))
+	}
+	a.rows = append(a.rows, row)
 }
 
 // --- running aggregates ---
 
-// aggRun maintains one aggregate under tuple arrival and departure.
-type aggRun interface {
-	add(t types.Tuple)
-	remove(t types.Tuple)
-	result() types.Value
-}
+// aggRun maintains one aggregate under arrivals and departures of the
+// group's rows, by position. COUNT is the sweep's active count.
+type aggRun struct {
+	AggSpec
+	vals []types.Value // the group's values of Col, by position (not COUNT)
 
-func newAggRun(spec AggSpec) aggRun {
-	switch spec.Kind {
-	case AggCount:
-		return &countRun{}
-	case AggSum:
-		return &sumRun{col: spec.Col}
-	case AggAvg:
-		return &sumRun{col: spec.Col, avg: true}
-	case AggMin:
-		return newExtremeRun(spec.Col, true)
-	case AggMax:
-		return newExtremeRun(spec.Col, false)
-	default:
-		return &countRun{}
-	}
-}
-
-type countRun struct{ n int64 }
-
-func (c *countRun) add(types.Tuple)     { c.n++ }
-func (c *countRun) remove(types.Tuple)  { c.n-- }
-func (c *countRun) result() types.Value { return types.Int(c.n) }
-
-type sumRun struct {
-	col   int
-	sum   float64
-	isInt bool
-	any   bool
+	sum   float64 // SUM and AVG: the non-NULL values'
 	n     int64
-	avg   bool
+	isInt bool // the first value summed is not a float
+	any   bool
+
+	heap []int // MIN and MAX: positions, the extreme value on top; departed ones are popped lazily
 }
 
-func (s *sumRun) add(t types.Tuple) {
-	v := t[s.col]
-	if v.IsNull() {
-		return
-	}
-	if !s.any {
-		s.isInt = v.Kind() != types.KindFloat
-		s.any = true
-	}
-	s.sum += v.AsFloat()
-	s.n++
+func (r *aggRun) reset() {
+	r.sum, r.n, r.isInt, r.any = 0, 0, false, false
+	r.heap = r.heap[:0]
 }
 
-func (s *sumRun) remove(t types.Tuple) {
-	v := t[s.col]
-	if v.IsNull() {
-		return
-	}
-	s.sum -= v.AsFloat()
-	s.n--
-}
-
-func (s *sumRun) result() types.Value {
-	if s.n == 0 {
-		return types.Null
-	}
-	if s.avg {
-		return types.Float(s.sum / float64(s.n))
-	}
-	if s.isInt {
-		return types.Int(int64(s.sum))
-	}
-	return types.Float(s.sum)
-}
-
-// extremeRun tracks MIN or MAX with a lazy-deletion heap plus a live
-// multiset, giving O(log n) amortized updates during the sweep.
-type extremeRun struct {
-	col  int
-	min  bool
-	h    valueHeap
-	live map[string]int
-}
-
-func newExtremeRun(col int, min bool) *extremeRun {
-	return &extremeRun{col: col, min: min, live: map[string]int{}}
-}
-
-func (e *extremeRun) key(v types.Value) string { return types.Tuple{v}.Key() }
-
-func (e *extremeRun) add(t types.Tuple) {
-	v := t[e.col]
-	if v.IsNull() {
-		return
-	}
-	e.live[e.key(v)]++
-	heap.Push(&e.h, heapVal{v: v, min: e.min})
-}
-
-func (e *extremeRun) remove(t types.Tuple) {
-	v := t[e.col]
-	if v.IsNull() {
-		return
-	}
-	k := e.key(v)
-	if e.live[k] > 0 {
-		e.live[k]--
-		if e.live[k] == 0 {
-			delete(e.live, k)
+// add brings in the row at pos; one whose end the sweep has already
+// passed (an empty or inverted period) never enters MIN or MAX.
+func (r *aggRun) add(pos int, gone []bool) {
+	switch r.Kind {
+	case AggSum, AggAvg:
+		v := r.vals[pos]
+		if v.IsNull() {
+			return
+		}
+		if !r.any {
+			r.isInt = v.Kind() != types.KindFloat
+			r.any = true
+		}
+		r.sum += v.AsFloat()
+		r.n++
+	case AggMin, AggMax:
+		if !r.vals[pos].IsNull() && !gone[pos] {
+			r.push(pos)
 		}
 	}
 }
 
-func (e *extremeRun) result() types.Value {
-	for e.h.Len() > 0 {
-		top := e.h.vals[0]
-		if e.live[e.key(top.v)] > 0 {
-			return top.v
+// remove takes out the row at pos. MIN and MAX leave it in the heap
+// until it surfaces on top (result).
+func (r *aggRun) remove(pos int) {
+	if r.Kind == AggSum || r.Kind == AggAvg {
+		if v := r.vals[pos]; !v.IsNull() {
+			r.sum -= v.AsFloat()
+			r.n--
 		}
-		heap.Pop(&e.h) // lazily discard departed values
 	}
-	return types.Null
 }
 
-type heapVal struct {
-	v   types.Value
-	min bool
-}
-
-type valueHeap struct{ vals []heapVal }
-
-func (h *valueHeap) Len() int { return len(h.vals) }
-func (h *valueHeap) Less(i, j int) bool {
-	if h.vals[i].min {
-		return types.Less(h.vals[i].v, h.vals[j].v)
+func (r *aggRun) result(active int, gone []bool) types.Value {
+	switch r.Kind {
+	case AggSum, AggAvg:
+		switch {
+		case r.n == 0:
+			return types.Null
+		case r.Kind == AggAvg:
+			return types.Float(r.sum / float64(r.n))
+		case r.isInt:
+			return types.Int(int64(r.sum))
+		}
+		return types.Float(r.sum)
+	case AggMin, AggMax:
+		for len(r.heap) > 0 && gone[r.heap[0]] {
+			r.pop()
+		}
+		if len(r.heap) == 0 {
+			return types.Null
+		}
+		return r.vals[r.heap[0]]
 	}
-	return types.Less(h.vals[j].v, h.vals[i].v)
+	return types.Int(int64(active))
 }
-func (h *valueHeap) Swap(i, j int)      { h.vals[i], h.vals[j] = h.vals[j], h.vals[i] }
-func (h *valueHeap) Push(x interface{}) { h.vals = append(h.vals, x.(heapVal)) }
-func (h *valueHeap) Pop() interface{} {
-	old := h.vals
-	n := len(old)
-	v := old[n-1]
-	h.vals = old[:n-1]
-	return v
+
+// above reports whether the value at position i belongs above j's in
+// the heap.
+func (r *aggRun) above(i, j int) bool {
+	c := types.Compare(r.vals[i], r.vals[j])
+	return c < 0 && r.Kind == AggMin || c > 0 && r.Kind == AggMax
+}
+
+func (r *aggRun) push(pos int) {
+	h := append(r.heap, pos)
+	for c := len(h) - 1; c > 0 && r.above(h[c], h[(c-1)/2]); c = (c - 1) / 2 {
+		h[c], h[(c-1)/2] = h[(c-1)/2], h[c]
+	}
+	r.heap = h
+}
+
+func (r *aggRun) pop() {
+	h := r.heap
+	h[0] = h[len(h)-1]
+	h = h[:len(h)-1]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c+1 < len(h) && r.above(h[c+1], h[c]) {
+			c++
+		}
+		if c >= len(h) || !r.above(h[c], h[p]) {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		p = c
+	}
+	r.heap = h
 }
