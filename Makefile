@@ -157,9 +157,12 @@ bench-json:
 # `go build ./...` at the root does not see: it imports the codec, the
 # Value constructors and accessors, the comparison helpers, the xxl
 # constructors and rel.Drain, so a signature change there fails here
-# rather than in the benchmark driver.
+# rather than in a benchmark run. Then one short traced mw_heavy
+# run executes the module's per-layer replay — the only caller of xxl's
+# deprecated partitioned constructors — under its correctness checks.
 tangobench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -workload mw_heavy -seconds 1 -trace 1
 
 # bench-pairs measures the working tree against HEAD the way a
 # performance claim is judged: PAIRS alternated tangobench runs of

@@ -119,9 +119,9 @@ func TestJoinMethodsAgree(t *testing.T) {
 }
 
 // TestNullKeysNeverJoin: a key with a NULL column matches no key, NULL
-// included. xxl's merge and temporal joins, sequential and
-// partitioned, return what the engine's hash join returns, and so does
-// the engine under every join hint, on one key column and on two.
+// included. xxl's merge and temporal joins return what the engine's
+// hash join returns, and so does the engine under every join hint, on
+// one key column and on two.
 func TestNullKeysNeverJoin(t *testing.T) {
 	i, null := types.Int, types.Null
 	mk := func(rows ...types.Tuple) *rel.Relation {
@@ -163,9 +163,7 @@ func TestNullKeysNeverJoin(t *testing.T) {
 			want *rel.Relation
 		}{
 			{"MergeJoin", xxl.NewMergeJoin(sorted(a, keys), sorted(b, keys), keys, keys), join},
-			{"PMergeJoin", xxl.NewPMergeJoin(sorted(a, keys), sorted(b, keys), keys, keys, 2), join},
 			{"TJoin", xxl.NewTJoin(sorted(a, keys), sorted(b, keys), keys, keys, 2, 3, 2, 3), tjoin},
-			{"PTJoin", xxl.NewPTJoin(sorted(a, keys), sorted(b, keys), keys, keys, 2, 3, 2, 3, 2), tjoin},
 		} {
 			got, err := rel.Drain(c.it)
 			if err != nil {

@@ -36,9 +36,9 @@ import (
 // longer copies it into a types.Arena of its own. The keepers are few:
 // the engine's hash-join build, nested-loop input and grouping; Drain;
 // xxl's Sort (which also sorts the engine's ORDER BY and merge-join
-// inputs), Partitioned, TAggr's group keys and string values, the merge
-// joins' key groups, Coalesce's current row and SharedSource (by
-// Drain); the index-key and statistics collectors; and the server
+// inputs), TAggr's group keys and string values, the merge joins' key
+// groups, Coalesce's current row and SharedSource (by Drain); the
+// index-key and statistics collectors; and the server
 // cursor, which gathers several batches into one fetch. Nobody writes
 // to a tuple it did not make: an operator that edits a row, as
 // coalescing does, edits its own copy.

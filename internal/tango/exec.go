@@ -30,9 +30,6 @@ type Executor struct {
 	// Hint pins the DBMS join method in generated SQL (Query 4 uses
 	// this the way the paper uses Oracle hints).
 	Hint string
-	// UseInserts makes TRANSFER^D take the conventional per-row INSERT
-	// path instead of the bulk loader (ablation).
-	UseInserts bool
 	// ShareTransfers enables the §7 refinement: identical T^M
 	// statements within one plan are issued once and their result is
 	// shared by all consumers.
@@ -43,9 +40,9 @@ type Executor struct {
 	// iterator's schema is asserted against the algebra's derivation
 	// afterwards. The bench harness keeps this on for all tests.
 	CheckPlans bool
-	// Parallelism has no effect; the middleware is sequential. It is
-	// kept for the benchmark module, which still sets it, and is
-	// deleted with ROADMAP item 9's replay.
+	// Parallelism has no effect; the middleware is sequential.
+	//
+	// Deprecated: kept only for the benchmark module, which sets it.
 	Parallelism int
 	// SortMemory overrides the middleware sort's in-memory run size in
 	// tuples (the paper's middleware memory budget); 0 keeps
@@ -391,7 +388,6 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 			tdIters = append(tdIters, in)
 			name := e.Conn.TempName()
 			td := NewTransferD(e.Conn, in, name)
-			td.UseInserts = e.UseInserts
 			gen.TempTables[m] = name
 			deps = append(deps, td)
 			e.transfersD = append(e.transfersD, td)

@@ -127,9 +127,6 @@ type TransferD struct {
 
 	ran bool
 	fb  client.Feedback
-	// UseInserts switches to the conventional per-row INSERT path (for
-	// the bulk-load ablation experiment).
-	UseInserts bool
 }
 
 // NewTransferD creates a transfer into the given temp table name.
@@ -148,8 +145,7 @@ func (t *TransferD) Schema() types.Schema { return t.in.Schema() }
 // after the connection's retry budget, Run makes one more full pass
 // under the drop-and-recreate protocol — DROP IF EXISTS, CREATE,
 // re-load — which is safe because the drop discards whatever subset
-// of the first load landed (the per-row INSERT ablation path is not
-// idempotent and is never re-run).
+// of the first load landed.
 func (t *TransferD) Run() error {
 	if t.ran {
 		return nil
@@ -163,7 +159,7 @@ func (t *TransferD) Run() error {
 	defer t.conn.PushTrace(sp)()
 	defer func() { finishTransfer(sp, t.fb) }()
 	err = t.createAndLoad(src)
-	if err != nil && !t.UseInserts && client.Degradable(err) {
+	if err != nil && client.Degradable(err) {
 		if derr := t.conn.DropTable(t.table); derr == nil {
 			err = t.createAndLoad(src)
 		}
@@ -177,11 +173,7 @@ func (t *TransferD) createAndLoad(src *rel.Relation) error {
 		return fmt.Errorf("tango: transfer^D: %w", err)
 	}
 	var err error
-	if t.UseInserts {
-		t.fb, err = t.conn.InsertRows(t.table, src.Tuples)
-	} else {
-		t.fb, err = t.conn.Load(t.table, src.Tuples)
-	}
+	t.fb, err = t.conn.Load(t.table, src.Tuples)
 	if err != nil {
 		return fmt.Errorf("tango: transfer^D: load: %w", err)
 	}

@@ -107,26 +107,34 @@ func (a *Arena) Rows() []Tuple {
 	if c.cur > 0 {
 		n := 0
 		for _, ch := range c.list {
-			n += len(ch)
+			n += len(ch.s)
 		}
 		all := make([]Tuple, 0, n)
 		for _, ch := range c.list {
-			all = append(all, ch...)
+			all = append(all, ch.s...)
 		}
 		c.free(&rowChunks)
-		c.list = [][]Tuple{all}
+		c.list = []chunk[Tuple]{{s: all}}
 	}
 	if len(c.list) == 0 {
 		return nil
 	}
-	return c.list[0]
+	return c.list[0].s
 }
 
 // chunks is an arena's store of one element type: the chunks made so
 // far, filled in order up to the current one.
 type chunks[T any] struct {
-	list [][]T
+	list []chunk[T]
 	cur  int // the chunk being filled
+}
+
+// A chunk is a run of elements and the box that carries it through its
+// class's pool: the box it came out of the pool in, or one made at its
+// first free, so that recycling a chunk allocates nothing.
+type chunk[T any] struct {
+	s   []T
+	box *[]T
 }
 
 // A class sizes the chunks of one element type: the first holds least,
@@ -152,10 +160,10 @@ func (cl *class) pool(size int) *sync.Pool {
 // one big enough, or a new chunk (see class).
 func (c *chunks[T]) take(n int, cl *class) []T {
 	if c.cur < len(c.list) {
-		ch := c.list[c.cur]
-		if l := len(ch); cap(ch)-l >= n {
-			c.list[c.cur] = ch[:l+n]
-			return ch[l : l+n : l+n]
+		ch := &c.list[c.cur]
+		if l := len(ch.s); cap(ch.s)-l >= n {
+			ch.s = ch.s[:l+n]
+			return ch.s[l : l+n : l+n]
 		}
 	}
 	return c.grow(n, cl)
@@ -165,37 +173,38 @@ func (c *chunks[T]) take(n int, cl *class) []T {
 // enough, else a new one, freed by another store if one is waiting.
 func (c *chunks[T]) grow(n int, cl *class) []T {
 	for c.cur++; c.cur < len(c.list); c.cur++ {
-		if ch := c.list[c.cur]; cap(ch) >= n {
-			c.list[c.cur] = ch[:n]
-			return ch[:n:n]
+		if ch := &c.list[c.cur]; cap(ch.s) >= n {
+			ch.s = ch.s[:n]
+			return ch.s[:n:n]
 		}
 	}
 	size := cl.least
 	if len(c.list) > 0 {
-		size = min(2*cap(c.list[len(c.list)-1]), cl.most)
+		size = min(2*cap(c.list[len(c.list)-1].s), cl.most)
 	}
 	for size < n && size < cl.most {
 		size *= 2
 	}
 	size = max(size, n)
-	var ch []T
+	var ch chunk[T]
 	if p := cl.pool(size); p != nil {
 		if f, ok := p.Get().(*[]T); ok {
-			ch = *f
+			ch = chunk[T]{s: *f, box: f}
 		}
 	}
-	if ch == nil {
-		ch = make([]T, 0, size)
+	if ch.s == nil {
+		ch.s = make([]T, 0, size)
 	}
-	c.list = append(c.list, ch[:n])
+	ch.s = ch.s[:n]
+	c.list = append(c.list, ch)
 	c.cur = len(c.list) - 1
-	return ch[:n:n]
+	return ch.s[:n:n]
 }
 
 // reset empties every chunk for reuse.
 func (c *chunks[T]) reset() {
 	for i := range c.list {
-		c.list[i] = c.list[i][:0]
+		c.list[i].s = c.list[i].s[:0]
 	}
 	c.cur = 0
 }
@@ -204,10 +213,13 @@ func (c *chunks[T]) reset() {
 // that no stale row or string outlives its arena there.
 func (c *chunks[T]) free(cl *class) {
 	for _, ch := range c.list {
-		if p := cl.pool(cap(ch)); p != nil {
-			ch = ch[:0]
-			clear(ch[:cap(ch)])
-			p.Put(&ch)
+		if p := cl.pool(cap(ch.s)); p != nil {
+			clear(ch.s[:cap(ch.s)])
+			if ch.box == nil {
+				ch.box = new([]T)
+			}
+			*ch.box = ch.s[:0]
+			p.Put(ch.box)
 		}
 	}
 	*c = chunks[T]{}

@@ -53,15 +53,15 @@ func TestArenaKeepAcrossChunks(t *testing.T) {
 func TestArenaChunkSizes(t *testing.T) {
 	var a Arena
 	a.Make(3)
-	if got := cap(a.vals.list[0]); got != valueChunks.least {
+	if got := cap(a.vals.list[0].s); got != valueChunks.least {
 		t.Fatalf("first chunk holds %d values, want %d", got, valueChunks.least)
 	}
 	for range 20 * valueChunks.most {
 		a.Make(1)
 	}
 	for _, ch := range a.vals.list {
-		if cap(ch) > valueChunks.most {
-			t.Fatalf("chunk of %d values past the cap of %d", cap(ch), valueChunks.most)
+		if cap(ch.s) > valueChunks.most {
+			t.Fatalf("chunk of %d values past the cap of %d", cap(ch.s), valueChunks.most)
 		}
 	}
 	big := a.Make(3 * valueChunks.most)
@@ -144,8 +144,8 @@ func TestDecodeBlockWindows(t *testing.T) {
 				}
 			}
 			for _, ch := range a.vals.list {
-				if cap(ch) > valueChunks.most {
-					t.Fatalf("cols %v where %v: a chunk of %d values", cols, where, cap(ch))
+				if cap(ch.s) > valueChunks.most {
+					t.Fatalf("cols %v where %v: a chunk of %d values", cols, where, cap(ch.s))
 				}
 			}
 		}

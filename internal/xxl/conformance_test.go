@@ -30,24 +30,11 @@ func TestConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := []AggSpec{{Kind: AggCount}}
-	sort := func(mem, par int) func([]rel.Iterator) rel.Iterator {
+	sort := func(mem int) func([]rel.Iterator) rel.Iterator {
 		return func(in []rel.Iterator) rel.Iterator {
 			s := NewSort(in[0], []int{1})
-			s.MemTuples, s.Parallelism = mem, par
+			s.MemTuples = mem
 			return s
-		}
-	}
-	ptaggr := func(par int) func([]rel.Iterator) rel.Iterator {
-		return func(in []rel.Iterator) rel.Iterator {
-			return NewPTAggr(in[0], []int{0}, 1, 2, count, counts.Schema, par)
-		}
-	}
-	pmergejoin := func(par int) func([]rel.Iterator) rel.Iterator {
-		return func(in []rel.Iterator) rel.Iterator { return NewPMergeJoin(in[0], in[1], []int{0}, []int{0}, par) }
-	}
-	ptjoin := func(par int) func([]rel.Iterator) rel.Iterator {
-		return func(in []rel.Iterator) rel.Iterator {
-			return NewPTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2, par)
 		}
 	}
 	one := []*rel.Relation{a}
@@ -66,27 +53,20 @@ func TestConformance(t *testing.T) {
 			Build: func(in []rel.Iterator) rel.Iterator {
 				return NewProject(in[0], []int{2, 0}, itertest.Ints("T2 K").Schema)
 			}},
-		{Name: "Sort", Inputs: one, Want: byT1, Build: sort(DefaultSortMemory, 1)},
-		{Name: "Sort/spill", Inputs: one, Want: byT1, Build: sort(2, 1)},
-		{Name: "Sort/parallel-spill", Inputs: one, Want: byT1, Build: sort(2, 2)},
+		{Name: "Sort", Inputs: one, Want: byT1, Build: sort(DefaultSortMemory)},
+		{Name: "Sort/spill", Inputs: one, Want: byT1, Build: sort(2)},
 		{Name: "SharedReader", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewSharedSource(in[0]).Reader()
 		}},
 		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
 		}},
-		{Name: "PTAggr", Inputs: one, Want: counts, Build: ptaggr(2)},
-		{Name: "PTAggr/par1", Inputs: one, Want: counts, Build: ptaggr(1)},
 		{Name: "MergeJoin", Inputs: two, Want: joined, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewMergeJoin(in[0], in[1], []int{0}, []int{0})
 		}},
-		{Name: "PMergeJoin", Inputs: two, Want: joined, Build: pmergejoin(2)},
-		{Name: "PMergeJoin/par1", Inputs: two, Want: joined, Build: pmergejoin(1)},
 		{Name: "TJoin", Inputs: two, Want: tjoined, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTJoin(in[0], in[1], []int{0}, []int{0}, 1, 2, 1, 2)
 		}},
-		{Name: "PTJoin", Inputs: two, Want: tjoined, Build: ptjoin(2)},
-		{Name: "PTJoin/par1", Inputs: two, Want: tjoined, Build: ptjoin(1)},
 		{Name: "DupElim", Inputs: []*rel.Relation{dups},
 			Want:  itertest.Ints("K V", []int64{1, 2}, []int64{3, 4}, []int64{3, 5}),
 			Build: func(in []rel.Iterator) rel.Iterator { return NewDupElim(in[0]) }},
@@ -132,9 +112,6 @@ func TestConformanceStrings(t *testing.T) {
 			Build: func(in []rel.Iterator) rel.Iterator { return NewSort(in[0], []int{1}) }},
 		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
-		}},
-		{Name: "PTAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
-			return NewPTAggr(in[0], []int{0}, 1, 2, count, counts.Schema, 2)
 		}},
 		{Name: "TJoin", Inputs: two, Want: strRel("K T1 T2 K", []types.Value{s("aa"), i(4), i(5), s("aa")},
 			[]types.Value{s("aa"), i(4), i(8), s("aa")}, []types.Value{s("cc"), i(1), i(2), s("cc")},

@@ -4,9 +4,10 @@
 // temporal aggregation, filtering, projection, duplicate elimination
 // and coalescing. All of them are order preserving, which is what lets
 // the optimizer use list equivalences for middleware-resident plan
-// parts. The package sits below both the middleware and the DBMS
-// substitute — it imports no connection, server or wire code — so the
-// engine's ORDER BY, sort-merge join and DISTINCT run these same
+// parts, and sequential: each runs on its consumer's goroutine, and the
+// package starts none. The package sits below both the middleware and
+// the DBMS substitute — it imports no connection, server or wire code —
+// so the engine's ORDER BY, sort-merge join and DISTINCT run these same
 // operators. The two transfer algorithms, which need a connection,
 // live in package tango.
 package xxl
@@ -27,21 +28,18 @@ import (
 // before spilling a run to disk.
 const DefaultSortMemory = 1 << 17 // 128k tuples
 
-// Sort is SORT^M: an external merge sort. Runs of at most MemTuples
-// tuples, copied into an arena of each run's own, are sorted in memory;
-// larger inputs spill sorted runs to temporary files and merge them
-// with a k-way heap.
+// Sort is SORT^M: an external merge sort. Up to MemTuples tuples are
+// copied into one arena and sorted in memory; larger inputs spill each
+// full arena as a sorted run to a temporary file, reuse the arena for
+// the next run, and merge the runs with a k-way heap.
 type Sort struct {
 	in        rel.Input
 	keys      []int
 	descs     []bool
 	MemTuples int
-	// Parallelism bounds the worker pool that sorts and writes spill
-	// runs and sorts in-memory chunks. 0 or 1 means sequential, the
-	// only setting the middleware executor uses. Output order is
-	// identical either way: runs merge in chunk order and the merge
-	// heap breaks ties on run index, so the sort stays stable no matter
-	// which worker finishes first.
+	// Parallelism has no effect; SORT^M is sequential.
+	//
+	// Deprecated: kept only for the benchmark module, which sets it.
 	Parallelism int
 
 	rows    types.Arena // the run being filled; the in-memory case's rows
@@ -65,20 +63,28 @@ func (s *Sort) Schema() types.Schema { return s.in.Schema() }
 
 // Open materializes and sorts the input, spilling if necessary. The
 // input is closed on every path, and on error any spilled run files
-// are released. With Parallelism > 1, full buffers are sorted and
-// written as runs on the worker pool while the input drain continues,
-// and an in-memory buffer is sorted in chunks on it; the output order
-// is identical to the sequential sort's.
+// are released.
 func (s *Sort) Open() error {
 	if s.MemTuples <= 0 {
 		s.MemTuples = DefaultSortMemory
 	}
-	par := max(s.Parallelism, 1)
 	s.out.Reset(nil)
 	s.merger = nil
 	s.spilled = 0
 
-	gen := runGen{sort: s, runs: newPool[spillRun](par)}
+	var files []*os.File
+	spill := func() error {
+		rows := s.rows.Rows()
+		types.SortTuples(rows, s.keys, s.descs)
+		f, n, err := writeRun(rows)
+		s.rows.Reset() // the next run reuses the arena
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		s.spilled += n
+		return nil
+	}
 	s.rows.Reset()
 	kept := 0
 	err := rel.Each(&s.in, func(t types.Tuple) error {
@@ -86,63 +92,27 @@ func (s *Sort) Open() error {
 			kept++
 			return nil
 		}
-		err := gen.spill(s.rows.Rows())
-		s.rows, kept = types.Arena{}, 0 // the spilled rows are the run writer's
-		return err
+		kept = 0
+		return spill()
 	})
-	if err == nil && gen.runCount == 0 {
-		// Pure in-memory sort (chunk-parallel when configured).
-		s.out.Reset(s.sortChunks(s.rows.Rows(), par))
+	if err == nil && files == nil {
+		rows := s.rows.Rows()
+		types.SortTuples(rows, s.keys, s.descs)
+		s.out.Reset(rows)
 		return nil
 	}
 	if err == nil && kept > 0 {
-		err = gen.spill(s.rows.Rows())
+		err = spill()
 	}
-	files, err := gen.finish(err)
 	if err != nil {
+		removeRuns(files)
+		s.spilled = 0
 		return err
 	}
-	s.spilled = gen.bytes
 	// newRunMerger owns the files now and cleans up on error.
-	m, err := newRunMerger(files, s.keys, s.descs)
-	if err != nil {
-		return err
-	}
-	s.merger = m
-	return nil
+	s.merger, err = newRunMerger(files, s.keys, s.descs)
+	return err
 }
-
-// minParallelSort is the smallest in-memory buffer worth splitting
-// across workers; below it the merge overhead dominates.
-const minParallelSort = 4096
-
-// sortChunks sorts buf with up to par workers: contiguous chunks are
-// sorted on the pool and merged stably. Sequential (par <= 1) or small
-// inputs use plain sortBuf. The returned slice holds the sorted tuples
-// (buf itself or a fresh merge output).
-func (s *Sort) sortChunks(buf []types.Tuple, par int) []types.Tuple {
-	if par <= 1 || len(buf) < minParallelSort {
-		s.sortBuf(buf)
-		return buf
-	}
-	// At most par chunks, so every submit finds a free slot.
-	sorted := newPool[[]types.Tuple](par)
-	size := (len(buf) + par - 1) / par
-	for lo := 0; lo < len(buf); lo += size {
-		c := buf[lo:min(lo+size, len(buf))]
-		sorted.submit(func() ([]types.Tuple, error) { s.sortBuf(c); return c, nil })
-	}
-	var chunks [][]types.Tuple
-	for {
-		c, ok, _ := sorted.take() // sorting cannot fail
-		if !ok {
-			return mergeSortedChunks(chunks, s.keys, s.descs)
-		}
-		chunks = append(chunks, c)
-	}
-}
-
-func (s *Sort) sortBuf(buf []types.Tuple) { types.SortTuples(buf, s.keys, s.descs) }
 
 // SpilledBytes reports the bytes the last Open wrote to spill runs
 // (0 for a fully in-memory sort) — the spill-accounting feed for the
@@ -213,100 +183,6 @@ func removeRuns(files []*os.File) {
 		_ = f.Close()
 		_ = os.Remove(f.Name())
 	}
-}
-
-// runGen writes SORT^M's spill runs on the worker pool and collects
-// them in chunk order, so the merge sees them in input order.
-type runGen struct {
-	sort     *Sort
-	runs     *pool[spillRun]
-	files    []*os.File // collected runs, in chunk order
-	bytes    int64      // written to the collected runs
-	runCount int        // runs submitted
-}
-
-// spillRun is one written run, or the failure to write it.
-type spillRun struct {
-	f     *os.File
-	bytes int64
-}
-
-// spill hands buf to the pool to be sorted and written as the next
-// run. Its error is an earlier run's failure.
-func (g *runGen) spill(buf []types.Tuple) error {
-	g.runCount++
-	if g.runs.full() {
-		if _, err := g.collect(); err != nil {
-			return err
-		}
-	}
-	g.runs.submit(func() (spillRun, error) {
-		g.sort.sortBuf(buf) // reads only immutable keys/descs
-		f, n, err := writeRun(buf)
-		return spillRun{f: f, bytes: n}, err
-	})
-	return nil
-}
-
-// collect takes the oldest run not yet collected; false when none is
-// left.
-func (g *runGen) collect() (bool, error) {
-	r, ok, err := g.runs.take()
-	if r.f != nil {
-		g.files = append(g.files, r.f)
-		g.bytes += r.bytes
-	}
-	return ok, err
-}
-
-// finish collects every run and returns them in chunk order. When err
-// (the caller's) is set or any run failed, it removes them all and
-// returns the first error instead.
-func (g *runGen) finish(err error) ([]*os.File, error) {
-	for {
-		ok, cerr := g.collect()
-		if !ok {
-			break
-		}
-		if err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		removeRuns(g.files)
-		return nil, err
-	}
-	return g.files, nil
-}
-
-// mergeSortedChunks merges sorted contiguous chunks of one underlying
-// buffer into a fresh slice. Ties break on chunk index, which — for
-// chunks split from a single input in order — makes the merge stable.
-func mergeSortedChunks(chunks [][]types.Tuple, keys []int, descs []bool) []types.Tuple {
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]types.Tuple, 0, total)
-	h := &mergeHeap{keys: keys, descs: descs}
-	pos := make([]int, len(chunks))
-	for i, c := range chunks {
-		if len(c) > 0 {
-			h.items = append(h.items, mergeItem{tuple: c[0], src: i})
-			pos[i] = 1
-		}
-	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		top := heap.Pop(h).(mergeItem)
-		out = append(out, top.tuple)
-		src := top.src
-		if p := pos[src]; p < len(chunks[src]) {
-			pos[src]++
-			heap.Push(h, mergeItem{tuple: chunks[src][p], src: src})
-		}
-	}
-	return out
 }
 
 // runReader streams tuples back from a run file, holding one block of

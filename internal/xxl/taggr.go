@@ -108,8 +108,7 @@ func (a *TAggr) Close() error {
 }
 
 // errTAggrUnsorted is the sorted-input contract violation (§3.4) for
-// temporal aggregation; sequential and partitioned TAggr report it
-// identically.
+// temporal aggregation.
 func errTAggrUnsorted(prev, cur types.Tuple) error {
 	return fmt.Errorf("xxl: taggr input not sorted on grouping attributes and T1 (saw %v after %v)", cur, prev)
 }

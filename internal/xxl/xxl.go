@@ -292,7 +292,7 @@ func tjoinSchema(ls, rs types.Schema, rt1, rt2 int) types.Schema {
 }
 
 // errJoinUnsorted is the sorted-input contract violation for merge
-// joins; the partitioned and sequential joins report it identically.
+// joins.
 func errJoinUnsorted(side string) error {
 	return fmt.Errorf("xxl: merge join %s input not sorted on join keys", side)
 }
@@ -482,4 +482,25 @@ func (c *Coalesce) next() (types.Tuple, bool, error) {
 		c.pending, c.owned = t, false
 		return out, true, nil
 	}
+}
+
+// NewPTAggr is NewTAggr; parallelism is ignored.
+//
+// Deprecated: kept only for the benchmark module's replay; use NewTAggr.
+func NewPTAggr(in rel.Iterator, groupBy []int, t1, t2 int, aggs []AggSpec, out types.Schema, parallelism int) *TAggr {
+	return NewTAggr(in, groupBy, t1, t2, aggs, out)
+}
+
+// NewPMergeJoin is NewMergeJoin; parallelism is ignored.
+//
+// Deprecated: kept only for the benchmark module's replay; use NewMergeJoin.
+func NewPMergeJoin(left, right rel.Iterator, lkeys, rkeys []int, parallelism int) *MergeJoin {
+	return NewMergeJoin(left, right, lkeys, rkeys)
+}
+
+// NewPTJoin is NewTJoin; parallelism is ignored.
+//
+// Deprecated: kept only for the benchmark module's replay; use NewTJoin.
+func NewPTJoin(left, right rel.Iterator, lkeys, rkeys []int, lt1, lt2, rt1, rt2 int, parallelism int) *TJoin {
+	return NewTJoin(left, right, lkeys, rkeys, lt1, lt2, rt1, rt2)
 }

@@ -1,8 +1,10 @@
 package xxl
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -230,6 +232,16 @@ func TestTAggrAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+	// An empty input has no intervals.
+	empty := rel.New(types.NewSchema(
+		types.Column{Name: "G", Kind: types.KindInt},
+		types.Column{Name: "T1", Kind: types.KindInt},
+		types.Column{Name: "T2", Kind: types.KindInt},
+	))
+	out := types.NewSchema(append(empty.Schema.Cols, types.Column{Name: "N", Kind: types.KindInt})...)
+	if got, err := rel.Drain(NewTAggr(empty.Iter(), []int{0}, 1, 2, []AggSpec{{Kind: AggCount}}, out)); err != nil || got.Cardinality() != 0 {
+		t.Fatalf("empty input: %v, %v", got, err)
 	}
 }
 
@@ -517,6 +529,52 @@ func TestSortExternalSpill(t *testing.T) {
 	if !rel.EqualAsMultisets(in, got) {
 		t.Error("spilled sort changed the multiset")
 	}
+
+	// Abandoned after a few rows, or failed by its input after runs
+	// were spilled, the sort leaves no run file behind.
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	early := NewSort(in.Iter(), []int{0})
+	early.MemTuples = 1000
+	if err := early.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := early.NextBatch(make([]types.Tuple, 10)); k != 10 || err != nil {
+		t.Fatalf("NextBatch: %d rows, %v", k, err)
+	}
+	if err := early.Close(); err != nil {
+		t.Fatal(err)
+	}
+	failing := NewSort(&failAfter{Iterator: in.Iter(), n: 5000}, []int{0})
+	failing.MemTuples = 1000
+	if err := failing.Open(); !errors.Is(err, errInputFailed) {
+		t.Fatalf("Open over a failing input: %v", err)
+	}
+	if err := failing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("run files left behind: %v (%v)", left, err)
+	}
+}
+
+var errInputFailed = errors.New("xxl_test: input failed")
+
+// failAfter serves its iterator's first n rows in batches, then fails.
+type failAfter struct {
+	rel.Iterator
+	n, served int
+}
+
+func (f *failAfter) Open() error { f.served = 0; return f.Iterator.Open() }
+
+func (f *failAfter) NextBatch(dst []types.Tuple) (int, error) {
+	if f.served >= f.n {
+		return 0, errInputFailed
+	}
+	k, err := f.Iterator.NextBatch(dst[:min(len(dst), f.n-f.served)])
+	f.served += k
+	return k, err
 }
 
 // TestSortMergeHoldsOneBlockPerRun: the external merge reads each
@@ -579,6 +637,23 @@ func TestSortStability(t *testing.T) {
 	if got.Tuples[1][1].AsInt() != 0 || got.Tuples[2][1].AsInt() != 1 || got.Tuples[3][1].AsInt() != 2 {
 		t.Errorf("sort not stable: %v", got)
 	}
+
+	// Stable across spilled runs too: equal keys keep input order.
+	rng := rand.New(rand.NewSource(7))
+	many := rel.New(in.Schema)
+	for i := 0; i < 5000; i++ {
+		many.Append(types.Tuple{types.Int(rng.Int63n(50)), types.Int(int64(i))})
+	}
+	s = NewSort(many.Iter(), []int{0})
+	s.MemTuples = 64
+	if got, err = rel.Drain(s); err != nil {
+		t.Fatal(err)
+	}
+	want := many.Clone()
+	want.SortBy("K", "Seq")
+	if !rel.EqualAsLists(got, want) {
+		t.Error("a spilling sort is not stable across its runs")
+	}
 }
 
 func TestSortDesc(t *testing.T) {
@@ -590,6 +665,30 @@ func TestSortDesc(t *testing.T) {
 	}
 	if got.Tuples[0][0].AsInt() != 3 || got.Tuples[2][0].AsInt() != 1 {
 		t.Errorf("desc sort: %v", got)
+	}
+
+	// A spilling sort, descending on the first of two keys, ascending
+	// on the second.
+	rng := rand.New(rand.NewSource(11))
+	many := rel.New(types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "V", Kind: types.KindString},
+	))
+	for i := 0; i < 8000; i++ {
+		many.Append(types.Tuple{types.Int(rng.Int63n(20)), types.Str(fmt.Sprintf("v%d", rng.Intn(500)))})
+	}
+	s = NewSortDesc(many.Iter(), []int{0, 1}, []bool{true, false})
+	s.MemTuples = 500
+	if got, err = rel.Drain(s); err != nil {
+		t.Fatal(err)
+	}
+	if got.Cardinality() != many.Cardinality() || !rel.EqualAsMultisets(many, got) {
+		t.Fatal("spilled desc sort changed the multiset")
+	}
+	for i := 1; i < got.Cardinality(); i++ {
+		if types.CompareTuples(got.Tuples[i-1], got.Tuples[i], []int{0, 1}, []bool{true, false}) > 0 {
+			t.Fatalf("spilled desc sort out of order at %d: %v then %v", i, got.Tuples[i-1], got.Tuples[i])
+		}
 	}
 }
 
