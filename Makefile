@@ -159,10 +159,14 @@ bench-json:
 # constructors and rel.Drain, so a signature change there fails here
 # rather than in a benchmark run. Then one short traced mw_heavy
 # run executes the module's per-layer replay — the only caller of xxl's
-# deprecated partitioned constructors — under its correctness checks.
+# deprecated partitioned constructors — under its correctness checks,
+# and one short opt_heavy run executes the middleware's cached-metadata
+# path (parse, optimize and SQL generation reading the connection's
+# schema and statistics cache) under the same checks.
 tangobench-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -workload mw_heavy -seconds 1 -trace 1
+	bash benchmark/run.sh -workload opt_heavy -seconds 1
 
 # bench-pairs measures the working tree against HEAD the way a
 # performance claim is judged: PAIRS alternated tangobench runs of

@@ -14,6 +14,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -21,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tango/internal/meta"
 	"tango/internal/rel"
 	"tango/internal/server"
 	"tango/internal/telemetry"
@@ -58,6 +58,10 @@ type Conn struct {
 	// spans under it and carry its trace ID across the wire. Swapped
 	// by PushTrace around each query execution.
 	trace atomic.Pointer[telemetry.Span]
+
+	// meta caches schemas and statistics under the DBMS's metadata
+	// epoch (metacache.go).
+	meta metaCache
 }
 
 // record feeds one completed transfer into the wire metrics. dir is
@@ -143,6 +147,16 @@ func newConn(be Backend) *Conn {
 	}
 }
 
+// call performs one exchange with the session and notes the metadata
+// epoch the reply carried; every operation goes through it.
+func (c *Conn) call(ctx context.Context, req wire.Request) (wire.Reply, error) {
+	rep, err := c.be.call(ctx, req)
+	if err == nil {
+		c.meta.observe(rep.Epoch)
+	}
+	return rep, err
+}
+
 // Close ends the connection's server session; any temp tables the
 // session left behind (a query killed mid-transfer) are
 // garbage-collected server-side.
@@ -172,7 +186,7 @@ func (c *Conn) once(op string, req wire.Request) (wire.Reply, error) {
 	sp := c.TraceSpan().Child(op)
 	start := time.Now()
 	req.TraceHdr = traceHeader(sp)
-	rep, err := c.be.call(c.baseCtx(), req)
+	rep, err := c.call(c.baseCtx(), req)
 	c.observeOp(op, time.Since(start))
 	if err != nil {
 		sp.Set("error_class", errClass(err))
@@ -187,7 +201,7 @@ func (c *Conn) retried(op string, req wire.Request, discard func(wire.Reply)) (w
 	return doVal(c, op, func(sp *telemetry.Span) (wire.Reply, error) {
 		attempt := req // attempts can overlap (one abandoned, one retrying)
 		attempt.TraceHdr = traceHeader(sp)
-		return c.be.call(c.baseCtx(), attempt)
+		return c.call(c.baseCtx(), attempt)
 	}, discard)
 }
 
@@ -209,11 +223,21 @@ func (c *Conn) Exec(sql string) (int64, error) {
 // closed by the reaper. The cursor's fetch attempts are traced under
 // the trace parent active now, whatever the connection's is when they
 // run.
-func (c *Conn) Query(sql string) (*Rows, error) {
+func (c *Conn) Query(sql string) (*Rows, error) { return c.QueryAt(sql, 0) }
+
+// QueryAt is Query for a statement generated from metadata read under
+// epoch (0: unchecked). The server refuses it with
+// server.ErrStaleMetadata once the epoch has moved on, and the refusal
+// empties the metadata cache, so the caller's next plan reads the
+// catalog afresh.
+func (c *Conn) QueryAt(sql string, epoch uint64) (*Rows, error) {
 	start := time.Now()
-	rep, err := c.retried("query", wire.Request{Op: wire.MsgQuery, Name: sql, N: int64(c.Prefetch)},
+	rep, err := c.retried("query", wire.Request{Op: wire.MsgQuery, Name: sql, N: int64(c.Prefetch), Epoch: epoch},
 		func(abandoned wire.Reply) { _ = c.closeCursor(abandoned.Cursor) })
 	if err != nil {
+		if errors.Is(err, server.ErrStaleMetadata) {
+			c.meta.reset()
+		}
 		return nil, err
 	}
 	// Each open cursor pins one MVCC snapshot server-side; attribute it
@@ -225,7 +249,7 @@ func (c *Conn) Query(sql string) (*Rows, error) {
 // closeCursor releases a server cursor. The server treats an unknown
 // cursor as closed, so a repeated close is harmless.
 func (c *Conn) closeCursor(id uint64) error {
-	_, err := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgCloseCursor, Cursor: id})
+	_, err := c.call(c.baseCtx(), wire.Request{Op: wire.MsgCloseCursor, Cursor: id})
 	return err
 }
 
@@ -322,7 +346,7 @@ func (r *Rows) fetchLoop(ctx context.Context, ahead chan<- fetched) {
 func (r *Rows) fetchBatch(ctx context.Context, seq int64) fetched {
 	out, err := doValCtx(r.conn, ctx, r.trace, "fetch", func(sp *telemetry.Span) (fetched, error) {
 		buf := wire.GetBuf()
-		rep, err := r.conn.be.call(ctx, wire.Request{
+		rep, err := r.conn.call(ctx, wire.Request{
 			Op: wire.MsgFetch, TraceHdr: traceHeader(sp), Cursor: r.cur, Seq: seq, Buf: buf,
 		})
 		if rep.Body != nil {
@@ -482,16 +506,16 @@ func (c *Conn) CreateTable(name string, schema types.Schema) error {
 	}
 	err := c.do("create", func(sp *telemetry.Span) error {
 		hdr := traceHeader(sp)
-		if _, derr := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: "DROP TABLE IF EXISTS " + name}); derr != nil {
+		if _, derr := c.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: "DROP TABLE IF EXISTS " + name}); derr != nil {
 			return derr
 		}
-		_, cerr := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: stmt})
+		_, cerr := c.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: stmt})
 		return cerr
 	})
 	if err == nil {
 		// Fire and forget: if the registration is lost, an unresumed
 		// session's temps are collected by the reaper anyway.
-		_, _ = c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgRegisterTemp, Name: name})
+		_, _ = c.call(c.baseCtx(), wire.Request{Op: wire.MsgRegisterTemp, Name: name})
 	}
 	return err
 }
@@ -565,22 +589,9 @@ func (c *Conn) InsertRows(table string, rows []types.Tuple) (Feedback, error) {
 func (c *Conn) DropTable(name string) error {
 	_, err := c.retried("drop", wire.Request{Op: wire.MsgExec, Name: "DROP TABLE IF EXISTS " + name}, nil)
 	if err == nil {
-		_, _ = c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgForgetTemp, Name: name})
+		_, _ = c.call(c.baseCtx(), wire.Request{Op: wire.MsgForgetTemp, Name: name})
 	}
 	return err
-}
-
-// TableStats fetches catalog statistics for the Statistics Collector
-// (read-only, hence retried).
-func (c *Conn) TableStats(table string, histogramBuckets int) (*meta.TableStats, error) {
-	rep, err := c.retried("stats", wire.Request{Op: wire.MsgStats, Name: table, N: int64(histogramBuckets)}, nil)
-	return rep.Stats, err
-}
-
-// TableSchema fetches a table schema.
-func (c *Conn) TableSchema(table string) (types.Schema, error) {
-	rep, err := c.be.call(c.baseCtx(), wire.Request{Op: wire.MsgSchema, Name: table})
-	return rep.Schema, err
 }
 
 // tempCounter numbers transfer temp tables; atomic so concurrent

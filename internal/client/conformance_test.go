@@ -84,6 +84,8 @@ func renderErr(err error) string {
 		return fmt.Sprintf("FaultError{%s %s #%d}", fe.Op, fe.Kind, fe.Index)
 	case errors.Is(err, server.ErrShutdown):
 		return "ErrShutdown"
+	case errors.Is(err, server.ErrStaleMetadata):
+		return "ErrStaleMetadata"
 	default:
 		return err.Error()
 	}
@@ -259,6 +261,12 @@ var conformance = []struct {
 		defer e.srv.EndDrain()
 		return e.ask(wire.Request{Op: wire.MsgQuery, Name: "SELECT K FROM T"})
 	}, "error: ErrShutdown"},
+	{"ErrStaleMetadata", func(e *confEnv) string {
+		// Epoch 1 is the empty catalog's; the script's DDL has moved on.
+		raw := e.ask(wire.Request{Op: wire.MsgQuery, Name: "SELECT K FROM T", Epoch: 1})
+		_, err := e.c.QueryAt("SELECT K FROM T", 1)
+		return fmt.Sprintf("%s | %s | cursors=%d", raw, renderReply(wire.Reply{}, err), e.srv.OpenCursors())
+	}, "error: ErrStaleMetadata | error: ErrStaleMetadata | cursors=0"},
 
 	{"register and forget temp", func(e *confEnv) string {
 		for _, name := range []string{"orphan", "forgotten"} {

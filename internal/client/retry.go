@@ -234,8 +234,14 @@ func errClass(err error) string {
 // Degradable reports whether err is an infrastructure failure the
 // executor may respond to by re-siting the plan (as opposed to a
 // semantic error that would fail on any plan): a resilience-layer
-// OpError whose cause was transient, or a bare wire fault.
+// OpError whose cause was transient, or a bare wire fault. A stale
+// metadata refusal never is: every candidate of the plan's search was
+// costed on the same superseded metadata, so the query is planned
+// again instead.
 func Degradable(err error) bool {
+	if errors.Is(err, server.ErrStaleMetadata) {
+		return false
+	}
 	var oe *OpError
 	if errors.As(err, &oe) {
 		return oe.Timeout || oe.Err == nil || retryable(oe.Err)

@@ -236,6 +236,8 @@ func remoteToError(re wire.RemoteError) error {
 		return &wire.FaultError{Op: re.Op, Kind: re.Kind, Index: re.Index}
 	case wire.CodeShutdown:
 		return fmt.Errorf("%w (%s)", server.ErrShutdown, re.Msg)
+	case wire.CodeStaleMetadata:
+		return fmt.Errorf("%w (%s)", server.ErrStaleMetadata, re.Msg)
 	default:
 		return errors.New(re.Msg)
 	}

@@ -64,12 +64,28 @@ type DB struct {
 
 // catalogVersion is one immutable published state of the database:
 // the commit sequence (the "stats epoch" — it also advances on
-// ANALYZE) and the table set. Table values reached through a version
-// are themselves immutable; a writer clones any table it changes.
+// ANALYZE), the metadata epoch and the table set. Table values reached
+// through a version are themselves immutable; a writer clones any
+// table it changes.
 type catalogVersion struct {
-	seq    uint64
+	seq uint64
+	// meta is the metadata epoch: it advances when a base table's
+	// schema, index set or statistics change (CREATE TABLE, DROP
+	// TABLE, CREATE INDEX, and an ANALYZE that replaces statistics the
+	// table has held), and never on a load or an insert, nor for a
+	// TempPrefix table. A client may keep schemas and statistics read
+	// under one epoch until it moves. A new table's first ANALYZE
+	// leaves it alone: no reader can hold statistics the table never
+	// had (its CREATE advanced the epoch), and the server runs that
+	// ANALYZE inside a statistics read, which must not make stale the
+	// plan it is read for.
+	meta   uint64
 	tables map[string]*Table // keyed by upper-case name
 }
+
+// TempPrefix is the naming prefix of the middleware's transfer temp
+// tables: their DDL and statistics do not advance the metadata epoch.
+const TempPrefix = "TMP_TANGO_"
 
 func (v *catalogVersion) table(name string) (*Table, error) {
 	t, ok := v.tables[key(name)]
@@ -90,6 +106,9 @@ type Table struct {
 	Heap    *storage.HeapFile
 	Indexes map[string]*btree.Tree // keyed by upper-case column name
 	Stats   *meta.TableStats       // nil until ANALYZE
+	// analyzed records that statistics have been published for the
+	// table, even if a load has cleared them since.
+	analyzed bool
 
 	// Visibility bound: rows at rid with rid.Page < pages-1, or
 	// rid.Page == pages-1 and rid.Slot < tailSlots, belong to this
@@ -154,7 +173,7 @@ func OpenWith(store storage.Store, cfg Config) *DB {
 		disk: store,
 		pool: storage.NewBufferPool(store, cfg.BufferPoolPages),
 	}
-	db.cat.Store(&catalogVersion{seq: 1, tables: map[string]*Table{}})
+	db.cat.Store(&catalogVersion{seq: 1, meta: 1, tables: map[string]*Table{}})
 	db.pins.init()
 	return db
 }
@@ -246,13 +265,23 @@ func key(name string) string { return strings.ToUpper(name) }
 // The hook runs before the version becomes loadable, so an observer
 // pinning seq S always finds the history complete through S.
 func (db *DB) publishLocked(tables map[string]*Table, table, op string) uint64 {
-	seq := db.cat.Load().seq + 1
+	cur := db.cat.Load()
+	seq, meta := cur.seq+1, cur.meta
+	k := key(table)
+	changed := op == "create" || op == "drop" || op == "createindex" || op == "analyze" && cur.tables[k].analyzed
+	if changed && !strings.HasPrefix(k, TempPrefix) {
+		meta++
+	}
 	if db.commitHook != nil {
 		db.commitHook(seq, table, op)
 	}
-	db.cat.Store(&catalogVersion{seq: seq, tables: tables})
+	db.cat.Store(&catalogVersion{seq: seq, meta: meta, tables: tables})
 	return seq
 }
+
+// MetaEpoch returns the current metadata epoch (see catalogVersion).
+// Lock-free.
+func (db *DB) MetaEpoch() uint64 { return db.cat.Load().meta }
 
 // CreateTable adds a new empty table.
 func (db *DB) CreateTable(name string, schema types.Schema) (*Table, error) {
@@ -322,6 +351,14 @@ func (db *DB) DropTable(name string, ifExists bool) error {
 // version, or an error. Lock-free.
 func (db *DB) Table(name string) (*Table, error) {
 	return db.cat.Load().table(name)
+}
+
+// TableEpoch is Table plus the metadata epoch of the version it was
+// read from. Lock-free.
+func (db *DB) TableEpoch(name string) (*Table, uint64, error) {
+	v := db.cat.Load()
+	t, err := v.table(name)
+	return t, v.meta, err
 }
 
 // TableNames lists tables of the current published version in sorted
@@ -579,7 +616,7 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 		stats.Columns[strings.ToUpper(col.Name)] = cs
 	}
 	nt := t.clone()
-	nt.Stats = stats
+	nt.Stats, nt.analyzed = stats, true
 	// ANALYZE under wmu sees the whole heap; the published bound moves
 	// with it so statistics and data stay in step.
 	nt.pages, nt.tailSlots = t.Heap.Bound()

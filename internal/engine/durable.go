@@ -61,7 +61,7 @@ func OpenAt(dir string, cfg Config) (*DB, *storage.RecoveryStats, error) {
 		fd:   fd,
 		pool: storage.NewBufferPool(fd, cfg.BufferPoolPages),
 	}
-	db.cat.Store(&catalogVersion{seq: 1, tables: map[string]*Table{}})
+	db.cat.Store(&catalogVersion{seq: 1, meta: 1, tables: map[string]*Table{}})
 	db.pins.init()
 	if err := db.bootstrapCatalog(); err != nil {
 		return nil, stats, err
@@ -140,7 +140,7 @@ func (db *DB) bootstrapCatalog() error {
 		t.pages, t.tailSlots = t.Heap.Bound()
 		tables[key(e.Name)] = t
 	}
-	db.cat.Store(&catalogVersion{seq: 1, tables: tables})
+	db.cat.Store(&catalogVersion{seq: 1, meta: 1, tables: tables})
 	return nil
 }
 

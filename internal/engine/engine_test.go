@@ -715,3 +715,55 @@ func TestHashJoinMatchesSignedZeros(t *testing.T) {
 		}
 	}
 }
+
+// TestMetaEpoch: the metadata epoch moves with a base table's schema,
+// index set and replaced statistics, and with nothing else.
+func TestMetaEpoch(t *testing.T) {
+	db := Open(Config{})
+	epoch := db.MetaEpoch()
+	step := func(what string, moves bool, f func() error) {
+		t.Helper()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want := epoch
+		if moves {
+			want++
+		}
+		if got := db.MetaEpoch(); got != want {
+			t.Fatalf("%s: epoch %d, want %d", what, got, want)
+		}
+		epoch = want
+	}
+	exec := func(sql string) func() error {
+		return func() error { _, err := db.Exec(sql); return err }
+	}
+	step("create", true, exec("CREATE TABLE T (K INTEGER, V VARCHAR(8))"))
+	step("insert", false, exec("INSERT INTO T VALUES (1, 'a'), (2, 'b')"))
+	step("load", false, func() error {
+		return db.BulkLoad("T", []types.Tuple{{types.Int(3), types.Str("c")}})
+	})
+	step("first analyze", false, exec("ANALYZE T"))
+	step("second analyze", true, exec("ANALYZE T"))
+	step("load after analyze", false, func() error {
+		return db.BulkLoad("T", []types.Tuple{{types.Int(4), types.Str("d")}})
+	})
+	step("analyze replacing cleared statistics", true, exec("ANALYZE T"))
+	step("create index", true, exec("CREATE INDEX t_k ON T (K)"))
+	step("temp create", false, exec("CREATE TABLE "+TempPrefix+"1 (K INTEGER)"))
+	step("temp analyze", false, exec("ANALYZE "+TempPrefix+"1"))
+	step("temp analyze again", false, exec("ANALYZE "+TempPrefix+"1"))
+	step("temp drop", false, exec("DROP TABLE "+TempPrefix+"1"))
+
+	snap := db.Snapshot()
+	defer snap.Release()
+	step("drop", true, exec("DROP TABLE T"))
+	if snap.MetaEpoch() != epoch-1 {
+		t.Fatalf("snapshot pinned before the drop reads epoch %d, want %d", snap.MetaEpoch(), epoch-1)
+	}
+	step("recreate", true, exec("CREATE TABLE T (V VARCHAR(8), K INTEGER)"))
+	tbl, at, err := db.TableEpoch("t")
+	if err != nil || at != epoch || tbl.Schema.Cols[0].Name != "V" {
+		t.Fatalf("TableEpoch: %v at %d (%v), want the recreated T at %d", tbl, at, err, epoch)
+	}
+}

@@ -136,6 +136,9 @@ type Snapshot struct {
 // Seq returns the pinned commit sequence.
 func (s *Snapshot) Seq() uint64 { return s.v.seq }
 
+// MetaEpoch returns the pinned version's metadata epoch.
+func (s *Snapshot) MetaEpoch() uint64 { return s.v.meta }
+
 // Table resolves a table inside the snapshot.
 func (s *Snapshot) Table(name string) (*Table, error) { return s.v.table(name) }
 

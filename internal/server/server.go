@@ -64,6 +64,9 @@ type Server struct {
 	// openCursors tracks cursors opened but not yet closed (leak
 	// detection for the chaos harness).
 	openCursors int64
+
+	// requests counts the requests Handle received, by message type.
+	requests [32]atomic.Int64
 }
 
 // loadMark remembers one applied bulk load for duplicate suppression.
@@ -426,21 +429,34 @@ func (s *Server) insert(table string, payload []byte) (int64, error) {
 }
 
 // stats returns catalog statistics, computing them (ANALYZE) if
-// absent. histogramBuckets applies only when statistics are computed.
-func (s *Server) stats(table string, histogramBuckets int) (*meta.TableStats, error) {
-	t, err := s.db.Table(table)
+// absent, and the metadata epoch of the lookup: read before any
+// ANALYZE this call runs, it labels no payload newer than it is.
+// histogramBuckets applies only when statistics are computed.
+func (s *Server) stats(table string, histogramBuckets int) (*meta.TableStats, uint64, error) {
+	t, epoch, err := s.db.TableEpoch(table)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if t.Stats != nil {
-		return t.Stats, nil
+		return t.Stats, epoch, nil
 	}
-	return s.db.Analyze(table, histogramBuckets)
+	st, err := s.db.Analyze(table, histogramBuckets)
+	return st, epoch, err
 }
 
 // Counters reports cumulative traffic for experiments.
 func (s *Server) Counters() (queries, rowsOut, rowsIn int64) {
 	return atomic.LoadInt64(&s.queries), atomic.LoadInt64(&s.rowsOut), atomic.LoadInt64(&s.rowsIn)
+}
+
+// Requests reports how many requests of one message type
+// (wire.MsgExec … wire.MsgForgetTemp) the server's sessions have
+// received, on either transport.
+func (s *Server) Requests(msg byte) int64 {
+	if int(msg) >= len(s.requests) {
+		return 0
+	}
+	return s.requests[msg].Load()
 }
 
 // String describes the server.

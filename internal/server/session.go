@@ -14,18 +14,25 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"tango/internal/engine"
 	"tango/internal/wire"
 )
 
 // TempPrefix is the naming prefix of transfer temp tables; the
-// client's TempName generator and the server's orphan scan agree on
-// it.
-const TempPrefix = "TMP_TANGO_"
+// client's TempName generator, the server's orphan scan and the
+// engine's metadata epoch agree on it.
+const TempPrefix = engine.TempPrefix
+
+// ErrStaleMetadata is the typed refusal of a query whose plan was
+// built under a metadata epoch the DBMS has since left: the client
+// drops what it cached and plans again. Not retryable as it stands.
+var ErrStaleMetadata = errors.New("server: plan built on stale metadata")
 
 // Session is the server-side state of one client connection: its open
 // cursors and the temp tables it created and has not yet dropped.
@@ -73,12 +80,20 @@ func (se *Session) ID() int64 { return se.id }
 // drop for query, insert and stats, which then have no effect at all.
 // The remaining ops are session bookkeeping and are never gated,
 // faulted or traced.
+//
+// Every reply carries the metadata epoch: a schema or statistics read
+// the one its payload was read under, a query the one of its snapshot,
+// and every other op the one after its effect, so a session's own DDL
+// reaches its client's metadata cache at once.
 func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply, err error) {
+	s := se.srv
+	if int(req.Op) < len(s.requests) {
+		s.requests[req.Op].Add(1)
+	}
 	op, statement := wire.MsgOp(req.Op)
 	if !statement {
 		return se.control(req)
 	}
-	s := se.srv
 	if sp := s.beginOp(op.String(), req.TraceHdr); sp != nil {
 		defer func() {
 			if op == wire.OpFetch {
@@ -108,7 +123,7 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 	case wire.OpQuery:
 		// An open statement is live work (its snapshot, its replayable
 		// batch): the admission unit passes to the cursor.
-		return se.open(req.Name, int(req.N), release)
+		return se.open(req.Name, int(req.N), req.Epoch, release)
 	case wire.OpExec:
 		rep.N, err = s.exec(req.Name)
 	case wire.OpFetch:
@@ -118,7 +133,10 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 	case wire.OpInsert:
 		rep.N, err = s.insert(req.Name, req.Body)
 	case wire.OpStats:
-		rep.Stats, err = s.stats(req.Name, int(req.N))
+		rep.Stats, rep.Epoch, err = s.stats(req.Name, int(req.N))
+	}
+	if op != wire.OpStats {
+		rep.Epoch = s.db.MetaEpoch()
 	}
 	release()
 	if err == nil && replyLost {
@@ -134,11 +152,11 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 func (se *Session) control(req wire.Request) (wire.Reply, error) {
 	switch req.Op {
 	case wire.MsgSchema:
-		t, err := se.srv.db.Table(req.Name)
+		t, epoch, err := se.srv.db.TableEpoch(req.Name)
 		if err != nil {
 			return wire.Reply{}, err
 		}
-		return wire.Reply{Schema: t.Schema}, nil
+		return wire.Reply{Schema: t.Schema, Epoch: epoch}, nil
 	case wire.MsgRegisterTemp:
 		se.mu.Lock()
 		if !se.closed {
@@ -161,25 +179,33 @@ func (se *Session) control(req wire.Request) (wire.Reply, error) {
 		}
 	case wire.MsgCloseSession:
 		n, err := se.Close()
-		return wire.Reply{N: int64(n)}, err
+		return wire.Reply{N: int64(n), Epoch: se.srv.db.MetaEpoch()}, err
 	default:
 		return wire.Reply{}, fmt.Errorf("server: unexpected message %s", wire.MsgName(req.Op))
 	}
-	return wire.Reply{}, nil
+	return wire.Reply{Epoch: se.srv.db.MetaEpoch()}, nil
 }
 
 // open plans and opens a SELECT and enters its cursor in the session's
 // table. The cursor pins the commit sequence current at open, so its
 // batches stream one consistent state no matter what other sessions
 // commit or load meanwhile, and takes over the admission unit; both
-// are released when it closes (or here, on failure).
-func (se *Session) open(sql string, prefetch int, release func()) (wire.Reply, error) {
+// are released when it closes (or here, on failure). A nonzero epoch
+// is the metadata epoch the query's plan was built under: a snapshot
+// at another one refuses the query with ErrStaleMetadata.
+func (se *Session) open(sql string, prefetch int, epoch uint64, release func()) (wire.Reply, error) {
 	s := se.srv
 	grow := prefetch <= 0
 	if grow {
 		prefetch = wire.DefaultPrefetch
 	}
 	snap := s.db.Snapshot()
+	if epoch != 0 && epoch != snap.MetaEpoch() {
+		at := snap.MetaEpoch()
+		snap.Release()
+		release()
+		return wire.Reply{}, fmt.Errorf("%w: plan read under metadata epoch %d, catalog at %d", ErrStaleMetadata, epoch, at)
+	}
 	it, err := snap.Query(sql)
 	if err == nil {
 		if err = it.Open(); err != nil {
@@ -205,7 +231,7 @@ func (se *Session) open(sql string, prefetch int, release func()) (wire.Reply, e
 	cur.id = se.nextCursor
 	se.cursors[cur.id] = cur
 	se.mu.Unlock()
-	return wire.Reply{Cursor: cur.id, Schema: it.Schema()}, nil
+	return wire.Reply{Cursor: cur.id, Schema: it.Schema(), Epoch: snap.MetaEpoch()}, nil
 }
 
 // fetch serves one FETCH from the session's cursor table and records

@@ -320,6 +320,9 @@ func toRemoteError(err error) wire.RemoteError {
 	if errors.Is(err, ErrShutdown) || errors.Is(err, context.Canceled) {
 		return wire.RemoteError{Code: wire.CodeShutdown, Msg: err.Error()}
 	}
+	if errors.Is(err, ErrStaleMetadata) {
+		return wire.RemoteError{Code: wire.CodeStaleMetadata, Msg: err.Error()}
+	}
 	return wire.RemoteError{Code: wire.CodeGeneric, Msg: err.Error()}
 }
 

@@ -24,6 +24,19 @@ type Source interface {
 	TableStats(table string, histogramBuckets int) (*meta.TableStats, error)
 }
 
+// EpochSource is a Source whose reads also name the DBMS metadata
+// epoch they were made under (client.Conn).
+type EpochSource interface {
+	TableStatsAt(table string, histogramBuckets int) (*meta.TableStats, uint64, error)
+}
+
+// EpochCatalog is a Catalog whose reads also name the DBMS metadata
+// epoch they were made under (client.Conn and the middleware's
+// catalog over it).
+type EpochCatalog interface {
+	TableSchemaAt(name string) (types.Schema, uint64, error)
+}
+
 // Mode selects the temporal selectivity technique.
 type Mode int
 
@@ -66,8 +79,10 @@ func (s *RelStats) Col(name string) *meta.ColumnStats {
 }
 
 // Estimator derives statistics for algebra plans. It keeps nothing
-// between calls: every Estimate and every Snapshot reads the catalog's
-// statistics as they are then (ANALYZE between two calls is seen).
+// between calls: every Estimate and every Snapshot asks its Source and
+// Cat again. Freshness is theirs to keep: the connection answers from
+// a cache that holds for one DBMS metadata epoch, which ANALYZE and DDL
+// advance, so ANALYZE between two calls is seen.
 type Estimator struct {
 	Cat    algebra.Catalog
 	Source Source
@@ -95,6 +110,7 @@ type Snapshot struct {
 	e       *Estimator
 	schemas map[string]types.Schema
 	tables  map[string]*meta.TableStats
+	epoch   uint64 // the oldest metadata epoch a read was made under; 0: none
 }
 
 // Snapshot starts an empty view of the catalog.
@@ -102,25 +118,48 @@ func (e *Estimator) Snapshot() *Snapshot {
 	return &Snapshot{e: e, schemas: map[string]types.Schema{}, tables: map[string]*meta.TableStats{}}
 }
 
+// Epoch returns the oldest DBMS metadata epoch any of the view's reads
+// was made under: a plan built from the view is valid while the DBMS
+// is at that epoch. 0 means no read named one (a catalog and a source
+// that are not EpochCatalog and EpochSource), and the plan is not
+// checked.
+func (s *Snapshot) Epoch() uint64 { return s.epoch }
+
 // TableSchema returns the base table's schema, fetched once.
 func (s *Snapshot) TableSchema(name string) (types.Schema, error) {
-	return once(s.schemas, name, func() (types.Schema, error) { return s.e.Cat.TableSchema(name) })
+	return once(s, s.schemas, name, func() (types.Schema, uint64, error) {
+		if ec, ok := s.e.Cat.(EpochCatalog); ok {
+			return ec.TableSchemaAt(name)
+		}
+		sch, err := s.e.Cat.TableSchema(name)
+		return sch, 0, err
+	})
 }
 
 func (s *Snapshot) tableStats(name string) (*meta.TableStats, error) {
-	return once(s.tables, name, func() (*meta.TableStats, error) { return s.e.Source.TableStats(name, s.e.HistogramBuckets) })
+	return once(s, s.tables, name, func() (*meta.TableStats, uint64, error) {
+		if es, ok := s.e.Source.(EpochSource); ok {
+			return es.TableStatsAt(name, s.e.HistogramBuckets)
+		}
+		st, err := s.e.Source.TableStats(name, s.e.HistogramBuckets)
+		return st, 0, err
+	})
 }
 
 // once returns the cached value for a table name, fetching it on first
-// use (errors are not cached).
-func once[T any](cache map[string]T, name string, fetch func() (T, error)) (T, error) {
+// use (errors are not cached) and keeping the oldest epoch of the
+// view's reads.
+func once[T any](s *Snapshot, cache map[string]T, name string, fetch func() (T, uint64, error)) (T, error) {
 	k := strings.ToUpper(name)
 	if v, ok := cache[k]; ok {
 		return v, nil
 	}
-	v, err := fetch()
+	v, epoch, err := fetch()
 	if err == nil {
 		cache[k] = v
+		if epoch != 0 && (s.epoch == 0 || epoch < s.epoch) {
+			s.epoch = epoch
+		}
 	}
 	return v, err
 }

@@ -12,6 +12,7 @@ import (
 	"tango/internal/planck"
 	"tango/internal/rel"
 	"tango/internal/sqlgen"
+	"tango/internal/stats"
 	"tango/internal/storage"
 	"tango/internal/telemetry"
 	"tango/internal/types"
@@ -69,6 +70,9 @@ type Executor struct {
 	// per-session accounting carry the query's redo volume.
 	WALProbe func() (int64, int64)
 
+	// view is the catalog Build reads through: Cat when it is an
+	// optimizer's snapshot, else a fresh snapshot over Cat.
+	view       *stats.Snapshot
 	transfersM []*TransferM
 	transfersD []*TransferD
 	shared     map[string]*xxl.SharedSource
@@ -78,6 +82,9 @@ type Executor struct {
 
 // Build compiles the plan into an iterator. The plan root must be
 // middleware-resident (a complete plan always has a T^M at its root).
+// Every T^M opens its cursor under the oldest metadata epoch the plan
+// was read under — the optimizer's, when Cat is its snapshot — so the
+// DBMS refuses a plan whose metadata it has since changed.
 func (e *Executor) Build(plan *algebra.Node) (rel.Iterator, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -85,8 +92,12 @@ func (e *Executor) Build(plan *algebra.Node) (rel.Iterator, error) {
 	if plan.Loc() != algebra.LocMW {
 		return nil, fmt.Errorf("tango: plan root must be middleware-resident (add a T^M)")
 	}
+	var ok bool
+	if e.view, ok = e.Cat.(*stats.Snapshot); !ok {
+		e.view = (&stats.Estimator{Cat: e.Cat}).Snapshot()
+	}
 	if e.CheckPlans {
-		if err := planck.Check(plan, e.Cat); err != nil {
+		if err := planck.Check(plan, e.view); err != nil {
 			return nil, fmt.Errorf("tango: plan check before build: %w", err)
 		}
 	}
@@ -99,8 +110,11 @@ func (e *Executor) Build(plan *algebra.Node) (rel.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, t := range e.transfersM {
+		t.epoch = e.view.Epoch()
+	}
 	if e.CheckPlans {
-		if cerr := planck.CheckIterator(plan, e.Cat, it.Schema()); cerr != nil {
+		if cerr := planck.CheckIterator(plan, e.view, it.Schema()); cerr != nil {
 			_ = it.Close() // not yet opened; release eagerly-built state
 			return nil, fmt.Errorf("tango: plan check after build: %w", cerr)
 		}
@@ -250,7 +264,7 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 			return nil, err
 		}
 		inSchema := in.Schema()
-		outSchema, err := n.Schema(e.Cat)
+		outSchema, err := n.Schema(e.view)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +336,7 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 		if t1 < 0 || t2 < 0 {
 			return nil, fmt.Errorf("tango: taggr input lacks T1/T2: %v", inSchema.Names())
 		}
-		outSchema, err := n.Schema(e.Cat)
+		outSchema, err := n.Schema(e.view)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +381,7 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 // buildTM translates the DBMS subtree under a T^M to SQL, wiring in
 // TRANSFER^D dependencies for any middleware-resident islands below.
 func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
-	gen := &sqlgen.Gen{Cat: e.Cat, TempTables: map[*algebra.Node]string{}, Hint: e.Hint}
+	gen := &sqlgen.Gen{Cat: e.view, TempTables: map[*algebra.Node]string{}, Hint: e.Hint}
 	var deps []*TransferD
 	var tdIters []rel.Iterator
 	// Find T^D nodes in the DBMS region (stop descending at them).
@@ -405,7 +419,7 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	schema, err := n.Schema(e.Cat)
+	schema, err := n.Schema(e.view)
 	if err != nil {
 		return nil, err
 	}
@@ -451,4 +465,10 @@ type ConnCatalog struct{ Conn *client.Conn }
 // TableSchema fetches a base-table schema from the DBMS.
 func (c ConnCatalog) TableSchema(name string) (types.Schema, error) {
 	return c.Conn.TableSchema(name)
+}
+
+// TableSchemaAt is TableSchema plus the metadata epoch the schema was
+// read under (stats.EpochCatalog).
+func (c ConnCatalog) TableSchemaAt(name string) (types.Schema, uint64, error) {
+	return c.Conn.TableSchemaAt(name)
 }

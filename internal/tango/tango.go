@@ -1,6 +1,7 @@
 package tango
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -325,20 +326,38 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 // traced (optimize → build → execute → transfers); LastTrace returns
 // the span tree. When the winning plan dies of a transient
 // infrastructure failure, Run degrades gracefully by re-siting the
-// query onto a fallback candidate (see runWithFallback).
+// query onto a fallback candidate (see runWithFallback); when the DBMS
+// refuses it as built on stale metadata, Run plans once more.
 func (m *Middleware) Run(initial *algebra.Node) (out *rel.Relation, res *optimizer.Result, err error) {
 	root := telemetry.NewSpan("query")
 	pop := m.Conn.PushTrace(root)
 	defer func() { pop(); m.finish(root, planLabel(initial), err) }()
-	res, _, err = m.timedOptimize(initial, root)
-	if err != nil {
-		return nil, nil, err
+	res, out, _, err = m.optimizeAndRun(initial, root, false)
+	return out, res, err
+}
+
+// optimizeAndRun optimizes initial and executes the winner. A plan the
+// DBMS refuses because its metadata epoch has moved on (the refusal
+// has emptied the connection's metadata cache) is optimized once more
+// from fresh metadata; the re-plan is a "replan" child of root and
+// bumps tango_plan_replans_total.
+func (m *Middleware) optimizeAndRun(initial *algebra.Node, root *telemetry.Span, analyze bool) (*optimizer.Result, *rel.Relation, *Executor, error) {
+	for replanned := false; ; replanned = true {
+		res, _, err := m.timedOptimize(initial, root)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		out, ex, err := m.executeResult(res, root, analyze)
+		if err == nil || replanned || !errors.Is(err, server.ErrStaleMetadata) {
+			return res, out, ex, err
+		}
+		sp := root.Child("replan")
+		sp.Set("cause", err.Error())
+		sp.Finish()
+		if m.Metrics != nil {
+			m.Metrics.Counter("tango_plan_replans_total", nil).Inc()
+		}
 	}
-	out, err = m.ExecuteResult(res, root)
-	if err != nil {
-		return nil, res, err
-	}
-	return out, res, nil
 }
 
 // ExecuteResult executes an optimizer result under the given trace
@@ -347,19 +366,26 @@ func (m *Middleware) Run(initial *algebra.Node) (out *rel.Relation, res *optimiz
 // winning execution back into the cost model. Exposed so harnesses can
 // drive the degradation path with synthetic candidate lists.
 func (m *Middleware) ExecuteResult(res *optimizer.Result, root *telemetry.Span) (*rel.Relation, error) {
+	out, _, err := m.executeResult(res, root, false)
+	return out, err
+}
+
+// executeResult is ExecuteResult, also returning the executor whose run
+// produced the result; analyze forces per-operator instrumentation.
+func (m *Middleware) executeResult(res *optimizer.Result, root *telemetry.Span, analyze bool) (*rel.Relation, *Executor, error) {
 	cat := res.Catalog
 	if cat == nil { // a result built by hand rather than by Optimize
 		cat = m.Est.Snapshot()
 	}
-	out, ex, err := m.runWithFallback(res, cat, root, false)
+	out, ex, err := m.runWithFallback(res, cat, root, analyze)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.absorb(ex, cat, root)
 	m.mu.Lock()
 	m.lastStats = ex.ExecStats()
 	m.mu.Unlock()
-	return out, nil
+	return out, ex, nil
 }
 
 // LastTrace returns the span tree of the most recent
@@ -418,22 +444,12 @@ func (m *Middleware) Explain(initial *algebra.Node) (string, error) {
 func (m *Middleware) ExplainAnalyze(initial *algebra.Node) (string, *rel.Relation, error) {
 	root := telemetry.NewSpan("query")
 	pop := m.Conn.PushTrace(root)
-	res, _, err := m.timedOptimize(initial, root)
-	if err != nil {
-		pop()
-		m.finish(root, planLabel(initial), err)
-		return "", nil, err
-	}
-	out, ex, err := m.runWithFallback(res, res.Catalog, root, true)
+	res, out, ex, err := m.optimizeAndRun(initial, root, true)
 	pop()
 	if err != nil {
 		m.finish(root, planLabel(initial), err)
 		return "", nil, err
 	}
-	m.absorb(ex, res.Catalog, root)
-	m.mu.Lock()
-	m.lastStats = ex.ExecStats()
-	m.mu.Unlock()
 	// Finish (and stitch) before rendering so the report shows the
 	// remote spans and the settled root duration.
 	m.finish(root, planLabel(initial), nil)

@@ -288,7 +288,10 @@ func (c *countingCatalog) TableStats(name string, buckets int) (*meta.TableStats
 // TestQueryReadsCatalogOnce: one query — optimization, plan checks,
 // build, execution and the Q-error feedback — fetches each base
 // table's schema and statistics once, all through the optimizer's
-// view of the catalog, and the next query fetches them afresh.
+// view of the catalog, and the next query's view asks again. Whether
+// that reaches the DBMS is the connection's business: it answers from
+// its metadata cache until the DBMS's metadata epoch moves
+// (TestMetadataFetchedOncePerEpoch).
 func TestQueryReadsCatalogOnce(t *testing.T) {
 	mw := Open(server.New(engine.Open(engine.Config{}), wire.Latency{}),
 		Options{HistogramBuckets: 8, Metrics: telemetry.NewRegistry(), CheckPlans: true})

@@ -19,6 +19,7 @@ type TransferM struct {
 	sql    string
 	schema types.Schema
 	deps   []*TransferD
+	epoch  uint64 // the metadata epoch the plan was read under (0: unchecked)
 
 	rows *client.Rows
 	fb   client.Feedback
@@ -41,6 +42,8 @@ func (t *TransferM) SQL() string { return t.sql }
 // Open runs dependency loads, then opens the server-side cursor under
 // a "transfer" span of the connection's trace parent, so the cursor's
 // query and fetch attempts nest inside the transfer that issued them.
+// The cursor is opened under the plan's metadata epoch, which the DBMS
+// checks (client.Conn.QueryAt).
 func (t *TransferM) Open() error {
 	for _, d := range t.deps {
 		if err := d.Run(); err != nil {
@@ -49,7 +52,7 @@ func (t *TransferM) Open() error {
 	}
 	t.span = t.conn.TraceSpan().Child("transfer")
 	pop := t.conn.PushTrace(t.span)
-	rows, err := t.conn.Query(t.sql)
+	rows, err := t.conn.QueryAt(t.sql, t.epoch)
 	pop()
 	if err != nil {
 		finishTransfer(t.span, client.Feedback{SQL: t.sql})

@@ -33,9 +33,10 @@ import (
 // Version 2 replaced the per-message payload layouts of version 1 with
 // the one request/reply envelope of request.go; version 3 ships batches
 // and statistics min/max as columnar blocks (types.AppendBlock) instead
-// of row records. A peer at another version is refused at the handshake
-// with ErrBadHandshake.
-const ProtocolVersion = 3
+// of row records; version 4 adds the metadata epoch to the request and
+// the reply envelope. A peer at another version is refused at the
+// handshake with ErrBadHandshake.
+const ProtocolVersion = 4
 
 // Magic opens every MsgHello payload, so a server can reject a
 // non-TANGO peer on the first frame instead of mis-parsing garbage.
@@ -348,6 +349,9 @@ const (
 	// CodeShutdown is a statement rejected or canceled because the
 	// server is draining.
 	CodeShutdown
+	// CodeStaleMetadata is a query refused because its plan was built
+	// under a metadata epoch the DBMS has since left.
+	CodeStaleMetadata
 )
 
 // RemoteError is the decoded form of a MsgErr payload.
@@ -368,6 +372,8 @@ func (e *RemoteError) Error() string {
 		return fmt.Sprintf("wire: server overloaded (retry after %v): %s", e.Backoff, e.Msg)
 	case CodeShutdown:
 		return "wire: server shutting down: " + e.Msg
+	case CodeStaleMetadata:
+		return "wire: stale metadata: " + e.Msg
 	default:
 		return e.Msg
 	}

@@ -113,6 +113,9 @@ func TestHello(t *testing.T) {
 	if _, err := CheckHello([]byte(Magic + "\x02")); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("version 2 hello: %v", err)
 	}
+	if _, err := CheckHello([]byte(Magic + "\x03")); !errors.Is(err, ErrBadHandshake) {
+		t.Fatalf("version 3 hello: %v", err)
+	}
 }
 
 // TestRemoteErrorRoundTrip: every error code survives the MsgErr
@@ -123,6 +126,7 @@ func TestRemoteErrorRoundTrip(t *testing.T) {
 		{Code: CodeOverloaded, Msg: "queue full", Backoff: 5 * time.Millisecond, Queue: 17},
 		{Code: CodeFault, Msg: "injected", Op: OpFetch, Kind: KindDrop, Index: 3},
 		{Code: CodeShutdown, Msg: "draining"},
+		{Code: CodeStaleMetadata, Msg: "plan read under metadata epoch 3, catalog at 5"},
 		{Code: CodeGeneric, Msg: ""},
 	}
 	for _, e := range cases {

@@ -103,6 +103,8 @@ func FuzzDecodeFrame(f *testing.F) {
 var codecSeedRequests = []Request{
 	{Op: MsgExec, Name: "CREATE TABLE T (K INTEGER, V VARCHAR(20))"},
 	{Op: MsgQuery, Name: "SELECT K, V FROM T ORDER BY K", N: 2, TraceHdr: AppendHeader(nil, Header{TraceID: 7, SpanID: 9})},
+	{Op: MsgQuery, Name: "SELECT K FROM T", Epoch: 1},
+	{Op: MsgQuery, Name: "SELECT K FROM T", Epoch: 300},
 	{Op: MsgFetch, Cursor: 1, Seq: 1},
 	{Op: MsgFetch, Cursor: 1, Seq: 4},
 	{Op: MsgCloseCursor, Cursor: 1},
@@ -165,6 +167,10 @@ func FuzzDecodeReply(f *testing.F) {
 		{EOS: true},
 		{Stats: stats},
 		{Schema: schema},
+		{Epoch: 1},
+		{Cursor: 2, Epoch: 300, Schema: schema},
+		{Epoch: 17, Stats: stats},
+		{Epoch: 1 << 40, Body: EncodeBatch(nil, []types.Tuple{{types.Int(1)}})},
 	} {
 		enc := AppendReply(nil, r)
 		f.Add(enc)

@@ -4,12 +4,13 @@
 // handed to server.Session.Handle in process. This file is the only
 // place the per-op payload layouts live.
 //
-// Request payload (protocol version 2), the same for every op:
+// Request payload (protocol version 4), the same for every op:
 //
 //	trace header  uvarint length + AppendHeader bytes (empty = untraced)
 //	cursor        uvarint
 //	seq           varint
 //	n             varint
+//	epoch         uvarint
 //	name          uvarint length + bytes
 //	body          the rest of the payload
 //
@@ -18,7 +19,11 @@
 //	MsgExec          name = SQL text                      → Reply.N rows affected
 //	MsgQuery         name = SQL text, n = rows per fetch  → Reply.Cursor, Reply.Schema
 //	                 (0 = sized by bytes: DefaultPrefetch
-//	                 rows first, growing toward 64 KiB)
+//	                 rows first, growing toward 64 KiB),
+//	                 epoch = the metadata epoch the plan
+//	                 was built under (0 = unchecked; a
+//	                 stale one is refused with
+//	                 CodeStaleMetadata)
 //	MsgFetch         cursor, seq = 1-based batch number   → Reply.Body batch, or Reply.EOS
 //	                 (0 = the next one)
 //	MsgCloseCursor   cursor                               → empty reply
@@ -36,6 +41,9 @@
 //	flags   byte: 1 = end of stream, 2 = schema follows, 4 = stats follow
 //	n       varint
 //	cursor  uvarint
+//	epoch   uvarint: the DBMS metadata epoch — for a schema or stats
+//	        read the one the payload was read under, otherwise the
+//	        one after the op
 //	schema  EncodeSchema, when flagged
 //	then    AppendTableStats to the end of the payload when flagged,
 //	        otherwise the body (a fetch's EncodeBatch) to the end
@@ -59,8 +67,11 @@ type Request struct {
 	Cursor   uint64
 	Seq      int64
 	N        int64
-	Name     string
-	Body     []byte
+	// Epoch is the metadata epoch a MsgQuery's plan was built under;
+	// 0 leaves the query unchecked.
+	Epoch uint64
+	Name  string
+	Body  []byte
 	// Buf is caller-owned scratch the reply Body is encoded into, so
 	// the caller decides when that memory is reused. It never crosses
 	// the wire.
@@ -72,6 +83,8 @@ type Reply struct {
 	N      int64
 	Cursor uint64
 	EOS    bool
+	// Epoch is the server's metadata epoch (see the reply layout).
+	Epoch  uint64
 	Schema types.Schema
 	Stats  *meta.TableStats
 	Body   []byte
@@ -90,6 +103,7 @@ func AppendRequest(dst []byte, r Request) []byte {
 	dst = binary.AppendUvarint(dst, r.Cursor)
 	dst = binary.AppendVarint(dst, r.Seq)
 	dst = binary.AppendVarint(dst, r.N)
+	dst = binary.AppendUvarint(dst, r.Epoch)
 	dst = AppendString(dst, r.Name)
 	return append(dst, r.Body...)
 }
@@ -120,6 +134,10 @@ func DecodeRequest(op byte, payload []byte) (Request, error) {
 	if r.N, k = binary.Varint(rest); k <= 0 {
 		return Request{}, fmt.Errorf("%w: truncated request (n)", ErrBadFrame)
 	}
+	rest = rest[k:]
+	if r.Epoch, k = binary.Uvarint(rest); k <= 0 {
+		return Request{}, fmt.Errorf("%w: truncated request (epoch)", ErrBadFrame)
+	}
 	if r.Name, rest, err = CutString(rest[k:]); err != nil {
 		return Request{}, err
 	}
@@ -144,6 +162,7 @@ func AppendReply(dst []byte, r Reply) []byte {
 	dst = append(dst, flags)
 	dst = binary.AppendVarint(dst, r.N)
 	dst = binary.AppendUvarint(dst, r.Cursor)
+	dst = binary.AppendUvarint(dst, r.Epoch)
 	if r.Schema.Cols != nil {
 		dst = EncodeSchema(dst, r.Schema)
 	}
@@ -167,6 +186,10 @@ func DecodeReply(payload []byte) (Reply, error) {
 	rest = rest[k:]
 	if r.Cursor, k = binary.Uvarint(rest); k <= 0 {
 		return Reply{}, fmt.Errorf("%w: truncated reply (cursor)", ErrBadFrame)
+	}
+	rest = rest[k:]
+	if r.Epoch, k = binary.Uvarint(rest); k <= 0 {
+		return Reply{}, fmt.Errorf("%w: truncated reply (epoch)", ErrBadFrame)
 	}
 	rest = rest[k:]
 	if flags&replySchema != 0 {

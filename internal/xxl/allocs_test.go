@@ -87,3 +87,49 @@ func TestSortSpillAllocs(t *testing.T) {
 		t.Errorf("SORT^M spilling %d runs of %d rows: %.1f allocs a run, want <= 20", runs, mem, perRun)
 	}
 }
+
+// TestSortMergeAllocs guards the k-way merge of spilled runs: the run
+// that supplied the smallest row refills the top of the heap in place,
+// so merging 40 runs of 1,024 rows allocates per decoded block and per
+// run, not per row — under 0.05 allocations a merged row. Popping and
+// pushing every row through container/heap boxed it twice.
+func TestSortMergeAllocs(t *testing.T) {
+	const runs, mem = 40, 1024
+	rng := rand.New(rand.NewSource(39))
+	in := rel.New(types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "V", Kind: types.KindInt},
+	))
+	for i := 0; i < runs*mem; i++ {
+		in.Append(types.Tuple{types.Int(rng.Int63n(5000)), types.Int(int64(i))})
+	}
+	s := NewSort(in.Iter(), []int{0})
+	s.MemTuples = mem
+	dst := make([]types.Tuple, rel.DefaultBatchSize)
+	rows := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows = 0
+		for {
+			n, err := s.NextBatch(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			rows += n
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rows != in.Cardinality() {
+		t.Fatalf("merged %d rows of %d", rows, in.Cardinality())
+	}
+	if perRow := allocs / float64(rows); perRow > 0.05 {
+		t.Errorf("SORT^M merging %d runs of %d rows: %.0f allocs, %.3f a row, want <= 0.05", runs, mem, allocs, perRow)
+	}
+}

@@ -73,10 +73,11 @@ func (s *Sort) Open() error {
 	s.spilled = 0
 
 	var files []*os.File
+	var buf []byte // the write buffer every run of this Open reuses
 	spill := func() error {
 		rows := s.rows.Rows()
 		types.SortTuples(rows, s.keys, s.descs)
-		f, n, err := writeRun(rows)
+		f, n, err := writeRun(rows, &buf)
 		s.rows.Reset() // the next run reuses the arena
 		if err != nil {
 			return err
@@ -148,14 +149,20 @@ func (s *Sort) Close() error {
 
 // writeRun writes a sorted run of tuples to a temp file as a sequence
 // of blocks of at most rel.DefaultBatchSize rows, each prefixed with its
-// length (uint32), returning the file and the bytes written.
-func writeRun(rows []types.Tuple) (*os.File, int64, error) {
+// length (uint32), returning the file and the bytes written. It writes
+// through *scratch, a buffer of about 64 KiB the caller keeps across
+// the runs of one sort.
+func writeRun(rows []types.Tuple, scratch *[]byte) (*os.File, int64, error) {
 	f, err := os.CreateTemp("", "tango-sort-*.run")
 	if err != nil {
 		return nil, 0, err
 	}
 	var written int64
-	buf := make([]byte, 0, 1<<16)
+	if *scratch == nil {
+		*scratch = make([]byte, 0, 1<<16)
+	}
+	buf := (*scratch)[:0]
+	defer func() { *scratch = buf[:0] }()
 	for len(rows) > 0 {
 		at, n := len(buf), 0
 		buf, n = types.AppendBlock(append(buf, 0, 0, 0, 0), rows[:min(len(rows), rel.DefaultBatchSize)])
@@ -282,19 +289,26 @@ func newRunMerger(files []*os.File, keys []int, descs []bool) (*runMerger, error
 	return m, nil
 }
 
+// next returns the smallest head of the runs. Its run's next row
+// takes its place at the top of the heap, which sifts down; only a
+// run's end pops it.
 func (m *runMerger) next() (types.Tuple, bool, error) {
 	if m.h.Len() == 0 {
 		return nil, false, nil
 	}
-	top := heap.Pop(m.h).(mergeItem)
+	top := &m.h.items[0]
+	out := top.tuple
 	t, ok, err := m.readers[top.src].next()
 	if err != nil {
 		return nil, false, err
 	}
 	if ok {
-		heap.Push(m.h, mergeItem{tuple: t, src: top.src})
+		top.tuple = t
+		heap.Fix(m.h, 0)
+	} else {
+		heap.Pop(m.h)
 	}
-	return top.tuple, true, nil
+	return out, true, nil
 }
 
 func (m *runMerger) close() error {
