@@ -117,18 +117,20 @@ ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch
 # memory and spilling (ns/op, B/op and allocs/op).
 XXLBENCH = TAggrSweep|TJoinOverlap|MergeJoin|SortSpill
 
-# OPTBENCH is the optimizer layer: one Optimize of each paper query
-# (ns/op and allocs/op), so an optimizer regression names its query.
+# OPTBENCH is the optimizer layer (internal/bench): one Optimize of
+# each paper query (ns/op and allocs/op), so an optimizer regression
+# names its query.
 OPTBENCH = Selectivity/optimize
 
 # bench-smoke runs every benchmark for a single iteration, so ci
 # catches benchmarks that no longer compile or crash without paying
 # for real measurement. The Query1 pattern also matches Query1Tracing,
 # so ci smokes the tracing-overhead pair on every run; GroupCommit
-# smokes the concurrent commit path.
+# smokes the concurrent commit path, AblationBulkLoad the per-row
+# INSERT statements beside the bulk load.
 bench-smoke:
-	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit' -benchtime 1x
-	$(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 1x
+	$(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM|GroupCommit|AblationBulkLoad' -benchtime 1x
+	$(GO) test ./internal/bench/ -run '^$$' -bench '$(OPTBENCH)' -benchtime 1x
 	$(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 1x
 	$(GO) test ./internal/xxl/ -run '^$$' -bench '$(XXLBENCH)' -benchtime 1x
 	$(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 1x
@@ -148,7 +150,7 @@ bench-json:
 	{ $(GO) test ./internal/bench/ -run '^$$' -bench 'Query1|SortM' -benchtime 15x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'GroupCommit' -benchtime 200x; \
 	  $(GO) test ./internal/bench/ -run '^$$' -bench 'TCPLoad' -benchtime 1x; \
-	  $(GO) test . -run '^$$' -bench '$(OPTBENCH)' -benchtime 200x; \
+	  $(GO) test ./internal/bench/ -run '^$$' -bench '$(OPTBENCH)' -benchtime 200x; \
 	  $(GO) test ./internal/wire/ -run '^$$' -bench . -benchtime 2000x; \
 	  $(GO) test ./internal/xxl/ -run '^$$' -bench '$(XXLBENCH)' -benchtime 10x; \
 	  $(GO) test ./internal/types/ ./internal/storage/ ./internal/engine/ ./internal/server/ -run '^$$' -bench '$(ROWBENCH)' -benchtime 20x; } | $(GO) run ./cmd/benchjson > $(BENCHOUT)

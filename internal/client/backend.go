@@ -9,7 +9,6 @@ package client
 
 import (
 	"context"
-	"time"
 
 	"tango/internal/server"
 	"tango/internal/telemetry"
@@ -37,9 +36,8 @@ type loopback struct {
 }
 
 // call hands the request to the session and bills the exchange: one
-// round trip plus the transmit time of the bytes that crossed, and a
-// round trip per row for the conventional-path INSERT. Failed calls
-// and end-of-stream answers are free, as are the bookkeeping ops. A
+// round trip plus the transmit time of the bytes that crossed. Failed
+// calls and end-of-stream answers are free, as are the bookkeeping ops. A
 // fetch is billed like any other statement, so a cursor pays one round
 // trip per batch.
 func (l *loopback) call(ctx context.Context, req wire.Request) (wire.Reply, error) {
@@ -47,12 +45,7 @@ func (l *loopback) call(ctx context.Context, req wire.Request) (wire.Reply, erro
 	if _, statement := wire.MsgOp(req.Op); !statement || err != nil || rep.EOS {
 		return rep, err
 	}
-	lat := l.srv.Latency()
-	d := lat.Wire(len(req.Name) + len(req.Body) + len(rep.Body))
-	if req.Op == wire.MsgInsert {
-		d += lat.RoundTrip * time.Duration(rep.N)
-	}
-	wire.SleepCtx(ctx, d)
+	wire.SleepCtx(ctx, l.srv.Latency().Wire(len(req.Name)+len(req.Body)+len(rep.Body)))
 	return rep, nil
 }
 

@@ -563,27 +563,6 @@ func (c *Conn) Load(table string, rows []types.Tuple) (Feedback, error) {
 	return fb, nil
 }
 
-// InsertRows loads rows with per-row INSERTs (the slow conventional
-// path, for the ablation experiment). Not idempotent; never retried.
-func (c *Conn) InsertRows(table string, rows []types.Tuple) (Feedback, error) {
-	start := time.Now()
-	payload := wire.EncodeBatch(wire.GetBuf(), rows)
-	defer wire.PutBuf(payload)
-	rep, err := c.once("insert", wire.Request{Op: wire.MsgInsert, Name: table, Body: payload})
-	if err != nil {
-		return Feedback{}, err
-	}
-	fb := Feedback{
-		SQL:     "INSERT " + table,
-		Rows:    rep.N,
-		Bytes:   int64(len(payload)),
-		Batches: 1,
-		Elapsed: time.Since(start),
-	}
-	c.record("out", "insert", fb)
-	return fb, nil
-}
-
 // DropTable drops a table, ignoring missing tables (used to clean up
 // transfer temporaries). DROP IF EXISTS is idempotent, so it retries.
 func (c *Conn) DropTable(name string) error {

@@ -110,10 +110,9 @@ func (e *confEnv) faults(schedule string) {
 // conformance is the one scripted op sequence: every row runs against
 // the loopback and the TCP transport, must produce want on both, and
 // therefore the same on both. It covers, per transport, what
-// TestQueryOverWire, TestCreateLoadRoundTrip, TestInsertRowsPath and
-// TestStatsOverWire (in process), TestTCPRoundTrip (over a socket) and
-// the server's own TestInsertRowsPath used to check one transport at a
-// time.
+// TestQueryOverWire, TestCreateLoadRoundTrip and TestStatsOverWire (in
+// process) and TestTCPRoundTrip (over a socket) used to check one
+// transport at a time.
 var conformance = []struct {
 	name string
 	run  func(e *confEnv) string
@@ -180,10 +179,6 @@ var conformance = []struct {
 	{"load corrupt payload", func(e *confEnv) string {
 		return e.ask(wire.Request{Op: wire.MsgLoad, Name: "L", Body: []byte{0xFF, 0xFF}})
 	}, "error: wire: block at row 0: types: bad block header"},
-	{"insert rows", func(e *confEnv) string {
-		fb, err := e.c.InsertRows("L", intRows(1, 2, 3))
-		return fmt.Sprintf("rows=%d batches=%d bytes>0=%v err=%v", fb.Rows, fb.Batches, fb.Bytes > 0, err)
-	}, "rows=3 batches=1 bytes>0=true err=<nil>"},
 
 	{"stats", func(e *confEnv) string {
 		return e.ask(wire.Request{Op: wire.MsgStats, Name: "T", N: 4})

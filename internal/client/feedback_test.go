@@ -108,34 +108,6 @@ func TestFeedbackFieldsLoad(t *testing.T) {
 	}
 }
 
-// TestFeedbackFieldsInsertRows checks the per-row INSERT ablation
-// path: same fields, different SQL tag so adaptation can tell the
-// paths apart.
-func TestFeedbackFieldsInsertRows(t *testing.T) {
-	c := testConn(t)
-	if err := c.CreateTable("SLOW", types.NewSchema(
-		types.Column{Name: "G", Kind: types.KindInt},
-		types.Column{Name: "N", Kind: types.KindString},
-		types.Column{Name: "T1", Kind: types.KindInt},
-		types.Column{Name: "T2", Kind: types.KindInt},
-	)); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := c.InsertRows("SLOW", sampleTuples(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.Rows != 25 {
-		t.Errorf("Rows = %d, want 25", fb.Rows)
-	}
-	if fb.Bytes <= 0 || fb.Elapsed <= 0 {
-		t.Errorf("feedback incomplete: %+v", fb)
-	}
-	if !strings.HasPrefix(fb.SQL, "INSERT ") {
-		t.Errorf("SQL = %q, want INSERT prefix", fb.SQL)
-	}
-}
-
 // TestWireMetricsRecorded checks that a connection with a registry
 // attached exports the wire series in both directions.
 func TestWireMetricsRecorded(t *testing.T) {

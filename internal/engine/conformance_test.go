@@ -46,7 +46,7 @@ func TestConformance(t *testing.T) {
 		}},
 		{Name: "filter", Inputs: one, Want: itertest.Ints("K V", []int64{2, 20}, []int64{3, 30}, []int64{2, 21}),
 			Build: func(in []rel.Iterator) rel.Iterator {
-				return newFilter(in[0], func(t types.Tuple) (types.Value, error) { return types.Bool(t[0].AsInt() >= 2), nil })
+				return xxl.NewFilterFunc(in[0], func(t types.Tuple) (types.Value, error) { return types.Bool(t[0].AsInt() >= 2), nil })
 			}},
 		{Name: "project", Inputs: one,
 			Want: itertest.Ints("V K", []int64{20, 2}, []int64{10, 1}, []int64{30, 3}, []int64{11, 1}, []int64{21, 2}),

@@ -9,6 +9,7 @@ import (
 	"tango/internal/rel"
 	"tango/internal/sqlparser"
 	"tango/internal/types"
+	"tango/internal/xxl"
 )
 
 // filterDB holds a table with a column of every kind — I with NULLs,
@@ -101,7 +102,7 @@ func TestPushedFilterMatchesEval(t *testing.T) {
 			}
 		}
 	}
-	if n := filterIters(t, db, "SELECT * FROM T WHERE 3 < I AND F <= 2.5 AND S <> 'abc'"); n != 0 {
+	if n := filterCount(t, db, "SELECT * FROM T WHERE 3 < I AND F <= 2.5 AND S <> 'abc'"); n != 0 {
 		t.Errorf("%d filter iterators over a heap scan of pushed conjuncts, want 0", n)
 	}
 }
@@ -131,11 +132,11 @@ func evalFilter(t *testing.T, all *rel.Relation, where string) *rel.Relation {
 	return out
 }
 
-// filterIters counts the filter iterators in sql's plan.
-func filterIters(t *testing.T, db *DB, sql string) int {
+// filterCount counts the filter iterators in sql's plan.
+func filterCount(t *testing.T, db *DB, sql string) int {
 	n := 0
 	walkPlan(t, db, sql, func(v reflect.Value) {
-		if v.Type() == reflect.TypeOf(filterIter{}) {
+		if v.Type() == reflect.TypeOf(xxl.Filter{}) {
 			n++
 		}
 	})

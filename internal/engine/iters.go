@@ -171,28 +171,6 @@ func samePage(rids []storage.RecordID) []storage.RecordID {
 
 func (s *indexScan) Close() error { s.rids = nil; s.rows.Free(); return nil }
 
-// --- Filter ---
-
-type filterIter struct {
-	in   rel.Input
-	pred evalFunc
-}
-
-func newFilter(in rel.Iterator, pred evalFunc) *filterIter {
-	return &filterIter{in: rel.In(in), pred: pred}
-}
-
-func (f *filterIter) Schema() types.Schema { return f.in.Schema() }
-func (f *filterIter) Open() error          { return f.in.Open() }
-func (f *filterIter) Close() error         { return f.in.Close() }
-
-func (f *filterIter) NextBatch(dst []types.Tuple) (int, error) {
-	return rel.Select(&f.in, dst, func(t types.Tuple) (bool, error) {
-		v, err := f.pred(t)
-		return !v.IsNull() && v.AsBool(), err
-	})
-}
-
 // --- Project ---
 
 type projectIter struct {
@@ -611,7 +589,7 @@ func (j *hashJoin) Close() error {
 func newMergeJoin(left, right rel.Iterator, lkeys, rkeys []int, residual evalFunc) rel.Iterator {
 	var it rel.Iterator = xxl.NewMergeJoin(xxl.NewSort(left, lkeys), xxl.NewSort(right, rkeys), lkeys, rkeys)
 	if residual != nil {
-		it = newFilter(it, residual)
+		it = xxl.NewFilterFunc(it, residual)
 	}
 	return it
 }

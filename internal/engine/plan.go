@@ -242,7 +242,7 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel
 		if err != nil {
 			return nil, err
 		}
-		it = db.instrument("filter", newFilter(it, pred), it)
+		it = db.instrument("filter", xxl.NewFilterFunc(it, pred), it)
 	}
 
 	// 5. Aggregation.
@@ -269,7 +269,7 @@ func (db *DB) planCore(v *catalogVersion, s *sqlast.SelectStmt, prune bool) (rel
 			if err != nil {
 				return nil, err
 			}
-			it = db.instrument("filter", newFilter(it, pred), it)
+			it = db.instrument("filter", xxl.NewFilterFunc(it, pred), it)
 		}
 		outSchema, itemExprs, err = gCtx.projectItems(s.Items)
 		if err != nil {
@@ -502,7 +502,7 @@ func (db *DB) applySelection(src rel.Iterator, preds []sqlast.Expr) (rel.Iterato
 	if err != nil {
 		return nil, err
 	}
-	return db.instrument("filter", newFilter(src, pred), src), nil
+	return db.instrument("filter", xxl.NewFilterFunc(src, pred), src), nil
 }
 
 // colLiteral recognises a conjunct "column op literal" whose literal is

@@ -10,8 +10,8 @@ const DefaultBatchSize = 256
 
 // Cursor serves a materialized tuple slice a batch at a time: the read
 // side of every operator that holds its output in memory (a sort, a
-// hash aggregate, a partition result, a shared transfer). The zero
-// value is an empty cursor.
+// hash aggregate, a temporal aggregate's groups, a decoded page). The
+// zero value is an empty cursor.
 type Cursor struct {
 	rows []types.Tuple
 	pos  int

@@ -37,7 +37,7 @@ import (
 // the engine's hash-join build, nested-loop input and grouping; Drain;
 // xxl's Sort (which also sorts the engine's ORDER BY and merge-join
 // inputs), TAggr's group keys and string values, the merge joins' key
-// groups, Coalesce's current row and SharedSource (by Drain); the
+// groups and Coalesce's current row; the
 // index-key and statistics collectors; and the server
 // cursor, which gathers several batches into one fetch. Nobody writes
 // to a tuple it did not make: an operator that edits a row, as

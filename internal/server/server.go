@@ -410,24 +410,6 @@ func (s *Server) load(table string, payload []byte, seq int64) (int64, error) {
 	return int64(len(rows)), nil
 }
 
-// insert is the conventional-path alternative to load: one INSERT per
-// row, for the bulk-load ablation experiment. Not idempotent — the
-// client must not retry it. On failure it reports the rows stored so
-// far.
-func (s *Server) insert(table string, payload []byte) (int64, error) {
-	rows, err := wire.DecodeBatch(payload)
-	if err != nil {
-		return 0, err
-	}
-	for i, r := range rows {
-		if err := s.db.Insert(table, r); err != nil {
-			return int64(i), err
-		}
-	}
-	atomic.AddInt64(&s.rowsIn, int64(len(rows)))
-	return int64(len(rows)), nil
-}
-
 // stats returns catalog statistics, computing them (ANALYZE) if
 // absent, and the metadata epoch of the lookup: read before any
 // ANALYZE this call runs, it labels no payload newer than it is.

@@ -130,8 +130,6 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 		rep, err = se.fetch(req)
 	case wire.OpLoad:
 		rep.N, err = s.load(req.Name, req.Body, req.Seq)
-	case wire.OpInsert:
-		rep.N, err = s.insert(req.Name, req.Body)
 	case wire.OpStats:
 		rep.Stats, rep.Epoch, err = s.stats(req.Name, int(req.N))
 	}

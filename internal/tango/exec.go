@@ -31,10 +31,6 @@ type Executor struct {
 	// Hint pins the DBMS join method in generated SQL (Query 4 uses
 	// this the way the paper uses Oracle hints).
 	Hint string
-	// ShareTransfers enables the §7 refinement: identical T^M
-	// statements within one plan are issued once and their result is
-	// shared by all consumers.
-	ShareTransfers bool
 	// CheckPlans enables the planck debug validator: every plan is
 	// checked against the schema-propagation, sort-order, and
 	// transfer-placement invariants before building, and the built
@@ -75,7 +71,6 @@ type Executor struct {
 	view       *stats.Snapshot
 	transfersM []*TransferM
 	transfersD []*TransferD
-	shared     map[string]*xxl.SharedSource
 	sorts      []*xxl.Sort
 	root       *telemetry.Iter
 }
@@ -103,7 +98,6 @@ func (e *Executor) Build(plan *algebra.Node) (rel.Iterator, error) {
 	}
 	e.transfersM = nil
 	e.transfersD = nil
-	e.shared = map[string]*xxl.SharedSource{}
 	e.sorts = nil
 	e.root = nil
 	it, err := e.buildMW(plan)
@@ -425,16 +419,6 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 	}
 	tm := NewTransferM(e.Conn, sql, schema, deps...)
 	e.transfersM = append(e.transfersM, tm)
-	// §7 refinement: identical transfer statements (no T^D
-	// dependencies) are issued once per plan execution.
-	if e.ShareTransfers && len(deps) == 0 {
-		if src, ok := e.shared[sql]; ok {
-			return e.instrument(n, src.Reader()), nil
-		}
-		src := xxl.NewSharedSource(tm)
-		e.shared[sql] = src
-		return e.instrument(n, src.Reader()), nil
-	}
 	return e.instrument(n, tm, tdIters...), nil
 }
 

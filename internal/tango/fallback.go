@@ -51,7 +51,7 @@ func failedOp(err error) string {
 // err killed res.Best. The choice re-sites the query away from the
 // failed wire direction:
 //
-//   - load/insert/create/drop failures poison the middleware → DBMS
+//   - load/create/drop/exec failures poison the middleware → DBMS
 //     direction, so the fallback is the cheapest candidate with no T^D
 //     (nothing is ever shipped down again);
 //   - fetch/query/stats failures indicate a generally flaky wire, so
@@ -66,7 +66,7 @@ func fallbackPlan(res *optimizer.Result, err error) (cand optimizer.Candidate, o
 	}
 	failedKey := res.Best.Key()
 	switch failedOp(err) {
-	case "load", "insert", "create", "drop", "exec":
+	case "load", "create", "drop", "exec":
 		for _, c := range res.Candidates {
 			if c.Plan.Key() == failedKey {
 				continue
@@ -100,8 +100,8 @@ func fallbackPlan(res *optimizer.Result, err error) (cand optimizer.Candidate, o
 // executor is the one whose run produced the result (for feedback
 // absorption); the fallback, if taken, appears as a "fallback" child of
 // root and bumps tango_plan_fallbacks_total{op}.
-func (m *Middleware) runWithFallback(res *optimizer.Result, cat algebra.Catalog, root *telemetry.Span, analyze bool) (*rel.Relation, *Executor, error) {
-	ex := m.newExecutor(cat, root, analyze)
+func (m *Middleware) runWithFallback(res *optimizer.Result, cat algebra.Catalog, root *telemetry.Span) (*rel.Relation, *Executor, error) {
+	ex := m.newExecutor(cat, root)
 	out, err := ex.Run(res.Best)
 	if err == nil {
 		return out, ex, nil
@@ -130,7 +130,7 @@ func (m *Middleware) runWithFallback(res *optimizer.Result, cat algebra.Catalog,
 			return nil, nil, errors.Join(err, cerr)
 		}
 	}
-	ex2 := m.newExecutor(cat, sp, analyze)
+	ex2 := m.newExecutor(cat, sp)
 	out, err2 := ex2.Run(cand.Plan)
 	sp.Finish()
 	if err2 != nil {

@@ -31,9 +31,6 @@ type Middleware struct {
 	Model *cost.Model
 	Opt   *optimizer.Optimizer
 
-	// Alpha is the feedback adaptation rate (0 disables adaptation).
-	Alpha float64
-
 	// CheckPlans enables the planck runtime plan validator on every
 	// optimized plan and every executor build (debug mode; on in all
 	// tests via the bench harness).
@@ -65,8 +62,6 @@ type Options struct {
 	// HistogramBuckets controls the statistics collector; 0 disables
 	// histograms (the paper evaluates Query 2 both ways).
 	HistogramBuckets int
-	// Alpha is the EWMA feedback rate; default 0.2.
-	Alpha float64
 	// Metrics attaches a telemetry registry to the middleware (see
 	// Middleware.Metrics); nil disables metrics.
 	Metrics *telemetry.Registry
@@ -80,6 +75,10 @@ type Options struct {
 	// disables it.
 	Flight *telemetry.Flight
 }
+
+// adaptRate is the EWMA rate at which execution feedback moves the
+// cost factors (cost.Factors.Adapt, AdaptOp).
+const adaptRate = 0.2
 
 // Open connects the middleware to an in-process DBMS server.
 func Open(srv *server.Server, opts Options) *Middleware {
@@ -96,17 +95,12 @@ func OpenConn(conn *client.Conn, opts Options) *Middleware {
 	est := stats.NewEstimator(cat, conn)
 	est.HistogramBuckets = opts.HistogramBuckets
 	model := cost.NewModel(est)
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 0.2
-	}
 	return &Middleware{
 		Conn:       conn,
 		Cat:        cat,
 		Est:        est,
 		Model:      model,
 		Opt:        optimizer.New(model),
-		Alpha:      alpha,
 		Metrics:    opts.Metrics,
 		CheckPlans: opts.CheckPlans,
 		Flight:     opts.Flight,
@@ -174,15 +168,14 @@ func (m *Middleware) recordOptimizer(res *optimizer.Result, elapsed time.Duratio
 }
 
 // newExecutor builds an executor reading cat and configured with the
-// middleware's telemetry. Instrumentation is on when a registry is
-// attached, when adaptation is enabled (the per-operator feedback loop
-// needs measured timings), or when analyze is forced.
-func (m *Middleware) newExecutor(cat algebra.Catalog, root *telemetry.Span, analyze bool) *Executor {
+// middleware's telemetry. Instrumentation is always on: the
+// per-operator feedback loop needs measured timings.
+func (m *Middleware) newExecutor(cat algebra.Catalog, root *telemetry.Span) *Executor {
 	return &Executor{
 		Conn:       m.Conn,
 		Cat:        cat,
 		Metrics:    m.Metrics,
-		Analyze:    analyze || m.Alpha > 0,
+		Analyze:    true,
 		Trace:      root,
 		IOProbe:    m.IOProbe,
 		WALProbe:   m.WALProbe,
@@ -196,21 +189,8 @@ func (m *Middleware) Execute(plan *algebra.Node) (out *rel.Relation, err error) 
 	root := telemetry.NewSpan("query")
 	pop := m.Conn.PushTrace(root)
 	defer func() { pop(); m.finish(root, planLabel(plan), err) }()
-	return m.execute(plan, root)
-}
-
-func (m *Middleware) execute(plan *algebra.Node, root *telemetry.Span) (*rel.Relation, error) {
-	cat := m.Est.Snapshot()
-	ex := m.newExecutor(cat, root, false)
-	out, err := ex.Run(plan)
-	if err != nil {
-		return nil, err
-	}
-	m.absorb(ex, cat, root)
-	m.mu.Lock()
-	m.lastStats = ex.ExecStats()
-	m.mu.Unlock()
-	return out, nil
+	out, _, err = m.executeResult(&optimizer.Result{Best: plan}, root)
+	return out, err
 }
 
 // finish completes one query's trace: it closes the root span,
@@ -261,14 +241,12 @@ func planLabel(plan *algebra.Node) string {
 // observed row counts. A view lives for one query only, so ANALYZE and
 // DDL between queries stay visible.
 func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.Span) {
-	if m.Alpha > 0 {
-		m.mu.Lock()
-		for _, fb := range ex.Feedback() {
-			isLoad := strings.HasPrefix(fb.SQL, "LOAD")
-			m.Model.F.Adapt(fb, isLoad, m.Alpha)
-		}
-		m.mu.Unlock()
+	m.mu.Lock()
+	for _, fb := range ex.Feedback() {
+		isLoad := strings.HasPrefix(fb.SQL, "LOAD")
+		m.Model.F.Adapt(fb, isLoad, adaptRate)
 	}
+	m.mu.Unlock()
 	st := ex.ExecStats()
 	if st == nil {
 		return
@@ -280,23 +258,21 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 		if !ok || n == nil {
 			return
 		}
-		if m.Alpha > 0 {
-			obs := cost.ObservedOp{
-				Op:       n.Op,
-				Loc:      n.Loc(),
-				InBytes:  float64(s.InputBytes()),
-				OutBytes: float64(s.Bytes),
-				InCard:   float64(s.InputRows()),
-				OutCard:  float64(s.Rows),
-				Micros:   float64(s.SelfTime()) / float64(time.Microsecond),
-			}
-			if n.Op == algebra.OpSelect && n.Pred != nil {
-				obs.PredTerms = cost.PredTerms(n.Pred)
-			}
-			m.mu.Lock()
-			m.Model.F.AdaptOp(obs, m.Alpha)
-			m.mu.Unlock()
+		obs := cost.ObservedOp{
+			Op:       n.Op,
+			Loc:      n.Loc(),
+			InBytes:  float64(s.InputBytes()),
+			OutBytes: float64(s.Bytes),
+			InCard:   float64(s.InputRows()),
+			OutCard:  float64(s.Rows),
+			Micros:   float64(s.SelfTime()) / float64(time.Microsecond),
 		}
+		if n.Op == algebra.OpSelect && n.Pred != nil {
+			obs.PredTerms = cost.PredTerms(n.Pred)
+		}
+		m.mu.Lock()
+		m.Model.F.AdaptOp(obs, adaptRate)
+		m.mu.Unlock()
 		if m.Metrics != nil && s.Rows > 0 {
 			if est, _, err := cat.Estimate(n, nil); err == nil && est.Card > 0 {
 				q := est.Card / float64(s.Rows)
@@ -332,7 +308,7 @@ func (m *Middleware) Run(initial *algebra.Node) (out *rel.Relation, res *optimiz
 	root := telemetry.NewSpan("query")
 	pop := m.Conn.PushTrace(root)
 	defer func() { pop(); m.finish(root, planLabel(initial), err) }()
-	res, out, _, err = m.optimizeAndRun(initial, root, false)
+	res, out, _, err = m.optimizeAndRun(initial, root)
 	return out, res, err
 }
 
@@ -341,13 +317,13 @@ func (m *Middleware) Run(initial *algebra.Node) (out *rel.Relation, res *optimiz
 // has emptied the connection's metadata cache) is optimized once more
 // from fresh metadata; the re-plan is a "replan" child of root and
 // bumps tango_plan_replans_total.
-func (m *Middleware) optimizeAndRun(initial *algebra.Node, root *telemetry.Span, analyze bool) (*optimizer.Result, *rel.Relation, *Executor, error) {
+func (m *Middleware) optimizeAndRun(initial *algebra.Node, root *telemetry.Span) (*optimizer.Result, *rel.Relation, *Executor, error) {
 	for replanned := false; ; replanned = true {
 		res, _, err := m.timedOptimize(initial, root)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		out, ex, err := m.executeResult(res, root, analyze)
+		out, ex, err := m.executeResult(res, root)
 		if err == nil || replanned || !errors.Is(err, server.ErrStaleMetadata) {
 			return res, out, ex, err
 		}
@@ -366,18 +342,18 @@ func (m *Middleware) optimizeAndRun(initial *algebra.Node, root *telemetry.Span,
 // winning execution back into the cost model. Exposed so harnesses can
 // drive the degradation path with synthetic candidate lists.
 func (m *Middleware) ExecuteResult(res *optimizer.Result, root *telemetry.Span) (*rel.Relation, error) {
-	out, _, err := m.executeResult(res, root, false)
+	out, _, err := m.executeResult(res, root)
 	return out, err
 }
 
 // executeResult is ExecuteResult, also returning the executor whose run
-// produced the result; analyze forces per-operator instrumentation.
-func (m *Middleware) executeResult(res *optimizer.Result, root *telemetry.Span, analyze bool) (*rel.Relation, *Executor, error) {
+// produced the result.
+func (m *Middleware) executeResult(res *optimizer.Result, root *telemetry.Span) (*rel.Relation, *Executor, error) {
 	cat := res.Catalog
 	if cat == nil { // a result built by hand rather than by Optimize
 		cat = m.Est.Snapshot()
 	}
-	out, ex, err := m.runWithFallback(res, cat, root, analyze)
+	out, ex, err := m.runWithFallback(res, cat, root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -444,7 +420,7 @@ func (m *Middleware) Explain(initial *algebra.Node) (string, error) {
 func (m *Middleware) ExplainAnalyze(initial *algebra.Node) (string, *rel.Relation, error) {
 	root := telemetry.NewSpan("query")
 	pop := m.Conn.PushTrace(root)
-	res, out, ex, err := m.optimizeAndRun(initial, root, true)
+	res, out, ex, err := m.optimizeAndRun(initial, root)
 	pop()
 	if err != nil {
 		m.finish(root, planLabel(initial), err)

@@ -77,18 +77,6 @@ func TestMiddlewareAdaptsFactors(t *testing.T) {
 	if mw.Model.F.TM == before {
 		t.Error("transfer factor did not adapt from feedback")
 	}
-	// Adaptation disabled.
-	mw2 := openMW(t)
-	mw2.Alpha = -1 // negative disables (0 means "use default" in Open)
-	mw2.Alpha = 0
-	before2 := mw2.Model.F.TM
-	plan2, _ := tsql.Parse("VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION GROUP BY PosID", mw2.Cat)
-	if _, _, err := mw2.Run(plan2); err != nil {
-		t.Fatal(err)
-	}
-	if mw2.Model.F.TM != before2 {
-		t.Error("alpha=0 should disable adaptation")
-	}
 }
 
 func TestMiddlewareCalibrate(t *testing.T) {
@@ -186,56 +174,6 @@ func TestDupElimMovable(t *testing.T) {
 	}
 	if out.Cardinality() != 4 { // Tom, Jane, Ann, Bob
 		t.Errorf("distinct names = %d\n%v", out.Cardinality(), out)
-	}
-}
-
-func TestShareTransfers(t *testing.T) {
-	db := engine.Open(engine.Config{})
-	srv := server.New(db, wire.Latency{})
-	mw := Open(srv, Options{HistogramBuckets: 8})
-	if _, err := mw.Conn.Exec("CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), PayRate FLOAT, T1 INTEGER, T2 INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mw.Conn.Exec(
-		"INSERT INTO POSITION VALUES (1,'Tom',12.0,2,20),(1,'Jane',9.0,5,25),(2,'Tom',12.0,5,10)"); err != nil {
-		t.Fatal(err)
-	}
-	// A self-join whose two sides issue the identical SQL — the §7
-	// refinement should issue the SELECT once.
-	side := func() *algebra.Node {
-		return algebra.Sort(
-			algebra.ProjectCols(algebra.Scan("POSITION", "A"), "A.PosID", "A.EmpName", "A.T1", "A.T2"),
-			"A.PosID")
-	}
-	mkPlan := func() *algebra.Node {
-		return algebra.TJoin(
-			algebra.TM(side()), algebra.TM(side()),
-			[]string{"A.PosID"}, []string{"A.PosID"})
-	}
-
-	base := &Executor{Conn: mw.Conn, Cat: mw.Cat}
-	qBefore, _, _ := srv.Counters()
-	ref, err := base.Run(mkPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	qMid, _, _ := srv.Counters()
-	if qMid-qBefore != 2 {
-		t.Fatalf("baseline issued %d queries, want 2", qMid-qBefore)
-	}
-
-	shared := &Executor{Conn: mw.Conn, Cat: mw.Cat, ShareTransfers: true}
-	got, err := shared.Run(mkPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	qAfter, _, _ := srv.Counters()
-	if qAfter-qMid != 1 {
-		t.Errorf("shared run issued %d queries, want 1", qAfter-qMid)
-	}
-	if got.Cardinality() != ref.Cardinality() || got.Cardinality() == 0 {
-		t.Fatalf("shared transfers changed the result: %d vs %d rows",
-			got.Cardinality(), ref.Cardinality())
 	}
 }
 

@@ -64,6 +64,7 @@ func (t *TransferM) Open() error {
 		if cerr := rows.Close(); cerr != nil {
 			err = fmt.Errorf("%w (close: %v)", err, cerr)
 		}
+		finishTransfer(t.span, rows.Feedback())
 		return err
 	}
 	t.rows = rows

@@ -11,6 +11,7 @@ import (
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/server"
+	"tango/internal/telemetry"
 	"tango/internal/types"
 	"tango/internal/wire"
 	"tango/internal/xxl"
@@ -63,6 +64,27 @@ func serveRel(t *testing.T, r *rel.Relation) (*client.Conn, func() *TransferM) {
 	}
 	return conn, func() *TransferM {
 		return NewTransferM(conn, "SELECT "+strings.Join(r.Schema.Names(), ", ")+" FROM R", r.Schema)
+	}
+}
+
+// TestFailedOpenFinishesTransferSpan: a T^M whose cursor comes back
+// with another arity than the plan's fails Open, and its "transfer"
+// span is finished all the same, so a traced query leaves no span open.
+func TestFailedOpenFinishesTransferSpan(t *testing.T) {
+	conn, _ := serveRel(t, randomRel(10, 3, 1))
+	root := telemetry.NewSpan("query")
+	pop := conn.PushTrace(root)
+	defer pop()
+	tm := NewTransferM(conn, "SELECT K, Seq, V FROM R", types.NewSchema(types.Column{Name: "K", Kind: types.KindInt}))
+	if err := tm.Open(); err == nil || !strings.Contains(err.Error(), "got 3 columns, expected 1") {
+		t.Fatalf("Open = %v, want an arity error", err)
+	}
+	if err := tm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	root.Finish()
+	if open := telemetry.UnfinishedSpans(root); len(open) > 0 {
+		t.Errorf("spans left open after a failed Open: %v", open)
 	}
 }
 

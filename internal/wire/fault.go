@@ -35,8 +35,6 @@ const (
 	OpFetch
 	// OpLoad is one direct-path bulk load.
 	OpLoad
-	// OpInsert is one conventional-path INSERT round trip.
-	OpInsert
 	// OpStats is a catalog statistics request.
 	OpStats
 	// OpWAL is a storage-layer WAL record write. It is not a wire
@@ -51,7 +49,7 @@ const (
 	numOps
 )
 
-var opNames = [numOps]string{"exec", "query", "fetch", "load", "insert", "stats", "wal", "page"}
+var opNames = [numOps]string{"exec", "query", "fetch", "load", "stats", "wal", "page"}
 
 // StorageOp reports whether the op addresses the storage layer rather
 // than the wire (wal/page entries of a shared schedule).

@@ -34,9 +34,11 @@ import (
 // the one request/reply envelope of request.go; version 3 ships batches
 // and statistics min/max as columnar blocks (types.AppendBlock) instead
 // of row records; version 4 adds the metadata epoch to the request and
-// the reply envelope. A peer at another version is refused at the
-// handshake with ErrBadHandshake.
-const ProtocolVersion = 4
+// the reply envelope; version 5 drops the per-row insert message (rows
+// reach a table by MsgLoad or by INSERT statements through MsgExec),
+// renumbering the message types after it. A peer at another version is
+// refused at the handshake with ErrBadHandshake.
+const ProtocolVersion = 5
 
 // Magic opens every MsgHello payload, so a server can reject a
 // non-TANGO peer on the first frame instead of mis-parsing garbage.
@@ -71,7 +73,6 @@ const (
 	MsgFetch
 	MsgCloseCursor
 	MsgLoad
-	MsgInsert
 	MsgStats
 	MsgSchema
 	MsgRegisterTemp
@@ -93,7 +94,6 @@ var msgNames = [...]string{
 	MsgFetch:         "fetch",
 	MsgCloseCursor:   "close-cursor",
 	MsgLoad:          "load",
-	MsgInsert:        "insert",
 	MsgStats:         "stats",
 	MsgSchema:        "schema",
 	MsgRegisterTemp:  "register-temp",
@@ -125,8 +125,6 @@ func MsgOp(t byte) (Op, bool) {
 		return OpFetch, true
 	case MsgLoad:
 		return OpLoad, true
-	case MsgInsert:
-		return OpInsert, true
 	case MsgStats:
 		return OpStats, true
 	}

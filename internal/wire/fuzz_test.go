@@ -109,7 +109,6 @@ var codecSeedRequests = []Request{
 	{Op: MsgFetch, Cursor: 1, Seq: 4},
 	{Op: MsgCloseCursor, Cursor: 1},
 	{Op: MsgLoad, Name: "L", Seq: 77, Body: EncodeBatch(nil, []types.Tuple{{types.Int(10)}, {types.Int(20)}})},
-	{Op: MsgInsert, Name: "L", Body: EncodeBatch(nil, []types.Tuple{{types.Int(1)}})},
 	{Op: MsgStats, Name: "T", N: 4},
 	{Op: MsgSchema, Name: "T"},
 	{Op: MsgRegisterTemp, Name: "TMP_TANGO_orphan"},

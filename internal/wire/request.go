@@ -4,7 +4,7 @@
 // handed to server.Session.Handle in process. This file is the only
 // place the per-op payload layouts live.
 //
-// Request payload (protocol version 4), the same for every op:
+// Request payload (protocol version 5), the same for every op:
 //
 //	trace header  uvarint length + AppendHeader bytes (empty = untraced)
 //	cursor        uvarint
@@ -29,7 +29,6 @@
 //	MsgCloseCursor   cursor                               → empty reply
 //	MsgLoad          name = table, seq = dedup sequence   → Reply.N rows stored
 //	                 (0 = none), body = EncodeBatch
-//	MsgInsert        name = table, body = EncodeBatch     → Reply.N rows stored
 //	MsgStats         name = table, n = histogram buckets  → Reply.Stats
 //	MsgSchema        name = table                         → Reply.Schema
 //	MsgRegisterTemp  name = table                         → empty reply

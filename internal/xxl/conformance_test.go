@@ -55,9 +55,6 @@ func TestConformance(t *testing.T) {
 			}},
 		{Name: "Sort", Inputs: one, Want: byT1, Build: sort(DefaultSortMemory)},
 		{Name: "Sort/spill", Inputs: one, Want: byT1, Build: sort(2)},
-		{Name: "SharedReader", Inputs: one, Want: a, Build: func(in []rel.Iterator) rel.Iterator {
-			return NewSharedSource(in[0]).Reader()
-		}},
 		{Name: "TAggr", Inputs: one, Want: counts, Build: func(in []rel.Iterator) rel.Iterator {
 			return NewTAggr(in[0], []int{0}, 1, 2, count, counts.Schema)
 		}},

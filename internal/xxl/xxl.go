@@ -22,7 +22,13 @@ func NewFilter(in rel.Iterator, pred sqlast.Expr) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{in: rel.In(in), pred: f}, nil
+	return NewFilterFunc(in, f), nil
+}
+
+// NewFilterFunc filters by a predicate already compiled against the
+// input schema.
+func NewFilterFunc(in rel.Iterator, pred eval.Func) *Filter {
+	return &Filter{in: rel.In(in), pred: pred}
 }
 
 // Schema returns the input schema.
