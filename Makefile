@@ -118,8 +118,10 @@ ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch
 XXLBENCH = TAggrSweep|TJoinOverlap|MergeJoin|SortSpill
 
 # OPTBENCH is the optimizer layer (internal/bench): one Optimize of
-# each paper query (ns/op and allocs/op), so an optimizer regression
-# names its query.
+# each paper query and of the tangobench opt_heavy statements
+# (sel_taggr, tjoin_ordered, join at 600/200 rows; ns/op, allocs/op
+# and plans/op, the plans the search priced), so an optimizer
+# regression names its query.
 OPTBENCH = Selectivity/optimize
 
 # bench-smoke runs every benchmark for a single iteration, so ci

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"tango/internal/algebra"
+	"tango/internal/optimizer"
 	"tango/internal/sqlast"
+	"tango/internal/tsql"
 	"tango/internal/wire"
 )
 
@@ -23,8 +25,10 @@ func newAblationSystem(b *testing.B, posRows, empRows int) *System {
 
 // BenchmarkSelectivity times the §3.3 estimators (they must be cheap
 // enough to run inside optimization) and the optimizer on each of the
-// paper's four queries, so an optimizer regression names its query
-// (the Makefile's OPTBENCH).
+// paper's four queries and on the tsql statements of the tangobench
+// opt_heavy workload (600/200 rows, 10-bucket histograms), so an
+// optimizer regression names its query (the Makefile's OPTBENCH). Each
+// optimization also reports the plans it priced (plans/op).
 func BenchmarkSelectivity(b *testing.B) {
 	rows, err := RunSelectivity()
 	if err != nil {
@@ -34,23 +38,41 @@ func BenchmarkSelectivity(b *testing.B) {
 		b.Fatal("unexpected selectivity table")
 	}
 	sys := newAblationSystem(b, 4000, 50)
+	small, err := NewSystem(Config{PositionRows: 600, EmployeeRows: 200, Histograms: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
 	end := Day(1996, time.January, 1)
-	for _, q := range []struct {
+	type query struct {
 		name    string
+		sys     *System
 		initial *algebra.Node
-	}{
-		{"optimize-q1", Q1Initial()},
-		{"optimize-q2", Q2Initial(end)},
-		{"optimize-q3", Q3Initial(end)},
-		{"optimize-q4", Q4Initial()},
-	} {
+	}
+	queries := []query{
+		{"optimize-q1", sys, Q1Initial()},
+		{"optimize-q2", sys, Q2Initial(end)},
+		{"optimize-q3", sys, Q3Initial(end)},
+		{"optimize-q4", sys, Q4Initial()},
+	}
+	for _, g := range planChoiceGolden {
+		if g.name == "sel_taggr" || g.name == "tjoin_ordered" || g.name == "join" {
+			p, err := tsql.Parse(g.sql, small.MW.Cat)
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries = append(queries, query{"optimize-" + g.name, small, p})
+		}
+	}
+	for _, q := range queries {
 		b.Run(q.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var res *optimizer.Result
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.MW.Optimize(q.initial.Clone()); err != nil {
+				if res, err = q.sys.MW.Optimize(q.initial.Clone()); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(res.PlansCosted), "plans/op")
 		})
 	}
 }

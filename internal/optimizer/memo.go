@@ -47,6 +47,7 @@ type mexpr struct {
 	kids  []int
 	group int
 	cost  float64 // the operator alone, from its group's and inputs' statistics
+	class class   // the narrowest placement class the operator lies in
 }
 
 // exprKey identifies an expression: operator with arguments, and the
@@ -151,7 +152,8 @@ func (m *memo) insert(n *algebra.Node, into int) int {
 	if g.loc != loc {
 		return -1
 	}
-	e := &mexpr{n: &op, args: args, kids: kids, group: into, cost: m.model.OpCost(n, loc, g.stats, inStats...)}
+	e := &mexpr{n: &op, args: args, kids: kids, group: into, cost: m.model.OpCost(n, loc, g.stats, inStats...),
+		class: placement(n.Op, loc)}
 	m.work = append(m.work, e)
 	m.byKey[k] = e
 	m.owner[e.n] = into
@@ -250,41 +252,55 @@ func (m *memo) counts() (classes, elements int) {
 
 // --- search ---
 
-// Search modes: the unrestricted search, and the two restricted ones
-// whose winners are the fallback plans (tango/fallback.go).
+// class is a placement class, the set of plans a goal chooses from.
+// Each class lies inside the one before it; the two narrow ones hold
+// the fallback plans of tango/fallback.go.
+type class uint8
+
 const (
-	searchAll     = iota
-	searchNoTD    // no T^D: nothing is shipped back into the DBMS
-	searchAllDBMS // one T^M at the root over an all-DBMS plan
+	anyPlan class = iota
+	noTD          // no T^D: nothing is shipped back into the DBMS
+	allDBMS       // one T^M at the root over an all-DBMS plan
 )
 
-// goal is one optimization goal: a group under a required order.
+// placement is the narrowest class an operator at loc lies in.
+func placement(op algebra.Op, loc algebra.Location) class {
+	switch {
+	case op == algebra.OpTD:
+		return anyPlan
+	case op == algebra.OpTM || loc == algebra.LocDBMS:
+		return allDBMS
+	}
+	return noTD
+}
+
+// goal is one optimization goal: a group under a required order,
+// choosing from the plans of one class.
 type goal struct {
 	group int
 	order string
+	class class
 }
 
-// win is a goal's cheapest plan: expression e over its inputs'
-// winners for the orders in, or (e == nil) a sort enforcing the order
-// over the group's cheapest unordered plan.
+// win is a goal's cheapest plan: expression e over the winners of its
+// inputs' goals of class at for the orders in, or (e == nil) a sort
+// enforcing the order over the group's cheapest unordered plan of
+// class at. class is the narrowest class the whole plan lies in.
 type win struct {
-	cost float64
-	e    *mexpr
-	in   [][]string
+	cost      float64
+	e         *mexpr
+	in        [][]string
+	at, class class
 }
 
-// search finds, per goal, the cheapest plan of one search mode. A goal
-// in progress reads as infeasible, which cuts the cycles that
-// commuting rules and T^M/T^D collapses create.
+// search is the goal table of one optimization: the cheapest plan per
+// (group, order, class). A goal in progress reads as infeasible,
+// which cuts the cycles that commuting rules and T^M/T^D collapses
+// create; an entry that is not nil is finished.
 type search struct {
 	m      *memo
-	mode   int
 	wins   map[goal]*win
 	costed int
-}
-
-func (m *memo) search(mode int) *search {
-	return &search{m: m, mode: mode, wins: map[goal]*win{}}
 }
 
 func orderKey(order []string) string { return strings.ToUpper(strings.Join(order, ",")) }
@@ -293,45 +309,44 @@ func orderKey(order []string) string { return strings.ToUpper(strings.Join(order
 // toward the incumbent, i.e. the expression inserted first.
 func cheaper(c, than float64) bool { return c < than-1e-9*than }
 
-func (s *search) allows(e *mexpr) bool {
-	switch s.mode {
-	case searchNoTD:
-		return e.n.Op != algebra.OpTD
-	case searchAllDBMS:
-		return e.n.Op != algebra.OpTD && (s.m.groupOf(e).loc == algebra.LocDBMS || e.n.Op == algebra.OpTM)
-	}
-	return true
-}
-
-// best returns the cheapest plan of group g delivering order (nil when
-// there is none).
-func (s *search) best(g int, order []string) *win {
+// best returns the cheapest plan of class c of group g delivering
+// order (nil when there is none). A narrow goal takes a wider goal's
+// finished winner when that lies in c; only otherwise does it price
+// the expressions of c itself.
+func (s *search) best(g int, order []string, c class) *win {
 	g = s.m.find(g)
-	k := goal{g, orderKey(order)}
+	k := goal{g, orderKey(order), c}
 	if w, ok := s.wins[k]; ok {
 		return w
 	}
+	for wider := anyPlan; wider < c; wider++ {
+		if w := s.wins[goal{g, k.order, wider}]; w != nil && w.class >= c {
+			s.wins[k] = w
+			return w
+		}
+	}
 	s.wins[k] = nil // in progress; for good when order is not over g's columns
-	if !resolves(s.m.groups[g].schema, order) {
+	grp := s.m.groups[g]
+	if !resolves(grp.schema, order) {
 		return nil
 	}
 	var best *win
-	for _, e := range s.m.groups[g].exprs {
-		if !s.allows(e) {
+	for _, e := range grp.exprs {
+		if e.class < c {
 			continue
 		}
 		in, ok := s.m.inputOrders(e, order)
 		if !ok {
 			continue
 		}
-		if c, ok := s.complete(e, in); ok && (best == nil || cheaper(c, best.cost)) {
-			best = &win{cost: c, e: e, in: in}
+		if cost, cls, ok := s.complete(e, in, c); ok && (best == nil || cheaper(cost, best.cost)) {
+			best = &win{cost: cost, e: e, in: in, at: c, class: cls}
 		}
 	}
-	if len(order) > 0 && (s.mode != searchAllDBMS || s.m.groups[g].loc == algebra.LocDBMS) {
-		if w := s.best(g, nil); w != nil {
-			if c := s.m.sortCost(g) + w.cost; best == nil || cheaper(c, best.cost) {
-				best = &win{cost: c}
+	if sc := placement(algebra.OpSort, grp.loc); len(order) > 0 && sc >= c {
+		if w := s.best(g, nil, c); w != nil {
+			if cost := s.m.sortCost(g) + w.cost; best == nil || cheaper(cost, best.cost) {
+				best = &win{cost: cost, at: c, class: min(sc, w.class)}
 			}
 		}
 	}
@@ -339,18 +354,19 @@ func (s *search) best(g int, order []string) *win {
 	return best
 }
 
-// complete prices e over its inputs' cheapest plans for the orders in.
-func (s *search) complete(e *mexpr, in [][]string) (float64, bool) {
+// complete prices e over its inputs' cheapest plans of class c for
+// the orders in, and returns the narrowest class the plan lies in.
+func (s *search) complete(e *mexpr, in [][]string, c class) (float64, class, bool) {
 	s.costed++
-	c := e.cost
+	cost, cls := e.cost, e.class
 	for i, g := range e.kids {
-		w := s.best(g, in[i])
+		w := s.best(g, in[i], c)
 		if w == nil {
-			return 0, false
+			return 0, 0, false
 		}
-		c += w.cost
+		cost, cls = cost+w.cost, min(cls, w.class)
 	}
-	return c, !math.IsInf(c, 1) // an unexecutable operator prices at +Inf
+	return cost, cls, !math.IsInf(cost, 1) // an unexecutable operator prices at +Inf
 }
 
 // sortCost prices a sort of group g's output.
@@ -366,33 +382,33 @@ func (s *search) completion(e *mexpr, order []string) (Candidate, bool) {
 	if !ordered {
 		in, _ = s.m.inputOrders(e, nil)
 	}
-	c, ok := s.complete(e, in)
+	c, _, ok := s.complete(e, in, anyPlan)
 	if !ok {
 		return Candidate{}, false
 	}
 	if ordered {
-		return Candidate{Plan: s.build(e, in), Cost: c}, true
+		return Candidate{Plan: s.build(e, in, anyPlan), Cost: c}, true
 	}
-	return Candidate{Plan: algebra.Sort(s.build(e, in), order...), Cost: s.m.sortCost(e.group) + c}, true
+	return Candidate{Plan: algebra.Sort(s.build(e, in, anyPlan), order...), Cost: s.m.sortCost(e.group) + c}, true
 }
 
 // plan builds the winning plan of a goal as a fresh tree.
-func (s *search) plan(g int, order []string) *algebra.Node {
-	w := s.best(g, order)
+func (s *search) plan(g int, order []string, c class) *algebra.Node {
+	w := s.best(g, order, c)
 	if w.e == nil {
-		return algebra.Sort(s.plan(g, nil), order...)
+		return algebra.Sort(s.plan(g, nil, w.at), order...)
 	}
-	return s.build(w.e, w.in)
+	return s.build(w.e, w.in, w.at)
 }
 
-func (s *search) build(e *mexpr, in [][]string) *algebra.Node {
+func (s *search) build(e *mexpr, in [][]string, c class) *algebra.Node {
 	n := *e.n
 	n.Left, n.Right = nil, nil
 	if len(e.kids) > 0 {
-		n.Left = s.plan(e.kids[0], in[0])
+		n.Left = s.plan(e.kids[0], in[0], c)
 	}
 	if len(e.kids) > 1 {
-		n.Right = s.plan(e.kids[1], in[1])
+		n.Right = s.plan(e.kids[1], in[1], c)
 	}
 	return &n
 }

@@ -11,25 +11,6 @@ import (
 	"tango/internal/stats"
 )
 
-// Optimizer is the Volcano optimizer of §2.1: it explores the initial
-// plan's memo with the transformation rules, then searches it for the
-// cheapest plan under the cost model, each memo expression priced once
-// from its inputs' cheapest plans.
-type Optimizer struct {
-	// Model prices plans; its estimator's catalog and statistics source
-	// are read once per base table per optimization.
-	Model *cost.Model
-	// DisabledGroups turns heuristic groups off for ablation
-	// experiments (e.g. {1: true} disables the move-to-middleware
-	// rules, leaving stratum-style all-DBMS plans).
-	DisabledGroups map[int]bool
-}
-
-// New creates an optimizer.
-func New(model *cost.Model) *Optimizer {
-	return &Optimizer{Model: model}
-}
-
 // Candidate is one complete plan with its estimated cost.
 type Candidate struct {
 	Plan *algebra.Node
@@ -49,8 +30,8 @@ type Result struct {
 	Candidates []Candidate
 	Classes    int
 	Elements   int
-	// PlansCosted counts (expression, required order) pairs priced by
-	// the searches.
+	// PlansCosted counts the expressions priced for a goal; a goal that
+	// takes a wider goal's winner prices none.
 	PlansCosted int
 	// RulesFired counts successful rule applications by rule name
 	// (including rewrites the memo already held).
@@ -63,20 +44,20 @@ type Result struct {
 	Catalog *stats.Snapshot
 }
 
-// Optimize explores and searches the memo of an initial plan (which,
-// per §2.1, assigns all processing to the DBMS with a single T^M on
-// top). The chosen plan delivers the order the initial plan promises.
-func (o *Optimizer) Optimize(initial *algebra.Node) (*Result, error) {
+// Optimize is the Volcano optimizer of §2.1: it explores the memo of
+// an initial plan (which assigns all processing to the DBMS with a
+// single T^M on top) with the transformation rules, then searches it
+// for the cheapest plan under model, each memo expression priced once
+// per goal from its inputs' cheapest plans. The chosen plan delivers
+// the order the initial plan promises. model's estimator reads each
+// base table's catalog entry and statistics once per optimization.
+func Optimize(model *cost.Model, initial *algebra.Node) (*Result, error) {
 	start := time.Now()
 	if err := initial.Validate(); err != nil {
 		return nil, fmt.Errorf("optimizer: initial plan: %w", err)
 	}
-	m := newMemo(o.Model.Est.Snapshot(), o.Model)
-	for _, r := range DefaultRules(m.schema) {
-		if !o.DisabledGroups[r.Group] {
-			m.rules = append(m.rules, r)
-		}
-	}
+	m := newMemo(model.Est.Snapshot(), model)
+	m.rules = DefaultRules(m.schema)
 	root := m.insert(initial, -1)
 	if root < 0 || m.groups[root].loc != algebra.LocMW {
 		return nil, fmt.Errorf("optimizer: initial plan does not deliver to the middleware")
@@ -96,23 +77,23 @@ func (o *Optimizer) Optimize(initial *algebra.Node) (*Result, error) {
 			res.Candidates = append(res.Candidates, c)
 		}
 	}
-	winner := func(s *search) {
-		if w := s.best(root, order); w != nil {
-			add(Candidate{Plan: s.plan(root, order), Cost: w.cost})
+	s := &search{m: m, wins: map[goal]*win{}}
+	winner := func(c class) {
+		if w := s.best(root, order, c); w != nil {
+			add(Candidate{Plan: s.plan(root, order, c), Cost: w.cost})
 		}
 	}
-	all, noTD, allDBMS := m.search(searchAll), m.search(searchNoTD), m.search(searchAllDBMS)
-	if winner(all); len(res.Candidates) == 0 {
+	if winner(anyPlan); len(res.Candidates) == 0 {
 		return nil, fmt.Errorf("optimizer: no executable candidate plans")
 	}
 	for _, e := range m.groups[root].exprs {
-		if c, ok := all.completion(e, order); ok {
+		if c, ok := s.completion(e, order); ok {
 			add(c)
 		}
 	}
 	winner(noTD)
 	winner(allDBMS)
-	res.PlansCosted = all.costed + noTD.costed + allDBMS.costed
+	res.PlansCosted = s.costed
 	// The winner stays first among equal costs.
 	sort.SliceStable(res.Candidates, func(i, j int) bool {
 		return cheaper(res.Candidates[i].Cost, res.Candidates[j].Cost)

@@ -67,10 +67,8 @@ func schemaIn(cat algebra.Catalog) schemaOf {
 	return func(n *algebra.Node) (types.Schema, error) { return n.Schema(cat) }
 }
 
-func newOptimizer() *Optimizer {
-	cat := testCatalog()
-	est := stats.NewEstimator(cat, testSource())
-	return New(cost.NewModel(est))
+func testModel() *cost.Model {
+	return cost.NewModel(stats.NewEstimator(testCatalog(), testSource()))
 }
 
 // query1Initial is the paper's Query 1 initial plan: temporal
@@ -82,8 +80,7 @@ func query1Initial() *algebra.Node {
 }
 
 func TestOptimizeQuery1MovesAggregationToMiddleware(t *testing.T) {
-	o := newOptimizer()
-	res, err := o.Optimize(query1Initial())
+	res, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,28 +116,36 @@ func TestOptimizeQuery1MovesAggregationToMiddleware(t *testing.T) {
 	}
 }
 
-func TestHeuristicGroup1Disabled(t *testing.T) {
-	o := newOptimizer()
-	o.DisabledGroups = map[int]bool{1: true}
-	res, err := o.Optimize(query1Initial())
+// TestStratumPlanAmongCandidates: the all-DBMS class's winner — the
+// stratum-style plan, Query 1 with every operator left in the DBMS
+// under the root T^M — is always among the candidates.
+func TestStratumPlanAmongCandidates(t *testing.T) {
+	res, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without the move-to-middleware rules the plan must stay a
-	// stratum-style all-DBMS plan.
-	res.Best.Walk(func(n *algebra.Node) {
-		if n.Loc() == algebra.LocMW && n.Op != algebra.OpTM {
-			t.Errorf("operator %v in middleware despite disabled group 1", n.Op)
+	stratum := func(p *algebra.Node) bool {
+		ok := p.Op == algebra.OpTM
+		p.Left.Walk(func(n *algebra.Node) {
+			if n.Loc() == algebra.LocMW || n.Op == algebra.OpTD {
+				ok = false
+			}
+		})
+		return ok
+	}
+	for _, c := range res.Candidates {
+		if stratum(c.Plan) {
+			return
 		}
-	})
+	}
+	t.Errorf("no stratum-style plan among %d candidates", len(res.Candidates))
 }
 
 func TestSortEliminatedWhenOrderSatisfied(t *testing.T) {
 	// TAGGR^M delivers (PosID, T1) order, so the top sort on PosID is
 	// redundant in the middleware plan and the optimizer must not
 	// enforce it again.
-	o := newOptimizer()
-	res, err := o.Optimize(query1Initial())
+	res, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +162,8 @@ func TestSortEliminatedWhenOrderSatisfied(t *testing.T) {
 }
 
 func TestOrderComputation(t *testing.T) {
-	o := newOptimizer()
-	m := newMemo(o.Model.Est.Snapshot(), o.Model)
+	model := testModel()
+	m := newMemo(model.Est.Snapshot(), model)
 	aggr := algebra.TAggr(algebra.TM(algebra.Scan("POSITION", "")), []string{"PosID"},
 		algebra.Agg{Fn: "COUNT", Col: "PosID"})
 	g := m.insert(algebra.TD(aggr), -1)
@@ -190,7 +195,7 @@ func TestOrderComputation(t *testing.T) {
 		}
 	}
 	// A middleware projection renames the order it passes down.
-	m2 := newMemo(o.Model.Est.Snapshot(), o.Model)
+	m2 := newMemo(model.Est.Snapshot(), model)
 	pg := m2.insert(algebra.Project(algebra.TM(algebra.Scan("POSITION", "A")),
 		algebra.ProjCol{Src: "A.PosID", As: "P"}), -1)
 	if in, ok := m2.inputOrders(m2.groups[pg].exprs[0], []string{"P"}); !ok || in[0][0] != "A.PosID" {
@@ -314,14 +319,12 @@ func TestRenamePredRoundTrip(t *testing.T) {
 }
 
 func TestMemoAccountingGrows(t *testing.T) {
-	o := newOptimizer()
 	simple := algebra.TM(algebra.ProjectCols(algebra.Scan("POSITION", ""), "PosID"))
-	res1, err := o.Optimize(simple)
+	res1, err := Optimize(testModel(), simple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2 := newOptimizer()
-	res2, err := o2.Optimize(query1Initial())
+	res2, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +334,7 @@ func TestMemoAccountingGrows(t *testing.T) {
 }
 
 func TestCandidatesAllExecutableShapes(t *testing.T) {
-	o := newOptimizer()
-	res, err := o.Optimize(query1Initial())
+	res, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,8 +351,7 @@ func TestCandidatesAllExecutableShapes(t *testing.T) {
 func TestOptimizationDeterministic(t *testing.T) {
 	keys := map[string]bool{}
 	for i := 0; i < 3; i++ {
-		o := newOptimizer()
-		res, err := o.Optimize(query1Initial())
+		res, err := Optimize(testModel(), query1Initial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +375,7 @@ func TestCatalogTrafficPerOptimize(t *testing.T) {
 		Columns: map[string]*meta.ColumnStats{"POSID": {Name: "PosID", Distinct: 400}}}
 	schemas, tables := map[string]int{}, map[string]int{}
 	counted := countingCatalog{cat, schemas}
-	o := New(cost.NewModel(stats.NewEstimator(counted, countingSource{src, tables})))
+	model := cost.NewModel(stats.NewEstimator(counted, countingSource{src, tables}))
 	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE B.PayRate > 10")
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +391,7 @@ func TestCatalogTrafficPerOptimize(t *testing.T) {
 	for _, p := range plans {
 		clear(schemas)
 		clear(tables)
-		if _, err := o.Optimize(p); err != nil {
+		if _, err := Optimize(model, p); err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range []map[string]int{schemas, tables} {
@@ -431,12 +432,11 @@ func (s countingSource) TableStats(table string, buckets int) (*meta.TableStats,
 // search ends on its own with both join placements among the
 // candidates.
 func TestSearchTerminatesOnCommutingJoins(t *testing.T) {
-	o := newOptimizer()
 	initial := algebra.TM(algebra.Join(
 		algebra.ProjectCols(algebra.Scan("POSITION", "A"), "A.PosID", "A.PayRate"),
 		algebra.ProjectCols(algebra.Scan("POSITION", "B"), "B.PosID", "B.EmpName"),
 		[]string{"A.PosID"}, []string{"B.PosID"}))
-	res, err := o.Optimize(initial)
+	res, err := Optimize(testModel(), initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestSearchTerminatesOnCommutingJoins(t *testing.T) {
 // each extracted candidate whole (cost.Model.PlanCost, the reference)
 // must give the same number.
 func TestCandidateCostsArePlanCosts(t *testing.T) {
-	o := newOptimizer()
+	model := testModel()
 	sel, err := sqlparser.ParseSelect("SELECT 1 WHERE B.PayRate > 10 AND B.T1 < 9000")
 	if err != nil {
 		t.Fatal(err)
@@ -477,12 +477,12 @@ func TestCandidateCostsArePlanCosts(t *testing.T) {
 		algebra.TM(algebra.Join(algebra.Scan("POSITION", "A"), algebra.Scan("POSITION", "B"),
 			[]string{"A.PosID"}, []string{"B.PosID"})),
 	} {
-		res, err := o.Optimize(initial)
+		res, err := Optimize(model, initial)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range res.Candidates {
-			want, err := o.Model.PlanCost(c.Plan)
+			want, err := model.PlanCost(c.Plan)
 			if err != nil {
 				t.Fatal(err)
 			}

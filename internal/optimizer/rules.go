@@ -20,8 +20,7 @@ import (
 // more equivalent subtree roots. Rewrites may share the subtree's
 // inputs (the memo never mutates a node).
 type Rule struct {
-	Name  string
-	Group int // heuristic group (1, 2, 4) or 0 for equivalences
+	Name string
 	// Deep rules also match on the operator of the root's left input;
 	// the memo fires them once per (expression, left-input expression)
 	// pair and the others once per expression.
@@ -38,21 +37,21 @@ type schemaOf func(n *algebra.Node) (types.Schema, error)
 // resolve schemas through schema.
 func DefaultRules(schema schemaOf) []Rule {
 	return []Rule{
-		{Name: "T1-taggr-to-mw", Group: 1, Apply: ruleT1},
-		{Name: "T2-join-to-mw", Group: 1, Apply: joinToMW(algebra.OpJoin)},
-		{Name: "T3-tjoin-to-mw", Group: 1, Apply: joinToMW(algebra.OpTJoin)},
-		{Name: "T4-select-above-tm", Group: 1, Deep: true, Apply: ruleT4},
-		{Name: "T5-project-above-tm", Group: 1, Deep: true, Apply: ruleT5},
-		{Name: "T7-collapse-tm-td", Group: 2, Deep: true, Apply: ruleT7},
-		{Name: "T8-collapse-td-tm", Group: 2, Deep: true, Apply: ruleT8},
-		{Name: "E1-project-select-commute", Group: 0, Deep: true, Apply: ruleE1},
-		{Name: "E2-join-commute", Group: 0, Apply: joinCommute(schema)},
-		{Name: "G4-select-below-join", Group: 4, Deep: true, Apply: selectBelowJoin(schema)},
-		{Name: "G4-narrow-taggr-input", Group: 4, Deep: true, Apply: narrowTAggrInput(schema)},
-		{Name: "T5r-project-below-tm", Group: 4, Deep: true, Apply: ruleProjectBelowTM},
-		{Name: "TC1-coalesce-to-mw", Group: 1, Apply: coalesceToMW(schema)},
-		{Name: "TD1-dupelim-to-mw", Group: 1, Apply: ruleDupElimToMW},
-		{Name: "VC1-select-coalesce-commute", Group: 0, Deep: true, Apply: ruleSelectCoalesce},
+		{Name: "T1-taggr-to-mw", Apply: ruleT1},
+		{Name: "T2-join-to-mw", Apply: joinToMW(algebra.OpJoin)},
+		{Name: "T3-tjoin-to-mw", Apply: joinToMW(algebra.OpTJoin)},
+		{Name: "T4-select-above-tm", Deep: true, Apply: ruleT4},
+		{Name: "T5-project-above-tm", Deep: true, Apply: ruleT5},
+		{Name: "T7-collapse-tm-td", Deep: true, Apply: ruleT7},
+		{Name: "T8-collapse-td-tm", Deep: true, Apply: ruleT8},
+		{Name: "E1-project-select-commute", Deep: true, Apply: ruleE1},
+		{Name: "E2-join-commute", Apply: joinCommute(schema)},
+		{Name: "G4-select-below-join", Deep: true, Apply: selectBelowJoin(schema)},
+		{Name: "G4-narrow-taggr-input", Deep: true, Apply: narrowTAggrInput(schema)},
+		{Name: "T5r-project-below-tm", Deep: true, Apply: ruleProjectBelowTM},
+		{Name: "TC1-coalesce-to-mw", Apply: coalesceToMW(schema)},
+		{Name: "TD1-dupelim-to-mw", Apply: ruleDupElimToMW},
+		{Name: "VC1-select-coalesce-commute", Deep: true, Apply: ruleSelectCoalesce},
 	}
 }
 

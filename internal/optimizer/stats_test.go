@@ -6,11 +6,10 @@ import (
 
 // TestSearchStatisticsExported checks the telemetry accounting the
 // optimizer attaches to every Result: classes/elements, the number of
-// (expression, order) pairs the searches priced, per-rule firing
-// counts, and wall time.
+// expressions the search priced, per-rule firing counts, and wall
+// time.
 func TestSearchStatisticsExported(t *testing.T) {
-	o := newOptimizer()
-	res, err := o.Optimize(query1Initial())
+	res, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +51,11 @@ func TestSearchStatisticsExported(t *testing.T) {
 // TestRulesFiredStableAcrossRuns: rule accounting must be
 // deterministic, like the rest of the optimizer.
 func TestRulesFiredStableAcrossRuns(t *testing.T) {
-	a, err := newOptimizer().Optimize(query1Initial())
+	a, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newOptimizer().Optimize(query1Initial())
+	b, err := Optimize(testModel(), query1Initial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,11 +140,18 @@ func TestStaleMetadataReplans(t *testing.T) {
 					}
 					return out
 				}
+				queries := reg.Histogram("tango_query_seconds", nil, telemetry.LatencyBuckets)
+				optimizations := reg.Histogram("tango_optimize_seconds", nil, telemetry.DurationBuckets)
 				run() // warms A's metadata cache
+				q0, o0 := queries.Count(), optimizations.Count()
 				ch.change(t, b)
 				got := run()
 				if n := replans.Value(); n != 1 {
 					t.Errorf("tango_plan_replans_total = %d, want 1", n)
+				}
+				// One query, planned twice.
+				if q, o := queries.Count()-q0, optimizations.Count()-o0; q != 1 || o != 2 {
+					t.Errorf("the re-planned query observed tango_query_seconds %d times and tango_optimize_seconds %d times, want 1 and 2", q, o)
 				}
 				tr := mw.LastTrace()
 				if n := childSpans(tr, "replan"); n != 1 {

@@ -21,7 +21,7 @@ import (
 
 // propSystem builds a DBMS with a randomized POSITION relation and the
 // full optimizer stack.
-func propSystem(t *testing.T, seed int64, rows int) (*client.Conn, *Executor, *optimizer.Optimizer) {
+func propSystem(t *testing.T, seed int64, rows int) (*client.Conn, *Executor, *cost.Model) {
 	t.Helper()
 	db := engine.Open(engine.Config{})
 	srv := server.New(db, wire.Latency{})
@@ -45,9 +45,8 @@ func propSystem(t *testing.T, seed int64, rows int) (*client.Conn, *Executor, *o
 	}
 	cat := ConnCatalog{Conn: conn}
 	est := stats.NewEstimator(cat, conn)
-	opt := optimizer.New(cost.NewModel(est))
 	ex := &Executor{Conn: conn, Cat: cat}
-	return conn, ex, opt
+	return conn, ex, cost.NewModel(est)
 }
 
 // normalizeFor compares relations as multisets after dequalifying
@@ -100,8 +99,8 @@ func TestAllCandidatePlansEquivalent(t *testing.T) {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				_, ex, opt := propSystem(t, seed, 40)
-				res, err := opt.Optimize(q.plan())
+				_, ex, model := propSystem(t, seed, 40)
+				res, err := optimizer.Optimize(model, q.plan())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,9 +153,9 @@ func TestOrderedJoinCandidatesDeliverOrder(t *testing.T) {
 	}
 	for _, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			_, ex, opt := propSystem(t, 5, 40)
+			_, ex, model := propSystem(t, 5, 40)
 			initial := func() *algebra.Node { return algebra.TM(algebra.Sort(q.in(), q.keys...)) }
-			res, err := opt.Optimize(initial())
+			res, err := optimizer.Optimize(model, initial())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,12 +193,12 @@ func TestOrderedJoinCandidatesDeliverOrder(t *testing.T) {
 // equivalence: when the query pins a total order, the optimizer's best
 // plan must deliver rows in that order.
 func TestBestPlanListEquivalentUnderTopSort(t *testing.T) {
-	_, ex, opt := propSystem(t, 11, 60)
+	_, ex, model := propSystem(t, 11, 60)
 	base := algebra.ProjectCols(algebra.Scan("POSITION", ""), "PosID", "T1", "T2")
 	initial := algebra.TM(algebra.Sort(
 		algebra.TAggr(base, []string{"PosID"}, algebra.Agg{Fn: "COUNT", Col: "PosID"}),
 		"PosID", "T1"))
-	res, err := opt.Optimize(initial)
+	res, err := optimizer.Optimize(model, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +223,13 @@ func TestBestPlanListEquivalentUnderTopSort(t *testing.T) {
 // the projection was pushed below the DBMS sort.
 func TestNarrowingRulesStayCorrect(t *testing.T) {
 	for seed := int64(10); seed <= 14; seed++ {
-		_, ex, opt := propSystem(t, seed, 50)
+		_, ex, model := propSystem(t, seed, 50)
 		// No user projection: the narrowing rule must introduce it.
 		initial := algebra.TM(algebra.Sort(
 			algebra.TAggr(algebra.Scan("POSITION", ""), []string{"PosID"},
 				algebra.Agg{Fn: "COUNT", Col: "PosID"}),
 			"PosID", "T1"))
-		res, err := opt.Optimize(initial)
+		res, err := optimizer.Optimize(model, initial)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,6 @@ type Middleware struct {
 	Cat   algebra.Catalog
 	Est   *stats.Estimator
 	Model *cost.Model
-	Opt   *optimizer.Optimizer
 
 	// CheckPlans enables the planck runtime plan validator on every
 	// optimized plan and every executor build (debug mode; on in all
@@ -100,7 +99,6 @@ func OpenConn(conn *client.Conn, opts Options) *Middleware {
 		Cat:        cat,
 		Est:        est,
 		Model:      model,
-		Opt:        optimizer.New(model),
 		Metrics:    opts.Metrics,
 		CheckPlans: opts.CheckPlans,
 		Flight:     opts.Flight,
@@ -122,21 +120,17 @@ func (m *Middleware) Calibrate(rows int) error {
 
 // Optimize runs the optimizer on an initial plan.
 func (m *Middleware) Optimize(initial *algebra.Node) (*optimizer.Result, error) {
-	res, elapsed, err := m.timedOptimize(initial, nil)
-	_ = elapsed
-	return res, err
+	return m.timedOptimize(initial, nil)
 }
 
 // timedOptimize runs the optimizer under an "optimize" child span and
 // exports the search statistics to the registry.
-func (m *Middleware) timedOptimize(initial *algebra.Node, root *telemetry.Span) (*optimizer.Result, time.Duration, error) {
+func (m *Middleware) timedOptimize(initial *algebra.Node, root *telemetry.Span) (*optimizer.Result, error) {
 	sp := root.Child("optimize")
-	start := time.Now()
-	res, err := m.Opt.Optimize(initial)
-	elapsed := time.Since(start)
+	res, err := optimizer.Optimize(m.Model, initial)
 	sp.Finish()
 	if err != nil {
-		return nil, elapsed, err
+		return nil, err
 	}
 	sp.SetInt("classes", int64(res.Classes))
 	sp.SetInt("elements", int64(res.Elements))
@@ -144,21 +138,22 @@ func (m *Middleware) timedOptimize(initial *algebra.Node, root *telemetry.Span) 
 	sp.SetFloat("cost", res.BestCost)
 	if m.CheckPlans {
 		if cerr := planck.Check(res.Best, res.Catalog); cerr != nil {
-			return nil, elapsed, fmt.Errorf("tango: optimizer chose an invalid plan: %w", cerr)
+			return nil, fmt.Errorf("tango: optimizer chose an invalid plan: %w", cerr)
 		}
 	}
-	m.recordOptimizer(res, elapsed)
-	return res, elapsed, nil
+	m.recordOptimizer(res)
+	return res, nil
 }
 
-// recordOptimizer exports one optimization's search statistics.
-func (m *Middleware) recordOptimizer(res *optimizer.Result, elapsed time.Duration) {
+// recordOptimizer exports one optimization's search statistics. The
+// count of tango_optimize_seconds is the number of optimizations; that
+// of tango_query_seconds (finish) the number of queries.
+func (m *Middleware) recordOptimizer(res *optimizer.Result) {
 	reg := m.Metrics
 	if reg == nil {
 		return
 	}
-	reg.Counter("tango_queries_total", nil).Inc()
-	reg.Histogram("tango_optimize_seconds", nil, telemetry.DurationBuckets).Observe(elapsed.Seconds())
+	reg.Histogram("tango_optimize_seconds", nil, telemetry.DurationBuckets).Observe(res.Elapsed.Seconds())
 	reg.Histogram("tango_optimizer_classes", nil, telemetry.CountBuckets).Observe(float64(res.Classes))
 	reg.Histogram("tango_optimizer_elements", nil, telemetry.CountBuckets).Observe(float64(res.Elements))
 	reg.Counter("tango_optimizer_plans_costed_total", nil).Add(int64(res.PlansCosted))
@@ -319,7 +314,7 @@ func (m *Middleware) Run(initial *algebra.Node) (out *rel.Relation, res *optimiz
 // bumps tango_plan_replans_total.
 func (m *Middleware) optimizeAndRun(initial *algebra.Node, root *telemetry.Span) (*optimizer.Result, *rel.Relation, *Executor, error) {
 	for replanned := false; ; replanned = true {
-		res, _, err := m.timedOptimize(initial, root)
+		res, err := m.timedOptimize(initial, root)
 		if err != nil {
 			return nil, nil, nil, err
 		}
