@@ -76,7 +76,7 @@ fuzz:
 # -run Chaos` for the full sweep.
 chaos:
 	$(GO) test ./internal/bench/ -run 'Chaos' -race -short
-	$(GO) test ./internal/client/ -run 'Windowed|Do|Backoff' -race
+	$(GO) test ./internal/client/ -run 'Windowed|Do|Backoff|AbandonedCreate' -race
 
 # crash runs the deterministic crash matrix under the race detector:
 # every scripted WAL/page death point in the standard workload is

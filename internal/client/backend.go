@@ -1,10 +1,11 @@
 // The transport seam: a connection reaches its server session through
 // exactly one call carrying a wire.Request and returning a wire.Reply.
-// The typed operations, the retry machinery, the cursor's fetch loop and
-// the temp-table protocol are written once above it (client.go) and run
-// unchanged over both transports: the loopback below hands the Request
-// value to server.Session.Handle in process, tcp.go frames the same
-// value onto a socket whose far end decodes it and calls Handle too.
+// The typed operations, the retry machinery, the cursor's fetch loop
+// and a temp table's create and drop are written once above it
+// (client.go) and run unchanged over both transports: the loopback
+// below hands the Request value to server.Session.Handle in process,
+// tcp.go frames the same value onto a socket whose far end decodes it
+// and calls Handle too.
 package client
 
 import (

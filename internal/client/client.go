@@ -6,10 +6,10 @@
 //
 // The connection is also the resilience boundary (see retry.go): with
 // a RetryPolicy configured, idempotent operations — cursor OPEN,
-// sequence-numbered FETCH, deduplicated bulk LOAD, the temp-table
-// create/drop protocol, and catalog reads — survive transient wire
-// faults via capped, jittered exponential backoff under per-call
-// deadlines and context cancellation.
+// sequence-numbered FETCH, deduplicated bulk LOAD, a temp table's
+// CREATE IF NOT EXISTS and DROP IF EXISTS, and catalog reads — survive
+// transient wire faults via capped, jittered exponential backoff under
+// per-call deadlines and context cancellation.
 package client
 
 import (
@@ -62,6 +62,9 @@ type Conn struct {
 	// meta caches schemas and statistics under the DBMS's metadata
 	// epoch (metacache.go).
 	meta metaCache
+
+	// temps numbers the connection's transfer temp tables (TempName).
+	temps atomic.Int64
 }
 
 // record feeds one completed transfer into the wire metrics. dir is
@@ -488,35 +491,22 @@ func (c *Conn) QueryAll(sql string) (*rel.Relation, Feedback, error) {
 // column names are mangled ("A.PosID" → "A$PosID") so self-join
 // outputs stay unambiguous; SQL generation uses the same mangling.
 //
-// For transfer temp tables the statement is retried under the
-// drop-and-recreate protocol: every attempt first issues DROP TABLE
-// IF EXISTS, so a half-applied CREATE from a lost acknowledgment
-// cannot wedge the retry. The session registers the table for
-// server-side GC.
+// A transfer temp table is created by CREATE TABLE IF NOT EXISTS,
+// which retries: its name is the session's own (TempName), so an
+// attempt that lands after another already created the table leaves
+// it, and whatever was loaded into it, as it is. The session enters
+// the table in its ledger for server-side GC.
 func (c *Conn) CreateTable(name string, schema types.Schema) error {
 	cols := make([]string, schema.Len())
 	for i, col := range schema.Cols {
 		cols[i] = Mangle(col.Name) + " " + col.Kind.String()
 	}
-	stmt := "CREATE TABLE " + name + " (" + strings.Join(cols, ", ") + ")"
-	isTemp := strings.HasPrefix(name, server.TempPrefix)
-	if !isTemp {
-		_, err := c.Exec(stmt)
+	def := name + " (" + strings.Join(cols, ", ") + ")"
+	if !strings.HasPrefix(name, server.TempPrefix) {
+		_, err := c.Exec("CREATE TABLE " + def)
 		return err
 	}
-	err := c.do("create", func(sp *telemetry.Span) error {
-		hdr := traceHeader(sp)
-		if _, derr := c.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: "DROP TABLE IF EXISTS " + name}); derr != nil {
-			return derr
-		}
-		_, cerr := c.call(c.baseCtx(), wire.Request{Op: wire.MsgExec, TraceHdr: hdr, Name: stmt})
-		return cerr
-	})
-	if err == nil {
-		// Fire and forget: if the registration is lost, an unresumed
-		// session's temps are collected by the reaper anyway.
-		_, _ = c.call(c.baseCtx(), wire.Request{Op: wire.MsgRegisterTemp, Name: name})
-	}
+	_, err := c.retried("create", wire.Request{Op: wire.MsgExec, Name: "CREATE TABLE IF NOT EXISTS " + def}, nil)
 	return err
 }
 
@@ -567,18 +557,13 @@ func (c *Conn) Load(table string, rows []types.Tuple) (Feedback, error) {
 // transfer temporaries). DROP IF EXISTS is idempotent, so it retries.
 func (c *Conn) DropTable(name string) error {
 	_, err := c.retried("drop", wire.Request{Op: wire.MsgExec, Name: "DROP TABLE IF EXISTS " + name}, nil)
-	if err == nil {
-		_, _ = c.call(c.baseCtx(), wire.Request{Op: wire.MsgForgetTemp, Name: name})
-	}
 	return err
 }
 
-// tempCounter numbers transfer temp tables; atomic so concurrent
-// connections never hand out the same name.
-var tempCounter atomic.Int64
-
-// TempName generates a unique temporary table name; the caller must
-// drop it when the query completes (as §3.2 of the paper requires).
+// TempName generates a temporary table name unique on the server: the
+// session ID, unique among the server's sessions, and the
+// connection's own count. The caller must drop the table when the
+// query completes (as §3.2 of the paper requires).
 func (c *Conn) TempName() string {
-	return fmt.Sprintf("%s%d", server.TempPrefix, tempCounter.Add(1))
+	return fmt.Sprintf("%s%s_%d", server.TempPrefix, c.sessLbl, c.temps.Add(1))
 }

@@ -1,12 +1,15 @@
 package client
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"tango/internal/engine"
 	"tango/internal/rel"
 	"tango/internal/server"
+	"tango/internal/types"
 	"tango/internal/wire"
 )
 
@@ -54,11 +57,53 @@ func TestLatencyCharged(t *testing.T) {
 	}
 }
 
+// TestTempNamesUnique: a temp name carries its session's ID, so names
+// are unique across the connections of a server even when they come
+// from different client processes; a temp table is created IF NOT
+// EXISTS, and a repeated name would reuse another session's table.
 func TestTempNamesUnique(t *testing.T) {
 	c := testConn(t)
-	a, b := c.TempName(), c.TempName()
-	if a == b {
-		t.Errorf("TempName not unique: %s", a)
+	d := Connect(c.be.(*loopback).srv)
+	seen := map[string]bool{}
+	for _, conn := range []*Conn{c, d, c, d} {
+		name := conn.TempName()
+		if seen[name] || !strings.HasPrefix(name, fmt.Sprintf("%s%d_", server.TempPrefix, conn.SessionID())) {
+			t.Errorf("TempName %s repeated or not under session %d", name, conn.SessionID())
+		}
+		seen[name] = true
+	}
+}
+
+// TestAbandonedCreateKeepsLoadedTemp: a temp table's create attempt
+// stalls past its deadline, its retry creates the table and the load
+// fills it, and then the abandoned attempt lands. It must leave the
+// loaded rows as they are.
+func TestAbandonedCreateKeepsLoadedTemp(t *testing.T) {
+	srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
+	c := Connect(srv)
+	sched, err := wire.ParseSchedule("seed=1;stall=200ms;exec@1=stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetFaults(sched.Injector())
+	c.Retry = RetryPolicy{MaxAttempts: 3, OpTimeout: 20 * time.Millisecond}
+	name := c.TempName()
+	if err := c.CreateTable(name, types.NewSchema(types.Column{Name: "K", Kind: types.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(name, []types.Tuple{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(400 * time.Millisecond) // the stalled attempt lands
+	r, _, err := c.QueryAll("SELECT COUNT(*) FROM " + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Tuples[0][0].AsInt(); got != 3 {
+		t.Fatalf("COUNT(*) = %d after the abandoned create landed, want 3", got)
+	}
+	if n, err := c.be.Close(); n != 1 || err != nil || len(srv.TempTables()) != 0 {
+		t.Fatalf("close collected %d (%v), left %v; want the one temp collected", n, err, srv.TempTables())
 	}
 }
 

@@ -263,19 +263,18 @@ var conformance = []struct {
 		return fmt.Sprintf("%s | %s | cursors=%d", raw, renderReply(wire.Reply{}, err), e.srv.OpenCursors())
 	}, "error: ErrStaleMetadata | error: ErrStaleMetadata | cursors=0"},
 
-	{"register and forget temp", func(e *confEnv) string {
-		for _, name := range []string{"orphan", "forgotten"} {
-			e.ask(wire.Request{Op: wire.MsgExec, Name: "CREATE TABLE " + server.TempPrefix + name + " (K INTEGER)"})
-			e.ask(wire.Request{Op: wire.MsgRegisterTemp, Name: server.TempPrefix + name})
+	{"temp ledger: create two by exec, drop one by exec", func(e *confEnv) string {
+		for _, name := range []string{"orphan", "dropped"} {
+			e.ask(wire.Request{Op: wire.MsgExec, Name: "CREATE TABLE IF NOT EXISTS " + server.TempPrefix + name + " (K INTEGER)"})
 		}
-		return e.ask(wire.Request{Op: wire.MsgForgetTemp, Name: server.TempPrefix + "forgotten"})
+		return e.ask(wire.Request{Op: wire.MsgExec, Name: "DROP TABLE IF EXISTS " + server.TempPrefix + "dropped"})
 	}, "n=0 cursor=0 eos=false"},
 	{"close session collects the orphan, the open cursor and nothing else", func(e *confEnv) string {
 		left := e.ask(wire.Request{Op: wire.MsgQuery, Name: "SELECT K FROM T"})
 		n, err := e.c.be.Close()
 		temps := e.srv.TempTables()
 		return fmt.Sprintf("%s | collected=%d err=%v temps=%v cursors=%d", left, n, err, temps, e.srv.OpenCursors())
-	}, "n=0 cursor=7 eos=false schema=(K INTEGER) | collected=1 err=<nil> temps=[TMP_TANGO_forgotten] cursors=0"},
+	}, "n=0 cursor=7 eos=false schema=(K INTEGER) | collected=1 err=<nil> temps=[] cursors=0"},
 }
 
 // TestTransportConformance runs the script over both transports.

@@ -3,8 +3,8 @@
 // idempotent operations. The retry protocol leans on the server's
 // idempotency guarantees — cursor fetches are re-positioned by
 // statement sequence number, bulk loads are deduplicated by load
-// sequence, and CREATE TABLE is retried under a drop-and-recreate
-// protocol — so a retry after an ambiguous failure (work done, reply
+// sequence, and a temp table is created IF NOT EXISTS and dropped IF
+// EXISTS — so a retry after an ambiguous failure (work done, reply
 // lost) never double-applies.
 package client
 
@@ -431,12 +431,6 @@ func doValCtx[T any](c *Conn, ctx context.Context, parent *telemetry.Span, op st
 // trace parent.
 func doVal[T any](c *Conn, op string, f func(sp *telemetry.Span) (T, error), discard func(T)) (T, error) {
 	return doValCtx(c, c.baseCtx(), c.TraceSpan(), op, f, discard)
-}
-
-// do runs one logical idempotent operation that produces no value.
-func (c *Conn) do(op string, f func(sp *telemetry.Span) error) error {
-	_, err := doVal(c, op, func(sp *telemetry.Span) (struct{}, error) { return struct{}{}, f(sp) }, nil)
-	return err
 }
 
 // opError wraps the final failure of an exhausted retry loop.

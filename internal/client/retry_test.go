@@ -128,6 +128,12 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// do runs one logical idempotent operation that produces no value.
+func (c *Conn) do(op string, f func(sp *telemetry.Span) error) error {
+	_, err := doVal(c, op, func(sp *telemetry.Span) (struct{}, error) { return struct{}{}, f(sp) }, nil)
+	return err
+}
+
 // TestDoRetriesTransientThenSucceeds: a fault that clears after k
 // failures is absorbed iff k < MaxAttempts, and the telemetry
 // counters record every retry.

@@ -6,7 +6,7 @@
 // callers; session IDs ride the frame header), redials transparently
 // when the connection is lost, and resumes its sessions server-side
 // with their resume tokens — so the retry machinery above (sequence-
-// numbered fetch replay, load dedup, drop-and-recreate) works over a
+// numbered fetch replay, load dedup, IF [NOT] EXISTS DDL) works over a
 // severed, stalled, or truncated wire exactly as it does in process.
 //
 // A lost connection surfaces as a typed, retryable ErrConnLost; typed

@@ -283,6 +283,10 @@ func (db *DB) publishLocked(tables map[string]*Table, table, op string) uint64 {
 // Lock-free.
 func (db *DB) MetaEpoch() uint64 { return db.cat.Load().meta }
 
+// errExists is CreateTable's failure for a name already taken; it is
+// checked under the catalog latch, so of two racing creates one fails.
+var errExists = errors.New("already exists")
+
 // CreateTable adds a new empty table.
 func (db *DB) CreateTable(name string, schema types.Schema) (*Table, error) {
 	db.wmu.Lock()
@@ -290,7 +294,7 @@ func (db *DB) CreateTable(name string, schema types.Schema) (*Table, error) {
 	k := key(name)
 	if _, ok := cur.tables[k]; ok {
 		db.wmu.Unlock()
-		return nil, fmt.Errorf("engine: table %s already exists", name)
+		return nil, fmt.Errorf("engine: table %s %w", name, errExists)
 	}
 	t := &Table{
 		Name:    name,

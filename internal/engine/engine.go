@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"tango/internal/rel"
@@ -70,6 +71,9 @@ func (db *DB) ExecStmt(stmt sqlast.Statement) (int64, error) {
 			cols[i] = types.Column{Name: c.Name, Kind: c.Kind}
 		}
 		_, err := db.CreateTable(s.Name, types.Schema{Cols: cols})
+		if s.IfNotExists && errors.Is(err, errExists) {
+			return 0, nil
+		}
 		return 0, err
 
 	case *sqlast.DropTable:

@@ -578,6 +578,12 @@ func TestDDLErrors(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE POSITION (X INTEGER)"); err == nil {
 		t.Error("duplicate create should fail")
 	}
+	if _, err := db.Exec("CREATE TABLE IF NOT EXISTS POSITION (X INTEGER)"); err != nil {
+		t.Errorf("create if not exists: %v", err)
+	}
+	if tb, err := db.Table("POSITION"); err != nil || tb.Schema.ColumnIndex("X") >= 0 {
+		t.Errorf("create if not exists replaced the table: %v", err)
+	}
 	if _, err := db.Exec("DROP TABLE NOPE"); err == nil {
 		t.Error("drop missing should fail")
 	}

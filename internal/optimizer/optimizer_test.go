@@ -141,6 +141,33 @@ func TestStratumPlanAmongCandidates(t *testing.T) {
 	t.Errorf("no stratum-style plan among %d candidates", len(res.Candidates))
 }
 
+// TestSortEnforcerPlacementClass: a sort enforcer in a middleware
+// group (SORT^M) keeps a plan out of the all-DBMS class, so when SORT^D
+// is priced far above SORT^M, Query 1 (ORDER BY PosID) still has its
+// stratum plan, ordered by SORT^D below the root T^M, among the
+// candidates. The root T^M's own completion runs the aggregation in
+// the middleware, so only the all-DBMS goal yields that plan.
+func TestSortEnforcerPlacementClass(t *testing.T) {
+	model := testModel()
+	model.F.SortD = 1000 * model.F.SortM
+	res, err := Optimize(model, query1Initial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Candidates {
+		mw := 0
+		c.Plan.Walk(func(n *algebra.Node) {
+			if n.Loc() == algebra.LocMW || n.Op == algebra.OpTD {
+				mw++
+			}
+		})
+		if c.Plan.Op == algebra.OpTM && mw == 1 {
+			return
+		}
+	}
+	t.Errorf("no plan whose only middleware operator is the root T^M among %d candidates", len(res.Candidates))
+}
+
 func TestSortEliminatedWhenOrderSatisfied(t *testing.T) {
 	// TAGGR^M delivers (PosID, T1) order, so the top sort on PosID is
 	// redundant in the middleware plan and the optimizer must not

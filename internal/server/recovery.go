@@ -8,8 +8,6 @@
 package server
 
 import (
-	"strings"
-
 	"tango/internal/storage"
 	"tango/internal/telemetry"
 )
@@ -20,22 +18,7 @@ import (
 // sessions, so anything under TempPrefix is garbage by construction.
 // It returns the number of tables collected.
 func (s *Server) StartupGC() (int, error) {
-	collected := 0
-	var first error
-	for _, name := range s.db.TableNames() {
-		if !strings.HasPrefix(name, TempPrefix) {
-			continue
-		}
-		if err := s.db.DropTable(name, true); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		s.forgetLoadMark(name)
-		collected++
-	}
-	return collected, first
+	return s.dropTables(s.TempTables())
 }
 
 // RegisterRecovery exports one restart's recovery outcome into the

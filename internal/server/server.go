@@ -13,9 +13,9 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -79,7 +79,7 @@ type loadMark struct {
 func New(db *engine.DB, lat wire.Latency) *Server {
 	s := &Server{db: db, lat: lat}
 	s.adm.drainCh = make(chan struct{})
-	s.local = &Session{srv: s, temps: map[string]bool{}, cursors: map[uint64]*Cursor{}}
+	s.local = &Session{srv: s, cursors: map[uint64]*Cursor{}}
 	return s
 }
 
@@ -162,16 +162,33 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	s.db.SetMetrics(reg)
 }
 
-// exec runs a non-SELECT statement. It is not idempotent in general;
-// the client only retries statements it knows are (DROP IF EXISTS, and
-// CREATE TABLE under its drop-and-recreate protocol).
-func (s *Server) exec(sql string) (int64, error) {
-	if name, ok := strings.CutPrefix(sql, "DROP TABLE IF EXISTS "); ok {
-		// The table's identity ends with the drop: a later temp table
-		// reusing the name must not inherit its load-dedup mark.
-		s.forgetLoadMark(strings.TrimSpace(name))
+// dropTable is the one place a table leaves the server: the engine
+// drop, and its load-dedup mark with it, so a later table reusing the
+// name does not inherit the mark. Every DROP statement, a session's
+// close and the startup sweep go through it.
+func (s *Server) dropTable(name string, ifExists bool) error {
+	if err := s.db.DropTable(name, ifExists); err != nil {
+		return err
 	}
-	return s.db.Exec(sql)
+	s.mu.Lock()
+	delete(s.loadSeqs, name)
+	s.mu.Unlock()
+	return nil
+}
+
+// dropTables drops the named tables that exist, returning how many it
+// dropped and the first failure.
+func (s *Server) dropTables(names []string) (int, error) {
+	n := 0
+	var first error
+	for _, name := range names {
+		if err := s.dropTable(name, true); err != nil {
+			first = cmp.Or(first, err)
+		} else {
+			n++
+		}
+	}
+	return n, first
 }
 
 // Query opens a SELECT on the server's own session and returns its
@@ -432,7 +449,7 @@ func (s *Server) Counters() (queries, rowsOut, rowsIn int64) {
 }
 
 // Requests reports how many requests of one message type
-// (wire.MsgExec … wire.MsgForgetTemp) the server's sessions have
+// (wire.MsgCloseSession … wire.MsgSchema) the server's sessions have
 // received, on either transport.
 func (s *Server) Requests(msg byte) int64 {
 	if int(msg) >= len(s.requests) {

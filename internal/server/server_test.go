@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"tango/internal/engine"
@@ -205,3 +206,45 @@ func TestConcurrentReaders(t *testing.T) {
 type errRows int
 
 func (e errRows) Error() string { return "unexpected row count" }
+
+// TestTempLedger: a session's ledger follows the CREATE and DROP
+// statements it runs. A temp created twice (IF NOT EXISTS) is entered
+// once and a dropped one leaves; close collects what is left, and a
+// create that lands after the close is dropped at once. A DROP clears
+// the table's load mark, so the same load sequence into the recreated
+// table is applied, not taken for a duplicate.
+func TestTempLedger(t *testing.T) {
+	s := New(engine.Open(engine.Config{}), wire.Latency{})
+	se := s.NewSession()
+	run := func(req wire.Request) error {
+		_, err := se.Handle(context.Background(), req)
+		return err
+	}
+	load := wire.Request{Op: wire.MsgLoad, Name: TempPrefix + "b", Seq: 7, Body: wire.EncodeBatch(nil, []types.Tuple{{types.Int(1)}})}
+	for _, req := range []wire.Request{
+		{Op: wire.MsgExec, Name: "CREATE TABLE IF NOT EXISTS " + TempPrefix + "a (K INTEGER)"},
+		{Op: wire.MsgExec, Name: "CREATE TABLE IF NOT EXISTS " + TempPrefix + "a (K INTEGER)"},
+		{Op: wire.MsgExec, Name: "CREATE TABLE " + TempPrefix + "b (K INTEGER)"},
+		load,
+		{Op: wire.MsgExec, Name: "DROP TABLE " + TempPrefix + "b"},
+		{Op: wire.MsgExec, Name: "CREATE TABLE " + TempPrefix + "b (K INTEGER)"},
+		load,
+		{Op: wire.MsgExec, Name: "DROP TABLE IF EXISTS " + TempPrefix + "b"},
+	} {
+		if err := run(req); err != nil {
+			t.Fatalf("%s %s: %v", wire.MsgName(req.Op), req.Name, err)
+		}
+		if req.Op == wire.MsgLoad {
+			if r, err := s.db.QueryAll("SELECT COUNT(*) FROM " + TempPrefix + "b"); err != nil || r.Tuples[0][0].AsInt() != 1 {
+				t.Fatalf("after load: %v, %v; want 1 row", r, err)
+			}
+		}
+	}
+	if n, err := se.Close(); n != 1 || err != nil {
+		t.Fatalf("close collected %d (%v), want 1", n, err)
+	}
+	late := run(wire.Request{Op: wire.MsgExec, Name: "CREATE TABLE IF NOT EXISTS " + TempPrefix + "c (K INTEGER)"})
+	if !errors.Is(late, ErrShutdown) || len(s.TempTables()) != 0 {
+		t.Fatalf("create after close: %v, temps %v; want ErrShutdown and none", late, s.TempTables())
+	}
+}

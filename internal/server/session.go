@@ -8,25 +8,30 @@
 // materializes middleware islands into uniquely named temp tables that
 // §3.2 requires dropped at query end. Under wire faults the client-side
 // cleanup can fail (or the client can die mid-query), so the server
-// keeps its own ledger per session and garbage-collects whatever is
+// keeps its own ledger per session, from the CREATE and DROP
+// statements the session executes, and garbage-collects whatever is
 // left when the session ends.
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"tango/internal/engine"
+	"tango/internal/sqlast"
+	"tango/internal/sqlparser"
 	"tango/internal/wire"
 )
 
 // TempPrefix is the naming prefix of transfer temp tables; the
-// client's TempName generator, the server's orphan scan and the
-// engine's metadata epoch agree on it.
+// client's TempName generator, the session ledger, the server's orphan
+// scan and the engine's metadata epoch agree on it.
 const TempPrefix = engine.TempPrefix
 
 // ErrStaleMetadata is the typed refusal of a query whose plan was
@@ -43,7 +48,7 @@ type Session struct {
 	mu         sync.Mutex //tango:lock-order session latch
 	cursors    map[uint64]*Cursor
 	nextCursor uint64
-	temps      map[string]bool
+	temps      []string // the ledger
 	closed     bool
 }
 
@@ -53,7 +58,7 @@ var sessionCounter atomic.Int64
 
 // NewSession registers a new client session.
 func (s *Server) NewSession() *Session {
-	se := &Session{srv: s, id: sessionCounter.Add(1), temps: map[string]bool{}, cursors: map[uint64]*Cursor{}}
+	se := &Session{srv: s, id: sessionCounter.Add(1), cursors: map[uint64]*Cursor{}}
 	s.mu.Lock()
 	if s.sessions == nil {
 		s.sessions = map[*Session]bool{}
@@ -125,7 +130,7 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 		// batch): the admission unit passes to the cursor.
 		return se.open(req.Name, int(req.N), req.Epoch, release)
 	case wire.OpExec:
-		rep.N, err = s.exec(req.Name)
+		rep.N, err = se.exec(req.Name)
 	case wire.OpFetch:
 		rep, err = se.fetch(req)
 	case wire.OpLoad:
@@ -155,16 +160,6 @@ func (se *Session) control(req wire.Request) (wire.Reply, error) {
 			return wire.Reply{}, err
 		}
 		return wire.Reply{Schema: t.Schema, Epoch: epoch}, nil
-	case wire.MsgRegisterTemp:
-		se.mu.Lock()
-		if !se.closed {
-			se.temps[req.Name] = true
-		}
-		se.mu.Unlock()
-	case wire.MsgForgetTemp:
-		se.mu.Lock()
-		delete(se.temps, req.Name)
-		se.mu.Unlock()
 	case wire.MsgCloseCursor:
 		se.mu.Lock()
 		cur := se.cursors[req.Cursor]
@@ -182,6 +177,43 @@ func (se *Session) control(req wire.Request) (wire.Reply, error) {
 		return wire.Reply{}, fmt.Errorf("server: unexpected message %s", wire.MsgName(req.Op))
 	}
 	return wire.Reply{Epoch: se.srv.db.MetaEpoch()}, nil
+}
+
+// exec runs a non-SELECT statement, parsed once here so the session
+// keeps its temp-table ledger from what ran: a created TempPrefix table
+// enters it, a dropped one (every DROP goes through Server.dropTable)
+// leaves it. A create landing on a closed session — an attempt
+// abandoned at its deadline, waking late — is dropped at once.
+func (se *Session) exec(sql string) (int64, error) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return 0, err
+	}
+	switch st := stmt.(type) {
+	case *sqlast.DropTable:
+		if err := se.srv.dropTable(st.Name, st.IfExists); err != nil {
+			return 0, err
+		}
+		se.mu.Lock()
+		se.temps = slices.DeleteFunc(se.temps, func(name string) bool { return name == st.Name })
+		se.mu.Unlock()
+		return 0, nil
+	case *sqlast.CreateTable:
+		if _, err := se.srv.db.ExecStmt(st); err != nil || !strings.HasPrefix(st.Name, TempPrefix) {
+			return 0, err
+		}
+		se.mu.Lock()
+		closed := se.closed
+		if !closed && !slices.Contains(se.temps, st.Name) {
+			se.temps = append(se.temps, st.Name)
+		}
+		se.mu.Unlock()
+		if closed {
+			return 0, cmp.Or(se.srv.dropTable(st.Name, true), ErrShutdown)
+		}
+		return 0, nil
+	}
+	return se.srv.db.ExecStmt(stmt)
 }
 
 // open plans and opens a SELECT and enters its cursor in the session's
@@ -285,8 +317,8 @@ func (se *Session) overBudget(extra int64) bool {
 	return budget > 0 && extra+se.resident(nil) > budget
 }
 
-// Close ends the session: its cursors are closed and its orphaned temp
-// tables garbage-collected, dropped directly on the engine (no wire, no
+// Close ends the session: its cursors are closed and the temp tables
+// left in its ledger garbage-collected, dropped directly (no wire, no
 // faults — the connection is gone). It returns the number of tables
 // collected. Idempotent.
 func (se *Session) Close() (int, error) {
@@ -306,39 +338,13 @@ func (se *Session) Close() (int, error) {
 	for _, cur := range cursors {
 		_ = cur.close()
 	}
-	var first error
-	collected := 0
-	for name := range orphans {
-		if err := se.srv.db.DropTable(name, true); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		collected++
-		se.srv.forgetLoadMark(name)
-	}
-	return collected, first
-}
-
-// forgetLoadMark clears a table's load-dedup mark (the table is gone;
-// a future temp table reusing the name must not inherit it).
-func (s *Server) forgetLoadMark(table string) {
-	s.mu.Lock()
-	delete(s.loadSeqs, table)
-	s.mu.Unlock()
+	return se.srv.dropTables(orphans)
 }
 
 // TempTables lists the transfer temp tables currently present in the
 // DBMS (leak detection for the chaos harness).
 func (s *Server) TempTables() []string {
-	var out []string
-	for _, name := range s.db.TableNames() {
-		if strings.HasPrefix(name, TempPrefix) {
-			out = append(out, name)
-		}
-	}
-	return out
+	return slices.DeleteFunc(s.db.TableNames(), func(name string) bool { return !strings.HasPrefix(name, TempPrefix) })
 }
 
 // LiveSessions reports the number of open sessions.

@@ -246,10 +246,12 @@ type SelectStmt struct {
 	Limit int64
 }
 
-// CreateTable defines a new table.
+// CreateTable defines a new table. With IfNotExists, creating a table
+// that already exists is not an error and leaves it as it is.
 type CreateTable struct {
-	Name    string
-	Columns []ColumnDef
+	Name        string
+	Columns     []ColumnDef
+	IfNotExists bool
 }
 
 // ColumnDef is one column definition.
@@ -374,7 +376,11 @@ func (c *CreateTable) String() string {
 	for i, col := range c.Columns {
 		cols[i] = col.Name + " " + col.Kind.String()
 	}
-	return "CREATE TABLE " + c.Name + " (" + strings.Join(cols, ", ") + ")"
+	ine := ""
+	if c.IfNotExists {
+		ine = "IF NOT EXISTS "
+	}
+	return "CREATE TABLE " + ine + c.Name + " (" + strings.Join(cols, ", ") + ")"
 }
 
 // String renders the DROP TABLE statement.

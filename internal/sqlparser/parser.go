@@ -635,14 +635,24 @@ func (p *parser) createStmt() (sqlast.Statement, error) {
 	if _, err := p.expect(tokIdent, "TABLE"); err != nil {
 		return nil, err
 	}
+	ct := &sqlast.CreateTable{}
+	if p.accept(tokIdent, "IF") {
+		if _, err := p.expect(tokIdent, "NOT"); err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(tokIdent, "EXISTS"); err != nil {
+			return nil, err
+		}
+		ct.IfNotExists = true
+	}
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
+	ct.Name = name
 	if _, err := p.expect(tokSymbol, "("); err != nil {
 		return nil, err
 	}
-	ct := &sqlast.CreateTable{Name: name}
 	for {
 		col, err := p.expectIdent()
 		if err != nil {

@@ -174,6 +174,14 @@ func TestCreateInsertDropAnalyze(t *testing.T) {
 		t.Fatalf("insert: %+v", ins)
 	}
 
+	st, err = Parse("CREATE TABLE IF NOT EXISTS TMP17 (K INTEGER)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := st.(*sqlast.CreateTable); !ct.IfNotExists || ct.Name != "TMP17" || ct.String() != "CREATE TABLE IF NOT EXISTS TMP17 (K INTEGER)" {
+		t.Fatalf("create if not exists: %+v", ct)
+	}
+
 	st, err = Parse("DROP TABLE IF EXISTS TMP17")
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package tango
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -18,19 +19,23 @@ import (
 // setup builds a DBMS with the paper's POSITION relation (Figure 3a).
 func setup(t *testing.T) (*client.Conn, *Executor) {
 	t.Helper()
-	db := engine.Open(engine.Config{})
-	srv := server.New(db, wire.Latency{})
-	conn := client.Connect(srv)
-	mustExec := func(sql string) {
-		t.Helper()
+	conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
+	return conn, figure3a(t, conn)
+}
+
+// figure3a creates the paper's POSITION relation over conn and returns
+// an executor on it.
+func figure3a(t *testing.T, conn *client.Conn) *Executor {
+	t.Helper()
+	for _, sql := range []string{
+		"CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), PayRate FLOAT, T1 INTEGER, T2 INTEGER)",
+		"INSERT INTO POSITION VALUES (1,'Tom',12.0,2,20),(1,'Jane',9.0,5,25),(2,'Tom',12.0,5,10)",
+	} {
 		if _, err := conn.Exec(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	mustExec("CREATE TABLE POSITION (PosID INTEGER, EmpName VARCHAR(40), PayRate FLOAT, T1 INTEGER, T2 INTEGER)")
-	mustExec("INSERT INTO POSITION VALUES (1,'Tom',12.0,2,20),(1,'Jane',9.0,5,25),(2,'Tom',12.0,5,10)")
-	ex := &Executor{Conn: conn, Cat: ConnCatalog{Conn: conn}}
-	return conn, ex
+	return &Executor{Conn: conn, Cat: ConnCatalog{Conn: conn}}
 }
 
 // figure3b is the paper's expected query result (with PayRate added to
@@ -248,6 +253,53 @@ func TestTempTablesDropped(t *testing.T) {
 		if strings.HasPrefix(name, "TMP_TANGO_") {
 			t.Errorf("temp table %s not dropped", name)
 		}
+	}
+}
+
+// TestTransferDRoundTrips: a warm run of Figure 4(b), whose T^D ships
+// the middleware aggregation back to the DBMS, sends its temp table
+// three requests over either transport — the CREATE and the DROP
+// (exec) and the load — and nothing else.
+func TestTransferDRoundTrips(t *testing.T) {
+	for _, tr := range metaTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
+			conn := tr.dial(t, srv)()
+			defer conn.Close()
+			ex := figure3a(t, conn)
+			if _, err := ex.Run(paperPlanMWAggr()); err != nil { // warms the metadata cache
+				t.Fatal(err)
+			}
+			count := func() map[string]int64 {
+				n := map[string]int64{}
+				for m := wire.MsgCloseSession; m <= wire.MsgSchema; m++ {
+					if k := srv.Requests(m); k > 0 {
+						n[wire.MsgName(m)] = k
+					}
+				}
+				return n
+			}
+			before := count()
+			if _, err := ex.Run(paperPlanMWAggr()); err != nil {
+				t.Fatal(err)
+			}
+			got, total := map[string]int64{}, int64(0)
+			for msg, k := range count() {
+				if d := k - before[msg]; d > 0 {
+					got[msg] = d
+					total += d
+				}
+			}
+			// Two T^M cursors, each opened, fetched to end of stream
+			// and closed.
+			want := map[string]int64{"exec": 2, "load": 1, "query": 2, "fetch": 4, "close-cursor": 2}
+			if !maps.Equal(got, want) || total != 11 {
+				t.Errorf("requests %v (%d), want %v (11)", got, total, want)
+			}
+			if temps := srv.TempTables(); len(temps) != 0 {
+				t.Errorf("temp tables left: %v", temps)
+			}
+		})
 	}
 }
 

@@ -123,10 +123,15 @@ func (m *Middleware) Optimize(initial *algebra.Node) (*optimizer.Result, error) 
 	return m.timedOptimize(initial, nil)
 }
 
-// timedOptimize runs the optimizer under an "optimize" child span and
+// timedOptimize runs the optimizer under an "optimize" child span,
+// which is the connection's trace parent meanwhile, so the schema and
+// statistics fetches of a cold metadata cache nest under it, and
 // exports the search statistics to the registry.
 func (m *Middleware) timedOptimize(initial *algebra.Node, root *telemetry.Span) (*optimizer.Result, error) {
 	sp := root.Child("optimize")
+	if sp != nil {
+		defer m.Conn.PushTrace(sp)()
+	}
 	res, err := optimizer.Optimize(m.Model, initial)
 	sp.Finish()
 	if err != nil {
@@ -237,9 +242,11 @@ func planLabel(plan *algebra.Node) string {
 // DDL between queries stay visible.
 func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.Span) {
 	m.mu.Lock()
-	for _, fb := range ex.Feedback() {
-		isLoad := strings.HasPrefix(fb.SQL, "LOAD")
-		m.Model.F.Adapt(fb, isLoad, adaptRate)
+	for _, t := range ex.transfersM {
+		m.Model.F.Adapt(t.Feedback(), false, adaptRate)
+	}
+	for _, t := range ex.transfersD {
+		m.Model.F.Adapt(t.Feedback(), true, adaptRate)
 	}
 	m.mu.Unlock()
 	st := ex.ExecStats()

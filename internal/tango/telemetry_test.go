@@ -139,6 +139,40 @@ func TestMiddlewareTraceSpans(t *testing.T) {
 	}
 }
 
+// TestMetadataFetchesNestUnderOptimize: on a fresh middleware, whose
+// statistics cache is cold, the optimizer's metadata fetches are traced
+// as children of the optimize span, so its time shows where it went.
+func TestMetadataFetchesNestUnderOptimize(t *testing.T) {
+	mw, _ := openMWMetrics(t, 200)
+	plan, err := tsql.Parse("VALIDTIME SELECT PosID, COUNT(PosID) FROM POSITION GROUP BY PosID", mw.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mw.Run(plan); err != nil {
+		t.Fatal(err)
+	}
+	tr := mw.LastTrace()
+	fetches := 0
+	var walk func(parent, sp *telemetry.Span)
+	walk = func(parent, sp *telemetry.Span) {
+		if sp.Name == "schema" || sp.Name == "stats" {
+			fetches++
+			if parent.Name != "optimize" {
+				t.Errorf("%s span under %q, want optimize:\n%s", sp.Name, parent.Name, tr.Render())
+			}
+		}
+		for _, c := range sp.Children() {
+			walk(sp, c)
+		}
+	}
+	for _, c := range tr.Children() {
+		walk(tr, c)
+	}
+	if fetches == 0 {
+		t.Fatalf("no metadata fetch traced on a cold cache:\n%s", tr.Render())
+	}
+}
+
 // TestFetchSpansNestUnderTransfers: in a traced run, every cursor's
 // query and fetch attempts are children of the "transfer" span of the
 // T^M that opened the cursor, and every transfer (T^M or T^D) is a

@@ -145,11 +145,9 @@ func (t *TransferD) Table() string { return t.table }
 func (t *TransferD) Schema() types.Schema { return t.in.Schema() }
 
 // Run executes the transfer once: drain input, create table, load.
-// When the bulk load fails with a transient infrastructure error even
-// after the connection's retry budget, Run makes one more full pass
-// under the drop-and-recreate protocol — DROP IF EXISTS, CREATE,
-// re-load — which is safe because the drop discards whatever subset
-// of the first load landed.
+// Both statements retry under the connection's policy; a failure past
+// that fails the transfer, and the executor's fallback re-sites the
+// query (runWithFallback).
 func (t *TransferD) Run() error {
 	if t.ran {
 		return nil
@@ -162,23 +160,10 @@ func (t *TransferD) Run() error {
 	sp := t.conn.TraceSpan().Child("transfer")
 	defer t.conn.PushTrace(sp)()
 	defer func() { finishTransfer(sp, t.fb) }()
-	err = t.createAndLoad(src)
-	if err != nil && client.Degradable(err) {
-		if derr := t.conn.DropTable(t.table); derr == nil {
-			err = t.createAndLoad(src)
-		}
-	}
-	return err
-}
-
-// createAndLoad performs one create-table + load pass.
-func (t *TransferD) createAndLoad(src *rel.Relation) error {
 	if err := t.conn.CreateTable(t.table, src.Schema); err != nil {
 		return fmt.Errorf("tango: transfer^D: %w", err)
 	}
-	var err error
-	t.fb, err = t.conn.Load(t.table, src.Tuples)
-	if err != nil {
+	if t.fb, err = t.conn.Load(t.table, src.Tuples); err != nil {
 		return fmt.Errorf("tango: transfer^D: load: %w", err)
 	}
 	return nil

@@ -36,9 +36,11 @@ import (
 // of row records; version 4 adds the metadata epoch to the request and
 // the reply envelope; version 5 drops the per-row insert message (rows
 // reach a table by MsgLoad or by INSERT statements through MsgExec),
-// renumbering the message types after it. A peer at another version is
-// refused at the handshake with ErrBadHandshake.
-const ProtocolVersion = 5
+// renumbering the message types after it; version 6 drops the
+// register-temp and forget-temp messages, renumbering the replies. A
+// peer at another version is refused at the handshake with
+// ErrBadHandshake.
+const ProtocolVersion = 6
 
 // Magic opens every MsgHello payload, so a server can reject a
 // non-TANGO peer on the first frame instead of mis-parsing garbage.
@@ -57,7 +59,7 @@ const framePrefixLen = 4
 // than the allocation attempted.
 const MaxFrameSize = 64 << 20
 
-// Message types. Session requests (MsgCloseSession … MsgForgetTemp)
+// Message types. Session requests (MsgCloseSession … MsgSchema)
 // flow client → server carrying an AppendRequest payload and are
 // answered by MsgOK carrying an AppendReply payload, or by MsgErr
 // carrying AppendRemoteError, with the request's ID; request.go
@@ -75,8 +77,6 @@ const (
 	MsgLoad
 	MsgStats
 	MsgSchema
-	MsgRegisterTemp
-	MsgForgetTemp
 	MsgOK
 	MsgErr
 	msgTypeEnd
@@ -96,8 +96,6 @@ var msgNames = [...]string{
 	MsgLoad:          "load",
 	MsgStats:         "stats",
 	MsgSchema:        "schema",
-	MsgRegisterTemp:  "register-temp",
-	MsgForgetTemp:    "forget-temp",
 	MsgOK:            "ok",
 	MsgErr:           "err",
 }

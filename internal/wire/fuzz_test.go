@@ -111,8 +111,8 @@ var codecSeedRequests = []Request{
 	{Op: MsgLoad, Name: "L", Seq: 77, Body: EncodeBatch(nil, []types.Tuple{{types.Int(10)}, {types.Int(20)}})},
 	{Op: MsgStats, Name: "T", N: 4},
 	{Op: MsgSchema, Name: "T"},
-	{Op: MsgRegisterTemp, Name: "TMP_TANGO_orphan"},
-	{Op: MsgForgetTemp, Name: "TMP_TANGO_forgotten"},
+	{Op: MsgExec, Name: "CREATE TABLE IF NOT EXISTS TMP_TANGO_orphan (K INTEGER)"},
+	{Op: MsgExec, Name: "DROP TABLE IF EXISTS TMP_TANGO_dropped"},
 	{Op: MsgCloseSession},
 }
 

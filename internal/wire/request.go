@@ -4,7 +4,7 @@
 // handed to server.Session.Handle in process. This file is the only
 // place the per-op payload layouts live.
 //
-// Request payload (protocol version 5), the same for every op:
+// Request payload (protocol version 6), the same for every op:
 //
 //	trace header  uvarint length + AppendHeader bytes (empty = untraced)
 //	cursor        uvarint
@@ -31,9 +31,7 @@
 //	                 (0 = none), body = EncodeBatch
 //	MsgStats         name = table, n = histogram buckets  → Reply.Stats
 //	MsgSchema        name = table                         → Reply.Schema
-//	MsgRegisterTemp  name = table                         → empty reply
-//	MsgForgetTemp    name = table                         → empty reply
-//	MsgCloseSession  —                                    → Reply.N temp tables collected
+//	MsgCloseSession  —                                    → Reply.N ledger temp tables dropped
 //
 // Reply payload (a MsgOK frame):
 //
@@ -59,7 +57,7 @@ import (
 
 // Request is one operation on a server session.
 type Request struct {
-	// Op is the message type (MsgExec … MsgForgetTemp). On a socket it
+	// Op is the message type (MsgCloseSession … MsgSchema). On a socket it
 	// rides the frame header, not the payload.
 	Op       byte
 	TraceHdr []byte
@@ -110,7 +108,7 @@ func AppendRequest(dst []byte, r Request) []byte {
 // DecodeRequest decodes the payload of a request frame of type op.
 // TraceHdr and Body alias payload.
 func DecodeRequest(op byte, payload []byte) (Request, error) {
-	if op < MsgCloseSession || op > MsgForgetTemp {
+	if op < MsgCloseSession || op > MsgSchema {
 		return Request{}, fmt.Errorf("%w: %s is not a session request", ErrBadFrame, MsgName(op))
 	}
 	r := Request{Op: op}
