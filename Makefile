@@ -176,14 +176,18 @@ tangobench-smoke:
 # performance claim is judged: PAIRS alternated tangobench runs of
 # SECS seconds on workload W and seed SEED, then per end-to-end metric
 # the parent's median and quartiles, the change's median, the median
-# per-pair ratio and the pairs won (scripts/benchpairs.sh). It writes
+# per-pair ratio and the pairs won (scripts/benchpairs.sh). W=all runs
+# it once for each workload BENCHMARK.json names, in turn. It writes
 # only under .bench_build/ and is not part of ci.
 W ?= plain_sql
 SEED ?= 1
 PAIRS ?= 10
 SECS ?= 20
+BENCH_WORKLOADS = $(shell python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 bench-pairs:
-	bash scripts/benchpairs.sh $(W) $(SEED) $(PAIRS) $(SECS)
+	set -e; for w in $(if $(filter all,$(W)),$(BENCH_WORKLOADS),$(W)); do \
+		bash scripts/benchpairs.sh $$w $(SEED) $(PAIRS) $(SECS); \
+	done
 
 # loc prints the tracked size metric: non-test Go lines per package and
 # in total, benchmark/ (a separate module with its own contract)

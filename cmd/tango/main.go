@@ -178,7 +178,7 @@ func main() {
 			}
 			return nil
 		}
-		addr, stop, err := telemetry.ServeWith(*metricsAddr, reg, health)
+		addr, stop, err := telemetry.Serve(*metricsAddr, reg, health)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
 			os.Exit(1)

@@ -162,7 +162,7 @@ func BenchmarkAblationLatency(b *testing.B) {
 		plans := Q2Plans(end)
 		for _, np := range []NamedPlan{plans[1], plans[3]} { // P2 vs P4
 			b.Run(lat.name+"/"+np.Name, func(b *testing.B) {
-				runPlanBench(b, sys, np, 0)
+				runPlanBench(b, sys, np)
 			})
 		}
 	}

@@ -25,15 +25,11 @@ import (
 	"tango/internal/wire"
 )
 
-// chaosPolicy is a fast retry policy for the chaos suite: real
-// backoff shape, test-friendly delays.
+// chaosPolicy is the chaos suite's retry policy: the default's attempt
+// budget under looser deadlines.
 func chaosPolicy() client.RetryPolicy {
 	return client.RetryPolicy{
 		MaxAttempts: 4,
-		BaseDelay:   100 * time.Microsecond,
-		MaxDelay:    2 * time.Millisecond,
-		Multiplier:  2,
-		JitterFrac:  0.2,
 		OpTimeout:   500 * time.Millisecond,
 		Deadline:    5 * time.Second,
 	}

@@ -456,9 +456,8 @@ func RunQ2Choice(sc Scale, years []int) ([]Q2ChoiceRow, error) {
 
 // AdaptRow traces one step of the cost-factor feedback loop.
 type AdaptRow struct {
-	Step     int
-	PTm      float64 // µs per byte after this step
-	Observed float64 // µs per byte measured in this step's transfers
+	Step int
+	PTm  float64 // µs per byte after this step
 }
 
 // RunAdapt repeatedly executes the Query 1 middleware plan and traces

@@ -239,7 +239,7 @@ var conformance = []struct {
 	{"OpError", func(e *confEnv) string {
 		e.faults("seed=1;stats~drop=1")
 		defer e.srv.SetFaults(nil)
-		e.c.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}
+		e.c.Retry = RetryPolicy{MaxAttempts: 2}
 		defer func() { e.c.Retry = RetryPolicy{} }()
 		_, err := e.c.TableStats("T", 0)
 		return renderReply(wire.Reply{}, err)

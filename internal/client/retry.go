@@ -24,25 +24,18 @@ import (
 // RetryPolicy tunes the resilience layer. The zero value disables it
 // entirely (no retries, no deadlines) so existing in-process callers
 // are untouched; DefaultRetryPolicy is what cmd/tango and the bench
-// harness enable.
+// harness enable. The backoff between attempts has one shape: see
+// backoff.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per idempotent op
 	// (1 = no retries). <= 0 also means no retries.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (pre-jitter).
-	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt; values <= 1 mean 2.
-	Multiplier float64
-	// JitterFrac adds uniform positive jitter in [0, JitterFrac·delay]
-	// to each backoff, de-synchronizing concurrent retriers. Values
-	// outside [0, 1] are clamped.
-	JitterFrac float64
 	// OpTimeout is the per-call deadline; 0 means none. A call that
-	// exceeds it is abandoned (the in-process "connection" keeps
-	// running and is serialized against the retry by the server) and
-	// surfaces as a timeout OpError, which is retryable.
+	// exceeds it is abandoned and surfaces as a timeout OpError, which
+	// is retryable. The abandoned call keeps running: in process it
+	// runs concurrently with its retry, while over TCP the session's
+	// worker runs the two in arrival order, so the retry waits behind
+	// it.
 	OpTimeout time.Duration
 	// Deadline bounds the total time spent on one logical operation
 	// across all attempts and backoffs; 0 means unbounded.
@@ -54,98 +47,31 @@ type RetryPolicy struct {
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 4,
-		BaseDelay:   500 * time.Microsecond,
-		MaxDelay:    10 * time.Millisecond,
-		Multiplier:  2,
-		JitterFrac:  0.2,
 		OpTimeout:   250 * time.Millisecond,
 		Deadline:    2 * time.Second,
 	}
 }
 
-// Enabled reports whether the policy retries at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
+// The backoff shape: the first retry waits backoffBase, each later one
+// backoffGrowth times the one before, capped at backoffCap, plus
+// uniform positive jitter of up to backoffJitter of that delay, which
+// de-synchronizes concurrent retriers.
+const (
+	backoffBase   = 500 * time.Microsecond
+	backoffCap    = 10 * time.Millisecond
+	backoffGrowth = 2
+	backoffJitter = 0.2
+)
 
-// normalized fills defaulted fields so the backoff math is total.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 500 * time.Microsecond
+// backoff returns the jittered delay before retry number attempt
+// (1-based).
+func backoff(attempt int, rng *rand.Rand) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
+		d *= backoffGrowth
 	}
-	if p.MaxDelay <= 0 || p.MaxDelay < p.BaseDelay {
-		if p.MaxDelay <= 0 {
-			p.MaxDelay = 100 * p.BaseDelay
-		} else {
-			p.MaxDelay = p.BaseDelay
-		}
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	if p.JitterFrac > 1 {
-		p.JitterFrac = 1
-	}
-	return p
-}
-
-// BaseBackoff returns the pre-jitter backoff before retry number
-// attempt (1-based): BaseDelay·Multiplier^(attempt-1), capped at
-// MaxDelay. It is monotone non-decreasing in attempt.
-func (p RetryPolicy) BaseBackoff(attempt int) time.Duration {
-	np := p.normalized()
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := float64(np.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= np.Multiplier
-		if d >= float64(np.MaxDelay) {
-			return np.MaxDelay
-		}
-	}
-	if d > float64(np.MaxDelay) {
-		d = float64(np.MaxDelay)
-	}
-	return time.Duration(d)
-}
-
-// Backoff returns the jittered backoff before retry number attempt
-// (1-based): BaseBackoff plus uniform jitter in [0, JitterFrac·base].
-// rng may be nil for an unjittered schedule.
-func (p RetryPolicy) Backoff(attempt int, rng *rand.Rand) time.Duration {
-	np := p.normalized()
-	base := np.BaseBackoff(attempt)
-	if rng == nil || np.JitterFrac == 0 {
-		return base
-	}
-	jitter := time.Duration(rng.Float64() * np.JitterFrac * float64(base))
-	return base + jitter
-}
-
-// BackoffSchedule returns the jittered backoff sequence for a full
-// retry budget, truncated so the cumulative sleep never exceeds
-// Deadline (when set). The schedule has MaxAttempts-1 entries at most
-// — one backoff between consecutive attempts.
-func (p RetryPolicy) BackoffSchedule(rng *rand.Rand) []time.Duration {
-	if !p.Enabled() {
-		return nil
-	}
-	var out []time.Duration
-	var total time.Duration
-	for i := 1; i < p.MaxAttempts; i++ {
-		d := p.Backoff(i, rng)
-		if p.Deadline > 0 && total+d > p.Deadline {
-			if rest := p.Deadline - total; rest > 0 {
-				out = append(out, rest)
-			}
-			break
-		}
-		total += d
-		out = append(out, d)
-	}
-	return out
+	d = min(d, backoffCap)
+	return d + time.Duration(rng.Float64()*backoffJitter*float64(d))
 }
 
 // OpError is the typed failure of one logical client operation after
@@ -265,10 +191,10 @@ func newJitterSrc(seed int64) *jitterSrc {
 	return &jitterSrc{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (j *jitterSrc) backoff(p RetryPolicy, attempt int) time.Duration {
+func (j *jitterSrc) backoff(attempt int) time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return p.Backoff(attempt, j.rng)
+	return backoff(attempt, j.rng)
 }
 
 // baseCtx resolves the connection's base context.
@@ -307,12 +233,14 @@ type result[T any] struct {
 }
 
 // attemptVal runs f once under the per-call deadline and ctx. On
-// timeout the call is abandoned: it keeps running in its goroutine
-// (the server serializes it against the retry and its effect, if any,
-// is deduplicated by sequence number) and a reaper consumes its
-// eventual result, handing any successfully produced value to discard
-// (e.g. closing a cursor opened by a timed-out OPEN). f must own
-// every buffer it writes.
+// timeout the call is abandoned: it keeps running in its goroutine and
+// a reaper consumes its eventual result, handing any successfully
+// produced value to discard (e.g. closing a cursor opened by a
+// timed-out OPEN). In process, the abandoned call and its retry run
+// concurrently; over TCP, the session's worker runs them in arrival
+// order, so the retry waits until the abandoned call finishes. Either
+// way its effect, if any, is deduplicated by sequence number. f must
+// own every buffer it writes.
 func attemptVal[T any](c *Conn, ctx context.Context, f func() (T, error), discard func(T)) (T, error) {
 	to := c.Retry.OpTimeout
 	if to <= 0 && ctx.Done() == nil {
@@ -402,7 +330,7 @@ func doValCtx[T any](c *Conn, ctx context.Context, parent *telemetry.Span, op st
 			return zero, opError(op, i, last)
 		}
 		c.countRetry(op)
-		sleep := c.jitter.backoff(c.Retry, i)
+		sleep := c.jitter.backoff(i)
 		// An overloaded server suggests its own backoff; honor it as a
 		// floor so shed clients stay off a saturated queue.
 		var ov *server.ErrOverloaded

@@ -3,128 +3,83 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
+	"tango/internal/server"
 	"tango/internal/telemetry"
 	"tango/internal/wire"
 )
 
-// genPolicy derives an arbitrary-but-plausible policy from quick's
-// raw inputs (the fields are reduced into sane ranges; normalization
-// of degenerate values is itself part of the contract under test).
-func genPolicy(attempts uint8, base, max uint32, mult, jitter float64) RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: int(attempts%16) + 1,
-		BaseDelay:   time.Duration(base%1_000_000) * time.Microsecond,
-		MaxDelay:    time.Duration(max%10_000_000) * time.Microsecond,
-		Multiplier:  mult,
-		JitterFrac:  jitter,
-		Deadline:    time.Duration(max%5_000_000) * time.Microsecond,
-	}
+// backoffFloor is the delay before retry n before jitter: 500 µs
+// doubled n−1 times, capped at 10 ms.
+func backoffFloor(n int) time.Duration {
+	return min(500*time.Microsecond<<min(n-1, 5), 10*time.Millisecond)
 }
 
-// TestBackoffMonotone: the pre-jitter backoff never decreases with
-// the attempt number and never exceeds the (normalized) cap.
+// TestBackoffMonotone: the smallest of many jittered delays before
+// retry n sits at its floor, and the floors never decrease with n.
 func TestBackoffMonotone(t *testing.T) {
-	prop := func(attempts uint8, base, max uint32, mult, jitter float64) bool {
-		p := genPolicy(attempts, base, max, mult, jitter)
-		cap := p.BaseBackoff(1 << 20) // far past any growth: the cap
-		prev := time.Duration(0)
-		for a := 1; a <= 64; a++ {
-			d := p.BaseBackoff(a)
-			if d < prev || d <= 0 || d > cap {
-				return false
-			}
-			prev = d
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 64; n++ {
+		if n > 1 && backoffFloor(n) < backoffFloor(n-1) {
+			t.Fatalf("floor before retry %d = %v, below retry %d's %v", n, backoffFloor(n), n-1, backoffFloor(n-1))
 		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
+		least := time.Duration(math.MaxInt64)
+		for i := 0; i < 1000; i++ {
+			least = min(least, backoff(n, rng))
+		}
+		if f := backoffFloor(n); least < f || least > f+f/100 {
+			t.Fatalf("least backoff before retry %d = %v, want within 1%% above %v", n, least, f)
+		}
 	}
 }
 
 // TestBackoffJitterBounded: jitter only ever adds, and adds at most
-// JitterFrac (clamped to [0,1]) of the base backoff.
+// 20 % of the floor.
 func TestBackoffJitterBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	prop := func(attempts uint8, base, max uint32, mult, jitter float64, seed int64) bool {
-		p := genPolicy(attempts, base, max, mult, jitter)
-		frac := p.JitterFrac
-		if frac < 0 {
-			frac = 0
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		for a := 1; a <= 16; a++ {
-			b := p.BaseBackoff(a)
-			j := p.Backoff(a, rng)
-			if j < b {
-				return false // jitter must not shrink the delay
-			}
-			if float64(j-b) > frac*float64(b)+1 { // +1ns rounding slack
-				return false
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for n := 1; n <= 64; n++ {
+			f := backoffFloor(n)
+			if d := backoff(n, rng); d < f || d > f+f/5 {
+				t.Fatalf("seed %d: backoff before retry %d = %v, want in [%v, %v]", seed, n, d, f, f+f/5)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestBackoffScheduleWithinDeadline: the cumulative jittered schedule
-// never sleeps past the policy deadline, and never schedules more
-// than MaxAttempts-1 backoffs.
+// TestBackoffScheduleWithinDeadline: the retry loop cuts its
+// cumulative sleep at Deadline, even when the server suggests a
+// longer backoff.
 func TestBackoffScheduleWithinDeadline(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	prop := func(attempts uint8, base, max uint32, mult, jitter float64) bool {
-		p := genPolicy(attempts, base, max, mult, jitter)
-		sched := p.BackoffSchedule(rng)
-		if len(sched) > p.MaxAttempts-1 {
-			return false
-		}
-		var total time.Duration
-		for _, d := range sched {
-			if d < 0 {
-				return false
-			}
-			total += d
-		}
-		if p.Deadline > 0 && total > p.Deadline {
-			return false
-		}
-		return true
+	const deadline = 20 * time.Millisecond
+	c := &Conn{Retry: RetryPolicy{MaxAttempts: 10, Deadline: deadline}, jitter: newJitterSrc(1)}
+	start := time.Now()
+	err := c.do("query", func(_ *telemetry.Span) error { return &server.ErrOverloaded{Backoff: time.Hour} })
+	elapsed := time.Since(start)
+	var oe *OpError
+	if !errors.As(err, &oe) || oe.Attempts != 2 {
+		t.Fatalf("got %v, want an OpError after 2 attempts: one sleep, cut to the deadline", err)
 	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
+	if elapsed < deadline || elapsed > 10*time.Second {
+		t.Fatalf("gave up after %v, want just past the %v deadline", elapsed, deadline)
 	}
 }
 
 // TestBackoffDeterministicPerSeed: equal seeds produce equal jittered
 // schedules (the chaos suite depends on replayable runs).
 func TestBackoffDeterministicPerSeed(t *testing.T) {
-	prop := func(attempts uint8, base, max uint32, mult, jitter float64, seed int64) bool {
-		p := genPolicy(attempts, base, max, mult, jitter)
-		a := p.BackoffSchedule(rand.New(rand.NewSource(seed)))
-		b := p.BackoffSchedule(rand.New(rand.NewSource(seed)))
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+	for seed := int64(0); seed < 100; seed++ {
+		rng, replay := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for n := 1; n <= 64; n++ {
+			if d, r := backoff(n, rng), backoff(n, replay); d != r {
+				t.Fatalf("seed %d: backoff before retry %d replayed as %v, first %v", seed, n, r, d)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -144,8 +99,6 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 			Metrics: reg,
 			Retry: RetryPolicy{
 				MaxAttempts: 3,
-				BaseDelay:   time.Microsecond,
-				MaxDelay:    10 * time.Microsecond,
 			},
 			jitter: newJitterSrc(1),
 		}
@@ -184,7 +137,7 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 // retried and are returned unwrapped.
 func TestDoNonRetryableSurfacesImmediately(t *testing.T) {
 	c := &Conn{
-		Retry:  RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond},
+		Retry:  RetryPolicy{MaxAttempts: 5},
 		jitter: newJitterSrc(1),
 	}
 	sem := errors.New("no such table FOO")
@@ -206,8 +159,6 @@ func TestDoContextCancellation(t *testing.T) {
 		Ctx: ctx,
 		Retry: RetryPolicy{
 			MaxAttempts: 100,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    time.Millisecond,
 		},
 		jitter: newJitterSrc(1),
 	}
@@ -238,7 +189,6 @@ func TestOpTimeoutAbandonsAndDiscards(t *testing.T) {
 		Metrics: reg,
 		Retry: RetryPolicy{
 			MaxAttempts: 2,
-			BaseDelay:   time.Microsecond,
 			OpTimeout:   5 * time.Millisecond,
 		},
 		jitter: newJitterSrc(1),

@@ -88,9 +88,6 @@ func TestTCPResumeAfterSever(t *testing.T) {
 	}
 	c.Retry = RetryPolicy{
 		MaxAttempts: 6,
-		BaseDelay:   200 * time.Microsecond,
-		MaxDelay:    5 * time.Millisecond,
-		Multiplier:  2,
 		OpTimeout:   time.Second,
 		Deadline:    10 * time.Second,
 	}
@@ -239,8 +236,6 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 	}
 	retrier.Retry = RetryPolicy{
 		MaxAttempts: 50,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
 		OpTimeout:   time.Second,
 		Deadline:    10 * time.Second,
 	}
@@ -293,9 +288,6 @@ func TestTCPAbandonedFetchOwnsItsBuffer(t *testing.T) {
 	defer c.Close()
 	c.Retry = RetryPolicy{
 		MaxAttempts: 8,
-		BaseDelay:   100 * time.Microsecond,
-		MaxDelay:    time.Millisecond,
-		Multiplier:  2,
 		OpTimeout:   100 * time.Millisecond,
 		Deadline:    10 * time.Second,
 	}

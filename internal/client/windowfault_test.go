@@ -12,14 +12,10 @@ import (
 	"tango/internal/wire"
 )
 
-// windowRetry is a fast policy for the read-ahead fault tests.
+// windowRetry is the read-ahead fault tests' retry policy.
 func windowRetry() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 3,
-		BaseDelay:   50 * time.Microsecond,
-		MaxDelay:    time.Millisecond,
-		Multiplier:  2,
-		JitterFrac:  0.2,
 		OpTimeout:   250 * time.Millisecond,
 		Deadline:    2 * time.Second,
 	}
@@ -99,11 +95,9 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	c := windowConn(t, 4000, wire.Latency{})
 	// A pathological budget: without cancellation, Close would wait
-	// for minutes of backoff.
+	// for minutes of backoff at the 10 ms cap.
 	c.Retry = RetryPolicy{
-		MaxAttempts: 1000,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    time.Second,
+		MaxAttempts: 100_000,
 		OpTimeout:   time.Second,
 		Deadline:    5 * time.Minute,
 	}

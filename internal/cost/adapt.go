@@ -4,42 +4,50 @@ import (
 	"tango/internal/algebra"
 )
 
-// ObservedOp is one middleware operator's measured execution profile,
-// as collected by the telemetry-instrumented iterators: observed input
-// and output volumes plus the operator's own (self) wall time. It is
-// the per-operator analogue of client.Feedback, and drives the §7
-// feedback loop at algorithm granularity instead of only at transfer
-// granularity.
+// adaptRate is the EWMA rate at which one observation moves a factor.
+const adaptRate = 0.2
+
+// ObservedOp is one measured execution of a plan node, for the §7
+// feedback loop: a middleware operator's volumes and self time, from
+// the instrumented iterators, or a transfer's bytes and elapsed time,
+// from its client.Feedback.
 type ObservedOp struct {
-	Op  algebra.Op
-	Loc algebra.Location
-	// InBytes/InCard are the volumes produced by the operator's direct
-	// inputs; OutBytes/OutCard are what the operator itself produced.
-	InBytes  float64
-	OutBytes float64
-	InCard   float64
-	OutCard  float64
-	// PredTerms is f(P) for selections (number of atomic predicate
-	// terms); values < 1 are treated as 1.
-	PredTerms float64
-	// Micros is the operator's measured self time in microseconds.
+	// Node picks the factors to move; a selection's predicate gives f(P).
+	Node *algebra.Node
+	// InBytes/InCard are what the node's inputs produced (a transfer's
+	// bytes moved); OutBytes is what the node produced.
+	InBytes, OutBytes, InCard float64
+	// Micros is the self time, or a transfer's elapsed time, in µs.
 	Micros float64
 }
 
-// AdaptOp refines the cost factor(s) of one middleware algorithm from
-// a measured execution. The prediction is re-priced with the observed
+// Observe refines the factor(s) of one algorithm from a measured
+// execution and reports whether any moved. A transfer (T^M, T^D) takes
+// an EWMA step toward its observed µs per byte: f' = α·obs + (1 − α)·f.
+// A middleware operator's prediction is re-priced with the observed
 // sizes (so the update corrects the factor, not the cardinality
-// estimate), the observed/predicted ratio is clamped to [0.1, 10], and
-// each involved factor moves by an EWMA step of rate alpha:
-//
-//	f' = f · (1 + α·(ratio − 1))
-//
-// Transfers (T^M, T^D) are excluded — Factors.Adapt already updates
-// them from whole-transfer feedback — as are DBMS-resident operators,
-// whose cost the middleware can only observe mixed into transfer time.
-// It reports whether any factor was updated.
-func (f *Factors) AdaptOp(o ObservedOp, alpha float64) bool {
-	if alpha <= 0 || o.Micros <= 0 || o.Loc != algebra.LocMW {
+// estimate), and each of its factors moves by f' = f·(1 + α·(ratio − 1)),
+// the observed/predicted ratio clamped to [0.1, 10]. DBMS-resident
+// operators are skipped: the middleware sees their cost only mixed into
+// transfer time.
+func (f *Factors) Observe(o ObservedOp) bool {
+	n := o.Node
+	if o.Micros <= 0 {
+		return false
+	}
+	switch n.Op {
+	case algebra.OpTM, algebra.OpTD:
+		if o.InBytes <= 0 {
+			return false
+		}
+		t := &f.TM
+		if n.Op == algebra.OpTD {
+			t = &f.TD
+		}
+		*t = adaptRate*(o.Micros/o.InBytes) + (1-adaptRate)*(*t)
+		return true
+	}
+	if n.Loc() != algebra.LocMW {
 		return false
 	}
 	scale := func(observed, predicted float64, targets ...*float64) bool {
@@ -52,17 +60,17 @@ func (f *Factors) AdaptOp(o ObservedOp, alpha float64) bool {
 		} else if ratio > 10 {
 			ratio = 10
 		}
-		k := 1 + alpha*(ratio-1)
+		k := 1 + adaptRate*(ratio-1)
 		for _, t := range targets {
 			*t *= k
 		}
 		return true
 	}
-	switch o.Op {
+	switch n.Op {
 	case algebra.OpSelect:
-		terms := o.PredTerms
-		if terms < 1 {
-			terms = 1
+		terms := 1.0
+		if n.Pred != nil {
+			terms = PredTerms(n.Pred)
 		}
 		return scale(o.Micros, f.SelM*terms*o.InBytes, &f.SelM)
 

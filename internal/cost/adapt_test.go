@@ -2,115 +2,146 @@ package cost
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tango/internal/algebra"
 )
 
-func taggrObs(micros float64) ObservedOp {
-	return ObservedOp{
-		Op: algebra.OpTAggr, Loc: algebra.LocMW,
-		InBytes: 100000, OutBytes: 150000,
-		InCard: 2000, OutCard: 3000,
-		Micros: micros,
+// observeCase is one Observe call from DefaultFactors and the factor
+// moves it must make.
+type observeCase struct {
+	name  string
+	obs   ObservedOp
+	want  func(*Factors) // the moves expected from DefaultFactors; nil: none
+	exact bool           // compare with ==, not to 1e-12
+}
+
+// checkObserve runs each case from fresh DefaultFactors and compares
+// the factors, and Observe's report, with the expected moves.
+func checkObserve(t *testing.T, cases []observeCase) {
+	t.Helper()
+	for _, c := range cases {
+		want := DefaultFactors()
+		if c.want != nil {
+			c.want(&want)
+		}
+		f := DefaultFactors()
+		moved := f.Observe(c.obs)
+		if moved != (c.want != nil) {
+			t.Errorf("%s: Observe reported %v, want %v", c.name, moved, c.want != nil)
+		}
+		if c.exact && f != want || !near(f, want) {
+			t.Errorf("%s: factors\n %+v, want\n %+v", c.name, f, want)
+		}
 	}
 }
 
-// TestAdaptOpMovesTowardObservation: a measurement slower than the
-// prediction must raise the factors; a faster one must lower them, and
-// repeated feedback must converge monotonically.
+var (
+	mwInput = algebra.TM(algebra.Scan("R", "")) // a middleware-resident input
+	dbInput = algebra.Scan("R", "")
+	keysA   = []string{"A"}
+)
+
+// TestAdapt: a transfer takes an unclamped EWMA step of rate 0.2
+// toward its observed µs per byte; one with no time or no bytes moves
+// nothing.
+func TestAdapt(t *testing.T) {
+	ewma := func(f *float64, obs float64) { *f = 0.2*obs + 0.8*(*f) }
+	checkObserve(t, []observeCase{
+		{"TM", ObservedOp{Node: algebra.TM(dbInput), InBytes: 1000, Micros: 10000},
+			func(f *Factors) { ewma(&f.TM, 10000.0/1000) }, true},
+		{"TM far off, unclamped", ObservedOp{Node: algebra.TM(dbInput), InBytes: 3, Micros: 7e6},
+			func(f *Factors) { ewma(&f.TM, 7e6/3) }, true},
+		{"TD", ObservedOp{Node: algebra.TD(mwInput), InBytes: 7000, Micros: 900},
+			func(f *Factors) { ewma(&f.TD, 900.0/7000) }, true},
+		{"TM, no time", ObservedOp{Node: algebra.TM(dbInput), InBytes: 1000}, nil, true},
+		{"TD, no bytes", ObservedOp{Node: algebra.TD(mwInput), Micros: 5}, nil, true},
+	})
+}
+
+// TestAdaptOpMovesTowardObservation: a middleware operator's factors
+// move by 1 + 0.2·(ratio − 1) of observed to predicted time, up when
+// slow and down when fast, and no other factor moves. TAGGR^M's
+// prediction leaves out its internal sort's share.
 func TestAdaptOpMovesTowardObservation(t *testing.T) {
-	f := DefaultFactors()
-	pred := f.SortM*100000*log2(2000) + f.TAggrM1*100000 + f.TAggrM2*150000
-
-	slow := f
-	if !slow.AdaptOp(taggrObs(pred*4), 0.5) {
-		t.Fatal("AdaptOp reported no update")
-	}
-	if slow.TAggrM1 <= f.TAggrM1 || slow.TAggrM2 <= f.TAggrM2 {
-		t.Errorf("slow run must raise TAggr factors: %+v vs %+v", slow, f)
-	}
-
-	fast := f
-	fast.AdaptOp(taggrObs(pred/4), 0.5)
-	if fast.TAggrM1 >= f.TAggrM1 || fast.TAggrM2 >= f.TAggrM2 {
-		t.Errorf("fast run must lower TAggr factors")
-	}
-
-	// Other factors stay put.
-	if slow.JoinM != f.JoinM || slow.TM != f.TM || slow.SortM != f.SortM {
-		t.Errorf("unrelated factors changed: %+v", slow)
-	}
+	d := DefaultFactors()
+	const in, out, card = 100000.0, 150000.0, 2000.0
+	sortShare := d.SortM * in * log2(card)
+	checkObserve(t, []observeCase{
+		{"TAggr, slow, sort share deducted", ObservedOp{Node: algebra.TAggr(mwInput, keysA), InBytes: in, OutBytes: out, InCard: card,
+			Micros: sortShare + 2*(d.TAggrM1*in+d.TAggrM2*out)},
+			func(f *Factors) { f.TAggrM1, f.TAggrM2 = f.TAggrM1*1.2, f.TAggrM2*1.2 }, false},
+		{"TAggr, fast", ObservedOp{Node: algebra.TAggr(mwInput, keysA), InBytes: in, OutBytes: out, InCard: card,
+			Micros: sortShare + (d.TAggrM1*in+d.TAggrM2*out)/2},
+			func(f *Factors) { f.TAggrM1, f.TAggrM2 = f.TAggrM1*0.9, f.TAggrM2*0.9 }, false},
+		{"DupElim", ObservedOp{Node: algebra.DupElim(mwInput), InBytes: 1000, Micros: 4 * d.DupM * 1000},
+			func(f *Factors) { f.DupM *= 1.6 }, false},
+		{"Coalesce", ObservedOp{Node: algebra.Coalesce(mwInput), InBytes: 1000, Micros: 4 * d.CoalM * 1000},
+			func(f *Factors) { f.CoalM *= 1.6 }, false},
+	})
 }
 
+// TestAdaptOpTJoin: JOIN^M and TJOIN^M share JoinM, predicted over
+// their input plus output bytes.
 func TestAdaptOpTJoin(t *testing.T) {
-	f := DefaultFactors()
-	obs := ObservedOp{
-		Op: algebra.OpTJoin, Loc: algebra.LocMW,
-		InBytes: 200000, OutBytes: 50000,
-		InCard: 4000, OutCard: 800,
-	}
-	pred := f.JoinM * (obs.InBytes + obs.OutBytes)
-	obs.Micros = pred * 2
-	if !f.AdaptOp(obs, 0.5) {
-		t.Fatal("no update for TJoin")
-	}
-	want := DefaultFactors().JoinM * (1 + 0.5*(2-1))
-	if math.Abs(f.JoinM-want) > 1e-12 {
-		t.Errorf("JoinM = %g, want %g", f.JoinM, want)
-	}
+	d := DefaultFactors()
+	checkObserve(t, []observeCase{
+		{"Join", ObservedOp{Node: algebra.Join(mwInput, mwInput, keysA, keysA), InBytes: 200000, OutBytes: 50000, Micros: 2 * d.JoinM * 250000},
+			func(f *Factors) { f.JoinM *= 1.2 }, false},
+		{"TJoin", ObservedOp{Node: algebra.TJoin(mwInput, mwInput, keysA, keysA), InBytes: 200000, OutBytes: 50000, Micros: d.JoinM * 250000 / 2},
+			func(f *Factors) { f.JoinM *= 0.9 }, false},
+	})
 }
 
-// TestAdaptOpClampsRatio: a wildly off measurement must not move a
-// factor by more than the 10× / 0.1× clamp allows in one step.
+// TestAdaptOpClampsRatio: a wildly off measurement moves a factor as
+// if it were 10× or 0.1× the prediction, no further.
 func TestAdaptOpClampsRatio(t *testing.T) {
-	f := DefaultFactors()
-	obs := ObservedOp{Op: algebra.OpSort, Loc: algebra.LocMW, InBytes: 1000, InCard: 100}
-	obs.Micros = f.SortM * 1000 * log2(100) * 1e6 // absurdly slow
-	f.AdaptOp(obs, 1)
-	if max := DefaultFactors().SortM * 10; f.SortM > max+1e-12 {
-		t.Errorf("SortM = %g exceeds clamp %g", f.SortM, max)
-	}
+	d := DefaultFactors()
+	checkObserve(t, []observeCase{
+		{"Sort, clamped at 10", ObservedOp{Node: algebra.Sort(mwInput, keysA...), InBytes: 1000, InCard: 100, Micros: d.SortM * 1000 * log2(100) * 1e6},
+			func(f *Factors) { f.SortM *= 2.8 }, false},
+		{"Sort, clamped at 0.1", ObservedOp{Node: algebra.Sort(mwInput, keysA...), InBytes: 1000, InCard: 100, Micros: d.SortM * 1000 * log2(100) * 1e-6},
+			func(f *Factors) { f.SortM *= 0.82 }, false},
+	})
 }
 
-// TestAdaptOpSkips: transfers, DBMS-resident operators, and degenerate
-// measurements must not change anything.
+// TestAdaptOpSkips: DBMS-resident operators, scans, projections and
+// executions with no time or no volume move nothing.
 func TestAdaptOpSkips(t *testing.T) {
-	base := DefaultFactors()
-	cases := []ObservedOp{
-		{Op: algebra.OpTM, Loc: algebra.LocMW, InBytes: 1000, Micros: 500},   // transfer: Adapt's job
-		{Op: algebra.OpTD, Loc: algebra.LocMW, InBytes: 1000, Micros: 500},   // transfer: Adapt's job
-		{Op: algebra.OpSort, Loc: algebra.LocDBMS, InBytes: 1000, Micros: 5}, // DBMS op
-		{Op: algebra.OpSort, Loc: algebra.LocMW, InBytes: 1000, Micros: 0},   // no measurement
-		{Op: algebra.OpSelect, Loc: algebra.LocMW, InBytes: 0, Micros: 5},    // no volume
-		{Op: algebra.OpScan, Loc: algebra.LocDBMS, InBytes: 1000, Micros: 5}, // not a MW algorithm
-	}
-	for i, obs := range cases {
-		f := base
-		if f.AdaptOp(obs, 0.5) {
-			t.Errorf("case %d: AdaptOp reported an update", i)
-		}
-		if f != base {
-			t.Errorf("case %d: factors changed: %+v", i, f)
-		}
-	}
+	one := mustPredExpr(t, "A = 1")
+	checkObserve(t, []observeCase{
+		{"DBMS Sort", ObservedOp{Node: algebra.Sort(dbInput, keysA...), InBytes: 1000, InCard: 100, Micros: 5}, nil, true},
+		{"DBMS Select", ObservedOp{Node: algebra.Select(dbInput, one), InBytes: 1000, Micros: 5}, nil, true},
+		{"Scan", ObservedOp{Node: dbInput, InBytes: 1000, Micros: 5}, nil, true},
+		{"Project", ObservedOp{Node: algebra.ProjectCols(mwInput, "A"), InBytes: 1000, Micros: 5}, nil, true},
+		{"Sort, no time", ObservedOp{Node: algebra.Sort(mwInput, keysA...), InBytes: 1000, InCard: 100}, nil, true},
+		{"Select, no volume", ObservedOp{Node: algebra.Select(mwInput, one), Micros: 5}, nil, true},
+	})
 }
 
-// TestAdaptOpSelectUsesPredTerms: the selection update must weigh the
-// prediction by f(P), matching the cost formula.
+// TestAdaptOpSelectUsesPredTerms: a selection's prediction is weighed
+// by the f(P) of the node's predicate, as in the cost formula.
 func TestAdaptOpSelectUsesPredTerms(t *testing.T) {
-	oneTerm := DefaultFactors()
-	threeTerms := DefaultFactors()
-	obs := ObservedOp{Op: algebra.OpSelect, Loc: algebra.LocMW, InBytes: 10000}
-	obs.Micros = DefaultFactors().SelM * 10000 * 3 // exactly 3-term predicted cost
-	obs.PredTerms = 1
-	oneTerm.AdaptOp(obs, 0.5) // looks 3× slow → raises factor
-	obs.PredTerms = 3
-	threeTerms.AdaptOp(obs, 0.5) // exact match → unchanged
-	if oneTerm.SelM <= threeTerms.SelM {
-		t.Errorf("PredTerms not honored: 1-term %g vs 3-term %g", oneTerm.SelM, threeTerms.SelM)
+	d := DefaultFactors()
+	one, three := mustPredExpr(t, "A = 1"), mustPredExpr(t, "A = 1 AND B = 2 AND C = 3")
+	checkObserve(t, []observeCase{
+		{"Select, f(P) = 3, as predicted", ObservedOp{Node: algebra.Select(mwInput, three), InBytes: 10000, Micros: d.SelM * 3 * 10000},
+			func(*Factors) {}, false},
+		{"Select, f(P) = 1, 3x slow", ObservedOp{Node: algebra.Select(mwInput, one), InBytes: 10000, Micros: d.SelM * 3 * 10000},
+			func(f *Factors) { f.SelM *= 1.4 }, false},
+	})
+}
+
+// near reports whether every factor of a is within 1e-12 relative of
+// b's.
+func near(a, b Factors) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		x, y := va.Field(i).Float(), vb.Field(i).Float()
+		if math.Abs(x-y) > 1e-12*math.Abs(y) {
+			return false
+		}
 	}
-	if math.Abs(threeTerms.SelM-DefaultFactors().SelM) > 1e-12 {
-		t.Errorf("exact prediction must not move SelM: %g", threeTerms.SelM)
-	}
+	return true
 }

@@ -19,9 +19,10 @@ type Calibrator struct {
 	Conn *client.Conn
 	// Rows is the calibration sample size (default 20,000).
 	Rows int
-	// Seed makes calibration deterministic.
-	Seed int64
 }
+
+// sampleSeed makes calibration deterministic.
+const sampleSeed = 1
 
 // sampleSchema is the calibration table layout.
 var sampleSchema = types.NewSchema(
@@ -34,7 +35,7 @@ var sampleSchema = types.NewSchema(
 // sampleRows generates periods with controllable density: groups many
 // → sparse overlap, groups few + long periods → dense overlap.
 func (c *Calibrator) sampleRows(n int, groups int64, maxDur int64) []types.Tuple {
-	rng := rand.New(rand.NewSource(c.Seed + int64(n) + groups))
+	rng := rand.New(rand.NewSource(sampleSeed + int64(n) + groups))
 	rows := make([]types.Tuple, n)
 	for i := range rows {
 		s := rng.Int63n(10000)
@@ -156,14 +157,19 @@ func (c *Calibrator) Calibrate() (Factors, error) {
 		f.TAggrM1, f.TAggrM2 = p1, p2
 	}
 
-	// --- JOIN^M: merge join of the sorted sample with itself on G.
+	// --- JOIN^M: merge join of the sorted sample with itself on G. G
+	// has 50 values, so the output grows with the square of the sample:
+	// it is counted as it streams, not kept.
 	start = time.Now()
 	mj := xxl.NewMergeJoin(sorted.Iter(), sorted.Iter(), []int{0}, []int{0})
-	joined, err := rel.Drain(mj)
-	if err != nil {
+	joined := 0
+	if err := rel.Each(mj, func(t types.Tuple) error {
+		joined += t.ByteSize()
+		return nil
+	}); err != nil {
 		return f, err
 	}
-	moved := 2*size + float64(joined.ByteSize())
+	moved := 2*size + float64(joined)
 	f.JoinM = positive(micros(time.Since(start))/moved, f.JoinM)
 
 	// --- Generic DBMS join: self-join minus the transfer share.
@@ -273,20 +279,4 @@ func positive(v, fallback float64) float64 {
 		return v
 	}
 	return fallback
-}
-
-// Adapt updates the transfer cost factors from observed feedback with
-// an exponentially weighted moving average — the paper's §7 direction
-// of using DBMS query feedback to refine the cost model, applied to
-// the factors the middleware can attribute unambiguously.
-func (f *Factors) Adapt(fb client.Feedback, isLoad bool, alpha float64) {
-	if fb.Bytes <= 0 || fb.Elapsed <= 0 {
-		return
-	}
-	observed := micros(fb.Elapsed) / float64(fb.Bytes)
-	if isLoad {
-		f.TD = alpha*observed + (1-alpha)*f.TD
-	} else {
-		f.TM = alpha*observed + (1-alpha)*f.TM
-	}
 }

@@ -1,8 +1,8 @@
 package cost
 
 import (
+	"runtime"
 	"testing"
-	"time"
 
 	"tango/internal/algebra"
 	"tango/internal/client"
@@ -128,7 +128,7 @@ func TestCalibration(t *testing.T) {
 	db := engine.Open(engine.Config{})
 	srv := server.New(db, wire.Latency{})
 	conn := client.Connect(srv)
-	cal := &Calibrator{Conn: conn, Rows: 3000, Seed: 42}
+	cal := &Calibrator{Conn: conn, Rows: 3000}
 	f, err := cal.Calibrate()
 	if err != nil {
 		t.Fatal(err)
@@ -161,19 +161,26 @@ func TestCalibration(t *testing.T) {
 	}
 }
 
-func TestAdapt(t *testing.T) {
-	f := DefaultFactors()
-	orig := f.TM
-	f.Adapt(client.Feedback{Bytes: 1000, Elapsed: 10 * time.Millisecond}, false, 0.5)
-	// Observed: 10000µs/1000B = 10 µs/B; EWMA with α=.5.
-	want := 0.5*10 + 0.5*orig
-	if diff := f.TM - want; diff < -1e-9 || diff > 1e-9 {
-		t.Errorf("TM after adapt = %g, want %g", f.TM, want)
+// TestCalibrationAllocatesLinearly: JOIN^M calibrates on the sample's
+// self-join on G, which has 50 values, so the join's output grows with
+// the square of the sample. Calibration must count that output as it
+// streams, not keep it: 4× the rows may allocate less than 3× the
+// bytes.
+func TestCalibrationAllocatesLinearly(t *testing.T) {
+	alloc := func(rows int) uint64 {
+		conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := (&Calibrator{Conn: conn, Rows: rows}).Calibrate(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	before := f.TD
-	f.Adapt(client.Feedback{Bytes: 0}, true, 0.5)
-	if f.TD != before {
-		t.Error("zero-byte feedback must not change factors")
+	small, large := alloc(1500), alloc(6000)
+	if large >= 3*small {
+		t.Fatalf("calibration allocated %.1f MB at 6000 rows, %.1f MB at 1500: %.1fx, want < 3x",
+			float64(large)/1e6, float64(small)/1e6, float64(large)/float64(small))
 	}
 }
 

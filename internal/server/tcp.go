@@ -6,9 +6,10 @@
 // attached connection, the per-session ordered worker, the resume
 // token and the grace reaper. Many sessions multiplex over one
 // connection (the frame header carries the session ID); requests of
-// one session execute strictly in arrival order on its worker, so the
-// cursor replay and load-dedup idempotency protocols behave over a
-// socket exactly as they do in process.
+// one session execute strictly in arrival order on its worker. So a
+// retry waits here behind the attempt its client abandoned, where in
+// process the two run concurrently; the cursor replay and load-dedup
+// idempotency protocols make either order safe.
 //
 // Sessions survive their connection: when a connection dies (chaos
 // proxy sever, client crash-and-redial), its sessions detach and stay
@@ -41,12 +42,6 @@ import (
 type TCPConfig struct {
 	// Admission, when enabled, is installed on the server.
 	Admission AdmissionConfig
-	// ReadTimeout is the per-connection frame-read deadline: a
-	// connection idle past it is cut (its sessions detach and await
-	// resumption). Default 2m.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds one reply write. Default 30s.
-	WriteTimeout time.Duration
 	// ResumeGrace is how long a detached session awaits resumption
 	// before it is garbage-collected. Default 10s.
 	ResumeGrace time.Duration
@@ -55,19 +50,14 @@ type TCPConfig struct {
 	DrainTimeout time.Duration
 }
 
-func (c TCPConfig) readTimeout() time.Duration {
-	if c.ReadTimeout > 0 {
-		return c.ReadTimeout
-	}
-	return 2 * time.Minute
-}
-
-func (c TCPConfig) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
-	}
-	return 30 * time.Second
-}
+const (
+	// readTimeout is the per-connection frame-read deadline: a
+	// connection idle past it is cut (its sessions detach and await
+	// resumption).
+	readTimeout = 2 * time.Minute
+	// writeTimeout bounds one reply write.
+	writeTimeout = 30 * time.Second
+)
 
 func (c TCPConfig) resumeGrace() time.Duration {
 	if c.ResumeGrace > 0 {
@@ -274,7 +264,7 @@ func (c *tcpConn) write(f wire.Frame) error {
 
 // flush sends the write buffer. Caller holds wmu.
 func (c *tcpConn) flush() error {
-	_ = c.nc.SetWriteDeadline(time.Now().Add(c.t.cfg.writeTimeout()))
+	_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := c.nc.Write(c.wbuf)
 	return err
 }
@@ -343,7 +333,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	}()
 
 	// Handshake: the first frame must be a well-formed Hello.
-	_ = nc.SetReadDeadline(time.Now().Add(t.cfg.readTimeout()))
+	_ = nc.SetReadDeadline(time.Now().Add(readTimeout))
 	hello, _, err := wire.ReadFrame(nc, nil)
 	if err != nil || hello.Type != wire.MsgHello {
 		return
@@ -357,7 +347,7 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 	}
 
 	for {
-		_ = nc.SetReadDeadline(time.Now().Add(t.cfg.readTimeout()))
+		_ = nc.SetReadDeadline(time.Now().Add(readTimeout))
 		// A fresh buffer per frame: the payload's ownership passes to the
 		// session worker executing the request.
 		f, _, err := wire.ReadFrame(nc, nil)

@@ -161,20 +161,3 @@ func (s *CrashScript) Tripped() bool {
 	defer s.mu.Unlock()
 	return s.tripped
 }
-
-// CrashDisk is a Store that wraps a durable FileDisk with a crash
-// script: the scripted point kills the simulated process image
-// mid-write, after which every operation — reads included — fails
-// with ErrCrashed. It exists so harnesses can hand the engine a
-// plain Store while keeping a handle on the script.
-type CrashDisk struct {
-	*FileDisk
-	Script *CrashScript
-}
-
-// NewCrashDisk arms the file disk with the script and returns the
-// wrapping store.
-func NewCrashDisk(fd *FileDisk, script *CrashScript) *CrashDisk {
-	fd.SetCrashScript(script)
-	return &CrashDisk{FileDisk: fd, Script: script}
-}

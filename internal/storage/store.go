@@ -49,5 +49,4 @@ type Store interface {
 var (
 	_ Store = (*Disk)(nil)
 	_ Store = (*FileDisk)(nil)
-	_ Store = (*CrashDisk)(nil)
 )

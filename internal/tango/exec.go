@@ -41,10 +41,6 @@ type Executor struct {
 	//
 	// Deprecated: kept only for the benchmark module, which sets it.
 	Parallelism int
-	// SortMemory overrides the middleware sort's in-memory run size in
-	// tuples (the paper's middleware memory budget); 0 keeps
-	// xxl.DefaultSortMemory. Smaller budgets spill more runs to disk.
-	SortMemory int
 
 	// Metrics, when set, enables per-operator instrumentation and
 	// flushes the measured operator tree into the registry after each
@@ -283,9 +279,6 @@ func (e *Executor) buildMW(n *algebra.Node) (rel.Iterator, error) {
 		}
 		srt := xxl.NewSort(in, keys)
 		e.sorts = append(e.sorts, srt)
-		if e.SortMemory > 0 {
-			srt.MemTuples = e.SortMemory
-		}
 		return e.instrument(n, srt, in), nil
 
 	case algebra.OpJoin, algebra.OpTJoin:
@@ -396,6 +389,7 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 			tdIters = append(tdIters, in)
 			name := e.Conn.TempName()
 			td := NewTransferD(e.Conn, in, name)
+			td.node = m
 			gen.TempTables[m] = name
 			deps = append(deps, td)
 			e.transfersD = append(e.transfersD, td)
@@ -418,6 +412,7 @@ func (e *Executor) buildTM(n *algebra.Node) (rel.Iterator, error) {
 		return nil, err
 	}
 	tm := NewTransferM(e.Conn, sql, schema, deps...)
+	tm.node = n
 	e.transfersM = append(e.transfersM, tm)
 	return e.instrument(n, tm, tdIters...), nil
 }

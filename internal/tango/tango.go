@@ -75,10 +75,6 @@ type Options struct {
 	Flight *telemetry.Flight
 }
 
-// adaptRate is the EWMA rate at which execution feedback moves the
-// cost factors (cost.Factors.Adapt, AdaptOp).
-const adaptRate = 0.2
-
 // Open connects the middleware to an in-process DBMS server.
 func Open(srv *server.Server, opts Options) *Middleware {
 	return OpenConn(client.Connect(srv), opts)
@@ -109,7 +105,7 @@ func OpenConn(conn *client.Conn, opts Options) *Middleware {
 // connected DBMS (the Cost Estimator component). rows ≤ 0 uses the
 // default sample size.
 func (m *Middleware) Calibrate(rows int) error {
-	cal := &cost.Calibrator{Conn: m.Conn, Rows: rows, Seed: 1}
+	cal := &cost.Calibrator{Conn: m.Conn, Rows: rows}
 	f, err := cal.Calibrate()
 	if err != nil {
 		return fmt.Errorf("tango: calibration: %w", err)
@@ -234,19 +230,20 @@ func planLabel(plan *algebra.Node) string {
 	return s
 }
 
-// absorb feeds one execution's measurements back into the model: the
-// whole-transfer EWMA (T^M/T^D factors), the per-operator factor
-// refinement, and the Q-error drift metrics comparing the optimizer's
+// absorb feeds one execution's measurements back into the model, each
+// through Factors.Observe: every T^M's and T^D's whole-transfer
+// feedback, then every other middleware operator's self time. It also
+// records the Q-error drift metrics comparing the optimizer's
 // cardinality estimates, read from the query's catalog view, against
 // observed row counts. A view lives for one query only, so ANALYZE and
 // DDL between queries stay visible.
 func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.Span) {
 	m.mu.Lock()
 	for _, t := range ex.transfersM {
-		m.Model.F.Adapt(t.Feedback(), false, adaptRate)
+		m.Model.F.Observe(transferObs(t.node, t.Feedback()))
 	}
 	for _, t := range ex.transfersD {
-		m.Model.F.Adapt(t.Feedback(), true, adaptRate)
+		m.Model.F.Observe(transferObs(t.node, t.Feedback()))
 	}
 	m.mu.Unlock()
 	st := ex.ExecStats()
@@ -260,21 +257,18 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 		if !ok || n == nil {
 			return
 		}
-		obs := cost.ObservedOp{
-			Op:       n.Op,
-			Loc:      n.Loc(),
-			InBytes:  float64(s.InputBytes()),
-			OutBytes: float64(s.Bytes),
-			InCard:   float64(s.InputRows()),
-			OutCard:  float64(s.Rows),
-			Micros:   float64(s.SelfTime()) / float64(time.Microsecond),
+		// Transfers were observed above, from their feedback.
+		if n.Op != algebra.OpTM && n.Op != algebra.OpTD {
+			m.mu.Lock()
+			m.Model.F.Observe(cost.ObservedOp{
+				Node:     n,
+				InBytes:  float64(s.InputBytes()),
+				OutBytes: float64(s.Bytes),
+				InCard:   float64(s.InputRows()),
+				Micros:   float64(s.SelfTime()) / float64(time.Microsecond),
+			})
+			m.mu.Unlock()
 		}
-		if n.Op == algebra.OpSelect && n.Pred != nil {
-			obs.PredTerms = cost.PredTerms(n.Pred)
-		}
-		m.mu.Lock()
-		m.Model.F.AdaptOp(obs, adaptRate)
-		m.mu.Unlock()
 		if m.Metrics != nil && s.Rows > 0 {
 			if est, _, err := cat.Estimate(n, nil); err == nil && est.Card > 0 {
 				q := est.Card / float64(s.Rows)
@@ -297,6 +291,12 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 		m.Metrics.Histogram("tango_qerror", telemetry.Labels{"op": worstOp}, telemetry.QErrorBuckets).
 			SetExemplar(worstQ, fmt.Sprintf("%016x", root.TraceID()), worstOp)
 	}
+}
+
+// transferObs is a transfer's feedback as one observation of its plan
+// node.
+func transferObs(n *algebra.Node, fb client.Feedback) cost.ObservedOp {
+	return cost.ObservedOp{Node: n, InBytes: float64(fb.Bytes), Micros: float64(fb.Elapsed) / float64(time.Microsecond)}
 }
 
 // Run optimizes an initial plan and executes the winner, returning

@@ -79,6 +79,31 @@ func TestMiddlewareAdaptsFactors(t *testing.T) {
 	}
 }
 
+// TestAbsorbObservesEachTransferOnce: a T^M or T^D moves its factor
+// once, from its whole-transfer feedback; absorb's operator walk does
+// not observe the transfer nodes a second time.
+func TestAbsorbObservesEachTransferOnce(t *testing.T) {
+	mw := openMW(t)
+	ex := &Executor{Conn: mw.Conn, Cat: mw.Cat, Analyze: true}
+	if _, err := ex.Run(paperPlanMWAggr()); err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.transfersM) == 0 || len(ex.transfersD) == 0 {
+		t.Fatalf("plan ran %d T^M and %d T^D, want both", len(ex.transfersM), len(ex.transfersD))
+	}
+	want := mw.Model.F
+	for _, tr := range ex.transfersM {
+		want.Observe(transferObs(tr.node, tr.Feedback()))
+	}
+	for _, tr := range ex.transfersD {
+		want.Observe(transferObs(tr.node, tr.Feedback()))
+	}
+	mw.absorb(ex, nil, nil)
+	if got := mw.Model.F; got.TM != want.TM || got.TD != want.TD {
+		t.Errorf("TM, TD = %g, %g after absorb; want %g, %g from the transfers' feedback alone", got.TM, got.TD, want.TM, want.TD)
+	}
+}
+
 func TestMiddlewareCalibrate(t *testing.T) {
 	mw := openMW(t)
 	def := mw.Model.F

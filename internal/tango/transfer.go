@@ -3,6 +3,7 @@ package tango
 import (
 	"fmt"
 
+	"tango/internal/algebra"
 	"tango/internal/client"
 	"tango/internal/rel"
 	"tango/internal/telemetry"
@@ -19,7 +20,8 @@ type TransferM struct {
 	sql    string
 	schema types.Schema
 	deps   []*TransferD
-	epoch  uint64 // the metadata epoch the plan was read under (0: unchecked)
+	epoch  uint64        // the metadata epoch the plan was read under (0: unchecked)
+	node   *algebra.Node // the plan node it runs, when the executor built it
 
 	rows *client.Rows
 	fb   client.Feedback
@@ -128,6 +130,7 @@ type TransferD struct {
 	conn  *client.Conn
 	in    rel.Input
 	table string
+	node  *algebra.Node // the plan node it runs, when the executor built it
 
 	ran bool
 	fb  client.Feedback

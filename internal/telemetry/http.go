@@ -13,16 +13,11 @@ import (
 //	/metrics.json  JSON exposition
 //	/debug/vars    expvar-style JSON (alias of /metrics.json)
 //	/debug/pprof/  Go profiling endpoints
-//	/healthz       liveness probe (always 200 without a health check)
-func Handler(reg *Registry) http.Handler {
-	return HandlerWith(reg, nil)
-}
-
-// HandlerWith is Handler plus a health check: /healthz returns 200
-// "ok" while health() returns nil, and 503 with the error text once
-// it does not (engine closed, store crashed). A nil health func means
-// always healthy.
-func HandlerWith(reg *Registry, health func() error) http.Handler {
+//	/healthz       health check: 200 "ok" while health() returns nil,
+//	               and 503 with the error text once it does not (engine
+//	               closed, store crashed); a nil health means always
+//	               healthy
+func Handler(reg *Registry, health func() error) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -53,20 +48,15 @@ func HandlerWith(reg *Registry, health func() error) http.Handler {
 	return mux
 }
 
-// Serve exposes the registry on addr (e.g. "localhost:9090" or
-// ":0" for an ephemeral port) in a background goroutine. It returns
-// the bound address and a shutdown function.
-func Serve(addr string, reg *Registry) (string, func() error, error) {
-	return ServeWith(addr, reg, nil)
-}
-
-// ServeWith is Serve with a /healthz health check attached.
-func ServeWith(addr string, reg *Registry, health func() error) (string, func() error, error) {
+// Serve exposes the registry on addr (e.g. "localhost:9090" or ":0"
+// for an ephemeral port), with Handler's health check, in a background
+// goroutine. It returns the bound address and a shutdown function.
+func Serve(addr string, reg *Registry, health func() error) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: HandlerWith(reg, health)}
+	srv := &http.Server{Handler: Handler(reg, health)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

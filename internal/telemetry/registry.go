@@ -314,26 +314,10 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one sample and pins it as the exemplar of
-// the bucket it lands in, replacing any previous exemplar there.
-func (h *Histogram) ObserveExemplar(v float64, traceID, label string) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.exMu.Lock()
-	if h.exemplars == nil {
-		h.exemplars = make([]*Exemplar, len(h.buckets))
-	}
-	h.exemplars[i] = &Exemplar{Value: v, TraceID: traceID, Label: label}
-	h.exMu.Unlock()
-}
-
-// SetExemplar pins v's trace as the exemplar of the bucket v lands in
-// WITHOUT observing it — for callers that already Observed the value
-// and later learn which trace best represents it (e.g. the worst
-// Q-error operator of a query).
+// SetExemplar pins v's trace as the exemplar of the bucket v lands in,
+// replacing any previous exemplar there, WITHOUT observing it — for
+// callers that already Observed the value and later learn which trace
+// best represents it (e.g. the worst Q-error operator of a query).
 func (h *Histogram) SetExemplar(v float64, traceID, label string) {
 	if h == nil {
 		return

@@ -229,7 +229,7 @@ func TestIterSinkFlushesOnce(t *testing.T) {
 func TestHTTPEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("hits", nil).Add(7)
-	addr, stop, err := Serve("127.0.0.1:0", reg)
+	addr, stop, err := Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

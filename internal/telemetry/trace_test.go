@@ -463,15 +463,13 @@ func TestQuantileExposition(t *testing.T) {
 	}
 }
 
-// TestExemplars: ObserveExemplar counts and pins; SetExemplar pins
-// without counting; both surface in the expositions.
+// TestExemplars: SetExemplar pins without counting, and the pins
+// surface in the expositions.
 func TestExemplars(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("tango_qerror", Labels{"op": "TJoin^M"}, QErrorBuckets)
-	h.ObserveExemplar(3.5, "00000000deadbeef", "TJoin^M")
-	if h.Count() != 1 {
-		t.Fatal("ObserveExemplar must count the observation")
-	}
+	h.Observe(3.5)
+	h.SetExemplar(3.5, "00000000deadbeef", "TJoin^M")
 	h.SetExemplar(7, "00000000cafef00d", "TJoin^M")
 	if h.Count() != 1 {
 		t.Fatal("SetExemplar must NOT count an observation")
@@ -495,7 +493,6 @@ func TestExemplars(t *testing.T) {
 		t.Fatal("JSON exposition lacks the pinned exemplar")
 	}
 	var nilH *Histogram
-	nilH.ObserveExemplar(1, "x", "y")
 	nilH.SetExemplar(1, "x", "y")
 	if nilH.Exemplars() != nil {
 		t.Fatal("nil histogram exemplar calls are inert")
@@ -524,7 +521,7 @@ func TestHealthzAndPprof(t *testing.T) {
 	reg := NewRegistry()
 	RegisterRuntimeMetrics(reg)
 	var failing error
-	srv := httptest.NewServer(HandlerWith(reg, func() error { return failing }))
+	srv := httptest.NewServer(Handler(reg, func() error { return failing }))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
