@@ -81,12 +81,17 @@ chaos:
 # crash runs the deterministic crash matrix under the race detector:
 # every scripted WAL/page death point in the standard workload is
 # swept (strided in -short), plus the concurrent variant — a store
-# death mid-T^D-load under 16 live reader sessions — and after each
-# the directory is reopened and the recovered state must equal a
-# committed pre- or post-load state — never a torn one. Run `go test ./internal/bench/ -run TestCrash`
-# for the unstrided sweep.
+# death mid-load of a permanent table under 16 live reader sessions —
+# and after each the directory is reopened and the recovered state must
+# equal a committed pre- or post-load state — never a torn one — with
+# no transfer temp table named in the catalog or meta.tango. Temp
+# tables are unlogged, so their writes are no crash points; the engine
+# test checks that their CREATE, load, scan and DROP write no WAL and
+# that a checkpoint leaves no trace of them. Run `go test
+# ./internal/bench/ -run TestCrash` for the unstrided sweep.
 crash:
 	$(GO) test ./internal/bench/ -run 'TestCrash|TestSplitSchedule' -race -short
+	$(GO) test ./internal/engine/ -run 'TestTempTableWritesNoWAL|TestOpenAtDropsLegacyTempTable' -race
 
 # load is the TCP serving-path smoke: LOADSESSIONS simulated
 # sessions replay the mixed workload over real sockets — through the
@@ -109,8 +114,10 @@ load:
 # choose, and the heap-filter sweep: a heap scan testing a float and a
 # date conjunct on its pages at 2 %, 25 % and 90 % selectivity; and a
 # server cursor's fetches draining a 12k-row filter + projection and an
-# ORDER BY (ns/op, B/op and allocs/op).
-ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch
+# ORDER BY (ns/op, B/op and allocs/op); and the T^D layer: a temp
+# table's CREATE IF NOT EXISTS, 3,600-row bulk load and DROP on a
+# durable store (ns/op, allocs/op and fsyncs/op).
+ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch|TempTransfer
 
 # XXLBENCH is the middleware operator layer: TAGGR^M's sweep per
 # aggregate kind, the temporal and the regular merge join, and SORT^M in

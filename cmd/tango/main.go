@@ -163,9 +163,9 @@ func main() {
 		fmt.Println()
 	}
 	if st := sys.Recovery; st != nil && !quiet {
-		fmt.Printf("data-dir %s: recovered in %v — %d WAL record(s) replayed, %d torn tail(s), %d checksum failure(s) repaired, %d load(s) rolled back, %d temp table(s) collected\n",
+		fmt.Printf("data-dir %s: recovered in %v — %d WAL record(s) replayed, %d torn tail(s), %d checksum failure(s) repaired, %d load(s) rolled back\n",
 			*dataDir, st.Duration.Round(time.Millisecond), st.ReplayedRecords,
-			st.TornTails, st.ChecksumFailures, st.RolledBackLoads, sys.GCCollected)
+			st.TornTails, st.ChecksumFailures, st.RolledBackLoads)
 		if sys.Reopened {
 			fmt.Println("existing database reopened; UIS load skipped (run ANALYZE output is fresh)")
 		}

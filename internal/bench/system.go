@@ -53,9 +53,6 @@ type System struct {
 	// load was skipped and statistics were recomputed from the
 	// recovered heaps.
 	Reopened bool
-	// GCCollected is the number of orphaned transfer temp tables the
-	// startup session GC dropped (durable systems only).
-	GCCollected int
 
 	// opts are the middleware options the system was built with, so
 	// NewSessionMW can open additional sessions configured identically.
@@ -92,7 +89,6 @@ type Config struct {
 	// DataDir, when non-empty, opens a durable, crash-recoverable DBMS
 	// in the directory instead of the in-memory default. A directory
 	// that already holds the UIS tables is reopened: WAL recovery runs,
-	// the startup session GC collects orphaned transfer temp tables,
 	// the data load is skipped, and statistics are recomputed from the
 	// recovered heaps.
 	DataDir string
@@ -180,20 +176,14 @@ func NewSystem(cfg Config) (*System, error) {
 		fd := db.FileDisk()
 		mw.WALProbe = func() (int64, int64) { return fd.WALStats() }
 	}
-	// Restart path (durable stores only): the session GC re-runs at
-	// startup — sessions that died with the previous process cannot
-	// drop their temp tables themselves — and the recovery outcome is
-	// exported as counters and a startup-trace span.
+	// Restart path (durable stores only): the recovery outcome is
+	// exported as counters and a startup-trace span. Temp tables of
+	// sessions that died with the previous process need no sweep: they
+	// lived on unlogged files, which no restart sees.
 	reopened := false
-	gcCollected := 0
 	if db.Durable() {
-		var err error
-		gcCollected, err = srv.StartupGC()
-		if err != nil {
-			return nil, err
-		}
 		server.RegisterRecovery(cfg.Metrics, rstats)
-		rsp := server.RecoverySpan(rstats, gcCollected)
+		rsp := server.RecoverySpan(rstats)
 		// Link the pre-crash flight log into the recovery trace: what
 		// the previous process was doing when it died is part of the
 		// story of this startup.
@@ -251,7 +241,7 @@ func NewSystem(cfg Config) (*System, error) {
 	return &System{DB: db, Srv: srv, MW: mw, Metrics: cfg.Metrics,
 		PositionRows: posRows, EmployeeRows: empRows,
 		Flight: flight, Collector: collector, PreCrashFlight: preCrash,
-		Recovery: rstats, Reopened: reopened, GCCollected: gcCollected,
+		Recovery: rstats, Reopened: reopened,
 		opts: opts}, nil
 }
 

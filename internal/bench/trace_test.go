@@ -20,6 +20,7 @@ import (
 	"tango/internal/storage"
 	"tango/internal/telemetry"
 	"tango/internal/tsql"
+	"tango/internal/types"
 	"tango/internal/wire"
 )
 
@@ -248,10 +249,12 @@ func TestChaosTelemetryClean(t *testing.T) {
 }
 
 // TestCrashFlightRecovery arms a WAL crash point under a traced,
-// durable system, lets a query die on it, and verifies the reopened
+// durable system, kills the store with a load into a permanent table,
+// lets a T^D query die on the dead store, and verifies the reopened
 // system (a) loads the pre-crash flight log with the dying query's
-// trace present and well-formed, and (b) links it into the recovery
-// startup span.
+// trace present and well-formed, (b) links it into the recovery
+// startup span, and (c) names none of the temp tables that lived at
+// the kill.
 func TestCrashFlightRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := crashConfig(dir, nil)
@@ -270,18 +273,32 @@ func TestCrashFlightRecovery(t *testing.T) {
 		t.Fatalf("fault-free query: %v", err)
 	}
 
-	// Arm the crash: the next WAL write kills the store. A plan that
-	// ships its aggregate down through T^D (a temp-table create + load,
-	// both WAL-logged) is the guaranteed writer.
+	// A session's temp table lives across the kill, beside a permanent
+	// table created while it lives.
+	if err := sys.MW.Conn.CreateTable(sys.MW.Conn.TempName(),
+		types.Schema{Cols: []types.Column{{Name: "X", Kind: types.KindInt}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.MW.Conn.Exec("CREATE TABLE FLIGHTT (ID INTEGER, PAD VARCHAR(40))"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Arm the crash: the next WAL write kills the store. A T^D writes
+	// no WAL (its temp table is unlogged), so a load into the permanent
+	// table is the writer; the plan that ships its aggregate down
+	// through T^D then dies on the dead store.
 	sys.DB.FileDisk().SetCrashScript(storage.NewCrashScript(
 		storage.CrashPoint{Target: storage.TargetWAL, Nth: 1, Mode: storage.CrashOmit}))
+	if _, err := sys.MW.Conn.Load("FLIGHTT", loadRows(50)); err == nil {
+		t.Fatal("the load survived the armed WAL crash point")
+	}
 	withTD := Q2Plans(Day(1996, time.January, 1))[0]
 	var dying *telemetry.Span
 	if _, err := sys.MW.Execute(withTD.Plan.Clone()); err != nil {
 		dying = sys.MW.LastTrace()
 	}
 	if dying == nil {
-		t.Fatal("the T^D query did not die on the armed WAL crash point")
+		t.Fatal("the T^D query did not die on the dead store")
 	}
 	dyingID := fmt.Sprintf("%016x", dying.TraceID())
 
@@ -298,6 +315,7 @@ func TestCrashFlightRecovery(t *testing.T) {
 			t.Errorf("close recovered system: %v", err)
 		}
 	}()
+	noTempNamed(t, dir, rec)
 
 	if len(rec.PreCrashFlight) == 0 {
 		t.Fatal("reopened system loaded no pre-crash flight entries")

@@ -171,3 +171,34 @@ func BenchmarkEngineSort(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTempTransfer is the T^D layer on a durable store: CREATE
+// TABLE IF NOT EXISTS of a transfer temp table, a bulk load of the
+// forced_td aggregate's shape (3,600 rows of PosID, T1, T2, COUNT) and
+// DROP, reporting the WAL fsyncs each transfer waits on.
+func BenchmarkTempTransfer(b *testing.B) {
+	db, _, err := OpenAt(b.TempDir(), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rows := transferRows(3600)
+	name := TempPrefix + "BENCH"
+	_, _, before := db.FileDisk().GroupCommitStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Exec("CREATE TABLE IF NOT EXISTS " + name + transferDDL); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.BulkLoad(name, rows); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Exec("DROP TABLE IF EXISTS " + name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_, _, after := db.FileDisk().GroupCommitStats()
+	b.ReportMetric(float64(after-before)/float64(b.N), "fsyncs/op")
+}

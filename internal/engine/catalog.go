@@ -84,8 +84,12 @@ type catalogVersion struct {
 }
 
 // TempPrefix is the naming prefix of the middleware's transfer temp
-// tables: their DDL and statistics do not advance the metadata epoch.
+// tables: their DDL and statistics do not advance the metadata epoch,
+// and on a durable DB their files are unlogged (see logged).
 const TempPrefix = "TMP_TANGO_"
+
+// temp reports whether name is a transfer temp table's.
+func temp(name string) bool { return strings.HasPrefix(key(name), TempPrefix) }
 
 func (v *catalogVersion) table(name string) (*Table, error) {
 	t, ok := v.tables[key(name)]
@@ -269,7 +273,7 @@ func (db *DB) publishLocked(tables map[string]*Table, table, op string) uint64 {
 	seq, meta := cur.seq+1, cur.meta
 	k := key(table)
 	changed := op == "create" || op == "drop" || op == "createindex" || op == "analyze" && cur.tables[k].analyzed
-	if changed && !strings.HasPrefix(k, TempPrefix) {
+	if changed && !temp(k) {
 		meta++
 	}
 	if db.commitHook != nil {
@@ -296,25 +300,27 @@ func (db *DB) CreateTable(name string, schema types.Schema) (*Table, error) {
 		db.wmu.Unlock()
 		return nil, fmt.Errorf("engine: table %s %w", name, errExists)
 	}
-	t := &Table{
-		Name:    name,
-		Schema:  schema,
-		Heap:    storage.NewHeapFile(db.pool),
-		Indexes: map[string]*btree.Tree{},
+	var heap *storage.HeapFile
+	if db.fd == nil || !temp(name) {
+		heap = storage.NewHeapFile(db.pool)
+	} else {
+		id, err := db.fd.CreateTempFile()
+		if err != nil {
+			db.wmu.Unlock()
+			return nil, err
+		}
+		heap = storage.OpenHeapFile(db.pool, id)
 	}
+	t := &Table{Name: name, Schema: schema, Heap: heap, Indexes: map[string]*btree.Tree{}}
 	next := cloneTables(cur.tables)
 	next[k] = t
-	if err := db.saveCatalog(next); err != nil {
-		db.wmu.Unlock()
-		return nil, err
-	}
-	if err := db.stageDurableLocked(); err != nil {
+	if err := db.stageDurableLocked(name, next); err != nil {
 		db.wmu.Unlock()
 		return nil, err
 	}
 	db.publishLocked(next, t.Name, "create")
 	db.wmu.Unlock()
-	return t, db.awaitDurable()
+	return t, db.awaitDurable(name)
 }
 
 // DropTable removes a table. With ifExists, dropping a missing table
@@ -335,11 +341,7 @@ func (db *DB) DropTable(name string, ifExists bool) error {
 	}
 	next := cloneTables(cur.tables)
 	delete(next, k)
-	if err := db.saveCatalog(next); err != nil {
-		db.wmu.Unlock()
-		return err
-	}
-	if err := db.stageDurableLocked(); err != nil {
+	if err := db.stageDurableLocked(name, next); err != nil {
 		db.wmu.Unlock()
 		return err
 	}
@@ -348,7 +350,7 @@ func (db *DB) DropTable(name string, ifExists bool) error {
 		h.Drop()
 	}
 	db.wmu.Unlock()
-	return db.awaitDurable()
+	return db.awaitDurable(name)
 }
 
 // Table returns the catalog entry for name in the current published
@@ -410,13 +412,13 @@ func (db *DB) Insert(name string, tuple types.Tuple) error {
 	nt.pages, nt.tailSlots = rid.Page+1, rid.Slot+1
 	next := cloneTables(cur.tables)
 	next[key(name)] = nt
-	if err := db.stageDurableLocked(); err != nil {
+	if err := db.stageDurableLocked(name, nil); err != nil {
 		db.wmu.Unlock()
 		return err
 	}
 	db.publishLocked(next, t.Name, "insert")
 	db.wmu.Unlock()
-	return db.awaitDurable()
+	return db.awaitDurable(name)
 }
 
 // BulkLoad appends tuples through the direct-path loader (the paper's
@@ -438,9 +440,10 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 			return fmt.Errorf("engine: %s expects %d values, got %d", name, t.Schema.Len(), len(tp))
 		}
 	}
-	// Durable stores bracket the load so that a crash before the commit
-	// record becomes durable rolls the table back to its pre-load state
-	// — the T^D transfer is atomic. A load that fails before its commit
+	// A logged table's load is bracketed so that a crash before the
+	// commit record becomes durable rolls the table back to its pre-load
+	// state; a temp table's load logs nothing, as no restart sees the
+	// table. A load that fails before its commit
 	// rolls back the same way at once: the heap is cut back to its
 	// pre-load pages (on a FileDisk the cut also ends the open load), so
 	// no later load's bound or index build publishes the failed rows.
@@ -450,7 +453,8 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 		db.wmu.Unlock()
 		return err
 	}
-	if db.fd != nil {
+	logged := db.logged(name)
+	if logged {
 		if err := db.fd.BeginLoad(t.Heap.File(), t.Name); err != nil {
 			db.wmu.Unlock()
 			return err
@@ -470,7 +474,7 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 	}
 	nt.Stats = nil
 	nt.pages, nt.tailSlots = t.Heap.Bound()
-	if db.fd != nil {
+	if logged {
 		// Page images must precede the commit record in the WAL.
 		if err := db.pool.FlushAll(); err != nil {
 			return fail(err)
@@ -481,13 +485,13 @@ func (db *DB) BulkLoad(name string, tuples []types.Tuple) error {
 	}
 	next := cloneTables(cur.tables)
 	next[key(name)] = nt
-	if err := db.stageDurableLocked(); err != nil {
+	if err := db.stageDurableLocked(name, nil); err != nil {
 		db.wmu.Unlock()
 		return err
 	}
 	db.publishLocked(next, t.Name, "load")
 	db.wmu.Unlock()
-	return db.awaitDurable()
+	return db.awaitDurable(name)
 }
 
 // CreateIndex builds a secondary B+-tree index on one column.
@@ -516,17 +520,13 @@ func (db *DB) CreateIndex(table, column string) error {
 	nt.Indexes[strings.ToUpper(column)] = idx
 	next := cloneTables(cur.tables)
 	next[key(table)] = nt
-	if err := db.saveCatalog(next); err != nil {
-		db.wmu.Unlock()
-		return err
-	}
-	if err := db.stageDurableLocked(); err != nil {
+	if err := db.stageDurableLocked(table, next); err != nil {
 		db.wmu.Unlock()
 		return err
 	}
 	db.publishLocked(next, t.Name, "createindex")
 	db.wmu.Unlock()
-	return db.awaitDurable()
+	return db.awaitDurable(table)
 }
 
 // buildIndexTree scans the heap and builds a fresh tree over column

@@ -4,14 +4,14 @@
 // serialized to JSON and stored under the "catalog" key of the store's
 // durable metadata — the storage layer stays ignorant of catalog
 // formats, the engine stays ignorant of WAL formats. Every catalog
-// mutation and every write commits through commitDurable: flush the
-// buffer pool (logging page images) and Sync the store (the WAL
-// group-commit barrier). Bulk loads are bracketed by
-// BeginLoad/CommitLoad so a crash mid-load rolls the table back to its
-// pre-load state — T^D transfers are atomic. On restart, OpenAt
-// recovers the store, decodes the catalog, reattaches heap files, and
-// rebuilds the in-memory B+-tree indexes by scanning the recovered
-// heaps.
+// mutation and every write to a permanent table flushes the buffer pool
+// (logging page images) and waits on the WAL group-commit barrier; bulk
+// loads are bracketed by BeginLoad/CommitLoad so a crash mid-load rolls
+// the table back. A TempPrefix table (a T^D's target) lives on an
+// unlogged file that no catalog document names: its writes commit
+// nothing, and no restart sees it. On restart, OpenAt recovers the
+// store, decodes the catalog, reattaches heap files, and rebuilds the
+// in-memory B+-tree indexes by scanning the recovered heaps.
 //
 //tango:durability
 package engine
@@ -109,7 +109,9 @@ func (db *DB) Checkpoint() error {
 // bootstrapCatalog decodes the persisted catalog and reattaches every
 // surviving table: heap files by ID, indexes rebuilt by heap scan.
 // Tables whose heap file did not survive recovery (a creation whose
-// commit never became durable) are skipped.
+// commit never became durable) are skipped. A TempPrefix table (only a
+// catalog written before temp tables were unlogged names one) is
+// dropped with its file, unpublished.
 func (db *DB) bootstrapCatalog() error {
 	doc, ok := db.fd.Meta("catalog")
 	if !ok {
@@ -120,7 +122,13 @@ func (db *DB) bootstrapCatalog() error {
 		return fmt.Errorf("engine: corrupt persisted catalog: %w", err)
 	}
 	tables := map[string]*Table{}
+	stale := false
 	for _, e := range cat.Tables {
+		if temp(e.Name) {
+			db.fd.DropFile(e.File)
+			stale = true
+			continue
+		}
 		if !db.fd.HasFile(e.File) {
 			continue
 		}
@@ -140,16 +148,23 @@ func (db *DB) bootstrapCatalog() error {
 		t.pages, t.tailSlots = t.Heap.Bound()
 		tables[key(e.Name)] = t
 	}
+	if stale {
+		if err := db.saveCatalog(tables); err != nil {
+			return err
+		}
+	}
 	db.cat.Store(&catalogVersion{seq: 1, meta: 1, tables: tables})
 	return nil
 }
 
-// encodeCatalog serializes a table set deterministically (tables
-// sorted by key).
+// encodeCatalog serializes a table set's permanent tables
+// deterministically (sorted by key).
 func encodeCatalog(tables map[string]*Table) (string, error) {
 	keys := make([]string, 0, len(tables))
 	for k := range tables {
-		keys = append(keys, k)
+		if !temp(k) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	doc := catalogDoc{Tables: make([]catalogEntry, 0, len(keys))}
@@ -176,11 +191,8 @@ func encodeCatalog(tables map[string]*Table) (string, error) {
 
 // saveCatalog stages the serialized next catalog into the store's
 // durable metadata (it becomes durable at the next Commit). Caller
-// holds wmu.
+// holds wmu, or is the bootstrap of a durable DB.
 func (db *DB) saveCatalog(tables map[string]*Table) error {
-	if db.fd == nil {
-		return nil
-	}
 	doc, err := encodeCatalog(tables)
 	if err != nil {
 		return fmt.Errorf("engine: encode catalog: %w", err)
@@ -188,12 +200,23 @@ func (db *DB) saveCatalog(tables map[string]*Table) error {
 	return db.fd.PutMeta("catalog", doc)
 }
 
+// logged reports whether writes to the named table are made durable:
+// a durable DB's permanent tables. A TempPrefix table's file is
+// unlogged; its writes publish with nothing staged or awaited.
+func (db *DB) logged(name string) bool { return db.fd != nil && !temp(name) }
+
 // stageDurableLocked is the first half of the engine's durability
-// barrier, run under wmu: every dirty page is flushed, logging its
-// WAL image into the group-commit buffer. No-op on an in-memory DB.
-func (db *DB) stageDurableLocked() error {
-	if db.fd == nil {
+// barrier for a write to the named table, run under wmu: the catalog
+// change (tables, if non-nil) and every dirty page's WAL image enter
+// the group-commit buffer. No-op unless the table is logged.
+func (db *DB) stageDurableLocked(name string, tables map[string]*Table) error {
+	if !db.logged(name) {
 		return nil
+	}
+	if tables != nil {
+		if err := db.saveCatalog(tables); err != nil {
+			return err
+		}
 	}
 	// The barrier lives in awaitDurable (FileDisk.Commit), which every
 	// writer calls after publishing with wmu released — splitting the
@@ -206,9 +229,10 @@ func (db *DB) stageDurableLocked() error {
 // sessions awaiting together share fsyncs (storage group commit).
 // The version is visible to new snapshots from the publish; a crash
 // between publish and fsync may roll the commit back, which the
-// session observes as this call's error.
-func (db *DB) awaitDurable() error {
-	if db.fd == nil {
+// session observes as this call's error. No-op unless the named table
+// is logged.
+func (db *DB) awaitDurable(name string) error {
+	if !db.logged(name) {
 		return nil
 	}
 	start := time.Now()

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,6 +256,158 @@ func TestFailedBulkLoadLeavesNoRows(t *testing.T) {
 		}
 		if err := re.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// transferRows is the forced_td aggregate's shape: n rows of (PosID,
+// T1, T2, COUNT), as a T^D ships them into its temp table.
+func transferRows(n int) []types.Tuple {
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		t1 := int64(9000 + i%400)
+		rows[i] = types.Tuple{types.Int(int64(i / 3)), types.Date(t1), types.Date(t1 + 30), types.Int(int64(1 + i%7))}
+	}
+	return rows
+}
+
+const transferDDL = " (PosID INTEGER, T1 DATE, T2 DATE, N INTEGER)"
+
+// metaFiles reads the file list of the store's meta.tango.
+func metaFiles(t *testing.T, dir string) map[storage.FileID]int {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(dir, "meta.tango"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Files map[storage.FileID]int }
+	if err := json.Unmarshal(buf, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Files
+}
+
+// TestTempTableWritesNoWAL: a transfer temp table's CREATE, bulk load,
+// full scan and DROP on a durable store write no WAL record and wait
+// on no fsync, and a checkpoint taken while it lives writes no data
+// file for it and lists none in meta.tango.
+func TestTempTableWritesNoWAL(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenAt(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fd := db.FileDisk()
+	unmoved := func(step string) {
+		t.Helper()
+		bytes, records := fd.WALStats()
+		_, _, fsyncs := fd.GroupCommitStats()
+		if bytes != 0 || records != 0 || fsyncs != 0 {
+			t.Fatalf("after %s: WAL %d bytes, %d records, %d fsyncs; want none", step, bytes, records, fsyncs)
+		}
+	}
+	name := TempPrefix + "T"
+	if _, err := db.Exec("CREATE TABLE " + name + transferDDL); err != nil {
+		t.Fatal(err)
+	}
+	unmoved("CREATE")
+	rows := transferRows(3600)
+	if err := db.BulkLoad(name, rows); err != nil {
+		t.Fatal(err)
+	}
+	unmoved("LOAD")
+	want := make([]string, len(rows))
+	for i, r := range rows {
+		want[i] = fmt.Sprintf("%s|%s|%s|%s", r[0].AsString(), r[1].AsString(), r[2].AsString(), r[3].AsString())
+	}
+	got := queryRows(t, db, "SELECT PosID, T1, T2, N FROM "+name)
+	slices.Sort(want)
+	slices.Sort(got)
+	if !equalRows(got, want) {
+		t.Fatalf("scan returned %d rows, want the %d loaded", len(got), len(want))
+	}
+	unmoved("scan")
+
+	tab, err := db.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := tab.Heap.File()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("f%08d.pg", id))); !os.IsNotExist(err) {
+		t.Errorf("checkpoint wrote a data file for the temp table (stat: %v)", err)
+	}
+	if _, ok := metaFiles(t, dir)[id]; ok {
+		t.Errorf("meta.tango lists the temp table's file %d", id)
+	}
+	_, _, fsyncs := fd.GroupCommitStats()
+	if _, err := db.Exec("DROP TABLE " + name); err != nil {
+		t.Fatal(err)
+	}
+	bytes, records := fd.WALStats()
+	if _, _, f := fd.GroupCommitStats(); bytes != 0 || records != 0 || f != fsyncs {
+		t.Errorf("DROP: WAL %d bytes, %d records, %d fsyncs; want none", bytes, records, f-fsyncs)
+	}
+}
+
+// TestOpenAtDropsLegacyTempTable: a catalog written before temp tables
+// became unlogged may name one over a logged file. OpenAt drops the
+// table and its file and never publishes it, and the next checkpoint
+// forgets both.
+func TestOpenAtDropsLegacyTempTable(t *testing.T) {
+	dir := t.TempDir()
+	db := durableTestDB(t, dir)
+	fd := db.FileDisk()
+	id := fd.CreateFile()
+	if _, err := fd.AppendPage(id); err != nil {
+		t.Fatal(err)
+	}
+	doc, _ := fd.Meta("catalog")
+	var cat catalogDoc
+	if err := json.Unmarshal([]byte(doc), &cat); err != nil {
+		t.Fatal(err)
+	}
+	cat.Tables = append(cat.Tables, catalogEntry{
+		Name:   TempPrefix + "OLD",
+		Schema: types.NewSchema(types.Column{Name: "K", Kind: types.KindInt}),
+		File:   id,
+	})
+	buf, err := json.Marshal(&cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.PutMeta("catalog", string(buf)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := metaFiles(t, dir)[id]; !ok {
+		t.Fatalf("fixture: meta.tango does not list the legacy file %d", id)
+	}
+
+	for reopen := 1; reopen <= 2; reopen++ {
+		db, _, err := OpenAt(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names := db.TableNames(); !slices.Equal(names, []string{"EMP", "POSITION"}) {
+			t.Errorf("reopen %d: tables %v, want [EMP POSITION]", reopen, names)
+		}
+		if db.FileDisk().HasFile(id) {
+			t.Errorf("reopen %d: the legacy temp table's file %d survived", reopen, id)
+		}
+		if doc, _ := db.FileDisk().Meta("catalog"); strings.Contains(doc, TempPrefix) {
+			t.Errorf("reopen %d: catalog still names a temp table: %s", reopen, doc)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := metaFiles(t, dir)[id]; ok {
+			t.Errorf("reopen %d: meta.tango still lists file %d", reopen, id)
 		}
 	}
 }

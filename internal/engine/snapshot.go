@@ -10,9 +10,9 @@
 // The pin registry is the only coordination point between readers and
 // DROP TABLE: a dropped table's heap pages are reclaimed when the last
 // snapshot predating the drop is released. A crash before a deferred
-// drop executes leaves an orphan data file; recovery's catalog
-// bootstrap skips files the catalog no longer references, so the
-// orphan is harmless and disappears at the next startup GC.
+// drop executes leaves a permanent table's file orphaned; recovery's
+// catalog bootstrap skips files the catalog no longer references, so
+// the orphan is harmless. A temp table's file is unlogged: it vanishes.
 package engine
 
 import (

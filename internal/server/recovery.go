@@ -1,25 +1,16 @@
 // Restart support: what the server does when it comes back up on a
 // durable store. Recovery itself belongs to the storage layer
 // (storage.Recover) and catalog bootstrap to the engine (OpenAt); the
-// server's share is the session contract — §3.2's "temp tables are
-// dropped at query end" must hold across a crash, so the orphan GC
-// that normally runs at session close re-runs once at startup — plus
-// exporting what recovery did as counters and a startup-trace span.
+// server's share is exporting what recovery did as counters and a
+// startup-trace span. §3.2's "temp tables are dropped at query end"
+// holds across a crash with no startup sweep: the engine keeps temp
+// tables on unlogged files, which no restart sees.
 package server
 
 import (
 	"tango/internal/storage"
 	"tango/internal/telemetry"
 )
-
-// StartupGC drops every transfer temp table left behind by sessions
-// that died with the previous process. It is the startup edition of
-// Session.Close's orphan sweep: after a crash there are no live
-// sessions, so anything under TempPrefix is garbage by construction.
-// It returns the number of tables collected.
-func (s *Server) StartupGC() (int, error) {
-	return s.dropTables(s.TempTables())
-}
 
 // RegisterRecovery exports one restart's recovery outcome into the
 // registry as monotonic totals. The counters are set once at startup
@@ -38,9 +29,8 @@ func RegisterRecovery(reg *telemetry.Registry, stats *storage.RecoveryStats) {
 
 // RecoverySpan renders one restart's recovery outcome as a span for
 // the startup trace: duration from the recovery pass itself, WAL
-// volume and damage tallies as attributes, and a gc child once the
-// startup temp-table sweep has run.
-func RecoverySpan(stats *storage.RecoveryStats, gcCollected int) *telemetry.Span {
+// volume and damage tallies as attributes.
+func RecoverySpan(stats *storage.RecoveryStats) *telemetry.Span {
 	if stats == nil {
 		return nil
 	}
@@ -51,8 +41,6 @@ func RecoverySpan(stats *storage.RecoveryStats, gcCollected int) *telemetry.Span
 	sp.SetInt("checksum_failures", stats.ChecksumFailures)
 	sp.SetInt("repaired_pages", stats.RepairedPages)
 	sp.SetInt("rolled_back_loads", stats.RolledBackLoads)
-	gc := sp.AddChild("startup_gc", 0)
-	gc.SetInt("temp_tables_collected", int64(gcCollected))
 	sp.AddChild("storage_recover", stats.Duration)
 	sp.Finish()
 	return sp

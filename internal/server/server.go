@@ -13,7 +13,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -164,8 +163,8 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 
 // dropTable is the one place a table leaves the server: the engine
 // drop, and its load-dedup mark with it, so a later table reusing the
-// name does not inherit the mark. Every DROP statement, a session's
-// close and the startup sweep go through it.
+// name does not inherit the mark. Every DROP statement and a session's
+// close go through it.
 func (s *Server) dropTable(name string, ifExists bool) error {
 	if err := s.db.DropTable(name, ifExists); err != nil {
 		return err
@@ -174,21 +173,6 @@ func (s *Server) dropTable(name string, ifExists bool) error {
 	delete(s.loadSeqs, name)
 	s.mu.Unlock()
 	return nil
-}
-
-// dropTables drops the named tables that exist, returning how many it
-// dropped and the first failure.
-func (s *Server) dropTables(names []string) (int, error) {
-	n := 0
-	var first error
-	for _, name := range names {
-		if err := s.dropTable(name, true); err != nil {
-			first = cmp.Or(first, err)
-		} else {
-			n++
-		}
-	}
-	return n, first
 }
 
 // Query opens a SELECT on the server's own session and returns its

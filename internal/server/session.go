@@ -30,8 +30,8 @@ import (
 )
 
 // TempPrefix is the naming prefix of transfer temp tables; the
-// client's TempName generator, the session ledger, the server's orphan
-// scan and the engine's metadata epoch agree on it.
+// client's TempName generator, the session ledger, the server's leak
+// count and the engine (epoch, unlogged files) agree on it.
 const TempPrefix = engine.TempPrefix
 
 // ErrStaleMetadata is the typed refusal of a query whose plan was
@@ -338,7 +338,16 @@ func (se *Session) Close() (int, error) {
 	for _, cur := range cursors {
 		_ = cur.close()
 	}
-	return se.srv.dropTables(orphans)
+	n := 0
+	var first error
+	for _, name := range orphans {
+		if err := se.srv.dropTable(name, true); err != nil {
+			first = cmp.Or(first, err)
+		} else {
+			n++
+		}
+	}
+	return n, first
 }
 
 // TempTables lists the transfer temp tables currently present in the

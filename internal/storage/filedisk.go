@@ -5,8 +5,10 @@
 // (CreateFile, DropFile, AppendPage, WritePage) logs a physiological
 // record to the WAL before touching memory, and Sync — the Store's
 // durability barrier — flushes the group-commit buffer and fsyncs the
-// log. Data files (f%08d.pg, one CRC32C-framed page per slot) are only
-// written during Checkpoint, whose first step is a WAL sync; because
+// log. A file of CreateTempFile is unlogged: its mutations log nothing
+// and its pages reach no data file, so no restart sees it. Data files
+// (f%08d.pg, one CRC32C-framed page per slot) are only written during
+// Checkpoint, whose first step is a WAL sync; because
 // an incremental checkpoint rewrites exactly the pages dirtied since
 // the previous checkpoint, any page a crash can tear mid-checkpoint is
 // guaranteed to have a covering image in the still-current WAL. The
@@ -136,6 +138,7 @@ type FileDisk struct {
 	metaKV    map[string]string
 	dirty     map[PageID]struct{} // pages dirtied since last checkpoint
 	dropped   map[FileID]struct{} // files dropped since last checkpoint
+	unlogged  map[FileID]struct{} // live files of CreateTempFile
 	openLoads map[FileID]loadMark
 	script    *CrashScript
 	crashed   atomic.Bool
@@ -239,6 +242,9 @@ func (fd *FileDisk) Truncate(id FileID, pages int) error {
 	if !fd.Disk.hasFile(id) || pages < 0 {
 		return fmt.Errorf("storage: truncate of missing file %d to %d pages", id, pages)
 	}
+	if _, ok := fd.unlogged[id]; ok {
+		return fd.Disk.Truncate(id, pages)
+	}
 	fd.wal.append(&walRecord{typ: recTruncate, file: id, pageNo: int32(pages)})
 	if err := fd.Disk.Truncate(id, pages); err != nil {
 		return err
@@ -266,13 +272,34 @@ func (fd *FileDisk) CreateFile() FileID {
 	return id
 }
 
-// DropFile removes the file, logging the drop.
+// CreateTempFile allocates an unlogged file: its creation, appends,
+// page images, truncation and drop write no WAL record, its pages are
+// never checkpointed, and meta.tango never lists it, so it vanishes at
+// any restart. It holds state that no restart may see — the
+// middleware's transfer temp tables.
+func (fd *FileDisk) CreateTempFile() (FileID, error) {
+	if fd.crashed.Load() {
+		return 0, ErrCrashed
+	}
+	fd.fmu.Lock()
+	defer fd.fmu.Unlock()
+	id := fd.Disk.CreateFile()
+	fd.unlogged[id] = struct{}{}
+	return id, nil
+}
+
+// DropFile removes the file, logging the drop of a logged one.
 func (fd *FileDisk) DropFile(id FileID) {
 	if fd.crashed.Load() {
 		return
 	}
 	fd.fmu.Lock()
 	defer fd.fmu.Unlock()
+	if _, ok := fd.unlogged[id]; ok {
+		delete(fd.unlogged, id)
+		fd.Disk.DropFile(id)
+		return
+	}
 	fd.wal.append(&walRecord{typ: recDrop, file: id})
 	fd.Disk.DropFile(id)
 	fd.dropped[id] = struct{}{}
@@ -284,7 +311,8 @@ func (fd *FileDisk) DropFile(id FileID) {
 	}
 }
 
-// AppendPage grows the file by one zero page, logging the append.
+// AppendPage grows the file by one zero page, logging the append to
+// a logged file.
 func (fd *FileDisk) AppendPage(id FileID) (int32, error) {
 	if fd.crashed.Load() {
 		return 0, ErrCrashed
@@ -292,8 +320,8 @@ func (fd *FileDisk) AppendPage(id FileID) (int32, error) {
 	fd.fmu.Lock()
 	defer fd.fmu.Unlock()
 	no, err := fd.Disk.AppendPage(id)
-	if err != nil {
-		return 0, err
+	if _, ok := fd.unlogged[id]; err != nil || ok {
+		return no, err
 	}
 	fd.wal.append(&walRecord{typ: recAppend, file: id, pageNo: no})
 	fd.dirty[PageID{File: id, No: no}] = struct{}{}
@@ -301,13 +329,16 @@ func (fd *FileDisk) AppendPage(id FileID) (int32, error) {
 }
 
 // WritePage logs a full page image (WAL before data) and then updates
-// the in-memory page.
+// the in-memory page; an unlogged file's page is only updated.
 func (fd *FileDisk) WritePage(pid PageID, src *Page) error {
 	if fd.crashed.Load() {
 		return ErrCrashed
 	}
 	fd.fmu.Lock()
 	defer fd.fmu.Unlock()
+	if _, ok := fd.unlogged[pid.File]; ok {
+		return fd.Disk.WritePage(pid, src)
+	}
 	if !fd.Disk.hasFile(pid.File) {
 		return fmt.Errorf("storage: write of missing page %v", pid)
 	}
@@ -576,11 +607,15 @@ func (fd *FileDisk) checkpointLocked() error {
 // explicitly because on the recovery path the WAL writer does not
 // exist yet to supply the high-water mark.
 func (fd *FileDisk) writeMetaLocked(nextLSN uint64) error {
+	files := fd.Disk.fileSizes()
+	for id := range fd.unlogged {
+		delete(files, id)
+	}
 	dm := diskMeta{
 		PageFormat: pageFormat,
 		NextID:     fd.Disk.lastFileID(),
 		NextLSN:    nextLSN,
-		Files:      fd.Disk.fileSizes(),
+		Files:      files,
 		Meta:       fd.metaKV,
 		OpenLoads:  fd.openLoads,
 	}
@@ -851,6 +886,7 @@ func Recover(dir string) (*FileDisk, *RecoveryStats, error) {
 		metaKV:    metaKV,
 		dirty:     map[PageID]struct{}{},
 		dropped:   map[FileID]struct{}{},
+		unlogged:  map[FileID]struct{}{},
 		openLoads: map[FileID]loadMark{},
 	}
 	fd.Disk.files = files

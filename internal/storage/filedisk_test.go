@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -863,5 +864,78 @@ func TestRecoverStaleTmpFilesIgnored(t *testing.T) {
 	}
 	if !fd2.HasFile(f) || fd2.NumPages(f) != 1 {
 		t.Fatal("state lost amid tmp litter")
+	}
+}
+
+// TestFileDiskTempFileUnlogged: an unlogged file is fully usable while
+// the store lives, writes nothing to the WAL or to meta.tango, is gone
+// after a restart, and fails every operation once the store is dead.
+func TestFileDiskTempFileUnlogged(t *testing.T) {
+	dir := t.TempDir()
+	fd, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := fd.CreateTempFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := fd.AppendPage(tmp); err != nil {
+			t.Fatal(err)
+		}
+		if err := fd.WritePage(PageID{File: tmp, No: int32(i)}, pageWithRecord(t, fmt.Sprintf("t%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fd.Truncate(tmp, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := readRecord(t, fd, PageID{File: tmp, No: 1}); got != "t1" || fd.NumPages(tmp) != 2 {
+		t.Fatalf("temp file reads %q with %d pages, want t1 and 2", got, fd.NumPages(tmp))
+	}
+	if err := fd.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if bytes, records := fd.WALStats(); bytes != 0 || records != 0 {
+		t.Errorf("temp file writes reached the WAL: %d bytes, %d records", bytes, records)
+	}
+	if _, err := os.Stat(dataPath(dir, tmp)); !os.IsNotExist(err) {
+		t.Errorf("checkpoint wrote the temp file's data file (stat: %v)", err)
+	}
+	var dm diskMeta
+	if buf, err := os.ReadFile(metaPath(dir)); err != nil || json.Unmarshal(buf, &dm) != nil {
+		t.Fatalf("read meta.tango: %v", err)
+	}
+	if _, ok := dm.Files[tmp]; ok {
+		t.Errorf("meta.tango lists the temp file: %v", dm.Files)
+	}
+
+	// Kill the store on a logged write: the temp file is then as dead
+	// as the rest of it, and no restart finds it.
+	fd.SetCrashScript(NewCrashScript(CrashPoint{Target: TargetWAL, Nth: 1, Mode: CrashOmit}))
+	fd.CreateFile()
+	if err := fd.Sync(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("sync past the crash point: %v", err)
+	}
+	var p Page
+	for op, err := range map[string]error{
+		"append":   func() error { _, err := fd.AppendPage(tmp); return err }(),
+		"write":    fd.WritePage(PageID{File: tmp, No: 0}, &p),
+		"read":     fd.ReadPage(PageID{File: tmp, No: 0}, &p),
+		"truncate": fd.Truncate(tmp, 0),
+		"create":   func() error { _, err := fd.CreateTempFile(); return err }(),
+	} {
+		if !errors.Is(err, ErrCrashed) {
+			t.Errorf("%s on a dead store: %v, want ErrCrashed", op, err)
+		}
+	}
+	rec, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.HasFile(tmp) {
+		t.Error("the temp file survived the restart")
 	}
 }

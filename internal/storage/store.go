@@ -6,9 +6,9 @@ package storage
 //   - *Disk: the in-memory page store (the test and benchmark
 //     default) — fast, volatile, counts I/O for the cost model;
 //   - *FileDisk: the crash-safe, file-backed store — every mutation
-//     is written ahead to a checksummed log (see wal.go), data files
-//     carry per-page CRC32C checksums, and Recover replays the log
-//     after a crash (see filedisk.go).
+//     but an unlogged file's is written ahead to a checksummed log
+//     (see wal.go), data files carry per-page CRC32C checksums, and
+//     Recover replays the log after a crash (see filedisk.go).
 //
 // Sync is the durability barrier: once it returns, every mutation
 // issued before the call survives a crash. On the in-memory Disk it
