@@ -59,7 +59,7 @@ race:
 fuzz:
 	$(GO) test ./internal/sqlparser/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/fault/ -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire/ -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=$(FUZZTIME)
@@ -79,18 +79,23 @@ chaos:
 	$(GO) test ./internal/client/ -run 'Windowed|Do|Backoff|AbandonedCreate' -race
 
 # crash runs the deterministic crash matrix under the race detector:
-# every scripted WAL/page death point in the standard workload is
-# swept (strided in -short), plus the concurrent variant — a store
+# every WAL/page death point in the standard workload is swept as a
+# fault trap (strided in -short), plus the concurrent variant — a store
 # death mid-load of a permanent table under 16 live reader sessions —
 # and after each the directory is reopened and the recovered state must
 # equal a committed pre- or post-load state — never a torn one — with
 # no transfer temp table named in the catalog or meta.tango. Temp
 # tables are unlogged, so their writes are no crash points; the engine
 # test checks that their CREATE, load, scan and DROP write no WAL and
-# that a checkpoint leaves no trace of them. Run `go test
-# ./internal/bench/ -run TestCrash` for the unstrided sweep.
+# that a checkpoint leaves no trace of them. The schedule tests pin how
+# wal/page traps parse and fire beside wire rules, and which rules no
+# plane can honour; the trip test, that no write in flight reaches a
+# file once the store is dead. Run `go test ./internal/bench/ -run
+# TestCrash` for the unstrided sweep.
 crash:
-	$(GO) test ./internal/bench/ -run 'TestCrash|TestSplitSchedule' -race -short
+	$(GO) test ./internal/bench/ -run 'TestCrash' -race -short
+	$(GO) test ./internal/fault/ -run 'TestScheduleStoragePlane|TestScheduleRejects' -race
+	$(GO) test ./internal/storage/ -run 'TestFileDiskTripStopsWrites' -race
 	$(GO) test ./internal/engine/ -run 'TestTempTableWritesNoWAL|TestOpenAtDropsLegacyTempTable' -race
 
 # load is the TCP serving-path smoke: LOADSESSIONS simulated

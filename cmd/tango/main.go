@@ -23,13 +23,12 @@ import (
 
 	"tango/internal/bench"
 	"tango/internal/client"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/server"
-	"tango/internal/storage"
 	"tango/internal/tango"
 	"tango/internal/telemetry"
 	"tango/internal/tsql"
-	"tango/internal/wire"
 )
 
 func main() {
@@ -45,10 +44,9 @@ func main() {
 	checkPlans := flag.Bool("checkplans", true, "validate every optimized plan and executor build with the planck plan checker")
 	retries := flag.Int("retries", client.DefaultRetryPolicy().MaxAttempts, "max attempts per idempotent wire call (1 = no retries, 0 = disable the resilience layer)")
 	opTimeout := flag.Duration("op-timeout", client.DefaultRetryPolicy().OpTimeout, "per-attempt deadline for a wire call (0 = none)")
-	chaos := flag.String("chaos", "", `inject a deterministic fault schedule into the wire, e.g. "seed=7;stall=2ms;fetch@3=drop;load~partial=0.05"`)
+	chaos := flag.String("chaos", "", `inject a deterministic fault schedule into the wire and the store, e.g. "seed=7;stall=2ms;fetch@3=drop;load~partial=0.05"; wal@N/page@N traps (drop, torn, partial) kill the store at that physical write and require -data-dir — restart with the same -data-dir to recover`)
 	chaosSeed := flag.Int64("chaos-seed", 0, "override the fault schedule's seed (replays a chaos run; 0 = keep the schedule's own seed)")
 	dataDir := flag.String("data-dir", "", "persist the database in this directory (WAL-backed durable store; a directory that already holds a database is recovered and reopened; empty = in-memory)")
-	crash := flag.String("crash", "", `kill the store at scripted write points, e.g. "wal@7=torn;page@3=partial" — shares the -chaos grammar; requires -data-dir; restart with the same -data-dir to recover`)
 	trace := flag.Bool("trace", true, "end-to-end distributed tracing: stitched client+DBMS span trees, per-query flight recorder (\\trace, \\flight)")
 	flightDir := flag.String("flight-dir", "", "persist the flight recorder's last-N query traces to <dir>/flight.jsonl (crash-surviving; implies -trace; defaults to -data-dir when durable)")
 	flightSize := flag.Int("flight-size", 64, "query traces retained in the flight recorder ring")
@@ -64,10 +62,9 @@ func main() {
 		retry.MaxAttempts = *retries
 		retry.OpTimeout = *opTimeout
 	}
-	var faults *wire.FaultInjector
-	var crashPoints []storage.CrashPoint
+	var faults *fault.Injector
 	if *chaos != "" {
-		sched, err := wire.ParseSchedule(*chaos)
+		sched, err := fault.ParseSchedule(*chaos)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chaos:", err)
 			os.Exit(1)
@@ -75,46 +72,15 @@ func main() {
 		if *chaosSeed != 0 {
 			sched.Seed = *chaosSeed
 		}
-		// The grammar is shared with the storage crash harness: wire
-		// rules feed the injector, wal@/page@ traps feed the store.
-		wireSched, points, err := bench.SplitSchedule(sched)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(1)
+		for _, t := range sched.Traps {
+			if (t.Op == fault.OpWAL || t.Op == fault.OpPage) && *dataDir == "" {
+				fmt.Fprintf(os.Stderr, "chaos: %v@%d requires -data-dir (the in-memory store makes no physical writes)\n", t.Op, t.Nth)
+				os.Exit(1)
+			}
 		}
-		crashPoints = append(crashPoints, points...)
-		faults = wireSched.Injector()
+		faults = sched.Injector()
 		if !quiet {
 			fmt.Printf("chaos: injecting %q\n", sched.String())
-		}
-	}
-	if *crash != "" {
-		sched, err := wire.ParseSchedule(*crash)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crash:", err)
-			os.Exit(1)
-		}
-		wireSched, points, err := bench.SplitSchedule(sched)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crash:", err)
-			os.Exit(1)
-		}
-		if len(wireSched.Traps) != 0 || len(wireSched.Probs) != 0 {
-			fmt.Fprintln(os.Stderr, "crash: wire faults (exec/query/fetch/load/insert/stats) belong to -chaos")
-			os.Exit(1)
-		}
-		crashPoints = append(crashPoints, points...)
-	}
-	var crashScript *storage.CrashScript
-	if len(crashPoints) > 0 {
-		if *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "crash: storage crash points require -data-dir (the in-memory store has no write points)")
-			os.Exit(1)
-		}
-		crashScript = storage.NewCrashScript(crashPoints...)
-		if !quiet {
-			fmt.Printf("crash: %d scripted write point(s) armed; the store dies there — restart with -data-dir %s to recover\n",
-				len(crashPoints), *dataDir)
 		}
 	}
 	reg := telemetry.NewRegistry()
@@ -127,7 +93,6 @@ func main() {
 		Retry:        retry,
 		Faults:       faults,
 		DataDir:      *dataDir,
-		Crash:        crashScript,
 		Trace:        *trace || *flightDir != "",
 		FlightSize:   *flightSize,
 	})

@@ -24,6 +24,7 @@ import (
 
 	"tango/internal/bench"
 	"tango/internal/client"
+	"tango/internal/fault"
 	"tango/internal/server"
 	"tango/internal/wire"
 )
@@ -47,12 +48,23 @@ func main() {
 	chaos := flag.String("chaos", "", `interpose the fault-injecting TCP proxy with this schedule, e.g. "seed=7;stall=2ms;fetch@3=drop"`)
 	flag.Parse()
 
+	sched, err := fault.ParseSchedule(*chaos)
+	if err != nil {
+		fatal("chaos:", err)
+	}
+	for _, t := range sched.Traps {
+		if t.Op.Storage() {
+			// The proxy decides wire ops only, and the embedded store is
+			// not armed: nothing would ever reach the trap.
+			fatal("chaos:", fmt.Errorf("%v@%d: tangoload injects wire faults only (exec, query, fetch, load, stats)", t.Op, t.Nth))
+		}
+	}
+
 	target := *addr
 	var sys *bench.System
 	var ts *server.TCPServer
 	if target == "" {
 		fmt.Printf("booting embedded server (%d POSITION rows, %d EMPLOYEE rows)...\n", *posRows, *empRows)
-		var err error
 		sys, err = bench.NewSystem(bench.Config{
 			PositionRows: *posRows, EmployeeRows: *empRows, Histograms: 10,
 		})
@@ -78,10 +90,6 @@ func main() {
 			target, *maxInFlight, *maxQueue, *queueWait)
 	}
 	if *chaos != "" {
-		sched, err := wire.ParseSchedule(*chaos)
-		if err != nil {
-			fatal("chaos:", err)
-		}
 		proxy, err := wire.NewProxy(target, sched.Injector())
 		if err != nil {
 			fatal("chaos:", err)

@@ -16,6 +16,7 @@ import (
 
 	"tango/internal/algebra"
 	"tango/internal/client"
+	"tango/internal/fault"
 	"tango/internal/optimizer"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
@@ -161,7 +162,7 @@ func TestChaosSweep(t *testing.T) {
 				src := src
 				t.Run(src, func(t *testing.T) {
 					defer itertest.Goroutines(t)()
-					sched, err := wire.ParseSchedule(src)
+					sched, err := fault.ParseSchedule(src)
 					if err != nil {
 						t.Fatalf("schedule %q: %v", src, err)
 					}
@@ -246,7 +247,7 @@ func TestChaosFallbackLoad(t *testing.T) {
 			{Plan: allDBMS.Plan.Clone(), Cost: 2},
 		},
 	}
-	sched, err := wire.ParseSchedule("seed=11;load~drop=1")
+	sched, err := fault.ParseSchedule("seed=11;load~drop=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestChaosFallbackQueryVisible(t *testing.T) {
 	// whichever T^M of the best plan meets the traps first: the plan
 	// dies of an exhausted OpError and the middleware must re-site.
 	traps := budgetTraps(t, sys, Q2Initial(end), "query")
-	sched, err := wire.ParseSchedule("seed=3;" + strings.Join(traps, ";"))
+	sched, err := fault.ParseSchedule("seed=3;" + strings.Join(traps, ";"))
 	if err != nil {
 		t.Fatal(err)
 	}

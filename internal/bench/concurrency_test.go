@@ -17,13 +17,13 @@ import (
 	"time"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/storage"
 	"tango/internal/tango"
 	"tango/internal/tsql"
 	"tango/internal/types"
-	"tango/internal/wire"
 )
 
 // loadRows builds the payload for the concurrent T^D load target.
@@ -78,11 +78,11 @@ func TestCrashConcurrentLoad(t *testing.T) {
 		refs[i] = out
 	}
 
-	// The crash script is armed only when the load starts (below), so
+	// The wal trap is armed only when the load starts (below), so
 	// reader WAL traffic before that cannot trip it.
-	script := storage.NewCrashScript(storage.CrashPoint{
-		Target: storage.TargetWAL, Nth: 10, Mode: storage.CrashTorn,
-	})
+	script := fault.Schedule{Traps: []fault.Trap{
+		{Op: fault.OpWAL, Nth: 10, Kind: fault.KindTorn},
+	}}.Injector()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -143,9 +143,9 @@ func TestCrashConcurrentLoad(t *testing.T) {
 	// fire the load: the Nth WAL write — deep inside the bulk load's
 	// page stream — kills the store under all 17 sessions.
 	time.Sleep(50 * time.Millisecond)
-	sys.DB.FileDisk().SetCrashScript(script)
+	sys.DB.FileDisk().SetFaults(script)
 	_, loadErr := sys.MW.Conn.Load("LOADT", loadRows(loadN))
-	if !script.Tripped() {
+	if script.Calls(fault.OpWAL) < 10 {
 		t.Fatalf("crash point never tripped (load err: %v)", loadErr)
 	}
 	if loadErr == nil && !sys.DB.FileDisk().Crashed() {
@@ -257,7 +257,7 @@ func TestChaosConcurrentSessions(t *testing.T) {
 		src := src
 		t.Run(src, func(t *testing.T) {
 			defer itertest.Goroutines(t)()
-			sched, err := wire.ParseSchedule(src)
+			sched, err := fault.ParseSchedule(src)
 			if err != nil {
 				t.Fatal(err)
 			}

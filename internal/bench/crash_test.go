@@ -18,15 +18,14 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/storage"
 	"tango/internal/tsql"
 	"tango/internal/types"
-	"tango/internal/wire"
 )
 
 // crashConfig is the durable system used across the matrix: small
@@ -34,11 +33,11 @@ import (
 // crosses several checkpoints and the page-write crash points exist),
 // and planck plan checking on (harness default). The middleware is
 // sequential, so write points number deterministically.
-func crashConfig(dir string, script *storage.CrashScript) Config {
+func crashConfig(dir string, script *fault.Injector) Config {
 	return Config{
 		PositionRows: 90, EmployeeRows: 45, Histograms: 4,
 		DataDir:         dir,
-		Crash:           script,
+		Faults:          script,
 		CheckpointBytes: 2 * storage.PageSize,
 		Retry:           chaosPolicy(),
 	}
@@ -143,7 +142,7 @@ func sameRows(a, b []string) bool {
 func TestCrashMatrix(t *testing.T) {
 	// Observer pass: same config, no crash points — counts the write
 	// points and records the reference state.
-	obs := storage.NewCrashScript()
+	obs := fault.Schedule{}.Injector()
 	ref, err := NewSystem(crashConfig(t.TempDir(), obs))
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +150,8 @@ func TestCrashMatrix(t *testing.T) {
 	if err := crashWorkload(ref); err != nil {
 		t.Fatal(err)
 	}
-	walPoints := obs.Observed(storage.TargetWAL)
-	pagePoints := obs.Observed(storage.TargetPage)
+	walPoints := obs.Calls(fault.OpWAL)
+	pagePoints := obs.Calls(fault.OpPage)
 	if walPoints < 10 {
 		t.Fatalf("workload has only %d WAL write points; matrix would be vacuous", walPoints)
 	}
@@ -174,13 +173,20 @@ func TestCrashMatrix(t *testing.T) {
 	}
 
 	type cell struct {
-		target storage.CrashTarget
-		modes  []storage.CrashMode
+		target fault.Op
+		modes  []fault.Kind
 		points int64
 	}
 	cells := []cell{
-		{storage.TargetWAL, []storage.CrashMode{storage.CrashOmit, storage.CrashTorn}, walPoints},
-		{storage.TargetPage, []storage.CrashMode{storage.CrashTorn, storage.CrashPartial}, pagePoints},
+		{fault.OpWAL, []fault.Kind{fault.KindDrop, fault.KindTorn}, walPoints},
+		{fault.OpPage, []fault.Kind{fault.KindTorn, fault.KindPartial}, pagePoints},
+	}
+	// A cell keeps its established name: an omitted WAL write is "omit".
+	modeName := func(k fault.Kind) string {
+		if k == fault.KindDrop {
+			return "omit"
+		}
+		return k.String()
 	}
 	stride := int64(1)
 	if testing.Short() {
@@ -191,16 +197,16 @@ func TestCrashMatrix(t *testing.T) {
 	for _, c := range cells {
 		for _, mode := range c.modes {
 			for n := int64(1); n <= c.points; n += stride {
-				name := fmt.Sprintf("%v@%d=%v", c.target, n, mode)
+				name := fmt.Sprintf("%v@%d=%v", c.target, n, modeName(mode))
 				t.Run(name, func(t *testing.T) {
 					defer itertest.Goroutines(t)()
 					dir := t.TempDir()
-					script := storage.NewCrashScript(storage.CrashPoint{Target: c.target, Nth: n, Mode: mode})
+					script := fault.Schedule{Traps: []fault.Trap{{Op: c.target, Nth: n, Kind: mode}}}.Injector()
 					sys, err := NewSystem(crashConfig(dir, script))
 					if err == nil {
 						err = crashWorkload(sys)
 					}
-					if !script.Tripped() {
+					if script.Calls(c.target) < n {
 						t.Fatalf("crash point %s never reached (workload err: %v)", name, err)
 					}
 					if sys != nil && len(sys.Srv.TempTables()) > 0 {
@@ -342,8 +348,8 @@ func TestCrashChecksumDetection(t *testing.T) {
 		}
 	}
 	want := tableRows(t, sys, "CRASHT")
-	sys.DB.FileDisk().SetCrashScript(storage.NewCrashScript(
-		storage.CrashPoint{Target: storage.TargetPage, Nth: 1, Mode: storage.CrashTorn}))
+	sys.DB.FileDisk().SetFaults(fault.Schedule{Traps: []fault.Trap{
+		{Op: fault.OpPage, Nth: 1, Kind: fault.KindTorn}}}.Injector())
 	if err := sys.DB.Checkpoint(); err == nil {
 		t.Fatal("checkpoint survived its crash point")
 	}
@@ -364,46 +370,89 @@ func TestCrashChecksumDetection(t *testing.T) {
 	}
 }
 
-// TestSplitSchedule pins the routing of the shared fault grammar:
-// wire ops stay wire, storage ops become crash points, and the
-// combinations that make no sense are rejected.
-func TestSplitSchedule(t *testing.T) {
-	sched, err := wire.ParseSchedule("seed=11;stall=2ms;wal@7=torn;page@3=partial;wal@1=drop;fetch@2=drop;exec~drop=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, points, err := SplitSchedule(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Seed != 11 || ws.Stall != 2*time.Millisecond {
-		t.Errorf("wire knobs not preserved: %+v", ws)
-	}
-	if len(ws.Traps) != 1 || ws.Traps[0].Op != wire.OpFetch || len(ws.Probs) != 1 {
-		t.Errorf("wire rules misrouted: traps=%v probs=%v", ws.Traps, ws.Probs)
-	}
-	want := []storage.CrashPoint{
-		{Target: storage.TargetWAL, Nth: 7, Mode: storage.CrashTorn},
-		{Target: storage.TargetPage, Nth: 3, Mode: storage.CrashPartial},
-		{Target: storage.TargetWAL, Nth: 1, Mode: storage.CrashOmit},
-	}
-	if len(points) != len(want) {
-		t.Fatalf("crash points: %v", points)
-	}
-	for i, p := range points {
-		if p != want[i] {
-			t.Errorf("point %d: %+v, want %+v", i, p, want[i])
-		}
-	}
-	for _, bad := range []string{"wal~drop=1", "page@1=stall", "fetch@1=torn", "query~torn=0.5"} {
-		s, err := wire.ParseSchedule(bad)
+// TestCrashChaosSchedule drives the one path a `-chaos` flag takes:
+// one schedule string, parsed once, whose injector NewSystem arms on
+// the durable store and the server. Its wire trap spends the max=1
+// cap, so the fetch~drop=1 rule beside it stays silent and the
+// dropped fetch is retried to success; its wal trap, which the cap
+// does not silence, kills the store at exactly that WAL write; and the
+// reopened store holds the committed state before the dying write.
+func TestCrashChaosSchedule(t *testing.T) {
+	const wireRules = "seed=5;max=1;fetch@1=drop;fetch~drop=1"
+	workload := func(sys *System, walBeforeInsert *int64, inj *fault.Injector) error {
+		plan, err := tsql.Parse(SeedQueries[0], sys.MW.Cat)
 		if err != nil {
-			t.Fatalf("parse %q: %v", bad, err)
+			return err
 		}
-		if _, _, err := SplitSchedule(s); err == nil {
-			t.Errorf("SplitSchedule accepted %q", bad)
+		if _, _, err := sys.MW.Run(plan); err != nil {
+			return fmt.Errorf("query under a retried wire fault: %w", err)
 		}
+		if _, err := sys.MW.Conn.Exec("CREATE TABLE CHAOSP (ID INTEGER)"); err != nil {
+			return err
+		}
+		*walBeforeInsert = inj.Calls(fault.OpWAL)
+		_, err = sys.MW.Conn.Exec("INSERT INTO CHAOSP VALUES (1)")
+		return err
 	}
+
+	// Observer: the same wire rules, no wal trap — counts the WAL
+	// writes up to the INSERT and records the reference state.
+	sched, err := fault.ParseSchedule(wireRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := sched.Injector()
+	ref, err := NewSystem(crashConfig(t.TempDir(), obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	if err := workload(ref, &n, obs); err != nil {
+		t.Fatal(err)
+	}
+	refPos := tableRows(t, ref, "POSITION")
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n++ // the INSERT's first WAL write
+
+	dir := t.TempDir()
+	sched, err = fault.ParseSchedule(fmt.Sprintf("%s;wal@%d=drop", wireRules, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := sched.Injector()
+	sys, err := NewSystem(crashConfig(dir, inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before int64
+	werr := workload(sys, &before, inj)
+	if before != n-1 {
+		t.Fatalf("%d WAL writes before the INSERT, observer counted %d", before, n-1)
+	}
+	if inj.Injected() != 1 || inj.Calls(fault.OpFetch) < 2 {
+		t.Fatalf("wire fault not retried: %d injected over %d fetches", inj.Injected(), inj.Calls(fault.OpFetch))
+	}
+	if werr == nil || !crashedErr(werr) {
+		t.Fatalf("INSERT on the trapped WAL write: %v, want the store's death", werr)
+	}
+	if !sys.DB.FileDisk().Crashed() || inj.Calls(fault.OpWAL) != n {
+		t.Fatalf("store died at WAL write %d of trap %d (crashed=%v)", inj.Calls(fault.OpWAL), n, sys.DB.FileDisk().Crashed())
+	}
+
+	rec, err := NewSystem(crashConfig(dir, nil))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer rec.Close()
+	if got := tableRows(t, rec, "POSITION"); !sameRows(got, refPos) {
+		t.Fatalf("recovered POSITION diverges: %d rows vs %d", len(got), len(refPos))
+	}
+	if got := tableRows(t, rec, "CHAOSP"); len(got) != 0 {
+		t.Fatalf("recovered CHAOSP holds the dying INSERT: %v", got)
+	}
+	noTempNamed(t, dir, rec)
 }
 
 // TestCrashStartupGC covers the restart half of the session contract

@@ -14,6 +14,7 @@ import (
 	"tango/internal/algebra"
 	"tango/internal/client"
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/server"
 	"tango/internal/storage"
@@ -81,11 +82,13 @@ type Config struct {
 	// Retry configures the client connection's wire resilience layer
 	// (retries, per-call deadlines, backoff); zero disables it.
 	Retry client.RetryPolicy
-	// Faults, when non-nil, is attached to the server as the wire
-	// fault injector (after the initial data load, which must run
-	// clean); injected faults are exported to Metrics as
-	// tango_wire_injected_faults_total{op,kind}.
-	Faults *wire.FaultInjector
+	// Faults, when non-nil, is the fault injector of every plane. It is
+	// armed on the store at open — read and write traps fail page I/O,
+	// and with DataDir wal and page traps kill the store at that
+	// physical write — and on the server after the initial data load,
+	// which must run clean of wire faults. Injected wire faults are
+	// exported to Metrics as tango_wire_injected_faults_total{op,kind}.
+	Faults *fault.Injector
 	// DataDir, when non-empty, opens a durable, crash-recoverable DBMS
 	// in the directory instead of the in-memory default. A directory
 	// that already holds the UIS tables is reopened: WAL recovery runs,
@@ -96,10 +99,6 @@ type Config struct {
 	// WAL threshold (DataDir only); 0 keeps the storage default,
 	// negative disables automatic checkpoints.
 	CheckpointBytes int64
-	// Crash, when non-nil, is armed on the durable store before the
-	// load: scripted write points (wal@N, page@N — see SplitSchedule)
-	// kill the store mid-workload. Requires DataDir.
-	Crash *storage.CrashScript
 	// Trace enables end-to-end distributed tracing: a span collector is
 	// attached to the server (so DBMS-side op spans are stitched into
 	// every query's span tree) and a flight recorder retains the last
@@ -118,20 +117,24 @@ func NewSystem(cfg Config) (*System, error) {
 		db     *engine.DB
 		rstats *storage.RecoveryStats
 	)
+	if cfg.Faults != nil && cfg.Metrics != nil {
+		reg := cfg.Metrics
+		cfg.Faults.OnFault = func(op fault.Op, kind fault.Kind) {
+			reg.Counter("tango_wire_injected_faults_total",
+				telemetry.Labels{"op": op.String(), "kind": kind.String()}).Inc()
+		}
+	}
 	if cfg.DataDir != "" {
 		var err error
 		db, rstats, err = engine.OpenAt(cfg.DataDir, engine.Config{CheckpointBytes: cfg.CheckpointBytes})
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Crash != nil {
-			db.FileDisk().SetCrashScript(cfg.Crash)
-		}
 	} else {
-		if cfg.Crash != nil {
-			return nil, fmt.Errorf("bench: Config.Crash requires Config.DataDir (crash points target the durable store)")
-		}
 		db = engine.Open(engine.Config{})
+	}
+	if cfg.Faults != nil {
+		db.Disk().SetFaults(cfg.Faults)
 	}
 	srv := server.New(db, cfg.Latency)
 	opts := tango.Options{
@@ -228,15 +231,7 @@ func NewSystem(cfg Config) (*System, error) {
 		empRows = uis.EmployeeRows
 	}
 	if cfg.Faults != nil {
-		// Attach after the (clean) load; export injections as metrics.
-		if cfg.Metrics != nil {
-			reg := cfg.Metrics
-			cfg.Faults.OnFault = func(op wire.Op, kind wire.FaultKind) {
-				reg.Counter("tango_wire_injected_faults_total",
-					telemetry.Labels{"op": op.String(), "kind": kind.String()}).Inc()
-			}
-		}
-		srv.SetFaults(cfg.Faults)
+		srv.SetFaults(cfg.Faults) // after the load, which runs clean of wire faults
 	}
 	return &System{DB: db, Srv: srv, MW: mw, Metrics: cfg.Metrics,
 		PositionRows: posRows, EmployeeRows: empRows,

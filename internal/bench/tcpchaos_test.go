@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"tango/internal/client"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/server"
@@ -136,7 +137,7 @@ func TestTCPChaosSweep(t *testing.T) {
 		src := src
 		t.Run(src, func(t *testing.T) {
 			defer itertest.Goroutines(t)()
-			sched, err := wire.ParseSchedule(src)
+			sched, err := fault.ParseSchedule(src)
 			if err != nil {
 				t.Fatalf("schedule %q: %v", src, err)
 			}

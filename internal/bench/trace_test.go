@@ -15,13 +15,12 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
-	"tango/internal/storage"
 	"tango/internal/telemetry"
 	"tango/internal/tsql"
 	"tango/internal/types"
-	"tango/internal/wire"
 )
 
 // attrVal returns the value of a span attribute, or "".
@@ -74,7 +73,7 @@ func TestTraceStitchedFallback(t *testing.T) {
 	// candidate, whose own fetches (too few traps left) succeed.
 	n := chaosPolicy().MaxAttempts
 	traps := budgetTraps(t, sys, Q2Initial(end), "fetch")
-	sched, err := wire.ParseSchedule("seed=9;" + strings.Join(traps, ";"))
+	sched, err := fault.ParseSchedule("seed=9;" + strings.Join(traps, ";"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestChaosTelemetryClean(t *testing.T) {
 	}
 	var queries int64
 	for _, src := range schedules {
-		sched, err := wire.ParseSchedule(src)
+		sched, err := fault.ParseSchedule(src)
 		if err != nil {
 			t.Fatalf("schedule %q: %v", src, err)
 		}
@@ -287,8 +286,8 @@ func TestCrashFlightRecovery(t *testing.T) {
 	// no WAL (its temp table is unlogged), so a load into the permanent
 	// table is the writer; the plan that ships its aggregate down
 	// through T^D then dies on the dead store.
-	sys.DB.FileDisk().SetCrashScript(storage.NewCrashScript(
-		storage.CrashPoint{Target: storage.TargetWAL, Nth: 1, Mode: storage.CrashOmit}))
+	sys.DB.FileDisk().SetFaults(fault.Schedule{Traps: []fault.Trap{
+		{Op: fault.OpWAL, Nth: 1, Kind: fault.KindDrop}}}.Injector())
 	if _, err := sys.MW.Conn.Load("FLIGHTT", loadRows(50)); err == nil {
 		t.Fatal("the load survived the armed WAL crash point")
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/server"
 	"tango/internal/types"
@@ -81,7 +82,7 @@ func TestTempNamesUnique(t *testing.T) {
 func TestAbandonedCreateKeepsLoadedTemp(t *testing.T) {
 	srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
 	c := Connect(srv)
-	sched, err := wire.ParseSchedule("seed=1;stall=200ms;exec@1=stall")
+	sched, err := fault.ParseSchedule("seed=1;stall=200ms;exec@1=stall")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/rel/itertest"
 	"tango/internal/server"
 	"tango/internal/types"
@@ -100,7 +101,7 @@ func intRows(ks ...int64) []types.Tuple {
 }
 
 func (e *confEnv) faults(schedule string) {
-	sched, err := wire.ParseSchedule(schedule)
+	sched, err := fault.ParseSchedule(schedule)
 	if err != nil {
 		e.t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/fault"
 	"tango/internal/server"
 	"tango/internal/telemetry"
 	"tango/internal/wire"
@@ -106,7 +107,7 @@ func TestDoRetriesTransientThenSucceeds(t *testing.T) {
 		err := c.do("load", func(_ *telemetry.Span) error {
 			calls++
 			if calls <= k {
-				return &wire.FaultError{Op: wire.OpLoad, Kind: wire.KindDrop, Index: int64(calls)}
+				return &wire.FaultError{Op: fault.OpLoad, Kind: fault.KindDrop, Index: int64(calls)}
 			}
 			return nil
 		})
@@ -168,7 +169,7 @@ func TestDoContextCancellation(t *testing.T) {
 		if calls == 2 {
 			cancel()
 		}
-		return &wire.FaultError{Op: wire.OpFetch, Kind: wire.KindDrop, Index: int64(calls)}
+		return &wire.FaultError{Op: fault.OpFetch, Kind: fault.KindDrop, Index: int64(calls)}
 	})
 	var oe *OpError
 	if !errors.As(err, &oe) || !errors.Is(err, context.Canceled) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/server"
@@ -72,7 +73,7 @@ func TestTCPResumeAfterSever(t *testing.T) {
 	defer itertest.Goroutines(t)()
 	srv := ts.Server()
 
-	sched, err := wire.ParseSchedule("seed=3;fetch@4=drop;fetch@9=drop")
+	sched, err := fault.ParseSchedule("seed=3;fetch@4=drop;fetch@9=drop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,8 +279,9 @@ func TestTCPOverloadShedAndRetry(t *testing.T) {
 // that OPEN, and the stall several times the deadline.
 func TestTCPAbandonedFetchOwnsItsBuffer(t *testing.T) {
 	ts := tcpServer(t, 6000, server.TCPConfig{})
-	inj := wire.NewFaultInjector(1).AddTrap(wire.OpFetch, 2, wire.KindStall).AddTrap(wire.OpFetch, 5, wire.KindStall)
-	inj.StallTime = 300 * time.Millisecond
+	inj := fault.Schedule{Seed: 1, Stall: 300 * time.Millisecond, Traps: []fault.Trap{
+		{Op: fault.OpFetch, Nth: 2, Kind: fault.KindStall}, {Op: fault.OpFetch, Nth: 5, Kind: fault.KindStall},
+	}}.Injector()
 	ts.Server().SetFaults(inj)
 	c, err := Dial(ts.Addr())
 	if err != nil {

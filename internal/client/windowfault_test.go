@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/types"
@@ -45,7 +46,7 @@ func TestQueryWindowedDiesMidWindow(t *testing.T) {
 		}
 	}
 	// Kill the wire: every further FETCH drops, on every retry.
-	sched, err := wire.ParseSchedule("seed=5;fetch~drop=1")
+	sched, err := fault.ParseSchedule("seed=5;fetch~drop=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestQueryWindowedCloseAbandonsRetries(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	// Kill the wire, then take the second batch: the fetch loop goes on
 	// to a fetch that every retry drops.
-	sched, err := wire.ParseSchedule("seed=9;fetch~drop=1")
+	sched, err := fault.ParseSchedule("seed=9;fetch~drop=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tango/internal/fault"
 	"tango/internal/rel"
 	"tango/internal/rel/itertest"
 	"tango/internal/storage"
@@ -116,7 +117,7 @@ func TestInsertSelectReleasesSnapshot(t *testing.T) {
 		if _, err := db.Exec("CREATE TABLE X (K INTEGER, N INTEGER)"); err != nil {
 			t.Fatal(err)
 		}
-		db.Disk().FailReadsAfter(3)
+		db.Disk().SetFaults(trap(fault.OpRead, 4))
 		if _, err := db.Exec(stmt); !errors.Is(err, storage.ErrInjectedRead) {
 			t.Fatalf("%s: error %v, want the injected read failure", stmt, err)
 		}

@@ -70,7 +70,7 @@ func OpenAt(dir string, cfg Config) (*DB, *storage.RecoveryStats, error) {
 }
 
 // FileDisk returns the durable store backing the DB, or nil for an
-// in-memory instance. Harnesses use it to arm crash scripts.
+// in-memory instance.
 func (db *DB) FileDisk() *storage.FileDisk { return db.fd }
 
 // Durable reports whether the DB survives restarts.

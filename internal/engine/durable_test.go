@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"tango/internal/fault"
 	"tango/internal/storage"
 	"tango/internal/types"
 )
@@ -138,12 +139,12 @@ func TestOpenAtBulkLoadAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	script := storage.NewCrashScript()
-	obs.FileDisk().SetCrashScript(script)
+	script := fault.Schedule{}.Injector()
+	obs.FileDisk().SetFaults(script)
 	if err := workload(obs); err != nil {
 		t.Fatal(err)
 	}
-	total := script.Observed(storage.TargetWAL)
+	total := script.Calls(fault.OpWAL)
 	if total < 3 {
 		t.Fatalf("workload has only %d WAL points", total)
 	}
@@ -154,8 +155,8 @@ func TestOpenAtBulkLoadAtomicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.FileDisk().SetCrashScript(storage.NewCrashScript(
-			storage.CrashPoint{Target: storage.TargetWAL, Nth: n, Mode: storage.CrashTorn}))
+		db.FileDisk().SetFaults(fault.Schedule{Traps: []fault.Trap{
+			{Op: fault.OpWAL, Nth: n, Kind: fault.KindTorn}}}.Injector())
 		werr := workload(db)
 		if werr == nil {
 			t.Fatalf("wal@%d: workload survived its crash point", n)

@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"testing"
 
+	"tango/internal/fault"
 	"tango/internal/storage"
 	"tango/internal/types"
 )
+
+// trap builds an injector that fails the nth call of op once.
+func trap(op fault.Op, n int64) *fault.Injector {
+	return fault.Schedule{Traps: []fault.Trap{{Op: op, Nth: n, Kind: fault.KindDrop}}}.Injector()
+}
 
 // failureDB builds a table large enough that scans must go back to the
 // disk past the buffer pool.
@@ -31,7 +37,7 @@ func failureDB(t *testing.T) *DB {
 
 func TestScanSurfacesInjectedReadError(t *testing.T) {
 	db := failureDB(t)
-	db.Disk().FailReadsAfter(3)
+	db.Disk().SetFaults(trap(fault.OpRead, 4))
 	_, err := db.QueryAll("SELECT K FROM T")
 	if err == nil {
 		t.Fatal("scan over failing disk should error")
@@ -57,7 +63,7 @@ func TestJoinSurfacesInjectedReadError(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO S VALUES (1),(2)"); err != nil {
 		t.Fatal(err)
 	}
-	db.Disk().FailReadsAfter(5)
+	db.Disk().SetFaults(trap(fault.OpRead, 6))
 	if _, err := db.QueryAll("SELECT T.K FROM T, S WHERE T.K = S.K"); err == nil {
 		t.Fatal("join over failing disk should error")
 	}
@@ -68,7 +74,7 @@ func TestInsertSurfacesInjectedWriteError(t *testing.T) {
 	if _, err := db.Exec("CREATE TABLE W (K INTEGER, V VARCHAR(200))"); err != nil {
 		t.Fatal(err)
 	}
-	db.Disk().FailWritesAfter(2)
+	db.Disk().SetFaults(trap(fault.OpWrite, 3))
 	var sawErr bool
 	long := make([]byte, 190)
 	for i := range long {
@@ -96,7 +102,7 @@ func TestBulkLoadSurfacesInjectedWriteError(t *testing.T) {
 	for i := range rows {
 		rows[i] = types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("%0180d", i))}
 	}
-	db.Disk().FailWritesAfter(2)
+	db.Disk().SetFaults(trap(fault.OpWrite, 3))
 	if err := db.BulkLoad("B", rows); err == nil {
 		t.Fatal("bulk load over failing disk should error")
 	}

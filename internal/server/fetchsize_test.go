@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/types"
 	"tango/internal/wire"
 )
@@ -101,7 +102,7 @@ func TestFetchSizing(t *testing.T) {
 
 	// A partial delivery of a grown batch is replayed byte for byte.
 	const k = 3
-	sched, err := wire.ParseSchedule(fmt.Sprintf("seed=1;fetch@%d=partial", k))
+	sched, err := fault.ParseSchedule(fmt.Sprintf("seed=1;fetch@%d=partial", k))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // as "a quite full featured file system").
 //
 // The façade is where the wire's unreliability is modeled: an attached
-// wire.FaultInjector can drop, stall, or partially deliver any
+// fault.Injector can drop, stall, or partially deliver any
 // operation. To let the client retry through that, the server's
 // effectful operations are idempotent: cursor fetches carry statement
 // sequence numbers and the last batch is replayable, and bulk loads
@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/meta"
 	"tango/internal/rel"
 	"tango/internal/telemetry"
@@ -36,7 +37,7 @@ type Server struct {
 	lat wire.Latency
 
 	// faults, when non-nil, injects wire failures into every op.
-	faults atomic.Pointer[wire.FaultInjector]
+	faults atomic.Pointer[fault.Injector]
 
 	// adm is the admission controller (disabled by default).
 	adm admission
@@ -94,23 +95,16 @@ func (s *Server) Latency() wire.Latency { return s.lat }
 
 // SetFaults attaches (or, with nil, detaches) a fault injector. Safe
 // to swap between queries while other connections are idle.
-func (s *Server) SetFaults(f *wire.FaultInjector) { s.faults.Store(f) }
-
-// Faults returns the attached injector (nil when faults are off).
-func (s *Server) Faults() *wire.FaultInjector { return s.faults.Load() }
+func (s *Server) SetFaults(f *fault.Injector) { s.faults.Store(f) }
 
 // decide consults the injector for one op. The returned fault's Kind
 // is KindNone on the clean path. KindStall is served here, bounded by
 // ctx so a draining server or a caller that gave up cuts it short (the
 // call proceeds after the stall); Drop and Partial are interpreted by
 // Handle because they differ in whether the op's effect happens.
-func (s *Server) decide(ctx context.Context, op wire.Op) wire.Fault {
-	f := s.faults.Load()
-	if f == nil {
-		return wire.Fault{}
-	}
-	d := f.Decide(op)
-	if d.Kind == wire.KindStall {
+func (s *Server) decide(ctx context.Context, op fault.Op) fault.Decision {
+	d := s.faults.Load().Decide(op)
+	if d.Kind == fault.KindStall {
 		wire.SleepCtx(ctx, d.Stall)
 	}
 	return d

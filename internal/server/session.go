@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/sqlast"
 	"tango/internal/sqlparser"
 	"tango/internal/wire"
@@ -101,7 +102,7 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 	}
 	if sp := s.beginOp(op.String(), req.TraceHdr); sp != nil {
 		defer func() {
-			if op == wire.OpFetch {
+			if op == fault.OpFetch {
 				sp.SetInt("seq", req.Seq)
 			}
 			sp.SetInt("bytes", int64(len(req.Body)+len(rep.Body)))
@@ -113,38 +114,38 @@ func (se *Session) Handle(ctx context.Context, req wire.Request) (rep wire.Reply
 		return wire.Reply{}, s.shedBudget(s.QueueDepth())
 	}
 	release := func() {}
-	if op != wire.OpFetch {
+	if op != fault.OpFetch {
 		if release, err = s.admit(ctx); err != nil {
 			return wire.Reply{}, err
 		}
 	}
 	d := s.decide(ctx, op)
-	replyLost := d.Kind == wire.KindPartial && (op == wire.OpExec || op == wire.OpLoad || op == wire.OpFetch)
-	if d.Kind == wire.KindDrop || d.Kind == wire.KindPartial && !replyLost {
+	replyLost := d.Kind == fault.KindPartial && (op == fault.OpExec || op == fault.OpLoad || op == fault.OpFetch)
+	if d.Kind == fault.KindDrop || d.Kind == fault.KindPartial && !replyLost {
 		release()
-		return wire.Reply{}, d.Error(op)
+		return wire.Reply{}, &wire.FaultError{Op: op, Kind: d.Kind, Index: d.Index}
 	}
 	switch op {
-	case wire.OpQuery:
+	case fault.OpQuery:
 		// An open statement is live work (its snapshot, its replayable
 		// batch): the admission unit passes to the cursor.
 		return se.open(req.Name, int(req.N), req.Epoch, release)
-	case wire.OpExec:
+	case fault.OpExec:
 		rep.N, err = se.exec(req.Name)
-	case wire.OpFetch:
+	case fault.OpFetch:
 		rep, err = se.fetch(req)
-	case wire.OpLoad:
+	case fault.OpLoad:
 		rep.N, err = s.load(req.Name, req.Body, req.Seq)
-	case wire.OpStats:
+	case fault.OpStats:
 		rep.Stats, rep.Epoch, err = s.stats(req.Name, int(req.N))
 	}
-	if op != wire.OpStats {
+	if op != fault.OpStats {
 		rep.Epoch = s.db.MetaEpoch()
 	}
 	release()
 	if err == nil && replyLost {
-		if op != wire.OpFetch {
-			return wire.Reply{}, d.Error(op)
+		if op != fault.OpFetch {
+			return wire.Reply{}, &wire.FaultError{Op: op, Kind: d.Kind, Index: d.Index}
 		}
 		rep.Body = wire.Corrupt(rep.Body)
 	}

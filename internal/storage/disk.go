@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"tango/internal/fault"
 )
 
 // Disk is the simulated block device: a set of files, each a vector of
@@ -19,25 +21,21 @@ type Disk struct {
 	reads  atomic.Int64
 	writes atomic.Int64
 
-	// failure injection for tests: when failReads/failWrites reaches
-	// zero on a countdown, the operation fails.
-	failReads  int64
-	failWrites int64
+	// faults, when set, decides the page I/O faults (read, write) and,
+	// on a FileDisk, the physical-write faults (wal, page).
+	faults atomic.Pointer[fault.Injector]
 }
 
-// FailReadsAfter makes the n+1-th subsequent read fail (n=0 fails the
-// next read). Negative disables injection.
-func (d *Disk) FailReadsAfter(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.failReads = n + 1
-}
+// SetFaults attaches (or, with nil, detaches) the fault injector. A
+// read or write trap fails that page read or write with
+// ErrInjectedRead or ErrInjectedWrite; on a FileDisk a wal or page
+// trap kills the store at that physical write.
+func (d *Disk) SetFaults(f *fault.Injector) { d.faults.Store(f) }
 
-// FailWritesAfter makes the n+1-th subsequent write fail.
-func (d *Disk) FailWritesAfter(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.failWrites = n + 1
+// injected reports whether the attached injector fails this call of op.
+func (d *Disk) injected(op fault.Op) bool {
+	f := d.faults.Load()
+	return f != nil && f.Decide(op).Kind != fault.KindNone
 }
 
 var (
@@ -103,14 +101,11 @@ func (d *Disk) Truncate(id FileID, pages int) error {
 
 // ReadPage copies the page into dst.
 func (d *Disk) ReadPage(pid PageID, dst *Page) error {
+	if d.injected(fault.OpRead) {
+		return ErrInjectedRead
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failReads > 0 {
-		d.failReads--
-		if d.failReads == 0 {
-			return ErrInjectedRead
-		}
-	}
 	pages, ok := d.files[pid.File]
 	if !ok || int(pid.No) >= len(pages) || pid.No < 0 {
 		return fmt.Errorf("storage: read of missing page %v", pid)
@@ -123,14 +118,11 @@ func (d *Disk) ReadPage(pid PageID, dst *Page) error {
 
 // WritePage copies the page back to the device.
 func (d *Disk) WritePage(pid PageID, src *Page) error {
+	if d.injected(fault.OpWrite) {
+		return ErrInjectedWrite
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.failWrites > 0 {
-		d.failWrites--
-		if d.failWrites == 0 {
-			return ErrInjectedWrite
-		}
-	}
 	pages, ok := d.files[pid.File]
 	if !ok || int(pid.No) >= len(pages) || pid.No < 0 {
 		return fmt.Errorf("storage: write of missing page %v", pid)

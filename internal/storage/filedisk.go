@@ -39,6 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tango/internal/fault"
 )
 
 // DefaultCheckpointBytes is the WAL size that triggers an automatic
@@ -140,8 +142,10 @@ type FileDisk struct {
 	dropped   map[FileID]struct{} // files dropped since last checkpoint
 	unlogged  map[FileID]struct{} // live files of CreateTempFile
 	openLoads map[FileID]loadMark
-	script    *CrashScript
-	crashed   atomic.Bool
+	// crashed is the trip: set once a wal or page trap has fired, it
+	// fails every later operation, and every physical write checks it
+	// before it reaches a file (see writeFault).
+	crashed atomic.Bool
 
 	// Group commit. smu admits one batch fsync at a time; gmu guards
 	// the batch the next committers pile onto.
@@ -163,15 +167,6 @@ type commitBatch struct {
 
 // Dir returns the data directory backing the store.
 func (fd *FileDisk) Dir() string { return fd.dir }
-
-// SetCrashScript arms (or with nil disarms) deterministic crash
-// injection: the script is consulted at every WAL record write and
-// every checkpoint page write.
-func (fd *FileDisk) SetCrashScript(s *CrashScript) {
-	fd.fmu.Lock()
-	defer fd.fmu.Unlock()
-	fd.script = s
-}
 
 // Crashed reports whether the simulated process image is dead.
 func (fd *FileDisk) Crashed() bool { return fd.crashed.Load() }
@@ -411,15 +406,11 @@ func (fd *FileDisk) syncBatchLocked() error {
 	fd.fmu.Lock()
 	w := fd.wal
 	frames := w.takePending()
-	script := fd.script
 	fd.fmu.Unlock()
 
-	nBytes, nRecs, err := w.writeFrames(frames, script)
+	nBytes, nRecs, err := fd.writeFrames(w, frames)
 	fd.fsyncs.Add(1)
 	fd.batches.Add(1)
-	if errors.Is(err, ErrCrashed) {
-		fd.crashed.Store(true)
-	}
 
 	fd.fmu.Lock()
 	defer fd.fmu.Unlock()
@@ -488,13 +479,61 @@ func (fd *FileDisk) Close() error {
 	return fd.wal.close()
 }
 
+// walSyncLocked writes every pending WAL record and fsyncs the log.
+// On a trip the unwritten records stay pending; the store is dead.
 func (fd *FileDisk) walSyncLocked() error {
-	err := fd.wal.sync(fd.script)
+	w := fd.wal
+	nBytes, nRecs, err := fd.writeFrames(w, w.pending)
+	w.pending = w.pending[nRecs:]
+	w.durableBytes += nBytes
+	w.durableRecords += nRecs
 	fd.fsyncs.Add(1)
-	if errors.Is(err, ErrCrashed) {
-		fd.crashed.Store(true)
-	}
 	return err
+}
+
+// writeFault decides one physical write of op (fault.OpWAL or
+// fault.OpPage). A dead store writes nothing more: once a trap has
+// tripped it, every later write — even one already in flight in a
+// group-commit leader or a checkpoint — is dropped before the injector
+// is consulted, so a trap's index counts only writes that could happen.
+func (fd *FileDisk) writeFault(op fault.Op) fault.Kind {
+	if fd.crashed.Load() {
+		return fault.KindDrop
+	}
+	return fd.faults.Load().Decide(op).Kind
+}
+
+// writeFrames writes frames to w's file and fsyncs it, one
+// fault.OpWAL point per frame: a drop omits the frame, a torn or
+// partial write leaves its first half, and either fsyncs what reached
+// the file (the worst a kill -9 leaves), kills the store and drops the
+// remainder. It returns the byte and record counts that
+// became durable, which the caller folds into the log's totals under
+// its own lock.
+func (fd *FileDisk) writeFrames(w *wal, frames [][]byte) (nBytes, nRecs int64, err error) {
+	for _, frame := range frames {
+		switch fd.writeFault(fault.OpWAL) {
+		case fault.KindNone:
+			if _, werr := w.f.Write(frame); werr != nil {
+				return nBytes, nRecs, fmt.Errorf("storage: wal write: %w", werr)
+			}
+			nBytes += int64(len(frame))
+			nRecs++
+			continue
+		case fault.KindDrop:
+		default: // torn, partial
+			if _, werr := w.f.Write(frame[:len(frame)/2]); werr != nil {
+				return nBytes, nRecs, fmt.Errorf("storage: wal torn write: %w", werr)
+			}
+		}
+		_ = w.f.Sync()
+		fd.crashed.Store(true)
+		return nBytes, nRecs, ErrCrashed
+	}
+	if ferr := w.f.Sync(); ferr != nil {
+		return nBytes, nRecs, fmt.Errorf("storage: wal fsync: %w", ferr)
+	}
+	return nBytes, nRecs, nil
 }
 
 // checkpointLocked requires both smu and fmu: smu keeps a concurrent
@@ -546,31 +585,26 @@ func (fd *FileDisk) checkpointLocked() error {
 		}
 		frame = encodePageFrame(frame[:0], pid.File, pid.No, payload)
 		off := int64(pid.No) * pageFrameSize
-		switch fd.script.Decide(TargetPage) {
-		case CrashNone:
+		switch fd.writeFault(fault.OpPage) {
+		case fault.KindNone:
 			if _, err := f.WriteAt(frame, off); err != nil {
 				closeAll()
 				return fmt.Errorf("storage: checkpoint write: %w", err)
 			}
-		case CrashOmit:
-			for _, h := range handles {
-				_ = h.Sync()
-			}
-			closeAll()
-			fd.crashed.Store(true)
-			return ErrCrashed
-		default: // CrashTorn, CrashPartial
+			continue
+		case fault.KindDrop:
+		default: // torn, partial
 			if _, err := f.WriteAt(frame[:pageFrameSize/2], off); err != nil {
 				closeAll()
 				return fmt.Errorf("storage: checkpoint torn write: %w", err)
 			}
-			for _, h := range handles {
-				_ = h.Sync()
-			}
-			closeAll()
-			fd.crashed.Store(true)
-			return ErrCrashed
 		}
+		for _, h := range handles {
+			_ = h.Sync()
+		}
+		closeAll()
+		fd.crashed.Store(true)
+		return ErrCrashed
 	}
 	for _, f := range handles {
 		if err := f.Sync(); err != nil {

@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"tango/internal/fault"
 	"tango/internal/types"
 )
 
@@ -453,9 +455,14 @@ func TestRecoverRefusesOtherPageFormat(t *testing.T) {
 	}
 }
 
+// trap builds an injector whose one trap fails the nth call of op.
+func trap(op fault.Op, n int64, kind fault.Kind) *fault.Injector {
+	return fault.Schedule{Traps: []fault.Trap{{Op: op, Nth: n, Kind: kind}}}.Injector()
+}
+
 func TestFileDiskCrashScriptWAL(t *testing.T) {
 	// Count the WAL write points of a fixed workload with an observer
-	// script, then crash at each one and verify the recovered state is
+	// injector, then crash at each one and verify the recovered state is
 	// a clean prefix of the sync history.
 	workload := func(fd *FileDisk) (FileID, error) {
 		f := fd.CreateFile()
@@ -477,24 +484,23 @@ func TestFileDiskCrashScriptWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observer := NewCrashScript()
-	fd.SetCrashScript(observer)
+	observer := fault.Schedule{}.Injector()
+	fd.SetFaults(observer)
 	if _, err := workload(fd); err != nil {
 		t.Fatal(err)
 	}
-	total := observer.Observed(TargetWAL)
+	total := observer.Calls(fault.OpWAL)
 	if total == 0 {
 		t.Fatal("workload produced no WAL write points")
 	}
 	for n := int64(1); n <= total; n++ {
-		for _, mode := range []CrashMode{CrashOmit, CrashTorn} {
+		for _, mode := range []fault.Kind{fault.KindDrop, fault.KindTorn} {
 			dir := t.TempDir()
 			fd, _, err := Recover(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			script := NewCrashScript(CrashPoint{Target: TargetWAL, Nth: n, Mode: mode})
-			fd.SetCrashScript(script)
+			fd.SetFaults(trap(fault.OpWAL, n, mode))
 			f, werr := workload(fd)
 			if !errors.Is(werr, ErrCrashed) {
 				t.Fatalf("wal@%d=%d: workload error %v, want ErrCrashed", n, mode, werr)
@@ -513,7 +519,7 @@ func TestFileDiskCrashScriptWAL(t *testing.T) {
 			if err != nil {
 				t.Fatalf("wal@%d=%d: recover: %v", n, mode, err)
 			}
-			if mode == CrashTorn && st.TornTails == 0 {
+			if mode == fault.KindTorn && st.TornTails == 0 {
 				t.Errorf("wal@%d=torn: no torn tail detected", n)
 			}
 			// Recovered pages must be a prefix of the write history:
@@ -579,20 +585,20 @@ func TestFileDiskCrashScriptCheckpoint(t *testing.T) {
 	}
 	obsDir := t.TempDir()
 	fd, _ := prep(obsDir)
-	observer := NewCrashScript()
-	fd.SetCrashScript(observer)
+	observer := fault.Schedule{}.Injector()
+	fd.SetFaults(observer)
 	if err := fd.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	total := observer.Observed(TargetPage)
+	total := observer.Calls(fault.OpPage)
 	if total != 5 {
 		t.Fatalf("checkpoint wrote %d page points, want 5", total)
 	}
 	for n := int64(1); n <= total; n++ {
-		for _, mode := range []CrashMode{CrashOmit, CrashPartial} {
+		for _, mode := range []fault.Kind{fault.KindDrop, fault.KindPartial} {
 			dir := t.TempDir()
 			fd, f := prep(dir)
-			fd.SetCrashScript(NewCrashScript(CrashPoint{Target: TargetPage, Nth: n, Mode: mode}))
+			fd.SetFaults(trap(fault.OpPage, n, mode))
 			if err := fd.Checkpoint(); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("page@%d=%d: checkpoint error %v", n, mode, err)
 			}
@@ -600,7 +606,7 @@ func TestFileDiskCrashScriptCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("page@%d=%d: recover: %v", n, mode, err)
 			}
-			if mode == CrashPartial && st.ChecksumFailures == 0 {
+			if mode == fault.KindPartial && st.ChecksumFailures == 0 {
 				t.Errorf("page@%d=partial: torn page not detected by checksum", n)
 			}
 			if st.ChecksumFailures > 0 && st.RepairedPages == 0 {
@@ -614,6 +620,94 @@ func TestFileDiskCrashScriptCheckpoint(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFileDiskTripStopsWrites: once a wal trap has tripped the store,
+// no later WAL frame or checkpoint page reaches a file — not even from
+// a group-commit leader and a checkpoint already in flight, past their
+// entry checks and queued behind the log, when the trap fired.
+func TestFileDiskTripStopsWrites(t *testing.T) {
+	dir := t.TempDir()
+	fd, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.CheckpointBytes = -1
+	const committers = 8
+	f := fd.CreateFile()
+	for i := 0; i < committers; i++ {
+		if _, err := fd.AppendPage(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fd.Checkpoint(); err != nil { // page files on disk
+		t.Fatal(err)
+	}
+
+	// Hold the log: the committers' leader and the checkpoint queue
+	// behind it with their records pending and their pages dirty.
+	fd.smu.Lock()
+	errs := make(chan error, committers+1)
+	for i := 0; i < committers; i++ {
+		if err := fd.WritePage(PageID{File: f, No: int32(i)}, pageWithRecord(t, fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		go func() { errs <- fd.Commit() }()
+	}
+	go func() { errs <- fd.Checkpoint() }()
+	for queued := false; !queued; time.Sleep(time.Millisecond) {
+		fd.gmu.Lock()
+		queued = fd.open != nil
+		fd.gmu.Unlock()
+	}
+	time.Sleep(20 * time.Millisecond) // followers and the checkpoint queue too
+
+	// Trip the store on the first frame of a batch written under the
+	// held log, and photograph every file the moment it is dead.
+	inj := trap(fault.OpWAL, 1, fault.KindDrop)
+	fd.SetFaults(inj)
+	if err := fd.syncBatchLocked(); !errors.Is(err, ErrCrashed) {
+		fd.smu.Unlock()
+		t.Fatalf("batch past the wal trap: %v, want ErrCrashed", err)
+	}
+	files := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range ents {
+			buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(buf)
+		}
+		return out
+	}
+	atTrip := files()
+	fd.smu.Unlock()
+
+	for i := 0; i < committers+1; i++ {
+		if err := <-errs; !errors.Is(err, ErrCrashed) {
+			t.Errorf("in-flight commit or checkpoint on a dead store: %v, want ErrCrashed", err)
+		}
+	}
+	if n := inj.Calls(fault.OpWAL); n != 1 {
+		t.Errorf("%d WAL writes decided, want only the trapped one", n)
+	}
+	if n := inj.Calls(fault.OpPage); n != 0 {
+		t.Errorf("%d checkpoint page writes decided after the trip", n)
+	}
+	after := files()
+	for name, buf := range after {
+		if old, ok := atTrip[name]; !ok || old != buf {
+			t.Errorf("%s changed after the trip (%d bytes, was %d)", name, len(buf), len(old))
+		}
+	}
+	if len(after) != len(atTrip) {
+		t.Errorf("files after the trip: %d, at the trip: %d", len(after), len(atTrip))
 	}
 }
 
@@ -690,18 +784,6 @@ func TestRecoverRejectsUncoveredCorruption(t *testing.T) {
 	}
 }
 
-func TestCrashScriptParseTarget(t *testing.T) {
-	for _, tgt := range []CrashTarget{TargetWAL, TargetPage} {
-		got, err := ParseCrashTarget(tgt.String())
-		if err != nil || got != tgt {
-			t.Errorf("ParseCrashTarget(%q) = %v, %v", tgt.String(), got, err)
-		}
-	}
-	if _, err := ParseCrashTarget("fetch"); err == nil {
-		t.Error("wire op accepted as crash target")
-	}
-}
-
 // --- BufferPool.FlushAll partial-failure semantics (regression) ---
 
 func TestFlushAllPartialFailureKeepsFramesDirty(t *testing.T) {
@@ -720,7 +802,7 @@ func TestFlushAllPartialFailureKeepsFramesDirty(t *testing.T) {
 		t.Fatalf("Dirty = %d, want 4", got)
 	}
 	// Fail the second write: page 1 must stay dirty while 0, 2, 3 flush.
-	d.FailWritesAfter(1)
+	d.SetFaults(trap(fault.OpWrite, 2, fault.KindDrop))
 	err := bp.FlushAll()
 	if err == nil {
 		t.Fatal("FlushAll swallowed the injected write failure")
@@ -913,7 +995,7 @@ func TestFileDiskTempFileUnlogged(t *testing.T) {
 
 	// Kill the store on a logged write: the temp file is then as dead
 	// as the rest of it, and no restart finds it.
-	fd.SetCrashScript(NewCrashScript(CrashPoint{Target: TargetWAL, Nth: 1, Mode: CrashOmit}))
+	fd.SetFaults(trap(fault.OpWAL, 1, fault.KindDrop))
 	fd.CreateFile()
 	if err := fd.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("sync past the crash point: %v", err)

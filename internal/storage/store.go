@@ -1,5 +1,7 @@
 package storage
 
+import "tango/internal/fault"
+
 // Store is the block-device contract the buffer pool and heap files
 // run on. Two implementations exist:
 //
@@ -40,10 +42,10 @@ type Store interface {
 	// ResetStats zeroes the I/O counters.
 	ResetStats()
 
-	// FailReadsAfter / FailWritesAfter arm one-shot failure injection
-	// for tests (see Disk).
-	FailReadsAfter(n int64)
-	FailWritesAfter(n int64)
+	// SetFaults attaches (nil detaches) the fault injector its page
+	// reads and writes — and a durable store's physical writes —
+	// consult (see Disk.SetFaults).
+	SetFaults(f *fault.Injector)
 }
 
 var (

@@ -276,61 +276,15 @@ func (w *wal) append(r *walRecord) {
 	w.pending = append(w.pending, encodeWALRecord(nil, r))
 }
 
-// sync writes every pending record to the file and fsyncs — the
-// durability barrier. Each physical record write consults the crash
-// script: on CrashOmit the process image dies before the write, on
-// CrashTorn/CrashPartial only the first half of the frame reaches the
-// file. In both cases whatever was written is fsynced (the worst case
-// a real crash can persist) and ErrCrashed is returned.
-func (w *wal) sync(script *CrashScript) error {
-	nBytes, nRecs, err := w.writeFrames(w.pending, script)
-	w.pending = w.pending[nRecs:]
-	w.durableBytes += nBytes
-	w.durableRecords += nRecs
-	return err
-}
-
 // takePending detaches and returns the group-commit buffer. The
-// caller owns the returned frames and must account for them via
-// writeFrames; FileDisk uses this to move the write+fsync out from
-// under its bookkeeping lock so concurrent committers can keep
-// appending while a batch is on its way to disk.
+// caller owns the returned frames and writes them with
+// FileDisk.writeFrames; group commit uses this to move the write+fsync
+// out from under its bookkeeping lock so concurrent committers can
+// keep appending while a batch is on its way to disk.
 func (w *wal) takePending() [][]byte {
 	frames := w.pending
 	w.pending = nil
 	return frames
-}
-
-// writeFrames writes previously detached frames to the file and
-// fsyncs, consulting the crash script exactly like sync. It returns
-// the byte/record counts that became durable so the caller can fold
-// them back into durableBytes/durableRecords under its own lock. On a
-// scripted crash the unwritten remainder is dropped — the simulated
-// process image is dead and the frames were never durable.
-func (w *wal) writeFrames(frames [][]byte, script *CrashScript) (nBytes, nRecs int64, err error) {
-	for _, frame := range frames {
-		switch script.Decide(TargetWAL) {
-		case CrashNone:
-			if _, werr := w.f.Write(frame); werr != nil {
-				return nBytes, nRecs, fmt.Errorf("storage: wal write: %w", werr)
-			}
-			nBytes += int64(len(frame))
-			nRecs++
-		case CrashOmit:
-			_ = w.f.Sync()
-			return nBytes, nRecs, ErrCrashed
-		default: // CrashTorn, CrashPartial
-			if _, werr := w.f.Write(frame[:len(frame)/2]); werr != nil {
-				return nBytes, nRecs, fmt.Errorf("storage: wal torn write: %w", werr)
-			}
-			_ = w.f.Sync()
-			return nBytes, nRecs, ErrCrashed
-		}
-	}
-	if ferr := w.f.Sync(); ferr != nil {
-		return nBytes, nRecs, fmt.Errorf("storage: wal fsync: %w", ferr)
-	}
-	return nBytes, nRecs, nil
 }
 
 // close closes the log file; pending records are dropped (they were

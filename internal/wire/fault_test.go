@@ -3,78 +3,14 @@ package wire
 import (
 	"errors"
 	"testing"
-	"time"
+
+	"tango/internal/fault"
 )
-
-// TestTrapDeterminism: a scripted trap fires on exactly the scheduled
-// per-op call index, independent of other ops interleaved.
-func TestTrapDeterminism(t *testing.T) {
-	f := NewFaultInjector(1).AddTrap(OpFetch, 3, KindDrop)
-	for i := 1; i <= 5; i++ {
-		f.Decide(OpExec) // unrelated traffic must not consume fetch indexes
-		d := f.Decide(OpFetch)
-		if want := i == 3; (d.Kind == KindDrop) != want {
-			t.Fatalf("fetch #%d: kind %v", i, d.Kind)
-		}
-		if d.Index != int64(i) {
-			t.Fatalf("fetch #%d: index %d", i, d.Index)
-		}
-	}
-	if got := f.Injected(); got != 1 {
-		t.Fatalf("injected %d, want 1", got)
-	}
-	if c := f.Counts(); c["fetch/drop"] != 1 {
-		t.Fatalf("counts %v", c)
-	}
-}
-
-// TestProbSeedReplay: the same seed yields the same probabilistic
-// fault sequence on a serial call schedule.
-func TestProbSeedReplay(t *testing.T) {
-	run := func() []FaultKind {
-		f := NewFaultInjector(42).AddProb(OpFetch, KindPartial, 0.3)
-		var out []FaultKind
-		for i := 0; i < 64; i++ {
-			out = append(out, f.Decide(OpFetch).Kind)
-		}
-		return out
-	}
-	a, b := run(), run()
-	var faults int
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("call %d: %v vs %v", i, a[i], b[i])
-		}
-		if a[i] != KindNone {
-			faults++
-		}
-	}
-	if faults == 0 {
-		t.Fatal("p=0.3 over 64 calls injected nothing")
-	}
-}
-
-// TestMaxFaultsQuiesces: the cap guarantees eventual progress.
-func TestMaxFaultsQuiesces(t *testing.T) {
-	f := NewFaultInjector(7).AddProb(OpLoad, KindDrop, 1.0)
-	f.MaxFaults = 2
-	var injected int
-	for i := 0; i < 10; i++ {
-		if f.Decide(OpLoad).Kind != KindNone {
-			injected++
-		}
-	}
-	if injected != 2 {
-		t.Fatalf("injected %d, want 2", injected)
-	}
-}
 
 // TestFaultErrorRetryable: the typed error classifies as retryable,
 // wrapped or not; ordinary errors do not.
 func TestFaultErrorRetryable(t *testing.T) {
-	err := (&FaultInjector{}).Decide(OpExec) // nil-safe zero value path
-	_ = err
-	fe := Fault{Kind: KindDrop, Index: 4}.Error(OpFetch)
+	var fe error = &FaultError{Op: fault.OpFetch, Kind: fault.KindDrop, Index: 4}
 	if !Retryable(fe) {
 		t.Fatal("FaultError not retryable")
 	}
@@ -104,64 +40,5 @@ func TestCorrupt(t *testing.T) {
 	c := Corrupt(long)
 	if len(c) >= len(long) {
 		t.Fatal("corrupt did not truncate")
-	}
-}
-
-// TestScheduleRoundTrip: Parse→String→Parse is a fixed point and the
-// injector honors every entry.
-func TestScheduleRoundTrip(t *testing.T) {
-	src := "seed=7;stall=5ms;max=3;fetch@2=drop;load@1=partial;exec~stall=0.25"
-	s, err := ParseSchedule(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Seed != 7 || s.Stall != 5*time.Millisecond || s.MaxFaults != 3 ||
-		len(s.Traps) != 2 || len(s.Probs) != 1 {
-		t.Fatalf("parsed %+v", s)
-	}
-	canon := s.String()
-	s2, err := ParseSchedule(canon)
-	if err != nil {
-		t.Fatalf("reparse %q: %v", canon, err)
-	}
-	if s2.String() != canon {
-		t.Fatalf("not canonical: %q vs %q", s2.String(), canon)
-	}
-	f := s.Injector()
-	if d := f.Decide(OpFetch); d.Kind != KindNone {
-		t.Fatalf("fetch #1: %v", d.Kind)
-	}
-	if d := f.Decide(OpFetch); d.Kind != KindDrop || d.Stall != 5*time.Millisecond {
-		t.Fatalf("fetch #2: %+v", d)
-	}
-	if d := f.Decide(OpLoad); d.Kind != KindPartial {
-		t.Fatalf("load #1: %v", d.Kind)
-	}
-}
-
-// TestScheduleRejects: malformed schedules fail with errors, never
-// panic, and reject out-of-range values.
-func TestScheduleRejects(t *testing.T) {
-	for _, src := range []string{
-		"fetch@0=drop",     // 1-based indexes
-		"fetch@x=drop",     // bad index
-		"nosuch@1=drop",    // unknown op
-		"fetch@1=explode",  // unknown kind
-		"fetch~drop=1.5",   // p out of range
-		"fetch~drop=-0.1",  // p out of range
-		"stall=-5ms",       // negative stall
-		"max=-1",           // negative cap
-		"seed=abc",         // bad seed
-		"bogus",            // missing '='
-		"wat=1",            // unknown key
-		"fetch~nosuch=0.1", // unknown kind in prob
-		"nosuch~drop=0.1",  // unknown op in prob
-	} {
-		if _, err := ParseSchedule(src); err == nil {
-			t.Errorf("ParseSchedule(%q) accepted", src)
-		}
-	}
-	if s, err := ParseSchedule("  ;  , "); err != nil || s.String() != "" {
-		t.Errorf("empty schedule: %+v, %v", s, err)
 	}
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"tango/internal/fault"
 )
 
 // ProtocolVersion is the framed-protocol version spoken by this build.
@@ -111,20 +113,20 @@ func MsgName(t byte) string {
 // MsgOp maps a request message type to the fault-injection op it
 // represents on the wire (ok reports false for messages that are not
 // fault-injectable: handshake, session plumbing, replies). The chaos
-// proxy uses this to drive the PR-4 schedule grammar against real
+// proxy uses this to drive the fault schedule against real
 // connections.
-func MsgOp(t byte) (Op, bool) {
+func MsgOp(t byte) (fault.Op, bool) {
 	switch t {
 	case MsgExec:
-		return OpExec, true
+		return fault.OpExec, true
 	case MsgQuery:
-		return OpQuery, true
+		return fault.OpQuery, true
 	case MsgFetch:
-		return OpFetch, true
+		return fault.OpFetch, true
 	case MsgLoad:
-		return OpLoad, true
+		return fault.OpLoad, true
 	case MsgStats:
-		return OpStats, true
+		return fault.OpStats, true
 	}
 	return 0, false
 }
@@ -356,8 +358,8 @@ type RemoteError struct {
 	Msg     string
 	Backoff time.Duration // CodeOverloaded: server-suggested retry delay
 	Queue   int64         // CodeOverloaded: queue depth at shed time
-	Op      Op            // CodeFault
-	Kind    FaultKind     // CodeFault
+	Op      fault.Op      // CodeFault
+	Kind    fault.Kind    // CodeFault
 	Index   int64         // CodeFault
 }
 
@@ -407,7 +409,7 @@ func DecodeRemoteError(payload []byte) (RemoteError, error) {
 	if len(rest) < 2 {
 		return RemoteError{}, fmt.Errorf("%w: truncated error payload", ErrBadFrame)
 	}
-	e.Op, e.Kind = Op(rest[0]), FaultKind(rest[1])
+	e.Op, e.Kind = fault.Op(rest[0]), fault.Kind(rest[1])
 	rest = rest[2:]
 	idx, k := binary.Varint(rest)
 	if k <= 0 {

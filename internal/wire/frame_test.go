@@ -10,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"tango/internal/fault"
 )
 
 // TestFrameRoundTrip is the property test: any frame with a valid
@@ -124,7 +126,7 @@ func TestRemoteErrorRoundTrip(t *testing.T) {
 	cases := []RemoteError{
 		{Code: CodeGeneric, Msg: "engine: no such table FOO"},
 		{Code: CodeOverloaded, Msg: "queue full", Backoff: 5 * time.Millisecond, Queue: 17},
-		{Code: CodeFault, Msg: "injected", Op: OpFetch, Kind: KindDrop, Index: 3},
+		{Code: CodeFault, Msg: "injected", Op: fault.OpFetch, Kind: fault.KindDrop, Index: 3},
 		{Code: CodeShutdown, Msg: "draining"},
 		{Code: CodeStaleMetadata, Msg: "plan read under metadata epoch 3, catalog at 5"},
 		{Code: CodeGeneric, Msg: ""},

@@ -1,9 +1,8 @@
 // Proxy is the TCP-aware face of the fault injector: a
 // man-in-the-middle that forwards framed protocol traffic between a
-// real client and a real server, consulting a FaultInjector for every
-// request frame so the PR-4 chaos schedule grammar
-// ("seed=7;stall=2ms;fetch@3=drop") drives faults against real
-// connections instead of in-process calls:
+// real client and a real server, consulting a fault.Injector for every
+// request frame so a chaos schedule ("seed=7;stall=2ms;fetch@3=drop")
+// drives faults against real connections instead of in-process calls:
 //
 //   - drop:    the connection is severed mid-exchange — both halves
 //     are closed, the client sees a reset/EOF, and its transport must
@@ -26,13 +25,15 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"tango/internal/fault"
 )
 
 // Proxy forwards framed TCP traffic through a fault injector.
 type Proxy struct {
 	lis    net.Listener
 	target string
-	faults atomic.Pointer[FaultInjector]
+	faults *fault.Injector
 
 	mu     sync.Mutex //tango:lock-order proxy latch
 	conns  map[net.Conn]struct{}
@@ -40,20 +41,16 @@ type Proxy struct {
 	wg     sync.WaitGroup
 
 	severed atomic.Int64
-	stalled atomic.Int64
-	torn    atomic.Int64
 }
 
 // NewProxy starts a proxy on a fresh loopback port, forwarding to
-// target. A nil injector forwards everything untouched (attach one
-// later with SetFaults).
-func NewProxy(target string, f *FaultInjector) (*Proxy, error) {
+// target. A nil injector forwards everything untouched.
+func NewProxy(target string, f *fault.Injector) (*Proxy, error) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{lis: lis, target: target, conns: map[net.Conn]struct{}{}}
-	p.faults.Store(f)
+	p := &Proxy{lis: lis, target: target, faults: f, conns: map[net.Conn]struct{}{}}
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -63,14 +60,8 @@ func NewProxy(target string, f *FaultInjector) (*Proxy, error) {
 // real server).
 func (p *Proxy) Addr() string { return p.lis.Addr().String() }
 
-// SetFaults swaps the fault injector (nil forwards cleanly).
-func (p *Proxy) SetFaults(f *FaultInjector) { p.faults.Store(f) }
-
-// Severed, Stalled, Torn report how many connections the proxy cut,
-// how many frames it delayed, and how many frames it truncated.
+// Severed reports how many connections the proxy cut.
 func (p *Proxy) Severed() int64 { return p.severed.Load() }
-func (p *Proxy) Stalled() int64 { return p.stalled.Load() }
-func (p *Proxy) Torn() int64    { return p.torn.Load() }
 
 // Close stops accepting, severs every live connection, and waits for
 // the relay goroutines to drain.
@@ -166,23 +157,15 @@ func (p *Proxy) relay(client net.Conn) {
 			return
 		}
 		buf = rbuf
-		kind := KindNone
-		var stall = DefaultStallTime
+		var d fault.Decision
 		if op, ok := MsgOp(f.Type); ok {
-			if inj := p.faults.Load(); inj != nil {
-				d := inj.Decide(op)
-				kind = d.Kind
-				if d.Stall > 0 {
-					stall = d.Stall
-				}
-			}
+			d = p.faults.Decide(op)
 		}
 		out = AppendFrame(out[:0], f)
-		switch kind {
-		case KindStall:
-			p.stalled.Add(1)
-			SleepCtx(nil, stall)
-		case KindDrop:
+		switch d.Kind {
+		case fault.KindStall:
+			SleepCtx(nil, d.Stall)
+		case fault.KindDrop:
 			// Sever: the request never reaches the server and the client
 			// loses the connection (and every session multiplexed on it —
 			// resumption is the transport's problem).
@@ -190,10 +173,9 @@ func (p *Proxy) relay(client net.Conn) {
 			_ = server.Close()
 			_ = client.Close()
 			return
-		case KindPartial, KindTorn:
+		case fault.KindPartial:
 			// Truncate: forward half the frame, then sever. The server
 			// reads a torn frame and must drop the connection cleanly.
-			p.torn.Add(1)
 			_, _ = server.Write(out[:len(out)/2])
 			_ = server.Close()
 			_ = client.Close()
