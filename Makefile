@@ -90,12 +90,15 @@ chaos:
 # that a checkpoint leaves no trace of them. The schedule tests pin how
 # wal/page traps parse and fire beside wire rules, and which rules no
 # plane can honour; the trip test, that no write in flight reaches a
-# file once the store is dead. Run `go test ./internal/bench/ -run
+# file once the store is dead; the failed-write test, that a page write
+# reported failed leaves nothing for Recover to replay; the refusal
+# tests, that the in-memory store, and NewSystem over it, refuse a
+# wal or page trap it would never reach. Run `go test ./internal/bench/ -run
 # TestCrash` for the unstrided sweep.
 crash:
-	$(GO) test ./internal/bench/ -run 'TestCrash' -race -short
+	$(GO) test ./internal/bench/ -run 'TestCrash|TestNewSystemRefusesPhysicalTrapsInMemory' -race -short
 	$(GO) test ./internal/fault/ -run 'TestScheduleStoragePlane|TestScheduleRejects' -race
-	$(GO) test ./internal/storage/ -run 'TestFileDiskTripStopsWrites' -race
+	$(GO) test ./internal/storage/ -run 'TestFileDiskTripStopsWrites|TestFileDiskFailedWriteLeavesNoRecord|TestSetFaultsRefusesPhysicalTraps' -race
 	$(GO) test ./internal/engine/ -run 'TestTempTableWritesNoWAL|TestOpenAtDropsLegacyTempTable' -race
 
 # load is the TCP serving-path smoke: LOADSESSIONS simulated

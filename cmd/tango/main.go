@@ -72,12 +72,6 @@ func main() {
 		if *chaosSeed != 0 {
 			sched.Seed = *chaosSeed
 		}
-		for _, t := range sched.Traps {
-			if (t.Op == fault.OpWAL || t.Op == fault.OpPage) && *dataDir == "" {
-				fmt.Fprintf(os.Stderr, "chaos: %v@%d requires -data-dir (the in-memory store makes no physical writes)\n", t.Op, t.Nth)
-				os.Exit(1)
-			}
-		}
 		faults = sched.Injector()
 		if !quiet {
 			fmt.Printf("chaos: injecting %q\n", sched.String())

@@ -52,13 +52,6 @@ func main() {
 	if err != nil {
 		fatal("chaos:", err)
 	}
-	for _, t := range sched.Traps {
-		if t.Op.Storage() {
-			// The proxy decides wire ops only, and the embedded store is
-			// not armed: nothing would ever reach the trap.
-			fatal("chaos:", fmt.Errorf("%v@%d: tangoload injects wire faults only (exec, query, fetch, load, stats)", t.Op, t.Nth))
-		}
-	}
 
 	target := *addr
 	var sys *bench.System

@@ -455,6 +455,21 @@ func TestCrashChaosSchedule(t *testing.T) {
 	noTempNamed(t, dir, rec)
 }
 
+// TestNewSystemRefusesPhysicalTrapsInMemory: a wal or page trap
+// cannot fire on the in-memory store, so NewSystem without a DataDir
+// refuses the schedule instead of running a crash drill that never
+// crashes.
+func TestNewSystemRefusesPhysicalTrapsInMemory(t *testing.T) {
+	sched, err := fault.ParseSchedule("wal@1=drop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys, err := NewSystem(Config{Faults: sched.Injector()}); err == nil {
+		sys.Close()
+		t.Fatal("NewSystem armed a wal trap on the in-memory store")
+	}
+}
+
 // TestCrashStartupGC covers the restart half of the session contract
 // directly: a temp table that a session left behind when the process
 // died is absent at the next boot with no sweep to collect it — its

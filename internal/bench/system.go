@@ -133,8 +133,8 @@ func NewSystem(cfg Config) (*System, error) {
 	} else {
 		db = engine.Open(engine.Config{})
 	}
-	if cfg.Faults != nil {
-		db.Disk().SetFaults(cfg.Faults)
+	if err := db.Disk().SetFaults(cfg.Faults); err != nil {
+		return nil, err
 	}
 	srv := server.New(db, cfg.Latency)
 	opts := tango.Options{

@@ -1,7 +1,12 @@
 package cost
 
 import (
+	"math"
+	"time"
+
 	"tango/internal/algebra"
+	"tango/internal/client"
+	"tango/internal/telemetry"
 )
 
 // adaptRate is the EWMA rate at which one observation moves a factor.
@@ -21,81 +26,124 @@ type ObservedOp struct {
 	Micros float64
 }
 
+// FromStats is a middleware operator's measured execution as one
+// observation of its plan node n: its inputs' volumes, its output
+// bytes and its self time, from the instrumented iterator's stats.
+func FromStats(n *algebra.Node, s *telemetry.OpStats) ObservedOp {
+	return ObservedOp{
+		Node:     n,
+		InBytes:  float64(s.InputBytes()),
+		OutBytes: float64(s.Bytes),
+		InCard:   float64(s.InputRows()),
+		Micros:   micros(s.SelfTime()),
+	}
+}
+
+// FromFeedback is a statement's feedback — a transfer's, or the one
+// that ran a DBMS-resident operator — as one observation of plan node
+// n: the bytes it moved and its elapsed time.
+func FromFeedback(n *algebra.Node, fb client.Feedback) ObservedOp {
+	return ObservedOp{Node: n, InBytes: float64(fb.Bytes), Micros: micros(fb.Elapsed)}
+}
+
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
 // Observe refines the factor(s) of one algorithm from a measured
 // execution and reports whether any moved. A transfer (T^M, T^D) takes
 // an EWMA step toward its observed µs per byte: f' = α·obs + (1 − α)·f.
-// A middleware operator's prediction is re-priced with the observed
-// sizes (so the update corrects the factor, not the cardinality
-// estimate), and each of its factors moves by f' = f·(1 + α·(ratio − 1)),
-// the observed/predicted ratio clamped to [0.1, 10]. DBMS-resident
-// operators are skipped: the middleware sees their cost only mixed into
-// transfer time.
+// A middleware operator's own terms, re-priced at the observed sizes
+// (so the update corrects the factor, not the estimate), predict its
+// time less its shared terms; each own factor moves by
+// f' = f·(1 + α·(ratio − 1)), the observed/predicted ratio clamped to
+// [0.1, 10]. DBMS-resident operators are skipped: the middleware sees
+// their cost only mixed into transfer time.
 func (f *Factors) Observe(o ObservedOp) bool {
-	n := o.Node
 	if o.Micros <= 0 {
 		return false
 	}
-	switch n.Op {
-	case algebra.OpTM, algebra.OpTD:
-		if o.InBytes <= 0 {
+	loc := o.Node.Loc()
+	fm := f.terms(o.Node, loc, o.InBytes, o.OutBytes, o.InCard)
+	if o.Node.Op == algebra.OpTM || o.Node.Op == algebra.OpTD {
+		t := fm.t[0]
+		if t.a <= 0 {
 			return false
 		}
-		t := &f.TM
-		if n.Op == algebra.OpTD {
-			t = &f.TD
-		}
-		*t = adaptRate*(o.Micros/o.InBytes) + (1-adaptRate)*(*t)
+		*t.f = adaptRate*(o.Micros/t.a) + (1-adaptRate)*(*t.f)
 		return true
 	}
-	if n.Loc() != algebra.LocMW {
+	if loc != algebra.LocMW {
 		return false
 	}
-	scale := func(observed, predicted float64, targets ...*float64) bool {
-		if predicted <= 0 || observed <= 0 {
-			return false
+	observed, predicted := o.Micros, 0.0
+	for _, t := range fm.t[:fm.n] {
+		if t.shared {
+			observed -= t.cost()
+		} else {
+			predicted += t.cost()
 		}
-		ratio := observed / predicted
-		if ratio < 0.1 {
-			ratio = 0.1
-		} else if ratio > 10 {
-			ratio = 10
-		}
-		k := 1 + adaptRate*(ratio-1)
-		for _, t := range targets {
-			*t *= k
-		}
-		return true
 	}
-	switch n.Op {
-	case algebra.OpSelect:
-		terms := 1.0
-		if n.Pred != nil {
-			terms = PredTerms(n.Pred)
-		}
-		return scale(o.Micros, f.SelM*terms*o.InBytes, &f.SelM)
-
-	case algebra.OpSort:
-		return scale(o.Micros, f.SortM*o.InBytes*log2(o.InCard), &f.SortM)
-
-	case algebra.OpJoin, algebra.OpTJoin:
-		// The formula weighs bytes moved: both inputs plus the output.
-		return scale(o.Micros, f.JoinM*(o.InBytes+o.OutBytes), &f.JoinM)
-
-	case algebra.OpTAggr:
-		// Figure 6 prices TAGGR^M as an internal sort (SortM) plus two
-		// linear terms. Deduct the sort share from the measurement and
-		// fit p_taggm1/p_taggm2 against the residual.
-		resid := o.Micros - f.SortM*o.InBytes*log2(o.InCard)
-		if resid <= 0 {
-			resid = o.Micros / 10
-		}
-		return scale(resid, f.TAggrM1*o.InBytes+f.TAggrM2*o.OutBytes, &f.TAggrM1, &f.TAggrM2)
-
-	case algebra.OpDupElim:
-		return scale(o.Micros, f.DupM*o.InBytes, &f.DupM)
-
-	case algebra.OpCoalesce:
-		return scale(o.Micros, f.CoalM*o.InBytes, &f.CoalM)
+	if observed <= 0 {
+		observed = o.Micros / 10
 	}
-	return false
+	if predicted <= 0 {
+		return false
+	}
+	ratio := min(max(observed/predicted, 0.1), 10)
+	k := 1 + adaptRate*(ratio-1)
+	for _, t := range fm.t[:fm.n] {
+		if !t.shared {
+			*t.f *= k
+		}
+	}
+	return true
+}
+
+// fit solves the factors one operator's samples leave unknown: a
+// sample's time, less its formula's shared terms, is the sum of its
+// own terms. One own factor is solved from one sample, two (TAGGR^M's,
+// TAGGR^D's) from two samples of different shapes by solve2. A factor
+// the samples cannot separate keeps its value, and the empty sample of
+// a failed calibration step fits nothing.
+func (f *Factors) fit(s ...ObservedOp) {
+	var x [2][2]float64 // each sample's own-term statistics
+	var rhs [2]float64  // each sample's time left to its own terms
+	var own [2]*float64
+	for i, o := range s {
+		if o.Node == nil {
+			return
+		}
+		fm := f.terms(o.Node, o.Node.Loc(), o.InBytes, o.OutBytes, o.InCard)
+		rhs[i] = o.Micros
+		k := 0
+		for _, t := range fm.t[:fm.n] {
+			if t.shared {
+				rhs[i] -= t.cost()
+			} else {
+				x[i][k], own[k] = t.a*t.b, t.f
+				k++
+			}
+		}
+	}
+	if len(s) == 1 {
+		if p := rhs[0] / x[0][0]; p > 0 && p < math.Inf(1) {
+			*own[0] = p
+		}
+	} else if p1, p2, ok := solve2(x[0][0], x[0][1], rhs[0], x[1][0], x[1][1], rhs[1]); ok {
+		*own[0], *own[1] = p1, p2
+	}
+}
+
+// solve2 solves {p1·x1 + p2·y1 = c1; p1·x2 + p2·y2 = c2} requiring a
+// well-conditioned positive solution.
+func solve2(x1, y1, c1, x2, y2, c2 float64) (p1, p2 float64, ok bool) {
+	det := x1*y2 - x2*y1
+	if det == 0 {
+		return 0, 0, false
+	}
+	p1 = (c1*y2 - c2*y1) / det
+	p2 = (x1*c2 - x2*c1) / det
+	if p1 <= 0 || p2 <= 0 || p1 != p1 || p2 != p2 {
+		return 0, 0, false
+	}
+	return p1, p2, true
 }

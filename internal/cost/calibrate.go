@@ -3,10 +3,13 @@ package cost
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
+	"tango/internal/algebra"
 	"tango/internal/client"
 	"tango/internal/rel"
+	"tango/internal/sqlast"
+	"tango/internal/sqlgen"
+	"tango/internal/telemetry"
 	"tango/internal/types"
 	"tango/internal/xxl"
 )
@@ -49,234 +52,129 @@ func (c *Calibrator) sampleRows(n int, groups int64, maxDur int64) []types.Tuple
 	return rows
 }
 
-// Calibrate runs the sample workload and returns fitted factors.
-// Factors that cannot be separated cleanly fall back to the defaults.
+// Calibrate runs the sample workload and returns fitted factors. Each
+// sample is an ObservedOp built as Middleware.absorb builds one: a
+// transfer from its client.Feedback, a middleware operator from its
+// instrumented self time, and a DBMS-resident one from the feedback of
+// the statement that ran it, less that statement's T^M term. fit
+// solves T^M first, as DBMS samples deduct it, and SortM before
+// TAGGR^M, which deducts it. DupM and CoalM are priors from SelM.
 func (c *Calibrator) Calibrate() (Factors, error) {
 	f := DefaultFactors()
 	n := c.Rows
 	if n <= 0 {
 		n = 20000
 	}
-	rows := c.sampleRows(n, 50, 100)
-
-	table := c.Conn.TempName()
-	if err := c.Conn.CreateTable(table, sampleSchema); err != nil {
-		return f, err
-	}
-	defer c.Conn.DropTable(table)
-
-	// --- TRANSFER^D: timed bulk load.
-	fbLoad, err := c.Conn.Load(table, rows)
-	if err != nil {
-		return f, err
-	}
-	if fbLoad.Bytes > 0 {
-		f.TD = micros(fbLoad.Elapsed) / float64(fbLoad.Bytes)
-	}
-
-	// --- TRANSFER^M: timed full fetch.
-	mat, fbFetch, err := c.Conn.QueryAll("SELECT G, V, T1, T2 FROM " + table)
-	if err != nil {
-		return f, err
-	}
-	if fbFetch.Bytes > 0 {
-		f.TM = micros(fbFetch.Elapsed) / float64(fbFetch.Bytes)
-	}
-	size := float64(mat.ByteSize())
-	card := float64(mat.Cardinality())
-
-	// --- Generic DBMS scan: COUNT(*) forces a scan, ships one row.
-	start := time.Now()
-	if _, _, err := c.Conn.QueryAll("SELECT COUNT(*) FROM " + table); err != nil {
-		return f, err
-	}
-	f.ScanD = positive(micros(time.Since(start))/size, f.ScanD)
-
-	// --- Generic DBMS sort: ORDER BY minus the plain fetch.
-	start = time.Now()
-	if _, _, err := c.Conn.QueryAll("SELECT G, V, T1, T2 FROM " + table + " ORDER BY G, T1"); err != nil {
-		return f, err
-	}
-	sortTotal := micros(time.Since(start))
-	f.SortD = positive((sortTotal-micros(fbFetch.Elapsed))/(size*log2(card)), f.SortD)
-
-	// --- SORT^M.
-	start = time.Now()
-	sorted, err := rel.Drain(xxl.NewSort(mat.Iter(), []int{0, 2}))
-	if err != nil {
-		return f, err
-	}
-	f.SortM = positive(micros(time.Since(start))/(size*log2(card)), f.SortM)
-
-	// --- FILTER^M (single-term predicate).
-	start = time.Now()
-	kept := 0
-	for _, t := range mat.Tuples {
-		if t[1].AsInt() < 500 {
-			kept++
+	var err error // the first failure: every later step does nothing
+	var tables []string
+	defer func() {
+		for _, t := range tables {
+			c.Conn.DropTable(t)
 		}
+	}()
+	load := func(rows []types.Tuple) (string, client.Feedback) {
+		t, fb := c.Conn.TempName(), client.Feedback{}
+		if err == nil {
+			err = c.Conn.CreateTable(t, sampleSchema)
+		}
+		if err == nil {
+			tables = append(tables, t)
+			fb, err = c.Conn.Load(t, rows)
+		}
+		return t, fb
 	}
-	_ = kept
-	f.SelM = positive(micros(time.Since(start))/size, f.SelM)
-
-	// --- TAGGR^M: two runs with different output shapes, solved as a
-	// 2×2 system for p_taggm1/p_taggm2 (excluding the internal sort,
-	// which is priced with SortM).
-	runTAggrM := func(in *rel.Relation) (elapsed, outSize float64, err error) {
-		outSchema := types.NewSchema(
-			types.Column{Name: "G", Kind: types.KindInt},
-			types.Column{Name: "T1", Kind: types.KindInt},
-			types.Column{Name: "T2", Kind: types.KindInt},
-			types.Column{Name: "COUNTofG", Kind: types.KindInt},
-		)
-		ta := xxl.NewTAggr(in.Iter(), []int{0}, 2, 3, []xxl.AggSpec{{Kind: xxl.AggCount}}, outSchema)
-		st := time.Now()
-		out, err := rel.Drain(ta)
+	// query observes the DBMS-resident operator n, over inputs of in
+	// bytes and inCard rows, by the statement sql that runs it.
+	query := func(n *algebra.Node, in, inCard float64, sql string) ObservedOp {
 		if err != nil {
-			return 0, 0, err
+			return ObservedOp{}
 		}
-		el := micros(time.Since(st)) - f.SortM*float64(in.ByteSize())*log2(float64(in.Cardinality()))
-		return el, float64(out.ByteSize()), nil
+		res, fb, qerr := c.Conn.QueryAll(sql)
+		if err = qerr; err != nil {
+			return ObservedOp{}
+		}
+		tm := f.terms(algebra.TM(n), algebra.LocMW, float64(fb.Bytes), 0, 0).cost()
+		return ObservedOp{Node: n, InBytes: in, OutBytes: float64(res.ByteSize()), InCard: inCard, Micros: FromFeedback(n, fb).Micros - tm}
 	}
-	// Dense overlap: big output.
-	dense := relFromRows(c.sampleRows(n, 5, 2000))
-	dense.SortBy("G", "T1")
-	elA, outA, err := runTAggrM(dense)
-	if err != nil {
-		return f, err
-	}
-	// Sparse: near-minimal output.
-	sparse := relFromRows(c.sampleRows(n, 200, 3))
-	sparse.SortBy("G", "T1")
-	elB, outB, err := runTAggrM(sparse)
-	if err != nil {
-		return f, err
-	}
-	inA, inB := float64(dense.ByteSize()), float64(sparse.ByteSize())
-	if p1, p2, ok := solve2(inA, outA, elA, inB, outB, elB); ok {
-		f.TAggrM1, f.TAggrM2 = p1, p2
-	}
-
-	// --- JOIN^M: merge join of the sorted sample with itself on G. G
-	// has 50 values, so the output grows with the square of the sample:
-	// it is counted as it streams, not kept.
-	start = time.Now()
-	mj := xxl.NewMergeJoin(sorted.Iter(), sorted.Iter(), []int{0}, []int{0})
-	joined := 0
-	if err := rel.Each(mj, func(t types.Tuple) error {
-		joined += t.ByteSize()
-		return nil
-	}); err != nil {
-		return f, err
-	}
-	moved := 2*size + float64(joined)
-	f.JoinM = positive(micros(time.Since(start))/moved, f.JoinM)
-
-	// --- Generic DBMS join: self-join minus the transfer share.
-	start = time.Now()
-	jres, jfb, err := c.Conn.QueryAll(fmt.Sprintf(
-		"SELECT A.G, A.V, B.V FROM %s A, %s B WHERE A.G = B.G AND A.V = B.V", table, table))
-	if err != nil {
-		return f, err
-	}
-	jmoved := 2*size + float64(jres.ByteSize())
-	resid := micros(time.Since(start)) - f.TM*float64(jfb.Bytes)
-	f.JoinD = positive(resid/jmoved, f.JoinD)
-
-	// --- TAGGR^D: the generated set-based SQL, two shapes.
-	runTAggrD := func(tbl string, in *rel.Relation) (elapsed, inSize, outSize float64, err error) {
-		sql := taggrDSQL(tbl)
-		st := time.Now()
-		out, fb, err := c.Conn.QueryAll(sql)
+	// run drains the middleware operator op over instrumented inputs,
+	// keeping nothing, and observes it as plan node n.
+	input := func(r *rel.Relation) rel.Iterator { return telemetry.Instrument("input", nil, r.Iter()) }
+	run := func(n *algebra.Node, op rel.Iterator, inputs ...rel.Iterator) ObservedOp {
 		if err != nil {
-			return 0, 0, 0, err
+			return ObservedOp{}
 		}
-		el := micros(time.Since(st)) - f.TM*float64(fb.Bytes)
-		return el, float64(in.ByteSize()), float64(out.ByteSize()), nil
+		w := telemetry.Instrument(n.Op.String(), n, op, inputs...)
+		if err = rel.Each(w, func(types.Tuple) error { return nil }); err != nil {
+			return ObservedOp{}
+		}
+		return FromStats(n, w.Stats())
 	}
-	// Load a smaller sample for the quadratic-ish DBMS aggregation so
-	// calibration stays fast.
-	small := n / 10
-	if small < 500 {
-		small = 500
-	}
-	tblA := c.Conn.TempName()
-	denseSmall := relFromRows(c.sampleRows(small, 5, 2000))
-	if err := c.Conn.CreateTable(tblA, sampleSchema); err != nil {
-		return f, err
-	}
-	defer c.Conn.DropTable(tblA)
-	if _, err := c.Conn.Load(tblA, denseSmall.Tuples); err != nil {
-		return f, err
-	}
-	elDA, inDA, outDA, err := runTAggrD(tblA, denseSmall)
+
+	// The transfers: a timed bulk load and a timed full fetch.
+	table, fb := load(c.sampleRows(n, 50, 100))
 	if err != nil {
 		return f, err
 	}
-	tblB := c.Conn.TempName()
-	sparseSmall := relFromRows(c.sampleRows(small, 200, 3))
-	if err := c.Conn.CreateTable(tblB, sampleSchema); err != nil {
-		return f, err
-	}
-	defer c.Conn.DropTable(tblB)
-	if _, err := c.Conn.Load(tblB, sparseSmall.Tuples); err != nil {
-		return f, err
-	}
-	elDB, inDB, outDB, err := runTAggrD(tblB, sparseSmall)
+	scan := algebra.Scan(table, "")
+	mw := algebra.TM(scan)
+	f.fit(FromFeedback(algebra.TD(mw), fb))
+	mat, fb, err := c.Conn.QueryAll("SELECT G, V, T1, T2 FROM " + table)
 	if err != nil {
 		return f, err
 	}
-	if p1, p2, ok := solve2(inDA, outDA, elDA, inDB, outDB, elDB); ok {
-		f.TAggrD1, f.TAggrD2 = p1, p2
+	f.fit(FromFeedback(mw, fb))
+	size, card := float64(mat.ByteSize()), float64(mat.Cardinality())
+
+	// The generic DBMS formulas: COUNT(*) scans the table and ships one
+	// row, ORDER BY sorts it, the self-join on G and V moves it twice.
+	scanD := query(scan, 0, 0, "SELECT COUNT(*) FROM "+table)
+	scanD.OutBytes = size
+	f.fit(scanD)
+	f.fit(query(algebra.Sort(scan, "G", "T1"), size, card, "SELECT G, V, T1, T2 FROM "+table+" ORDER BY G, T1"))
+	f.fit(query(algebra.Join(scan, scan, []string{"G", "V"}, []string{"G", "V"}), 2*size, card,
+		fmt.Sprintf("SELECT A.G, A.V, B.V FROM %s A, %s B WHERE A.G = B.G AND A.V = B.V", table, table)))
+
+	// The middleware algorithms: SORT^M on G, T1; FILTER^M on a
+	// one-term predicate; JOIN^M, a merge join of the sorted sample
+	// with itself on G. G has 50 values, so the join's output grows
+	// with the square of the sample: run counts it, keeping nothing.
+	in := input(mat)
+	f.fit(run(algebra.Sort(mw, "G", "T1"), xxl.NewSort(in, []int{0, 2}), in))
+	pred := sqlast.BinaryExpr{Op: sqlast.OpLt, Left: sqlast.ColumnRef{Name: "V"}, Right: sqlast.Literal{Value: types.Int(500)}}
+	in = input(mat)
+	filter, ferr := xxl.NewFilter(in, pred)
+	if err == nil {
+		err = ferr
 	}
+	f.fit(run(algebra.Select(mw, pred), filter, in))
+	mat.SortBy("G", "T1")
+	l, r := input(mat), input(mat)
+	f.fit(run(algebra.Join(mw, mw, []string{"G"}, []string{"G"}), xxl.NewMergeJoin(l, r, []int{0}, []int{0}), l, r))
+
+	// TAGGR^M and TAGGR^D weigh input and output bytes apart, so each
+	// is fit from two shapes: dense overlap, a big output, and sparse,
+	// a near-minimal one. The DBMS's quadratic-ish SQL runs on a tenth
+	// of the sample.
+	out := sampleSchema.Project([]int{0, 2, 3}).Concat(types.NewSchema(types.Column{Name: "COUNTofG", Kind: types.KindInt}))
+	var taggrM, taggrD [2]ObservedOp
+	for i, sh := range [2]struct{ groups, maxDur int64 }{{5, 2000}, {200, 3}} {
+		sample := &rel.Relation{Schema: sampleSchema, Tuples: c.sampleRows(n, sh.groups, sh.maxDur)}
+		sample.SortBy("G", "T1")
+		in := input(sample)
+		taggrM[i] = run(algebra.TAggr(mw, []string{"G"}), xxl.NewTAggr(in, []int{0}, 2, 3, []xxl.AggSpec{{Kind: xxl.AggCount}}, out), in)
+		sample = &rel.Relation{Schema: sampleSchema, Tuples: c.sampleRows(max(n/10, 500), sh.groups, sh.maxDur)}
+		tbl, _ := load(sample.Tuples)
+		taggr := algebra.TAggr(algebra.Scan(tbl, ""), []string{"G"}, algebra.Agg{Fn: "COUNT", Col: "G"})
+		sql, _, gerr := (&sqlgen.Gen{Cat: c.Conn}).SQL(taggr)
+		if err == nil {
+			err = gerr
+		}
+		taggrD[i] = query(taggr, float64(sample.ByteSize()), float64(len(sample.Tuples)), sql)
+	}
+	f.fit(taggrM[:]...)
+	f.fit(taggrD[:]...)
 
 	f.DupM = f.SelM * 2
 	f.CoalM = f.SelM * 1.5
-	return f, nil
-}
-
-// taggrDSQL is the calibration instance of the set-based temporal
-// aggregation (COUNT grouped by G).
-func taggrDSQL(table string) string {
-	points := fmt.Sprintf(
-		"SELECT DISTINCT G AS G0, T1 AS P FROM %s UNION SELECT DISTINCT G AS G0, T2 AS P FROM %s",
-		table, table)
-	intervals := fmt.Sprintf(
-		"SELECT S_.G0 AS G0, S_.P AS TS, MIN(E_.P) AS TE FROM (%s) S_, (%s) E_ "+
-			"WHERE S_.G0 = E_.G0 AND E_.P > S_.P GROUP BY S_.G0, S_.P",
-		points, points)
-	return fmt.Sprintf(
-		"SELECT I_.G0 AS G, I_.TS AS T1, I_.TE AS T2, COUNT(*) AS CNT FROM (%s) I_, %s R_ "+
-			"WHERE R_.G = I_.G0 AND R_.T1 <= I_.TS AND R_.T2 >= I_.TE GROUP BY I_.G0, I_.TS, I_.TE",
-		intervals, table)
-}
-
-func relFromRows(rows []types.Tuple) *rel.Relation {
-	r := rel.New(sampleSchema)
-	r.Tuples = rows
-	return r
-}
-
-// solve2 solves {p1·x1 + p2·y1 = c1; p1·x2 + p2·y2 = c2} requiring a
-// well-conditioned positive solution.
-func solve2(x1, y1, c1, x2, y2, c2 float64) (p1, p2 float64, ok bool) {
-	det := x1*y2 - x2*y1
-	if det == 0 {
-		return 0, 0, false
-	}
-	p1 = (c1*y2 - c2*y1) / det
-	p2 = (x1*c2 - x2*c1) / det
-	if p1 <= 0 || p2 <= 0 || p1 != p1 || p2 != p2 {
-		return 0, 0, false
-	}
-	return p1, p2, true
-}
-
-func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-func positive(v, fallback float64) float64 {
-	if v > 0 && v == v {
-		return v
-	}
-	return fallback
+	return f, err
 }

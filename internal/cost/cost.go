@@ -76,54 +76,105 @@ func (m *Model) PlanCost(n *algebra.Node) (float64, error) {
 }
 
 // OpCost prices one operator executing at loc (its inputs excluded)
-// from its output statistics and its inputs' (left, then right).
+// from its output statistics and its inputs' (left, then right): the
+// sum of its formula's terms.
 func (m *Model) OpCost(n *algebra.Node, loc algebra.Location, out *stats.RelStats, in ...*stats.RelStats) float64 {
+	if n.Op == algebra.OpCoalesce && loc != algebra.LocMW {
+		return math.Inf(1) // coalescing has no SQL translation
+	}
+	var inBytes, inCard float64
+	for _, s := range in {
+		inBytes += s.Size()
+	}
+	if len(in) > 0 {
+		inCard = in[0].Card
+	}
+	return m.F.terms(n, loc, inBytes, out.Size(), inCard).cost()
+}
+
+// A term is one factor × statistic product of a cost formula, the
+// statistic a × b of the operator's volumes. A shared term is priced
+// with another algorithm's factor (TAGGR^M's internal sort, at SortM):
+// adaptation and calibration deduct it from the measured time and move
+// only the other terms' factors.
+type term struct {
+	f      *float64 // a field of the Factors the formula is stated over
+	a, b   float64
+	shared bool
+}
+
+// cost is the term's µs, multiplied in the order (factor × a) × b.
+func (t term) cost() float64 { return *t.f * t.a * t.b }
+
+// formula is one operator's cost as at most three terms.
+type formula struct {
+	n int
+	t [3]term
+}
+
+func (fm *formula) add(f *float64, a, b float64) { fm.t[fm.n] = term{f: f, a: a, b: b}; fm.n++ }
+
+// cost sums the formula's terms in order.
+func (fm formula) cost() (c float64) {
+	for _, t := range fm.t[:fm.n] {
+		c += t.cost()
+	}
+	return c
+}
+
+// terms states each operator's cost formula, the one place it is
+// written, for pricing (OpCost), adaptation (Observe) and calibration
+// (fit): Figure 6 for the transfers and the middleware algorithms, the
+// generic formulas for the DBMS. in and out are the bytes the inputs
+// carry and the operator produces, inCard the first input's
+// cardinality. A DBMS selection is free (the paper's assumption), a
+// projection forms its output at no cost, and a DBMS coalescing is
+// not executable (see OpCost): none has a term.
+func (f *Factors) terms(n *algebra.Node, loc algebra.Location, in, out, inCard float64) (fm formula) {
 	mw := loc == algebra.LocMW
+	sort, join := &f.SortD, &f.JoinD
+	if mw {
+		sort, join = &f.SortM, &f.JoinM
+	}
 	switch n.Op {
 	case algebra.OpScan:
-		return m.F.ScanD * out.Size()
+		fm.add(&f.ScanD, out, 1)
 	case algebra.OpTM:
-		return m.F.TM * in[0].Size()
+		fm.add(&f.TM, in, 1)
 	case algebra.OpTD:
-		return m.F.TD * in[0].Size()
+		fm.add(&f.TD, in, 1)
 	case algebra.OpSelect:
-		if !mw {
-			return 0 // the paper assumes zero-cost DBMS selection
+		if mw {
+			fm.add(&f.SelM, PredTerms(n.Pred), in)
 		}
-		return m.F.SelM * PredTerms(n.Pred) * in[0].Size()
 	case algebra.OpSort:
-		f := m.F.SortD
-		if mw {
-			f = m.F.SortM
-		}
-		return f * in[0].Size() * log2(in[0].Card)
+		fm.add(sort, in, log2(inCard))
 	case algebra.OpJoin, algebra.OpTJoin:
-		f := m.F.JoinD
-		if mw {
-			f = m.F.JoinM
-		}
-		return f * (in[0].Size() + in[1].Size() + out.Size())
+		// Bytes moved: both inputs plus the output.
+		fm.add(join, in+out, 1)
 	case algebra.OpTAggr:
 		if mw {
-			// Figure 6: internal second sort + linear terms.
-			internalSort := m.F.SortM * in[0].Size() * log2(in[0].Card)
-			return internalSort + m.F.TAggrM1*in[0].Size() + m.F.TAggrM2*out.Size()
+			// Figure 6: an internal second sort, then two linear terms.
+			fm.add(&f.SortM, in, log2(inCard))
+			fm.t[0].shared = true
+			fm.add(&f.TAggrM1, in, 1)
+			fm.add(&f.TAggrM2, out, 1)
+		} else {
+			fm.add(&f.TAggrD1, in, 1)
+			fm.add(&f.TAggrD2, out, 1)
 		}
-		return m.F.TAggrD1*in[0].Size() + m.F.TAggrD2*out.Size()
 	case algebra.OpDupElim:
 		if mw {
-			return m.F.DupM * in[0].Size()
+			fm.add(&f.DupM, in, 1)
+		} else {
+			fm.add(sort, in, log2(inCard)) // a DBMS sort
 		}
-		return m.F.SortD * in[0].Size() * log2(in[0].Card)
 	case algebra.OpCoalesce:
-		if !mw {
-			// Coalescing has no SQL translation; a plan that leaves it
-			// in the DBMS is not executable.
-			return math.Inf(1)
+		if mw {
+			fm.add(&f.CoalM, in, 1)
 		}
-		return m.F.CoalM * in[0].Size()
 	}
-	return 0 // projection: zero output-forming cost
+	return fm
 }
 
 // PredTerms is the paper's f(P), the selection-condition weight of the

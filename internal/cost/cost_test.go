@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -103,6 +105,48 @@ func TestTransferCostScalesWithSize(t *testing.T) {
 	}
 }
 
+// TestOpCost pins every operator's price at both locations against
+// the Figure 6 and generic-DBMS formulas worked by hand. Each factor
+// has its own value, so a formula weighing the wrong factor shows.
+func TestOpCost(t *testing.T) {
+	m := &Model{F: Factors{TM: 1, TD: 2, SelM: 3, TAggrM1: 4, TAggrM2: 5, TAggrD1: 6, TAggrD2: 7,
+		SortM: 8, SortD: 9, JoinM: 10, JoinD: 11, ScanD: 12, DupM: 13, CoalM: 14}}
+	in := &stats.RelStats{Card: 1024, AvgTupleSize: 10}   // 10,240 bytes; log2(card) = 10
+	right := &stats.RelStats{Card: 100, AvgTupleSize: 20} // 2,000 bytes
+	out := &stats.RelStats{Card: 50, AvgTupleSize: 30}    // 1,500 bytes
+	one := &stats.RelStats{Card: 1, AvgTupleSize: 10}     // log2 floors at 1
+	x := algebra.Scan("R", "")
+	keys := []string{"A"}
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name    string
+		n       *algebra.Node
+		in      []*stats.RelStats
+		mw, dbm float64
+	}{
+		{"Scan: ScanD·out", x, nil, 12 * 1500, 12 * 1500},
+		{"T^M: TM·in", algebra.TM(x), []*stats.RelStats{in}, 1 * 10240, 1 * 10240},
+		{"T^D: TD·in", algebra.TD(x), []*stats.RelStats{in}, 2 * 10240, 2 * 10240},
+		{"Select: SelM·f(P)·in; free in the DBMS", algebra.Select(x, mustPredExpr(t, "A = 1 AND B = 2")), []*stats.RelStats{in}, 3 * 2 * 10240, 0},
+		{"Sort: Sort·in·log2(card)", algebra.Sort(x, keys...), []*stats.RelStats{in}, 8 * 10240 * 10, 9 * 10240 * 10},
+		{"Sort of one row", algebra.Sort(x, keys...), []*stats.RelStats{one}, 8 * 10, 9 * 10},
+		{"Join: Join·(left+right+out)", algebra.Join(x, x, keys, keys), []*stats.RelStats{in, right}, 10 * 13740, 11 * 13740},
+		{"TJoin: as Join", algebra.TJoin(x, x, keys, keys), []*stats.RelStats{in, right}, 10 * 13740, 11 * 13740},
+		{"TAggr: SortM·in·log2(card) + TAggrM1·in + TAggrM2·out; TAggrD1·in + TAggrD2·out",
+			algebra.TAggr(x, keys), []*stats.RelStats{in}, 8*10240*10 + 4*10240 + 5*1500, 6*10240 + 7*1500},
+		{"DupElim: DupM·in; a DBMS sort", algebra.DupElim(x), []*stats.RelStats{in}, 13 * 10240, 9 * 10240 * 10},
+		{"Coalesce: CoalM·in; not executable in the DBMS", algebra.Coalesce(x), []*stats.RelStats{in}, 14 * 10240, inf},
+		{"Project: free", algebra.ProjectCols(x, "A"), []*stats.RelStats{in}, 0, 0},
+	} {
+		if got := m.OpCost(c.n, algebra.LocMW, out, c.in...); got != c.mw {
+			t.Errorf("%s: middleware %v, want %v", c.name, got, c.mw)
+		}
+		if got := m.OpCost(c.n, algebra.LocDBMS, out, c.in...); got != c.dbm {
+			t.Errorf("%s: DBMS %v, want %v", c.name, got, c.dbm)
+		}
+	}
+}
+
 func TestPredWeight(t *testing.T) {
 	for _, c := range []struct {
 		pred string
@@ -140,6 +184,7 @@ func TestCalibration(t *testing.T) {
 	}
 	check("TM", f.TM)
 	check("TD", f.TD)
+	check("SelM", f.SelM)
 	check("SortM", f.SortM)
 	check("SortD", f.SortD)
 	check("JoinM", f.JoinM)
@@ -181,6 +226,50 @@ func TestCalibrationAllocatesLinearly(t *testing.T) {
 	if large >= 3*small {
 		t.Fatalf("calibration allocated %.1f MB at 6000 rows, %.1f MB at 1500: %.1fx, want < 3x",
 			float64(large)/1e6, float64(small)/1e6, float64(large)/float64(small))
+	}
+}
+
+// TestFitRecoversFactors: samples timed through the term list at
+// known factors fit back to those factors, every one the calibrator
+// fits — in calibration order, as TAGGR^M's samples deduct SortM.
+func TestFitRecoversFactors(t *testing.T) {
+	want := Factors{TM: 0.071, TD: 0.053, SelM: 0.0013, TAggrM1: 0.0041, TAggrM2: 0.0067, TAggrD1: 0.21, TAggrD2: 0.37,
+		SortM: 0.0011, SortD: 0.0017, JoinM: 0.0023, JoinD: 0.0097, ScanD: 0.0043}
+	observe := func(n *algebra.Node, in, out, card float64) ObservedOp {
+		return ObservedOp{Node: n, InBytes: in, OutBytes: out, InCard: card, Micros: want.terms(n, n.Loc(), in, out, card).cost()}
+	}
+	db := algebra.Scan("R", "")
+	mw := algebra.TM(db)
+	keys := []string{"G"}
+	got := DefaultFactors()
+	for _, s := range [][]ObservedOp{
+		{observe(algebra.TD(mw), 21015, 0, 0)},
+		{observe(mw, 21062, 0, 0)},
+		{observe(db, 0, 96000, 0)},
+		{observe(algebra.Sort(db, keys...), 96000, 96000, 3000)},
+		{observe(algebra.Join(db, db, keys, keys), 192000, 77088, 3000)},
+		{observe(algebra.Sort(mw, keys...), 96000, 96000, 3000)},
+		{observe(algebra.Select(mw, mustPredExpr(t, "V < 500")), 96000, 47808, 3000)},
+		{observe(algebra.Join(mw, mw, keys, keys), 192000, 1.17e7, 6000)},
+		{observe(algebra.TAggr(mw, keys), 96000, 182176, 3000), observe(algebra.TAggr(mw, keys), 48000, 40000, 1500)},
+		{observe(algebra.TAggr(db, keys), 16000, 31712, 500), observe(algebra.TAggr(db, keys), 8000, 16000, 250)},
+	} {
+		got.fit(s...)
+	}
+	// A failed calibration step's empty sample fits nothing.
+	before := got
+	if got.fit(observe(algebra.TAggr(db, keys), 16000, 31712, 500), ObservedOp{}); got != before {
+		t.Errorf("a pair with an empty sample moved the factors to %+v", got)
+	}
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < w.NumField(); i++ {
+		name := w.Type().Field(i).Name
+		if name == "DupM" || name == "CoalM" { // derived priors, not fitted
+			continue
+		}
+		if x, y := g.Field(i).Float(), w.Field(i).Float(); math.Abs(x-y) > 1e-9*y {
+			t.Errorf("%s fit to %v, want %v", name, x, y)
+		}
 	}
 }
 

@@ -57,6 +57,10 @@ var opNames = [numOps]string{"exec", "query", "fetch", "load", "stats", "wal", "
 // a physical write (wal, page) or page I/O (read, write).
 func (o Op) Storage() bool { return o >= OpWAL }
 
+// Physical reports whether the op is a durable store's physical write
+// (wal, page), which only a FileDisk makes.
+func (o Op) Physical() bool { return o == OpWAL || o == OpPage }
+
 // String returns the schedule-syntax name of the op.
 func (o Op) String() string {
 	if int(o) < len(opNames) {
@@ -220,6 +224,21 @@ func (f *Injector) Injected() int64 {
 	return f.injected
 }
 
+// Trapped returns the first trap on an op that match accepts, so a
+// plane can refuse traps it would never reach (fault.Op.Storage on the
+// wire, fault.Op.Physical on an in-memory store).
+func (f *Injector) Trapped(match func(Op) bool) (Trap, bool) {
+	if f == nil {
+		return Trap{}, false
+	}
+	for _, t := range f.traps {
+		if match(t.Op) {
+			return t, true
+		}
+	}
+	return Trap{}, false
+}
+
 // Calls returns how many calls of op the injector has decided — for a
 // schedule with no trap on op, how many points a workload offers it.
 func (f *Injector) Calls(op Op) int64 {
@@ -309,7 +328,7 @@ func unhonourable(op Op, kind Kind, trap bool) string {
 	switch {
 	case op.Storage() && !trap:
 		return "storage faults are deterministic traps (op@n=kind)"
-	case (op == OpWAL || op == OpPage) && kind == KindStall:
+	case op.Physical() && kind == KindStall:
 		return "a physical write is dropped, torn or partial, never stalled"
 	case (op == OpRead || op == OpWrite) && kind != KindDrop:
 		return "a page read or write only fails (drop)"

@@ -28,9 +28,16 @@ type Disk struct {
 
 // SetFaults attaches (or, with nil, detaches) the fault injector. A
 // read or write trap fails that page read or write with
-// ErrInjectedRead or ErrInjectedWrite; on a FileDisk a wal or page
-// trap kills the store at that physical write.
-func (d *Disk) SetFaults(f *fault.Injector) { d.faults.Store(f) }
+// ErrInjectedRead or ErrInjectedWrite. The in-memory store makes no
+// physical writes, so it refuses an injector with a wal or page trap,
+// which would never fire (FileDisk.SetFaults takes them).
+func (d *Disk) SetFaults(f *fault.Injector) error {
+	if t, ok := f.Trapped(fault.Op.Physical); ok {
+		return fmt.Errorf("storage: %v@%d needs a durable store: the in-memory store makes no physical writes", t.Op, t.Nth)
+	}
+	d.faults.Store(f)
+	return nil
+}
 
 // injected reports whether the attached injector fails this call of op.
 func (d *Disk) injected(op fault.Op) bool {

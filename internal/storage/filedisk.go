@@ -323,8 +323,11 @@ func (fd *FileDisk) AppendPage(id FileID) (int32, error) {
 	return no, nil
 }
 
-// WritePage logs a full page image (WAL before data) and then updates
-// the in-memory page; an unlogged file's page is only updated.
+// WritePage updates the in-memory page and, once that has succeeded,
+// logs its full image under the same latch, so a write reported failed
+// leaves no record to replay; an unlogged file's page is only updated.
+// The log still precedes the data: data files are written only by a
+// checkpoint, which takes the latch.
 func (fd *FileDisk) WritePage(pid PageID, src *Page) error {
 	if fd.crashed.Load() {
 		return ErrCrashed
@@ -337,10 +340,10 @@ func (fd *FileDisk) WritePage(pid PageID, src *Page) error {
 	if !fd.Disk.hasFile(pid.File) {
 		return fmt.Errorf("storage: write of missing page %v", pid)
 	}
-	fd.wal.append(&walRecord{typ: recImage, file: pid.File, pageNo: pid.No, image: src.buf[:]})
 	if err := fd.Disk.WritePage(pid, src); err != nil {
 		return err
 	}
+	fd.wal.append(&walRecord{typ: recImage, file: pid.File, pageNo: pid.No, image: src.buf[:]})
 	fd.dirty[pid] = struct{}{}
 	return nil
 }
@@ -489,6 +492,14 @@ func (fd *FileDisk) walSyncLocked() error {
 	w.durableRecords += nRecs
 	fd.fsyncs.Add(1)
 	return err
+}
+
+// SetFaults attaches (or, with nil, detaches) the fault injector: its
+// read and write traps fail page I/O as on the in-memory store, and a
+// wal or page trap kills the store at that physical write.
+func (fd *FileDisk) SetFaults(f *fault.Injector) error {
+	fd.faults.Store(f)
+	return nil
 }
 
 // writeFault decides one physical write of op (fault.OpWAL or

@@ -460,6 +460,79 @@ func trap(op fault.Op, n int64, kind fault.Kind) *fault.Injector {
 	return fault.Schedule{Traps: []fault.Trap{{Op: op, Nth: n, Kind: kind}}}.Injector()
 }
 
+// TestFileDiskFailedWriteLeavesNoRecord: a page write reported failed
+// takes no effect, now or after recovery: the next Sync makes nothing
+// of it durable, and the recovered page holds the last write that
+// succeeded.
+func TestFileDiskFailedWriteLeavesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	fd, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := PageID{File: fd.CreateFile()}
+	if _, err := fd.AppendPage(pid.File); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.WritePage(pid, pageWithRecord(t, "old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.SetFaults(trap(fault.OpWrite, 1, fault.KindDrop)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.WritePage(pid, pageWithRecord(t, "failed")); !errors.Is(err, ErrInjectedWrite) {
+		t.Fatalf("trapped write: %v, want ErrInjectedWrite", err)
+	}
+	if got := readRecord(t, fd, pid); got != "old" {
+		t.Errorf("after the failed write the store reads %q, want %q", got, "old")
+	}
+	if err := fd.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readRecord(t, rec, pid); got != "old" {
+		t.Errorf("recovered %q, want %q: a write reported failed became durable", got, "old")
+	}
+}
+
+// TestSetFaultsRefusesPhysicalTraps: the in-memory store makes no
+// physical writes, so it refuses an injector trapping a wal or page
+// write, which would never fire, and keeps the injector it had; page
+// I/O traps it takes, and a FileDisk takes every trap.
+func TestSetFaultsRefusesPhysicalTraps(t *testing.T) {
+	d := NewDisk()
+	f := d.CreateFile()
+	if _, err := d.AppendPage(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetFaults(trap(fault.OpRead, 1, fault.KindDrop)); err != nil {
+		t.Fatalf("in-memory store refused a read trap: %v", err)
+	}
+	for _, op := range []fault.Op{fault.OpWAL, fault.OpPage} {
+		if err := d.SetFaults(trap(op, 1, fault.KindDrop)); err == nil {
+			t.Errorf("in-memory store took a %v trap it never reaches", op)
+		}
+	}
+	if err := d.ReadPage(PageID{File: f}, new(Page)); !errors.Is(err, ErrInjectedRead) {
+		t.Errorf("read after the refusals: %v, want the kept read trap's ErrInjectedRead", err)
+	}
+	fd, _, err := Recover(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []fault.Op{fault.OpWAL, fault.OpPage, fault.OpRead, fault.OpWrite} {
+		if err := fd.SetFaults(trap(op, 1, fault.KindDrop)); err != nil {
+			t.Errorf("FileDisk refused a %v trap: %v", op, err)
+		}
+	}
+}
+
 func TestFileDiskCrashScriptWAL(t *testing.T) {
 	// Count the WAL write points of a fixed workload with an observer
 	// injector, then crash at each one and verify the recovered state is

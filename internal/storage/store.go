@@ -44,8 +44,9 @@ type Store interface {
 
 	// SetFaults attaches (nil detaches) the fault injector its page
 	// reads and writes — and a durable store's physical writes —
-	// consult (see Disk.SetFaults).
-	SetFaults(f *fault.Injector)
+	// consult; a store refuses traps it would never reach (see
+	// Disk.SetFaults).
+	SetFaults(f *fault.Injector) error
 }
 
 var (

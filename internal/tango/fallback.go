@@ -13,7 +13,6 @@ import (
 	"tango/internal/algebra"
 	"tango/internal/client"
 	"tango/internal/optimizer"
-	"tango/internal/planck"
 	"tango/internal/rel"
 	"tango/internal/telemetry"
 	"tango/internal/wire"
@@ -123,12 +122,6 @@ func (m *Middleware) runWithFallback(res *optimizer.Result, cat algebra.Catalog,
 	sp.SetInt("td", int64(td))
 	if m.Metrics != nil {
 		m.Metrics.Counter("tango_plan_fallbacks_total", telemetry.Labels{"op": op}).Inc()
-	}
-	if m.CheckPlans {
-		if cerr := planck.Check(cand.Plan, cat); cerr != nil {
-			sp.Finish()
-			return nil, nil, errors.Join(err, cerr)
-		}
 	}
 	ex2 := m.newExecutor(cat, sp)
 	out, err2 := ex2.Run(cand.Plan)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"tango/internal/algebra"
 	"tango/internal/client"
@@ -260,13 +259,7 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 		// Transfers were observed above, from their feedback.
 		if n.Op != algebra.OpTM && n.Op != algebra.OpTD {
 			m.mu.Lock()
-			m.Model.F.Observe(cost.ObservedOp{
-				Node:     n,
-				InBytes:  float64(s.InputBytes()),
-				OutBytes: float64(s.Bytes),
-				InCard:   float64(s.InputRows()),
-				Micros:   float64(s.SelfTime()) / float64(time.Microsecond),
-			})
+			m.Model.F.Observe(cost.FromStats(n, s))
 			m.mu.Unlock()
 		}
 		if m.Metrics != nil && s.Rows > 0 {
@@ -294,10 +287,8 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 }
 
 // transferObs is a transfer's feedback as one observation of its plan
-// node.
-func transferObs(n *algebra.Node, fb client.Feedback) cost.ObservedOp {
-	return cost.ObservedOp{Node: n, InBytes: float64(fb.Bytes), Micros: float64(fb.Elapsed) / float64(time.Microsecond)}
-}
+// node, built as calibration builds its transfer samples.
+var transferObs = cost.FromFeedback
 
 // Run optimizes an initial plan and executes the winner, returning
 // the result and the optimizer's report. The whole lifecycle is

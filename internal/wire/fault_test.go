@@ -42,3 +42,18 @@ func TestCorrupt(t *testing.T) {
 		t.Fatal("corrupt did not truncate")
 	}
 }
+
+// TestProxyRefusesStorageTraps: the proxy decides wire ops only, so it
+// refuses a schedule that traps a store's op.
+func TestProxyRefusesStorageTraps(t *testing.T) {
+	for _, rule := range []string{"wal@1=drop", "write@2=drop"} {
+		sched, err := fault.ParseSchedule("fetch@1=drop;" + rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := NewProxy("127.0.0.1:1", sched.Injector()); err == nil {
+			p.Close()
+			t.Errorf("proxy took %q", rule)
+		}
+	}
+}

@@ -21,6 +21,7 @@
 package wire
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -44,8 +45,12 @@ type Proxy struct {
 }
 
 // NewProxy starts a proxy on a fresh loopback port, forwarding to
-// target. A nil injector forwards everything untouched.
+// target. A nil injector forwards everything untouched; one with a
+// storage trap is refused, as the proxy decides wire ops only.
 func NewProxy(target string, f *fault.Injector) (*Proxy, error) {
+	if t, ok := f.Trapped(fault.Op.Storage); ok {
+		return nil, fmt.Errorf("wire: proxy: %v@%d is a storage fault; the proxy injects wire faults only (exec, query, fetch, load, stats)", t.Op, t.Nth)
+	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
