@@ -120,12 +120,14 @@ load:
 # the range-sel sweep: an indexed range at 0.1 %, 1 %, 5 % and 46 %
 # read by index, by heap scan and by the path ANALYZE's statistics
 # choose, and the heap-filter sweep: a heap scan testing a float and a
-# date conjunct on its pages at 2 %, 25 % and 90 % selectivity; and a
-# server cursor's fetches draining a 12k-row filter + projection and an
+# date conjunct on its pages at 2 %, 25 % and 90 % selectivity; the
+# hash join on 4,000 unique and on Zipf-skewed build keys, and GROUP BY
+# over 12k rows in 800 groups (integer, integer + string and
+# COUNT(DISTINCT) keys); and a server cursor's fetches draining a 12k-row filter + projection and an
 # ORDER BY (ns/op, B/op and allocs/op); and the T^D layer: a temp
 # table's CREATE IF NOT EXISTS, 3,600-row bulk load and DROP on a
 # durable store (ns/op, allocs/op and fsyncs/op).
-ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|CursorFetch|TempTransfer
+ROWBENCH = SortTuples|HeapScanDecode|EngineSort|EngineScan|EngineHashJoin|EngineGroupBy|CursorFetch|TempTransfer
 
 # XXLBENCH is the middleware operator layer: TAGGR^M's sweep per
 # aggregate kind, the temporal and the regular merge join, and SORT^M in

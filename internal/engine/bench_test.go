@@ -202,3 +202,80 @@ func BenchmarkTempTransfer(b *testing.B) {
 	_, _, after := db.FileDisk().GroupCommitStats()
 	b.ReportMetric(float64(after-before)/float64(b.N), "fsyncs/op")
 }
+
+// groupDB holds G (G, S, V): n rows in the given number of groups, G
+// uniform over them and S naming G.
+func groupDB(tb testing.TB, n, groups int) *DB {
+	tb.Helper()
+	db := Open(Config{})
+	if _, err := db.Exec("CREATE TABLE G (G INTEGER, S VARCHAR, V INTEGER)"); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(groups)))
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		g := rng.Intn(groups)
+		rows[i] = types.Tuple{types.Int(int64(g)), types.Str(fmt.Sprintf("group %d", g)), types.Int(rng.Int63n(1000))}
+	}
+	if err := db.BulkLoad("G", rows); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// runQueries runs each query as a sub-benchmark, reporting allocations
+// and input rows/s.
+func runQueries(b *testing.B, db *DB, rows int, cases []struct{ name, sql string }) {
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.QueryAll(bc.sql); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkEngineHashJoin is the engine's hash join on two build
+// shapes: "unique", 12k POSITION rows probing EMPLOYEE's 4,000 unique
+// EmpIDs (plain_sql's join_dbms), and "zipf-self", a self-join of the
+// early rows of a 12k-row table whose PosIDs are Zipf-skewed as the
+// evaluation data's are (mw_heavy's tjoin), so long runs of build rows
+// share a key.
+func BenchmarkEngineHashJoin(b *testing.B) {
+	const n = 12000
+	db := positionDB(b, n)
+	addEmployee(b, db, 4000)
+	if _, err := db.Exec("CREATE TABLE ZPOS (PosID INTEGER, EmpName VARCHAR, T1 DATE)"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	zipf := rand.NewZipf(rng, 1.3, 4, 799)
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(zipf.Uint64()) + 1),
+			types.Str(fmt.Sprintf("Employee %d", rng.Intn(4000))), types.Date(rng.Int63n(8000))}
+	}
+	if err := db.BulkLoad("ZPOS", rows); err != nil {
+		b.Fatal(err)
+	}
+	runQueries(b, db, n, []struct{ name, sql string }{
+		{"unique", "SELECT P.PosID, E.EmpName, E.Addr FROM POSITION P, EMPLOYEE E WHERE P.EmpID = E.EmpID"},
+		{"zipf-self", "SELECT A.PosID, A.EmpName, B.EmpName FROM ZPOS A, ZPOS B WHERE A.PosID = B.PosID AND A.T1 < 600 AND B.T1 < 600"},
+	})
+}
+
+// BenchmarkEngineGroupBy is hash aggregation over 12k rows in 800
+// groups: on an integer key, on an integer and a string key, and with a
+// COUNT(DISTINCT …) beside the grouping.
+func BenchmarkEngineGroupBy(b *testing.B) {
+	const n = 12000
+	runQueries(b, groupDB(b, n, 800), n, []struct{ name, sql string }{
+		{"int", "SELECT G, COUNT(*), SUM(V), MAX(V) FROM G GROUP BY G"},
+		{"int-string", "SELECT G, S, COUNT(*), SUM(V), MAX(V) FROM G GROUP BY G, S"},
+		{"distinct", "SELECT G, COUNT(DISTINCT V) FROM G GROUP BY G"},
+	})
+}

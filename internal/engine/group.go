@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"tango/internal/rel"
 	"tango/internal/types"
@@ -16,138 +17,111 @@ type aggSpec struct {
 
 // aggState accumulates one aggregate for one group.
 type aggState struct {
-	spec  *aggSpec
 	count int64
-	sum   types.Value
-	min   types.Value
-	max   types.Value
-	seen  map[string]bool // for DISTINCT
+	acc   types.Value // the sum (SUM, AVG), minimum (MIN) or maximum (MAX)
 }
 
-func newAggState(spec *aggSpec) *aggState {
-	s := &aggState{spec: spec}
-	if spec.distinct {
-		s.seen = map[string]bool{}
-	}
-	return s
-}
-
-// add adds t's value; a value it keeps (a first sum, a minimum or a
-// maximum) is copied into mem.
-func (s *aggState) add(t types.Tuple, mem *types.Arena) error {
-	var v types.Value
-	if s.spec.arg == nil {
+// add adds t's value to group's state s; a value it keeps (a first sum,
+// a minimum or a maximum) is copied into mem. A DISTINCT aggregate adds
+// only the values seen does not yet hold for the group.
+func (spec *aggSpec) add(s *aggState, t types.Tuple, group int, seen *types.KeyTable, mem *types.Arena) error {
+	if spec.arg == nil {
 		// COUNT(*): every row counts.
 		s.count++
 		return nil
 	}
-	v, err := s.spec.arg(t)
+	v, err := spec.arg(t)
 	if err != nil {
 		return err
 	}
 	if v.IsNull() {
 		return nil // SQL aggregates ignore NULLs
 	}
-	if s.seen != nil {
-		k := types.Tuple{v}.Key()
-		if s.seen[k] {
+	if spec.distinct {
+		if _, added := seen.Insert(types.Tuple{types.Int(int64(group)), v}); !added {
 			return nil
 		}
-		s.seen[k] = true
 	}
 	s.count++
-	switch s.spec.name {
-	case "SUM", "AVG":
-		if s.sum.IsNull() {
-			s.sum = mem.Value(v)
-		} else {
-			s.sum = types.Add(s.sum, v)
-		}
-	case "MIN":
-		if s.min.IsNull() || types.Less(v, s.min) {
-			s.min = mem.Value(v)
-		}
-	case "MAX":
-		if s.max.IsNull() || types.Less(s.max, v) {
-			s.max = mem.Value(v)
-		}
+	switch first := s.acc.IsNull(); {
+	case spec.name == "COUNT":
+	case (spec.name == "SUM" || spec.name == "AVG") && !first:
+		s.acc = types.Add(s.acc, v)
+	case first, spec.name == "MIN" && types.Less(v, s.acc), spec.name == "MAX" && types.Less(s.acc, v):
+		s.acc = mem.Value(v)
 	}
 	return nil
 }
 
-func (s *aggState) result() types.Value {
-	switch s.spec.name {
+func (spec *aggSpec) result(s *aggState) types.Value {
+	switch spec.name {
 	case "COUNT":
 		return types.Int(s.count)
-	case "SUM":
-		return s.sum
 	case "AVG":
 		if s.count == 0 {
 			return types.Null
 		}
-		return types.Float(s.sum.AsFloat() / float64(s.count))
-	case "MIN":
-		return s.min
-	case "MAX":
-		return s.max
+		return types.Float(s.acc.AsFloat() / float64(s.count))
 	}
-	return types.Null
+	return s.acc
 }
 
 // groupIter implements hash aggregation. Its output schema is the
 // group-key expressions followed by the aggregate results; the select
-// planner rewrites the select list against this internal schema. The
-// group keys and the values the aggregates keep, and the result rows,
-// are copied into its arena.
+// planner rewrites the select list against this internal schema. A key
+// table numbers the groups, and the aggregates' states sit in one slice
+// by group id. The values the aggregates keep, and the result rows, are
+// copied into its arena.
 type groupIter struct {
 	in      rel.Input
 	keys    []evalFunc
 	aggs    []*aggSpec
 	schema  types.Schema
+	groups  types.KeyTable   // the group keys, by group id
+	states  []aggState       // group id's are states[id*len(aggs):][:len(aggs)]
+	seen    []types.KeyTable // by aggregate, a DISTINCT one's (group id, value) pairs
 	mem     types.Arena
 	results []types.Tuple
 	out     rel.Cursor
 	// global reports a grand aggregate (no GROUP BY): exactly one
-	// output row even for empty input.
+	// output row even for empty input, and no key table.
 	global bool
 }
 
 func newGroup(in rel.Iterator, keys []evalFunc, aggs []*aggSpec, schema types.Schema) *groupIter {
-	return &groupIter{in: rel.In(in), keys: keys, aggs: aggs, schema: schema, global: len(keys) == 0}
+	return &groupIter{in: rel.In(in), keys: keys, aggs: aggs, schema: schema,
+		seen: make([]types.KeyTable, len(aggs)), global: len(keys) == 0}
 }
 
 func (g *groupIter) Schema() types.Schema { return g.schema }
 
 func (g *groupIter) Open() error {
-	type groupState struct {
-		key    types.Tuple
-		states []*aggState
-	}
-	groups := map[string]*groupState{}
-	var order []string // preserve first-seen order
 	g.out.Reset(nil)
 	g.mem.Reset()
+	n := len(g.aggs)
+	g.states = append(g.states[:0], make([]aggState, n)...) // group 0's, or the grand aggregate's
+	if !g.global {
+		g.groups.Reset(len(g.keys))
+	}
+	for i, a := range g.aggs {
+		if a.distinct {
+			g.seen[i].Reset(2)
+		}
+	}
 	key := make(types.Tuple, len(g.keys))
 	if err := rel.Each(&g.in, func(t types.Tuple) error {
-		for i, k := range g.keys {
-			v, err := k(t)
-			if err != nil {
+		id := 0
+		if !g.global {
+			if _, err := evalKeys(t, g.keys, key); err != nil {
 				return err
 			}
-			key[i] = v
-		}
-		kstr := key.Key()
-		gs, ok := groups[kstr]
-		if !ok {
-			gs = &groupState{key: g.mem.Copy(key)}
-			for _, a := range g.aggs {
-				gs.states = append(gs.states, newAggState(a))
+			var added bool
+			if id, added = g.groups.Insert(key); added && id > 0 {
+				g.states = append(g.states, make([]aggState, n)...)
 			}
-			groups[kstr] = gs
-			order = append(order, kstr)
 		}
-		for _, st := range gs.states {
-			if err := st.add(t, &g.mem); err != nil {
+		for i, a := range g.aggs {
+			if err := a.add(&g.states[id*n+i], t, id, &g.seen[i], &g.mem); err != nil {
 				return err
 			}
 		}
@@ -155,21 +129,18 @@ func (g *groupIter) Open() error {
 	}); err != nil {
 		return err
 	}
-	g.results = g.results[:0]
-	if g.global && len(groups) == 0 {
-		// Grand aggregate over empty input: one row of empty-group
-		// results (COUNT=0, others NULL).
-		row := g.mem.Make(len(g.aggs))[:0]
-		for _, a := range g.aggs {
-			row = append(row, newAggState(a).result())
-		}
-		g.results = append(g.results, row)
+	ngroups := g.groups.Len()
+	if g.global {
+		ngroups = 1
 	}
-	for _, kstr := range order {
-		gs := groups[kstr]
-		row := append(g.mem.Make(len(gs.key) + len(gs.states))[:0], gs.key...)
-		for _, st := range gs.states {
-			row = append(row, st.result())
+	g.results = slices.Grow(g.results[:0], ngroups)
+	for id := range ngroups {
+		row := g.mem.Make(len(g.keys) + n)
+		if !g.global {
+			copy(row, g.groups.Key(id))
+		}
+		for i, a := range g.aggs {
+			row[len(g.keys)+i] = a.result(&g.states[id*n+i])
 		}
 		g.results = append(g.results, row)
 	}
@@ -180,22 +151,23 @@ func (g *groupIter) Open() error {
 func (g *groupIter) NextBatch(dst []types.Tuple) (int, error) { return g.out.Read(dst), nil }
 
 func (g *groupIter) Close() error {
-	g.results = nil
+	g.results, g.states = nil, nil
+	g.groups.Free()
+	for i := range g.seen {
+		g.seen[i].Free()
+	}
 	g.mem.Free()
 	g.out.Reset(nil)
 	return g.in.Close()
 }
 
-// validateAggArity checks aggregate argument counts.
+// validateAgg checks an aggregate's argument count.
 func validateAgg(name string, nargs int) error {
-	if name == "COUNT" {
-		if nargs != 1 {
-			return fmt.Errorf("engine: COUNT takes one argument or *")
-		}
+	switch {
+	case nargs == 1:
 		return nil
+	case name == "COUNT":
+		return fmt.Errorf("engine: COUNT takes one argument or *")
 	}
-	if nargs != 1 {
-		return fmt.Errorf("engine: %s takes exactly one argument", name)
-	}
-	return nil
+	return fmt.Errorf("engine: %s takes exactly one argument", name)
 }

@@ -455,12 +455,11 @@ func (j *indexNLJoin) Close() error {
 
 // --- Hash join ---
 
-// hashJoin builds a hash table on the right input, its rows copied
-// into the join's arena, keyed by the right key expressions and probes
-// with the left; residual (may be nil) filters concatenated tuples.
-// Each row's key is evaluated once: the build side stores its key
-// values beside the row, and a probe row's are computed once and
-// compared with the stored ones.
+// hashJoin builds a key table on the right input, its rows copied
+// into the join's arena and grouped by key id into contiguous runs,
+// and probes with the left; residual (may be nil) filters concatenated
+// tuples. A probe row's key is evaluated and looked up once, and its
+// run walked in input order.
 type hashJoin struct {
 	left                *rel.Reader
 	right               rel.Input
@@ -468,19 +467,15 @@ type hashJoin struct {
 	residual            evalFunc
 	schema              types.Schema
 
-	table  map[uint64][]hashEntry
-	build  types.Arena // the build rows and their key values
+	keys   types.KeyTable
+	rows   []types.Tuple // the build rows, in one run per key id
+	bounds []int32       // the run of id is rows[bounds[id]:bounds[id+1]]
+	ids    []int32       // while building: each row's key id
+	build  types.Arena   // the build rows, kept: rows is its Rows
 	cur    types.Tuple
-	probe  types.Tuple // cur's key values; a build row's while building
-	bucket []hashEntry
-	bi     int
+	probe  types.Tuple   // cur's key values; a build row's while building
+	run    []types.Tuple // cur's build rows not yet joined
 	out    joinOut
-}
-
-// hashEntry is a build row with its join key values.
-type hashEntry struct {
-	key types.Tuple
-	row types.Tuple
 }
 
 func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, residual evalFunc) *hashJoin {
@@ -494,41 +489,64 @@ func newHashJoin(left, right rel.Iterator, leftKeys, rightKeys []evalFunc, resid
 
 func (j *hashJoin) Schema() types.Schema { return j.schema }
 
-// hashKeys evaluates keys over t into key and hashes the values; valid
-// is false when one is NULL, since NULL keys never join.
-func hashKeys(t types.Tuple, keys []evalFunc, key types.Tuple) (uint64, bool, error) {
-	var h uint64 = 14695981039346656037
+// evalKeys evaluates keys over t into key, reporting whether one is
+// NULL: a NULL key never joins, but groups.
+func evalKeys(t types.Tuple, keys []evalFunc, key types.Tuple) (null bool, err error) {
 	for i, k := range keys {
-		v, err := k(t)
-		if err != nil || v.IsNull() {
-			return 0, false, err
+		if key[i], err = k(t); err != nil {
+			return false, err
 		}
-		key[i] = v
-		h = h*1099511628211 ^ v.Hash()
+		null = null || key[i].IsNull()
 	}
-	return h, true, nil
+	return null, nil
 }
 
 func (j *hashJoin) Open() error {
-	j.table = map[uint64][]hashEntry{}
+	j.keys.Reset(len(j.rightKeys))
 	j.build.Reset()
+	j.ids = j.ids[:0]
 	j.probe = make(types.Tuple, max(len(j.leftKeys), len(j.rightKeys)))
 	if err := rel.Each(&j.right, func(t types.Tuple) error {
-		// The keys are taken from the copy, as they may point into it.
-		row := j.build.Copy(t)
-		h, valid, err := hashKeys(row, j.rightKeys, j.probe)
-		if valid {
-			key := j.build.Make(len(j.rightKeys))
-			copy(key, j.probe)
-			j.table[h] = append(j.table[h], hashEntry{key: key, row: row})
+		null, err := evalKeys(t, j.rightKeys, j.probe)
+		if !null && err == nil {
+			id, _ := j.keys.Insert(j.probe)
+			j.ids = append(j.ids, int32(id))
+			j.build.Keep(t)
 		}
 		return err
 	}); err != nil {
 		return err
 	}
-	j.cur = nil
+	j.rows = j.build.Rows()
+	j.groupRuns()
+	j.cur, j.run = nil, nil
 	j.probe = j.probe[:len(j.leftKeys)]
 	return j.left.Open()
+}
+
+// groupRuns reorders the build rows in place, by one counting pass over
+// their key ids, into one run per id in id order, each in input order.
+func (j *hashJoin) groupRuns() {
+	bounds := append(j.bounds[:0], make([]int32, j.keys.Len()+1)...)
+	for _, id := range j.ids {
+		bounds[id]++
+	}
+	for id := 1; id < len(bounds); id++ {
+		bounds[id] += bounds[id-1]
+	}
+	dest := j.ids // each row's place, filling each run from its end
+	for i := len(dest) - 1; i >= 0; i-- {
+		id := dest[i]
+		bounds[id]--
+		dest[i] = bounds[id]
+	}
+	for i := range j.rows {
+		for d := dest[i]; d != int32(i); d = dest[i] {
+			j.rows[i], j.rows[d] = j.rows[d], j.rows[i]
+			dest[i], dest[d] = dest[d], d
+		}
+	}
+	j.bounds = bounds
 }
 
 func (j *hashJoin) NextBatch(dst []types.Tuple) (int, error) { return j.out.fill(dst, j.next) }
@@ -541,24 +559,21 @@ func (j *hashJoin) next() (types.Tuple, bool, error) {
 				return nil, false, err
 			}
 			j.cur = t
-			h, valid, err := hashKeys(j.cur, j.leftKeys, j.probe)
+			null, err := evalKeys(j.cur, j.leftKeys, j.probe)
 			if err != nil {
 				return nil, false, err
 			}
-			if valid {
-				j.bucket = j.table[h]
-			} else {
-				j.bucket = nil
+			j.run = nil
+			if !null {
+				if id := j.keys.Find(j.probe); id >= 0 {
+					j.run = j.rows[j.bounds[id]:j.bounds[id+1]]
+				}
 			}
-			j.bi = 0
 		}
-		for j.bi < len(j.bucket) {
-			e := j.bucket[j.bi]
-			j.bi++
-			if !slices.EqualFunc(j.probe, e.key, types.Equal) {
-				continue // a hash collision
-			}
-			out, ok, err := j.out.concatIf(j.cur, e.row, j.residual)
+		for len(j.run) > 0 {
+			r := j.run[0]
+			j.run = j.run[1:]
+			out, ok, err := j.out.concatIf(j.cur, r, j.residual)
 			if err != nil {
 				return nil, false, err
 			}
@@ -571,7 +586,8 @@ func (j *hashJoin) next() (types.Tuple, bool, error) {
 }
 
 func (j *hashJoin) Close() error {
-	j.table = nil
+	j.keys.Free()
+	j.rows, j.bounds, j.ids, j.run = nil, nil, nil, nil
 	j.build.Free()
 	j.out.rows.Free()
 	err := j.left.Close()

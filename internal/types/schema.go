@@ -153,8 +153,8 @@ func (t Tuple) Clone() Tuple {
 // Equal get equal keys, so Int(2), Float(2) and Date(2) share one, and
 // NULL is a key of its own (never Str("N")'s). Numerics and strings are
 // told apart by kind; Compare's display-form equality between the two
-// does not carry over. Duplicate elimination, DISTINCT aggregates,
-// grouping and multiset equality all key rows here.
+// does not carry over. Multiset equality keys rows here, and KeyTable,
+// which the hash operators key rows in, matches keys as it does.
 func (t Tuple) Key() string {
 	buf := make([]byte, 0, 64)
 	for _, v := range t {

@@ -3,6 +3,7 @@
 package xxl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -131,5 +132,50 @@ func TestSortMergeAllocs(t *testing.T) {
 	}
 	if perRow := allocs / float64(rows); perRow > 0.05 {
 		t.Errorf("SORT^M merging %d runs of %d rows: %.0f allocs, %.3f a row, want <= 0.05", runs, mem, allocs, perRow)
+	}
+}
+
+// TestDupElimAllocs: DUPELIM^M over 12,000 rows, about half of them
+// duplicates, keeps the rows it has seen in a key table: under 50
+// allocations a run, drained into one dst. A key string per row in a Go
+// map took over 12,000.
+func TestDupElimAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	in := rel.New(types.NewSchema(
+		types.Column{Name: "K", Kind: types.KindInt},
+		types.Column{Name: "S", Kind: types.KindString},
+		types.Column{Name: "T1", Kind: types.KindDate},
+	))
+	for i := 0; i < 12000; i++ {
+		k := rng.Int63n(8000)
+		in.Append(types.Tuple{types.Int(k), types.Str(fmt.Sprintf("name %d", k%97)), types.Date(k % 5)})
+	}
+	d := NewDupElim(in.Iter())
+	dst := make([]types.Tuple, rel.DefaultBatchSize)
+	rows := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		rows = 0
+		if err := d.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			n, err := d.NextBatch(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			rows += n
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rows == 0 || rows == in.Cardinality() {
+		t.Fatalf("%d of %d rows kept", rows, in.Cardinality())
+	}
+	if allocs > 50 {
+		t.Errorf("DUPELIM^M over %d rows: %.0f allocs a run, want <= 50", in.Cardinality(), allocs)
 	}
 }

@@ -356,10 +356,11 @@ func coerceTime(sample types.Value, day int64) types.Value {
 }
 
 // DupElim is DUPELIM^M: hash-based duplicate elimination, keeping the
-// first occurrence (order preserving).
+// first occurrence (order preserving). A key table holds the tuples
+// seen.
 type DupElim struct {
 	in   rel.Input
-	seen map[string]bool
+	seen types.KeyTable
 }
 
 // NewDupElim removes duplicate tuples.
@@ -370,25 +371,21 @@ func (d *DupElim) Schema() types.Schema { return d.in.Schema() }
 
 // Open opens the input and resets state.
 func (d *DupElim) Open() error {
-	d.seen = map[string]bool{}
+	d.seen.Reset(d.in.Schema().Len())
 	return d.in.Open()
 }
 
 // Close closes the input.
 func (d *DupElim) Close() error {
-	d.seen = nil
+	d.seen.Free()
 	return d.in.Close()
 }
 
 // NextBatch passes on the first occurrence of every tuple.
 func (d *DupElim) NextBatch(dst []types.Tuple) (int, error) {
 	return rel.Select(&d.in, dst, func(t types.Tuple) (bool, error) {
-		k := t.Key()
-		if d.seen[k] {
-			return false, nil
-		}
-		d.seen[k] = true
-		return true, nil
+		_, added := d.seen.Insert(t)
+		return added, nil
 	})
 }
 
