@@ -51,11 +51,11 @@ race:
 # fuzz smoke-runs the parser fuzz targets, the fault-schedule decoder,
 # the wire decoders (frame, request and reply envelope), the WAL
 # decoder, the block decoder (heap pages, wire batches, spill runs),
-# its conjunct filter (against the compiled eval predicate) and the
-# row sort (against the comparison sort it replaced) for
-# FUZZTIME each, seeded from the evaluation workload. Any crasher is
-# written to the package's testdata/fuzz corpus and replays under
-# plain `go test`.
+# its conjunct filter (against the compiled eval predicate), the row
+# sort (against a stable sort) and the value order (Compare against
+# Tuple.Key, Hash and KeyTable) for FUZZTIME each, seeded from the
+# evaluation workload. Any crasher is written to the package's
+# testdata/fuzz corpus and replays under plain `go test`.
 fuzz:
 	$(GO) test ./internal/sqlparser/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/tsql/ -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzBlockDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzBlockFilter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzSortTuples -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzValueOrder -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
 # drop/stall/partial schedules at GOMAXPROCS 1 and 4, plus the

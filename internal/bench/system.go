@@ -263,43 +263,6 @@ func (s *System) Close() error {
 	return err
 }
 
-// QueryLatency summarizes the end-to-end query latency histogram
-// (tango_query_seconds): count, mean, and log-scale quantiles. Zero
-// when metrics are off or no query has completed.
-func (s *System) QueryLatency() LatencySummary {
-	if s.Metrics == nil {
-		return LatencySummary{}
-	}
-	h := s.Metrics.Histogram("tango_query_seconds", nil, telemetry.LatencyBuckets)
-	n := h.Count()
-	if n == 0 {
-		return LatencySummary{}
-	}
-	return LatencySummary{
-		Count: n,
-		Mean:  h.Sum() / float64(n),
-		P50:   h.Quantile(0.50),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-	}
-}
-
-// LatencySummary is a histogram digest: count, mean, and quantiles (in
-// seconds).
-type LatencySummary struct {
-	Count                int64
-	Mean, P50, P99, P999 float64
-}
-
-// String renders the summary for bench reports.
-func (l LatencySummary) String() string {
-	if l.Count == 0 {
-		return "no queries"
-	}
-	return fmt.Sprintf("n=%d mean=%.3fms p50=%.3fms p99=%.3fms p999=%.3fms",
-		l.Count, l.Mean*1e3, l.P50*1e3, l.P99*1e3, l.P999*1e3)
-}
-
 // NamedPlan is one of the plan alternatives of §5.2.
 type NamedPlan struct {
 	Name string

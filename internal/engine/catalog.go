@@ -9,6 +9,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -592,13 +593,19 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 		stats.AvgTupleSize = float64(bytes) / float64(card)
 	}
 	var kept types.Arena // the min and max strings, which outlive the scan
+	var distinct types.KeyTable
+	defer distinct.Free()
 	for i, col := range t.Schema.Cols {
 		cs := &meta.ColumnStats{Name: col.Name}
-		distinct := map[string]bool{}
-		for _, v := range values[i] {
+		distinct.Reset(1)
+		for j, v := range values[i] {
 			if v.IsNull() {
 				cs.NullCount++
 				continue
+			}
+			distinct.Insert(values[i][j : j+1])
+			if v.Kind() == types.KindFloat && math.IsNaN(v.AsFloat()) {
+				continue // NaN is a distinct value, but bounds nothing
 			}
 			if cs.Min.IsNull() || types.Less(v, cs.Min) {
 				cs.Min = v
@@ -606,10 +613,9 @@ func (db *DB) Analyze(name string, histogramBuckets int) (*meta.TableStats, erro
 			if cs.Max.IsNull() || types.Less(cs.Max, v) {
 				cs.Max = v
 			}
-			distinct[v.AsString()] = true
 		}
 		cs.Min, cs.Max = kept.Value(cs.Min), kept.Value(cs.Max)
-		cs.Distinct = int64(len(distinct))
+		cs.Distinct = int64(distinct.Len())
 		if histogramBuckets > 0 && col.Kind != types.KindString && col.Kind != types.KindBool {
 			cs.Histogram = meta.BuildHistogram(values[i], histogramBuckets)
 		}

@@ -571,6 +571,24 @@ func TestAnalyzeStatistics(t *testing.T) {
 	if stats.Column("EmpName").Histogram != nil {
 		t.Error("no histogram expected on strings")
 	}
+	// NaN is one distinct value but no bound, and -0 is 0.
+	if _, err := db.Exec("CREATE TABLE N (X FLOAT, Z FLOAT)"); err != nil {
+		t.Fatal(err)
+	}
+	f := types.Float
+	if err := db.BulkLoad("N", []types.Tuple{{f(math.NaN()), f(0)}, {f(1), f(math.Copysign(0, -1))}, {f(2), types.Null}}); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err = db.Analyze("N", 4); err != nil {
+		t.Fatal(err)
+	}
+	x, z := stats.Column("X"), stats.Column("Z")
+	if x.Distinct != 3 || x.Min.AsFloat() != 1 || x.Max.AsFloat() != 2 || z.Distinct != 1 {
+		t.Fatalf("X: distinct %d, min %v, max %v; Z: distinct %d", x.Distinct, x.Min, x.Max, z.Distinct)
+	}
+	if h := x.Histogram; h.Rows != 2 || h.Bounds[0] != 1 || h.Bounds[len(h.Bounds)-1] != 2 {
+		t.Fatalf("X histogram: %+v", h)
+	}
 }
 
 func TestDDLErrors(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 )
 
 // keyedDB holds T (K, S, F, V) with n seeded rows: Zipf-skewed integer
-// keys K, a few strings S, floats F that are often ±0, and NULL in each
-// of K, S and F now and then.
+// keys K, a few strings S (half of them digits), floats F that are
+// often ±0 or NaN, and NULL in each of K, S and F now and then.
 func keyedDB(tb testing.TB, n int, seed int64) (*DB, []types.Tuple) {
 	tb.Helper()
 	db := Open(Config{})
@@ -30,9 +30,9 @@ func keyedDB(tb testing.TB, n int, seed int64) (*DB, []types.Tuple) {
 	}
 	rows := make([]types.Tuple, n)
 	for i := range rows {
-		f := []float64{0, math.Copysign(0, -1), 1.5, 2}[rng.Intn(4)]
+		f := []float64{0, math.Copysign(0, -1), 1.5, 2, math.NaN()}[rng.Intn(5)]
 		rows[i] = types.Tuple{
-			orNull(types.Int(int64(zipf.Uint64()))), orNull(types.Str(fmt.Sprintf("s%d", rng.Intn(7)))),
+			orNull(types.Int(int64(zipf.Uint64()))), orNull(types.Str(fmt.Sprint([]string{"s", ""}[rng.Intn(2)], rng.Intn(7)))),
 			orNull(types.Float(f)), types.Int(rng.Int63n(100)),
 		}
 	}
@@ -71,9 +71,11 @@ func sameRows(t *testing.T, what string, got *rel.Relation, want []types.Tuple) 
 }
 
 // TestHashOperatorsMatchReference: over seeded tables of one batch and
-// of many, with NULL keys, skewed duplicate keys, strings and ±0
-// floats, the hash join returns the sort-merge join's rows, in probe
-// order with each probe row's matches in build order; GROUP BY with
+// of many, with NULL keys, skewed duplicate keys, strings, ±0 and NaN
+// floats, the hash join returns a Tuple.Key-matched reference's rows,
+// in probe order with each probe row's matches in build order, and the
+// sort-merge, nested-loop and index nested-loop joins return its rows;
+// a string key never matches an integer one. GROUP BY with
 // COUNT(DISTINCT …), SELECT DISTINCT and UNION return the groups and
 // rows a Tuple.Key-grouped reference does, in first-seen order.
 func TestHashOperatorsMatchReference(t *testing.T) {
@@ -88,25 +90,40 @@ func TestHashOperatorsMatchReference(t *testing.T) {
 				return k
 			}
 		}
-		for _, on := range []struct {
+		joins := []struct {
 			where string
-			key   []int
-		}{{"A.K = B.K", []int{0}}, {"A.S = B.S AND A.F = B.F", []int{1, 2}}} {
+			a, b  []int // the key columns of A and of B
+		}{{"A.K = B.K", []int{0}, []int{0}}, {"A.S = B.S AND A.F = B.F", []int{1, 2}, []int{1, 2}}, {"A.S = B.K", []int{1}, []int{0}}}
+		hashed := make([]*rel.Relation, len(joins))
+		for i, on := range joins {
 			sql := "SELECT A.K, A.S, A.V, B.V, B.F FROM T A, T B WHERE " + on.where
 			var want []types.Tuple
-			_, build := firstSeen(rows, cols(on.key...))
+			_, build := firstSeen(rows, cols(on.b...))
 			for _, a := range rows {
-				if k := cols(on.key...)(a); !hasNull(k) {
+				if k := cols(on.a...)(a); !hasNull(k) {
 					for _, b := range build[k.Key()] {
 						want = append(want, types.Tuple{a[0], a[1], a[3], b[3], b[2]})
 					}
 				}
 			}
-			got := queryAll(t, db, sql)
-			sameRows(t, fmt.Sprintf("n=%d hash join on %s", n, on.where), got, want)
-			merge := queryAll(t, db, strings.Replace(sql, "SELECT", "SELECT /*+ USE_MERGE */", 1))
-			if !rel.EqualAsMultisets(got, merge) {
-				t.Fatalf("n=%d on %s: hash join and merge join disagree", n, on.where)
+			hashed[i] = queryAll(t, db, sql)
+			sameRows(t, fmt.Sprintf("n=%d hash join on %s", n, on.where), hashed[i], want)
+		}
+		// Every other method returns the hash join's rows: the merge
+		// join, the nested loop, and, once K and F are indexed, the
+		// index nested loop.
+		for _, step := range []string{"USE_MERGE", "USE_NL", "CREATE INDEX tk ON T (K)", "CREATE INDEX tf ON T (F)", "USE_NL"} {
+			if strings.HasPrefix(step, "CREATE") {
+				if _, err := db.Exec(step); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			for i, on := range joins {
+				sql := "SELECT /*+ " + step + " */ A.K, A.S, A.V, B.V, B.F FROM T A, T B WHERE " + on.where
+				if got := queryAll(t, db, sql); !rel.EqualAsMultisets(hashed[i], got) {
+					t.Fatalf("n=%d on %s: hash join returns %d rows, %s %d", n, on.where, hashed[i].Cardinality(), step, got.Cardinality())
+				}
 			}
 		}
 

@@ -10,6 +10,7 @@ package meta
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tango/internal/types"
@@ -99,17 +100,17 @@ type Histogram struct {
 // BuildHistogram builds a height-balanced histogram with the given
 // number of buckets over the values (which are sorted internally).
 // Values are reduced to their numeric axis (AsFloat), which is exact
-// for the int/date attributes the temporal estimators target.
+// for the int/date attributes the temporal estimators target; NULL and
+// NaN are left out.
 func BuildHistogram(values []types.Value, buckets int) *Histogram {
 	if len(values) == 0 || buckets < 1 {
 		return nil
 	}
 	xs := make([]float64, 0, len(values))
 	for _, v := range values {
-		if v.IsNull() {
-			continue
+		if x := v.AsFloat(); !v.IsNull() && !math.IsNaN(x) {
+			xs = append(xs, x)
 		}
-		xs = append(xs, v.AsFloat())
 	}
 	if len(xs) == 0 {
 		return nil

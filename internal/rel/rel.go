@@ -215,14 +215,3 @@ func EqualAsMultisets(a, b *Relation) bool {
 	}
 	return true
 }
-
-// DistinctCount returns the number of distinct values in the given
-// column.
-func (r *Relation) DistinctCount(col string) int {
-	idx := r.Schema.MustIndex(col)
-	seen := make(map[string]bool)
-	for _, t := range r.Tuples {
-		seen[t[idx:idx+1].Key()] = true
-	}
-	return len(seen)
-}

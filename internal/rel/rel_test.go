@@ -122,16 +122,6 @@ func TestNumericKeyNormalization(t *testing.T) {
 	}
 }
 
-func TestDistinctCount(t *testing.T) {
-	r := sampleRelation()
-	if n := r.DistinctCount("PosID"); n != 2 {
-		t.Errorf("DistinctCount(PosID) = %d, want 2", n)
-	}
-	if n := r.DistinctCount("EmpName"); n != 2 {
-		t.Errorf("DistinctCount(EmpName) = %d, want 2", n)
-	}
-}
-
 func TestSizes(t *testing.T) {
 	r := sampleRelation()
 	if r.Cardinality() != 3 {

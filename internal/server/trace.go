@@ -22,10 +22,6 @@ func (s *Server) SetCollector(c *telemetry.Collector) { s.collector.Store(c) }
 // tracing is off).
 func (s *Server) Collector() *telemetry.Collector { return s.collector.Load() }
 
-// BadHeaders reports how many requests carried an undecodable trace
-// header (a version-skewed or corrupted peer).
-func (s *Server) BadHeaders() int64 { return atomic.LoadInt64(&s.badHeaders) }
-
 // beginOp opens the server-side span of one wire op from its trace
 // header. It returns nil — making every downstream call free — when
 // tracing is off, the request carries no trace, or the header is

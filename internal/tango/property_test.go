@@ -2,6 +2,7 @@ package tango
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -61,7 +62,9 @@ func asMultisetKeyable(r *rel.Relation) *rel.Relation {
 // property: every transformation-rule product must be multiset
 // equivalent to the initial plan when executed (and list equivalent
 // when a top-level sort pins the order). We execute every enumerated
-// candidate of several query shapes over randomized data.
+// candidate of several query shapes over randomized data. The
+// join-float-nan shape adds rows whose FLOAT join keys are NaN, -0 and
+// 0, loaded as values since SQL cannot write a NaN.
 func TestAllCandidatePlansEquivalent(t *testing.T) {
 	queries := []struct {
 		name string
@@ -94,12 +97,32 @@ func TestAllCandidatePlansEquivalent(t *testing.T) {
 			b := algebra.ProjectCols(algebra.Scan("POSITION", "B"), "B.PosID", "B.EmpName")
 			return algebra.TM(algebra.Join(a, b, []string{"A.PosID"}, []string{"B.PosID"}))
 		}},
+		{"join-float-nan", func() *algebra.Node {
+			a := algebra.ProjectCols(algebra.Scan("POSITION", "A"), "A.PosID", "A.PayRate")
+			b := algebra.ProjectCols(algebra.Scan("POSITION", "B"), "B.PayRate", "B.EmpName")
+			return algebra.TM(algebra.Join(a, b, []string{"A.PayRate"}, []string{"B.PayRate"}))
+		}},
 	}
+	nan, negZero := types.Float(math.NaN()), types.Float(math.Copysign(0, -1))
+	extra := map[string][]types.Tuple{"join-float-nan": {
+		{types.Int(7), types.Str("Nan"), nan, types.Int(1), types.Int(5)},
+		{types.Int(8), types.Str("Nan"), nan, types.Int(2), types.Int(9)},
+		{types.Int(7), types.Str("Zed"), negZero, types.Int(3), types.Int(4)},
+		{types.Int(9), types.Str("Zed"), types.Float(0), types.Int(3), types.Int(6)},
+	}}
 	for _, q := range queries {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				_, ex, model := propSystem(t, seed, 40)
+				conn, ex, model := propSystem(t, seed, 40)
+				if rows := extra[q.name]; rows != nil {
+					if _, err := conn.Load("POSITION", rows); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := conn.Exec("ANALYZE POSITION HISTOGRAM 8"); err != nil {
+						t.Fatal(err)
+					}
+				}
 				res, err := optimizer.Optimize(model, q.plan())
 				if err != nil {
 					t.Fatal(err)

@@ -1,19 +1,18 @@
 package types
 
 import (
-	"math"
 	"slices"
 	"sync"
 )
 
 // A KeyTable numbers distinct key tuples densely in first-seen order:
 // the first key inserted gets id 0, the next distinct one id 1. Keys
-// match as Tuple.Key groups them. It hashes with Value.Hash into
-// open-addressed slots and keeps each key's hash and values in flat
-// slices by id, a new key's string bytes copied into its own arena:
-// filling it allocates O(log n) times, not once a key. Free hands the
-// slices to the next table Reset, as Arena.Free does its chunks. The
-// zero value is ready to use.
+// match when their values are pairwise Equal. It hashes with Value.Hash
+// into open-addressed slots and keeps each key's hash and values in
+// flat slices by id, a new key's string bytes copied into its own
+// arena: filling it allocates O(log n) times, not once a key. Free
+// hands the slices to the next table Reset, as Arena.Free does its
+// chunks. The zero value is ready to use.
 type KeyTable struct {
 	width  int
 	slots  []int32  // id+1 of the key there, 0 when empty; a power of two long
@@ -95,7 +94,7 @@ func (t *KeyTable) find(key Tuple) (id, slot int, h uint64) {
 		if t.slots[i] == 0 {
 			return -1, i, h
 		}
-		if id := int(t.slots[i] - 1); t.hashes[id] == h && slices.EqualFunc(t.Key(id), key, valuesMatch) {
+		if id := int(t.slots[i] - 1); t.hashes[id] == h && slices.EqualFunc(t.Key(id), key, Equal) {
 			return id, i, h
 		}
 	}
@@ -112,24 +111,4 @@ func (t *KeyTable) grow() {
 		}
 		t.slots[i] = int32(id + 1)
 	}
-}
-
-// valuesMatch reports whether a and b key alike under Tuple.Key: both
-// NULL, equal strings, numerics keying as the same integer (an integral
-// float in int64's range keys as one), or other floats of equal bits.
-func valuesMatch(a, b Value) bool {
-	if a.kind == KindNull || a.kind == KindString || b.kind == KindNull || b.kind == KindString {
-		return a.kind == b.kind && a.str() == b.str()
-	}
-	ai, aok := a.keyInt()
-	bi, bok := b.keyInt()
-	return aok == bok && (aok && ai == bi || !aok && a.n == b.n)
-}
-
-func (v Value) keyInt() (int64, bool) {
-	if v.kind != KindFloat {
-		return v.n, true
-	}
-	f := v.float()
-	return int64(f), f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64
 }

@@ -5,15 +5,12 @@ import (
 	"testing"
 )
 
-// TestKeyTableMatchesTupleKey: over equalityGrid and the values Equal
-// relates but Tuple.Key tells apart (a numeric string beside its
-// number, NaN beside every float, an integer beside the float it rounds
-// to), the table splits 1- and 2-column keys, NULL in either column
-// included, into exactly Tuple.Key's classes, numbers them in first-seen
-// order, and keeps a copy of each class's first key.
+// TestKeyTableMatchesTupleKey: over equalityGrid and +Inf, the table
+// splits 1- and 2-column keys, NULL in either column included, into
+// exactly Tuple.Key's classes, numbers them in first-seen order, and
+// keeps a copy of each class's first key.
 func TestKeyTableMatchesTupleKey(t *testing.T) {
-	vals := append(equalityGrid[:len(equalityGrid):len(equalityGrid)],
-		Str("2"), Float(math.NaN()), Int(1<<53+1), Float(1<<53), Int(1<<53), Float(math.Inf(1)))
+	vals := append(equalityGrid[:len(equalityGrid):len(equalityGrid)], Float(math.Inf(1)))
 	var keys []Tuple
 	for _, a := range vals {
 		keys = append(keys, Tuple{a})

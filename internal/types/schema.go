@@ -150,11 +150,10 @@ func (t Tuple) Clone() Tuple {
 }
 
 // Key renders the tuple as a map key: tuples whose values are pairwise
-// Equal get equal keys, so Int(2), Float(2) and Date(2) share one, and
-// NULL is a key of its own (never Str("N")'s). Numerics and strings are
-// told apart by kind; Compare's display-form equality between the two
-// does not carry over. Multiset equality keys rows here, and KeyTable,
-// which the hash operators key rows in, matches keys as it does.
+// Equal get equal keys, so Int(2), Float(2) and Date(2) share one, as
+// do all NaNs, and NULL is a key of its own (never Str("N")'s).
+// Multiset equality keys rows here. Key does not call Compare, so the
+// tests hold Compare, Hash and KeyTable to it as an independent oracle.
 func (t Tuple) Key() string {
 	buf := make([]byte, 0, 64)
 	for _, v := range t {
@@ -168,6 +167,8 @@ func (t Tuple) Key() string {
 			// An integral float keys as the integer it equals.
 			if f := v.float(); f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
 				buf = binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(int64(f)))
+			} else if math.IsNaN(f) {
+				buf = append(buf, 'n')
 			} else {
 				buf = binary.BigEndian.AppendUint64(append(buf, 'f'), uint64(v.n))
 			}

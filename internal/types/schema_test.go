@@ -158,19 +158,24 @@ func TestPeriodIntersectCommutes(t *testing.T) {
 	}
 }
 
-// TestTupleKeyMatchesEqual: two tuples get the same key exactly when
-// their values are pairwise Equal, across every pairing of ints,
-// floats, dates, strings and NULL — Int(2), Float(2) and Date(2) key
-// alike, NULL never keys as Str("N"), and a string's length keeps a
-// separator byte inside it from shifting the next column.
 // equalityGrid holds values that Equal relates across kinds (2, 2.0 and
 // day 2), that tell apart only in their low bits or last bytes, NULL,
-// and both zeros: Float(-0.0) is a constant expression, hence +0.
+// both zeros (Float(-0.0) is a constant expression, hence +0), a string
+// that reads as a number, two NaNs of different payloads, and integers
+// past 2^53 beside the float they round to.
 var equalityGrid = []Value{
 	Null, Int(2), Float(2), Date(2), Int(3), Float(2.5), Float(-0.0), Int(0),
 	Int(1 << 60), Int(1<<60 + 1), Str("N"), Str(""), Str("a"), Str("a\x00"), Str("ab"),
-	Float(math.Copysign(0, -1)),
+	Float(math.Copysign(0, -1)), Str("2"), Float(math.NaN()), Float(math.Float64frombits(0xfff0000000000001)),
+	Int(1 << 53), Int(1<<53 + 1), Float(1 << 53),
 }
+
+// TestTupleKeyMatchesEqual: two tuples get the same key exactly when
+// their values are pairwise Equal, across every pairing of ints,
+// floats, dates, strings and NULL — Int(2), Float(2) and Date(2) key
+// alike, as do both NaNs, NULL never keys as Str("N"), and a string's
+// length keeps a separator byte inside it from shifting the next
+// column.
 
 func TestTupleKeyMatchesEqual(t *testing.T) {
 	vals := equalityGrid

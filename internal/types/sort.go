@@ -2,7 +2,6 @@ package types
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
@@ -41,7 +40,7 @@ const smallSort, smallKeys = 64, 4
 // is Compare's order (desc complements it):
 //   - integers, dates and booleans: the payload with its sign bit flipped;
 //   - floats: the IEEE bits, sign-flipped when positive and complemented
-//     when negative, with -0 made +0 (Compare calls them equal);
+//     when negative, with -0 made +0 and every NaN one word above +Inf;
 //   - strings: the 7 bytes after the column's longest common prefix, then
 //     min(remaining length, 8) — exact when at most 7 bytes remain;
 //   - a column holding NULL gets one more significant pass that ranks
@@ -51,11 +50,9 @@ const smallSort, smallKeys = 64, 4
 // time, least significant key first, skipping every byte that is the
 // same in all rows. Rows whose words tie through an inexact string key
 // are re-sorted from that key with the comparator. A column mixing
-// kinds (int with float, a number with a string, which Compare orders
-// by display form) or a float column holding NaN cannot be encoded, and
-// then the whole sort is the comparator's, as are small sorts. Either
-// way the input position breaks the last tie, so the result is the
-// stable one.
+// int and float, or numbers and strings, is not encoded, and then the
+// whole sort is the comparator's, as are small sorts. Either way the
+// input position breaks the last tie, so the result is the stable one.
 func SortTuplesFunc(rows []Tuple, w int, key func(t Tuple, k int) Value, desc []bool) {
 	n := len(rows)
 	if n < 2 || w == 0 {
@@ -247,21 +244,12 @@ const intKinds = 1<<KindInt | 1<<KindDate | 1<<KindBool
 // nonNull is the set of kinds in the column other than NULL.
 func (c *keyCol) nonNull() uint8 { return c.seen &^ (1 << KindNull) }
 
-// encodable reports whether the column's values all map to words:
-// no kinds mixed across axes, no NaN.
+// encodable reports whether the column's values all map to words: its
+// non-NULL values are all integers, dates and booleans, all floats, or
+// all strings.
 func (c *keyCol) encodable() bool {
-	switch kinds := c.nonNull(); {
-	case kinds&^intKinds == 0, kinds == 1<<KindString:
-		return true
-	case kinds == 1<<KindFloat:
-		for _, x := range c.words {
-			if math.IsNaN(math.Float64frombits(x)) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	kinds := c.nonNull()
+	return kinds&^intKinds == 0 || kinds == 1<<KindFloat || kinds == 1<<KindString
 }
 
 // encode replaces the raw payloads by order-preserving words. NULL rows
@@ -271,8 +259,11 @@ func (c *keyCol) encode() {
 	switch c.nonNull() {
 	case 1 << KindFloat:
 		for i, x := range c.words {
-			if x == 1<<63 { // -0 equals +0
+			switch {
+			case x == 1<<63: // -0 equals +0
 				x = 0
+			case x&^(1<<63) > 0x7ff0000000000000: // NaN
+				x = nanBits
 			}
 			if x>>63 != 0 {
 				c.words[i] = ^x

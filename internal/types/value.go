@@ -231,14 +231,16 @@ func numericKind(k Kind) bool {
 	return false
 }
 
-// Compare orders two values. NULL sorts before everything; numerics
-// (including dates and booleans) compare on the numeric axis, strings
-// lexicographically. Comparing a numeric with a string compares the
-// numeric's display form.
+// Compare is the one total order of values, which every sort, join,
+// grouping, index and equality test of the system decides through:
+// NULL first; then every numeric (integers, dates, booleans and
+// floats) on one axis, compared exactly, with -0 equal to +0, and NaN
+// equal to NaN and after every other number; then strings, in byte
+// order. A number never equals a string.
 func Compare(a, b Value) int {
 	// Same-kind integers, floats and strings are nearly every comparison
-	// a sort, a join or a scan's conjunct makes; they skip the promotion
-	// rules below.
+	// a sort, a join or a scan's conjunct makes; they skip the rules
+	// below.
 	if a.kind == b.kind {
 		switch a.kind {
 		case KindInt, KindDate, KindBool:
@@ -249,48 +251,61 @@ func Compare(a, b Value) int {
 			return strings.Compare(a.str(), b.str())
 		}
 	}
+	if !numericKind(a.kind) || !numericKind(b.kind) {
+		return cmp.Compare(kindRank(a.kind), kindRank(b.kind))
+	}
 	switch {
-	case a.kind == KindNull && b.kind == KindNull:
-		return 0
-	case a.kind == KindNull:
-		return -1
-	case b.kind == KindNull:
-		return 1
+	case a.kind == KindFloat:
+		return -compareIntFloat(b.n, a.float())
+	case b.kind == KindFloat:
+		return compareIntFloat(a.n, b.float())
 	}
-	if numericKind(a.kind) && numericKind(b.kind) {
-		if a.kind == KindFloat || b.kind == KindFloat {
-			return compareFloats(a.AsFloat(), b.AsFloat())
-		}
-		switch {
-		case a.n < b.n:
-			return -1
-		case a.n > b.n:
-			return 1
-		default:
-			return 0
-		}
-	}
-	as, bs := a.AsString(), b.AsString()
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(a.n, b.n)
 }
 
-// compareFloats orders two floats on the numeric axis: NaN compares
-// equal to every float, and -0 to 0.
+// kindRank is a kind's place in Compare's order: NULL, numerics,
+// strings.
+func kindRank(k Kind) int {
+	switch {
+	case k == KindNull:
+		return 0
+	case k == KindString:
+		return 2
+	}
+	return 1
+}
+
+// compareFloats orders two floats: -0 equals 0, and NaN equals NaN and
+// follows every other float.
 func compareFloats(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
+	case !math.IsNaN(a):
+		return -1
+	case !math.IsNaN(b):
+		return 1
 	}
 	return 0
+}
+
+// compareIntFloat orders an integer against a float exactly: through
+// float64 while the integer converts exactly (|i| <= 2^53), else
+// against the float's integer part, which is then the whole float.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case -1<<53 <= i && i <= 1<<53 || math.IsNaN(f):
+		return compareFloats(float64(i), f)
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
+	}
+	return cmp.Compare(i, int64(f))
 }
 
 // Equal reports whether two values compare equal.
@@ -301,21 +316,27 @@ func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
 var hashSeed = maphash.MakeSeed()
 
+// nanBits is the one word every NaN hashes and sorts as.
+const nanBits = 0x7ff8000000000000
+
 // Hash returns a hash of the value consistent with Equal (for hash
 // joins and duplicate elimination). Every numeric hashes through its
-// float64, so Int(2), Float(2.0) and Date(2) hash alike, and -0 as +0,
-// matching Compare.
+// float64, so Int(2), Float(2.0) and Date(2) hash alike, -0 as +0 and
+// every NaN as one.
 func (v Value) Hash() uint64 {
 	switch {
 	case v.kind == KindNull:
 		return 0
 	case numericKind(v.kind):
 		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // -0 equals +0
+		x := math.Float64bits(f)
+		switch {
+		case f == 0:
+			x = 0 // -0 equals +0
+		case math.IsNaN(f):
+			x = nanBits
 		}
 		// murmur3's 64-bit finalizer
-		x := math.Float64bits(f)
 		x = (x ^ x>>33) * 0xff51afd7ed558ccd
 		x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
 		return x ^ x>>33

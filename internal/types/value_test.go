@@ -1,6 +1,8 @@
 package types
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -63,6 +65,16 @@ func TestCompare(t *testing.T) {
 		{Bool(false), Bool(true), -1},
 		{Date(10), Date(20), -1},
 		{Date(10), Int(10), 0},
+		{Str("2"), Int(2), 1},
+		{Str("10"), Int(9), 1},
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.NaN()), Float(math.Inf(1)), 1},
+		{Int(1 << 62), Float(math.NaN()), -1},
+		{Float(math.Copysign(0, -1)), Int(0), 0},
+		{Int(1<<53 + 1), Float(1 << 53), 1},
+		{Float(1 << 63), Int(math.MaxInt64), 1},
+		{Float(-1 << 63), Int(math.MinInt64), 0},
+		{Float(math.Inf(-1)), Int(math.MinInt64), -1},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -71,6 +83,9 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareAntisymmetric: Compare is antisymmetric over random
+// integers, and antisymmetric and transitive over every triple of
+// equalityGrid.
 func TestCompareAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		return Compare(Int(a), Int(b)) == -Compare(Int(b), Int(a))
@@ -78,6 +93,28 @@ func TestCompareAntisymmetric(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	for _, a := range equalityGrid {
+		for _, b := range equalityGrid {
+			for _, c := range equalityGrid {
+				if err := checkOrder3(a, b, c); err != "" {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// checkOrder3 returns what breaks antisymmetry or transitivity of
+// Compare over a, b and c, in that order, or "".
+func checkOrder3(a, b, c Value) string {
+	ab, ba, bc, ac := Compare(a, b), Compare(b, a), Compare(b, c), Compare(a, c)
+	switch {
+	case ab != -ba:
+		return fmt.Sprintf("Compare(%v, %v) = %d but Compare(%v, %v) = %d", a, b, ab, b, a, ba)
+	case ab <= 0 && bc <= 0 && (ac > 0 || ac == 0 && (ab < 0 || bc < 0)):
+		return fmt.Sprintf("%v <= %v <= %v (%d, %d) but Compare(%v, %v) = %d", a, b, c, ab, bc, a, c, ac)
+	}
+	return ""
 }
 
 func TestHashConsistentWithEqual(t *testing.T) {
@@ -185,4 +222,70 @@ func TestGreatestLeastAgainstCompare(t *testing.T) {
 			t.Fatalf("Greatest+Least should preserve sum for ints")
 		}
 	}
+}
+
+// orderValue decodes one value for FuzzValueOrder: k picks NULL, an
+// integer near 0, ±2^53 or ±2^63, a date, a boolean, a float (x's
+// bits, so every NaN payload, or for x < 16 one of ±0, ±Inf, ±2^53,
+// 2^53+2, ±2^63, NaN and a few small numbers) or a string that reads
+// as a number.
+func orderValue(k uint8, x uint64) Value {
+	switch k % 6 {
+	case 0:
+		return Null
+	case 1:
+		base := []int64{0, 1 << 53, -1 << 53, math.MaxInt64, math.MinInt64}[x%5]
+		return Int(base + int64(int8(x>>8)))
+	case 2:
+		return Date(int64(int16(x)))
+	case 3:
+		return Bool(x&1 != 0)
+	case 4:
+		if x < 16 {
+			return Float([]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1 << 53, -1 << 53,
+				1<<53 + 2, 1 << 63, -1 << 63, math.NaN(), 1, 1.5, 2, 5, 6, -2}[x])
+		}
+		return Float(math.Float64frombits(x))
+	}
+	return Str([]string{"2", "2.0", "10", "9", "NaN", "-0", "", "a"}[x%8])
+}
+
+// FuzzValueOrder holds Compare to a total order over three decoded
+// values, and every other equality to it: Compare is antisymmetric and
+// transitive, Equal holds exactly when Tuple.Keys are equal, Equal
+// values hash alike, and a one-column KeyTable gives Equal values, and
+// only those, one id.
+func FuzzValueOrder(f *testing.F) {
+	f.Add(uint8(4), math.Float64bits(math.NaN()), uint8(4), math.Float64bits(5), uint8(4), math.Float64bits(6))
+	f.Add(uint8(5), uint64(0), uint8(1), uint64(2<<8), uint8(4), math.Float64bits(2))
+	f.Add(uint8(1), uint64(1|1<<8), uint8(4), uint64(4), uint8(1), uint64(1))
+	f.Fuzz(func(t *testing.T, k1 uint8, x1 uint64, k2 uint8, x2 uint64, k3 uint8, x3 uint64) {
+		vals := []Value{orderValue(k1, x1), orderValue(k2, x2), orderValue(k3, x3)}
+		var tab KeyTable
+		tab.Reset(1)
+		defer tab.Free()
+		ids := make([]int, len(vals))
+		for i, v := range vals {
+			ids[i], _ = tab.Insert(Tuple{v})
+		}
+		for i, a := range vals {
+			for j, b := range vals {
+				for _, c := range vals {
+					if err := checkOrder3(a, b, c); err != "" {
+						t.Fatal(err)
+					}
+				}
+				eq := Equal(a, b)
+				if keys := (Tuple{a}).Key() == (Tuple{b}).Key(); keys != eq {
+					t.Fatalf("%v, %v: Equal = %v, keys equal = %v", a, b, eq, keys)
+				}
+				if eq && a.Hash() != b.Hash() {
+					t.Fatalf("%v = %v, but they hash to %#x and %#x", a, b, a.Hash(), b.Hash())
+				}
+				if (ids[i] == ids[j]) != eq {
+					t.Fatalf("%v, %v: Equal = %v, KeyTable ids %d and %d", a, b, eq, ids[i], ids[j])
+				}
+			}
+		}
+	})
 }
