@@ -52,8 +52,9 @@ race:
 # the wire decoders (frame, request and reply envelope), the WAL
 # decoder, the block decoder (heap pages, wire batches, spill runs),
 # its conjunct filter (against the compiled eval predicate), the row
-# sort (against a stable sort) and the value order (Compare against
-# Tuple.Key, Hash and KeyTable) for FUZZTIME each, seeded from the
+# sort (against a stable sort), the value order (Compare against
+# Tuple.Key, Hash and KeyTable) and the cost-factor fit (every factor
+# stays finite and positive) for FUZZTIME each, seeded from the
 # evaluation workload. Any crasher is written to the package's
 # testdata/fuzz corpus and replays under plain `go test`.
 fuzz:
@@ -68,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzBlockFilter -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzSortTuples -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/types/ -run='^$$' -fuzz=FuzzValueOrder -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cost/ -run='^$$' -fuzz=FuzzObserve -fuzztime=$(FUZZTIME)
 
 # chaos runs the seeded fault-injection sweep (every seed query under
 # drop/stall/partial schedules at GOMAXPROCS 1 and 4, plus the

@@ -461,9 +461,9 @@ type AdaptRow struct {
 }
 
 // RunAdapt repeatedly executes the Query 1 middleware plan and traces
-// how the transfer factor p_tm converges from its default toward the
-// measured byte rate (the paper's §7 feedback direction, implemented
-// as EWMA adaptation).
+// the transfer factor p_tm from its default (the paper's §7 feedback
+// direction): each step refits it by least squares to the measured
+// byte rates in its window.
 func RunAdapt(sc Scale, steps int) ([]AdaptRow, error) {
 	if steps <= 0 {
 		steps = 6

@@ -9,8 +9,15 @@ import (
 	"tango/internal/telemetry"
 )
 
-// adaptRate is the EWMA rate at which one observation moves a factor.
-const adaptRate = 0.2
+// windowLen is how many of a formula's latest observations its fit
+// weighs: calibration's samples first, then runtime feedback's, each
+// new one aging out the oldest.
+const windowLen = 16
+
+// wellConditioned is the least 1 − cos² between a two-factor window's
+// statistic columns for solving its normal equations: below it, the
+// rows are one shape up to rounding, which the solve would amplify.
+const wellConditioned = 1e-6
 
 // ObservedOp is one measured execution of a plan node, for the §7
 // feedback loop: a middleware operator's volumes and self time, from
@@ -48,102 +55,94 @@ func FromFeedback(n *algebra.Node, fb client.Feedback) ObservedOp {
 
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// Observe refines the factor(s) of one algorithm from a measured
-// execution and reports whether any moved. A transfer (T^M, T^D) takes
-// an EWMA step toward its observed µs per byte: f' = α·obs + (1 − α)·f.
-// A middleware operator's own terms, re-priced at the observed sizes
-// (so the update corrects the factor, not the estimate), predict its
-// time less its shared terms; each own factor moves by
-// f' = f·(1 + α·(ratio − 1)), the observed/predicted ratio clamped to
-// [0.1, 10]. DBMS-resident operators are skipped: the middleware sees
-// their cost only mixed into transfer time.
-func (f *Factors) Observe(o ObservedOp) bool {
-	if o.Micros <= 0 {
-		return false
-	}
-	loc := o.Node.Loc()
-	fm := f.terms(o.Node, loc, o.InBytes, o.OutBytes, o.InCard)
-	if o.Node.Op == algebra.OpTM || o.Node.Op == algebra.OpTD {
-		t := fm.t[0]
-		if t.a <= 0 {
-			return false
-		}
-		*t.f = adaptRate*(o.Micros/t.a) + (1-adaptRate)*(*t.f)
-		return true
-	}
-	if loc != algebra.LocMW {
-		return false
-	}
-	observed, predicted := o.Micros, 0.0
+// window is one formula's latest observations as least-squares rows,
+// each its own terms' statistics and its time less the shared terms:
+// a ring overwritten in place.
+type window struct {
+	x [windowLen][2]float64
+	y [windowLen]float64
+	n int // rows ever written; the ring holds the last windowLen
+}
+
+// Observe adds a measured execution to its formula's window and fits
+// the formula's own factors to the window: p = Σxy / Σx² for one.
+// Two (TAGGR^M's, TAGGR^D's) take the normal equations' solution when
+// it is well conditioned and positive, and otherwise scale together by
+// the one least-squares k along their current values, which for one
+// factor is that same p. An execution with no time, no own term, no
+// volume, or no time left after the shared terms is not a row, and a
+// fit that is not finite and positive moves nothing.
+func (m *Model) Observe(o ObservedOp) {
+	fm := m.F.terms(o.Node, o.Node.Loc(), o.InBytes, o.OutBytes, o.InCard)
+	var own [2]*float64
+	var x [2]float64
+	y, k := o.Micros, 0
 	for _, t := range fm.t[:fm.n] {
 		if t.shared {
-			observed -= t.cost()
-		} else {
-			predicted += t.cost()
+			y -= t.cost()
+			continue
 		}
+		own[k], x[k] = t.f, t.a*t.b
+		k++
 	}
-	if observed <= 0 {
-		observed = o.Micros / 10
+	if !finitePos(y) || !finitePos(x[0]+x[1]) {
+		return
 	}
-	if predicted <= 0 {
-		return false
+	w := m.windows[own[0]]
+	if w == nil {
+		w = new(window)
+		m.windows[own[0]] = w
 	}
-	ratio := min(max(observed/predicted, 0.1), 10)
-	k := 1 + adaptRate*(ratio-1)
-	for _, t := range fm.t[:fm.n] {
-		if !t.shared {
-			*t.f *= k
-		}
-	}
-	return true
+	w.x[w.n%windowLen], w.y[w.n%windowLen] = x, y
+	w.n++
+	w.fit(own[:k])
 }
 
-// fit solves the factors one operator's samples leave unknown: a
-// sample's time, less its formula's shared terms, is the sum of its
-// own terms. One own factor is solved from one sample, two (TAGGR^M's,
-// TAGGR^D's) from two samples of different shapes by solve2. A factor
-// the samples cannot separate keeps its value, and the empty sample of
-// a failed calibration step fits nothing.
-func (f *Factors) fit(s ...ObservedOp) {
-	var x [2][2]float64 // each sample's own-term statistics
-	var rhs [2]float64  // each sample's time left to its own terms
-	var own [2]*float64
-	for i, o := range s {
-		if o.Node == nil {
-			return
-		}
-		fm := f.terms(o.Node, o.Node.Loc(), o.InBytes, o.OutBytes, o.InCard)
-		rhs[i] = o.Micros
-		k := 0
-		for _, t := range fm.t[:fm.n] {
-			if t.shared {
-				rhs[i] -= t.cost()
-			} else {
-				x[i][k], own[k] = t.a*t.b, t.f
-				k++
+// fit sets the factors p to the least-squares fit of the window's rows.
+func (w *window) fit(p []*float64) {
+	var xx [2][2]float64
+	var xy [2]float64
+	var vv, vy float64 // the rows' current predictions v, against y
+	for i, y := range w.y[:min(w.n, windowLen)] {
+		v := 0.0
+		for j, f := range p {
+			v += *f * w.x[i][j]
+			xy[j] += w.x[i][j] * y
+			for l := range p {
+				xx[j][l] += w.x[i][j] * w.x[i][l]
 			}
 		}
+		vv += v * v
+		vy += v * y
 	}
-	if len(s) == 1 {
-		if p := rhs[0] / x[0][0]; p > 0 && p < math.Inf(1) {
-			*own[0] = p
+	if len(p) == 2 {
+		det := xx[0][0]*xx[1][1] - xx[0][1]*xx[1][0]
+		p0 := (xy[0]*xx[1][1] - xy[1]*xx[0][1]) / det
+		p1 := (xx[0][0]*xy[1] - xx[1][0]*xy[0]) / det
+		if det > wellConditioned*xx[0][0]*xx[1][1] && finitePos(p0) && finitePos(p1) {
+			*p[0], *p[1] = p0, p1
+			return
 		}
-	} else if p1, p2, ok := solve2(x[0][0], x[0][1], rhs[0], x[1][0], x[1][1], rhs[1]); ok {
-		*own[0], *own[1] = p1, p2
+	}
+	if k := vy / vv; finitePos(*p[0]*k) && finitePos(*p[len(p)-1]*k) {
+		for _, f := range p {
+			*f *= k
+		}
 	}
 }
 
-// solve2 solves {p1·x1 + p2·y1 = c1; p1·x2 + p2·y2 = c2} requiring a
-// well-conditioned positive solution.
-func solve2(x1, y1, c1, x2, y2, c2 float64) (p1, p2 float64, ok bool) {
-	det := x1*y2 - x2*y1
-	if det == 0 {
-		return 0, 0, false
+// Samples reports how many observations the window fitting n's
+// formula holds.
+func (m *Model) Samples(n *algebra.Node) int {
+	fm := m.F.terms(n, n.Loc(), 0, 0, 0)
+	own := fm.t[0]
+	if own.shared {
+		own = fm.t[1]
 	}
-	p1 = (c1*y2 - c2*y1) / det
-	p2 = (x1*c2 - x2*c1) / det
-	if p1 <= 0 || p2 <= 0 || p1 != p1 || p2 != p2 {
-		return 0, 0, false
+	if w := m.windows[own.f]; w != nil {
+		return min(w.n, windowLen)
 	}
-	return p1, p2, true
+	return 0
 }
+
+func finitePos(v float64) bool { return v > 0 && v < math.Inf(1) }

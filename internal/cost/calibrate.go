@@ -52,20 +52,21 @@ func (c *Calibrator) sampleRows(n int, groups int64, maxDur int64) []types.Tuple
 	return rows
 }
 
-// Calibrate runs the sample workload and returns fitted factors. Each
-// sample is an ObservedOp built as Middleware.absorb builds one: a
-// transfer from its client.Feedback, a middleware operator from its
-// instrumented self time, and a DBMS-resident one from the feedback of
-// the statement that ran it, less that statement's T^M term. fit
-// solves T^M first, as DBMS samples deduct it, and SortM before
-// TAGGR^M, which deducts it. DupM and CoalM are priors from SelM.
-func (c *Calibrator) Calibrate() (Factors, error) {
-	f := DefaultFactors()
+// Calibrate runs the sample workload and observes each sample into m,
+// where it is the first row of its formula's window. A sample is an
+// ObservedOp built as Middleware.absorb builds one: a transfer from
+// its client.Feedback, a middleware operator from its instrumented
+// self time, and a DBMS-resident one from the feedback of the
+// statement that ran it, less that statement's T^M term. T^M is
+// observed first, as DBMS samples deduct it, and SortM before TAGGR^M,
+// which deducts it. DupM and CoalM are priors from SelM. On an error,
+// m holds the samples observed before it.
+func (c *Calibrator) Calibrate(m *Model) error {
 	n := c.Rows
 	if n <= 0 {
 		n = 20000
 	}
-	var err error // the first failure: every later step does nothing
+	var err error // the first failure: every later step observes no time
 	var tables []string
 	defer func() {
 		for _, t := range tables {
@@ -87,13 +88,13 @@ func (c *Calibrator) Calibrate() (Factors, error) {
 	// bytes and inCard rows, by the statement sql that runs it.
 	query := func(n *algebra.Node, in, inCard float64, sql string) ObservedOp {
 		if err != nil {
-			return ObservedOp{}
+			return ObservedOp{Node: n}
 		}
 		res, fb, qerr := c.Conn.QueryAll(sql)
 		if err = qerr; err != nil {
-			return ObservedOp{}
+			return ObservedOp{Node: n}
 		}
-		tm := f.terms(algebra.TM(n), algebra.LocMW, float64(fb.Bytes), 0, 0).cost()
+		tm := m.F.terms(algebra.TM(n), algebra.LocMW, float64(fb.Bytes), 0, 0).cost()
 		return ObservedOp{Node: n, InBytes: in, OutBytes: float64(res.ByteSize()), InCard: inCard, Micros: FromFeedback(n, fb).Micros - tm}
 	}
 	// run drains the middleware operator op over instrumented inputs,
@@ -101,11 +102,11 @@ func (c *Calibrator) Calibrate() (Factors, error) {
 	input := func(r *rel.Relation) rel.Iterator { return telemetry.Instrument("input", nil, r.Iter()) }
 	run := func(n *algebra.Node, op rel.Iterator, inputs ...rel.Iterator) ObservedOp {
 		if err != nil {
-			return ObservedOp{}
+			return ObservedOp{Node: n}
 		}
 		w := telemetry.Instrument(n.Op.String(), n, op, inputs...)
 		if err = rel.Each(w, func(types.Tuple) error { return nil }); err != nil {
-			return ObservedOp{}
+			return ObservedOp{Node: n}
 		}
 		return FromStats(n, w.Stats())
 	}
@@ -113,25 +114,25 @@ func (c *Calibrator) Calibrate() (Factors, error) {
 	// The transfers: a timed bulk load and a timed full fetch.
 	table, fb := load(c.sampleRows(n, 50, 100))
 	if err != nil {
-		return f, err
+		return err
 	}
 	scan := algebra.Scan(table, "")
 	mw := algebra.TM(scan)
-	f.fit(FromFeedback(algebra.TD(mw), fb))
+	m.Observe(FromFeedback(algebra.TD(mw), fb))
 	mat, fb, err := c.Conn.QueryAll("SELECT G, V, T1, T2 FROM " + table)
 	if err != nil {
-		return f, err
+		return err
 	}
-	f.fit(FromFeedback(mw, fb))
+	m.Observe(FromFeedback(mw, fb))
 	size, card := float64(mat.ByteSize()), float64(mat.Cardinality())
 
 	// The generic DBMS formulas: COUNT(*) scans the table and ships one
 	// row, ORDER BY sorts it, the self-join on G and V moves it twice.
 	scanD := query(scan, 0, 0, "SELECT COUNT(*) FROM "+table)
 	scanD.OutBytes = size
-	f.fit(scanD)
-	f.fit(query(algebra.Sort(scan, "G", "T1"), size, card, "SELECT G, V, T1, T2 FROM "+table+" ORDER BY G, T1"))
-	f.fit(query(algebra.Join(scan, scan, []string{"G", "V"}, []string{"G", "V"}), 2*size, card,
+	m.Observe(scanD)
+	m.Observe(query(algebra.Sort(scan, "G", "T1"), size, card, "SELECT G, V, T1, T2 FROM "+table+" ORDER BY G, T1"))
+	m.Observe(query(algebra.Join(scan, scan, []string{"G", "V"}, []string{"G", "V"}), 2*size, card,
 		fmt.Sprintf("SELECT A.G, A.V, B.V FROM %s A, %s B WHERE A.G = B.G AND A.V = B.V", table, table)))
 
 	// The middleware algorithms: SORT^M on G, T1; FILTER^M on a
@@ -139,29 +140,28 @@ func (c *Calibrator) Calibrate() (Factors, error) {
 	// with itself on G. G has 50 values, so the join's output grows
 	// with the square of the sample: run counts it, keeping nothing.
 	in := input(mat)
-	f.fit(run(algebra.Sort(mw, "G", "T1"), xxl.NewSort(in, []int{0, 2}), in))
+	m.Observe(run(algebra.Sort(mw, "G", "T1"), xxl.NewSort(in, []int{0, 2}), in))
 	pred := sqlast.BinaryExpr{Op: sqlast.OpLt, Left: sqlast.ColumnRef{Name: "V"}, Right: sqlast.Literal{Value: types.Int(500)}}
 	in = input(mat)
 	filter, ferr := xxl.NewFilter(in, pred)
 	if err == nil {
 		err = ferr
 	}
-	f.fit(run(algebra.Select(mw, pred), filter, in))
+	m.Observe(run(algebra.Select(mw, pred), filter, in))
 	mat.SortBy("G", "T1")
 	l, r := input(mat), input(mat)
-	f.fit(run(algebra.Join(mw, mw, []string{"G"}, []string{"G"}), xxl.NewMergeJoin(l, r, []int{0}, []int{0}), l, r))
+	m.Observe(run(algebra.Join(mw, mw, []string{"G"}, []string{"G"}), xxl.NewMergeJoin(l, r, []int{0}, []int{0}), l, r))
 
 	// TAGGR^M and TAGGR^D weigh input and output bytes apart, so each
-	// is fit from two shapes: dense overlap, a big output, and sparse,
-	// a near-minimal one. The DBMS's quadratic-ish SQL runs on a tenth
-	// of the sample.
+	// is observed in two shapes: dense overlap, a big output, and
+	// sparse, a near-minimal one. The DBMS's quadratic-ish SQL runs on
+	// a tenth of the sample.
 	out := sampleSchema.Project([]int{0, 2, 3}).Concat(types.NewSchema(types.Column{Name: "COUNTofG", Kind: types.KindInt}))
-	var taggrM, taggrD [2]ObservedOp
-	for i, sh := range [2]struct{ groups, maxDur int64 }{{5, 2000}, {200, 3}} {
+	for _, sh := range [2]struct{ groups, maxDur int64 }{{5, 2000}, {200, 3}} {
 		sample := &rel.Relation{Schema: sampleSchema, Tuples: c.sampleRows(n, sh.groups, sh.maxDur)}
 		sample.SortBy("G", "T1")
 		in := input(sample)
-		taggrM[i] = run(algebra.TAggr(mw, []string{"G"}), xxl.NewTAggr(in, []int{0}, 2, 3, []xxl.AggSpec{{Kind: xxl.AggCount}}, out), in)
+		m.Observe(run(algebra.TAggr(mw, []string{"G"}), xxl.NewTAggr(in, []int{0}, 2, 3, []xxl.AggSpec{{Kind: xxl.AggCount}}, out), in))
 		sample = &rel.Relation{Schema: sampleSchema, Tuples: c.sampleRows(max(n/10, 500), sh.groups, sh.maxDur)}
 		tbl, _ := load(sample.Tuples)
 		taggr := algebra.TAggr(algebra.Scan(tbl, ""), []string{"G"}, algebra.Agg{Fn: "COUNT", Col: "G"})
@@ -169,12 +169,10 @@ func (c *Calibrator) Calibrate() (Factors, error) {
 		if err == nil {
 			err = gerr
 		}
-		taggrD[i] = query(taggr, float64(sample.ByteSize()), float64(len(sample.Tuples)), sql)
+		m.Observe(query(taggr, float64(sample.ByteSize()), float64(len(sample.Tuples)), sql))
 	}
-	f.fit(taggrM[:]...)
-	f.fit(taggrD[:]...)
 
-	f.DupM = f.SelM * 2
-	f.CoalM = f.SelM * 1.5
-	return f, err
+	m.F.DupM = m.F.SelM * 2
+	m.F.CoalM = m.F.SelM * 1.5
+	return err
 }

@@ -2,9 +2,9 @@
 // formulas of Figure 6 of the paper (plus the "generic" DBMS formulas
 // for scan, sort, and join), the cost factors they weigh statistics
 // with, Du et al.-style calibration that derives the factors from
-// sample runs, and the adaptive feedback loop that refines the
-// transfer factors from measured execution (the "adaptable" in the
-// paper's title). All costs are in microseconds, the paper's unit.
+// sample runs, and the feedback loop that refits them from measured
+// execution (the "adaptable" in the paper's title). All costs are in
+// microseconds, the paper's unit.
 package cost
 
 import (
@@ -54,15 +54,17 @@ func DefaultFactors() Factors {
 }
 
 // Model prices plans: statistics come from the estimator, weights from
-// the factors.
+// the factors, which Observe fits. Its windows are keyed by addresses
+// in F, so a Model is built by NewModel and never copied.
 type Model struct {
-	F   Factors
-	Est *stats.Estimator
+	F       Factors
+	Est     *stats.Estimator
+	windows map[*float64]*window
 }
 
-// NewModel builds a model with default factors.
+// NewModel builds a model with default factors and empty windows.
 func NewModel(est *stats.Estimator) *Model {
-	return &Model{F: DefaultFactors(), Est: est}
+	return &Model{F: DefaultFactors(), Est: est, windows: map[*float64]*window{}}
 }
 
 // PlanCost returns the estimated cost (µs) of the whole plan: the sum
@@ -95,8 +97,8 @@ func (m *Model) OpCost(n *algebra.Node, loc algebra.Location, out *stats.RelStat
 // A term is one factor × statistic product of a cost formula, the
 // statistic a × b of the operator's volumes. A shared term is priced
 // with another algorithm's factor (TAGGR^M's internal sort, at SortM):
-// adaptation and calibration deduct it from the measured time and move
-// only the other terms' factors.
+// Observe deducts it from the measured time and fits only the other
+// terms' factors.
 type term struct {
 	f      *float64 // a field of the Factors the formula is stated over
 	a, b   float64
@@ -123,13 +125,13 @@ func (fm formula) cost() (c float64) {
 }
 
 // terms states each operator's cost formula, the one place it is
-// written, for pricing (OpCost), adaptation (Observe) and calibration
-// (fit): Figure 6 for the transfers and the middleware algorithms, the
-// generic formulas for the DBMS. in and out are the bytes the inputs
-// carry and the operator produces, inCard the first input's
-// cardinality. A DBMS selection is free (the paper's assumption), a
-// projection forms its output at no cost, and a DBMS coalescing is
-// not executable (see OpCost): none has a term.
+// written, for pricing (OpCost) and fitting (Observe): Figure 6 for
+// the transfers and the middleware algorithms, the generic formulas
+// for the DBMS. in and out are the bytes the inputs carry and the
+// operator produces, inCard the first input's cardinality. A DBMS
+// selection is free (the paper's assumption), a projection forms its
+// output at no cost, and a DBMS coalescing is not executable (see
+// OpCost): none has a term.
 func (f *Factors) terms(n *algebra.Node, loc algebra.Location, in, out, inCard float64) (fm formula) {
 	mw := loc == algebra.LocMW
 	sort, join := &f.SortD, &f.JoinD

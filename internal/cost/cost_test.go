@@ -2,7 +2,6 @@ package cost
 
 import (
 	"math"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -172,11 +171,11 @@ func TestCalibration(t *testing.T) {
 	db := engine.Open(engine.Config{})
 	srv := server.New(db, wire.Latency{})
 	conn := client.Connect(srv)
-	cal := &Calibrator{Conn: conn, Rows: 3000}
-	f, err := cal.Calibrate()
-	if err != nil {
+	m := NewModel(nil)
+	if err := (&Calibrator{Conn: conn, Rows: 3000}).Calibrate(m); err != nil {
 		t.Fatal(err)
 	}
+	f := m.F
 	check := func(name string, v float64) {
 		if v <= 0 || v != v {
 			t.Errorf("factor %s = %g, want positive", name, v)
@@ -194,8 +193,13 @@ func TestCalibration(t *testing.T) {
 	check("TAggrM2", f.TAggrM2)
 	check("TAggrD1", f.TAggrD1)
 	check("TAggrD2", f.TAggrD2)
-	// The core asymmetry the paper exploits: DBMS temporal aggregation
+	// TAGGR^D's factors are fitted, not left at their priors, and show
+	// the core asymmetry the paper exploits: DBMS temporal aggregation
 	// is far more expensive per byte than the middleware sweep.
+	d := DefaultFactors()
+	if f.TAggrD1 == d.TAggrD1 || f.TAggrD2 == d.TAggrD2 {
+		t.Errorf("TAGGR^D factors %g, %g kept their priors", f.TAggrD1, f.TAggrD2)
+	}
 	if f.TAggrD1+f.TAggrD2 < (f.TAggrM1+f.TAggrM2)*2 {
 		t.Errorf("TAGGR^D (%g+%g) should be clearly pricier than TAGGR^M (%g+%g)",
 			f.TAggrD1, f.TAggrD2, f.TAggrM1, f.TAggrM2)
@@ -209,81 +213,24 @@ func TestCalibration(t *testing.T) {
 // TestCalibrationAllocatesLinearly: JOIN^M calibrates on the sample's
 // self-join on G, which has 50 values, so the join's output grows with
 // the square of the sample. Calibration must count that output as it
-// streams, not keep it: 4× the rows may allocate less than 3× the
-// bytes.
+// streams, not keep it: 4× the rows may allocate less than 6× the
+// bytes. Counting reads 2.3–3.6×, moved run to run by pooled buffers
+// and goroutine timing; keeping the output reads 11–13×.
 func TestCalibrationAllocatesLinearly(t *testing.T) {
 	alloc := func(rows int) uint64 {
 		conn := client.Connect(server.New(engine.Open(engine.Config{}), wire.Latency{}))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := (&Calibrator{Conn: conn, Rows: rows}).Calibrate(); err != nil {
+		if err := (&Calibrator{Conn: conn, Rows: rows}).Calibrate(NewModel(nil)); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	small, large := alloc(1500), alloc(6000)
-	if large >= 3*small {
-		t.Fatalf("calibration allocated %.1f MB at 6000 rows, %.1f MB at 1500: %.1fx, want < 3x",
+	if large >= 6*small {
+		t.Fatalf("calibration allocated %.1f MB at 6000 rows, %.1f MB at 1500: %.1fx, want < 6x",
 			float64(large)/1e6, float64(small)/1e6, float64(large)/float64(small))
-	}
-}
-
-// TestFitRecoversFactors: samples timed through the term list at
-// known factors fit back to those factors, every one the calibrator
-// fits — in calibration order, as TAGGR^M's samples deduct SortM.
-func TestFitRecoversFactors(t *testing.T) {
-	want := Factors{TM: 0.071, TD: 0.053, SelM: 0.0013, TAggrM1: 0.0041, TAggrM2: 0.0067, TAggrD1: 0.21, TAggrD2: 0.37,
-		SortM: 0.0011, SortD: 0.0017, JoinM: 0.0023, JoinD: 0.0097, ScanD: 0.0043}
-	observe := func(n *algebra.Node, in, out, card float64) ObservedOp {
-		return ObservedOp{Node: n, InBytes: in, OutBytes: out, InCard: card, Micros: want.terms(n, n.Loc(), in, out, card).cost()}
-	}
-	db := algebra.Scan("R", "")
-	mw := algebra.TM(db)
-	keys := []string{"G"}
-	got := DefaultFactors()
-	for _, s := range [][]ObservedOp{
-		{observe(algebra.TD(mw), 21015, 0, 0)},
-		{observe(mw, 21062, 0, 0)},
-		{observe(db, 0, 96000, 0)},
-		{observe(algebra.Sort(db, keys...), 96000, 96000, 3000)},
-		{observe(algebra.Join(db, db, keys, keys), 192000, 77088, 3000)},
-		{observe(algebra.Sort(mw, keys...), 96000, 96000, 3000)},
-		{observe(algebra.Select(mw, mustPredExpr(t, "V < 500")), 96000, 47808, 3000)},
-		{observe(algebra.Join(mw, mw, keys, keys), 192000, 1.17e7, 6000)},
-		{observe(algebra.TAggr(mw, keys), 96000, 182176, 3000), observe(algebra.TAggr(mw, keys), 48000, 40000, 1500)},
-		{observe(algebra.TAggr(db, keys), 16000, 31712, 500), observe(algebra.TAggr(db, keys), 8000, 16000, 250)},
-	} {
-		got.fit(s...)
-	}
-	// A failed calibration step's empty sample fits nothing.
-	before := got
-	if got.fit(observe(algebra.TAggr(db, keys), 16000, 31712, 500), ObservedOp{}); got != before {
-		t.Errorf("a pair with an empty sample moved the factors to %+v", got)
-	}
-	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
-	for i := 0; i < w.NumField(); i++ {
-		name := w.Type().Field(i).Name
-		if name == "DupM" || name == "CoalM" { // derived priors, not fitted
-			continue
-		}
-		if x, y := g.Field(i).Float(), w.Field(i).Float(); math.Abs(x-y) > 1e-9*y {
-			t.Errorf("%s fit to %v, want %v", name, x, y)
-		}
-	}
-}
-
-func TestSolve2(t *testing.T) {
-	// 2*3 + 3*1 = 9; 2*1 + 3*2 = 8.
-	p1, p2, ok := solve2(3, 1, 9, 1, 2, 8)
-	if !ok || p1 != 2 || p2 != 3 {
-		t.Errorf("solve2 = %g, %g, %v", p1, p2, ok)
-	}
-	if _, _, ok := solve2(1, 1, 5, 2, 2, 10); ok {
-		t.Error("singular system should fail")
-	}
-	if _, _, ok := solve2(1, 0, -5, 0, 1, 3); ok {
-		t.Error("negative solution should be rejected")
 	}
 }
 

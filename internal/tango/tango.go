@@ -101,15 +101,15 @@ func OpenConn(conn *client.Conn, opts Options) *Middleware {
 }
 
 // Calibrate derives the cost factors from sample runs against the
-// connected DBMS (the Cost Estimator component). rows ≤ 0 uses the
-// default sample size.
+// connected DBMS (the Cost Estimator component), into a fresh model
+// that replaces the current one only when calibration succeeds.
+// rows ≤ 0 uses the default sample size.
 func (m *Middleware) Calibrate(rows int) error {
-	cal := &cost.Calibrator{Conn: m.Conn, Rows: rows}
-	f, err := cal.Calibrate()
-	if err != nil {
+	model := cost.NewModel(m.Est)
+	if err := (&cost.Calibrator{Conn: m.Conn, Rows: rows}).Calibrate(model); err != nil {
 		return fmt.Errorf("tango: calibration: %w", err)
 	}
-	m.Model.F = f
+	m.Model = model
 	return nil
 }
 
@@ -230,7 +230,7 @@ func planLabel(plan *algebra.Node) string {
 }
 
 // absorb feeds one execution's measurements back into the model, each
-// through Factors.Observe: every T^M's and T^D's whole-transfer
+// through Model.Observe: every T^M's and T^D's whole-transfer
 // feedback, then every other middleware operator's self time. It also
 // records the Q-error drift metrics comparing the optimizer's
 // cardinality estimates, read from the query's catalog view, against
@@ -239,10 +239,10 @@ func planLabel(plan *algebra.Node) string {
 func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.Span) {
 	m.mu.Lock()
 	for _, t := range ex.transfersM {
-		m.Model.F.Observe(transferObs(t.node, t.Feedback()))
+		m.Model.Observe(cost.FromFeedback(t.node, t.Feedback()))
 	}
 	for _, t := range ex.transfersD {
-		m.Model.F.Observe(transferObs(t.node, t.Feedback()))
+		m.Model.Observe(cost.FromFeedback(t.node, t.Feedback()))
 	}
 	m.mu.Unlock()
 	st := ex.ExecStats()
@@ -259,7 +259,7 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 		// Transfers were observed above, from their feedback.
 		if n.Op != algebra.OpTM && n.Op != algebra.OpTD {
 			m.mu.Lock()
-			m.Model.F.Observe(cost.FromStats(n, s))
+			m.Model.Observe(cost.FromStats(n, s))
 			m.mu.Unlock()
 		}
 		if m.Metrics != nil && s.Rows > 0 {
@@ -285,10 +285,6 @@ func (m *Middleware) absorb(ex *Executor, cat *stats.Snapshot, root *telemetry.S
 			SetExemplar(worstQ, fmt.Sprintf("%016x", root.TraceID()), worstOp)
 	}
 }
-
-// transferObs is a transfer's feedback as one observation of its plan
-// node, built as calibration builds its transfer samples.
-var transferObs = cost.FromFeedback
 
 // Run optimizes an initial plan and executes the winner, returning
 // the result and the optimizer's report. The whole lifecycle is

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"tango/internal/algebra"
+	"tango/internal/cost"
 	"tango/internal/engine"
+	"tango/internal/fault"
 	"tango/internal/meta"
 	"tango/internal/server"
 	"tango/internal/stats"
@@ -79,9 +81,9 @@ func TestMiddlewareAdaptsFactors(t *testing.T) {
 	}
 }
 
-// TestAbsorbObservesEachTransferOnce: a T^M or T^D moves its factor
-// once, from its whole-transfer feedback; absorb's operator walk does
-// not observe the transfer nodes a second time.
+// TestAbsorbObservesEachTransferOnce: each T^M and T^D is one row of
+// its factor's window, from its whole-transfer feedback; absorb's
+// operator walk does not observe the transfer nodes a second time.
 func TestAbsorbObservesEachTransferOnce(t *testing.T) {
 	mw := openMW(t)
 	ex := &Executor{Conn: mw.Conn, Cat: mw.Cat, Analyze: true}
@@ -91,16 +93,11 @@ func TestAbsorbObservesEachTransferOnce(t *testing.T) {
 	if len(ex.transfersM) == 0 || len(ex.transfersD) == 0 {
 		t.Fatalf("plan ran %d T^M and %d T^D, want both", len(ex.transfersM), len(ex.transfersD))
 	}
-	want := mw.Model.F
-	for _, tr := range ex.transfersM {
-		want.Observe(transferObs(tr.node, tr.Feedback()))
-	}
-	for _, tr := range ex.transfersD {
-		want.Observe(transferObs(tr.node, tr.Feedback()))
-	}
 	mw.absorb(ex, nil, nil)
-	if got := mw.Model.F; got.TM != want.TM || got.TD != want.TD {
-		t.Errorf("TM, TD = %g, %g after absorb; want %g, %g from the transfers' feedback alone", got.TM, got.TD, want.TM, want.TD)
+	tm, td := mw.Model.Samples(ex.transfersM[0].node), mw.Model.Samples(ex.transfersD[0].node)
+	if tm != len(ex.transfersM) || td != len(ex.transfersD) {
+		t.Errorf("T^M and T^D windows hold %d and %d rows after absorb; want one per transfer, %d and %d",
+			tm, td, len(ex.transfersM), len(ex.transfersD))
 	}
 }
 
@@ -115,6 +112,24 @@ func TestMiddlewareCalibrate(t *testing.T) {
 	}
 	if mw.Model.F.TM <= 0 || mw.Model.F.TAggrD1 <= 0 {
 		t.Errorf("bad calibrated factors: %+v", mw.Model.F)
+	}
+
+	// A calibration that fails after its first samples leaves the
+	// model as it was: every fetch is dropped, so the sample load
+	// succeeds and the full fetch after it fails.
+	srv := server.New(engine.Open(engine.Config{}), wire.Latency{})
+	sched, err := fault.ParseSchedule("seed=1;fetch~drop=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetFaults(sched.Injector())
+	failed := Open(srv, Options{})
+	model := failed.Model
+	if err := failed.Calibrate(1500); err == nil {
+		t.Fatal("calibration with every fetch dropped succeeded")
+	}
+	if failed.Model != model || model.F != cost.DefaultFactors() {
+		t.Errorf("a failed calibration changed the model's factors to %+v", failed.Model.F)
 	}
 }
 

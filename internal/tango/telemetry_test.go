@@ -231,14 +231,24 @@ func TestAdaptiveLoopFromMeasuredOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := mw.Model.F
-	if after.TAggrM1 == before.TAggrM1 && after.TAggrM2 == before.TAggrM2 {
-		t.Error("TAggr^M factors did not adapt from measured timings")
-	}
 	if after.JoinM == before.JoinM {
 		t.Error("Join^M factor did not adapt from measured timings")
 	}
 	if after.TM == before.TM {
 		t.Error("transfer factor did not adapt")
+	}
+	// TAGGR^M's self time less its shared term, the internal sort priced
+	// at SortM as a tuple sort, is no row when the sort share exceeds it
+	// (about one execution in a hundred here), so TAGGR^M gets up to
+	// three executions to adapt.
+	for i := 1; i < 3 && after.TAggrM1 == before.TAggrM1 && after.TAggrM2 == before.TAggrM2; i++ {
+		if _, err := mw.Execute(paperPlanAllMW()); err != nil {
+			t.Fatal(err)
+		}
+		after = mw.Model.F
+	}
+	if after.TAggrM1 == before.TAggrM1 && after.TAggrM2 == before.TAggrM2 {
+		t.Error("TAggr^M factors did not adapt from measured timings")
 	}
 	for _, op := range []string{"TAggr^M", "TJoin^M"} {
 		h := reg.Histogram("tango_qerror", telemetry.Labels{"op": op}, telemetry.QErrorBuckets)
